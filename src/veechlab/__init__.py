@@ -36,7 +36,6 @@ from .covering import (
     Monodromy,
     build_cover,
     cover_cylinders,
-    eval_word,
     monodromy_indices,
     standard_monodromy,
 )

@@ -32,6 +32,7 @@ from .covering import (
     Monodromy,
     base_decomposition,
     build_cover,
+    lifted_cylinders,
     monodromy_indices,
     sigma_d1,
     sigma_d2,
@@ -97,15 +98,11 @@ def _sorted_multiset(counter: dict) -> list:
 def _finite_profile(n: int, monodromy: Monodromy, l: int):
     """(inverse modulus, height) pairs with multiplicities for Y in v_l."""
     counter = {}
-    for cyl in base_decomposition(n, l):
-        image = monodromy.eval_word(cyl.core_word)
-        for cyc in perms.cycles(image):
-            a = len(cyc)
-            key = (a * cyl.inverse_modulus, cyl.height)
-            hkey = (key[0].key(), key[1].key())
-            slot = counter.setdefault(hkey, [key, 0])
-            slot[1] += 1
-    return {k: (v[0], v[1]) for k, v in counter.items()}
+    for cyl, a in lifted_cylinders(n, monodromy, l):
+        mod = a * cyl.inverse_modulus
+        slot = counter.setdefault((mod.key(), cyl.height.key()), [(mod, cyl.height), 0])
+        slot[1] += 1
+    return counter
 
 
 def _infinite_profile(n: int, zm: ZMonodromy, l: int):
@@ -129,7 +126,7 @@ def _infinite_profile(n: int, zm: ZMonodromy, l: int):
             count = zp.orbit_count()
             slot = infinite_heights.setdefault(cyl.height.key(), [cyl.height, 0])
             slot[1] += count if count is not None else 0
-    return finite_types, {k: (v[0], v[1]) for k, v in infinite_heights.items()}
+    return finite_types, infinite_heights
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +140,14 @@ def _integer_quotient(factor: RealAlg, modulus: RealAlg):
     return None
 
 
-def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
-    """Integer twist counts for the factor-2*lambda shear in direction v_l."""
-    n = cover.n
+def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types) -> Certificate:
+    """ShearMembership from ((inverse modulus, height), count) cylinder types."""
     if factor is None:
         factor = 2 * lambda_n(n)
     rows = []
     verdict = PASS
     witness = None
-    for (mod, height), count in _finite_profile(n, cover.monodromy, l).values():
+    for (mod, height), count in types:
         twists = _integer_quotient(factor, mod)
         rows.append(
             {
@@ -168,46 +164,26 @@ def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None)
     return Certificate(
         kind="ShearMembership",
         n=n,
-        d=cover.d,
+        d=d,
         verdict=verdict,
         payload={"l": l, "factor": _alg(factor), "cylinders": rows},
         witness=witness,
     )
+
+
+def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
+    """Integer twist counts for the factor-2*lambda shear in direction v_l."""
+    types = _finite_profile(cover.n, cover.monodromy, l).values()
+    return _shear_certificate(cover.n, cover.d, l, factor, types)
 
 
 def certify_shear_infinite(n: int, l: int, factor: RealAlg | None = None) -> Certificate:
-    zm = std_infinite_monodromy(n)
-    if factor is None:
-        factor = 2 * lambda_n(n)
-    finite_types, infinite_heights = _infinite_profile(n, zm, l)
-    rows = []
-    verdict = PASS
-    witness = None
-    for (mod, height), _count in finite_types.values():
-        twists = _integer_quotient(factor, mod)
-        rows.append(
-            {
-                "inverse_modulus": _alg(mod),
-                "height": _alg(height),
-                "count": None,
-                "twists": twists,
-            }
-        )
-        if twists is None and verdict == PASS:
-            verdict = FAIL
-            witness = {"inverse_modulus": _alg(mod), "reason": "non-integer twist"}
+    finite_types, infinite_heights = _infinite_profile(n, std_infinite_monodromy(n), l)
+    cert = _shear_certificate(n, "inf", l, factor, finite_types.values())
     if infinite_heights:
-        verdict = FAIL
-        witness = {"reason": "infinite cylinder in shear direction", "l": l}
-    rows.sort(key=lambda r: (r["inverse_modulus"]["approx"], r["height"]["approx"]))
-    return Certificate(
-        kind="ShearMembership",
-        n=n,
-        d="inf",
-        verdict=verdict,
-        payload={"l": l, "factor": _alg(factor), "cylinders": rows},
-        witness=witness,
-    )
+        cert.verdict = FAIL
+        cert.witness = {"reason": "infinite cylinder in shear direction", "l": l}
+    return cert
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
@@ -564,7 +540,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         return _aggregate(n, d, [bad])
     subs = [
         Certificate(kind="WellFormedCover", n=n, d=d, verdict=PASS,
-                    payload={"polygons": len(cover.surface.polygons)}),
+                    payload={"polygons": d * len(cover.base.polygons)}),
     ]
     for l in _shear_direction_indices(n):
         subs.append(certify_shear(cover, l))

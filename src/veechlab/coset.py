@@ -210,7 +210,6 @@ def coset_enumerate(
                 raise CapExceeded("table not closed at cap %d" % cap)
 
     # canonical renumbering: BFS from coset 0 in generator order
-    order = {live[0] if live[0] == enum.rep(0) else enum.rep(0): 0}
     order = {enum.rep(0): 0}
     words = {enum.rep(0): GroupWord()}
     frontier = [enum.rep(0)]

@@ -2,16 +2,18 @@
 
 The monodromy is an anti-homomorphism from the fundamental group to
 S_d: m(w1 * w2) = m(w2) o m(w1).  Evaluating a word therefore applies
-the generator permutations in path order.  The cover is realized as an
-explicit polygon complex (d copies of the base), so every cylinder
-claim can be cross-validated by the generic tracer; the cycle-structure
-shortcut predicts the same cylinders from the base decomposition alone.
+the generator permutations in path order.  A cover is its monodromy:
+its cylinders come from the base decomposition and the cycle structure
+of the core words' images, and build_cover checks only the degree and
+transitivity.  The explicit polygon complex (d copies of the base) is
+realized on first access to CoveringSurface.surface, for rendering,
+holonomy and cross-validation by the generic tracer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import perms
 from .errors import IntransitiveMonodromy
@@ -50,8 +52,8 @@ class Monodromy:
     """Generator-indexed permutations of {0..d-1}.
 
     Transitivity of the image (connectedness of the cover) is checked
-    when the cover is realized, not here, so that degenerate candidates
-    can still be inspected.
+    by build_cover, not here, so that degenerate candidates can still be
+    inspected.
     """
 
     def __init__(self, num_generators: int, degree: int, images: dict, k1=None, k2=None):
@@ -109,17 +111,39 @@ def standard_monodromy(n: int, d: int) -> Monodromy:
     return Monodromy(num, d, {k1: sigma_d1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
 
 
-def eval_word(m: Monodromy, w: Word) -> tuple:
-    return m.eval_word(w)
-
-
 @dataclass
 class CoveringSurface:
     base: TranslationSurface
     monodromy: Monodromy
-    surface: TranslationSurface  # realized complex with d * |base polygons| faces
     n: int
     d: int
+
+    @cached_property
+    def surface(self) -> TranslationSurface:
+        """The realized complex with d * |base polygons| faces.
+
+        Edge x_i of copy j glues to x_i' of copy sigma_i(j).  Built and
+        validated on first access; the certificates never need it.
+        """
+        base = self.base
+        nb = len(base.polygons)
+        gluing = {}
+        labels = {}
+        for src, dst in base.gluing.items():
+            label = base.generator_labels.get(src)
+            for c in range(self.d):
+                src_ref = EdgeRef(c * nb + src.polygon, src.side)
+                labels[src_ref] = label
+                if label is None:
+                    target_copy = c
+                else:
+                    g, sgn = label
+                    img = self.monodromy.image(g)
+                    target_copy = img[c] if sgn > 0 else perms.inverse(img)[c]
+                gluing[src_ref] = EdgeRef(target_copy * nb + dst.polygon, dst.side)
+        meta = dict(base.metadata)
+        meta.update({"cover_degree": self.d})
+        return TranslationSurface(base.polygons * self.d, gluing, labels, meta)
 
     def copy_of(self, polygon_index: int) -> tuple[int, int]:
         """(copy, base polygon) of a realized polygon index."""
@@ -141,7 +165,7 @@ class CoveringSurface:
 
 
 def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringSurface:
-    """Realize the cover: edge x_i of copy j glues to x_i' of copy sigma_i(j)."""
+    """The connected degree-d cover of X_n (standard monodromy by default)."""
     base = build_base(n)
     if monodromy is None:
         monodromy = standard_monodromy(n, d)
@@ -151,64 +175,43 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
         raise IntransitiveMonodromy(
             "monodromy image is not transitive on %d sheets" % d
         )
-    nb = len(base.polygons)
-    polygons = []
-    for _ in range(d):
-        polygons.extend(base.polygons)
-    gluing = {}
-    labels = {}
-    for src, dst in base.gluing.items():
-        label = base.generator_labels.get(src)
-        for c in range(d):
-            src_ref = EdgeRef(c * nb + src.polygon, src.side)
-            labels[src_ref] = label
-            if label is None:
-                target_copy = c
-            else:
-                g, sgn = label
-                img = monodromy.image(g)
-                target_copy = img[c] if sgn > 0 else perms.inverse(img)[c]
-            gluing[src_ref] = EdgeRef(target_copy * nb + dst.polygon, dst.side)
-    meta = dict(base.metadata)
-    meta.update({"cover_degree": d})
-    realized = TranslationSurface(polygons, gluing, labels, meta)
-    return CoveringSurface(base=base, monodromy=monodromy, surface=realized, n=n, d=d)
+    return CoveringSurface(base=base, monodromy=monodromy, n=n, d=d)
 
 
 @lru_cache(maxsize=None)
-def _base_decomposition(n: int, key, l: int | None):
-    # cache per (n, direction); key is the direction's canonical form
-    base = build_base(n)
-    direction = Direction.from_index(n, l)
-    return tuple(decompose_retry(base, direction))
+def _base_decomposition(n: int, l: int):
+    return tuple(decompose_retry(build_base(n), Direction.from_index(n, l)))
 
 
 def base_decomposition(n: int, l: int):
     """Cached decomposition of X_n in direction v_l."""
-    direction = Direction.from_index(n, l)
-    return list(_base_decomposition(n, direction.key(), l))
+    return list(_base_decomposition(n, l))
+
+
+def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
+    """(base cylinder, a) for every cycle of m(core word) in direction v_l.
+
+    A cycle of length a glues a copies of the base cylinder into one
+    cover cylinder: height unchanged, circumference multiplied by a.
+    """
+    for cyl in base_decomposition(n, l):
+        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
+            yield cyl, len(cyc)
 
 
 def cover_cylinders(cover: CoveringSurface, direction_index: int):
     """Cover cylinders predicted from monodromy cycle structure.
 
-    Every cycle of length a of m(core word) glues a copies of the base
-    cylinder into one cover cylinder: height unchanged, circumference
-    multiplied by a.  Must agree with decompose() run on the realized
-    surface; the test suite checks exactly that.
+    Must agree with decompose() run on the realized surface; the test
+    suite checks exactly that.
     """
-    out = []
-    for cyl in base_decomposition(cover.n, direction_index):
-        image = cover.monodromy.eval_word(cyl.core_word)
-        for cyc in perms.cycles(image):
-            a = len(cyc)
-            out.append(
-                Cylinder(
-                    direction=cyl.direction,
-                    height=cyl.height,
-                    circumference=a * cyl.circumference,
-                    inverse_modulus=a * cyl.inverse_modulus,
-                    core_word=cyl.core_word ** a,
-                )
-            )
-    return out
+    return [
+        Cylinder(
+            direction=cyl.direction,
+            height=cyl.height,
+            circumference=a * cyl.circumference,
+            inverse_modulus=a * cyl.inverse_modulus,
+            core_word=cyl.core_word ** a,
+        )
+        for cyl, a in lifted_cylinders(cover.n, cover.monodromy, direction_index)
+    ]

@@ -127,6 +127,7 @@ class _Tracer:
     def __init__(self, surface: TranslationSurface, w: Vec2, bound: RealAlg):
         self.surface = surface
         self.w = w
+        self.bound = bound
         self.bound2 = bound * bound * w.norm2()
         # per-polygon transversal levels and flow coordinates of vertices
         self.h = []
@@ -215,7 +216,7 @@ class _Tracer:
             segments.append((cur_p, cur_pt, exit_pt))
             dev = dev + (exit_pt - cur_pt)
             if dev.norm2() > self.bound2:
-                raise BoundExceeded("separatrix exceeded the length cap")
+                raise BoundExceeded("separatrix exceeded the length cap", self.bound)
             ref = EdgeRef(cur_p, side)
             label = surface.crossing_label(ref)
             if label is not None:
@@ -227,7 +228,7 @@ class _Tracer:
             level = level + self.w.cross(tau)
             steps += 1
             if steps > 10 ** 6:
-                raise BoundExceeded("separatrix crossing count exceeded hard cap")
+                raise BoundExceeded("separatrix crossing count exceeded hard cap", self.bound)
 
 
 def _trace_all(surface: TranslationSurface, w: Vec2, bound: RealAlg):

@@ -14,25 +14,19 @@ guaranteed because nonzero was decided symbolically first).
 
 from __future__ import annotations
 
+from fractions import Fraction as _QQ
 from functools import lru_cache
 
 import mpmath
-
-try:
-    from gmpy2 import mpq as _QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _QQ
 
 _Q0 = _QQ(0)
 _Q1 = _QQ(1)
 
 
 def QQ(value) -> _QQ:
-    """Coerce an int / string 'p/q' / rational into the rational backend."""
+    """Coerce an int / string 'p/q' / rational to a Fraction."""
     if isinstance(value, _QQ):
         return value
-    if isinstance(value, str):
-        return _QQ(value)
     return _QQ(value)
 
 
@@ -346,17 +340,6 @@ class CycloNumber:
     def is_real(self) -> bool:
         return self == self.conjugate()
 
-    def approx_complex(self, dps: int = 30):
-        with mpmath.workdps(dps):
-            z = mpmath.exp(2j * mpmath.pi / self.N)
-            total = mpmath.mpc(0)
-            zp = mpmath.mpc(1)
-            for c in self.coeffs:
-                if c:
-                    total += mpmath.mpf(int(c.numerator)) / int(c.denominator) * zp
-                zp *= z
-            return total
-
     def __repr__(self):
         terms = []
         for j, c in enumerate(self.coeffs):
@@ -435,7 +418,7 @@ def _interval_value(coeffs, N: int, prec: int):
         total = iv.mpf(0)
         for c, cv in zip(coeffs, table):
             if c:
-                total += (iv.mpf(int(c.numerator)) / int(c.denominator)) * cv
+                total += (iv.mpf(c.numerator) / c.denominator) * cv
         return total
     finally:
         iv.prec = old
@@ -625,7 +608,7 @@ class RealAlg:
             val = mpmath.mpf(0)
             for j, c in enumerate(self.value.coeffs):
                 if c:
-                    val += mpmath.mpf(int(c.numerator)) / int(c.denominator) * mpmath.cos(
+                    val += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(
                         2 * mpmath.pi * j / self.N
                     )
             return mpmath.nstr(val, digits, strip_zeros=False)

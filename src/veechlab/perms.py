@@ -61,13 +61,6 @@ def cycles(p: tuple, include_fixed: bool = True):
     return out
 
 
-def cycle_notation(p: tuple) -> str:
-    nontrivial = cycles(p, include_fixed=False)
-    if not nontrivial:
-        return "()"
-    return "".join("(%s)" % " ".join(map(str, c)) for c in nontrivial)
-
-
 def is_involution(p: tuple) -> bool:
     return all(p[p[i]] == i for i in range(len(p)))
 

@@ -196,14 +196,6 @@ class TranslationSurface:
         self._cone_points = points
         return points
 
-    def vertex_class_index(self):
-        """Map (polygon, vertex) -> index into cone_points()."""
-        table = {}
-        for i, cp in enumerate(self.cone_points()):
-            for corner in cp.corners:
-                table[corner] = i
-        return table
-
     def genus(self) -> int:
         V = len(self._vertex_classes_fast())
         E = self.num_edges()

@@ -51,15 +51,6 @@ class Word:
             return self.inverse() ** (-k)
         return Word(self.letters * k)
 
-    def free_reduce(self) -> Word:
-        out = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        return Word(out)
-
     def cyclic_normal_form(self) -> tuple:
         """Smallest rotation of the letter tuple; invariant of the free
         homotopy class of a cyclically reduced word up to rotation."""

@@ -88,11 +88,6 @@ class ZPermutation:
             return None
         return abs(self.t_even) // 2 + abs(self.t_odd) // 2
 
-    def orbit_count_on_evens(self):
-        if self.swaps_parity():
-            raise ValueError("does not stabilize the even class")
-        return None if self.t_even == 0 else abs(self.t_even) // 2
-
     def to_json(self):
         return {"t_even": self.t_even, "t_odd": self.t_odd}
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veechlab import perms
+from veechlab import cli, perms
+from veechlab.certificates import mutated_monodromy, verify_theorem
 from veechlab.covering import (
     build_cover,
     cover_cylinders,
@@ -14,6 +15,7 @@ from veechlab.covering import (
 from veechlab.cylinders import Direction, decompose_retry
 from veechlab.errors import IntransitiveMonodromy
 from veechlab.field import lambda_n
+from veechlab.surface import TranslationSurface, build_base
 from veechlab.words import Word
 
 
@@ -115,6 +117,30 @@ def test_degree_of_projection():
     for (n, d) in [(5, 3), (8, 4)]:
         cover = build_cover(n, d)
         assert len(cover.surface.polygons) == d * len(cover.base.polygons)
+        well_formed = verify_theorem(n, d).payload["subcertificates"][0]
+        assert well_formed["kind"] == "WellFormedCover"
+        assert well_formed["payload"]["polygons"] == len(cover.surface.polygons)
+        cover.surface.validate()
+
+
+@pytest.mark.parametrize("n,d", [(7, 4), (8, 6)])
+def test_certified_paths_never_realize_the_cover(n, d, monkeypatch, capsys):
+    # the base is validated once when built; a cover is its monodromy
+    build_base(n)
+    validated = []
+    original = TranslationSurface.validate
+
+    def counting_validate(surface):
+        validated.append(len(surface.polygons))
+        return original(surface)
+
+    monkeypatch.setattr(TranslationSurface, "validate", counting_validate)
+    assert verify_theorem(n, d).verdict == "pass"
+    assert verify_theorem(n, d, monodromy=mutated_monodromy(n, d)).verdict == "fail"
+    assert cli.main(["cover", "--n", str(n), "--d", str(d)]) == 0
+    assert cli.main(["cylinders", "--n", str(n), "--d", str(d), "--direction", "1"]) == 0
+    capsys.readouterr()
+    assert validated == []
 
 
 def test_intransitive_monodromy_rejected():

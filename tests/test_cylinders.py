@@ -120,8 +120,9 @@ def test_edge_membership_rule(n):
 def test_bound_exceeded_on_non_periodic_direction():
     s = build_base(5)
     d = Direction(Vec2(RealAlg.one(20), RealAlg.one(20)))
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded) as exc:
         decompose(s, d, RealAlg.rational(20, 40))
+    assert exc.value.bound == RealAlg.rational(20, 40)
 
 
 def test_direction_canonicalization():
