@@ -188,8 +188,12 @@ def certify_shear_infinite(n: int, l: int, factor: RealAlg | None = None) -> Cer
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
+    return _rotation_obstruction(cover, l, _finite_profile(cover.n, cover.monodromy, 0))
+
+
+def _rotation_obstruction(cover: CoveringSurface, l: int, horizontal: dict) -> Certificate:
+    # horizontal is the cover's direction-0 profile, shared by every l
     n = cover.n
-    horizontal = _finite_profile(n, cover.monodromy, 0)
     direction = _finite_profile(n, cover.monodromy, l)
     h_counts = {k: v[1] for k, v in horizontal.items()}
     d_counts = {k: v[1] for k, v in direction.items()}
@@ -224,7 +228,11 @@ def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
 
 def certify_rotation_obstruction_infinite(n: int, l: int) -> Certificate:
     zm = std_infinite_monodromy(n)
-    _, h_inf = _infinite_profile(n, zm, 0)
+    return _rotation_obstruction_infinite(n, l, zm, _infinite_profile(n, zm, 0)[1])
+
+
+def _rotation_obstruction_infinite(n: int, l: int, zm: ZMonodromy, h_inf: dict) -> Certificate:
+    # h_inf holds the infinite cylinders of direction 0, shared by every l
     _, d_inf = _infinite_profile(n, zm, l)
     h_counts = {k: v[1] for k, v in h_inf.items()}
     d_counts = {k: v[1] for k, v in d_inf.items()}
@@ -548,8 +556,9 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
     if n % 2 == 0:
         subs.append(certify_sigma_T(n, d, "vertical", cover.monodromy))
     subs.append(certify_minus_identity(cover))
+    horizontal = _finite_profile(n, cover.monodromy, 0)
     for l in _obstruction_direction_indices(n):
-        sub = certify_rotation_obstruction(cover, l)
+        sub = _rotation_obstruction(cover, l, horizontal)
         if sub.verdict == INCONCLUSIVE and n % 2 == 0:
             # the multiset invariant is blind here (it happens for d = 2
             # in the vertical direction); fall back to the covering-
@@ -572,8 +581,9 @@ def _verify_infinite(n: int) -> Certificate:
     if n % 2 == 0:
         subs.append(certify_sigma_T_infinite(n, "vertical"))
     subs.append(certify_minus_identity_infinite(n))
+    _, h_inf = _infinite_profile(n, zm, 0)
     for l in _obstruction_direction_indices(n):
-        subs.append(certify_rotation_obstruction_infinite(n, l))
+        subs.append(_rotation_obstruction_infinite(n, l, zm, h_inf))
     subs.append(certify_index(n))
     cert = _aggregate(n, "inf", subs)
     # key obstruction evidence: the core of cylinder k lifts to exactly

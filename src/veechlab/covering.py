@@ -145,11 +145,6 @@ class CoveringSurface:
         meta.update({"cover_degree": self.d})
         return TranslationSurface(base.polygons * self.d, gluing, labels, meta)
 
-    def copy_of(self, polygon_index: int) -> tuple[int, int]:
-        """(copy, base polygon) of a realized polygon index."""
-        b = len(self.base.polygons)
-        return polygon_index // b, polygon_index % b
-
     def realized_index(self, copy: int, base_polygon: int) -> int:
         return copy * len(self.base.polygons) + base_polygon
 

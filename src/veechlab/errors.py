@@ -39,3 +39,16 @@ class VerificationFailure(VeechLabError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class SignUndetermined(VeechLabError):
+    """Interval refinement did not separate a nonzero real element from 0.
+
+    Carries the conductor of the element and the last interval precision
+    tried, in bits.
+    """
+
+    def __init__(self, message, conductor=None, prec=None):
+        super().__init__(message)
+        self.conductor = conductor
+        self.prec = prec

@@ -1,10 +1,11 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are residues modulo the N-th cyclotomic polynomial with
-arbitrary-precision rational coefficients.  For a regular n-gon context
-the conductor is N = 4n: the field then contains i, zeta_2n, and hence
-cos(k*pi/n), sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream
-geometry needs, closed under arithmetic.
+Elements are residues modulo the N-th cyclotomic polynomial, stored as
+integer numerators over one common positive denominator (the layout of
+FLINT's fmpq_poly).  For a regular n-gon context the conductor is
+N = 4n: the field then contains i, zeta_2n, and hence cos(k*pi/n),
+sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream geometry
+needs, closed under arithmetic.
 
 No predicate touches floating point.  Equality and zero tests compare
 canonical residues coefficient-wise; the sign of a nonzero real element
@@ -16,8 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction as _QQ
 from functools import lru_cache
+from math import gcd
 
 import mpmath
+
+from .errors import SignUndetermined
 
 _Q0 = _QQ(0)
 _Q1 = _QQ(1)
@@ -78,8 +82,12 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _nonzero_terms(row) -> list:
+    return [(j, c) for j, c in enumerate(row) if c]
+
+
 class FieldContext:
-    """Shared tables for one conductor N."""
+    """Shared integer tables for one conductor N."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -87,7 +95,8 @@ class FieldContext:
         self.N = N
         self.cyclo = cyclotomic_coeffs(N)
         self.phi = len(self.cyclo) - 1
-        # x^k mod Phi_N for k = phi .. 2*phi-2, as integer coefficient rows
+        # x^k mod Phi_N for k = phi .. 2*phi-2, as sparse integer rows
+        # of (power, coefficient) pairs
         rows = []
         top = [-c for c in self.cyclo[: self.phi]]  # x^phi
         row = list(top)
@@ -99,37 +108,54 @@ class FieldContext:
                 for j, tj in enumerate(top):
                     row[j] += carry * tj
             rows.append(tuple(row))
-        self.red_rows = tuple(rows)
+        self.red_rows = tuple(_nonzero_terms(r) for r in rows)
         # residues of zeta^k for k = 0..N-1
-        pows = []
-        coeffs = [_Q0] * self.phi
-        coeffs[0] = _Q1
-        pows.append(tuple(coeffs))
+        pows = [(1,) + (0,) * (self.phi - 1)]
         for _ in range(N - 1):
-            coeffs = self._shift(pows[-1])
-            pows.append(coeffs)
+            pows.append(self._shift(pows[-1]))
         self.zeta_pows = tuple(pows)
+        self._zeta_terms = tuple(_nonzero_terms(p) for p in pows)
 
     def _shift(self, coeffs):
         # multiply a residue by x
         carry = coeffs[-1]
-        out = [_Q0] + list(coeffs[:-1])
+        out = [0] + list(coeffs[:-1])
         if carry:
-            for j, tj in enumerate(self.red_rows[0]):
-                if tj:
-                    out[j] += carry * tj
+            for j, tj in self.red_rows[0]:
+                out[j] += carry * tj
         return tuple(out)
 
-    def reduce(self, raw):
-        """Reduce a coefficient list of length < 2*phi modulo Phi_N."""
-        out = list(raw[: self.phi]) + [_Q0] * (self.phi - min(self.phi, len(raw)))
-        for k in range(self.phi, len(raw)):
-            ck = raw[k]
+    def reduce(self, raw) -> list[int]:
+        """Reduce an integer coefficient list of length < 2*phi modulo Phi_N."""
+        phi = self.phi
+        if len(raw) > 2 * phi - 1:
+            raise ValueError("residue of length %d is too long to reduce" % len(raw))
+        out = list(raw[:phi]) + [0] * (phi - min(phi, len(raw)))
+        for ck, terms in zip(raw[phi:], self.red_rows):
             if ck:
-                for j, rj in enumerate(self.red_rows[k - self.phi]):
-                    if rj:
-                        out[j] += ck * rj
-        return tuple(out)
+                for j, rj in terms:
+                    out[j] += ck * rj
+        return out
+
+    def product(self, a, b) -> list[int]:
+        """Product of two integer residues, reduced modulo Phi_N."""
+        raw = [0] * (2 * self.phi - 1)
+        b_terms = _nonzero_terms(b)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in b_terms:
+                    raw[i + j] += ai * bj
+        return self.reduce(raw)
+
+    def conjugate(self, a) -> list[int]:
+        """Image of an integer residue under zeta -> zeta^(-1)."""
+        N = self.N
+        out = [0] * self.phi
+        for j, aj in enumerate(a):
+            if aj:
+                for k, zk in self._zeta_terms[(N - j) % N]:
+                    out[k] += aj * zk
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -186,60 +212,102 @@ def _poly_inverse(a, cyclo):
         t0, t1 = t1, _trim(tn)
 
 
-class CycloNumber:
-    """A residue modulo the N-th cyclotomic polynomial."""
+def _new(N: int, num, den: int) -> CycloNumber:
+    # a residue whose (num, den) is already canonical
+    x = object.__new__(CycloNumber)
+    object.__setattr__(x, "N", N)
+    object.__setattr__(x, "num", tuple(num))
+    object.__setattr__(x, "den", den)
+    return x
 
-    __slots__ = ("N", "coeffs")
+
+def _normal(N: int, num, den: int) -> CycloNumber:
+    # a residue from integer numerators over den > 0, put in lowest terms
+    if den != 1:
+        g = gcd(*num, den)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _new(N, num, den)
+
+
+class CycloNumber:
+    """A residue modulo the N-th cyclotomic polynomial.
+
+    Canonical form: integer numerators ``num`` (one per power of zeta
+    below phi(N)) over ``den > 0`` with ``gcd(*num, den) == 1``; zero is
+    all-zero numerators over 1.  Equal values have equal (N, num, den).
+    """
+
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, N: int, coeffs):
         ctx = get_context(N)
         vals = [QQ(c) for c in coeffs]
-        if len(vals) > ctx.phi:
-            vals = list(ctx.reduce(vals))
+        den = 1
+        for v in vals:
+            den = den * v.denominator // gcd(den, v.denominator)
+        num = [v.numerator * (den // v.denominator) for v in vals]
+        if len(num) > ctx.phi:
+            num = ctx.reduce(num)
         else:
-            vals += [_Q0] * (ctx.phi - len(vals))
+            num += [0] * (ctx.phi - len(num))
+        g = gcd(*num, den)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "num", tuple(a // g for a in num))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[_QQ, ...]:
+        """The rational coefficients, low to high power of zeta."""
+        den = self.den
+        return tuple(_QQ(a, den) for a in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(N: int, q) -> CycloNumber:
-        return CycloNumber(N, (QQ(q),))
+        if not isinstance(q, (int, _QQ)):
+            q = QQ(q)
+        phi = get_context(N).phi
+        return _new(N, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
     @staticmethod
     def zero(N: int) -> CycloNumber:
-        return CycloNumber(N, ())
+        return CycloNumber.from_rational(N, 0)
 
     @staticmethod
     def one(N: int) -> CycloNumber:
-        return CycloNumber(N, (_Q1,))
+        return CycloNumber.from_rational(N, 1)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return _QQ(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
-            return self.N == other.N and self.coeffs == other.coeffs
+            return self.N == other.N and self.den == other.den and self.num == other.num
         if isinstance(other, (int, _QQ)):
-            return self.is_rational() and self.coeffs[0] == QQ(other)
+            return (
+                self.is_rational()
+                and self.num[0] * other.denominator == other.numerator * self.den
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        return hash((self.N, self.num, self.den))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -256,7 +324,10 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.N, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _normal(self.N, [a + b for a, b in zip(self.num, o.num)], da)
+        return _normal(self.N, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
@@ -264,7 +335,10 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.N, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _normal(self.N, [a - b for a, b in zip(self.num, o.num)], da)
+        return _normal(self.N, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -273,32 +347,22 @@ class CycloNumber:
         return o - self
 
     def __neg__(self):
-        return CycloNumber(self.N, tuple(-a for a in self.coeffs))
+        return _new(self.N, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, _QQ)):
-            q = QQ(other)
-            return CycloNumber(self.N, tuple(a * q for a in self.coeffs))
+            p, q = other.numerator, other.denominator
+            return _normal(self.N, [a * p for a in self.num], self.den * q)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = get_context(self.N)
-        phi = ctx.phi
-        raw = [_Q0] * (2 * phi - 1)
-        a, b = self.coeffs, o.coeffs
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        raw[i + j] += ai * bj
-        return CycloNumber(self.N, ctx.reduce(raw))
+        prod = get_context(self.N).product(self.num, o.num)
+        return _normal(self.N, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        ctx = get_context(self.N)
-        inv = _poly_inverse(self.coeffs, ctx.cyclo)
-        return CycloNumber(self.N, inv)
+        return _inverse(self.N, self.num, self.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -328,14 +392,9 @@ class CycloNumber:
 
     def conjugate(self) -> CycloNumber:
         """Image under zeta -> zeta^(-1)."""
-        ctx = get_context(self.N)
-        out = [_Q0] * ctx.phi
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                for k, zk in enumerate(ctx.zeta_pows[(self.N - j) % self.N]):
-                    if zk:
-                        out[k] += cj * zk
-        return CycloNumber(self.N, out)
+        # an integer involution of the numerators keeps their content, so
+        # the image is already in lowest terms
+        return _new(self.N, get_context(self.N).conjugate(self.num), self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -354,28 +413,37 @@ class CycloNumber:
         return "Cyclo(%d; %s)" % (self.N, body)
 
 
+@lru_cache(maxsize=4096)
+def _inverse(N: int, num: tuple, den: int) -> CycloNumber:
+    # Geometry divides by the same few level differences again and again,
+    # so inverses are memoised on the canonical form.  (num/den)^-1 is
+    # den * num^-1; a zero argument raises and is not cached.
+    inv = _poly_inverse([_QQ(a) for a in num], get_context(N).cyclo)
+    return CycloNumber(N, [c * den for c in inv])
+
+
 def cyclo_root(N: int, k: int) -> CycloNumber:
     """The residue of zeta_N^k; cyclo_root(N, 0) is 1."""
     if N < 1:
         raise ValueError("conductor must be positive")
-    ctx = get_context(N)
-    return CycloNumber(N, ctx.zeta_pows[k % N])
+    return _new(N, get_context(N).zeta_pows[k % N], 1)
 
 
 # ---------------------------------------------------------------------------
 # sign determination for real elements
 
 _EPS_SLACK = 2.0 ** -50
+_MAX_PREC = 1 << 22
 
 
-def _float_sign_filter(coeffs, cos_table) -> int | None:
+def _float_sign_filter(num, den: int, cos_table) -> int | None:
     total = 0.0
     abssum = 0.0
     nterms = 0
     try:
-        for c, cv in zip(coeffs, cos_table):
-            if c:
-                fc = float(c)
+        for a, cv in zip(num, cos_table):
+            if a:
+                fc = a / den  # correctly rounded, as float(Fraction(a, den))
                 total += fc * cv
                 abssum += abs(fc)
                 nterms += 1
@@ -408,36 +476,49 @@ def _iv_cos_table(N: int, prec: int):
         iv.prec = old
 
 
-def _interval_value(coeffs, N: int, prec: int):
-    """Rigorous interval for sum_j c_j cos(2*pi*j/N)."""
+def _interval_value(x, N: int, prec: int):
+    """Rigorous interval for sum_j (num_j / den) cos(2*pi*j/N), x = (num, den)."""
+    num, den = x
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec
         table = _iv_cos_table(N, prec)
         total = iv.mpf(0)
-        for c, cv in zip(coeffs, table):
-            if c:
-                total += (iv.mpf(c.numerator) / c.denominator) * cv
-        return total
+        for a, cv in zip(num, table):
+            if a:
+                total += iv.mpf(a) * cv
+        return total / den
     finally:
         iv.prec = old
 
 
-def _real_sign(coeffs, N: int) -> int:
-    """Sign of a conjugation-fixed residue, known to be nonzero."""
-    s = _float_sign_filter(coeffs, _float_cos_table(N))
+def _real_sign(num, den: int, N: int) -> int:
+    """Sign of a conjugation-fixed residue num/den, known to be nonzero."""
+    s = _float_sign_filter(num, den, _float_cos_table(N))
     if s is not None:
         return s
     prec = 64
-    while prec <= (1 << 22):
-        val = _interval_value(coeffs, N, prec)
+    while True:
+        val = _interval_value((num, den), N, prec)
         if val.a > 0:
             return 1
         if val.b < 0:
             return -1
+        if prec >= _MAX_PREC:
+            raise SignUndetermined(
+                "interval refinement failed to separate a nonzero element "
+                "(conductor %d, %d bits)" % (N, prec),
+                conductor=N,
+                prec=prec,
+            )
         prec *= 2
-    raise RuntimeError("interval refinement failed to separate a nonzero element")
+
+
+@lru_cache(maxsize=64)
+def _mp_cos_table(N: int, dps: int) -> tuple:
+    with mpmath.workdps(dps):
+        return tuple(mpmath.cos(2 * mpmath.pi * j / N) for j in range(euler_phi(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +565,8 @@ class RealAlg:
 
     def key(self):
         """Hashable canonical form, usable as a multiset key."""
-        return (self.value.N, self.value.coeffs)
+        v = self.value
+        return (v.N, v.num, v.den)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -496,7 +578,7 @@ class RealAlg:
         return self.value.as_rational()
 
     def is_integer(self) -> bool:
-        return self.value.is_rational() and self.value.coeffs[0].denominator == 1
+        return self.value.den == 1 and self.value.is_rational()
 
     def __bool__(self):
         return not self.is_zero()
@@ -543,6 +625,8 @@ class RealAlg:
         return RealAlg(-self.value, _trusted=True)
 
     def __mul__(self, other):
+        if isinstance(other, (int, _QQ)):
+            return RealAlg(self.value * other, _trusted=True)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -572,7 +656,8 @@ class RealAlg:
 
     def sign(self) -> int:
         if self._sign is None:
-            s = 0 if self.is_zero() else _real_sign(self.value.coeffs, self.N)
+            v = self.value
+            s = 0 if v.is_zero() else _real_sign(v.num, v.den, v.N)
             object.__setattr__(self, "_sign", s)
         return self._sign
 
@@ -604,13 +689,12 @@ class RealAlg:
 
     def approx(self, digits: int = 20) -> str:
         """Decimal approximation with the given number of significant digits."""
-        with mpmath.workdps(digits + 15):
+        dps = digits + 15
+        with mpmath.workdps(dps):
             val = mpmath.mpf(0)
-            for j, c in enumerate(self.value.coeffs):
+            for c, cos_j in zip(self.value.coeffs, _mp_cos_table(self.N, dps)):
                 if c:
-                    val += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(
-                        2 * mpmath.pi * j / self.N
-                    )
+                    val += mpmath.mpf(c.numerator) / c.denominator * cos_j
             return mpmath.nstr(val, digits, strip_zeros=False)
 
     def __float__(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from veechlab import perms
+from veechlab import certificates, perms
 from veechlab.certificates import (
     certify_minus_identity,
     certify_pullback_obstruction,
@@ -228,3 +228,22 @@ def test_verify_rejects_bad_degree():
         verify_theorem(5, 0)
     with pytest.raises(ValueError):
         verify_theorem(5)
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
+    directions = []
+    profile = certificates._finite_profile
+
+    def counting(n_, monodromy, l):
+        directions.append(l)
+        return profile(n_, monodromy, l)
+
+    monkeypatch.setattr(certificates, "_finite_profile", counting)
+    assert verify_theorem(n, 4).verdict == "pass"
+    assert directions.count(0) == 1
+    # the public single-direction entry point still computes its own
+    directions.clear()
+    cert = certify_rotation_obstruction(build_cover(n, 4), 2)
+    assert cert.verdict == "pass"
+    assert sorted(directions) == [0, 2]

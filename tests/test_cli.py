@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from veechlab.certificates import revalidate
 from veechlab.cli import main
@@ -122,3 +125,20 @@ def test_json_round_trip_reproduces_verdict(capsys):
         data = json.loads(out)
         assert revalidate(data) == data["verdict"]
         assert (code == 0) == (data["verdict"] == "pass")
+
+
+# sha256 of `veechlab verify` stdout, recorded before the field core moved
+# from Fraction coefficients to integer numerators over a common denominator
+GOLDEN_VERIFY = {
+    ("--n", "7", "--d", "4"): "1d2b4a4d6dfc66557e10c660ab7f2ff335a50e470c3505332fac84701ef1aa4f",
+    ("--n", "9", "--d", "6"): "b45881edc845f659374d7d659c04ec1d07bf515a12c55ad34ba254af41e5180a",
+    ("--n", "14", "--d", "3"): "381dbbf7c8b33657838474be99c8f84bbca52edf624b4bdcba6576295f405957",
+    ("--n", "8", "--infinite"): "c11bd7322eb6defab4bcdd60b37cbfc2df1d6cac29c1643c2330b62087571abb",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_VERIFY))
+def test_verify_stdout_bytes_unchanged(capsys, args):
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[args]

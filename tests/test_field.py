@@ -1,9 +1,14 @@
+import inspect
 import random
+from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from veechlab import field
+from veechlab.errors import SignUndetermined, VeechLabError
 from veechlab.field import (
     QQ,
     CycloNumber,
@@ -166,3 +171,172 @@ def test_comparisons():
     assert lambda_n(5) < 3
     assert lambda_n(5) > QQ("11/4")
     assert abs(-lambda_n(5)) == lambda_n(5)
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator core against a per-coefficient Fraction reference
+
+
+def _ref_reduce(raw, N):
+    # long division by the monic Phi_N, coefficient by coefficient
+    cyclo = cyclotomic_coeffs(N)
+    phi = len(cyclo) - 1
+    raw = [Fraction(c) for c in raw]
+    for k in range(len(raw) - 1, phi - 1, -1):
+        c = raw[k]
+        if c:
+            for j, pj in enumerate(cyclo):
+                raw[k - phi + j] -= c * pj
+    return (raw + [Fraction(0)] * phi)[:phi]
+
+
+def _ref_mul(a, b, N):
+    raw = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            raw[i + j] += ai * bj
+    return _ref_reduce(raw, N)
+
+
+def _ref_conjugate(a, N):
+    raw = [Fraction(0)] * N
+    for j, c in enumerate(a):
+        raw[(N - j) % N] += c
+    return _ref_reduce(raw, N)
+
+
+def _ref_sign(a, N):
+    with mpmath.workdps(200):
+        val = sum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * j / N)
+            for j, c in enumerate(a)
+        )
+        return (val > 0) - (val < 0)
+
+
+def _random_sparse(rng, N, density=0.6):
+    phi = len(cyclotomic_coeffs(N)) - 1
+    coeffs = [
+        Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 6, 7, 12, 35]))
+        if rng.random() < density else Fraction(0)
+        for _ in range(phi)
+    ]
+    return CycloNumber(N, coeffs)
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert len(x.num) == len(cyclotomic_coeffs(x.N)) - 1
+    assert gcd(*x.num, x.den) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+@pytest.mark.parametrize("N", [20, 36, 60, 100])
+def test_integer_core_matches_fraction_reference(N):
+    rng = random.Random(7000 + N)
+    for trial in range(12):
+        a, b = _random_sparse(rng, N), _random_sparse(rng, N)
+        ca, cb = list(a.coeffs), list(b.coeffs)
+        for got, want in (
+            (a + b, [x + y for x, y in zip(ca, cb)]),
+            (a - b, [x - y for x, y in zip(ca, cb)]),
+            (a * b, _ref_mul(ca, cb, N)),
+            (a * Fraction(-5, 6), [x * Fraction(-5, 6) for x in ca]),
+            (a.conjugate(), _ref_conjugate(ca, N)),
+        ):
+            _assert_canonical(got)
+            assert list(got.coeffs) == want
+        # the Euclidean inverse is slow at N = 100: divide by sparse
+        # elements, in every third trial
+        c = _random_sparse(rng, N, density=0.15)
+        if trial % 3 == 0 and not c.is_zero():
+            q = a / c
+            _assert_canonical(q)
+            assert _ref_mul(list(q.coeffs), list(c.coeffs), N) == ca
+        r = a + a.conjugate()
+        assert RealAlg(r).sign() == _ref_sign(list(r.coeffs), N)
+
+
+def test_equal_values_share_key_and_hash():
+    rng = random.Random(31)
+    for N in (20, 36, 60, 100):
+        a, b = _random_sparse(rng, N), _random_sparse(rng, N, density=0.15)
+        if b.is_zero():
+            continue
+        routes = [a, (a * b) / b, (a + b) - b, -(-a), a * 3 / 3]
+        scaled = CycloNumber(N, [Fraction(c.numerator * 4, c.denominator * 4) for c in a.coeffs])
+        routes.append(scaled)
+        for x in routes:
+            _assert_canonical(x)
+            assert x == a
+            assert hash(x) == hash(a)
+            r = RealAlg(x + x.conjugate())
+            assert r.key() == RealAlg(a + a.conjugate()).key()
+            assert hash(r) == hash(RealAlg(a + a.conjugate()))
+        zero = a - a
+        assert zero.num == (0,) * len(a.num) and zero.den == 1
+        assert zero == CycloNumber.zero(N)
+
+
+def test_unreduced_constructor_input_is_reduced():
+    # zeta^phi given as a raw coefficient list reduces to the stored root
+    N = 20
+    phi = len(cyclotomic_coeffs(N)) - 1
+    raw = [0] * phi + [Fraction(1, 2)]
+    assert CycloNumber(N, raw) == cyclo_root(N, phi) * Fraction(1, 2)
+
+
+def test_integer_predicate_uses_the_common_denominator():
+    assert RealAlg.rational(20, 4).is_integer()
+    assert not RealAlg.rational(20, Fraction(7, 2)).is_integer()
+    # an algebraic integer with denominator 1 is still not a rational integer
+    c, _ = quarter_trig(5, 2)
+    assert not (c + c).is_integer()
+
+
+def test_inverse_cache_keeps_conductors_apart():
+    # 1 + zeta has the same numerators in conductors 15, 16, 20 and 24
+    # (all of degree 8) but a different inverse in each
+    inverses = {}
+    for N in (20, 24, 16, 15, 20, 24):
+        x = cyclo_root(N, 0) + cyclo_root(N, 1)
+        assert x.num == (1, 1, 0, 0, 0, 0, 0, 0) and x.den == 1
+        inv = x.inverse()
+        assert inv.N == N
+        assert x * inv == 1
+        inverses.setdefault(N, inv)
+        assert inverses[N] == inv
+    assert len({inv.num + (inv.den,) for inv in inverses.values()}) == 4
+
+
+def test_inverse_of_zero_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            CycloNumber.zero(20).inverse()
+        with pytest.raises(ZeroDivisionError):
+            RealAlg.one(20) / RealAlg.zero(20)
+
+
+def test_interval_value_narrows_with_precision():
+    assert list(inspect.signature(field._interval_value).parameters)[2] == "prec"
+    x = lambda_n(25) - 15
+    v = x.value
+    widths = []
+    for prec in (64, 128, 256, 512):
+        iv = field._interval_value((v.num, v.den), v.N, prec)
+        assert iv.a <= iv.b
+        widths.append(float(iv.b - iv.a))
+        assert iv.a > 0
+        assert abs(float(iv.a) - float(x)) < 1e-12
+    assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
+
+
+def test_unseparated_sign_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(field, "_float_sign_filter", lambda *a: None)
+    monkeypatch.setattr(field, "_interval_value", lambda x, N, prec: mpmath.iv.mpf([-1, 1]))
+    with pytest.raises(SignUndetermined) as info:
+        RealAlg.rational(28, Fraction(3, 7)).sign()
+    assert isinstance(info.value, VeechLabError)
+    assert info.value.conductor == 28
+    assert info.value.prec == 1 << 22
