@@ -14,7 +14,13 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
   * RotationObstruction - the (inverse modulus, height) multiset in
                         direction v_l differs from the horizontal one,
                         so no rotation derivative can exist;
+  * PullbackObstruction - the cover pulled back under the rotation is
+                        not a relabeling of itself (even n fallback);
   * Index             - coset enumeration gives the expected index.
+
+Every verdict comes from one rule per kind (the ``_*_rule`` functions
+below) over native values: the certify_* functions apply it to what
+they computed, revalidate() to what it parsed from the payload.
 
 Non-membership certificates for user-supplied monodromies may come out
 "inconclusive" (equal multisets prove nothing); the standard family
@@ -24,6 +30,7 @@ never does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import perms
 from .coset import coset_enumerate
@@ -42,6 +49,7 @@ from .errors import IntransitiveMonodromy
 from .field import RealAlg, lambda_n
 from .quotient import quotient_invariants
 from .veech import presentation_for, subgroup_words
+from .words import Word
 from .zcover import ZMonodromy, ZPermutation, sigma_T_infinite, std_infinite_monodromy
 
 PASS = "pass"
@@ -72,23 +80,53 @@ class Certificate:
         }
 
 
-def _alg(x: RealAlg):
-    return x.to_json()
+class _Perm:
+    """The one place where the two permutation types differ.
+
+    Finite covers permute sheets {0, ..., d-1} as tuples (module perms,
+    where compose(a, b) is a followed by b); Y_{n,inf} permutes Z by
+    ZPermutation, whose a.compose(b) applies a after b.
+    """
+
+    @staticmethod
+    def then(a, b):
+        """a followed by b."""
+        return b.compose(a) if isinstance(a, ZPermutation) else perms.compose(a, b)
+
+    @staticmethod
+    def inverse(p):
+        return p.inverse() if isinstance(p, ZPermutation) else perms.inverse(p)
+
+    @staticmethod
+    def is_involution(p) -> bool:
+        return p.is_involution() if isinstance(p, ZPermutation) else perms.is_involution(p)
+
+    @staticmethod
+    def to_json(p):
+        return p.to_json() if isinstance(p, ZPermutation) else list(p)
+
+    @staticmethod
+    def from_json(data):
+        return ZPermutation(**data) if isinstance(data, dict) else tuple(data)
 
 
-def _sorted_multiset(counter: dict) -> list:
-    # counter maps (mod RealAlg, height RealAlg) -> count (int or None)
-    entries = []
-    for (mod, height), count in counter.items():
-        entries.append(
-            {
-                "inverse_modulus": _alg(mod),
-                "height": _alg(height),
-                "count": count,
-            }
-        )
-    entries.sort(key=lambda e: (e["inverse_modulus"]["approx"], e["height"]["approx"]))
-    return entries
+def _multiset_rows(types: dict) -> list:
+    # types maps exact key -> ((inverse modulus, height), count or None)
+    rows = [
+        {"inverse_modulus": mod.to_json(), "height": height.to_json(), "count": count}
+        for (mod, height), count in types.values()
+    ]
+    rows.sort(key=lambda e: (e["inverse_modulus"]["approx"], e["height"]["approx"]))
+    return rows
+
+
+def _parse_multiset(rows) -> dict:
+    types = {}
+    for e in rows:
+        mod = RealAlg.from_json(e["inverse_modulus"])
+        height = RealAlg.from_json(e["height"])
+        types[(mod.key(), height.key())] = ((mod, height), e["count"])
+    return types
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +146,137 @@ def _finite_profile(n: int, monodromy: Monodromy, l: int):
 def _infinite_profile(n: int, zm: ZMonodromy, l: int):
     """Like _finite_profile for d = infinity.
 
-    Returns (finite_types, infinite_heights): finite cylinders come in
+    Returns (finite_types, infinite_types): finite cylinders come in
     infinitely many copies per type (count None); infinite cylinders
-    are counted exactly (orbits of the shift are finitely many).
+    have no modulus (typed (0, height)) and are counted exactly (orbits
+    of the shift are finitely many).
     """
+    zero = RealAlg.zero(4 * n)
     finite_types = {}
-    infinite_heights = {}
+    infinite_types = {}
     for cyl in base_decomposition(n, l):
         zp = zm.eval_word(cyl.core_word)
         if zp.is_identity():
-            key = (cyl.inverse_modulus, cyl.height)
-            finite_types[(key[0].key(), key[1].key())] = (key, None)
+            pair = (cyl.inverse_modulus, cyl.height)
+            finite_types[(pair[0].key(), pair[1].key())] = (pair, None)
         elif zp.swaps_parity() and zp.t_even + zp.t_odd == 0:
-            key = (2 * cyl.inverse_modulus, cyl.height)
-            finite_types[(key[0].key(), key[1].key())] = (key, None)
+            pair = (2 * cyl.inverse_modulus, cyl.height)
+            finite_types[(pair[0].key(), pair[1].key())] = (pair, None)
         else:
             count = zp.orbit_count()
-            slot = infinite_heights.setdefault(cyl.height.key(), [cyl.height, 0])
+            slot = infinite_types.setdefault(
+                (zero.key(), cyl.height.key()), [(zero, cyl.height), 0]
+            )
             slot[1] += count if count is not None else 0
-    return finite_types, infinite_heights
+    return finite_types, infinite_types
+
+
+# ---------------------------------------------------------------------------
+# verdict rules, one per certificate kind; each returns (verdict, witness)
+
+
+def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False):
+    """ShearMembership: every (inverse modulus, twist count) row must have
+    a positive integer count k with k * inverse modulus == factor.
+
+    An infinite cylinder (d = inf) admits no twist at all; the payload
+    does not list infinite cylinders, so only the certifier sees them.
+    """
+    if infinite_cylinders:
+        return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
+    for mod, twists in rows:
+        if twists is None or twists < 1 or not (factor - twists * mod).is_zero():
+            return FAIL, {"inverse_modulus": mod.to_json(), "reason": "non-integer twist"}
+    return PASS, None
+
+
+def _sigma_rule(sig1, sig2, sigma, mode: str):
+    """SigmaT: the two compatibility conditions, as exact permutation identities."""
+    then = _Perm.then
+    if mode == "horizontal":
+        suc = then(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
+        cond1 = then(suc, sigma) == then(sigma, suc)
+        cond2 = then(sigma, sig1) == then(sig2, sigma)
+    else:
+        # vertical: suc = sigma1(sigma2(.)), second condition uses sigma2 and pred
+        suc = then(sig2, sig1)
+        cond1 = then(suc, sigma) == then(sigma, suc)
+        cond2 = then(sigma, sig2) == then(_Perm.inverse(suc), then(sig2, sigma))
+    if cond1 and cond2:
+        return PASS, None
+    return FAIL, {"cond1": cond1, "cond2": cond2}
+
+
+def _minus_identity_rule(images):
+    """MinusIdentity: -I lifts iff every (generator, image) image is an involution."""
+    for i, p in images:
+        if not _Perm.is_involution(p):
+            return FAIL, {"generator": i, "image": _Perm.to_json(p), "reason": "not an involution"}
+    return PASS, None
+
+
+def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
+    """RotationObstruction: R^l is excluded iff the two cylinder-type
+    multisets (exact key -> ((inverse modulus, height), count)) differ.
+
+    The finite witness is the differing type of largest inverse modulus,
+    then height, in exact order.
+    """
+    h_counts = {k: v[1] for k, v in horizontal.items()}
+    d_counts = {k: v[1] for k, v in direction.items()}
+    if h_counts == d_counts:
+        if infinite:
+            return INCONCLUSIVE, {"reason": "infinite-cylinder profiles agree"}
+        return INCONCLUSIVE, {"reason": "multisets agree; rotation not excluded by this invariant"}
+    if infinite:
+        return PASS, {"reason": "infinite-cylinder heights differ between directions"}
+    pairs = {**{k: v[0] for k, v in horizontal.items()},
+             **{k: v[0] for k, v in direction.items()}}
+    wk = max((k for k in pairs if h_counts.get(k, 0) != d_counts.get(k, 0)),
+             key=pairs.__getitem__)
+    mod, height = pairs[wk]
+    return PASS, {
+        "inverse_modulus": mod.to_json(),
+        "height": height.to_json(),
+        "horizontal_count": h_counts.get(wk, 0),
+        "direction_count": d_counts.get(wk, 0),
+    }
+
+
+def _pullback_rule(original: dict, pulled: dict):
+    """PullbackObstruction: R^l is excluded iff the pulled-back monodromy
+    is not the original one up to a sheet relabeling."""
+    d = len(next(iter(original.values())))
+    if _covers_isomorphic(original, pulled, d):
+        return INCONCLUSIVE, {"reason": "pullback cover is isomorphic; rotation not excluded"}
+    return PASS, None
+
+
+def _index_rule(n: int, expected: int, index: int):
+    """Index: the enumerated index, the expected one and the stated one agree."""
+    actual = _coset_table(n).index
+    if actual == expected == index:
+        return PASS, None
+    return FAIL, {"index": actual}
+
+
+def _theorem_rule(d, subs, preimages=None):
+    """FullTheorem: the first failing subcertificate fails the theorem,
+    else the first inconclusive one makes it inconclusive.
+
+    subs yields (kind, verdict, witness) and is consumed only up to the
+    first failure.  For d = inf the core of cylinder k must also lift to
+    exactly two infinite cylinders.
+    """
+    if d == "inf" and preimages != 2:
+        return FAIL, {"reason": "cylinder k does not have two infinite preimages"}
+    verdict, witness = PASS, None
+    for kind, sub_verdict, sub_witness in subs:
+        if sub_verdict == FAIL:
+            return FAIL, {"failed": kind, "witness": sub_witness}
+        if sub_verdict == INCONCLUSIVE and verdict == PASS:
+            verdict, witness = INCONCLUSIVE, {"inconclusive": kind, "witness": sub_witness}
+    return verdict, witness
 
 
 # ---------------------------------------------------------------------------
@@ -140,119 +290,64 @@ def _integer_quotient(factor: RealAlg, modulus: RealAlg):
     return None
 
 
-def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types) -> Certificate:
-    """ShearMembership from ((inverse modulus, height), count) cylinder types."""
+def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
+                       infinite_types: dict | None = None) -> Certificate:
+    """ShearMembership from a profile's cylinder types."""
     if factor is None:
         factor = 2 * lambda_n(n)
-    rows = []
-    verdict = PASS
-    witness = None
-    for (mod, height), count in types:
-        twists = _integer_quotient(factor, mod)
-        rows.append(
-            {
-                "inverse_modulus": _alg(mod),
-                "height": _alg(height),
-                "count": count,
-                "twists": twists,
-            }
-        )
-        if twists is None and verdict == PASS:
-            verdict = FAIL
-            witness = {"inverse_modulus": _alg(mod), "reason": "non-integer twist"}
+    found = [(pair, count, _integer_quotient(factor, pair[0]))
+             for pair, count in types.values()]
+    verdict, witness = _shear_rule(
+        factor, ((mod, twists) for (mod, _), _, twists in found), l, bool(infinite_types)
+    )
+    rows = [
+        {
+            "inverse_modulus": mod.to_json(),
+            "height": height.to_json(),
+            "count": count,
+            "twists": twists,
+        }
+        for (mod, height), count, twists in found
+    ]
     rows.sort(key=lambda r: (r["inverse_modulus"]["approx"], r["height"]["approx"]))
     return Certificate(
         kind="ShearMembership",
         n=n,
         d=d,
         verdict=verdict,
-        payload={"l": l, "factor": _alg(factor), "cylinders": rows},
+        payload={"l": l, "factor": factor.to_json(), "cylinders": rows},
         witness=witness,
     )
 
 
 def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
-    types = _finite_profile(cover.n, cover.monodromy, l).values()
+    types = _finite_profile(cover.n, cover.monodromy, l)
     return _shear_certificate(cover.n, cover.d, l, factor, types)
-
-
-def certify_shear_infinite(n: int, l: int, factor: RealAlg | None = None) -> Certificate:
-    finite_types, infinite_heights = _infinite_profile(n, std_infinite_monodromy(n), l)
-    cert = _shear_certificate(n, "inf", l, factor, finite_types.values())
-    if infinite_heights:
-        cert.verdict = FAIL
-        cert.witness = {"reason": "infinite cylinder in shear direction", "l": l}
-    return cert
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
-    return _rotation_obstruction(cover, l, _finite_profile(cover.n, cover.monodromy, 0))
+    n, m = cover.n, cover.monodromy
+    return _rotation_certificate(n, cover.d, l, _finite_profile(n, m, 0), _finite_profile(n, m, l))
 
 
-def _rotation_obstruction(cover: CoveringSurface, l: int, horizontal: dict) -> Certificate:
-    # horizontal is the cover's direction-0 profile, shared by every l
-    n = cover.n
-    direction = _finite_profile(n, cover.monodromy, l)
-    h_counts = {k: v[1] for k, v in horizontal.items()}
-    d_counts = {k: v[1] for k, v in direction.items()}
-    if h_counts != d_counts:
-        verdict = PASS
-        diff_keys = {k for k in set(h_counts) | set(d_counts)
-                     if h_counts.get(k, 0) != d_counts.get(k, 0)}
-        # the most telling witness: the largest inverse modulus that differs
-        pairs = {**{k: v[0] for k, v in horizontal.items()},
-                 **{k: v[0] for k, v in direction.items()}}
-        wk = max(diff_keys, key=lambda k: (float(pairs[k][0]), float(pairs[k][1])))
-        mod, height = pairs[wk]
-        witness = {
-            "inverse_modulus": _alg(mod),
-            "height": _alg(height),
-            "horizontal_count": h_counts.get(wk, 0),
-            "direction_count": d_counts.get(wk, 0),
-        }
-    else:
-        verdict = INCONCLUSIVE
-        witness = {"reason": "multisets agree; rotation not excluded by this invariant"}
+def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
+                          horizontal_rows: list | None = None) -> Certificate:
+    # horizontal is the direction-0 profile (its infinite types when
+    # d = inf), shared by every l together with its payload rows
+    infinite = d == "inf"
+    verdict, witness = _rotation_rule(horizontal, direction, infinite)
+    if horizontal_rows is None:
+        horizontal_rows = _multiset_rows(horizontal)
+    suffix = "_infinite" if infinite else ""
     payload = {
         "l": l,
-        "horizontal": _sorted_multiset({pair: cnt for pair, cnt in horizontal.values()}),
-        "direction": _sorted_multiset({pair: cnt for pair, cnt in direction.values()}),
+        "horizontal" + suffix: horizontal_rows,
+        "direction" + suffix: _multiset_rows(direction),
     }
     return Certificate(
-        kind="RotationObstruction", n=n, d=cover.d, verdict=verdict,
-        payload=payload, witness=witness,
-    )
-
-
-def certify_rotation_obstruction_infinite(n: int, l: int) -> Certificate:
-    zm = std_infinite_monodromy(n)
-    return _rotation_obstruction_infinite(n, l, zm, _infinite_profile(n, zm, 0)[1])
-
-
-def _rotation_obstruction_infinite(n: int, l: int, zm: ZMonodromy, h_inf: dict) -> Certificate:
-    # h_inf holds the infinite cylinders of direction 0, shared by every l
-    _, d_inf = _infinite_profile(n, zm, l)
-    h_counts = {k: v[1] for k, v in h_inf.items()}
-    d_counts = {k: v[1] for k, v in d_inf.items()}
-    if h_counts != d_counts:
-        verdict = PASS
-        witness = {"reason": "infinite-cylinder heights differ between directions"}
-    else:
-        verdict = INCONCLUSIVE
-        witness = {"reason": "infinite-cylinder profiles agree"}
-    payload = {
-        "l": l,
-        "horizontal_infinite": _sorted_multiset(
-            {(RealAlg.zero(4 * n) + 0, h): c for h, c in h_inf.values()}
-        ),
-        "direction_infinite": _sorted_multiset(
-            {(RealAlg.zero(4 * n) + 0, h): c for h, c in d_inf.values()}
-        ),
-    }
-    return Certificate(
-        kind="RotationObstruction", n=n, d="inf", verdict=verdict,
+        kind="RotationObstruction", n=n, d=d, verdict=verdict,
         payload=payload, witness=witness,
     )
 
@@ -265,8 +360,6 @@ def _even_rotation_images(n: int, a: int):
     x_i -> x_{i+1} for i < n/2 - 1 and x_{n/2-1} -> x_0^-1; this
     returns the a-th power of that substitution.
     """
-    from .words import Word
-
     half = n // 2
     step = [
         Word.generator(i + 1) if i + 1 < half else Word.generator(0).inverse()
@@ -334,8 +427,7 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
     images = _even_rotation_images(n, a)
     pulled = {i: monodromy.eval_word(images[i]) for i in range(n // 2)}
     original = {i: monodromy.image(i) for i in range(n // 2)}
-    iso = _covers_isomorphic(original, pulled, monodromy.degree)
-    verdict = INCONCLUSIVE if iso else PASS
+    verdict, witness = _pullback_rule(original, pulled)
     return Certificate(
         kind="PullbackObstruction",
         n=n,
@@ -346,9 +438,7 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
             "original": {str(i): list(p) for i, p in sorted(original.items())},
             "pullback": {str(i): list(p) for i, p in sorted(pulled.items())},
         },
-        witness=None if verdict == PASS else {
-            "reason": "pullback cover is isomorphic; rotation not excluded"
-        },
+        witness=witness,
     )
 
 
@@ -361,41 +451,25 @@ def sigma_T_claim(d: int) -> tuple:
     return perms.power(suc, (d - 1) // 2)
 
 
-def _check_sigma_conditions(sig1, sig2, sigma_T, mode: str):
-    """The two compatibility conditions, as exact permutation identities."""
-    if mode == "horizontal":
-        suc = perms.compose(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
-        cond1 = perms.compose(suc, sigma_T) == perms.compose(sigma_T, suc)
-        cond2 = perms.compose(sigma_T, sig1) == perms.compose(sig2, sigma_T)
-        return cond1, cond2
-    # vertical: suc = sigma1(sigma2(.)), second condition uses sigma2 and pred
-    suc = perms.compose(sig2, sig1)
-    pred = perms.inverse(suc)
-    cond1 = perms.compose(suc, sigma_T) == perms.compose(sigma_T, suc)
-    cond2 = perms.compose(sigma_T, sig2) == perms.compose(pred, perms.compose(sig2, sigma_T))
-    return cond1, cond2
-
-
-def certify_sigma_T(n: int, d: int, mode: str = "horizontal",
-                    monodromy: Monodromy | None = None) -> Certificate:
+def certify_sigma_T(n: int, d, mode: str = "horizontal",
+                    monodromy: Monodromy | ZMonodromy | None = None) -> Certificate:
     """Existence of the copy permutation behind the single-twist maps.
 
     horizontal: sigma_T itself; vertical (even n special direction):
-    the same conditions hold for sigma_T^-1.
+    the same conditions hold for sigma_T^-1.  d = "inf" certifies
+    Y_{n,inf}, whose monodromy is a ZMonodromy.
     """
     if monodromy is None:
-        monodromy = standard_monodromy(n, d)
+        monodromy = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
     k1, k2 = monodromy.k1, monodromy.k2
     if k1 is None:
         k1, k2 = monodromy_indices(n)
     sig1 = monodromy.image(k1)
     sig2 = monodromy.image(k2)
-    sigma = sigma_T_claim(d)
+    sigma = sigma_T_infinite() if d == "inf" else sigma_T_claim(d)
     if mode == "vertical":
-        sigma = perms.inverse(sigma)
-    cond1, cond2 = _check_sigma_conditions(sig1, sig2, sigma, mode)
-    verdict = PASS if (cond1 and cond2) else FAIL
-    witness = None if verdict == PASS else {"cond1": cond1, "cond2": cond2}
+        sigma = _Perm.inverse(sigma)
+    verdict, witness = _sigma_rule(sig1, sig2, sigma, mode)
     return Certificate(
         kind="SigmaT",
         n=n,
@@ -403,98 +477,43 @@ def certify_sigma_T(n: int, d: int, mode: str = "horizontal",
         verdict=verdict,
         payload={
             "mode": mode,
-            "sigma_T": list(sigma),
-            "sigma1": list(sig1),
-            "sigma2": list(sig2),
+            "sigma_T": _Perm.to_json(sigma),
+            "sigma1": _Perm.to_json(sig1),
+            "sigma2": _Perm.to_json(sig2),
         },
         witness=witness,
     )
 
 
-def _zperm_conditions(sig1: ZPermutation, sig2: ZPermutation, sigma: ZPermutation, mode: str):
-    if mode == "horizontal":
-        suc = sig2.compose(sig1)
-        cond1 = sigma.compose(suc) == suc.compose(sigma)
-        cond2 = sig1.compose(sigma) == sigma.compose(sig2)
-        return cond1, cond2
-    suc = sig1.compose(sig2)
-    pred = suc.inverse()
-    cond1 = sigma.compose(suc) == suc.compose(sigma)
-    cond2 = sig2.compose(sigma) == sigma.compose(sig2).compose(pred)
-    return cond1, cond2
-
-
-def certify_sigma_T_infinite(n: int, mode: str = "horizontal") -> Certificate:
-    zm = std_infinite_monodromy(n)
-    sig1 = zm.image(zm.k1)
-    sig2 = zm.image(zm.k2)
-    sigma = sigma_T_infinite()
-    if mode == "vertical":
-        sigma = sigma.inverse()
-    cond1, cond2 = _zperm_conditions(sig1, sig2, sigma, mode)
-    verdict = PASS if (cond1 and cond2) else FAIL
-    return Certificate(
-        kind="SigmaT",
-        n=n,
-        d="inf",
-        verdict=verdict,
-        payload={
-            "mode": mode,
-            "sigma_T": sigma.to_json(),
-            "sigma1": sig1.to_json(),
-            "sigma2": sig2.to_json(),
-        },
-        witness=None if verdict == PASS else {"cond1": cond1, "cond2": cond2},
-    )
-
-
-def certify_minus_identity(cover: CoveringSurface) -> Certificate:
+def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certificate:
     """-I lifts iff every generator's monodromy image is an involution."""
-    m = cover.monodromy
-    images = []
-    verdict = PASS
-    witness = None
-    for i in sorted(m.images):
-        p = m.image(i)
-        images.append({"generator": i, "image": list(p)})
-        if not perms.is_involution(p) and verdict == PASS:
-            verdict = FAIL
-            witness = {"generator": i, "image": list(p), "reason": "not an involution"}
+    images = [(i, monodromy.image(i)) for i in sorted(monodromy.images)]
+    verdict, witness = _minus_identity_rule(images)
     return Certificate(
-        kind="MinusIdentity", n=cover.n, d=cover.d, verdict=verdict,
-        payload={"images": images}, witness=witness,
+        kind="MinusIdentity", n=n, d=monodromy.degree, verdict=verdict,
+        payload={"images": [{"generator": i, "image": _Perm.to_json(p)} for i, p in images]},
+        witness=witness,
     )
 
 
-def certify_minus_identity_infinite(n: int) -> Certificate:
-    zm = std_infinite_monodromy(n)
-    verdict = PASS
-    witness = None
-    images = []
-    for i in sorted(zm.images):
-        zp = zm.image(i)
-        images.append({"generator": i, "image": zp.to_json()})
-        if not zp.is_involution() and verdict == PASS:
-            verdict = FAIL
-            witness = {"generator": i, "reason": "not an involution"}
-    return Certificate(
-        kind="MinusIdentity", n=n, d="inf", verdict=verdict,
-        payload={"images": images}, witness=witness,
-    )
+@lru_cache(maxsize=None)
+def _coset_table(n: int):
+    """Coset table of the covers' Veech group in Gamma(X_n); it depends on n only."""
+    return coset_enumerate(presentation_for(n), subgroup_words(n))
 
 
 def certify_index(n: int) -> Certificate:
     """Coset enumeration of the covers' Veech group in Gamma(X_n)."""
     expected = n if n % 2 else n // 2
-    table = coset_enumerate(presentation_for(n), subgroup_words(n))
-    verdict = PASS if table.index == expected else FAIL
+    table = _coset_table(n)
+    verdict, witness = _index_rule(n, expected, table.index)
     return Certificate(
         kind="Index",
         n=n,
         d=None,
         verdict=verdict,
         payload={"expected_index": expected, "index": table.index, "table": table.to_json()},
-        witness=None if verdict == PASS else {"index": table.index},
+        witness=witness,
     )
 
 
@@ -514,18 +533,13 @@ def _obstruction_direction_indices(n: int):
     return [2 * l for l in range(1, n // 2)]
 
 
-def _aggregate(n: int, d, subs: list) -> Certificate:
-    verdict = PASS
-    witness = None
-    for sub in subs:
-        if sub.verdict == FAIL:
-            verdict = FAIL
-            witness = {"failed": sub.kind, "witness": sub.witness}
-            break
-        if sub.verdict == INCONCLUSIVE and verdict == PASS:
-            verdict = INCONCLUSIVE
-            witness = {"inconclusive": sub.kind, "witness": sub.witness}
+def _aggregate(n: int, d, subs: list, preimages=None) -> Certificate:
+    verdict, witness = _theorem_rule(d, ((s.kind, s.verdict, s.witness) for s in subs), preimages)
     payload = {"subcertificates": [s.to_json() for s in subs]}
+    if d == "inf":
+        payload["infinite_preimages_of_cylinder_k"] = preimages
+    if verdict == PASS:
+        payload["statement"] = "Gamma(Y_%s,%s) = Gamma_%s certified" % (n, d, n)
     return Certificate(
         kind="FullTheorem", n=n, d=d, verdict=verdict, payload=payload, witness=witness
     )
@@ -535,76 +549,65 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
                    monodromy: Monodromy | None = None) -> Certificate:
     """Certify Gamma(Y_{n,d}) = Gamma_n for one n and degree (or infinity)."""
     if infinite:
-        return _verify_infinite(n)
-    if d is None or d < 2:
-        raise ValueError("finite verification needs d >= 2")
-    try:
-        cover = build_cover(n, d, monodromy)
-    except IntransitiveMonodromy as exc:
-        bad = Certificate(
-            kind="WellFormedCover", n=n, d=d, verdict=FAIL,
-            payload={}, witness={"reason": str(exc)},
-        )
-        return _aggregate(n, d, [bad])
-    subs = [
-        Certificate(kind="WellFormedCover", n=n, d=d, verdict=PASS,
-                    payload={"polygons": d * len(cover.base.polygons)}),
-    ]
+        d, monodromy = "inf", std_infinite_monodromy(n)
+        subs = []
+    else:
+        if d is None or d < 2:
+            raise ValueError("finite verification needs d >= 2")
+        try:
+            cover = build_cover(n, d, monodromy)
+        except IntransitiveMonodromy as exc:
+            bad = Certificate(
+                kind="WellFormedCover", n=n, d=d, verdict=FAIL,
+                payload={}, witness={"reason": str(exc)},
+            )
+            return _aggregate(n, d, [bad])
+        monodromy = cover.monodromy
+        subs = [
+            Certificate(kind="WellFormedCover", n=n, d=d, verdict=PASS,
+                        payload={"polygons": d * len(cover.base.polygons)}),
+        ]
+    profiles = {}
+
+    def profile(l):
+        # (finite types, infinite types) in direction v_l, computed once per l
+        if l not in profiles:
+            profiles[l] = (_infinite_profile(n, monodromy, l) if infinite
+                           else (_finite_profile(n, monodromy, l), {}))
+        return profiles[l]
+
     for l in _shear_direction_indices(n):
-        subs.append(certify_shear(cover, l))
-    subs.append(certify_sigma_T(n, d, "horizontal", cover.monodromy))
+        subs.append(_shear_certificate(n, d, l, None, *profile(l)))
+    subs.append(certify_sigma_T(n, d, "horizontal", monodromy))
     if n % 2 == 0:
-        subs.append(certify_sigma_T(n, d, "vertical", cover.monodromy))
-    subs.append(certify_minus_identity(cover))
-    horizontal = _finite_profile(n, cover.monodromy, 0)
+        subs.append(certify_sigma_T(n, d, "vertical", monodromy))
+    subs.append(certify_minus_identity(n, monodromy))
+    # Y_{n,inf} is obstructed by its infinite cylinders, Y_{n,d} by all
+    side = 1 if infinite else 0
+    horizontal = profile(0)[side]
+    horizontal_rows = _multiset_rows(horizontal)
     for l in _obstruction_direction_indices(n):
-        sub = _rotation_obstruction(cover, l, horizontal)
-        if sub.verdict == INCONCLUSIVE and n % 2 == 0:
+        sub = _rotation_certificate(n, d, l, horizontal, profile(l)[side], horizontal_rows)
+        if sub.verdict == INCONCLUSIVE and n % 2 == 0 and not infinite:
             # the multiset invariant is blind here (it happens for d = 2
             # in the vertical direction); fall back to the covering-
             # structure obstruction
-            sub = certify_pullback_obstruction(n, cover.monodromy, l)
+            sub = certify_pullback_obstruction(n, monodromy, l)
         subs.append(sub)
     subs.append(certify_index(n))
-    cert = _aggregate(n, d, subs)
-    if cert.verdict == PASS:
-        cert.payload["statement"] = "Gamma(Y_%d,%d) = Gamma_%d certified" % (n, d, n)
-    return cert
-
-
-def _verify_infinite(n: int) -> Certificate:
-    zm = std_infinite_monodromy(n)
-    subs = []
-    for l in _shear_direction_indices(n):
-        subs.append(certify_shear_infinite(n, l))
-    subs.append(certify_sigma_T_infinite(n, "horizontal"))
-    if n % 2 == 0:
-        subs.append(certify_sigma_T_infinite(n, "vertical"))
-    subs.append(certify_minus_identity_infinite(n))
-    _, h_inf = _infinite_profile(n, zm, 0)
-    for l in _obstruction_direction_indices(n):
-        subs.append(_rotation_obstruction_infinite(n, l, zm, h_inf))
-    subs.append(certify_index(n))
-    cert = _aggregate(n, "inf", subs)
-    # key obstruction evidence: the core of cylinder k lifts to exactly
-    # two infinite cylinders
-    k1, k2 = monodromy_indices(n)
-    from .words import Word
-
-    suc = zm.eval_word(Word.generator(k1) * Word.generator(k2).inverse())
-    cert.payload["infinite_preimages_of_cylinder_k"] = suc.orbit_count()
-    if suc.orbit_count() != 2:
-        cert.verdict = FAIL
-        cert.witness = {"reason": "cylinder k does not have two infinite preimages"}
-    if cert.verdict == PASS:
-        cert.payload["statement"] = "Gamma(Y_%d,inf) = Gamma_%d certified" % (n, n)
-    return cert
+    preimages = None
+    if infinite:
+        # key obstruction evidence: the core of cylinder k lifts to
+        # exactly two infinite cylinders
+        k1, k2 = monodromy_indices(n)
+        core = Word.generator(k1) * Word.generator(k2).inverse()
+        preimages = monodromy.eval_word(core).orbit_count()
+    return _aggregate(n, d, subs, preimages)
 
 
 def verify_quotient(n: int):
     """Quotient invariants of H/Gamma_n from the coset action."""
-    table = coset_enumerate(presentation_for(n), subgroup_words(n))
-    return quotient_invariants(table)
+    return quotient_invariants(_coset_table(n))
 
 
 # ---------------------------------------------------------------------------
@@ -640,78 +643,40 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 # revalidation from payload
 
 
-def _parse_counts(entries):
-    counter = {}
-    for e in entries:
-        mod = RealAlg.from_json(e["inverse_modulus"])
-        height = RealAlg.from_json(e["height"])
-        counter[(mod.key(), height.key())] = e["count"]
-    return counter
-
-
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its JSON payload."""
+    """Recompute a certificate's verdict from its JSON payload.
+
+    Parses the payload and applies the rule that made the verdict;
+    WellFormedCover carries no evidence, so its stated verdict stands.
+    """
     kind = data["kind"]
     payload = data["payload"]
     if kind == "ShearMembership":
-        factor = RealAlg.from_json(payload["factor"])
-        for row in payload["cylinders"]:
-            mod = RealAlg.from_json(row["inverse_modulus"])
-            twists = row["twists"]
-            if twists is None or twists < 1:
-                return FAIL
-            if not (factor - twists * mod).is_zero():
-                return FAIL
-        return PASS
+        rows = ((RealAlg.from_json(r["inverse_modulus"]), r["twists"])
+                for r in payload["cylinders"])
+        return _shear_rule(RealAlg.from_json(payload["factor"]), rows, payload["l"])[0]
     if kind == "RotationObstruction":
-        if "horizontal" in payload:
-            a = _parse_counts(payload["horizontal"])
-            b = _parse_counts(payload["direction"])
-        else:
-            a = _parse_counts(payload["horizontal_infinite"])
-            b = _parse_counts(payload["direction_infinite"])
-        return PASS if a != b else INCONCLUSIVE
+        infinite = "horizontal_infinite" in payload
+        suffix = "_infinite" if infinite else ""
+        horizontal = _parse_multiset(payload["horizontal" + suffix])
+        direction = _parse_multiset(payload["direction" + suffix])
+        return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
-        mode = payload["mode"]
-        if data["d"] == "inf":
-            sig1 = ZPermutation(**payload["sigma1"])
-            sig2 = ZPermutation(**payload["sigma2"])
-            sigma = ZPermutation(**payload["sigma_T"])
-            cond1, cond2 = _zperm_conditions(sig1, sig2, sigma, mode)
-        else:
-            sig1 = tuple(payload["sigma1"])
-            sig2 = tuple(payload["sigma2"])
-            sigma = tuple(payload["sigma_T"])
-            cond1, cond2 = _check_sigma_conditions(sig1, sig2, sigma, mode)
-        return PASS if (cond1 and cond2) else FAIL
+        sig1, sig2, sigma = (_Perm.from_json(payload[k]) for k in ("sigma1", "sigma2", "sigma_T"))
+        return _sigma_rule(sig1, sig2, sigma, payload["mode"])[0]
     if kind == "MinusIdentity":
-        for entry in payload["images"]:
-            image = entry["image"]
-            if isinstance(image, dict):
-                if not ZPermutation(**image).is_involution():
-                    return FAIL
-            elif not perms.is_involution(tuple(image)):
-                return FAIL
-        return PASS
+        images = ((e["generator"], _Perm.from_json(e["image"])) for e in payload["images"])
+        return _minus_identity_rule(images)[0]
     if kind == "Index":
-        table = coset_enumerate(presentation_for(data["n"]), subgroup_words(data["n"]))
-        if table.index != payload["expected_index"] or table.index != payload["index"]:
-            return FAIL
-        return PASS
+        return _index_rule(data["n"], payload["expected_index"], payload["index"])[0]
     if kind == "PullbackObstruction":
         original = {int(i): tuple(p) for i, p in payload["original"].items()}
         pulled = {int(i): tuple(p) for i, p in payload["pullback"].items()}
-        d = len(next(iter(original.values())))
-        return INCONCLUSIVE if _covers_isomorphic(original, pulled, d) else PASS
+        return _pullback_rule(original, pulled)[0]
     if kind == "WellFormedCover":
         return data["verdict"]
     if kind == "FullTheorem":
-        verdict = PASS
-        for sub in payload["subcertificates"]:
-            v = revalidate(sub)
-            if v == FAIL:
-                return FAIL
-            if v == INCONCLUSIVE:
-                verdict = INCONCLUSIVE
-        return verdict
+        subs = ((s["kind"], revalidate(s), None) for s in payload["subcertificates"])
+        preimages = payload.get("infinite_preimages_of_cylinder_k")
+        return _theorem_rule(data["d"], subs, preimages)[0]
     raise ValueError("unknown certificate kind %r" % kind)

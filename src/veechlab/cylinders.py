@@ -98,11 +98,7 @@ class Cylinder:
     circumference: RealAlg
     inverse_modulus: RealAlg
     core_word: Word
-    boundary: tuple = ()  # (bottom sc keys, top sc keys) when traced
     bands: tuple = ()  # ((polygon, level_lo, level_hi), ...) when traced
-
-    def moduli_key(self):
-        return (self.inverse_modulus.key(), self.height.key())
 
     def to_json(self):
         return {
@@ -301,16 +297,10 @@ def decompose(surface: TranslationSurface, direction: Direction, bound=None):
         for h in tracer.h[p]:
             table.setdefault(h.key(), h)
         levels.append(table)
-    seg_index = {}  # (polygon, level key) -> list of (u_lo, u_hi, sc key)
     for sc in sconns:
-        key = sc.canonical_key()
-        for (p, a, b) in sc.segments:
+        for (p, a, _) in sc.segments:
             lv = w.cross(a)
             levels[p].setdefault(lv.key(), lv)
-            ua, ub = w.dot(a), w.dot(b)
-            if ua > ub:
-                ua, ub = ub, ua
-            seg_index.setdefault((p, lv.key()), []).append((ua, ub, key))
 
     sorted_levels = []
     for p in range(len(surface.polygons)):
@@ -323,7 +313,6 @@ def decompose(surface: TranslationSurface, direction: Direction, bound=None):
     band_at_left_edge = {}  # (EdgeRef, level key of band bottom) -> (p, k)
     for p, poly in enumerate(surface.polygons):
         hs = tracer.h[p]
-        us = tracer.u[p]
         m = len(poly)
         lv = sorted_levels[p]
         for k in range(len(lv) - 1):
@@ -380,8 +369,6 @@ def decompose(surface: TranslationSurface, direction: Direction, bound=None):
         height = first["hi"] - first["lo"]
         circumference = RealAlg.zero(height.N)
         letters = []
-        bottom_scs = set()
-        top_scs = set()
         for (p, k) in chain:
             info = band_info[(p, k)]
             if not (info["hi"] - info["lo"] == height):
@@ -392,12 +379,6 @@ def decompose(surface: TranslationSurface, direction: Direction, bound=None):
             label = surface.crossing_label(EdgeRef(p, info["right"]))
             if label is not None:
                 letters.append(label)
-            for lv, sink in ((info["lo"], bottom_scs), (info["hi"], top_scs)):
-                ulo = width_at(p, info["left"], 2 * lv) / 2
-                uhi = width_at(p, info["right"], 2 * lv) / 2
-                for (ua, ub, sckey) in seg_index.get((p, lv.key()), ()):  # overlap
-                    if max(ua, ulo) < min(ub, uhi):
-                        sink.add(sckey)
         cylinders.append(
             Cylinder(
                 direction=direction,
@@ -405,7 +386,6 @@ def decompose(surface: TranslationSurface, direction: Direction, bound=None):
                 circumference=circumference,
                 inverse_modulus=circumference / height,
                 core_word=Word(letters),
-                boundary=(tuple(sorted(bottom_scs)), tuple(sorted(top_scs))),
                 bands=tuple(
                     (p, band_info[(p, k)]["lo"], band_info[(p, k)]["hi"])
                     for (p, k) in chain

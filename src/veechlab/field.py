@@ -687,12 +687,17 @@ class RealAlg:
 
     # -- numeric views -------------------------------------------------------
 
-    def approx(self, digits: int = 20) -> str:
-        """Decimal approximation with the given number of significant digits."""
+    def approx(self, digits: int = 20, _coeffs=None) -> str:
+        """Decimal approximation with the given number of significant digits.
+
+        _coeffs: this value's rational coefficients, when the caller has
+        already built them.
+        """
         dps = digits + 15
         with mpmath.workdps(dps):
             val = mpmath.mpf(0)
-            for c, cos_j in zip(self.value.coeffs, _mp_cos_table(self.N, dps)):
+            coeffs = self.value.coeffs if _coeffs is None else _coeffs
+            for c, cos_j in zip(coeffs, _mp_cos_table(self.N, dps)):
                 if c:
                     val += mpmath.mpf(c.numerator) / c.denominator * cos_j
             return mpmath.nstr(val, digits, strip_zeros=False)
@@ -706,10 +711,11 @@ class RealAlg:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
+        coeffs = self.value.coeffs
         return {
             "conductor": self.N,
-            "coeffs": [str(c) for c in self.value.coeffs],
-            "approx": self.approx(20),
+            "coeffs": [str(c) for c in coeffs],
+            "approx": self.approx(20, coeffs),
         }
 
     @staticmethod

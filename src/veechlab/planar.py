@@ -65,10 +65,6 @@ class Vec2:
         return "Vec2(%s, %s)" % (self.x.approx(8).strip(), self.y.approx(8).strip())
 
 
-def vzero(N: int) -> Vec2:
-    return Vec2(RealAlg.zero(N), RealAlg.zero(N))
-
-
 def _in_closed_small_arc(u: Vec2, v: Vec2, w: Vec2) -> bool:
     # closed CCW arc from u to v of angle < pi
     cu = u.cross(w).sign()

@@ -95,6 +95,8 @@ class ZPermutation:
 class ZMonodromy:
     """Generator-indexed parity-affine permutations of Z."""
 
+    degree = "inf"  # the sheets are indexed by Z; certificates print d as "inf"
+
     def __init__(self, num_generators: int, images: dict, k1=None, k2=None):
         self.num_generators = num_generators
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}

@@ -16,6 +16,7 @@ from veechlab.certificates import (
 )
 from veechlab.covering import Monodromy, build_cover, sigma_d1, sigma_d2, standard_monodromy
 from veechlab.field import RealAlg, lambda_n
+from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
 
 def test_certify_shear_y53():
@@ -103,11 +104,11 @@ def test_sigma_T_conditions_hold(d):
 
 def test_minus_identity_certificates():
     for d in range(2, 9):
-        assert certify_minus_identity(build_cover(5, d)).verdict == "pass"
+        assert certify_minus_identity(5, build_cover(5, d).monodromy).verdict == "pass"
     # a 3-cycle image is not an involution
     bad = Monodromy(4, 3, {2: perms.from_cycles(3, [(0, 1, 2)]), 3: sigma_d2(3)}, k1=2, k2=3)
     cover = build_cover(5, 3, bad)
-    cert = certify_minus_identity(cover)
+    cert = certify_minus_identity(5, cover.monodromy)
     assert cert.verdict == "fail"
     assert cert.witness["generator"] == 2
 
@@ -181,17 +182,32 @@ def test_pullback_inconclusive_for_symmetric_cover():
 
 
 def test_certificates_revalidate_from_payload():
-    for cert in (
+    # every subcertificate of standard, mutated and infinite theorems
+    # revalidates to the verdict its certifier gave it
+    singles = [
         certify_shear(build_cover(5, 3), 1),
         certify_rotation_obstruction(build_cover(5, 4), 2),
         certify_sigma_T(5, 5, "horizontal"),
-        certify_minus_identity(build_cover(8, 3)),
-        verify_theorem(5, 3),
-        verify_theorem(8, 2),
-        verify_theorem(5, infinite=True),
-    ):
+        certify_minus_identity(8, build_cover(8, 3).monodromy),
+    ]
+    theorems = []
+    for n in (5, 8, 9, 14):
+        theorems.append(verify_theorem(n, infinite=True))
+        for d in (2, 3, 4):
+            theorems.append(verify_theorem(n, d))
+            theorems.append(verify_theorem(n, d, monodromy=mutated_monodromy(n, d)))
+    seen = set()
+    for cert in singles + theorems:
         data = json.loads(json.dumps(cert.to_json()))
-        assert revalidate(data) == cert.verdict
+        for sub in [data] + data["payload"].get("subcertificates", []):
+            assert revalidate(sub) == sub["verdict"], (cert.n, cert.d, sub["kind"])
+            seen.add((sub["kind"], sub["verdict"]))
+    kinds = {kind for kind, _ in seen}
+    assert kinds == {
+        "FullTheorem", "WellFormedCover", "ShearMembership", "SigmaT", "MinusIdentity",
+        "RotationObstruction", "PullbackObstruction", "Index",
+    }
+    assert {verdict for _, verdict in seen} == {"pass", "fail", "inconclusive"}
 
 
 def test_tampered_payload_fails_revalidation():
@@ -199,6 +215,67 @@ def test_tampered_payload_fails_revalidation():
     data = json.loads(json.dumps(cert.to_json()))
     data["payload"]["cylinders"][0]["twists"] = 7
     assert revalidate(data) == "fail"
+
+
+def test_tampered_infinite_preimages_fail_revalidation():
+    data = json.loads(json.dumps(verify_theorem(8, infinite=True).to_json()))
+    assert revalidate(data) == "pass"
+    data["payload"]["infinite_preimages_of_cylinder_k"] = 3
+    assert revalidate(data) == "fail"
+
+
+def test_perm_helper_conventions():
+    # _Perm.then(a, b) is "a followed by b" for both permutation types
+    a, b = perms.from_cycles(4, [(0, 1, 2)]), perms.from_cycles(4, [(1, 3)])
+    ab = certificates._Perm.then(a, b)
+    assert all(ab[x] == b[a[x]] for x in range(4))
+    za, zb = ZPermutation(1, -1), ZPermutation(2, 4)
+    zab = certificates._Perm.then(za, zb)
+    assert all(zab(x) == zb(za(x)) for x in range(-6, 7))
+    assert certificates._Perm.then(zab, certificates._Perm.inverse(zab)).is_identity()
+    for p in (a, zb):
+        data = json.loads(json.dumps(certificates._Perm.to_json(p)))
+        assert certificates._Perm.from_json(data) == p
+
+
+def test_infinite_monodromy_uses_the_finite_rules():
+    n = 8
+    zm = std_infinite_monodromy(n)
+    for mode in ("horizontal", "vertical"):
+        cert = certify_sigma_T(n, "inf", mode)
+        assert cert.verdict == "pass" and cert.d == "inf"
+        assert revalidate(json.loads(json.dumps(cert.to_json()))) == "pass"
+    assert certify_minus_identity(n, zm).verdict == "pass"
+    # a shift on Z is no involution: -I does not lift, and the witness
+    # names the generator and its image as for a finite cover
+    shifted = ZMonodromy(zm.num_generators, {zm.k1: ZPermutation(2, 2), zm.k2: zm.image(zm.k2)},
+                         k1=zm.k1, k2=zm.k2)
+    cert = certify_minus_identity(n, shifted)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"generator": zm.k1, "image": {"t_even": 2, "t_odd": 2},
+                            "reason": "not an involution"}
+    assert revalidate(json.loads(json.dumps(cert.to_json()))) == "fail"
+    assert certify_sigma_T(n, "inf", "horizontal", shifted).verdict == "fail"
+
+
+def test_coset_table_enumerated_once_per_n(monkeypatch):
+    calls = []
+    enumerate_ = certificates.coset_enumerate
+
+    def counting(presentation, subgroup):
+        calls.append(presentation)
+        return enumerate_(presentation, subgroup)
+
+    verify_theorem(7, 2)  # warm-up: base decompositions
+    certificates._coset_table.cache_clear()
+    monkeypatch.setattr(certificates, "coset_enumerate", counting)
+    for n in (7, 8):
+        for d in (2, 3, 4):
+            assert verify_theorem(n, d).verdict == "pass"
+        data = json.loads(json.dumps(verify_theorem(n, infinite=True).to_json()))
+        assert revalidate(data) == "pass"
+        certificates.verify_quotient(n)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -242,6 +319,19 @@ def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
     monkeypatch.setattr(certificates, "_finite_profile", counting)
     assert verify_theorem(n, 4).verdict == "pass"
     assert directions.count(0) == 1
+    # every direction at most once, shear and obstruction directions alike
+    assert len(directions) == len(set(directions))
+    infinite_directions = []
+    infinite_profile = certificates._infinite_profile
+
+    def counting_infinite(n_, zm, l):
+        infinite_directions.append(l)
+        return infinite_profile(n_, zm, l)
+
+    monkeypatch.setattr(certificates, "_infinite_profile", counting_infinite)
+    assert verify_theorem(n, infinite=True).verdict == "pass"
+    assert len(infinite_directions) == len(set(infinite_directions))
+    assert 0 in infinite_directions
     # the public single-direction entry point still computes its own
     directions.clear()
     cert = certify_rotation_obstruction(build_cover(n, 4), 2)
