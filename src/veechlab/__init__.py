@@ -76,6 +76,7 @@ from .errors import (
     CapExceeded,
     IntransitiveMonodromy,
     InvalidSurface,
+    MalformedCertificate,
     NonChainError,
     VeechLabError,
     VerificationFailure,

@@ -45,7 +45,7 @@ from .covering import (
     sigma_d2,
     standard_monodromy,
 )
-from .errors import IntransitiveMonodromy
+from .errors import IntransitiveMonodromy, MalformedCertificate
 from .field import RealAlg, lambda_n
 from .quotient import quotient_invariants
 from .veech import presentation_for, subgroup_words
@@ -106,8 +106,25 @@ class _Perm:
         return p.to_json() if isinstance(p, ZPermutation) else list(p)
 
     @staticmethod
+    def degree(p):
+        return "inf" if isinstance(p, ZPermutation) else len(p)
+
+    @staticmethod
     def from_json(data):
-        return ZPermutation(**data) if isinstance(data, dict) else tuple(data)
+        """A permutation from its JSON form; anything else raises
+        MalformedCertificate."""
+        if type(data) is dict and data.keys() == {"t_even", "t_odd"} and all(
+            type(t) is int for t in data.values()
+        ):
+            try:
+                return ZPermutation(**data)
+            except ValueError as exc:  # t_even and t_odd of unequal parity
+                raise MalformedCertificate(str(exc)) from exc
+        if type(data) is list and data and all(type(i) is int for i in data) and (
+            sorted(data) == list(range(len(data)))
+        ):
+            return tuple(data)
+        raise MalformedCertificate("%.80r is not a permutation of its sheets" % (data,))
 
 
 def _multiset_rows(types: dict) -> list:
@@ -120,13 +137,12 @@ def _multiset_rows(types: dict) -> list:
     return rows
 
 
-def _parse_multiset(rows) -> dict:
-    types = {}
-    for e in rows:
-        mod = RealAlg.from_json(e["inverse_modulus"])
-        height = RealAlg.from_json(e["height"])
-        types[(mod.key(), height.key())] = ((mod, height), e["count"])
-    return types
+def _witness_json(witness):
+    # a rule's witness as the certificate carries it: exact values in
+    # their JSON form
+    if witness is None:
+        return None
+    return {k: v.to_json() if isinstance(v, RealAlg) else v for k, v in witness.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +188,8 @@ def _infinite_profile(n: int, zm: ZMonodromy, l: int):
 
 
 # ---------------------------------------------------------------------------
-# verdict rules, one per certificate kind; each returns (verdict, witness)
+# verdict rules, one per certificate kind; each returns (verdict, witness),
+# a witness of native values that only the certifiers serialise
 
 
 def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False):
@@ -186,7 +203,7 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
     for mod, twists in rows:
         if twists is None or twists < 1 or not (factor - twists * mod).is_zero():
-            return FAIL, {"inverse_modulus": mod.to_json(), "reason": "non-integer twist"}
+            return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
     return PASS, None
 
 
@@ -236,8 +253,8 @@ def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
              key=pairs.__getitem__)
     mod, height = pairs[wk]
     return PASS, {
-        "inverse_modulus": mod.to_json(),
-        "height": height.to_json(),
+        "inverse_modulus": mod,
+        "height": height,
         "horizontal_count": h_counts.get(wk, 0),
         "direction_count": d_counts.get(wk, 0),
     }
@@ -316,7 +333,7 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
         d=d,
         verdict=verdict,
         payload={"l": l, "factor": factor.to_json(), "cylinders": rows},
-        witness=witness,
+        witness=_witness_json(witness),
     )
 
 
@@ -348,7 +365,7 @@ def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
     }
     return Certificate(
         kind="RotationObstruction", n=n, d=d, verdict=verdict,
-        payload=payload, witness=witness,
+        payload=payload, witness=_witness_json(witness),
     )
 
 
@@ -643,40 +660,124 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 # revalidation from payload
 
 
-def revalidate(data: dict) -> str:
+_NONE = type(None)
+
+
+def _field(obj, key: str, *types):
+    """obj[key] from certificate JSON; its type must be one of types
+    (exactly: a bool is no int)."""
+    if type(obj) is not dict or key not in obj:
+        raise MalformedCertificate("missing key %r" % key)
+    value = obj[key]
+    if type(value) not in types:
+        raise MalformedCertificate("%r: expected %s, got %s" % (
+            key, " or ".join(t.__name__ for t in types), type(value).__name__))
+    return value
+
+
+def _exact(obj, key: str, memo: dict) -> RealAlg:
+    """The exact value obj[key], parsed once per revalidate call.
+
+    memo maps (conductor, coefficients) to the parsed value.  Every value
+    of a certificate and its subcertificates lies in one field
+    Q(zeta_4n), so a second conductor is malformed.
+    """
+    data = _field(obj, key, dict)
+    # types first: a conductor 36.0, or coefficients "12" instead of
+    # ["1", "2"], would otherwise hit the entry of a well-formed value
+    N, coeffs = _field(data, "conductor", int), _field(data, "coeffs", list)
+    try:
+        memo_key = (N, tuple(coeffs))
+        value = memo.get(memo_key)
+    except TypeError as exc:  # an unhashable coefficient
+        raise MalformedCertificate("coefficient of %r is not a string" % key) from exc
+    if value is None:
+        if memo and next(iter(memo))[0] != N:
+            raise MalformedCertificate("mixed conductors %d and %d" % (next(iter(memo))[0], N))
+        value = memo[memo_key] = RealAlg.from_json(data)
+    return value
+
+
+def _parse_multiset(rows: list, memo: dict) -> dict:
+    types = {}
+    for e in rows:
+        mod = _exact(e, "inverse_modulus", memo)
+        height = _exact(e, "height", memo)
+        types[(mod.key(), height.key())] = ((mod, height), _field(e, "count", int, _NONE))
+    return types
+
+
+def _perms(data: list) -> list:
+    """The permutations of one certificate; they must act on one set of sheets."""
+    ps = [_Perm.from_json(p) for p in data]
+    if len({_Perm.degree(p) for p in ps}) > 1:
+        raise MalformedCertificate("permutations of different degrees")
+    return ps
+
+
+def revalidate(data: dict, _memo: dict | None = None) -> str:
     """Recompute a certificate's verdict from its JSON payload.
 
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so its stated verdict stands.
+    A payload that does not parse raises MalformedCertificate.  Each
+    distinct exact value is parsed once per call: _memo carries the
+    parsed values from a FullTheorem down to its subcertificates.
     """
-    kind = data["kind"]
-    payload = data["payload"]
+    memo = {} if _memo is None else _memo
+    kind = _field(data, "kind", str)
+    payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
-        rows = ((RealAlg.from_json(r["inverse_modulus"]), r["twists"])
-                for r in payload["cylinders"])
-        return _shear_rule(RealAlg.from_json(payload["factor"]), rows, payload["l"])[0]
+        factor = _exact(payload, "factor", memo)
+        # a generator: the rule stops reading rows at the first failing one
+        rows = ((_exact(r, "inverse_modulus", memo), _field(r, "twists", int, _NONE))
+                for r in _field(payload, "cylinders", list))
+        return _shear_rule(factor, rows, _field(payload, "l", int))[0]
     if kind == "RotationObstruction":
         infinite = "horizontal_infinite" in payload
         suffix = "_infinite" if infinite else ""
-        horizontal = _parse_multiset(payload["horizontal" + suffix])
-        direction = _parse_multiset(payload["direction" + suffix])
+        horizontal = _parse_multiset(_field(payload, "horizontal" + suffix, list), memo)
+        direction = _parse_multiset(_field(payload, "direction" + suffix, list), memo)
         return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
-        sig1, sig2, sigma = (_Perm.from_json(payload[k]) for k in ("sigma1", "sigma2", "sigma_T"))
-        return _sigma_rule(sig1, sig2, sigma, payload["mode"])[0]
+        mode = _field(payload, "mode", str)
+        if mode not in ("horizontal", "vertical"):
+            raise MalformedCertificate("unknown SigmaT mode %.40r" % mode)
+        sig1, sig2, sigma = _perms([_field(payload, k, list, dict)
+                                    for k in ("sigma1", "sigma2", "sigma_T")])
+        return _sigma_rule(sig1, sig2, sigma, mode)[0]
     if kind == "MinusIdentity":
-        images = ((e["generator"], _Perm.from_json(e["image"])) for e in payload["images"])
-        return _minus_identity_rule(images)[0]
+        entries = _field(payload, "images", list)
+        generators = [_field(e, "generator", int) for e in entries]
+        images = _perms([_field(e, "image", list, dict) for e in entries])
+        return _minus_identity_rule(zip(generators, images))[0]
     if kind == "Index":
-        return _index_rule(data["n"], payload["expected_index"], payload["index"])[0]
+        n = _field(data, "n", int)
+        if n < 5 or n == 6:
+            raise MalformedCertificate("no base surface X_%d" % n)
+        expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
+        return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":
-        original = {int(i): tuple(p) for i, p in payload["original"].items()}
-        pulled = {int(i): tuple(p) for i, p in payload["pullback"].items()}
-        return _pullback_rule(original, pulled)[0]
+        original = _field(payload, "original", dict)
+        pulled = _field(payload, "pullback", dict)
+        if not original or original.keys() != pulled.keys():
+            raise MalformedCertificate("original and pullback images name different generators")
+        images = _perms(list(original.values()) + [pulled[g] for g in original])
+        if _Perm.degree(images[0]) == "inf":
+            raise MalformedCertificate("pullback images must permute finitely many sheets")
+        k = len(original)
+        return _pullback_rule(dict(zip(original, images[:k])), dict(zip(original, images[k:])))[0]
     if kind == "WellFormedCover":
-        return data["verdict"]
+        verdict = _field(data, "verdict", str)
+        if verdict not in (PASS, FAIL, INCONCLUSIVE):
+            raise MalformedCertificate("unknown verdict %.40r" % verdict)
+        return verdict
     if kind == "FullTheorem":
-        subs = ((s["kind"], revalidate(s), None) for s in payload["subcertificates"])
+        d = _field(data, "d", int, str)
+        if d != "inf" and type(d) is str:
+            raise MalformedCertificate("unknown degree %.40r" % d)
+        subs = ((_field(s, "kind", str), revalidate(s, _memo=memo), None)
+                for s in _field(payload, "subcertificates", list))
         preimages = payload.get("infinite_preimages_of_cylinder_k")
-        return _theorem_rule(data["d"], subs, preimages)[0]
-    raise ValueError("unknown certificate kind %r" % kind)
+        return _theorem_rule(d, subs, preimages)[0]
+    raise MalformedCertificate("unknown certificate kind %.40r" % kind)

@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 
-from .certificates import verify_quotient, verify_theorem
+from .certificates import revalidate, verify_quotient, verify_theorem
 from .covering import build_cover, cover_cylinders
 from .cylinders import Direction, decompose_retry
-from .errors import VeechLabError
+from .errors import MalformedCertificate, VeechLabError
 from .render import render_cover, render_infinite_window, render_surface
 from .surface import build_base
 from .zcover import (
@@ -93,11 +93,32 @@ def cmd_verify(args) -> int:
             raise UsageError("degree must be at least 2")
         cert = verify_theorem(args.n, args.d)
     _emit(cert.to_json())
-    if cert.verdict == "pass":
+    return _verdict_exit(cert.verdict)
+
+
+def _verdict_exit(verdict: str) -> int:
+    if verdict == "pass":
         return EXIT_PASS
-    if cert.verdict == "inconclusive":
+    if verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_FAIL
+
+
+def cmd_revalidate(args) -> int:
+    try:
+        if args.file == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise UsageError("cannot read %s: %s" % (args.file, exc.strerror)) from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        source = "stdin" if args.file == "-" else args.file
+        raise MalformedCertificate("%s is not JSON: %s" % (source, exc)) from exc
+    verdict = revalidate(data)
+    _emit({"verdict": verdict})
+    return _verdict_exit(verdict)
 
 
 def cmd_quotient(args) -> int:
@@ -176,6 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--infinite", action="store_true")
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("revalidate", help="recompute the verdict of certificate JSON")
+    p.add_argument("--file", required=True, metavar="PATH", help="certificate JSON; - reads stdin")
+    p.set_defaults(func=cmd_revalidate)
 
     p = sub.add_parser("quotient", help="invariants of the quotient H/Gamma_n")
     p.add_argument("--n", type=int, required=True)

@@ -41,6 +41,16 @@ class VerificationFailure(VeechLabError):
         self.witness = witness
 
 
+class MalformedCertificate(VeechLabError, ValueError):
+    """Certificate JSON that does not parse: a missing key, a value of the
+    wrong type, a coefficient outside the grammar, an element that is not
+    real, mixed conductors or an unknown kind.
+
+    A ValueError too, so that handlers written for the untyped errors of
+    earlier versions still catch it.
+    """
+
+
 class SignUndetermined(VeechLabError):
     """Interval refinement did not separate a nonzero real element from 0.
 

@@ -15,13 +15,14 @@ guaranteed because nonzero was decided symbolically first).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as _QQ
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
-from .errors import SignUndetermined
+from .errors import MalformedCertificate, SignUndetermined
 
 _Q0 = _QQ(0)
 _Q1 = _QQ(1)
@@ -524,6 +525,9 @@ def _mp_cos_table(N: int, dps: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the real subfield
 
+# a serialised coefficient: what str(Fraction) writes, lowest terms or not
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 class RealAlg:
     """A conjugation-fixed cyclotomic element; exact real arithmetic.
@@ -720,7 +724,44 @@ class RealAlg:
 
     @staticmethod
     def from_json(data: dict) -> RealAlg:
-        return RealAlg(CycloNumber(data["conductor"], [QQ(c) for c in data["coeffs"]]))
+        """Parse the form to_json writes.
+
+        Each coefficient is a string "p" or "p/q" of decimal integers
+        with q > 0, as str(Fraction) writes them (lowest terms are not
+        required); the list may be longer than phi(N), up to 2*phi(N) - 1.
+        Anything else, and an element that is not real, raises
+        MalformedCertificate.
+        """
+        N = coeffs = None
+        if type(data) is dict:
+            N, coeffs = data.get("conductor"), data.get("coeffs")
+        if type(N) is not int or N < 1 or type(coeffs) is not list:
+            raise MalformedCertificate(
+                "an exact value needs a positive int conductor and a list of coefficients"
+            )
+        nums, dens = [], []
+        for c in coeffs:
+            m = _COEFF.fullmatch(c) if type(c) is str else None
+            if m is None:
+                raise MalformedCertificate("coefficient %.40r is not of the form p or p/q" % (c,))
+            p, q = m.groups()
+            try:
+                nums.append(int(p))
+                dens.append(1 if q is None else int(q))
+            except ValueError as exc:  # more digits than int() converts
+                raise MalformedCertificate("coefficient %.40r: %s" % (c, exc)) from exc
+        if 0 in dens:
+            raise MalformedCertificate("zero denominator in coefficients %.80r" % (coeffs,))
+        ctx = get_context(N)
+        if len(nums) > 2 * ctx.phi - 1:
+            raise MalformedCertificate(
+                "%d coefficients are too many for conductor %d" % (len(nums), N)
+            )
+        den = lcm(*dens)
+        value = _normal(N, ctx.reduce([p * (den // q) for p, q in zip(nums, dens)]), den)
+        if not value.is_real():
+            raise MalformedCertificate("element of conductor %d is not real" % N)
+        return RealAlg(value, _trusted=True)
 
 
 def sign(x: RealAlg) -> int:

@@ -1,6 +1,10 @@
 import json
+import re
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veechlab import certificates, perms
 from veechlab.certificates import (
@@ -15,6 +19,7 @@ from veechlab.certificates import (
     verify_theorem,
 )
 from veechlab.covering import Monodromy, build_cover, sigma_d1, sigma_d2, standard_monodromy
+from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
@@ -337,3 +342,151 @@ def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
     cert = certify_rotation_obstruction(build_cover(n, 4), 2)
     assert cert.verdict == "pass"
     assert sorted(directions) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# revalidating malformed payloads
+
+
+def _sub(data, kind):
+    return next(s for s in data["payload"]["subcertificates"] if s["kind"] == kind)
+
+
+def _tamper_coefficient(data):
+    # one coefficient of a shear row: the row is no longer real
+    coeffs = _sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]["coeffs"]
+    coeffs[1] = str(Fraction(coeffs[1]) + 1)
+
+
+def _mix_conductors(data):
+    factor = _sub(data, "ShearMembership")["payload"]["factor"]
+    factor["conductor"], factor["coeffs"] = 20, ["1"]
+
+
+def _drop_key(data):
+    del _sub(data, "RotationObstruction")["payload"]["horizontal"][0]["height"]
+
+
+def _empty_pullback(data):
+    _sub(data, "PullbackObstruction")["payload"]["original"] = {}
+
+
+def _bad_image(data):
+    _sub(data, "MinusIdentity")["payload"]["images"][0]["image"] = [5, 7]
+
+
+def _bad_grammar(data):
+    _sub(data, "ShearMembership")["payload"]["factor"]["coeffs"][0] = "0.5"
+
+
+def _zero_denominator(data):
+    _sub(data, "ShearMembership")["payload"]["factor"]["coeffs"][0] = "1/0"
+
+
+def _unknown_kind(data):
+    _sub(data, "SigmaT")["kind"] = "Sigma"
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_coefficient, _mix_conductors, _drop_key, _empty_pullback, _bad_image,
+    _bad_grammar, _zero_denominator, _unknown_kind,
+])
+def test_malformed_payloads_raise_typed_error(tamper):
+    # every subcertificate of Y_{8,2} passes, so revalidation reads them all
+    data = json.loads(json.dumps(verify_theorem(8, 2).to_json()))
+    assert revalidate(data) == "pass"
+    tamper(data)
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+    # the same inside the FullTheorem and alone
+    for sub in data["payload"]["subcertificates"]:
+        try:
+            revalidate(sub)
+        except MalformedCertificate:
+            break
+    else:
+        pytest.fail("no subcertificate raised")
+
+
+def test_revalidate_parses_each_value_once_per_call(monkeypatch):
+    data = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
+    parsed = []
+    parse = RealAlg.from_json
+
+    def counting(value):
+        parsed.append((value["conductor"], tuple(value["coeffs"])))
+        return parse(value)
+
+    monkeypatch.setattr(RealAlg, "from_json", staticmethod(counting))
+    assert revalidate(data) == "pass"
+    first = list(parsed)
+    assert first and len(first) == len(set(first))
+    # nothing parsed survives the call
+    assert revalidate(data) == "pass"
+    assert parsed[len(first):] == first
+
+
+@lru_cache(maxsize=None)
+def _genuine_texts() -> tuple:
+    certs = [verify_theorem(8, 2), verify_theorem(8, 4, monodromy=mutated_monodromy(8, 4)),
+             verify_theorem(8, infinite=True), verify_theorem(9, 3),
+             verify_theorem(9, 4, monodromy=mutated_monodromy(9, 4)),
+             verify_theorem(9, infinite=True)]
+    texts = []
+    for cert in certs:
+        data = cert.to_json()
+        texts += [json.dumps(data)] + [json.dumps(s) for s in data["payload"]["subcertificates"]]
+    return tuple(texts)
+
+
+def _paths(node, path=()):
+    """Every path to a value below node, as key and index tuples."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+_WRONG_TYPES = [None, True, 7, 1.5, "x", [], {}, [[1]]]
+_OFF_GRAMMAR = st.text(max_size=6).filter(lambda t: not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
+    texts = _genuine_texts()
+    doc = json.loads(texts[data.draw(st.integers(0, len(texts) - 1))])
+    paths = list(_paths(doc))[1:]
+    coefficient_paths = [p for p in paths if len(p) > 1 and p[-2] == "coeffs"]
+    mutations = ["drop", "retype", "truncate"] + ["coefficient"] * bool(coefficient_paths)
+    mutation = data.draw(st.sampled_from(mutations))
+    path = data.draw(st.sampled_from(coefficient_paths if mutation == "coefficient" else paths))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]]
+    if mutation == "drop" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif mutation == "truncate" and isinstance(old, list) and old:
+        del old[data.draw(st.integers(0, len(old) - 1)):]
+    elif mutation == "coefficient":
+        # a different value, written in the grammar or outside it
+        delta = data.draw(st.fractions(-100, 100).filter(bool))
+        parent[path[-1]] = data.draw(st.just(str(Fraction(old) + delta)) | _OFF_GRAMMAR)
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(
+            [v for v in _WRONG_TYPES if type(v) is not type(old)]))
+    try:
+        verdict = revalidate(doc)
+    except MalformedCertificate:
+        return
+    assert verdict in ("pass", "fail", "inconclusive")
+    # what a ShearMembership certifies: the factor and each row's inverse
+    # modulus (its height and count are carried, not checked)
+    if mutation == "coefficient" and path[-3] in ("factor", "inverse_modulus"):
+        holder = doc["payload"]["subcertificates"][path[2]] if doc["kind"] == "FullTheorem" else doc
+        if holder["kind"] == "ShearMembership":
+            assert verdict != "pass", path

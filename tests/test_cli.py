@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -125,6 +126,31 @@ def test_json_round_trip_reproduces_verdict(capsys):
         data = json.loads(out)
         assert revalidate(data) == data["verdict"]
         assert (code == 0) == (data["verdict"] == "pass")
+
+
+def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path):
+    _, out, _ = run_cli(capsys, "verify", "--n", "8", "--d", "2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, verdict, _ = run_cli(capsys, "revalidate", "--file", "-")
+    assert code == 0
+    assert json.loads(verdict) == {"verdict": "pass"}
+    data = json.loads(out)
+    shear = next(s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership")
+    shear["payload"]["cylinders"][0]["twists"] += 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    code, verdict, _ = run_cli(capsys, "revalidate", "--file", str(edited))
+    assert code == 1
+    assert json.loads(verdict) == {"verdict": "fail"}
+    # malformed input is a typed error, reported like any other failure
+    shear["payload"]["factor"]["coeffs"][0] = "0.5"
+    edited.write_text(json.dumps(data))
+    for path in (str(edited), "-"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("{"))
+        code, verdict, err = run_cli(capsys, "revalidate", "--file", path)
+        assert code == 1 and verdict == "" and err.startswith("error: ")
+    code, _, err = run_cli(capsys, "revalidate", "--file", str(tmp_path / "missing.json"))
+    assert code == 2 and "cannot read" in err
 
 
 # sha256 of `veechlab verify` stdout, recorded before the field core moved

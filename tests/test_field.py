@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veechlab import field
-from veechlab.errors import SignUndetermined, VeechLabError
+from veechlab.errors import MalformedCertificate, SignUndetermined, VeechLabError
 from veechlab.field import (
     QQ,
     CycloNumber,
@@ -340,3 +340,63 @@ def test_unseparated_sign_raises_typed_error(monkeypatch):
     assert isinstance(info.value, VeechLabError)
     assert info.value.conductor == 28
     assert info.value.prec == 1 << 22
+
+
+# ---------------------------------------------------------------------------
+# parsing serialised values against the Fraction reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_from_json_matches_fraction_parse(data):
+    # a real element written with coefficients out of lowest terms
+    # ("2/4"), zeros ("0/3", "-0") and, past phi(N), a multiple of Phi_N
+    N = data.draw(st.sampled_from([20, 36, 60, 100]))
+    cyclo = cyclotomic_coeffs(N)
+    phi = len(cyclo) - 1
+    fractions = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+    x = CycloNumber(N, data.draw(st.lists(fractions, min_size=phi, max_size=phi)))
+    raw = list((x + x.conjugate()).coeffs)
+    extra = data.draw(st.integers(0, phi - 1))
+    if extra:
+        c = data.draw(fractions)
+        raw += [Fraction(0)] * extra
+        for j, a in enumerate(cyclo):
+            raw[extra - 1 + j] += c * a
+    # scale k > 1 writes q as kp/kq; k = 0 writes a zero as "-0"
+    scales = data.draw(st.lists(st.integers(0, 4), min_size=len(raw), max_size=len(raw)))
+    strings = [
+        "%d/%d" % (q.numerator * k, q.denominator * k) if k > 1 else
+        "-0" if k == 0 and not q else str(q)
+        for q, k in zip(raw, scales)
+    ]
+    want = CycloNumber(N, [Fraction(s) for s in strings])
+    got = RealAlg.from_json({"conductor": N, "coeffs": strings})
+    assert (got.value.N, got.value.num, got.value.den) == (want.N, want.num, want.den)
+    assert got.key() == RealAlg(want).key()
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e3", " 1", "1 ", "1/0", "", "+1", "1/-2", "1_000",
+                                 "\u0663", "1/2/3", "--1", 1, None, ["1"]])
+def test_from_json_rejects_coefficients_outside_the_grammar(bad):
+    with pytest.raises(MalformedCertificate):
+        RealAlg.from_json({"conductor": 20, "coeffs": ["1", bad]})
+
+
+@pytest.mark.parametrize("data", [
+    {"coeffs": ["1"]},
+    {"conductor": 20},
+    {"conductor": "20", "coeffs": ["1"]},
+    {"conductor": True, "coeffs": ["1"]},
+    {"conductor": 0, "coeffs": ["1"]},
+    {"conductor": 20, "coeffs": "1"},
+    {"conductor": 20, "coeffs": ["0", "1"]},  # zeta_20 is not real
+    {"conductor": 20, "coeffs": ["1"] * 16},  # longer than 2*phi(20) - 1
+    {"conductor": 20, "coeffs": ["1" * 5000]},  # more digits than int() converts
+    ["1"],
+])
+def test_from_json_rejects_malformed_values(data):
+    with pytest.raises(MalformedCertificate) as info:
+        RealAlg.from_json(data)
+    # handlers written for the untyped errors still catch it
+    assert isinstance(info.value, ValueError) and isinstance(info.value, VeechLabError)
