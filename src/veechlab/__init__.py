@@ -18,18 +18,15 @@ from .field import (
     sin_pi_over,
 )
 from .planar import Vec2
-from .surface import ConePoint, EdgeRef, Polygon, TranslationSurface, build_base, cone_points, genus
+from .surface import ConePoint, EdgeRef, Polygon, TranslationSurface, build_base
 from .words import Word
 from .cylinders import (
     Cylinder,
     Direction,
-    SaddleConnection,
     closed_form_base,
     cylinder_count_base,
     decompose,
-    decompose_retry,
     default_bound,
-    saddle_connections,
 )
 from .covering import (
     CoveringSurface,

@@ -13,7 +13,7 @@ import sys
 
 from .certificates import revalidate, verify_quotient, verify_theorem
 from .covering import build_cover, cover_cylinders
-from .cylinders import Direction, decompose_retry
+from .cylinders import Direction, decompose
 from .errors import MalformedCertificate, VeechLabError
 from .render import render_cover, render_infinite_window, render_surface
 from .surface import build_base
@@ -61,7 +61,7 @@ def cmd_cylinders(args) -> int:
         cyls = cover_cylinders(cover, l)
     else:
         surface = build_base(args.n)
-        cyls = decompose_retry(surface, Direction.from_index(args.n, l))
+        cyls = decompose(surface, Direction.from_index(args.n, l))
     _emit(
         {
             "n": args.n,

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from . import perms
 from .errors import IntransitiveMonodromy
-from .cylinders import Cylinder, Direction, decompose_retry
+from .cylinders import Cylinder, Direction, decompose
 from .surface import EdgeRef, TranslationSurface, build_base
 from .words import Word
 
@@ -48,6 +48,15 @@ def sigma_d2(d: int) -> tuple:
     return perms.from_cycles(d, pairs)
 
 
+def check_generators(num_generators: int, images: dict):
+    """Reject an image key that names no generator x_0..x_{num_generators-1}."""
+    for g in images:
+        if g not in range(num_generators):
+            raise ValueError(
+                "image given for x_%s, but the generators are x_0..x_%d" % (g, num_generators - 1)
+            )
+
+
 class Monodromy:
     """Generator-indexed permutations of {0..d-1}.
 
@@ -59,6 +68,7 @@ class Monodromy:
     def __init__(self, num_generators: int, degree: int, images: dict, k1=None, k2=None):
         if degree < 1:
             raise ValueError("degree must be positive")
+        check_generators(num_generators, images)
         self.num_generators = num_generators
         self.degree = degree
         self.images = {}
@@ -166,6 +176,11 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
         monodromy = standard_monodromy(n, d)
     if monodromy.degree != d:
         raise ValueError("monodromy degree disagrees with d")
+    if monodromy.num_generators != base.metadata["num_generators"]:
+        raise ValueError(
+            "monodromy has %d generators, X_%d has %d"
+            % (monodromy.num_generators, n, base.metadata["num_generators"])
+        )
     if not monodromy.is_transitive():
         raise IntransitiveMonodromy(
             "monodromy image is not transitive on %d sheets" % d
@@ -175,7 +190,7 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
 
 @lru_cache(maxsize=None)
 def _base_decomposition(n: int, l: int):
-    return tuple(decompose_retry(build_base(n), Direction.from_index(n, l)))
+    return tuple(decompose(build_base(n), Direction.from_index(n, l)))
 
 
 def base_decomposition(n: int, l: int):

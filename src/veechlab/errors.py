@@ -12,8 +12,7 @@ class InvalidSurface(VeechLabError):
 class BoundExceeded(VeechLabError):
     """A separatrix left the length cap before closing up.
 
-    The direction is not certified periodic within the cap; callers may
-    retry with a larger cap.
+    The direction is not certified periodic within the cap.
     """
 
     def __init__(self, message, bound=None):

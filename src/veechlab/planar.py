@@ -41,9 +41,6 @@ class Vec2:
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
 
-    def is_parallel(self, other: Vec2) -> bool:
-        return self.cross(other).is_zero()
-
     def key(self):
         return (self.x.key(), self.y.key())
 

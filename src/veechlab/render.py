@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import mpmath
 
-from .cylinders import Direction, decompose_retry
+from .cylinders import Direction, decompose
 from .surface import EdgeRef, TranslationSurface
 from .covering import CoveringSurface, build_cover
 
@@ -110,7 +110,6 @@ def render_surface(
     palette: str = "default",
     copy_offsets=None,
     copy_of=None,
-    labels: bool = True,
 ) -> str:
     colors = PALETTES.get(palette, PALETTES["default"])
     svg = _Svg()
@@ -127,50 +126,37 @@ def render_surface(
     if overlay_direction is not None:
         meta_n = surface.metadata.get("n") or len(surface.polygons[0])
         direction = Direction.from_index(meta_n, overlay_direction)
-        cyls = decompose_retry(surface, direction)
-        for ci, cyl in enumerate(cyls):
+        for ci, cyl in enumerate(decompose(surface, direction)):
             color = colors[ci % len(colors)]
-            for (p, lo, hi) in cyl.bands:
-                corners = _band_corners(surface, direction, p, lo, hi)
-                if corners:
-                    svg.polygon(
-                        [(v, copy_offsets[p]) for v in corners],
-                        fill=color,
-                        opacity=0.55,
-                        stroke="none",
-                        width=0,
-                    )
+            for band in cyl.bands:
+                corners = _band_corners(surface, direction, *band)
+                svg.polygon(
+                    [(v, copy_offsets[band[0]]) for v in corners],
+                    fill=color,
+                    opacity=0.55,
+                    stroke="none",
+                    width=0,
+                )
 
-    if labels:
-        for p, poly in enumerate(surface.polygons):
-            for e in range(len(poly)):
-                text = _edge_label_text(surface, EdgeRef(p, e))
-                if not text:
-                    continue
-                a, b = poly.vertex(e), poly.vertex(e + 1)
-                mx = (_f(a.x) + _f(b.x)) / 2 + copy_offsets[p]
-                my = (_f(a.y) + _f(b.y)) / 2
-                svg.text(mx, my, text)
+    for p, poly in enumerate(surface.polygons):
+        for e in range(len(poly)):
+            text = _edge_label_text(surface, EdgeRef(p, e))
+            if not text:
+                continue
+            a, b = poly.vertex(e), poly.vertex(e + 1)
+            mx = (_f(a.x) + _f(b.x)) / 2 + copy_offsets[p]
+            my = (_f(a.y) + _f(b.y)) / 2
+            svg.text(mx, my, text)
     return svg.render()
 
 
-def _band_corners(surface, direction, p, lo, hi):
-    """The four corners of a band (trapezoid) of the decomposition."""
+def _band_corners(surface, direction, p, lo, hi, left, right):
+    """The four corners of a band (trapezoid) between the levels lo and hi,
+    bounded by polygon p's edges left and right."""
     w = direction.vector
     poly = surface.polygons[p]
     m = len(poly)
     hs = [w.cross(v) for v in poly.vertices]
-    mid2 = lo + hi
-    left = right = None
-    for i in range(m):
-        sa = (2 * hs[i] - mid2).sign()
-        sb = (2 * hs[(i + 1) % m] - mid2).sign()
-        if sa < 0 and sb > 0:
-            right = i
-        elif sa > 0 and sb < 0:
-            left = i
-    if left is None or right is None:
-        return None
 
     def on_edge(i, level):
         ha, hb = hs[i], hs[(i + 1) % m]
@@ -220,13 +206,6 @@ def render_infinite_window(n: int, window: int, palette: str = "default") -> str
         for i in range(d):
             target = zp(i - window) + window
             table[i] = target if 0 <= target < d else i  # truncate at boundary
-        if sorted(table) != list(range(d)):
-            # boundary truncation broke bijectivity; keep involution shape
-            table = list(range(d))
-            for i in range(d):
-                t = zp(i - window) + window
-                if 0 <= t < d and zp(t - window) + window == i:
-                    table[i] = t
         images[g] = tuple(table)
     mono = Monodromy(num, d, images, k1=k1, k2=k2)
     return render_cover(build_cover(n, d, mono), palette=palette)

@@ -309,11 +309,3 @@ def _build_even(n: int) -> TranslationSurface:
         labels[EdgeRef(0, j + half)] = (j, -1)
     meta = {"family": "regular-n-gon", "n": n, "num_generators": half}
     return TranslationSurface([P], gluing, labels, meta)
-
-
-def cone_points(surface: TranslationSurface):
-    return surface.cone_points()
-
-
-def genus(surface: TranslationSurface) -> int:
-    return surface.genus()

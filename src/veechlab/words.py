@@ -62,10 +62,6 @@ class Word:
     def to_json(self):
         return [[g, s] for g, s in self.letters]
 
-    @staticmethod
-    def from_json(data) -> Word:
-        return Word(tuple((g, s) for g, s in data))
-
     def __repr__(self):
         if not self.letters:
             return "Word()"

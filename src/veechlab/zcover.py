@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import CoveringSurface, monodromy_indices
+from .covering import CoveringSurface, check_generators, monodromy_indices
 from .errors import NonChainError, VerificationFailure
 from .planar import Vec2
 from .surface import EdgeRef, build_base
@@ -98,6 +98,7 @@ class ZMonodromy:
     degree = "inf"  # the sheets are indexed by Z; certificates print d as "inf"
 
     def __init__(self, num_generators: int, images: dict, k1=None, k2=None):
+        check_generators(num_generators, images)
         self.num_generators = num_generators
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}
         self.k1 = k1

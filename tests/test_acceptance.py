@@ -23,7 +23,6 @@ from veechlab.cylinders import (
     closed_form_base,
     cylinder_count_base,
     decompose,
-    decompose_retry,
 )
 from veechlab.field import CycloNumber, QQ, RealAlg, cyclotomic_coeffs, lambda_n
 from veechlab.surface import build_base
@@ -75,7 +74,7 @@ def test_criterion_03_even_diagonal_moduli():
         s = build_base(n)
         lam = lambda_n(n)
         for l in range(1, n, 2):
-            cyls = decompose_retry(s, Direction.from_index(n, l))
+            cyls = decompose(s, Direction.from_index(n, l))
             halves = [c for c in cyls if c.inverse_modulus == lam / 2]
             assert len(halves) == 1
             assert all(c.inverse_modulus == lam for c in cyls if c not in halves)

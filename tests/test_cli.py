@@ -168,3 +168,32 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[args]
+
+
+# sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,
+# recorded while the tracer still enumerated saddle connections
+GOLDEN_CYLINDERS = {
+    ("--n", "9", "--direction", "0"): "9b5066ecdcc1912613f1e7c51c48145d6c375f0deb2a4cf70b1816f5cc247a5f",
+    ("--n", "14", "--direction", "3"): "30923812c151b68be9e70ca57cf2b92f2c807f5172b27c7ce2e632732b9b2410",
+    ("--n", "5", "--d", "4", "--direction", "1"): "b15724e1a86443671f601123e507b122cb96a841761e1e7081f5906e83575f00",
+}
+GOLDEN_RENDER = {
+    ("--n", "9", "--direction", "0"): "1dc4da5966b45c46ff903324419fc38542a88f5022c30fbd45a97d1197375618",
+    ("--n", "5", "--d", "3", "--direction", "1"): "05aa77120b3e18cfe811a6e78993ed3d868e9b18255f779976239e2c508c9d2a",
+    ("--n", "8", "--infinite", "--window", "2"): "556150133c4b0f61a4daeaa4dacf24644041d35e1fc2c558f37c211b989959dd",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_CYLINDERS))
+def test_cylinders_stdout_bytes_unchanged(capsys, args):
+    code, out, _ = run_cli(capsys, "cylinders", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CYLINDERS[args]
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_RENDER))
+def test_render_svg_bytes_unchanged(tmp_path, capsys, args):
+    out_file = tmp_path / "golden.svg"
+    code, _, _ = run_cli(capsys, "render", *args, "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_RENDER[args]

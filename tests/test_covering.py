@@ -12,11 +12,12 @@ from veechlab.covering import (
     standard_monodromy,
     Monodromy,
 )
-from veechlab.cylinders import Direction, decompose_retry
+from veechlab.cylinders import Direction, decompose
 from veechlab.errors import IntransitiveMonodromy
 from veechlab.field import lambda_n
 from veechlab.surface import TranslationSurface, build_base
 from veechlab.words import Word
+from veechlab.zcover import ZMonodromy, ZPermutation
 
 
 def core_cycle_form(d: int) -> tuple:
@@ -149,6 +150,30 @@ def test_intransitive_monodromy_rejected():
         build_cover(5, 3, m)
 
 
+def test_monodromy_rejects_an_image_for_a_missing_generator():
+    with pytest.raises(ValueError, match="x_4"):
+        Monodromy(4, 2, {4: (1, 0)})
+    with pytest.raises(ValueError, match="x_2"):
+        ZMonodromy(2, {2: ZPermutation(1, -1)})
+
+
+def test_too_few_generators_are_rejected_before_verifying():
+    # X_5 has generators x_0..x_3; x_2 and x_3 do not fit two generators
+    with pytest.raises(ValueError, match="x_2"):
+        verify_theorem(5, 4, monodromy=Monodromy(2, 4, {2: sigma_d1(4), 3: sigma_d2(4)}))
+
+
+def test_build_cover_rejects_a_generator_count_mismatch():
+    # X_5 has no generator x_5, X_8 has four generators
+    extra = Monodromy(6, 4, {2: sigma_d1(4), 3: sigma_d2(4), 5: sigma_d1(4)})
+    for bad in (lambda: build_cover(5, 4, extra), lambda: verify_theorem(5, 4, monodromy=extra)):
+        with pytest.raises(ValueError, match="6 generators, X_5 has 4"):
+            bad()
+    short = Monodromy(3, 4, {1: sigma_d1(4), 2: sigma_d2(4)})
+    with pytest.raises(ValueError, match="3 generators, X_8 has 4"):
+        build_cover(8, 4, short)
+
+
 def test_cover_moduli_examples():
     lam = lambda_n(5)
     mods54 = sorted(
@@ -173,7 +198,7 @@ def test_cycle_prediction_equals_direct_decomposition(n, d):
     cover = build_cover(n, d)
     for l in range(n):
         predicted = _pairs(cover_cylinders(cover, l))
-        direct = _pairs(decompose_retry(cover.surface, Direction.from_index(n, l)))
+        direct = _pairs(decompose(cover.surface, Direction.from_index(n, l)))
         assert predicted == direct, (n, d, l)
 
 
