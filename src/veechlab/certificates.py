@@ -37,10 +37,11 @@ from .coset import coset_enumerate
 from .covering import (
     CoveringSurface,
     Monodromy,
-    base_decomposition,
     build_cover,
     lifted_cylinders,
     monodromy_indices,
+    pulled_back_decomposition,
+    rotation_images,
     sigma_d1,
     sigma_d2,
     standard_monodromy,
@@ -170,7 +171,8 @@ def _infinite_profile(n: int, zm: ZMonodromy, l: int):
     zero = RealAlg.zero(4 * n)
     finite_types = {}
     infinite_types = {}
-    for cyl in base_decomposition(n, l):
+    cylinders, zm = pulled_back_decomposition(n, zm, l)
+    for cyl in cylinders:
         zp = zm.eval_word(cyl.core_word)
         if zp.is_identity():
             pair = (cyl.inverse_modulus, cyl.height)
@@ -369,33 +371,6 @@ def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
     )
 
 
-def _even_rotation_images(n: int, a: int):
-    """Action of the order-n/2 rotation of the even base on pi_1.
-
-    The affine map with derivative R^2 fixes the centre (the base
-    point) and shifts side labels by one, so on generators
-    x_i -> x_{i+1} for i < n/2 - 1 and x_{n/2-1} -> x_0^-1; this
-    returns the a-th power of that substitution.
-    """
-    half = n // 2
-    step = [
-        Word.generator(i + 1) if i + 1 < half else Word.generator(0).inverse()
-        for i in range(half)
-    ]
-
-    def substitute(word, images):
-        letters = []
-        for g, s in word:
-            img = images[g] if s > 0 else images[g].inverse()
-            letters.extend(img.letters)
-        return Word(letters)
-
-    current = [Word.generator(i) for i in range(half)]
-    for _ in range(a % n):
-        current = [substitute(w, step) for w in current]
-    return current
-
-
 def _covers_isomorphic(images1: dict, images2: dict, d: int) -> bool:
     """Whether two transitive monodromies differ by a sheet relabeling."""
     gens = sorted(images1)
@@ -440,10 +415,8 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
     """
     if n % 2 or l % 2:
         raise ValueError("pullback obstruction applies to even n and even l")
-    a = l // 2
-    images = _even_rotation_images(n, a)
-    pulled = {i: monodromy.eval_word(images[i]) for i in range(n // 2)}
-    original = {i: monodromy.image(i) for i in range(n // 2)}
+    pulled = monodromy.pullback(rotation_images(n, l // 2)).images
+    original = monodromy.images
     verdict, witness = _pullback_rule(original, pulled)
     return Certificate(
         kind="PullbackObstruction",
@@ -675,17 +648,20 @@ def _field(obj, key: str, *types):
     return value
 
 
-def _exact(obj, key: str, memo: dict) -> RealAlg:
+def _exact(obj, key: str, memo: dict, conductor: int) -> RealAlg:
     """The exact value obj[key], parsed once per revalidate call.
 
     memo maps (conductor, coefficients) to the parsed value.  Every value
-    of a certificate and its subcertificates lies in one field
-    Q(zeta_4n), so a second conductor is malformed.
+    lies in the field Q(zeta_4n) of the certificate that carries it, so
+    any other conductor is malformed; it is rejected before a field is
+    built for it, as is a second conductor within one call.
     """
     data = _field(obj, key, dict)
     # types first: a conductor 36.0, or coefficients "12" instead of
     # ["1", "2"], would otherwise hit the entry of a well-formed value
     N, coeffs = _field(data, "conductor", int), _field(data, "coeffs", list)
+    if N != conductor:
+        raise MalformedCertificate("%r has conductor %d, not 4n = %d" % (key, N, conductor))
     try:
         memo_key = (N, tuple(coeffs))
         value = memo.get(memo_key)
@@ -698,11 +674,11 @@ def _exact(obj, key: str, memo: dict) -> RealAlg:
     return value
 
 
-def _parse_multiset(rows: list, memo: dict) -> dict:
+def _parse_multiset(rows: list, memo: dict, conductor: int) -> dict:
     types = {}
     for e in rows:
-        mod = _exact(e, "inverse_modulus", memo)
-        height = _exact(e, "height", memo)
+        mod = _exact(e, "inverse_modulus", memo, conductor)
+        height = _exact(e, "height", memo, conductor)
         types[(mod.key(), height.key())] = ((mod, height), _field(e, "count", int, _NONE))
     return types
 
@@ -728,16 +704,18 @@ def revalidate(data: dict, _memo: dict | None = None) -> str:
     kind = _field(data, "kind", str)
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
-        factor = _exact(payload, "factor", memo)
+        conductor = 4 * _field(data, "n", int)
+        factor = _exact(payload, "factor", memo, conductor)
         # a generator: the rule stops reading rows at the first failing one
-        rows = ((_exact(r, "inverse_modulus", memo), _field(r, "twists", int, _NONE))
+        rows = ((_exact(r, "inverse_modulus", memo, conductor), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
         return _shear_rule(factor, rows, _field(payload, "l", int))[0]
     if kind == "RotationObstruction":
         infinite = "horizontal_infinite" in payload
         suffix = "_infinite" if infinite else ""
-        horizontal = _parse_multiset(_field(payload, "horizontal" + suffix, list), memo)
-        direction = _parse_multiset(_field(payload, "direction" + suffix, list), memo)
+        conductor = 4 * _field(data, "n", int)
+        horizontal = _parse_multiset(_field(payload, "horizontal" + suffix, list), memo, conductor)
+        direction = _parse_multiset(_field(payload, "direction" + suffix, list), memo, conductor)
         return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
         mode = _field(payload, "mode", str)

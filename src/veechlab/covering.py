@@ -12,7 +12,7 @@ holonomy and cross-validation by the generic tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from . import perms
@@ -96,6 +96,11 @@ class Monodromy:
                 p = perms.inverse(p)
             cur = perms.compose(cur, p)
         return cur
+
+    def pullback(self, words) -> Monodromy:
+        """The monodromy x_i -> m(words[i]) (words: one per generator)."""
+        return Monodromy(self.num_generators, self.degree,
+                         {i: self.eval_word(w) for i, w in enumerate(words)})
 
     def to_json(self):
         data = {
@@ -194,27 +199,119 @@ def _base_decomposition(n: int, l: int):
 
 
 def base_decomposition(n: int, l: int):
-    """Cached decomposition of X_n in direction v_l."""
+    """Cached decomposition of X_n in direction v_l, traced directly."""
     return list(_base_decomposition(n, l))
 
 
+def rotation_class(n: int, l: int) -> tuple[int, int]:
+    """(r, j) with v_l = rho^j v_r: r = 0 for odd n, r = l mod 2 for even n.
+
+    rho is the affine rotation of X_n, R for odd n and R^2 for even n
+    (Veech 1989); it maps the cylinders of v_r onto those of v_l with
+    equal heights and inverse moduli.
+    """
+    step = 1 if n % 2 else 2
+    return l % step, l // step
+
+
+def rotation_images(n: int, j: int) -> list[Word]:
+    """rho^j on the generators x_i of pi_1(X_n), as freely reduced words.
+
+    Even n: rho^j rotates the n-gon about its centre (the base point)
+    and sends side i to side i + j, so x_i -> x_s for s = i + j mod n,
+    read as x_{s-n/2}^-1 when s >= n/2.
+
+    Odd n: x_i leaves P through side i and comes back through side n-1,
+    the unlabelled spanning-tree edge to Q.  rho turns vertex i of P, at
+    angle (4i - n - 2) pi/(2n), to angle (4i - n) pi/(2n), that of vertex
+    i + (n+1)/2 of Q = -P; so rho^j shifts side indices by
+    t = j (n+1)/2 mod n and, for odd j, swaps P and Q.  For even j the
+    base point stays in P and x_i -> x_{i+t} x_{t-1}^-1.  For odd j it
+    lands in Q and is joined back along the image of the tree edge,
+    which crosses side t-1: x_i -> x_{t-1} x_{i+t}^-1.  A letter of side
+    n-1 is the trivial word.
+    """
+    if n % 2 == 0:
+        half = n // 2
+        return [
+            Word.generator(s) if s < half else Word.generator(s - half, -1)
+            for s in ((i + j) % n for i in range(half))
+        ]
+    t = j * (n + 1) // 2 % n
+    back = (t - 1) % n
+    images = []
+    for i in range(n - 1):
+        side = (i + t) % n
+        letters = ((back, 1), (side, -1)) if j % 2 else ((side, 1), (back, -1))
+        images.append(Word([(g, s) for g, s in letters if g != n - 1]))
+    return images
+
+
+@lru_cache(maxsize=None)
+def _read_from_q(n: int) -> tuple:
+    """The v_0 cylinders of odd X_n, listed and read from their lowest band in Q.
+
+    decompose lists each cylinder by its lowest band in P (polygon 0)
+    and reads the core word from there.  For odd j, rho^j carries Q onto
+    P keeping the order of levels, so the v_l cylinders come in the order
+    of their preimages' lowest bands in Q, and their core words are the
+    rho^j-images of the v_0 words read from those bands.
+    """
+    base = build_base(n)
+    keyed = []
+    for cyl in base_decomposition(n, 0):
+        bands = cyl.bands
+        q = min((b for b, band in enumerate(bands) if band[0] == 1), key=lambda b: bands[b][1])
+        k = sum(base.crossing_label(EdgeRef(p, right)) is not None
+                for p, _, _, _, right in bands[:q])
+        letters = cyl.core_word.letters
+        keyed.append((bands[q][1], replace(cyl, core_word=Word(letters[k:] + letters[:k]))))
+    keyed.sort(key=lambda e: e[0])
+    return tuple(cyl for _, cyl in keyed)
+
+
+def _lift(cylinders, monodromy):
+    for cyl in cylinders:
+        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
+            yield cyl, len(cyc)
+
+
+def pulled_back_decomposition(n: int, monodromy, l: int):
+    """(base cylinders, monodromy) whose lift is the cover's in direction v_l.
+
+    Only the rotation class representative v_r is traced; its core words
+    are read under the pulled-back monodromy x_i -> m(rho^j(x_i)).  rho^j
+    carries each v_r cylinder onto a v_l cylinder with the same height
+    and inverse modulus, and the listed words onto the v_l core words:
+    the images of the core words are those of v_l, in the order decompose
+    lists them, for a Monodromy and for a ZMonodromy alike.
+    """
+    r, j = rotation_class(n, l)
+    if not j:
+        return base_decomposition(n, r), monodromy
+    cylinders = list(_read_from_q(n)) if n % 2 and j % 2 else base_decomposition(n, r)
+    return cylinders, monodromy.pullback(rotation_images(n, j))
+
+
 def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
-    """(base cylinder, a) for every cycle of m(core word) in direction v_l.
+    """(base cylinder, a) for every cycle of the lift to Y in direction v_l.
 
     A cycle of length a glues a copies of the base cylinder into one
     cover cylinder: height unchanged, circumference multiplied by a.
+    The base cylinder is the rotation class representative's (see
+    pulled_back_decomposition), so its core word and direction are v_r's.
     """
-    for cyl in base_decomposition(n, l):
-        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
-            yield cyl, len(cyc)
+    return _lift(*pulled_back_decomposition(n, monodromy, l))
 
 
 def cover_cylinders(cover: CoveringSurface, direction_index: int):
     """Cover cylinders predicted from monodromy cycle structure.
 
-    Must agree with decompose() run on the realized surface; the test
-    suite checks exactly that.
+    Reads the base decomposition traced in v_l itself, for its core
+    words.  Must agree with decompose() run on the realized surface;
+    the test suite checks exactly that.
     """
+    base = base_decomposition(cover.n, direction_index)
     return [
         Cylinder(
             direction=cyl.direction,
@@ -223,5 +320,5 @@ def cover_cylinders(cover: CoveringSurface, direction_index: int):
             inverse_modulus=a * cyl.inverse_modulus,
             core_word=cyl.core_word ** a,
         )
-        for cyl, a in lifted_cylinders(cover.n, cover.monodromy, direction_index)
+        for cyl, a in _lift(base, cover.monodromy)
     ]

@@ -218,6 +218,8 @@ def decompose(surface: TranslationSurface, direction: Direction):
     Traces all separatrices (raising BoundExceeded past default_bound),
     cuts every polygon into bands at the traced levels and glues bands
     into cylinders with exact heights, circumferences and core words.
+    Cylinders are listed by their first band in (polygon, level) order,
+    and each core word is read rightward from that band.
     """
     w = direction.vector
     tracer = _Tracer(surface, w, default_bound(surface))

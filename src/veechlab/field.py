@@ -20,12 +20,22 @@ from fractions import Fraction as _QQ
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath
-
 from .errors import MalformedCertificate, SignUndetermined
 
 _Q0 = _QQ(0)
 _Q1 = _QQ(1)
+
+
+@lru_cache(maxsize=None)
+def load_mpmath():
+    """The mpmath module, imported on first use.
+
+    Only numeric views (decimal approximations, cos tables, interval
+    signs) need it, so importing veechlab does not load it.
+    """
+    import mpmath
+
+    return mpmath
 
 
 def QQ(value) -> _QQ:
@@ -462,13 +472,14 @@ def _float_sign_filter(num, den: int, cos_table) -> int | None:
 
 @lru_cache(maxsize=None)
 def _float_cos_table(N: int) -> tuple[float, ...]:
+    mpmath = load_mpmath()
     with mpmath.workdps(30):
         return tuple(float(mpmath.cos(2 * mpmath.pi * j / N)) for j in range(euler_phi(N)))
 
 
 @lru_cache(maxsize=None)
 def _iv_cos_table(N: int, prec: int):
-    iv = mpmath.iv
+    iv = load_mpmath().iv
     old = iv.prec
     try:
         iv.prec = prec
@@ -480,7 +491,7 @@ def _iv_cos_table(N: int, prec: int):
 def _interval_value(x, N: int, prec: int):
     """Rigorous interval for sum_j (num_j / den) cos(2*pi*j/N), x = (num, den)."""
     num, den = x
-    iv = mpmath.iv
+    iv = load_mpmath().iv
     old = iv.prec
     try:
         iv.prec = prec
@@ -518,6 +529,7 @@ def _real_sign(num, den: int, N: int) -> int:
 
 @lru_cache(maxsize=64)
 def _mp_cos_table(N: int, dps: int) -> tuple:
+    mpmath = load_mpmath()
     with mpmath.workdps(dps):
         return tuple(mpmath.cos(2 * mpmath.pi * j / N) for j in range(euler_phi(N)))
 
@@ -698,6 +710,7 @@ class RealAlg:
         already built them.
         """
         dps = digits + 15
+        mpmath = load_mpmath()
         with mpmath.workdps(dps):
             val = mpmath.mpf(0)
             coeffs = self.value.coeffs if _coeffs is None else _coeffs
@@ -707,7 +720,7 @@ class RealAlg:
             return mpmath.nstr(val, digits, strip_zeros=False)
 
     def __float__(self):
-        return float(mpmath.mpf(self.approx(25)))
+        return float(load_mpmath().mpf(self.approx(25)))
 
     def __repr__(self):
         return "RealAlg(%s ~ %s)" % (self.value, self.approx(12).strip())

@@ -6,9 +6,8 @@ Rendering is the one place exactness is dropped: coordinates are the
 
 from __future__ import annotations
 
-import mpmath
-
 from .cylinders import Direction, decompose
+from .field import load_mpmath
 from .surface import EdgeRef, TranslationSurface
 from .covering import CoveringSurface, build_cover
 
@@ -26,12 +25,14 @@ def _f(x) -> float:
 
 
 def _num(value: float) -> str:
+    mpmath = load_mpmath()
     with mpmath.workdps(_DIGITS + 5):
         return mpmath.nstr(mpmath.mpf(value), _DIGITS)
 
 
 def _pt(v, dx=0.0, dy=0.0) -> str:
     # exact coordinates at 20 significant digits; SVG y axis points down
+    mpmath = load_mpmath()
     with mpmath.workdps(_DIGITS + 5):
         x = mpmath.mpf(v.x.approx(_DIGITS)) + dx
         y = -(mpmath.mpf(v.y.approx(_DIGITS)) + dy)

@@ -116,6 +116,10 @@ class ZMonodromy:
             cur = p.compose(cur)
         return cur
 
+    def pullback(self, words) -> ZMonodromy:
+        """The monodromy x_i -> m(words[i]) (words: one per generator)."""
+        return ZMonodromy(self.num_generators, {i: self.eval_word(w) for i, w in enumerate(words)})
+
 
 def std_infinite_monodromy(n: int) -> ZMonodromy:
     """m_{n,infinity}: x_{k1} swaps within even/odd pairs upward,

@@ -4,9 +4,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from veechlab import certificates, perms
+from veechlab import certificates, covering, field, perms
 from veechlab.certificates import (
     certify_minus_identity,
     certify_pullback_obstruction,
@@ -18,7 +18,14 @@ from veechlab.certificates import (
     sigma_T_claim,
     verify_theorem,
 )
-from veechlab.covering import Monodromy, build_cover, sigma_d1, sigma_d2, standard_monodromy
+from veechlab.covering import (
+    Monodromy,
+    base_decomposition,
+    build_cover,
+    sigma_d1,
+    sigma_d2,
+    standard_monodromy,
+)
 from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
@@ -490,3 +497,82 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
         holder = doc["payload"]["subcertificates"][path[2]] if doc["kind"] == "FullTheorem" else doc
         if holder["kind"] == "ShearMembership":
             assert verdict != "pass", path
+
+
+def _traced_profile(profile, n, monodromy, l):
+    """profile(n, monodromy, l) read from the decomposition traced in v_l."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "pulled_back_decomposition",
+                   lambda n_, m, l_: (base_decomposition(n_, l_), m))
+        mp.setattr(certificates, "lifted_cylinders",
+                   lambda n_, m, l_: covering._lift(base_decomposition(n_, l_), m))
+        return profile(n, monodromy, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pulled_back_profiles_equal_traced_ones(data):
+    n = data.draw(st.sampled_from([5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]), label="n")
+    d = data.draw(st.integers(2, 6), label="d")
+    num = n - 1 if n % 2 else n // 2
+    images = {}
+    for i in range(num):
+        if data.draw(st.booleans()):
+            images[i] = tuple(data.draw(st.permutations(range(d))))
+    m = Monodromy(num, d, images)
+    assume(m.is_transitive())
+    for l in range(n):
+        # same types, counts and order (the order picks a failing shear's witness)
+        assert list(certificates._finite_profile(n, m, l).items()) == list(
+            _traced_profile(certificates._finite_profile, n, m, l).items()
+        ), l
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 10])
+def test_pulled_back_infinite_profiles_equal_traced_ones(n):
+    zm = std_infinite_monodromy(n)
+    for l in range(n):
+        got = certificates._infinite_profile(n, zm, l)
+        want = _traced_profile(certificates._infinite_profile, n, zm, l)
+        assert [list(t.items()) for t in got] == [list(t.items()) for t in want], l
+
+
+@pytest.mark.parametrize("n,traced", [(9, 1), (12, 2), (14, 2), (25, 1)])
+def test_verify_traces_one_decomposition_per_rotation_class(monkeypatch, n, traced):
+    covering._base_decomposition.cache_clear()
+    covering._read_from_q.cache_clear()
+    directions = []
+    decompose = covering.decompose
+
+    def counting(surface, direction):
+        directions.append(direction)
+        return decompose(surface, direction)
+
+    monkeypatch.setattr(covering, "decompose", counting)
+    assert verify_theorem(n, 3).verdict == "pass"
+    if n < 25:
+        assert verify_theorem(n, infinite=True).verdict == "pass"
+    assert len(directions) == traced
+
+
+def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
+    theorem = json.loads(json.dumps(verify_theorem(5, 3).to_json()))
+    subs = theorem["payload"]["subcertificates"]
+    shear = next(s for s in subs if s["kind"] == "ShearMembership")
+    rotation = next(s for s in subs if s["kind"] == "RotationObstruction")
+    forged = {"conductor": 2000, "coeffs": ["1"]}
+    built = []
+    get_context = field.get_context
+    monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
+    shear["payload"]["factor"] = forged
+    for payload in (shear, theorem):
+        with pytest.raises(MalformedCertificate, match="conductor 2000, not 4n = 20"):
+            revalidate(payload)
+    rotation["payload"]["direction"][0]["inverse_modulus"] = forged
+    with pytest.raises(MalformedCertificate, match="conductor 2000"):
+        revalidate(rotation)
+    assert 2000 not in built
+    # a value of another X_n's field is malformed too, whatever its size
+    rotation["n"] = 7
+    with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
+        revalidate(rotation)

@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import veechlab
 from veechlab.certificates import revalidate
 from veechlab.cli import main
 
@@ -197,3 +202,16 @@ def test_render_svg_bytes_unchanged(tmp_path, capsys, args):
     code, _, _ = run_cli(capsys, "render", *args, "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_RENDER[args]
+
+
+def test_import_does_not_load_mpmath():
+    src = str(Path(veechlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys, veechlab.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert fresh.stdout.strip() == "False"
+    helped = subprocess.run([sys.executable, "-m", "veechlab.cli", "--help"],
+                            env=env, capture_output=True, text=True)
+    assert helped.returncode == 0 and "verify" in helped.stdout

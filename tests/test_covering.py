@@ -4,9 +4,13 @@ from hypothesis import given, settings, strategies as st
 from veechlab import cli, perms
 from veechlab.certificates import mutated_monodromy, verify_theorem
 from veechlab.covering import (
+    base_decomposition,
     build_cover,
     cover_cylinders,
     monodromy_indices,
+    pulled_back_decomposition,
+    rotation_class,
+    rotation_images,
     sigma_d1,
     sigma_d2,
     standard_monodromy,
@@ -218,3 +222,64 @@ def test_sigma_factories():
     for d in range(2, 9):
         assert perms.is_involution(sigma_d1(d))
         assert perms.is_involution(sigma_d2(d))
+
+
+def _substitute(word, images):
+    """The freely reduced image of word under x_i -> images[i]."""
+    out = []
+    for g, s in word:
+        for letter in (images[g] if s > 0 else images[g].inverse()):
+            if out and out[-1] == (letter[0], -letter[1]):
+                out.pop()
+            else:
+                out.append(letter)
+    return Word(out)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+def test_rotation_images_carry_core_words_to_traced_ones(n):
+    # rho^j carries the words pulled_back_decomposition lists for v_r onto
+    # the core words traced in v_l, one for one and in order
+    for l in range(n):
+        r, j = rotation_class(n, l)
+        assert l == r + (j if n % 2 else 2 * j)
+        images = rotation_images(n, j)
+        cylinders, _ = pulled_back_decomposition(n, standard_monodromy(n, 2), l)
+        traced = base_decomposition(n, l)
+        assert [_substitute(c.core_word, images) for c in cylinders] == [
+            c.core_word for c in traced
+        ], (n, l)
+        assert [(c.height, c.inverse_modulus) for c in cylinders] == [
+            (c.height, c.inverse_modulus) for c in traced
+        ]
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 16])
+def test_rotation_images_are_reduced_words_of_the_generators(n):
+    num = n - 1 if n % 2 else n // 2
+    assert rotation_images(n, 0) == [Word.generator(i) for i in range(num)]
+    for j in range(2 * n):
+        images = rotation_images(n, j)
+        assert len(images) == num
+        for w in images:
+            assert 1 <= len(w) <= (2 if n % 2 else 1)
+            assert _substitute(w, [Word.generator(i) for i in range(num)]) == w
+    if n % 2 == 0:
+        # the base point is the centre, fixed by rho: rho^j is the j-th
+        # power of the one-step substitution, and rho^n is the identity
+        step = rotation_images(n, 1)
+        current = rotation_images(n, 0)
+        for j in range(1, n + 1):
+            current = [_substitute(w, step) for w in current]
+            assert current == rotation_images(n, j % n)
+
+
+def test_cover_cylinders_read_the_traced_direction():
+    # cover_cylinders prints core words, so it reads v_l itself
+    cover = build_cover(7, 3)
+    for l in range(7):
+        by_height = {c.height.key(): c for c in base_decomposition(7, l)}
+        for cyl in cover_cylinders(cover, l):
+            base = by_height[cyl.height.key()]
+            assert cyl.direction == Direction.from_index(7, l)
+            assert cyl.core_word == base.core_word ** (len(cyl.core_word) // len(base.core_word))
