@@ -37,10 +37,11 @@ from .coset import coset_enumerate
 from .covering import (
     CoveringSurface,
     Monodromy,
+    base_decomposition,
     build_cover,
     lifted_cylinders,
     monodromy_indices,
-    pulled_back_decomposition,
+    num_generators,
     rotation_images,
     sigma_d1,
     sigma_d2,
@@ -171,8 +172,7 @@ def _infinite_profile(n: int, zm: ZMonodromy, l: int):
     zero = RealAlg.zero(4 * n)
     finite_types = {}
     infinite_types = {}
-    cylinders, zm = pulled_back_decomposition(n, zm, l)
-    for cyl in cylinders:
+    for cyl in base_decomposition(n, l):
         zp = zm.eval_word(cyl.core_word)
         if zp.is_identity():
             pair = (cyl.inverse_modulus, cyl.height)
@@ -625,8 +625,7 @@ def mutated_sigma1(d: int) -> tuple:
 
 def mutated_monodromy(n: int, d: int) -> Monodromy:
     k1, k2 = monodromy_indices(n)
-    num = n - 1 if n % 2 else n // 2
-    return Monodromy(num, d, {k1: mutated_sigma1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
+    return Monodromy(num_generators(n), d, {k1: mutated_sigma1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +750,17 @@ def revalidate(data: dict, _memo: dict | None = None) -> str:
             raise MalformedCertificate("unknown verdict %.40r" % verdict)
         return verdict
     if kind == "FullTheorem":
-        d = _field(data, "d", int, str)
+        n, d = _field(data, "n", int), _field(data, "d", int, str)
         if d != "inf" and type(d) is str:
             raise MalformedCertificate("unknown degree %.40r" % d)
-        subs = ((_field(s, "kind", str), revalidate(s, _memo=memo), None)
-                for s in _field(payload, "subcertificates", list))
+        subcertificates = _field(payload, "subcertificates", list)
+        for s in subcertificates:  # each one is about this (n, d); Index about n alone
+            kind = _field(s, "kind", str)
+            claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
+            if claim != (n, None if kind == "Index" else d):
+                raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
+                                           "in a theorem for (%d, %r)" % (kind, *claim, n, d))
+        subs = ((s["kind"], revalidate(s, _memo=memo), None) for s in subcertificates)
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]
     raise MalformedCertificate("unknown certificate kind %.40r" % kind)

@@ -12,8 +12,7 @@ import json
 import sys
 
 from .certificates import revalidate, verify_quotient, verify_theorem
-from .covering import build_cover, cover_cylinders
-from .cylinders import Direction, decompose
+from .covering import base_decomposition, build_cover, cover_cylinders
 from .errors import MalformedCertificate, VeechLabError
 from .render import render_cover, render_infinite_window, render_surface
 from .surface import build_base
@@ -60,8 +59,7 @@ def cmd_cylinders(args) -> int:
         cover = build_cover(args.n, args.d)
         cyls = cover_cylinders(cover, l)
     else:
-        surface = build_base(args.n)
-        cyls = decompose(surface, Direction.from_index(args.n, l))
+        cyls = base_decomposition(args.n, l)
     _emit(
         {
             "n": args.n,

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from . import perms
 from .errors import IntransitiveMonodromy
-from .cylinders import Cylinder, Direction, decompose
+from .cylinders import Direction, decompose
 from .surface import EdgeRef, TranslationSurface, build_base
 from .words import Word
 
@@ -46,6 +46,11 @@ def sigma_d2(d: int) -> tuple:
     else:
         pairs = [(i, i + 1) for i in range(1, d - 1, 2)]
     return perms.from_cycles(d, pairs)
+
+
+def num_generators(n: int) -> int:
+    """The number of generators x_i of pi_1(X_n)."""
+    return n - 1 if n % 2 else n // 2
 
 
 def check_generators(num_generators: int, images: dict):
@@ -122,8 +127,7 @@ def standard_monodromy(n: int, d: int) -> Monodromy:
     if d < 2:
         raise ValueError("degree must be at least 2")
     k1, k2 = monodromy_indices(n)
-    num = n - 1 if n % 2 else n // 2
-    return Monodromy(num, d, {k1: sigma_d1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
+    return Monodromy(num_generators(n), d, {k1: sigma_d1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
 
 
 @dataclass
@@ -193,16 +197,6 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
     return CoveringSurface(base=base, monodromy=monodromy, n=n, d=d)
 
 
-@lru_cache(maxsize=None)
-def _base_decomposition(n: int, l: int):
-    return tuple(decompose(build_base(n), Direction.from_index(n, l)))
-
-
-def base_decomposition(n: int, l: int):
-    """Cached decomposition of X_n in direction v_l, traced directly."""
-    return list(_base_decomposition(n, l))
-
-
 def rotation_class(n: int, l: int) -> tuple[int, int]:
     """(r, j) with v_l = rho^j v_r: r = 0 for odd n, r = l mod 2 for even n.
 
@@ -259,7 +253,7 @@ def _read_from_q(n: int) -> tuple:
     """
     base = build_base(n)
     keyed = []
-    for cyl in base_decomposition(n, 0):
+    for cyl in _base_decomposition(n, 0):
         bands = cyl.bands
         q = min((b for b, band in enumerate(bands) if band[0] == 1), key=lambda b: bands[b][1])
         k = sum(base.crossing_label(EdgeRef(p, right)) is not None
@@ -270,27 +264,29 @@ def _read_from_q(n: int) -> tuple:
     return tuple(cyl for _, cyl in keyed)
 
 
-def _lift(cylinders, monodromy):
-    for cyl in cylinders:
-        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
-            yield cyl, len(cyc)
-
-
-def pulled_back_decomposition(n: int, monodromy, l: int):
-    """(base cylinders, monodromy) whose lift is the cover's in direction v_l.
-
-    Only the rotation class representative v_r is traced; its core words
-    are read under the pulled-back monodromy x_i -> m(rho^j(x_i)).  rho^j
-    carries each v_r cylinder onto a v_l cylinder with the same height
-    and inverse modulus, and the listed words onto the v_l core words:
-    the images of the core words are those of v_l, in the order decompose
-    lists them, for a Monodromy and for a ZMonodromy alike.
-    """
+@lru_cache(maxsize=None)
+def _base_decomposition(n: int, l: int):
     r, j = rotation_class(n, l)
     if not j:
-        return base_decomposition(n, r), monodromy
-    cylinders = list(_read_from_q(n)) if n % 2 and j % 2 else base_decomposition(n, r)
-    return cylinders, monodromy.pullback(rotation_images(n, j))
+        return tuple(decompose(build_base(n), Direction.from_index(n, l)))
+    source = _read_from_q(n) if n % 2 and j % 2 else _base_decomposition(n, r)
+    images = rotation_images(n, j)
+    direction = Direction.from_index(n, l)
+    return tuple(
+        replace(cyl, direction=direction, core_word=cyl.core_word.substitute(images), bands=())
+        for cyl in source
+    )
+
+
+def base_decomposition(n: int, l: int):
+    """Cached decomposition of X_n in direction v_l = rho^j v_r.
+
+    Only v_r is traced (it alone carries bands).  rho^j keeps heights and
+    circumferences and carries the listed v_r core words onto those that
+    decompose reads in v_l, in its order: their images under
+    rotation_images(n, j), freely reduced.
+    """
+    return list(_base_decomposition(n, l))
 
 
 def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
@@ -298,27 +294,20 @@ def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
 
     A cycle of length a glues a copies of the base cylinder into one
     cover cylinder: height unchanged, circumference multiplied by a.
-    The base cylinder is the rotation class representative's (see
-    pulled_back_decomposition), so its core word and direction are v_r's.
     """
-    return _lift(*pulled_back_decomposition(n, monodromy, l))
+    for cyl in base_decomposition(n, l):
+        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
+            yield cyl, len(cyc)
 
 
 def cover_cylinders(cover: CoveringSurface, direction_index: int):
     """Cover cylinders predicted from monodromy cycle structure.
 
-    Reads the base decomposition traced in v_l itself, for its core
-    words.  Must agree with decompose() run on the realized surface;
-    the test suite checks exactly that.
+    Must agree with decompose() run on the realized surface; the test
+    suite checks exactly that.
     """
-    base = base_decomposition(cover.n, direction_index)
     return [
-        Cylinder(
-            direction=cyl.direction,
-            height=cyl.height,
-            circumference=a * cyl.circumference,
-            inverse_modulus=a * cyl.inverse_modulus,
-            core_word=cyl.core_word ** a,
-        )
-        for cyl, a in _lift(base, cover.monodromy)
+        replace(cyl, circumference=a * cyl.circumference, inverse_modulus=a * cyl.inverse_modulus,
+                core_word=cyl.core_word ** a, bands=())
+        for cyl, a in lifted_cylinders(cover.n, cover.monodromy, direction_index)
     ]

@@ -703,18 +703,13 @@ class RealAlg:
 
     # -- numeric views -------------------------------------------------------
 
-    def approx(self, digits: int = 20, _coeffs=None) -> str:
-        """Decimal approximation with the given number of significant digits.
-
-        _coeffs: this value's rational coefficients, when the caller has
-        already built them.
-        """
+    def approx(self, digits: int = 20) -> str:
+        """Decimal approximation with the given number of significant digits."""
         dps = digits + 15
         mpmath = load_mpmath()
         with mpmath.workdps(dps):
             val = mpmath.mpf(0)
-            coeffs = self.value.coeffs if _coeffs is None else _coeffs
-            for c, cos_j in zip(coeffs, _mp_cos_table(self.N, dps)):
+            for c, cos_j in zip(self.value.coeffs, _mp_cos_table(self.N, dps)):
                 if c:
                     val += mpmath.mpf(c.numerator) / c.denominator * cos_j
             return mpmath.nstr(val, digits, strip_zeros=False)
@@ -728,12 +723,8 @@ class RealAlg:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        coeffs = self.value.coeffs
-        return {
-            "conductor": self.N,
-            "coeffs": [str(c) for c in coeffs],
-            "approx": self.approx(20, coeffs),
-        }
+        coeffs, approx = _json_parts(*self.key())
+        return {"conductor": self.N, "coeffs": list(coeffs), "approx": approx}
 
     @staticmethod
     def from_json(data: dict) -> RealAlg:
@@ -775,6 +766,13 @@ class RealAlg:
         if not value.is_real():
             raise MalformedCertificate("element of conductor %d is not real" % N)
         return RealAlg(value, _trusted=True)
+
+
+@lru_cache(maxsize=4096)
+def _json_parts(N: int, num: tuple, den: int) -> tuple[tuple[str, ...], str]:
+    # certificates write the same few values many times over
+    value = RealAlg(_new(N, num, den), _trusted=True)
+    return tuple(str(c) for c in value.value.coeffs), value.approx(20)
 
 
 def sign(x: RealAlg) -> int:

@@ -194,12 +194,11 @@ def render_infinite_window(n: int, window: int, palette: str = "default") -> str
     d = 2 * window + 1
     # sheet i of the window is copy i - window of the infinite surface;
     # the parity-affine gluings are truncated at the window boundary
-    from .covering import Monodromy, monodromy_indices
+    from .covering import Monodromy, monodromy_indices, num_generators
     from .zcover import std_infinite_monodromy
 
     zm = std_infinite_monodromy(n)
     k1, k2 = monodromy_indices(n)
-    num = n - 1 if n % 2 else n // 2
     images = {}
     for g in (k1, k2):
         zp = zm.image(g)
@@ -208,5 +207,5 @@ def render_infinite_window(n: int, window: int, palette: str = "default") -> str
             target = zp(i - window) + window
             table[i] = target if 0 <= target < d else i  # truncate at boundary
         images[g] = tuple(table)
-    mono = Monodromy(num, d, images, k1=k1, k2=k2)
+    mono = Monodromy(num_generators(n), d, images, k1=k1, k2=k2)
     return render_cover(build_cover(n, d, mono), palette=palette)

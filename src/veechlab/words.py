@@ -51,6 +51,17 @@ class Word:
             return self.inverse() ** (-k)
         return Word(self.letters * k)
 
+    def substitute(self, images) -> Word:
+        """The freely reduced image under x_i -> images[i]."""
+        out = []
+        for g, s in self.letters:
+            for letter in (images[g] if s > 0 else images[g].inverse()):
+                if out and out[-1] == (letter[0], -letter[1]):
+                    out.pop()
+                else:
+                    out.append(letter)
+        return Word(out)
+
     def cyclic_normal_form(self) -> tuple:
         """Smallest rotation of the letter tuple; invariant of the free
         homotopy class of a cyclically reduced word up to rotation."""

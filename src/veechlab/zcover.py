@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import CoveringSurface, check_generators, monodromy_indices
+from .covering import CoveringSurface, check_generators, monodromy_indices, num_generators
 from .errors import NonChainError, VerificationFailure
 from .planar import Vec2
 from .surface import EdgeRef, build_base
@@ -116,18 +116,13 @@ class ZMonodromy:
             cur = p.compose(cur)
         return cur
 
-    def pullback(self, words) -> ZMonodromy:
-        """The monodromy x_i -> m(words[i]) (words: one per generator)."""
-        return ZMonodromy(self.num_generators, {i: self.eval_word(w) for i, w in enumerate(words)})
-
 
 def std_infinite_monodromy(n: int) -> ZMonodromy:
     """m_{n,infinity}: x_{k1} swaps within even/odd pairs upward,
     x_{k2} downward; all other generators act trivially."""
     k1, k2 = monodromy_indices(n)
-    num = n - 1 if n % 2 else n // 2
     return ZMonodromy(
-        num,
+        num_generators(n),
         {k1: ZPermutation(1, -1), k2: ZPermutation(-1, 1)},
         k1=k1,
         k2=k2,
@@ -168,14 +163,13 @@ def infinite_singularities(n: int) -> int:
 def y2_basis(n: int) -> list[tuple[str, Word]]:
     """The basis B of pi_1(Y_{n,2}*) used for the Z-cover structure."""
     k1, k2 = monodromy_indices(n)
-    num = n - 1 if n % 2 else n // 2
     x = Word.generator
     basis = [
         ("x_k2 x_k1^-1", x(k2) * x(k1).inverse()),
         ("x_k1^2", x(k1) * x(k1)),
         ("x_k1 x_k2", x(k1) * x(k2)),
     ]
-    for i in range(num):
+    for i in range(num_generators(n)):
         if i in (k1, k2):
             continue
         basis.append(("x_%d" % i, x(i)))

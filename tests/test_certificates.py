@@ -20,14 +20,16 @@ from veechlab.certificates import (
 )
 from veechlab.covering import (
     Monodromy,
-    base_decomposition,
     build_cover,
+    num_generators,
     sigma_d1,
     sigma_d2,
     standard_monodromy,
 )
+from veechlab.cylinders import Direction, decompose
 from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
+from veechlab.surface import build_base
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
 
@@ -501,11 +503,12 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
 
 def _traced_profile(profile, n, monodromy, l):
     """profile(n, monodromy, l) read from the decomposition traced in v_l."""
+    def traced(n_, l_):
+        return decompose(build_base(n_), Direction.from_index(n_, l_))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certificates, "pulled_back_decomposition",
-                   lambda n_, m, l_: (base_decomposition(n_, l_), m))
-        mp.setattr(certificates, "lifted_cylinders",
-                   lambda n_, m, l_: covering._lift(base_decomposition(n_, l_), m))
+        mp.setattr(covering, "base_decomposition", traced)
+        mp.setattr(certificates, "base_decomposition", traced)
         return profile(n, monodromy, l)
 
 
@@ -514,7 +517,7 @@ def _traced_profile(profile, n, monodromy, l):
 def test_pulled_back_profiles_equal_traced_ones(data):
     n = data.draw(st.sampled_from([5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]), label="n")
     d = data.draw(st.integers(2, 6), label="d")
-    num = n - 1 if n % 2 else n // 2
+    num = num_generators(n)
     images = {}
     for i in range(num):
         if data.draw(st.booleans()):
@@ -553,6 +556,38 @@ def test_verify_traces_one_decomposition_per_rotation_class(monkeypatch, n, trac
     if n < 25:
         assert verify_theorem(n, infinite=True).verdict == "pass"
     assert len(directions) == traced
+
+
+def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
+    theorem = json.loads(json.dumps(
+        verify_theorem(7, 4, monodromy=mutated_monodromy(7, 4)).to_json()))
+    assert revalidate(theorem) == "fail"
+    other = json.loads(json.dumps(verify_theorem(5, 3).to_json()))
+    subs = theorem["payload"]["subcertificates"]
+
+    def with_subs(replaced):
+        return dict(theorem, payload=dict(theorem["payload"], subcertificates=replaced))
+
+    with pytest.raises(MalformedCertificate, match=r"in a theorem for \(7, 4\)"):
+        revalidate(with_subs(other["payload"]["subcertificates"]))
+    # one foreign subcertificate anywhere in the list, even after the
+    # first failing one, and an Index that names a degree
+    for i, key, value in ((0, "n", 5), (-2, "d", 3), (-2, "n", 9), (-1, "d", 4)):
+        forged = json.loads(json.dumps(subs))
+        forged[i][key] = value
+        with pytest.raises(MalformedCertificate, match="subcertificate for"):
+            revalidate(with_subs(forged))
+    # a forged Index n inside a theorem costs no coset enumeration
+    enumerated = []
+    coset_table = certificates._coset_table
+    monkeypatch.setattr(certificates, "_coset_table",
+                        lambda n: enumerated.append(n) or coset_table(n))
+    forged = json.loads(json.dumps(subs))
+    forged[-1]["n"] = 251
+    forged[-1]["payload"] = {"expected_index": 251, "index": 251}
+    with pytest.raises(MalformedCertificate, match=r"Index subcertificate for \(n, d\) = \(251"):
+        revalidate(with_subs(forged))
+    assert enumerated == []
 
 
 def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):

@@ -181,6 +181,13 @@ GOLDEN_CYLINDERS = {
     ("--n", "9", "--direction", "0"): "9b5066ecdcc1912613f1e7c51c48145d6c375f0deb2a4cf70b1816f5cc247a5f",
     ("--n", "14", "--direction", "3"): "30923812c151b68be9e70ca57cf2b92f2c807f5172b27c7ce2e632732b9b2410",
     ("--n", "5", "--d", "4", "--direction", "1"): "b15724e1a86443671f601123e507b122cb96a841761e1e7081f5906e83575f00",
+    # recorded while every direction v_l was still traced: v_3 of X_9 is
+    # read from the v_0 bands in Q, v_4 of X_9 and v_5 of X_8 from v_0
+    # and v_1 as they are listed, v_4 of Y_{7,3} through the monodromy
+    ("--n", "9", "--direction", "3"): "90ca28762592c395e0d5826158a4efb6a27305dcd9fc019f6ce0f69080693b78",
+    ("--n", "9", "--direction", "4"): "2d7bb16fc882a88d08c5e150c847061eef907fe6c6ddf17dabfd30e1cacd4a68",
+    ("--n", "8", "--direction", "5"): "979216fa703ad187530aaa6b4b495000726cfb9bf7d9bd338cdcf918ead00ab5",
+    ("--n", "7", "--d", "3", "--direction", "4"): "1e22063819db13c8ce06366fdcd8232daa9134139fb62178d3d4fe6a0af48dec",
 }
 GOLDEN_RENDER = {
     ("--n", "9", "--direction", "0"): "1dc4da5966b45c46ff903324419fc38542a88f5022c30fbd45a97d1197375618",

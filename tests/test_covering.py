@@ -1,14 +1,16 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veechlab import cli, perms
+from veechlab import cli, covering, perms
 from veechlab.certificates import mutated_monodromy, verify_theorem
 from veechlab.covering import (
     base_decomposition,
     build_cover,
     cover_cylinders,
     monodromy_indices,
-    pulled_back_decomposition,
+    num_generators,
     rotation_class,
     rotation_images,
     sigma_d1,
@@ -224,61 +226,84 @@ def test_sigma_factories():
         assert perms.is_involution(sigma_d2(d))
 
 
-def _substitute(word, images):
-    """The freely reduced image of word under x_i -> images[i]."""
-    out = []
-    for g, s in word:
-        for letter in (images[g] if s > 0 else images[g].inverse()):
-            if out and out[-1] == (letter[0], -letter[1]):
-                out.pop()
-            else:
-                out.append(letter)
-    return Word(out)
-
-
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
 def test_rotation_images_carry_core_words_to_traced_ones(n):
-    # rho^j carries the words pulled_back_decomposition lists for v_r onto
-    # the core words traced in v_l, one for one and in order
-    for l in range(n):
+    # base_decomposition traces only v_r and reads every other v_l as the
+    # rho^j image of its words; the tracer run in v_l itself must give the
+    # same cylinders, core words and direction, in the same order
+    surface = build_base(n)
+    for l in range(-n, 2 * n + 1):
         r, j = rotation_class(n, l)
         assert l == r + (j if n % 2 else 2 * j)
-        images = rotation_images(n, j)
-        cylinders, _ = pulled_back_decomposition(n, standard_monodromy(n, 2), l)
-        traced = base_decomposition(n, l)
-        assert [_substitute(c.core_word, images) for c in cylinders] == [
-            c.core_word for c in traced
-        ], (n, l)
-        assert [(c.height, c.inverse_modulus) for c in cylinders] == [
+        derived = base_decomposition(n, l)
+        traced = decompose(surface, Direction.from_index(n, l))
+        assert [c.to_json() for c in derived] == [c.to_json() for c in traced], (n, l)
+        assert [c.direction for c in derived] == [c.direction for c in traced]
+        assert [(c.height, c.inverse_modulus) for c in derived] == [
             (c.height, c.inverse_modulus) for c in traced
         ]
 
 
+def test_substitute_freely_reduces():
+    x = Word.generator
+    images = [x(1) * x(2).inverse(), x(2), x(0).inverse()]
+    assert (x(0) * x(1)).substitute(images) == x(1)
+    assert (x(1) * x(0).inverse()).substitute(images) == x(2) * x(2) * x(1).inverse()
+    conjugate = x(0) * x(1) * x(2) * x(1).inverse() * x(0).inverse()
+    assert conjugate.substitute(images) == x(1) * x(0).inverse() * x(1).inverse()
+    assert (x(0) * x(0).inverse()).substitute(images) == Word()
+    assert Word().substitute(images) == Word()
+
+
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 16])
 def test_rotation_images_are_reduced_words_of_the_generators(n):
-    num = n - 1 if n % 2 else n // 2
+    num = num_generators(n)
     assert rotation_images(n, 0) == [Word.generator(i) for i in range(num)]
     for j in range(2 * n):
         images = rotation_images(n, j)
         assert len(images) == num
         for w in images:
             assert 1 <= len(w) <= (2 if n % 2 else 1)
-            assert _substitute(w, [Word.generator(i) for i in range(num)]) == w
+            assert w.substitute([Word.generator(i) for i in range(num)]) == w
     if n % 2 == 0:
         # the base point is the centre, fixed by rho: rho^j is the j-th
         # power of the one-step substitution, and rho^n is the identity
         step = rotation_images(n, 1)
         current = rotation_images(n, 0)
         for j in range(1, n + 1):
-            current = [_substitute(w, step) for w in current]
+            current = [w.substitute(step) for w in current]
             assert current == rotation_images(n, j % n)
 
 
+@pytest.mark.parametrize("n,traced", [(9, 1), (12, 2)])
+def test_every_reader_of_v_l_traces_only_the_rotation_classes(monkeypatch, capsys, n, traced):
+    covering._base_decomposition.cache_clear()
+    covering._read_from_q.cache_clear()
+    directions = []
+
+    def counting(surface, direction):
+        directions.append(direction)
+        return decompose(surface, direction)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("veechlab") and getattr(module, "decompose", None) is decompose:
+            monkeypatch.setattr(module, "decompose", counting)
+    cover = build_cover(n, 3)
+    for l in range(n):
+        base_decomposition(n, l)
+        cover_cylinders(cover, l)
+        assert cli.main(["cylinders", "--n", str(n), "--direction", str(l)]) == 0
+        assert cli.main(["cylinders", "--n", str(n), "--d", "3", "--direction", str(l)]) == 0
+    capsys.readouterr()
+    assert len(directions) == traced
+
+
 def test_cover_cylinders_read_the_traced_direction():
-    # cover_cylinders prints core words, so it reads v_l itself
+    # cover_cylinders prints core words: they must be those traced in v_l
     cover = build_cover(7, 3)
     for l in range(7):
-        by_height = {c.height.key(): c for c in base_decomposition(7, l)}
+        traced = decompose(build_base(7), Direction.from_index(7, l))
+        by_height = {c.height.key(): c for c in traced}
         for cyl in cover_cylinders(cover, l):
             base = by_height[cyl.height.key()]
             assert cyl.direction == Direction.from_index(7, l)
