@@ -2,10 +2,11 @@
 
 Elements are residues modulo the N-th cyclotomic polynomial, stored as
 integer numerators over one common positive denominator (the layout of
-FLINT's fmpq_poly).  For a regular n-gon context the conductor is
-N = 4n: the field then contains i, zeta_2n, and hence cos(k*pi/n),
-sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream geometry
-needs, closed under arithmetic.
+FLINT's fmpq_poly), with memoised integer inverses: an extended Euclid
+on the numerators that never leaves Z.  For a regular n-gon context the
+conductor is N = 4n: the field then contains i, zeta_2n, and hence
+cos(k*pi/n), sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream
+geometry needs, closed under arithmetic.
 
 No predicate touches floating point.  Equality and zero tests compare
 canonical residues coefficient-wise; the sign of a nonzero real element
@@ -21,10 +22,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import MalformedCertificate, SignUndetermined
-
-_Q0 = _QQ(0)
-_Q1 = _QQ(1)
-
 
 @lru_cache(maxsize=None)
 def load_mpmath():
@@ -184,43 +181,43 @@ def _trim(p):
     return p
 
 
-def _poly_inverse(a, cyclo):
-    # extended Euclid in Q[x] against the (squarefree) cyclotomic polynomial
-    r0 = [QQ(c) for c in cyclo]
-    r1 = _trim(list(a))
+def _int_inverse(a, cyclo) -> tuple[list[int], int]:
+    # extended Euclid in Z[x] against the irreducible cyclotomic polynomial
+    # (the primitive PRS of Collins and Brown): r_i = t_i * a (mod cyclo)
+    # throughout, so the last remainder, a constant c, gives a^-1 = t1 / c
+    r0, r1 = list(cyclo), _trim(list(a))
     if not r1:
         raise ZeroDivisionError("inverse of zero in cyclotomic field")
-    t0, t1 = [], [_Q1]
-    while True:
-        if not r1:
-            raise ZeroDivisionError("inverse of zero divisor")
-        if len(r1) == 1:
-            inv = _Q1 / r1[0]
-            return [c * inv for c in t1]
-        # divide r0 by r1
-        q = [_Q0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-        rem = list(r0)
-        for k in range(len(rem) - len(r1), -1, -1):
-            c = rem[k + len(r1) - 1] / r1[-1]
+    t0, t1 = [], [1]
+    while len(r1) > 1:
+        # pseudo-divide s * r0 = q * r1 + rem, scaling by lc(r1) / gcd
+        d1, lc, low = len(r1) - 1, r1[-1], r1[:-1]
+        s, q, rem = 1, [0] * (len(r0) - d1), r0
+        for k in range(len(r0) - len(r1), -1, -1):
+            c = rem[k + d1]
+            rem = rem[: k + d1]
             if c:
-                q[k] = c
-                for j, dj in enumerate(r1):
-                    rem[k + j] -= c * dj
-        rem = _trim(rem)
-        # t_next = t0 - q * t1
-        qt = [_Q0] * (len(q) + len(t1) - 1) if q and t1 else []
+                g = gcd(c, lc)
+                m, f = lc // g, c // g
+                if m != 1:
+                    s *= m
+                    q = [m * x for x in q]
+                    rem = [m * x for x in rem]
+                q[k] = f
+                for j, rj in enumerate(low):
+                    rem[k + j] -= f * rj
+        # t_next = s * t0 - q * t1, then drop the joint content with rem
+        tn = [s * x for x in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
         for i, qi in enumerate(q):
             if qi:
                 for j, tj in enumerate(t1):
-                    if tj:
-                        qt[i + j] += qi * tj
-        tn = [_Q0] * max(len(t0), len(qt))
-        for i, c in enumerate(t0):
-            tn[i] += c
-        for i, c in enumerate(qt):
-            tn[i] -= c
-        r0, r1 = r1, rem
+                    tn[i + j] -= qi * tj
+        g = gcd(*rem, *tn)
+        if g != 1:
+            rem, tn = [x // g for x in rem], [x // g for x in tn]
+        r0, r1 = r1, _trim(rem)
         t0, t1 = t1, _trim(tn)
+    return t1, r1[0]
 
 
 def _new(N: int, num, den: int) -> CycloNumber:
@@ -429,8 +426,11 @@ def _inverse(N: int, num: tuple, den: int) -> CycloNumber:
     # Geometry divides by the same few level differences again and again,
     # so inverses are memoised on the canonical form.  (num/den)^-1 is
     # den * num^-1; a zero argument raises and is not cached.
-    inv = _poly_inverse([_QQ(a) for a in num], get_context(N).cyclo)
-    return CycloNumber(N, [c * den for c in inv])
+    ctx = get_context(N)
+    t, c = _int_inverse(num, ctx.cyclo)
+    if c < 0:
+        den, c = -den, -c
+    return _normal(N, [den * x for x in t] + [0] * (ctx.phi - len(t)), c)
 
 
 def cyclo_root(N: int, k: int) -> CycloNumber:

@@ -5,9 +5,10 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from veechlab import field
+from veechlab import covering, field
+from veechlab.covering import base_decomposition
 from veechlab.errors import MalformedCertificate, SignUndetermined, VeechLabError
 from veechlab.field import (
     QQ,
@@ -214,6 +215,36 @@ def _ref_sign(a, N):
         return (val > 0) - (val < 0)
 
 
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_inverse(a, N):
+    # extended Euclid over Fraction in Q[x] against Phi_N
+    r0 = [Fraction(c) for c in cyclotomic_coeffs(N)]
+    r1 = _trim([Fraction(c) for c in a])
+    t0, t1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(rem) - len(r1), -1, -1):
+            c = rem[k + len(r1) - 1] / r1[-1]
+            if c:
+                q[k] = c
+                for j, dj in enumerate(r1):
+                    rem[k + j] -= c * dj
+        tn = t0 + [Fraction(0)] * (len(q) + len(t1) - 1 - len(t0))
+        for i, qi in enumerate(q):
+            for j, tj in enumerate(t1):
+                tn[i + j] -= qi * tj
+        r0, r1 = r1, _trim(rem)
+        t0, t1 = t1, _trim(tn)
+    inv = [c / r1[0] for c in t1]
+    return inv + [Fraction(0)] * (len(a) - len(inv))
+
+
 def _random_sparse(rng, N, density=0.6):
     phi = len(cyclotomic_coeffs(N)) - 1
     coeffs = [
@@ -235,7 +266,7 @@ def _assert_canonical(x):
 @pytest.mark.parametrize("N", [20, 36, 60, 100])
 def test_integer_core_matches_fraction_reference(N):
     rng = random.Random(7000 + N)
-    for trial in range(12):
+    for _ in range(12):
         a, b = _random_sparse(rng, N), _random_sparse(rng, N)
         ca, cb = list(a.coeffs), list(b.coeffs)
         for got, want in (
@@ -247,13 +278,11 @@ def test_integer_core_matches_fraction_reference(N):
         ):
             _assert_canonical(got)
             assert list(got.coeffs) == want
-        # the Euclidean inverse is slow at N = 100: divide by sparse
-        # elements, in every third trial
-        c = _random_sparse(rng, N, density=0.15)
-        if trial % 3 == 0 and not c.is_zero():
-            q = a / c
-            _assert_canonical(q)
-            assert _ref_mul(list(q.coeffs), list(c.coeffs), N) == ca
+        # divide in every trial, by a dense divisor
+        c = _random_sparse(rng, N)
+        q = a / c
+        _assert_canonical(q)
+        assert _ref_mul(list(q.coeffs), list(c.coeffs), N) == ca
         r = a + a.conjugate()
         assert RealAlg(r).sign() == _ref_sign(list(r.coeffs), N)
 
@@ -316,6 +345,59 @@ def test_inverse_of_zero_raises_every_time():
             CycloNumber.zero(20).inverse()
         with pytest.raises(ZeroDivisionError):
             RealAlg.one(20) / RealAlg.zero(20)
+
+
+@pytest.mark.parametrize("n", [5] + list(range(7, 26)))
+def test_inverse_matches_fraction_euclid_on_traced_divisors(monkeypatch, n):
+    # every divisor the tracer and decompose meet in X_n, against the
+    # Fraction reference
+    divisors = set()
+    inverse = field._inverse
+
+    def collecting(N, num, den):
+        divisors.add((N, num, den))
+        return inverse(N, num, den)
+
+    monkeypatch.setattr(field, "_inverse", collecting)
+    covering._base_decomposition.cache_clear()
+    covering._read_from_q.cache_clear()
+    for l in range(n):
+        base_decomposition(n, l)
+    assert divisors
+    for N, num, den in divisors:
+        got = inverse(N, num, den)
+        _assert_canonical(got)
+        assert list(got.coeffs) == _ref_inverse([Fraction(a, den) for a in num], N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inverse_of_dense_elements(data):
+    N = data.draw(st.sampled_from([20, 36, 60, 100, 164]))
+    phi = len(cyclotomic_coeffs(N)) - 1
+    coeff = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 7, 12, 35]))
+    x = CycloNumber(N, data.draw(st.lists(coeff, min_size=phi, max_size=phi)))
+    assume(not x.is_zero())
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert x * inv == 1
+    assert inv.inverse() == x
+
+
+def test_inverse_builds_no_fraction(monkeypatch):
+    rng = random.Random(11)
+    elements = [_random_sparse(rng, N) for N in (20, 60, 100)]
+    field._inverse.cache_clear()
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(field, "_QQ", no_fraction)
+    inverses = [x.inverse() for x in elements]
+    monkeypatch.undo()
+    for x, inv in zip(elements, inverses):
+        _assert_canonical(inv)
+        assert x * inv == 1
 
 
 def test_interval_value_narrows_with_precision():
