@@ -22,6 +22,13 @@ Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values: the certify_* functions apply it to what
 they computed, revalidate() to what it parsed from the payload.
 
+Certificates are written in format 2: the top level carries the
+conductor 4n once and a table of the distinct exact values, and rows and
+witnesses refer to the table by index; the horizontal profile that every
+RotationObstruction compares against is written once, at the top level.
+revalidate() also reads format 1, which writes every value out in full
+wherever it is used, into the same native values.
+
 Non-membership certificates for user-supplied monodromies may come out
 "inconclusive" (equal multisets prove nothing); the standard family
 never does.
@@ -57,6 +64,35 @@ from .zcover import ZMonodromy, ZPermutation, sigma_T_infinite, std_infinite_mon
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+FORMAT = 2
+
+
+class _Values:
+    """The value table of one certificate and its subcertificates.
+
+    Each distinct exact value gets the next index on its first use, so
+    the table follows the fixed order in which certificates are
+    assembled.  ``sections`` holds the rows that the top level writes
+    once for every subcertificate: the horizontal profile.
+    """
+
+    def __init__(self, n: int):
+        self.conductor = 4 * n
+        self._index = {}  # exact key -> index
+        self._values = []
+        self.sections = {}
+
+    def __call__(self, x: RealAlg) -> int:
+        """The index of x, which joins the table on first use."""
+        key = x.key()
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self._values)
+            self._values.append(x)
+        return i
+
+    def to_json(self) -> list:
+        return [x.to_json(sparse=True) for x in self._values]
 
 
 @dataclass
@@ -67,11 +103,22 @@ class Certificate:
     verdict: str
     payload: dict = field(default_factory=dict)
     witness: object = None
+    # the table that the value indices in payload and witness point into;
+    # a theorem shares one with its subcertificates
+    values: _Values | None = None
 
     def ok(self) -> bool:
         return self.verdict == PASS
 
     def to_json(self):
+        """The certificate as top-level format-2 JSON, with its value
+        table and the sections its rows refer to."""
+        values = _Values(self.n) if self.values is None else self.values
+        return {"format": FORMAT, "conductor": values.conductor, **self._body(),
+                "values": values.to_json(), **values.sections}
+
+    def _body(self) -> dict:
+        # what a theorem writes for each of its subcertificates
         return {
             "kind": self.kind,
             "n": self.n,
@@ -129,22 +176,21 @@ class _Perm:
         raise MalformedCertificate("%.80r is not a permutation of its sheets" % (data,))
 
 
-def _multiset_rows(types: dict) -> list:
-    # types maps exact key -> ((inverse modulus, height), count or None)
-    rows = [
-        {"inverse_modulus": mod.to_json(), "height": height.to_json(), "count": count}
-        for (mod, height), count in types.values()
+def _multiset_rows(types: dict, values: _Values) -> list:
+    # types maps exact key -> ((inverse modulus, height), count or None);
+    # rows in exact-key order
+    return [
+        {"inverse_modulus": values(mod), "height": values(height), "count": count}
+        for _, ((mod, height), count) in sorted(types.items())
     ]
-    rows.sort(key=lambda e: (e["inverse_modulus"]["approx"], e["height"]["approx"]))
-    return rows
 
 
-def _witness_json(witness):
-    # a rule's witness as the certificate carries it: exact values in
-    # their JSON form
+def _witness_json(witness, values: _Values):
+    # a rule's witness as the certificate carries it: exact values as
+    # table indices
     if witness is None:
         return None
-    return {k: v.to_json() if isinstance(v, RealAlg) else v for k, v in witness.items()}
+    return {k: values(v) if isinstance(v, RealAlg) else v for k, v in witness.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +244,9 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     """ShearMembership: every (inverse modulus, twist count) row must have
     a positive integer count k with k * inverse modulus == factor.
 
-    An infinite cylinder (d = inf) admits no twist at all; the payload
-    does not list infinite cylinders, so only the certifier sees them.
+    An infinite cylinder (d = inf) admits no twist at all.  Format 2
+    lists a d = inf payload's infinite cylinder types; format 1 does not,
+    so there only the certifier sees them.
     """
     if infinite_cylinders:
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
@@ -310,32 +357,33 @@ def _integer_quotient(factor: RealAlg, modulus: RealAlg):
 
 
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
-                       infinite_types: dict | None = None) -> Certificate:
-    """ShearMembership from a profile's cylinder types."""
+                       infinite_types: dict | None = None,
+                       values: _Values | None = None) -> Certificate:
+    """ShearMembership from a profile's cylinder types, in exact-key order."""
     if factor is None:
         factor = 2 * lambda_n(n)
+    if values is None:
+        values = _Values(n)
     found = [(pair, count, _integer_quotient(factor, pair[0]))
-             for pair, count in types.values()]
+             for _, (pair, count) in sorted(types.items())]
     verdict, witness = _shear_rule(
         factor, ((mod, twists) for (mod, _), _, twists in found), l, bool(infinite_types)
     )
-    rows = [
+    payload = {"l": l, "factor": values(factor)}
+    payload["cylinders"] = [
         {
-            "inverse_modulus": mod.to_json(),
-            "height": height.to_json(),
+            "inverse_modulus": values(mod),
+            "height": values(height),
             "count": count,
             "twists": twists,
         }
         for (mod, height), count, twists in found
     ]
-    rows.sort(key=lambda r: (r["inverse_modulus"]["approx"], r["height"]["approx"]))
+    if d == "inf":
+        payload["infinite_cylinders"] = _multiset_rows(infinite_types or {}, values)
     return Certificate(
-        kind="ShearMembership",
-        n=n,
-        d=d,
-        verdict=verdict,
-        payload={"l": l, "factor": factor.to_json(), "cylinders": rows},
-        witness=_witness_json(witness),
+        kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
+        witness=_witness_json(witness, values), values=values,
     )
 
 
@@ -352,22 +400,21 @@ def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
 
 
 def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
-                          horizontal_rows: list | None = None) -> Certificate:
+                          values: _Values | None = None) -> Certificate:
     # horizontal is the direction-0 profile (its infinite types when
-    # d = inf), shared by every l together with its payload rows
+    # d = inf); its rows are a section of the value table, written once
+    # for every l
     infinite = d == "inf"
     verdict, witness = _rotation_rule(horizontal, direction, infinite)
-    if horizontal_rows is None:
-        horizontal_rows = _multiset_rows(horizontal)
+    if values is None:
+        values = _Values(n)
     suffix = "_infinite" if infinite else ""
-    payload = {
-        "l": l,
-        "horizontal" + suffix: horizontal_rows,
-        "direction" + suffix: _multiset_rows(direction),
-    }
+    if "horizontal" + suffix not in values.sections:
+        values.sections["horizontal" + suffix] = _multiset_rows(horizontal, values)
     return Certificate(
         kind="RotationObstruction", n=n, d=d, verdict=verdict,
-        payload=payload, witness=_witness_json(witness),
+        payload={"l": l, "direction" + suffix: _multiset_rows(direction, values)},
+        witness=_witness_json(witness, values), values=values,
     )
 
 
@@ -523,15 +570,16 @@ def _obstruction_direction_indices(n: int):
     return [2 * l for l in range(1, n // 2)]
 
 
-def _aggregate(n: int, d, subs: list, preimages=None) -> Certificate:
+def _aggregate(n: int, d, subs: list, preimages=None, values: _Values | None = None) -> Certificate:
     verdict, witness = _theorem_rule(d, ((s.kind, s.verdict, s.witness) for s in subs), preimages)
-    payload = {"subcertificates": [s.to_json() for s in subs]}
+    payload = {"subcertificates": [s._body() for s in subs]}
     if d == "inf":
         payload["infinite_preimages_of_cylinder_k"] = preimages
     if verdict == PASS:
         payload["statement"] = "Gamma(Y_%s,%s) = Gamma_%s certified" % (n, d, n)
     return Certificate(
-        kind="FullTheorem", n=n, d=d, verdict=verdict, payload=payload, witness=witness
+        kind="FullTheorem", n=n, d=d, verdict=verdict, payload=payload, witness=witness,
+        values=values,
     )
 
 
@@ -558,6 +606,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
                         payload={"polygons": d * len(cover.base.polygons)}),
         ]
     profiles = {}
+    values = _Values(n)
 
     def profile(l):
         # (finite types, infinite types) in direction v_l, computed once per l
@@ -567,7 +616,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         return profiles[l]
 
     for l in _shear_direction_indices(n):
-        subs.append(_shear_certificate(n, d, l, None, *profile(l)))
+        subs.append(_shear_certificate(n, d, l, None, *profile(l), values=values))
     subs.append(certify_sigma_T(n, d, "horizontal", monodromy))
     if n % 2 == 0:
         subs.append(certify_sigma_T(n, d, "vertical", monodromy))
@@ -575,15 +624,16 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
     # Y_{n,inf} is obstructed by its infinite cylinders, Y_{n,d} by all
     side = 1 if infinite else 0
     horizontal = profile(0)[side]
-    horizontal_rows = _multiset_rows(horizontal)
     for l in _obstruction_direction_indices(n):
-        sub = _rotation_certificate(n, d, l, horizontal, profile(l)[side], horizontal_rows)
-        if sub.verdict == INCONCLUSIVE and n % 2 == 0 and not infinite:
+        direction = profile(l)[side]
+        if (n % 2 == 0 and not infinite
+                and _rotation_rule(horizontal, direction, False)[0] == INCONCLUSIVE):
             # the multiset invariant is blind here (it happens for d = 2
             # in the vertical direction); fall back to the covering-
             # structure obstruction
-            sub = certify_pullback_obstruction(n, monodromy, l)
-        subs.append(sub)
+            subs.append(certify_pullback_obstruction(n, monodromy, l))
+        else:
+            subs.append(_rotation_certificate(n, d, l, horizontal, direction, values))
     subs.append(certify_index(n))
     preimages = None
     if infinite:
@@ -592,7 +642,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         k1, k2 = monodromy_indices(n)
         core = Word.generator(k1) * Word.generator(k2).inverse()
         preimages = monodromy.eval_word(core).orbit_count()
-    return _aggregate(n, d, subs, preimages)
+    return _aggregate(n, d, subs, preimages, values)
 
 
 def verify_quotient(n: int):
@@ -647,37 +697,94 @@ def _field(obj, key: str, *types):
     return value
 
 
-def _exact(obj, key: str, memo: dict, conductor: int) -> RealAlg:
-    """The exact value obj[key], parsed once per revalidate call.
+class _Inline:
+    """Exact values of a format-1 certificate, written out in full where
+    they are used; each distinct one is parsed once per revalidate call.
 
-    memo maps (conductor, coefficients) to the parsed value.  Every value
-    lies in the field Q(zeta_4n) of the certificate that carries it, so
-    any other conductor is malformed; it is rejected before a field is
-    built for it, as is a second conductor within one call.
+    Every value lies in the field Q(zeta_4n) of the certificate that
+    carries it, so any other conductor is malformed; it is rejected
+    before a field is built for it, as is a second conductor within one
+    call.
     """
-    data = _field(obj, key, dict)
-    # types first: a conductor 36.0, or coefficients "12" instead of
-    # ["1", "2"], would otherwise hit the entry of a well-formed value
-    N, coeffs = _field(data, "conductor", int), _field(data, "coeffs", list)
-    if N != conductor:
-        raise MalformedCertificate("%r has conductor %d, not 4n = %d" % (key, N, conductor))
-    try:
-        memo_key = (N, tuple(coeffs))
-        value = memo.get(memo_key)
-    except TypeError as exc:  # an unhashable coefficient
-        raise MalformedCertificate("coefficient of %r is not a string" % key) from exc
-    if value is None:
-        if memo and next(iter(memo))[0] != N:
-            raise MalformedCertificate("mixed conductors %d and %d" % (next(iter(memo))[0], N))
-        value = memo[memo_key] = RealAlg.from_json(data)
-    return value
+
+    format = 1
+
+    def __init__(self):
+        self._memo = {}  # (conductor, coefficients) -> parsed value
+
+    def exact(self, obj, key: str, conductor: int) -> RealAlg:
+        """The exact value obj[key]."""
+        memo = self._memo
+        data = _field(obj, key, dict)
+        # types first: a conductor 36.0, or coefficients "12" instead of
+        # ["1", "2"], would otherwise hit the entry of a well-formed value
+        N, coeffs = _field(data, "conductor", int), _field(data, "coeffs", list)
+        if N != conductor:
+            raise MalformedCertificate("%r has conductor %d, not 4n = %d" % (key, N, conductor))
+        try:
+            memo_key = (N, tuple(coeffs))
+            value = memo.get(memo_key)
+        except TypeError as exc:  # an unhashable coefficient
+            raise MalformedCertificate("coefficient of %r is not a string" % key) from exc
+        if value is None:
+            if memo and next(iter(memo))[0] != N:
+                raise MalformedCertificate("mixed conductors %d and %d" % (next(iter(memo))[0], N))
+            value = memo[memo_key] = RealAlg.from_json(data)
+        return value
+
+    def horizontal(self, payload: dict, key: str, conductor: int) -> dict:
+        """A RotationObstruction's horizontal profile: its own rows."""
+        return _parse_multiset(_field(payload, key, list), self, conductor)
 
 
-def _parse_multiset(rows: list, memo: dict, conductor: int) -> dict:
+class _Table:
+    """Exact values of a format-2 certificate: its top-level table, each
+    entry parsed once, up front, and indexed by rows and witnesses.  The
+    horizontal profile is a top-level section too, parsed on first use.
+    """
+
+    format = 2
+
+    def __init__(self, data: dict):
+        n, conductor = _field(data, "n", int), _field(data, "conductor", int)
+        if conductor != 4 * n:
+            raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
+        self._values = [RealAlg.from_json(entry, conductor)
+                        for entry in _field(data, "values", list)]
+        self._top = data
+        self._horizontal = {}
+
+    def exact(self, obj, key: str, conductor: int) -> RealAlg:
+        # a subcertificate's n, and so its conductor, is bound to the
+        # top level's before any rule runs
+        i = _field(obj, key, int)
+        if not 0 <= i < len(self._values):
+            raise MalformedCertificate("%r: value index %d is not in a table of %d"
+                                       % (key, i, len(self._values)))
+        return self._values[i]
+
+    def horizontal(self, payload: dict, key: str, conductor: int) -> dict:
+        """The horizontal profile, from the top-level section named key."""
+        if key not in self._horizontal:
+            rows = _field(self._top, key, list)
+            self._horizontal[key] = _parse_multiset(rows, self, conductor)
+        return self._horizontal[key]
+
+
+def _reader(data):
+    """The reader of a top-level certificate's exact values, by its format."""
+    if type(data) is dict and "format" in data:
+        if type(data["format"]) is not int or data["format"] != FORMAT:
+            raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
+        return _Table(data)
+    return _Inline()
+
+
+def _parse_multiset(rows: list, reader, conductor: int) -> dict:
     types = {}
     for e in rows:
-        mod = _exact(e, "inverse_modulus", memo, conductor)
-        height = _exact(e, "height", memo, conductor)
+        mod = reader.exact(e, "inverse_modulus", conductor)
+        height = reader.exact(e, "height", conductor)
         types[(mod.key(), height.key())] = ((mod, height), _field(e, "count", int, _NONE))
     return types
 
@@ -690,31 +797,38 @@ def _perms(data: list) -> list:
     return ps
 
 
-def revalidate(data: dict, _memo: dict | None = None) -> str:
-    """Recompute a certificate's verdict from its JSON payload.
+def revalidate(data: dict) -> str:
+    """Recompute a certificate's verdict from its JSON, format 1 or 2.
 
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so its stated verdict stands.
-    A payload that does not parse raises MalformedCertificate.  Each
-    distinct exact value is parsed once per call: _memo carries the
-    parsed values from a FullTheorem down to its subcertificates.
+    A payload that does not parse raises MalformedCertificate, and so
+    does a format other than 1 (no "format" key) and 2.  Each distinct
+    exact value is parsed once per call.
     """
-    memo = {} if _memo is None else _memo
+    return _revalidate(data, _reader(data))
+
+
+def _revalidate(data: dict, reader) -> str:
     kind = _field(data, "kind", str)
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         conductor = 4 * _field(data, "n", int)
-        factor = _exact(payload, "factor", memo, conductor)
+        factor = reader.exact(payload, "factor", conductor)
+        infinite_types = {}
+        if reader.format == 2 and _field(data, "d", int, str, _NONE) == "inf":
+            infinite_types = _parse_multiset(
+                _field(payload, "infinite_cylinders", list), reader, conductor)
         # a generator: the rule stops reading rows at the first failing one
-        rows = ((_exact(r, "inverse_modulus", memo, conductor), _field(r, "twists", int, _NONE))
+        rows = ((reader.exact(r, "inverse_modulus", conductor), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
-        return _shear_rule(factor, rows, _field(payload, "l", int))[0]
+        return _shear_rule(factor, rows, _field(payload, "l", int), bool(infinite_types))[0]
     if kind == "RotationObstruction":
-        infinite = "horizontal_infinite" in payload
+        infinite = "direction_infinite" in payload
         suffix = "_infinite" if infinite else ""
         conductor = 4 * _field(data, "n", int)
-        horizontal = _parse_multiset(_field(payload, "horizontal" + suffix, list), memo, conductor)
-        direction = _parse_multiset(_field(payload, "direction" + suffix, list), memo, conductor)
+        horizontal = reader.horizontal(payload, "horizontal" + suffix, conductor)
+        direction = _parse_multiset(_field(payload, "direction" + suffix, list), reader, conductor)
         return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
         mode = _field(payload, "mode", str)
@@ -760,7 +874,7 @@ def revalidate(data: dict, _memo: dict | None = None) -> str:
             if claim != (n, None if kind == "Index" else d):
                 raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
                                            "in a theorem for (%d, %r)" % (kind, *claim, n, d))
-        subs = ((s["kind"], revalidate(s, _memo=memo), None) for s in subcertificates)
+        subs = ((s["kind"], _revalidate(s, reader), None) for s in subcertificates)
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]
     raise MalformedCertificate("unknown certificate kind %.40r" % kind)

@@ -30,8 +30,11 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
+def _emit(data, indent: int | None = 2) -> None:
+    """Write data as JSON on stdout: indented, or on one compact line
+    with indent=None."""
+    separators = (",", ":") if indent is None else None
+    sys.stdout.write(json.dumps(data, indent=indent, separators=separators))
     sys.stdout.write("\n")
 
 
@@ -90,7 +93,7 @@ def cmd_verify(args) -> int:
         if args.d < 2:
             raise UsageError("degree must be at least 2")
         cert = verify_theorem(args.n, args.d)
-    _emit(cert.to_json())
+    _emit(cert.to_json(), indent=None)
     return _verdict_exit(cert.verdict)
 
 

@@ -722,29 +722,56 @@ class RealAlg:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> dict:
-        coeffs, approx = _json_parts(*self.key())
-        return {"conductor": self.N, "coeffs": list(coeffs), "approx": approx}
+    def to_json(self, sparse: bool = False) -> dict:
+        """The exact value with a 20-digit decimal approximation.
+
+        Dense (the default): {"conductor": N, "coeffs": ["p/q", ...]}, one
+        coefficient per power of zeta below phi(N).  Sparse, as a
+        certificate's value table holds it (the certificate carries the
+        conductor): {"coeffs": [[power, "p/q"], ...]}, nonzero
+        coefficients only, by increasing power.
+        """
+        v = self.value
+        approx = _approx(v.N, v.num, v.den)
+        if sparse:
+            return {"coeffs": [[j, _rational_str(a, v.den)] for j, a in enumerate(v.num) if a],
+                    "approx": approx}
+        return {"conductor": v.N, "coeffs": [_rational_str(a, v.den) for a in v.num],
+                "approx": approx}
 
     @staticmethod
-    def from_json(data: dict) -> RealAlg:
-        """Parse the form to_json writes.
+    def from_json(data: dict, conductor: int | None = None) -> RealAlg:
+        """Parse either form to_json writes.
 
+        Without a conductor, data is the dense form and names its own
+        conductor; the coefficient list may be longer than phi(N), up to
+        2*phi(N) - 1.  With one, data is the sparse form: [power, "p/q"]
+        pairs with strictly increasing int powers below 2*phi(N) - 1.
         Each coefficient is a string "p" or "p/q" of decimal integers
         with q > 0, as str(Fraction) writes them (lowest terms are not
-        required); the list may be longer than phi(N), up to 2*phi(N) - 1.
-        Anything else, and an element that is not real, raises
-        MalformedCertificate.
+        required).  Anything else, and an element that is not real,
+        raises MalformedCertificate.  The approximation is not read.
         """
         N = coeffs = None
         if type(data) is dict:
-            N, coeffs = data.get("conductor"), data.get("coeffs")
+            N = data.get("conductor") if conductor is None else conductor
+            coeffs = data.get("coeffs")
         if type(N) is not int or N < 1 or type(coeffs) is not list:
             raise MalformedCertificate(
                 "an exact value needs a positive int conductor and a list of coefficients"
             )
+        if conductor is None:
+            powers, strings = range(len(coeffs)), coeffs
+        else:
+            if not all(type(t) is list and len(t) == 2 and type(t[0]) is int for t in coeffs):
+                raise MalformedCertificate("coefficients %.80r are not [power, p/q] pairs"
+                                           % (coeffs,))
+            powers, strings = [t[0] for t in coeffs], [t[1] for t in coeffs]
+            if any(a >= b for a, b in zip([-1] + powers, powers)):
+                raise MalformedCertificate("powers %.80r are not increasing from 0"
+                                           % (powers,))
         nums, dens = [], []
-        for c in coeffs:
+        for c in strings:
             m = _COEFF.fullmatch(c) if type(c) is str else None
             if m is None:
                 raise MalformedCertificate("coefficient %.40r is not of the form p or p/q" % (c,))
@@ -757,22 +784,33 @@ class RealAlg:
         if 0 in dens:
             raise MalformedCertificate("zero denominator in coefficients %.80r" % (coeffs,))
         ctx = get_context(N)
-        if len(nums) > 2 * ctx.phi - 1:
+        top = powers[-1] + 1 if len(powers) else 0
+        if top > 2 * ctx.phi - 1:
             raise MalformedCertificate(
-                "%d coefficients are too many for conductor %d" % (len(nums), N)
+                "%d coefficients are too many for conductor %d" % (top, N)
             )
         den = lcm(*dens)
-        value = _normal(N, ctx.reduce([p * (den // q) for p, q in zip(nums, dens)]), den)
+        raw = [0] * top
+        for j, p, q in zip(powers, nums, dens):
+            raw[j] = p * (den // q)
+        value = _normal(N, ctx.reduce(raw), den)
         if not value.is_real():
             raise MalformedCertificate("element of conductor %d is not real" % N)
         return RealAlg(value, _trusted=True)
 
 
+def _rational_str(a: int, den: int) -> str:
+    # a / den as str(Fraction(a, den)) writes it
+    g = gcd(a, den)
+    a, den = a // g, den // g
+    return str(a) if den == 1 else "%d/%d" % (a, den)
+
+
 @lru_cache(maxsize=4096)
-def _json_parts(N: int, num: tuple, den: int) -> tuple[tuple[str, ...], str]:
-    # certificates write the same few values many times over
-    value = RealAlg(_new(N, num, den), _trusted=True)
-    return tuple(str(c) for c in value.value.coeffs), value.approx(20)
+def _approx(N: int, num: tuple, den: int) -> str:
+    # the approximation a serialised value carries; certificates and
+    # surfaces write the same few values again and again
+    return RealAlg(_new(N, num, den), _trusted=True).approx(20)
 
 
 def sign(x: RealAlg) -> int:

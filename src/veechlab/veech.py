@@ -56,14 +56,14 @@ class Mat2:
     def __pow__(self, k: int) -> Mat2:
         if k < 0:
             return self.inverse() ** (-k)
-        out = Mat2.identity(self.a.N)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Mat2.identity(self.a.N) if out is None else out
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -209,13 +209,13 @@ class GroupWord:
 
 
 def eval_group_word(n: int, word: GroupWord, images: dict | None = None) -> Mat2:
-    """Evaluate a word left-to-right under the exact representation."""
+    """Evaluate a word left-to-right under the exact representation,
+    each syllable by repeated squaring."""
     if images is None:
         images = {"R": gen_R(n), "T": gen_T(n)}
     out = Mat2.identity(4 * n)
-    for sym, step in word.letters():
-        m = images[sym]
-        out = out * (m if step > 0 else m.inverse())
+    for sym, exp in word.syllables:
+        out = out * images[sym] ** exp
     return out
 
 

@@ -1,7 +1,9 @@
+import gzip
 import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +34,23 @@ from veechlab.field import RealAlg, lambda_n
 from veechlab.surface import build_base
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# the top-level keys of a format-2 certificate that its subcertificates
+# refer to
+_SHARED = ("format", "conductor", "values", "horizontal", "horizontal_infinite")
+
+
+def _standalone(top, sub):
+    """A theorem's subcertificate with the theorem's value table attached."""
+    return {**{k: top[k] for k in _SHARED if k in top}, **sub}
+
+
+def _table(data):
+    """The exact values of a format-2 certificate's table, by index."""
+    return [RealAlg.from_json(entry, data["conductor"]) for entry in data["values"]]
+
 
 def test_certify_shear_y53():
     cover = build_cover(5, 3)
@@ -53,8 +72,9 @@ def test_certify_shear_y52_horizontal():
     lam = lambda_n(5)
     cert = certify_shear(cover, 0)
     assert cert.verdict == "pass"
+    table = _table(cert.to_json())
     for row in cert.payload["cylinders"]:
-        assert RealAlg.from_json(row["inverse_modulus"]) == lam
+        assert table[row["inverse_modulus"]] == lam
         assert row["twists"] == 2
     # a single twist at factor lambda also happens to close for d = 2,
     # but at d = 3 the big horizontal cylinder breaks it
@@ -68,7 +88,8 @@ def test_rotation_obstruction_y53():
     for l in range(1, 5):
         cert = certify_rotation_obstruction(cover, l)
         assert cert.verdict == "pass"
-        mods = {RealAlg.from_json(e["inverse_modulus"]).key() for e in cert.payload["direction"]}
+        table = _table(cert.to_json())
+        mods = {table[e["inverse_modulus"]].key() for e in cert.payload["direction"]}
         assert lam3.key() not in mods  # no d*lambda cylinder off-horizontal
 
 
@@ -76,7 +97,7 @@ def test_rotation_obstruction_y52_witness():
     cover = build_cover(5, 2)
     cert = certify_rotation_obstruction(cover, 1)
     assert cert.verdict == "pass"
-    wit = RealAlg.from_json(cert.witness["inverse_modulus"])
+    wit = _table(cert.to_json())[cert.witness["inverse_modulus"]]
     assert wit == 2 * lambda_n(5)
 
 
@@ -92,9 +113,16 @@ def test_rotation_obstruction_d4_parallel_heights():
             continue
         cert = certify_rotation_obstruction(cover, l)
         assert cert.verdict == "pass"
-        h_mods = sorted(e["inverse_modulus"]["approx"] for e in cert.payload["horizontal"])
-        d_mods = sorted(e["inverse_modulus"]["approx"] for e in cert.payload["direction"])
-        assert h_mods == d_mods  # moduli multisets agree; heights decide
+        data = cert.to_json()
+        table = _table(data)
+
+        def exact_multiset(rows, key):
+            return sorted(table[e[key]].key() for e in rows for _ in range(e["count"]))
+
+        h_rows, d_rows = data["horizontal"], data["payload"]["direction"]
+        # moduli multisets agree, exactly; heights decide
+        assert exact_multiset(h_rows, "inverse_modulus") == exact_multiset(d_rows, "inverse_modulus")
+        assert exact_multiset(h_rows, "height") != exact_multiset(d_rows, "height")
 
 
 def test_sigma_T_claims():
@@ -213,7 +241,8 @@ def test_certificates_revalidate_from_payload():
     seen = set()
     for cert in singles + theorems:
         data = json.loads(json.dumps(cert.to_json()))
-        for sub in [data] + data["payload"].get("subcertificates", []):
+        subs = [_standalone(data, sub) for sub in data["payload"].get("subcertificates", [])]
+        for sub in [data] + subs:
             assert revalidate(sub) == sub["verdict"], (cert.n, cert.d, sub["kind"])
             seen.add((sub["kind"], sub["verdict"]))
     kinds = {kind for kind, _ in seen}
@@ -361,19 +390,30 @@ def _sub(data, kind):
     return next(s for s in data["payload"]["subcertificates"] if s["kind"] == kind)
 
 
+def _entry(data, index):
+    """The table entry of a value index, as a dict power -> coefficient."""
+    return dict(data["values"][index]["coeffs"])
+
+
+def _set_entry(data, index, coeffs):
+    data["values"][index]["coeffs"] = [[j, c] for j, c in sorted(coeffs.items())]
+
+
 def _tamper_coefficient(data):
-    # one coefficient of a shear row: the row is no longer real
-    coeffs = _sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]["coeffs"]
-    coeffs[1] = str(Fraction(coeffs[1]) + 1)
+    # one coefficient of a shear row's table entry: the value is no
+    # longer real
+    index = _sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]
+    coeffs = _entry(data, index)
+    coeffs[1] = str(Fraction(coeffs.get(1, "0")) + 1)
+    _set_entry(data, index, coeffs)
 
 
 def _mix_conductors(data):
-    factor = _sub(data, "ShearMembership")["payload"]["factor"]
-    factor["conductor"], factor["coeffs"] = 20, ["1"]
+    data["conductor"] = 20
 
 
 def _drop_key(data):
-    del _sub(data, "RotationObstruction")["payload"]["horizontal"][0]["height"]
+    del data["horizontal"][0]["height"]
 
 
 def _empty_pullback(data):
@@ -385,11 +425,11 @@ def _bad_image(data):
 
 
 def _bad_grammar(data):
-    _sub(data, "ShearMembership")["payload"]["factor"]["coeffs"][0] = "0.5"
+    data["values"][_sub(data, "ShearMembership")["payload"]["factor"]]["coeffs"][0][1] = "0.5"
 
 
 def _zero_denominator(data):
-    _sub(data, "ShearMembership")["payload"]["factor"]["coeffs"][0] = "1/0"
+    data["values"][_sub(data, "ShearMembership")["payload"]["factor"]]["coeffs"][0][1] = "1/0"
 
 
 def _unknown_kind(data):
@@ -407,10 +447,10 @@ def test_malformed_payloads_raise_typed_error(tamper):
     tamper(data)
     with pytest.raises(MalformedCertificate):
         revalidate(data)
-    # the same inside the FullTheorem and alone
+    # the same inside the FullTheorem and alone, with its table attached
     for sub in data["payload"]["subcertificates"]:
         try:
-            revalidate(sub)
+            revalidate(_standalone(data, sub))
         except MalformedCertificate:
             break
     else:
@@ -418,21 +458,28 @@ def test_malformed_payloads_raise_typed_error(tamper):
 
 
 def test_revalidate_parses_each_value_once_per_call(monkeypatch):
-    data = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
+    format2 = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
+    format1 = json.loads(gzip.decompress((FIXTURES / "verify_n9_d6.json.gz").read_bytes()))
     parsed = []
     parse = RealAlg.from_json
 
-    def counting(value):
-        parsed.append((value["conductor"], tuple(value["coeffs"])))
-        return parse(value)
+    def counting(value, conductor=None):
+        parsed.append(json.dumps(value["coeffs"]))
+        return parse(value, conductor)
 
     monkeypatch.setattr(RealAlg, "from_json", staticmethod(counting))
-    assert revalidate(data) == "pass"
-    first = list(parsed)
-    assert first and len(first) == len(set(first))
-    # nothing parsed survives the call
-    assert revalidate(data) == "pass"
-    assert parsed[len(first):] == first
+    for data in (format2, format1):
+        parsed.clear()
+        assert revalidate(data) == "pass"
+        first = list(parsed)
+        assert first and len(first) == len(set(first))
+        # nothing parsed survives the call
+        assert revalidate(data) == "pass"
+        assert parsed[len(first):] == first
+    # format 2: each table entry once, in table order
+    parsed.clear()
+    revalidate(format2)
+    assert parsed == [json.dumps(entry["coeffs"]) for entry in format2["values"]]
 
 
 @lru_cache(maxsize=None)
@@ -444,7 +491,11 @@ def _genuine_texts() -> tuple:
     texts = []
     for cert in certs:
         data = cert.to_json()
-        texts += [json.dumps(data)] + [json.dumps(s) for s in data["payload"]["subcertificates"]]
+        texts += [json.dumps(data)] + [json.dumps(_standalone(data, s))
+                                       for s in data["payload"]["subcertificates"]]
+    # format 1, as the parent of format 2 wrote it
+    texts += [gzip.decompress((FIXTURES / name).read_bytes()).decode()
+              for name in ("verify_n7_d4.json.gz", "mutated_n7_d4.json.gz")]
     return tuple(texts)
 
 
@@ -469,7 +520,12 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
     texts = _genuine_texts()
     doc = json.loads(texts[data.draw(st.integers(0, len(texts) - 1))])
     paths = list(_paths(doc))[1:]
-    coefficient_paths = [p for p in paths if len(p) > 1 and p[-2] == "coeffs"]
+    if "format" in doc:  # a table entry's [power, "p/q"] pair
+        coefficient_paths = [p for p in paths if len(p) > 2 and p[-3] == "coeffs" and p[-1] == 1]
+    else:  # a dense coefficient string
+        coefficient_paths = [p for p in paths if len(p) > 1 and p[-2] == "coeffs"]
+    shears = [s for s in [doc] + doc["payload"].get("subcertificates", [])
+              if s["kind"] == "ShearMembership"]
     mutations = ["drop", "retype", "truncate"] + ["coefficient"] * bool(coefficient_paths)
     mutation = data.draw(st.sampled_from(mutations))
     path = data.draw(st.sampled_from(coefficient_paths if mutation == "coefficient" else paths))
@@ -495,9 +551,21 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
     assert verdict in ("pass", "fail", "inconclusive")
     # what a ShearMembership certifies: the factor and each row's inverse
     # modulus (its height and count are carried, not checked)
-    if mutation == "coefficient" and path[-3] in ("factor", "inverse_modulus"):
-        holder = doc["payload"]["subcertificates"][path[2]] if doc["kind"] == "FullTheorem" else doc
-        if holder["kind"] == "ShearMembership":
+    if mutation != "coefficient":
+        return
+    if "format" not in doc:
+        if path[-3] in ("factor", "inverse_modulus"):
+            holder = doc["payload"]["subcertificates"][path[2]] if doc["kind"] == "FullTheorem" else doc
+            if holder["kind"] == "ShearMembership":
+                assert verdict != "pass", path
+        return
+    # format 2: every use of the edited entry changes with it, so a shear
+    # still closes if the entry is its factor and every row's modulus too
+    index = path[1]
+    for shear in shears:
+        factor = shear["payload"]["factor"]
+        mods = {row["inverse_modulus"] for row in shear["payload"]["cylinders"]}
+        if index in mods | {factor} and mods != {factor}:
             assert verdict != "pass", path
 
 
@@ -525,7 +593,7 @@ def test_pulled_back_profiles_equal_traced_ones(data):
     m = Monodromy(num, d, images)
     assume(m.is_transitive())
     for l in range(n):
-        # same types, counts and order (the order picks a failing shear's witness)
+        # same types, counts and order
         assert list(certificates._finite_profile(n, m, l).items()) == list(
             _traced_profile(certificates._finite_profile, n, m, l).items()
         ), l
@@ -591,23 +659,31 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
 
 
 def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
-    theorem = json.loads(json.dumps(verify_theorem(5, 3).to_json()))
-    subs = theorem["payload"]["subcertificates"]
-    shear = next(s for s in subs if s["kind"] == "ShearMembership")
-    rotation = next(s for s in subs if s["kind"] == "RotationObstruction")
-    forged = {"conductor": 2000, "coeffs": ["1"]}
     built = []
     get_context = field.get_context
     monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
+    # format 2: the one conductor of the table
+    theorem = json.loads(json.dumps(verify_theorem(5, 3).to_json()))
+    rotation = _standalone(theorem, _sub(theorem, "RotationObstruction"))
+    for data in (theorem, rotation):
+        with pytest.raises(MalformedCertificate, match="conductor 2000, not 4n = 20"):
+            revalidate(dict(data, conductor=2000))
+    # a table of another X_n's field is malformed too, whatever its size
+    rotation["n"] = 7
+    with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
+        revalidate(rotation)
+    # format 1: the conductor of each value
+    theorem = json.loads(gzip.decompress((FIXTURES / "verify_n7_d4.json.gz").read_bytes()))
+    shear, rotation = _sub(theorem, "ShearMembership"), _sub(theorem, "RotationObstruction")
+    forged = {"conductor": 2000, "coeffs": ["1"]}
     shear["payload"]["factor"] = forged
     for payload in (shear, theorem):
-        with pytest.raises(MalformedCertificate, match="conductor 2000, not 4n = 20"):
+        with pytest.raises(MalformedCertificate, match="conductor 2000, not 4n = 28"):
             revalidate(payload)
     rotation["payload"]["direction"][0]["inverse_modulus"] = forged
     with pytest.raises(MalformedCertificate, match="conductor 2000"):
         revalidate(rotation)
     assert 2000 not in built
-    # a value of another X_n's field is malformed too, whatever its size
-    rotation["n"] = 7
-    with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
+    rotation["n"] = 5
+    with pytest.raises(MalformedCertificate, match="conductor 28, not 4n = 20"):
         revalidate(rotation)

@@ -148,7 +148,7 @@ def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path
     assert code == 1
     assert json.loads(verdict) == {"verdict": "fail"}
     # malformed input is a typed error, reported like any other failure
-    shear["payload"]["factor"]["coeffs"][0] = "0.5"
+    data["values"][shear["payload"]["factor"]]["coeffs"][0][1] = "0.5"
     edited.write_text(json.dumps(data))
     for path in (str(edited), "-"):
         monkeypatch.setattr("sys.stdin", io.StringIO("{"))
@@ -158,13 +158,14 @@ def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path
     assert code == 2 and "cannot read" in err
 
 
-# sha256 of `veechlab verify` stdout, recorded before the field core moved
-# from Fraction coefficients to integer numerators over a common denominator
+# sha256 of `veechlab verify` stdout, recorded when certificates moved to
+# format 2 (the format-1 hashes are kept with the format-1 fixtures in
+# tests/test_format.py)
 GOLDEN_VERIFY = {
-    ("--n", "7", "--d", "4"): "1d2b4a4d6dfc66557e10c660ab7f2ff335a50e470c3505332fac84701ef1aa4f",
-    ("--n", "9", "--d", "6"): "b45881edc845f659374d7d659c04ec1d07bf515a12c55ad34ba254af41e5180a",
-    ("--n", "14", "--d", "3"): "381dbbf7c8b33657838474be99c8f84bbca52edf624b4bdcba6576295f405957",
-    ("--n", "8", "--infinite"): "c11bd7322eb6defab4bcdd60b37cbfc2df1d6cac29c1643c2330b62087571abb",
+    ("--n", "7", "--d", "4"): "77b72dd3868db2ed32288e30b5ea39368c105ca11213321ebdbedeec8e818bb2",
+    ("--n", "9", "--d", "6"): "845025ef759d5001838a151ae5dc4c6cf6b09bb8da286e3aa01d45ae3ae8b924",
+    ("--n", "14", "--d", "3"): "fcab2ae0785cdbcb66bc46fe7e47ed9e5bb9dd56d2ca9024c8df9a5cf8c5208c",
+    ("--n", "8", "--infinite"): "0e8804c440f4bd5316a1f3f8b9305a8db896b4ec2c1b1ee7c73e16e9e1add92d",
 }
 
 

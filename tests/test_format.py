@@ -1,0 +1,265 @@
+"""Certificate formats 1 and 2.
+
+The fixtures under tests/fixtures are format-1 certificates exactly as
+the last format-1 release wrote them (gzipped): `veechlab verify` stdout
+for four (n, d), a failing mutated theorem, and one standalone
+ShearMembership and RotationObstruction, both written with
+json.dumps(cert.to_json(), indent=2) plus a newline.
+"""
+
+import gzip
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import veechlab
+from veechlab import certificates
+from veechlab.certificates import (
+    certify_rotation_obstruction,
+    certify_shear,
+    mutated_monodromy,
+    revalidate,
+    verify_theorem,
+)
+from veechlab.cli import main
+from veechlab.covering import build_cover
+from veechlab.errors import MalformedCertificate
+from veechlab.zcover import std_infinite_monodromy
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# sha256 of format-1 `veechlab verify` stdout: the GOLDEN_VERIFY hashes of
+# tests/test_cli.py before format 2 replaced them
+FORMAT1_VERIFY = {
+    "verify_n7_d4": "1d2b4a4d6dfc66557e10c660ab7f2ff335a50e470c3505332fac84701ef1aa4f",
+    "verify_n9_d6": "b45881edc845f659374d7d659c04ec1d07bf515a12c55ad34ba254af41e5180a",
+    "verify_n14_d3": "381dbbf7c8b33657838474be99c8f84bbca52edf624b4bdcba6576295f405957",
+    "verify_n8_inf": "c11bd7322eb6defab4bcdd60b37cbfc2df1d6cac29c1643c2330b62087571abb",
+}
+
+# fixture -> (its verdict, the same certificate made today)
+FIXTURE_CERTIFICATES = {
+    "verify_n7_d4": ("pass", lambda: verify_theorem(7, 4)),
+    "verify_n9_d6": ("pass", lambda: verify_theorem(9, 6)),
+    "verify_n14_d3": ("pass", lambda: verify_theorem(14, 3)),
+    "verify_n8_inf": ("pass", lambda: verify_theorem(8, infinite=True)),
+    "mutated_n7_d4": ("fail", lambda: verify_theorem(7, 4, monodromy=mutated_monodromy(7, 4))),
+    "shear_n7_d4_l1": ("pass", lambda: certify_shear(build_cover(7, 4), 1)),
+    "rotation_n7_d4_l2": ("pass", lambda: certify_rotation_obstruction(build_cover(7, 4), 2)),
+}
+
+
+def _fixture_bytes(name: str) -> bytes:
+    return gzip.decompress((FIXTURES / (name + ".json.gz")).read_bytes())
+
+
+def _fixture(name: str) -> dict:
+    return json.loads(_fixture_bytes(name))
+
+
+def _format2(cert) -> dict:
+    return json.loads(json.dumps(cert.to_json()))
+
+
+def _exact_rows(doc: dict) -> list:
+    """Kind, verdict and exact rows of every (sub)certificate, as
+    revalidate's own reader parses them."""
+    reader = certificates._reader(doc)
+    conductor = 4 * doc["n"]
+    parse = lambda rows: certificates._parse_multiset(rows, reader, conductor)  # noqa: E731
+    subs = doc["payload"]["subcertificates"] if doc["kind"] == "FullTheorem" else [doc]
+    out = []
+    for sub in subs:
+        payload, rows = sub["payload"], None
+        if sub["kind"] == "ShearMembership":
+            factor = reader.exact(payload, "factor", conductor)
+            cylinders = {
+                key: (pair, count, row["twists"])
+                for row in payload["cylinders"]
+                for key, (pair, count) in parse([row]).items()
+            }
+            rows = (factor, cylinders)
+        elif sub["kind"] == "RotationObstruction":
+            suffix = "_infinite" if "direction_infinite" in payload else ""
+            rows = (reader.horizontal(payload, "horizontal" + suffix, conductor),
+                    parse(payload["direction" + suffix]))
+        out.append((sub["kind"], sub["verdict"], rows))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT1_VERIFY))
+def test_format1_fixtures_are_the_old_verify_bytes(name):
+    assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT1_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CERTIFICATES))
+def test_format1_fixtures_keep_their_verdicts(name):
+    data = _fixture(name)
+    assert "format" not in data
+    assert revalidate(data) == data["verdict"] == FIXTURE_CERTIFICATES[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CERTIFICATES))
+def test_formats_1_and_2_give_equal_verdicts_and_exact_rows(name):
+    old = _fixture(name)
+    new = _format2(FIXTURE_CERTIFICATES[name][1]())
+    assert new["format"] == 2 and new["conductor"] == 4 * new["n"]
+    assert revalidate(old) == revalidate(new) == old["verdict"] == new["verdict"]
+    old_rows, new_rows = _exact_rows(old), _exact_rows(new)
+    assert [r[:2] for r in old_rows] == [r[:2] for r in new_rows]
+    assert any(r[2] for r in new_rows)
+    assert old_rows == new_rows
+
+
+def test_each_value_is_written_once():
+    data = _format2(verify_theorem(9, 4))
+    entries = [json.dumps(entry["coeffs"]) for entry in data["values"]]
+    assert len(entries) == len(set(entries))
+    for entry in data["values"]:
+        powers = [j for j, _ in entry["coeffs"]]
+        assert powers == sorted(set(powers)) and all(c != "0" for _, c in entry["coeffs"])
+        assert set(entry) == {"coeffs", "approx"}
+    # the horizontal profile is written once, at the top level
+    rotations = [s for s in data["payload"]["subcertificates"] if s["kind"] == "RotationObstruction"]
+    assert len(rotations) == 8 and data["horizontal"]
+    assert all(set(s["payload"]) == {"l", "direction"} for s in rotations)
+
+
+# ---------------------------------------------------------------------------
+# tampered format-2 certificates
+
+
+def _theorem() -> dict:
+    return _format2(verify_theorem(7, 4))
+
+
+def _shear(data: dict) -> dict:
+    return next(s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership")
+
+
+def _set_index(value):
+    def tamper(data):
+        _shear(data)["payload"]["cylinders"][0]["inverse_modulus"] = value(data)
+    return tamper
+
+
+def _set_entry(entry):
+    def tamper(data):
+        data["values"][0] = entry
+    return tamper
+
+
+def _drop_horizontal(data):
+    del data["horizontal"]
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_index(lambda data: len(data["values"])),
+    _set_index(lambda data: -1),
+    _set_index(lambda data: "0"),
+    _set_index(lambda data: 1.0),
+    _set_index(lambda data: True),
+    _set_entry({"coeffs": [[1, "1"], [0, "1"]], "approx": "1"}),  # powers not increasing
+    _set_entry({"coeffs": [[0, "1"], [0, "1"]], "approx": "1"}),  # a power twice
+    _set_entry({"coeffs": ["1"], "approx": "1"}),  # a dense coefficient
+    _set_entry({"coeffs": [[1, "1"]], "approx": "1"}),  # zeta is not real
+    _set_entry({"coeffs": [[0, "1/0"]], "approx": "1"}),
+    _set_entry({"coeffs": [[60, "1"]], "approx": "1"}),  # beyond 2 phi(28) - 1
+    _set_entry([[0, "1"]]),
+    _drop_horizontal,
+    lambda data: data.update(format=3),
+    lambda data: data.update(format="2"),
+    lambda data: data.update(values={}),
+    lambda data: data.pop("values"),
+    lambda data: data.pop("conductor"),
+])
+def test_tampered_format2_raises(tamper):
+    data = _theorem()
+    assert revalidate(data) == "pass"
+    tamper(data)
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+
+
+def test_edited_table_entry_fails():
+    data = _theorem()
+    factor = _shear(data)["payload"]["factor"]
+    data["values"][factor] = {"coeffs": [[0, "1"]], "approx": "1"}
+    assert revalidate(data) == "fail"
+    data = _theorem()
+    mod = _shear(data)["payload"]["cylinders"][0]["inverse_modulus"]
+    coeffs = dict(data["values"][mod]["coeffs"])
+    coeffs[0] = str(Fraction(coeffs.get(0, "0")) + 1)  # a different rational part
+    data["values"][mod]["coeffs"] = sorted(coeffs.items())
+    assert revalidate(json.loads(json.dumps(data))) == "fail"
+
+
+def test_format1_subcertificate_in_a_format2_theorem_raises():
+    data = _theorem()
+    old = _fixture("verify_n7_d4")
+    data["payload"]["subcertificates"] = old["payload"]["subcertificates"]
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+
+
+# ---------------------------------------------------------------------------
+# d = inf: the infinite cylinder types of a shear direction
+
+
+def test_infinite_shear_lists_its_infinite_cylinders():
+    data = _format2(verify_theorem(8, infinite=True))
+    shears = [s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership"]
+    assert shears and all(s["payload"]["infinite_cylinders"] == [] for s in shears)
+    # a forged payload that lists an infinite cylinder type must fail
+    shears[0]["payload"]["infinite_cylinders"].append(dict(data["horizontal_infinite"][0]))
+    assert revalidate(data) == "fail"
+    assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
+                       **shears[0]}) == "fail"
+    # and one that leaves the list out is malformed
+    del shears[0]["payload"]["infinite_cylinders"]
+    with pytest.raises(MalformedCertificate, match="infinite_cylinders"):
+        revalidate(data)
+
+
+def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
+    # the horizontal direction of Y_{8,inf} has infinite cylinders
+    finite, infinite = certificates._infinite_profile(8, std_infinite_monodromy(8), 0)
+    assert infinite
+    cert = certificates._shear_certificate(8, "inf", 0, None, finite, infinite)
+    assert cert.verdict == "fail"
+    data = _format2(cert)
+    assert len(data["payload"]["infinite_cylinders"]) == len(infinite)
+    assert revalidate(data) == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the emitted certificate
+
+
+def _verify_stdout(args, hashseed: str) -> bytes:
+    src = str(Path(veechlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "veechlab.cli", "verify", *args],
+                          env=env, capture_output=True, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("args", [("--n", "9", "--d", "4"), ("--n", "8", "--infinite")])
+def test_verify_stdout_does_not_depend_on_the_hash_seed(args):
+    assert _verify_stdout(args, "1") == _verify_stdout(args, "2")
+
+
+def test_verify_emits_one_compact_line(capsys):
+    assert main(["verify", "--n", "25", "--d", "4"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 64 * 1024
+    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":2,"conductor":100,')
+    data = json.loads(out)
+    assert data["verdict"] == "pass" and revalidate(data) == "pass"

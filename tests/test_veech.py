@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veechlab.field import cos_pi_over, sin_pi_over
 from veechlab.planar import Vec2
@@ -101,6 +102,30 @@ def test_gamma_generators_even_structure():
     assert mats[5] == u
     for j in (1, 2, 3):
         assert mats[5 + j] == (R ** (2 * j)) * u * (R ** (-2 * j))
+
+
+def _letter_by_letter(n, word, images):
+    """The oracle: a word multiplied out one letter at a time."""
+    out = Mat2.identity(4 * n)
+    for sym, step in word.letters():
+        m = images[sym]
+        out = out * (m if step > 0 else m.inverse())
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_syllables_by_squaring_equal_letter_by_letter(data):
+    n = data.draw(st.sampled_from([5, 8, 9, 12, 25]), label="n")
+    R, T = gen_R(n), gen_T(n)
+    images = data.draw(st.sampled_from([
+        {"R": R, "T": T},
+        {"r": R * R, "t": T, "z": minus_identity(n)},
+    ]))
+    syllables = data.draw(st.lists(
+        st.tuples(st.sampled_from(sorted(images)), st.integers(-3 * n, 3 * n)), max_size=5))
+    word = GroupWord(syllables)
+    assert eval_group_word(n, word, images) == _letter_by_letter(n, word, images), word
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 8, 10, 12])
