@@ -390,22 +390,13 @@ def _sub(data, kind):
     return next(s for s in data["payload"]["subcertificates"] if s["kind"] == kind)
 
 
-def _entry(data, index):
-    """The table entry of a value index, as a dict power -> coefficient."""
-    return dict(data["values"][index]["coeffs"])
-
-
-def _set_entry(data, index, coeffs):
-    data["values"][index]["coeffs"] = [[j, c] for j, c in sorted(coeffs.items())]
-
-
 def _tamper_coefficient(data):
     # one coefficient of a shear row's table entry: the value is no
     # longer real
-    index = _sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]
-    coeffs = _entry(data, index)
+    entry = data["values"][_sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]]
+    coeffs = dict(entry["coeffs"])
     coeffs[1] = str(Fraction(coeffs.get(1, "0")) + 1)
-    _set_entry(data, index, coeffs)
+    entry["coeffs"] = [[j, c] for j, c in sorted(coeffs.items())]
 
 
 def _mix_conductors(data):
