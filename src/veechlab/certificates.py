@@ -36,6 +36,7 @@ never does.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -177,11 +178,11 @@ class _Perm:
 
 
 def _multiset_rows(types: dict, values: _Values) -> list:
-    # types maps exact key -> ((inverse modulus, height), count or None);
-    # rows in exact-key order
+    # types maps exact key -> ((inverse modulus, height), count or None,
+    # ...); rows in exact-key order
     return [
         {"inverse_modulus": values(mod), "height": values(height), "count": count}
-        for _, ((mod, height), count) in sorted(types.items())
+        for _, ((mod, height), count, *_) in sorted(types.items())
     ]
 
 
@@ -195,15 +196,35 @@ def _witness_json(witness, values: _Values):
 
 # ---------------------------------------------------------------------------
 # cylinder profiles of covers, finite and infinite degree
+#
+# A profile maps the exact key of each cover cylinder type to
+# [(inverse modulus, height), count, (mu, a)]: count is None when there
+# are infinitely many, and the type's inverse modulus is a * mu for a
+# base cylinder's inverse modulus mu and a cycle length a.  Infinite
+# cylinders have no modulus and are typed [(0, height), count].
+
+
+@lru_cache(maxsize=1024)
+def _scaled(mu: RealAlg, a: int) -> RealAlg:
+    """a * mu: Veech's equal moduli make few distinct products, which
+    directions and covers of one n share."""
+    return mu if a == 1 else a * mu
 
 
 def _finite_profile(n: int, monodromy: Monodromy, l: int):
-    """(inverse modulus, height) pairs with multiplicities for Y in v_l."""
+    """(inverse modulus, height) pairs with multiplicities for Y in v_l.
+
+    The cover cylinders are counted as integer pairs (base cylinder,
+    cycle length) first; each distinct pair is made exact once.  Two
+    pairs can give the same exact type, and then they merge.
+    """
+    base = base_decomposition(n, l)
     counter = {}
-    for cyl, a in lifted_cylinders(n, monodromy, l):
-        mod = a * cyl.inverse_modulus
-        slot = counter.setdefault((mod.key(), cyl.height.key()), [(mod, cyl.height), 0])
-        slot[1] += 1
+    for (i, a), count in Counter(lifted_cylinders(n, monodromy, l)).items():
+        mu, height = base[i].inverse_modulus, base[i].height
+        mod = _scaled(mu, a)
+        slot = counter.setdefault((mod.key(), height.key()), [(mod, height), 0, (mu, a)])
+        slot[1] += count
     return counter
 
 
@@ -221,17 +242,19 @@ def _infinite_profile(n: int, zm: ZMonodromy, l: int):
     for cyl in base_decomposition(n, l):
         zp = zm.eval_word(cyl.core_word)
         if zp.is_identity():
-            pair = (cyl.inverse_modulus, cyl.height)
-            finite_types[(pair[0].key(), pair[1].key())] = (pair, None)
+            a = 1
         elif zp.swaps_parity() and zp.t_even + zp.t_odd == 0:
-            pair = (2 * cyl.inverse_modulus, cyl.height)
-            finite_types[(pair[0].key(), pair[1].key())] = (pair, None)
+            a = 2
         else:
             count = zp.orbit_count()
             slot = infinite_types.setdefault(
                 (zero.key(), cyl.height.key()), [(zero, cyl.height), 0]
             )
             slot[1] += count if count is not None else 0
+            continue
+        mod = _scaled(cyl.inverse_modulus, a)
+        finite_types[(mod.key(), cyl.height.key())] = (
+            (mod, cyl.height), None, (cyl.inverse_modulus, a))
     return finite_types, infinite_types
 
 
@@ -250,9 +273,13 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     """
     if infinite_cylinders:
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
+    passed = set()  # (exact key, twists) of the rows checked so far
     for mod, twists in rows:
+        if (mod.key(), twists) in passed:
+            continue
         if twists is None or twists < 1 or not (factor - twists * mod).is_zero():
             return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
+        passed.add((mod.key(), twists))
     return PASS, None
 
 
@@ -349,11 +376,24 @@ def _theorem_rule(d, subs, preimages=None):
 # individual certificates
 
 
-def _integer_quotient(factor: RealAlg, modulus: RealAlg):
-    q = factor / modulus
-    if q.is_integer() and q.sign() > 0:
+@lru_cache(maxsize=256)
+def _base_quotient(factor: RealAlg, mu: RealAlg) -> int | None:
+    """factor / mu if it is a positive rational integer, else None."""
+    q = factor / mu
+    if q.is_integer() and q.as_rational() > 0:
         return int(q.as_rational())
     return None
+
+
+def _twist_count(factor: RealAlg, mu: RealAlg, a: int) -> int | None:
+    """The positive integer k with k * (a * mu) == factor, or None.
+
+    k = q / a for q = factor / mu, which is a positive integer exactly
+    when q is one and a divides it; so one exact quotient per base
+    modulus serves every cycle length.
+    """
+    q = _base_quotient(factor, mu)
+    return q // a if q is not None and q % a == 0 else None
 
 
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
@@ -364,8 +404,8 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
         factor = 2 * lambda_n(n)
     if values is None:
         values = _Values(n)
-    found = [(pair, count, _integer_quotient(factor, pair[0]))
-             for _, (pair, count) in sorted(types.items())]
+    found = [(pair, count, _twist_count(factor, *lift))
+             for _, (pair, count, lift) in sorted(types.items())]
     verdict, witness = _shear_rule(
         factor, ((mod, twists) for (mod, _), _, twists in found), l, bool(infinite_types)
     )
@@ -607,6 +647,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         ]
     profiles = {}
     values = _Values(n)
+    factor = 2 * lambda_n(n)
 
     def profile(l):
         # (finite types, infinite types) in direction v_l, computed once per l
@@ -616,7 +657,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         return profiles[l]
 
     for l in _shear_direction_indices(n):
-        subs.append(_shear_certificate(n, d, l, None, *profile(l), values=values))
+        subs.append(_shear_certificate(n, d, l, factor, *profile(l), values=values))
     subs.append(certify_sigma_T(n, d, "horizontal", monodromy))
     if n % 2 == 0:
         subs.append(certify_sigma_T(n, d, "vertical", monodromy))
@@ -802,6 +843,8 @@ def revalidate(data: dict) -> str:
 
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so its stated verdict stands.
+    A ShearMembership inside a FullTheorem fails unless its factor is
+    the theorem's 2*lambda_n; a standalone one keeps its own factor.
     A payload that does not parse raises MalformedCertificate, and so
     does a format other than 1 (no "format" key) and 2.  Each distinct
     exact value is parsed once per call.
@@ -809,12 +852,15 @@ def revalidate(data: dict) -> str:
     return _revalidate(data, _reader(data))
 
 
-def _revalidate(data: dict, reader) -> str:
+def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
     kind = _field(data, "kind", str)
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
-        conductor = 4 * _field(data, "n", int)
+        n = _field(data, "n", int)
+        conductor = 4 * n
         factor = reader.exact(payload, "factor", conductor)
+        if in_theorem and factor != 2 * lambda_n(n):
+            return FAIL
         infinite_types = {}
         if reader.format == 2 and _field(data, "d", int, str, _NONE) == "inf":
             infinite_types = _parse_multiset(
@@ -874,7 +920,7 @@ def _revalidate(data: dict, reader) -> str:
             if claim != (n, None if kind == "Index" else d):
                 raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
                                            "in a theorem for (%d, %r)" % (kind, *claim, n, d))
-        subs = ((s["kind"], _revalidate(s, reader), None) for s in subcertificates)
+        subs = ((s["kind"], _revalidate(s, reader, True), None) for s in subcertificates)
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]
     raise MalformedCertificate("unknown certificate kind %.40r" % kind)

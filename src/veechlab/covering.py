@@ -83,6 +83,9 @@ class Monodromy:
             if sorted(p) != list(range(degree)):
                 raise ValueError("image of x_%d is not a permutation" % i)
             self.images[i] = p
+        # the generators that move a sheet, with their inverse images;
+        # eval_word composes only these
+        self._moving = {i: (p, perms.inverse(p)) for i, p in self.images.items() if p != ident}
         self.k1 = k1
         self.k2 = k2
 
@@ -93,13 +96,16 @@ class Monodromy:
         return self.images[i]
 
     def eval_word(self, w: Word) -> tuple:
-        """Anti-homomorphic evaluation: letters act in path order."""
+        """Anti-homomorphic evaluation: letters act in path order.
+
+        Letters whose generator maps to the identity are skipped.
+        """
         cur = perms.identity(self.degree)
+        moving = self._moving
         for g, sgn in w:
-            p = self.images[g]
-            if sgn < 0:
-                p = perms.inverse(p)
-            cur = perms.compose(cur, p)
+            pair = moving.get(g)
+            if pair is not None:
+                cur = perms.compose(cur, pair[sgn < 0])
         return cur
 
     def pullback(self, words) -> Monodromy:
@@ -290,14 +296,15 @@ def base_decomposition(n: int, l: int):
 
 
 def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
-    """(base cylinder, a) for every cycle of the lift to Y in direction v_l.
+    """(i, a) for every cycle of the lift to Y in direction v_l.
 
-    A cycle of length a glues a copies of the base cylinder into one
-    cover cylinder: height unchanged, circumference multiplied by a.
+    i indexes base_decomposition(n, l).  A cycle of length a glues a
+    copies of base cylinder i into one cover cylinder: height unchanged,
+    circumference multiplied by a.
     """
-    for cyl in base_decomposition(n, l):
+    for i, cyl in enumerate(base_decomposition(n, l)):
         for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
-            yield cyl, len(cyc)
+            yield i, len(cyc)
 
 
 def cover_cylinders(cover: CoveringSurface, direction_index: int):
@@ -306,8 +313,11 @@ def cover_cylinders(cover: CoveringSurface, direction_index: int):
     Must agree with decompose() run on the realized surface; the test
     suite checks exactly that.
     """
-    return [
-        replace(cyl, circumference=a * cyl.circumference, inverse_modulus=a * cyl.inverse_modulus,
-                core_word=cyl.core_word ** a, bands=())
-        for cyl, a in lifted_cylinders(cover.n, cover.monodromy, direction_index)
-    ]
+    base = base_decomposition(cover.n, direction_index)
+    out = []
+    for i, a in lifted_cylinders(cover.n, cover.monodromy, direction_index):
+        cyl = base[i]
+        out.append(replace(cyl, circumference=a * cyl.circumference,
+                           inverse_modulus=a * cyl.inverse_modulus,
+                           core_word=cyl.core_word ** a, bands=()))
+    return out

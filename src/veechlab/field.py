@@ -851,6 +851,7 @@ def sin_pi_over(n: int) -> RealAlg:
     return quarter_trig(n, 2)[1]
 
 
+@lru_cache(maxsize=64)
 def lambda_n(n: int) -> RealAlg:
     """The shear constant 2*cot(pi/n)."""
     c, s = quarter_trig(n, 2)

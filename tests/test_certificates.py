@@ -22,6 +22,7 @@ from veechlab.certificates import (
 )
 from veechlab.covering import (
     Monodromy,
+    base_decomposition,
     build_cover,
     num_generators,
     sigma_d1,
@@ -562,6 +563,7 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
 
 def _traced_profile(profile, n, monodromy, l):
     """profile(n, monodromy, l) read from the decomposition traced in v_l."""
+    @lru_cache(maxsize=None)  # traced once, however often the profile reads it
     def traced(n_, l_):
         return decompose(build_base(n_), Direction.from_index(n_, l_))
 
@@ -571,9 +573,8 @@ def _traced_profile(profile, n, monodromy, l):
         return profile(n, monodromy, l)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_pulled_back_profiles_equal_traced_ones(data):
+def _random_transitive_monodromy(data):
+    """(n, m): n in 5..16 and a transitive monodromy of degree d <= 6."""
     n = data.draw(st.sampled_from([5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]), label="n")
     d = data.draw(st.integers(2, 6), label="d")
     num = num_generators(n)
@@ -583,6 +584,13 @@ def test_pulled_back_profiles_equal_traced_ones(data):
             images[i] = tuple(data.draw(st.permutations(range(d))))
     m = Monodromy(num, d, images)
     assume(m.is_transitive())
+    return n, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pulled_back_profiles_equal_traced_ones(data):
+    n, m = _random_transitive_monodromy(data)
     for l in range(n):
         # same types, counts and order
         assert list(certificates._finite_profile(n, m, l).items()) == list(
@@ -597,6 +605,90 @@ def test_pulled_back_infinite_profiles_equal_traced_ones(n):
         got = certificates._infinite_profile(n, zm, l)
         want = _traced_profile(certificates._infinite_profile, n, zm, l)
         assert [list(t.items()) for t in got] == [list(t.items()) for t in want], l
+
+
+# ---------------------------------------------------------------------------
+# integer-pair profiles and twist counts against per-cycle references
+
+
+def _per_cycle_profile(n, monodromy, l):
+    """The profile with one exact a * mu per cycle of the lift."""
+    counter = {}
+    for cyl in base_decomposition(n, l):
+        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
+            mod = len(cyc) * cyl.inverse_modulus
+            slot = counter.setdefault((mod.key(), cyl.height.key()), [(mod, cyl.height), 0])
+            slot[1] += 1
+    return counter
+
+
+def _per_row_twists(factor, mod):
+    """factor / mod if it is a positive integer, else None: one exact
+    quotient per row."""
+    q = factor / mod
+    if q.is_integer() and q.sign() > 0:
+        return int(q.as_rational())
+    return None
+
+
+def _profiles_and_twists_match_the_references(n, m) -> set:
+    """Check every direction's profile and shear rows against the
+    references; return the twist counts seen."""
+    factor = 2 * lambda_n(n)
+    seen = set()
+    for l in range(n):
+        got = certificates._finite_profile(n, m, l)
+        # same exact types and counts, in the same order
+        assert [(k, v[:2]) for k, v in got.items()] == list(_per_cycle_profile(n, m, l).items()), l
+        cert = certificates._shear_certificate(n, m.degree, l, None, got)
+        table = _table(cert.to_json())
+        for row in cert.payload["cylinders"]:
+            assert row["twists"] == _per_row_twists(factor, table[row["inverse_modulus"]]), l
+            seen.add(row["twists"])
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_pair_profiles_equal_the_per_cycle_reference(data):
+    _profiles_and_twists_match_the_references(*_random_transitive_monodromy(data))
+
+
+def test_twist_counts_match_the_reference_on_rows_with_and_without_integer_twist():
+    m = Monodromy(4, 3, {0: (1, 2, 0), 1: (0, 2, 1)})
+    assert m.is_transitive()
+    twists = _profiles_and_twists_match_the_references(5, m)
+    assert None in twists and twists - {None}
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_profiles_make_one_product_per_distinct_pair(monkeypatch, n):
+    """_finite_profile multiplies at most once per distinct (base cylinder,
+    cycle length) pair, not once per cycle."""
+    for l in range(n):  # the traces multiply too; take them out of the count
+        base_decomposition(n, l)
+    certificates._scaled.cache_clear()
+    multiplications = [0]
+    mul = field.CycloNumber.__mul__
+
+    def counting_mul(self, other):
+        multiplications[0] += 1
+        return mul(self, other)
+
+    per_profile = []  # (multiplications, distinct pairs) of each profile
+    profile = certificates._finite_profile
+
+    def counting(n_, monodromy, l):
+        before = multiplications[0]
+        out = profile(n_, monodromy, l)
+        made = multiplications[0] - before
+        per_profile.append((made, len(set(covering.lifted_cylinders(n_, monodromy, l)))))
+        return out
+
+    monkeypatch.setattr(field.CycloNumber, "__mul__", counting_mul)
+    monkeypatch.setattr(certificates, "_finite_profile", counting)
+    assert verify_theorem(n, 48).verdict == "pass"
+    assert per_profile and all(made <= pairs for made, pairs in per_profile), per_profile
 
 
 @pytest.mark.parametrize("n,traced", [(9, 1), (12, 2), (14, 2), (25, 1)])

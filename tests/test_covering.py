@@ -83,6 +83,42 @@ def test_eval_word_is_anti_homomorphism(data):
     assert lhs == rhs
 
 
+def _letter_by_letter(m: Monodromy, w: Word) -> tuple:
+    """m(w) as the product of every letter's image, in path order."""
+    cur = perms.identity(m.degree)
+    for g, sgn in w:
+        p = m.image(g)
+        cur = perms.compose(cur, p if sgn > 0 else perms.inverse(p))
+    return cur
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eval_word_equals_the_letter_by_letter_product(data):
+    n = data.draw(st.sampled_from([5, 7, 8, 12]), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    num = num_generators(n)
+    images = {}
+    for i in range(num):
+        # no image given, the identity given, or a random permutation
+        kind = data.draw(st.sampled_from(["none", "identity", "random"]), label="x_%d" % i)
+        if kind == "identity":
+            images[i] = perms.identity(d)
+        elif kind == "random":
+            images[i] = tuple(data.draw(st.permutations(range(d))))
+    m = Monodromy(num, d, images)
+    letters = st.tuples(st.integers(0, num - 1), st.sampled_from([1, -1]))
+    w = Word(data.draw(st.lists(letters, max_size=20), label="word"))
+    assert m.eval_word(w) == _letter_by_letter(m, w)
+    # only letters whose generator moves a sheet are composed
+    composed = []
+    compose = perms.compose
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perms, "compose", lambda a, b: composed.append(1) or compose(a, b))
+        m.eval_word(w)
+    assert len(composed) == sum(m.image(g) != perms.identity(d) for g, _ in w)
+
+
 def test_build_cover_counts():
     assert len(build_cover(5, 2).surface.polygons) == 4
     assert len(build_cover(8, 3).surface.polygons) == 3

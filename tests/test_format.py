@@ -209,6 +209,48 @@ def test_format1_subcertificate_in_a_format2_theorem_raises():
 
 
 # ---------------------------------------------------------------------------
+# a theorem's shears are by 2*lambda_n
+
+
+def _shears(data: dict) -> list:
+    return [s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership"]
+
+
+def _double_the_twists(shear: dict):
+    for row in shear["payload"]["cylinders"]:
+        row["twists"] *= 2
+
+
+def test_theorem_shears_must_name_twice_lambda_n_format2():
+    # every shear of a (7, 4) theorem names 4*lambda_n, a table entry
+    # appended for it, and doubles its twist counts: each shear is
+    # consistent alone, but the theorem needs the shear by 2*lambda_n
+    data = _theorem()
+    entry = data["values"][_shear(data)["payload"]["factor"]]
+    data["values"].append({"coeffs": [[p, str(2 * Fraction(c))] for p, c in entry["coeffs"]],
+                           "approx": entry["approx"]})
+    for shear in _shears(data):
+        shear["payload"]["factor"] = len(data["values"]) - 1
+        _double_the_twists(shear)
+    assert revalidate(data) == "fail"
+    # a standalone shear keeps its own factor, as certify_shear(..., factor=) does
+    for shear in _shears(data):
+        assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
+                           **shear}) == "pass"
+
+
+def test_theorem_shears_must_name_twice_lambda_n_format1():
+    data = _fixture("verify_n7_d4")
+    for shear in _shears(data):
+        factor = shear["payload"]["factor"]
+        factor["coeffs"] = [str(2 * Fraction(c)) for c in factor["coeffs"]]
+        _double_the_twists(shear)
+    assert revalidate(data) == "fail"
+    for shear in _shears(data):
+        assert revalidate(shear) == "pass"
+
+
+# ---------------------------------------------------------------------------
 # d = inf: the infinite cylinder types of a shear direction
 
 
@@ -240,6 +282,21 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
 
 # ---------------------------------------------------------------------------
 # the emitted certificate
+
+
+# sha256 over json.dumps(verify_theorem(...).to_json()) of the sweep below,
+# recorded before profiles counted (base cylinder, cycle length) pairs
+GOLDEN_SWEEP = "1f3be8c1e1129a946c35b5074948398dd5ae620697d73e8920d0ab2c3d32430f"
+
+
+def test_certificate_sweep_bytes_unchanged():
+    h = hashlib.sha256()
+    for n in (5, 7, 8, 9, 10, 12, 14, 16):
+        for d in (2, 3, 4, 5, 8, 13, 24, 48):
+            for monodromy in (None, mutated_monodromy(n, d)):
+                h.update(json.dumps(verify_theorem(n, d, monodromy=monodromy).to_json()).encode())
+        h.update(json.dumps(verify_theorem(n, infinite=True).to_json()).encode())
+    assert h.hexdigest() == GOLDEN_SWEEP
 
 
 def _verify_stdout(args, hashseed: str) -> bytes:
