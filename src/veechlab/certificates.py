@@ -436,16 +436,18 @@ def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None)
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
     n, m = cover.n, cover.monodromy
-    return _rotation_certificate(n, cover.d, l, _finite_profile(n, m, 0), _finite_profile(n, m, l))
+    horizontal, direction = _finite_profile(n, m, 0), _finite_profile(n, m, l)
+    ruled = _rotation_rule(horizontal, direction, False)
+    return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled)
 
 
 def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
-                          values: _Values | None = None) -> Certificate:
+                          ruled: tuple, values: _Values | None = None) -> Certificate:
     # horizontal is the direction-0 profile (its infinite types when
     # d = inf); its rows are a section of the value table, written once
-    # for every l
+    # for every l; ruled is _rotation_rule's (verdict, witness) on them
     infinite = d == "inf"
-    verdict, witness = _rotation_rule(horizontal, direction, infinite)
+    verdict, witness = ruled
     if values is None:
         values = _Values(n)
     suffix = "_infinite" if infinite else ""
@@ -667,14 +669,14 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
     horizontal = profile(0)[side]
     for l in _obstruction_direction_indices(n):
         direction = profile(l)[side]
-        if (n % 2 == 0 and not infinite
-                and _rotation_rule(horizontal, direction, False)[0] == INCONCLUSIVE):
+        ruled = _rotation_rule(horizontal, direction, infinite)
+        if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
             # the multiset invariant is blind here (it happens for d = 2
             # in the vertical direction); fall back to the covering-
             # structure obstruction
             subs.append(certify_pullback_obstruction(n, monodromy, l))
         else:
-            subs.append(_rotation_certificate(n, d, l, horizontal, direction, values))
+            subs.append(_rotation_certificate(n, d, l, horizontal, direction, ruled, values))
     subs.append(certify_index(n))
     preimages = None
     if infinite:

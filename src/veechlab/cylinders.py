@@ -8,6 +8,12 @@ right into cylinders.  Heights, circumferences and core words come out
 exactly; the closed forms of the base-surface decomposition are kept as
 an independent oracle.
 
+The tracer sorts each polygon's distinct vertex levels once, by exact
+comparison, and keeps each vertex's rank among them.  Every later side
+test reads ranks: which corners the flow leaves into the polygon, on
+which side of a traced level each vertex lies (a level that is not a
+vertex level is placed by bisection), and which edges bound a band.
+
 Coordinates: for direction w, u(x) = <w, x> grows along the flow and
 h(x) = w x x (cross product) is the transversal level.  Neither is
 normalized by |w|, so heights and circumferences are exact lengths when
@@ -17,11 +23,12 @@ inverse moduli are exact either way.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, InvalidSurface
 from .field import RealAlg, quarter_trig, sin_pi_over, cos_pi_over
-from .planar import Vec2, strictly_inside_cone
+from .planar import Vec2
 from .surface import EdgeRef, TranslationSurface
 from .words import Word
 
@@ -107,18 +114,50 @@ class _Tracer:
         # a path parallel to w is longer than bound iff its u-extent
         # exceeds bound * |w|^2
         self.cap = bound * w.norm2()
-        # per-polygon transversal levels and flow coordinates of vertices
+        # per polygon: transversal levels and flow coordinates of the
+        # vertices, the distinct levels in increasing order, each
+        # level's position in that order (by exact key) and each
+        # vertex's rank; every later side test reads the ranks
         self.h = []
         self.u = []
+        self.levels = []
+        self.position = []
+        self.rank = []
         for poly in surface.polygons:
-            self.h.append([w.cross(v) for v in poly.vertices])
+            hs = [w.cross(v) for v in poly.vertices]
+            # in vertex order the levels of a convex polygon rise and
+            # fall once, so the sort merges a few runs
+            levels = sorted({h.key(): h for h in hs}.values())
+            position = {h.key(): k for k, h in enumerate(levels)}
+            self.h.append(hs)
             self.u.append([w.dot(v) for v in poly.vertices])
+            self.levels.append(levels)
+            self.position.append(position)
+            self.rank.append([position[h.key()] for h in hs])
 
-    def corner_cone(self, p: int, v: int):
-        poly = self.surface.polygons[p]
-        a = poly.side_vector(v)
-        b = -poly.side_vector((v - 1) % len(poly))
-        return a, b
+    def enters(self, p: int, v: int, forward: bool) -> bool:
+        """Whether the flow along +w (forward) or -w leaves corner v of
+        polygon p into the polygon.
+
+        It does iff h[v-1] > h[v] > h[v+1] (reversed for -w).  The
+        polygons of a TranslationSurface are strictly convex
+        (Polygon.validate), so this is the strict cone test at the corner.
+        """
+        r = self.rank[p]
+        before, at, after = r[v - 1], r[v], r[(v + 1) % len(r)]
+        return before > at > after if forward else before < at < after
+
+    def sides(self, p: int, level: RealAlg):
+        """The sign of h_i - level for every vertex i of polygon p.
+
+        A level equal to a vertex level is found by its exact key; any
+        other is placed among the sorted vertex levels by bisection.
+        """
+        k = self.position[p].get(level.key())
+        if k is not None:
+            return [(r > k) - (r < k) for r in self.rank[p]]
+        k = bisect_left(self.levels[p], level)
+        return [1 if r >= k else -1 for r in self.rank[p]]
 
     def exit_from(self, p: int, pt: Vec2, level: RealAlg, forward: bool):
         """First boundary hit of the ray from pt at the given level.
@@ -131,12 +170,13 @@ class _Tracer:
         hs = self.h[p]
         us = self.u[p]
         m = len(poly)
+        signs = self.sides(p, level)
         u0 = self.w.dot(pt)
         # vertex hits: boundary points at this level strictly ahead
         best_v = None
         best_u = None
         for i in range(m):
-            if (hs[i] - level).is_zero():
+            if signs[i] == 0:
                 du = us[i] - u0
                 if (du.sign() > 0) == forward and not du.is_zero():
                     if best_u is None or (abs(du) < abs(best_u)):
@@ -144,12 +184,11 @@ class _Tracer:
                         best_v = i
         # edge crossings: for +u the exit edge rises through the level
         for i in range(m):
-            ha = hs[i]
-            hb = hs[(i + 1) % m]
-            sa = (ha - level).sign()
-            sb = (hb - level).sign()
+            sa = signs[i]
+            sb = signs[(i + 1) % m]
             crosses = (sa < 0 and sb > 0) if forward else (sa > 0 and sb < 0)
             if crosses:
+                ha, hb = hs[i], hs[(i + 1) % m]
                 s = (level - ha) / (hb - ha)
                 exit_pt = poly.vertex(i) + s * poly.side_vector(i)
                 du = self.w.dot(exit_pt) - u0
@@ -192,15 +231,11 @@ class _Tracer:
 
 def _trace_all(tracer: _Tracer):
     """The (polygon, level) cuts of every separatrix (all must close up)."""
-    w = tracer.w
     done_germs = set()
     for p, poly in enumerate(tracer.surface.polygons):
         for v in range(len(poly)):
-            a, b = tracer.corner_cone(p, v)
             for forward in (True, False):
-                if (p, v, forward) in done_germs:
-                    continue
-                if not strictly_inside_cone(a, b, w if forward else -w):
+                if (p, v, forward) in done_germs or not tracer.enters(p, v, forward):
                     continue
                 (end_p, end_v), cuts = tracer.trace_germ(p, v, forward)
                 # the reverse germ retraces the same separatrix
@@ -210,6 +245,26 @@ def _trace_all(tracer: _Tracer):
 
 # ---------------------------------------------------------------------------
 # band assembly
+
+
+def _band_edges(rank, count: int):
+    """The left and right edges of bands 0..count-1 of one polygon.
+
+    Band k lies between the sorted cut levels k and k + 1, and rank[i]
+    is vertex i's position among those levels.  Edge i is the right
+    edge of band k iff rank[i] <= k < rank[i+1], and its left edge iff
+    rank[i+1] <= k < rank[i]; None where no edge qualifies.
+    """
+    m = len(rank)
+    left = [None] * count
+    right = [None] * count
+    for i in range(m):
+        a, b = rank[i], rank[(i + 1) % m]
+        for k in range(a, b):
+            right[k] = i
+        for k in range(b, a):
+            left[k] = i
+    return left, right
 
 
 def decompose(surface: TranslationSurface, direction: Direction):
@@ -224,41 +279,42 @@ def decompose(surface: TranslationSurface, direction: Direction):
     w = direction.vector
     tracer = _Tracer(surface, w, default_bound(surface))
 
-    # transversal cut levels per polygon: vertex levels + traced segments
-    levels = [{h.key(): h for h in hs} for hs in tracer.h]
+    # transversal cut levels per polygon: vertex levels + traced levels
+    # that are not vertex levels (none on X_n in a v_l direction)
+    extra = [{} for _ in tracer.levels]
     for p, lv in _trace_all(tracer):
-        levels[p].setdefault(lv.key(), lv)
+        if lv.key() not in tracer.position[p]:
+            extra[p].setdefault(lv.key(), lv)
 
     # bands: per polygon, the strip between consecutive levels, with the
-    # edges its midline leaves through on the left and on the right
+    # edges it leaves through on the left and on the right
     bands = {}  # (p, k) -> (lo, hi, left, right)
     band_at_left_edge = {}  # (EdgeRef, level key of band bottom) -> (p, k)
     for p, hs in enumerate(tracer.h):
-        m = len(hs)
-        lv = sorted(levels[p].values())
+        lv = tracer.levels[p]
+        r = tracer.rank[p]
+        if extra[p]:
+            lv = sorted(lv + list(extra[p].values()))
+            position = {h.key(): k for k, h in enumerate(lv)}
+            r = [position[h.key()] for h in hs]
+        left, right = _band_edges(r, len(lv) - 1)
         for k in range(len(lv) - 1):
-            lo, hi = lv[k], lv[k + 1]
-            mid2 = lo + hi  # work at doubled midlevel to avoid /2
-            left = right = None
-            for i in range(m):
-                sa = (2 * hs[i] - mid2).sign()
-                sb = (2 * hs[(i + 1) % m] - mid2).sign()
-                if sa < 0 and sb > 0:
-                    right = i
-                elif sa > 0 and sb < 0:
-                    left = i
-            if left is None or right is None:
+            if left[k] is None or right[k] is None:
                 continue  # level gap outside the polygon (should not happen)
-            bands[(p, k)] = (lo, hi, left, right)
-            band_at_left_edge[(EdgeRef(p, left), lo.key())] = (p, k)
+            lo = lv[k]
+            bands[(p, k)] = (lo, lv[k + 1], left[k], right[k])
+            band_at_left_edge[(EdgeRef(p, left[k]), lo.key())] = (p, k)
 
-    def width_at(p, edge_i, level2):
-        # u-coordinate of the boundary edge at doubled level `level2`
+    def u_at(p, edge_i, level):
+        # u-coordinate of boundary edge edge_i at the given level; at the
+        # level of one of the edge's own vertices it needs no division
         hs, us = tracer.h[p], tracer.u[p]
-        m = len(hs)
-        ha, hb = 2 * hs[edge_i], 2 * hs[(edge_i + 1) % m]
-        ua, ub = 2 * us[edge_i], 2 * us[(edge_i + 1) % m]
-        return ua + (level2 - ha) * (ub - ua) / (hb - ha)
+        a, b = edge_i, (edge_i + 1) % len(hs)
+        if level == hs[a]:
+            return us[a]
+        if level == hs[b]:
+            return us[b]
+        return us[a] + (level - hs[a]) * (us[b] - us[a]) / (hs[b] - hs[a])
 
     # flood bands rightward into cylinders
     unused = set(bands)
@@ -288,8 +344,10 @@ def decompose(surface: TranslationSurface, direction: Direction):
             lo, hi, left, right = bands[(p, k)]
             if not (hi - lo == height):
                 raise InvalidSurface("inconsistent band heights inside a cylinder")
-            mid2 = lo + hi
-            width = (width_at(p, right, mid2) - width_at(p, left, mid2)) / 2
+            # the band is a trapezoid: its midline width is the mean of
+            # its bottom and top widths
+            width = (u_at(p, right, lo) + u_at(p, right, hi)
+                     - u_at(p, left, lo) - u_at(p, left, hi)) / 2
             circumference = circumference + width
             label = surface.crossing_label(EdgeRef(p, right))
             if label is not None:

@@ -97,21 +97,3 @@ def ccw_arc_contains(a: Vec2, b: Vec2, r: Vec2) -> bool:
     # arc larger than pi: complement is the closed CCW arc from b to a
     return not _in_closed_small_arc(b, a, r)
 
-
-def strictly_inside_cone(a: Vec2, b: Vec2, w: Vec2) -> bool:
-    """Whether direction w points strictly inside the CCW cone from a to b."""
-    caw = a.cross(w).sign()
-    if caw == 0 and a.dot(w).sign() > 0:
-        return False  # along boundary ray a
-    cwb = w.cross(b).sign()
-    if cwb == 0 and w.dot(b).sign() > 0:
-        return False  # along boundary ray b
-    cab = a.cross(b).sign()
-    if cab == 0:
-        if a.dot(b).sign() > 0:
-            raise ValueError("degenerate cone")
-        return caw > 0  # cone of angle exactly pi
-    if cab > 0:
-        return caw > 0 and cwb > 0
-    # cone larger than pi: complement is the closed CCW arc from b to a
-    return not _in_closed_small_arc(b, a, w)

@@ -28,13 +28,15 @@ class EdgeRef:
 class Polygon:
     """A simple, positively oriented polygon with exact vertices."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "sides")
 
     def __init__(self, vertices):
         vs = tuple(vertices)
         if len(vs) < 3:
             raise InvalidSurface("polygon needs at least 3 vertices")
         object.__setattr__(self, "vertices", vs)
+        # side i runs from vertex i to vertex i + 1
+        object.__setattr__(self, "sides", tuple(b - a for a, b in zip(vs, vs[1:] + vs[:1])))
 
     def __setattr__(self, *a):
         raise AttributeError("Polygon is immutable")
@@ -46,7 +48,7 @@ class Polygon:
         return self.vertices[i % len(self.vertices)]
 
     def side_vector(self, i: int) -> Vec2:
-        return self.vertex(i + 1) - self.vertex(i)
+        return self.sides[i % len(self.sides)]
 
     def validate(self, require_convex: bool = True):
         n = len(self.vertices)

@@ -383,6 +383,23 @@ def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
     assert sorted(directions) == [0, 2]
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_rotation_rule_runs_once_per_obstruction_direction(monkeypatch, n):
+    directions = []
+    rule = certificates._rotation_rule
+
+    def counting(horizontal, direction, infinite):
+        directions.append(id(direction))
+        return rule(horizontal, direction, infinite)
+
+    monkeypatch.setattr(certificates, "_rotation_rule", counting)
+    obstructions = len(certificates._obstruction_direction_indices(n))
+    for kwargs in ({"d": 4}, {"d": 2}, {"infinite": True}):
+        directions.clear()
+        assert verify_theorem(n, **kwargs).verdict == "pass"
+        assert len(directions) == len(set(directions)) == obstructions
+
+
 # ---------------------------------------------------------------------------
 # revalidating malformed payloads
 

@@ -1,7 +1,11 @@
 import pytest
 
+from veechlab.covering import build_cover
 from veechlab.cylinders import (
     Direction,
+    _band_edges,
+    _trace_all,
+    _Tracer,
     closed_form_base,
     cylinder_count_base,
     decompose,
@@ -9,7 +13,7 @@ from veechlab.cylinders import (
 )
 from veechlab.errors import BoundExceeded
 from veechlab.field import RealAlg, lambda_n
-from veechlab.planar import Vec2
+from veechlab.planar import Vec2, _in_closed_small_arc
 from veechlab.surface import build_base
 
 ALL_N = [5, 7, 9, 11, 8, 10, 12]
@@ -130,3 +134,102 @@ def test_direction_canonicalization():
     assert a == b
     assert a.vector == -b.vector
     assert Direction.from_index(5, 0).is_unit()
+
+
+# ---------------------------------------------------------------------------
+# the rank-based tracer predicates against the exact ones they replaced
+
+
+def _strictly_inside_cone(a, b, w):
+    """Whether direction w points strictly inside the CCW cone from a to b."""
+    caw = a.cross(w).sign()
+    if caw == 0 and a.dot(w).sign() > 0:
+        return False  # along boundary ray a
+    cwb = w.cross(b).sign()
+    if cwb == 0 and w.dot(b).sign() > 0:
+        return False  # along boundary ray b
+    cab = a.cross(b).sign()
+    if cab == 0:
+        if a.dot(b).sign() > 0:
+            raise ValueError("degenerate cone")
+        return caw > 0  # cone of angle exactly pi
+    if cab > 0:
+        return caw > 0 and cwb > 0
+    # cone larger than pi: complement is the closed CCW arc from b to a
+    return not _in_closed_small_arc(b, a, w)
+
+
+def _midline_band_edges(hs, lo, hi):
+    """(left, right) edges crossed by the doubled midline lo + hi."""
+    m = len(hs)
+    mid2 = lo + hi
+    left = right = None
+    for i in range(m):
+        sa = (2 * hs[i] - mid2).sign()
+        sb = (2 * hs[(i + 1) % m] - mid2).sign()
+        if sa < 0 and sb > 0:
+            right = i
+        elif sa > 0 and sb < 0:
+            left = i
+    return left, right
+
+
+def _check_rank_predicates(surface, w):
+    """Compare corner entry, the side of every traced level and both band
+    edges with their exact oracles; return the traced levels that are
+    not vertex levels."""
+    tracer = _Tracer(surface, w, default_bound(surface))
+    for p, poly in enumerate(surface.polygons):
+        for v in range(len(poly)):
+            a, b = poly.side_vector(v), -poly.side_vector(v - 1)
+            for forward in (True, False):
+                expected = _strictly_inside_cone(a, b, w if forward else -w)
+                assert tracer.enters(p, v, forward) == expected, (p, v, forward)
+    cuts = [{} for _ in surface.polygons]
+    for p, level in _trace_all(tracer):
+        assert tracer.sides(p, level) == [(h - level).sign() for h in tracer.h[p]]
+        cuts[p][level.key()] = level
+    off_vertex = 0
+    for p, hs in enumerate(tracer.h):
+        vertex_levels = {h.key(): h for h in hs}
+        off_vertex += len(cuts[p].keys() - vertex_levels.keys())
+        levels = sorted({**vertex_levels, **cuts[p]}.values())
+        position = {h.key(): k for k, h in enumerate(levels)}
+        left, right = _band_edges([position[h.key()] for h in hs], len(levels) - 1)
+        for k in range(len(levels) - 1):
+            assert (left[k], right[k]) == _midline_band_edges(hs, levels[k], levels[k + 1])
+    return off_vertex
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+def test_rank_predicates_match_exact_ones_on_x_n(n):
+    s = build_base(n)
+    for l in range(2 * n):
+        assert _check_rank_predicates(s, Direction.from_index(n, l).vector) == 0
+    # a sheared v_1: its separatrices cross polygons at levels that are
+    # not vertex levels, which places them by bisection
+    v = Direction.from_index(n, 1).vector
+    assert _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y)) > 0
+
+
+def test_rank_predicates_match_exact_ones_on_a_realized_cover():
+    cover = build_cover(9, 3)
+    for l in range(18):
+        _check_rank_predicates(cover.surface, Direction.from_index(9, l).vector)
+
+
+def test_base_trace_makes_few_sign_calls(monkeypatch):
+    # one sign per vertex and band, or per vertex and traced level, made
+    # 2604 sign calls here; the ranks leave under a hundred
+    s = build_base(25)
+    direction = Direction.from_index(25, 0)
+    calls = []
+    sign = RealAlg.sign
+
+    def counting(self):
+        calls.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(RealAlg, "sign", counting)
+    decompose(s, direction)
+    assert len(calls) <= 400
