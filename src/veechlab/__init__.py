@@ -49,11 +49,9 @@ from .veech import (
     Mat2,
     Presentation,
     eval_group_word,
-    gamma_generators,
     gen_R,
     gen_T,
     presentation_for,
-    shear_matrix,
     subgroup_words,
 )
 from .coset import CosetTable, coset_enumerate

@@ -727,6 +727,11 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 
 _NONE = type(None)
 
+# A standalone Index certificate names its own n, and revalidating it
+# enumerates that n's cosets, at a cost that grows steeply with n; above
+# this n it is refused.  Inside a FullTheorem, n is the theorem's.
+MAX_STANDALONE_INDEX_N = 128
+
 
 def _field(obj, key: str, *types):
     """obj[key] from certificate JSON; its type must be one of types
@@ -846,7 +851,9 @@ def revalidate(data: dict) -> str:
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so its stated verdict stands.
     A ShearMembership inside a FullTheorem fails unless its factor is
-    the theorem's 2*lambda_n; a standalone one keeps its own factor.
+    the theorem's 2*lambda_n; a standalone one keeps its own factor.  A
+    standalone Index for n above MAX_STANDALONE_INDEX_N raises
+    MalformedCertificate before any coset is enumerated.
     A payload that does not parse raises MalformedCertificate, and so
     does a format other than 1 (no "format" key) and 2.  Each distinct
     exact value is parsed once per call.
@@ -894,6 +901,9 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
         n = _field(data, "n", int)
         if n < 5 or n == 6:
             raise MalformedCertificate("no base surface X_%d" % n)
+        if not in_theorem and n > MAX_STANDALONE_INDEX_N:
+            raise MalformedCertificate("a standalone Index for n = %d > %d is not revalidated"
+                                       % (n, MAX_STANDALONE_INDEX_N))
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":

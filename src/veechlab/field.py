@@ -8,10 +8,20 @@ conductor is N = 4n: the field then contains i, zeta_2n, and hence
 cos(k*pi/n), sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream
 geometry needs, closed under arithmetic.
 
-No predicate touches floating point.  Equality and zero tests compare
-canonical residues coefficient-wise; the sign of a nonzero real element
-is decided by interval evaluation at doubling precision (termination is
-guaranteed because nonzero was decided symbolically first).
+No predicate depends on floating point.  Equality and zero tests compare
+canonical residues coefficient-wise.  The sign of a nonzero real element
+sum_j (a_j / den) cos(2*pi*j/N) is decided in two steps, both from one
+integer table C_j within 1 of 2^prec cos(2*pi*j/N) (_cos_fixed: Machin's
+pi, Taylor series and the recurrence zeta^j = zeta^(j-1) zeta, all in
+integers):
+  * a float filter over C_j / 2^80, which answers only when the float
+    sum clears its rounding-error bound;
+  * otherwise exact rational bounds (sum a_j C_j -+ sum |a_j|) / (den 2^prec)
+    at prec = 64, 128, ... until they exclude 0 (termination is
+    guaranteed because nonzero was decided symbolically first).
+Decimal approximations (approx, and float() through it) come from the same
+bounds, widened until both ends print alike, in the digits mpmath.nstr
+would write.  Nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -19,20 +29,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction as _QQ
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log
+from typing import NamedTuple
 
 from .errors import MalformedCertificate, SignUndetermined
-
-@lru_cache(maxsize=None)
-def load_mpmath():
-    """The mpmath module, imported on first use.
-
-    Only numeric views (decimal approximations, cos tables, interval
-    signs) need it, so importing veechlab does not load it.
-    """
-    import mpmath
-
-    return mpmath
 
 
 def QQ(value) -> _QQ:
@@ -441,6 +441,88 @@ def cyclo_root(N: int, k: int) -> CycloNumber:
 
 
 # ---------------------------------------------------------------------------
+# cosines in integer fixed point
+
+
+def _arctan_inv(x: int, W: int) -> int:
+    # sum over i of (-1)^i floor(2^W / ((2i+1) x^(2i+1))), while x^(2i+1) <= 2^W
+    power, total, i = (1 << W) // x, 0, 0
+    while power:
+        term = power // (2 * i + 1)
+        total += -term if i & 1 else term
+        power //= x * x
+        i += 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def _cos_fixed(N: int, prec: int) -> tuple[int, ...]:
+    """For each j < phi(N), an integer within 1 of 2^prec * cos(2*pi*j/N).
+
+    Entry 0 is exactly 2^prec.  Everything is computed in integers at W =
+    prec + g bits, as X ~ 2^W * x; the error of X is |X - 2^W * x|.
+
+    * pi: Machin's 16*atan(1/5) - 4*atan(1/239).  In _arctan_inv each
+      term is an exact floor (floor(floor(a/b)/c) = floor(a/(bc))), so off
+      by < 1, and the alternating tail is below its first term, < 1.  With
+      K_5 <= W/4.6 + 1 and K_239 <= W/15.8 + 1 terms, pi is off by
+      < 16(K_5 + 1) + 4(K_239 + 1) < 4W + 40.
+    * theta = 2*pi/N, N >= 3: t = floor(2 pi_W / N) is off by
+      < 2(4W + 40)/3 + 1 < 3W + 28.  Let tau = t / 2^W <= 2.1.
+    * cos tau and sin tau by Taylor: u_0 = 2^W, u_k = floor(u_(k-1) t /
+      (k 2^W)) approximates 2^W tau^k / k! with error e_k <= e_(k-1)
+      tau/k + 1; e_1 = 0, e_2 <= 1, and tau/k <= 0.7 for k >= 3 keeps
+      every e_k < 4.  The same ratio bounds u_k <= 2.3 * 2^W * 0.7^(k-2),
+      so the loop stops (u_K = 0) at some K <= 2W + 5, where the exact
+      term is < 1 + 4 * 0.7 and the exact tail is < 3.8 / 0.3 < 13.  So
+      cos and sin are each off by < 4(K/2 + 1) + 13 <= 4W + 27, and z_1 =
+      c + i s is off from 2^W e^(i theta) by e_1 < sqrt2 (4W + 27) + 3W
+      + 28 < 9W + 67.
+    * z_j = z_(j-1) z_1 / 2^W, each part floored: e_j <= e_(j-1) (1 +
+      e_1/2^W) + e_1 + 2.  As 2^W >= 128 N (prec + 64) > N e_1, for j <
+      N this gives e_j < j (e_1 + 2)(1 + 1/N)^N < 3N(9W + 69) < 27N(W +
+      8).
+    * C_j = round(Re z_j / 2^g) is off from 2^prec cos(j theta) by at most
+      1/2 + e_j / 2^g, which is <= 1 while 27N(W + 8) <= 2^(g - 1).  With
+      2^(g - 1) >= 64 N (prec + 64) that holds whenever g <= 143, that is
+      for N (prec + 64) < 2^136.
+    """
+    phi = euler_phi(N)
+    if phi == 1:  # N = 1, 2: only cos 0
+        return (1 << prec,)
+    g = (N * (prec + 64)).bit_length() + 7
+    W = prec + g
+    pi = 16 * _arctan_inv(5, W) - 4 * _arctan_inv(239, W)
+    t = 2 * pi // N
+    c = s = 0
+    u, k = 1 << W, 0
+    while u:
+        if k & 1:
+            s += -u if k & 2 else u
+        else:
+            c += -u if k & 2 else u
+        k += 1
+        u = u * t // (k << W)
+    half = 1 << (g - 1)
+    out = [1 << prec]
+    x, y = 1 << W, 0
+    for _ in range(phi - 1):
+        x, y = (x * c - y * s) >> W, (x * s + y * c) >> W
+        out.append((x + half) >> g)
+    return tuple(out)
+
+
+def _fixed_sum(num, N: int, prec: int) -> tuple[int, int]:
+    """(S, E): sum_j num_j cos(2*pi*j/N) lies within E / 2^prec of S / 2^prec."""
+    total = weight = 0
+    for a, c in zip(num, _cos_fixed(N, prec)):
+        if a:
+            total += a * c
+            weight += abs(a)
+    return total, weight
+
+
+# ---------------------------------------------------------------------------
 # sign determination for real elements
 
 _EPS_SLACK = 2.0 ** -50
@@ -472,37 +554,22 @@ def _float_sign_filter(num, den: int, cos_table) -> int | None:
 
 @lru_cache(maxsize=None)
 def _float_cos_table(N: int) -> tuple[float, ...]:
-    mpmath = load_mpmath()
-    with mpmath.workdps(30):
-        return tuple(float(mpmath.cos(2 * mpmath.pi * j / N)) for j in range(euler_phi(N)))
+    # int / int is correctly rounded, so each entry is within 2^-80 of
+    # the double nearest cos(2*pi*j/N)
+    return tuple(c / (1 << 80) for c in _cos_fixed(N, 80))
 
 
-@lru_cache(maxsize=None)
-def _iv_cos_table(N: int, prec: int):
-    iv = load_mpmath().iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return tuple(iv.cos(2 * iv.pi * j / N) for j in range(euler_phi(N)))
-    finally:
-        iv.prec = old
+class _Interval(NamedTuple):
+    a: _QQ  # lower bound
+    b: _QQ  # upper bound
 
 
-def _interval_value(x, N: int, prec: int):
-    """Rigorous interval for sum_j (num_j / den) cos(2*pi*j/N), x = (num, den)."""
+def _interval_value(x, N: int, prec: int) -> _Interval:
+    """Rigorous rational bounds on sum_j (num_j / den) cos(2*pi*j/N), x = (num, den)."""
     num, den = x
-    iv = load_mpmath().iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        table = _iv_cos_table(N, prec)
-        total = iv.mpf(0)
-        for a, cv in zip(num, table):
-            if a:
-                total += iv.mpf(a) * cv
-        return total / den
-    finally:
-        iv.prec = old
+    total, weight = _fixed_sum(num, N, prec)
+    q = den << prec
+    return _Interval(_QQ(total - weight, q), _QQ(total + weight, q))
 
 
 def _real_sign(num, den: int, N: int) -> int:
@@ -527,11 +594,51 @@ def _real_sign(num, den: int, N: int) -> int:
         prec *= 2
 
 
-@lru_cache(maxsize=64)
-def _mp_cos_table(N: int, dps: int) -> tuple:
-    mpmath = load_mpmath()
-    with mpmath.workdps(dps):
-        return tuple(mpmath.cos(2 * mpmath.pi * j / N) for j in range(euler_phi(N)))
+# ---------------------------------------------------------------------------
+# decimal approximations
+
+# the float mpmath's decimal conversion uses, so that the bit counts
+# below come out as its do
+_LOG2_10 = log(10, 2)
+
+
+def _nstr(p: int, q: int, dps: int) -> str:
+    """p / q (q > 0) to dps significant digits, as mpmath.nstr(x, dps,
+    strip_zeros=False) writes a number x held exactly.
+
+    Like mpmath, x is first truncated to bitprec significant bits, then
+    floored to fixdps decimal places (its to_digits_exp for dps + 3
+    digits); digit dps + 1 rounds half up.  The leading digit's position
+    decides between fixed and d.ddd...e+-X notation.
+    """
+    if not p:
+        return "0.0"
+    sign = "-" if p < 0 else ""
+    p = abs(p)
+    E = p.bit_length() - q.bit_length()  # 2^(E-1) < p/q < 2^(E+1)
+    if p << max(-E, 0) >= q << max(E, 0):
+        E += 1
+    # now 2^(E-1) <= p/q < 2^E
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - E, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    digits = str(((p << fixprec) // q * 10 ** fixdps) >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    digits = str(int(digits[:dps]) + (digits[dps:dps + 1] >= "5"))
+    if len(digits) > dps:  # 9...9 rounded up
+        digits = digits[:dps]
+        exponent += 1
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    body = sign + digits[:split] + "." + digits[split:]
+    if exponent == 0:
+        return body
+    return body + ("e+%d" if exponent > 0 else "e%d") % exponent
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +811,33 @@ class RealAlg:
     # -- numeric views -------------------------------------------------------
 
     def approx(self, digits: int = 20) -> str:
-        """Decimal approximation with the given number of significant digits."""
-        dps = digits + 15
-        mpmath = load_mpmath()
-        with mpmath.workdps(dps):
-            val = mpmath.mpf(0)
-            for c, cos_j in zip(self.value.coeffs, _mp_cos_table(self.N, dps)):
-                if c:
-                    val += mpmath.mpf(c.numerator) / c.denominator * cos_j
-            return mpmath.nstr(val, digits, strip_zeros=False)
+        """Decimal approximation with the given number of significant digits.
+
+        Written as mpmath.nstr(value, digits, strip_zeros=False) writes
+        it (see _nstr).  A rational value is converted exactly; any other
+        is bracketed by _fixed_sum at doubling precision until both ends
+        of the bracket give the same string, which ends because every
+        point where the string changes is rational.
+        """
+        if digits < 1:
+            raise ValueError("digits must be positive")
+        v = self.value
+        if v.is_rational():
+            return _nstr(v.num[0], v.den, digits)
+        # start 16 bits or more above the bits _nstr keeps
+        prec = 128
+        while prec < (digits + 3) * _LOG2_10 + 26:
+            prec *= 2
+        while True:
+            total, weight = _fixed_sum(v.num, v.N, prec)
+            q = v.den << prec
+            text = _nstr(total - weight, q, digits)
+            if text == _nstr(total + weight, q, digits):
+                return text
+            prec *= 2
 
     def __float__(self):
-        return float(load_mpmath().mpf(self.approx(25)))
+        return float(self.approx(25))
 
     def __repr__(self):
         return "RealAlg(%s ~ %s)" % (self.value, self.approx(12).strip())

@@ -6,8 +6,9 @@ Rendering is the one place exactness is dropped: coordinates are the
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cylinders import Direction, decompose
-from .field import load_mpmath
 from .surface import EdgeRef, TranslationSurface
 from .covering import CoveringSurface, build_cover
 
@@ -18,6 +19,18 @@ PALETTES = {
 }
 
 _DIGITS = 20
+
+
+@lru_cache(maxsize=None)
+def load_mpmath():
+    """The mpmath module, imported on first use.
+
+    Rendering is its only user in the package, so no other command
+    loads it.
+    """
+    import mpmath
+
+    return mpmath
 
 
 def _f(x) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import RealAlg, cos_pi_over, lambda_n, quarter_trig, sin_pi_over
+from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
 
 
 class Mat2:
@@ -219,25 +219,6 @@ def eval_group_word(n: int, word: GroupWord, images: dict | None = None) -> Mat2
     return out
 
 
-def shear_matrix(n: int, l: int) -> Mat2:
-    """R^l T^2 R^-l: the shear with factor 2*lambda_n in direction v_l."""
-    R, T = gen_R(n), gen_T(n)
-    return (R ** l) * (T * T) * (R ** (-l))
-
-
-def shear_matrix_closed_form(n: int, l: int) -> Mat2:
-    """The displayed entries of the same shear, as an independent oracle."""
-    c, s = quarter_trig(n, 2 * l)
-    lam = lambda_n(n)
-    one = RealAlg.one(4 * n)
-    return Mat2(
-        one - 2 * lam * c * s,
-        2 * lam * c * c,
-        -2 * lam * s * s,
-        one + 2 * lam * c * s,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the Veech group generators of the covering family (Theorem statement lists)
 
@@ -258,11 +239,6 @@ def gamma_generator_words(n: int) -> list[GroupWord]:
     for j in range(1, (n - 2) // 2 + 1):
         gens.append(u.conjugate_by(GroupWord.gen("R", 2 * j)))
     return gens
-
-
-def gamma_generators(n: int) -> list[tuple[GroupWord, Mat2]]:
-    """The covers' Veech-group generators with exact matrix values."""
-    return [(w, eval_group_word(n, w)) for w in gamma_generator_words(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -758,6 +758,25 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
     assert enumerated == []
 
 
+def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatch):
+    genuine = json.loads(json.dumps(certificates.certify_index(9).to_json()))
+    enumerated = []
+    coset_table = certificates._coset_table
+    monkeypatch.setattr(certificates, "_coset_table",
+                        lambda n: enumerated.append(n) or coset_table(n))
+    forged = {"kind": "Index", "n": 251, "verdict": "pass",
+              "payload": {"expected_index": 251, "index": 251}}
+    with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
+        revalidate(forged)
+    cap = certificates.MAX_STANDALONE_INDEX_N
+    with pytest.raises(MalformedCertificate, match="standalone Index"):
+        revalidate(dict(forged, n=cap + 1))
+    assert enumerated == []
+    # at and below the cap a standalone Index is judged as before
+    assert revalidate(genuine) == "pass"
+    assert enumerated == [9]
+
+
 def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
     built = []
     get_context = field.get_context

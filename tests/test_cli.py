@@ -212,7 +212,17 @@ def test_render_svg_bytes_unchanged(tmp_path, capsys, args):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_RENDER[args]
 
 
-def test_import_does_not_load_mpmath():
+# runs one command in a fresh interpreter; says on stderr whether mpmath was loaded
+_MPMATH_PROBE = (
+    "import sys\n"
+    "from veechlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('mpmath loaded:', 'mpmath' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_import_does_not_load_mpmath(tmp_path):
     src = str(Path(veechlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     fresh = subprocess.run(
@@ -223,3 +233,20 @@ def test_import_does_not_load_mpmath():
     helped = subprocess.run([sys.executable, "-m", "veechlab.cli", "--help"],
                             env=env, capture_output=True, text=True)
     assert helped.returncode == 0 and "verify" in helped.stdout
+
+    def probe(*argv):
+        run = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, *argv],
+                             env=env, capture_output=True, text=True, check=True)
+        return run.stdout, run.stderr.strip().splitlines()[-1] == "mpmath loaded: True"
+
+    # the commands that print numbers never load it; only render does
+    cert, loaded = probe("verify", "--n", "9", "--d", "3")
+    assert not loaded
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(cert, encoding="utf-8")
+    out, loaded = probe("revalidate", "--file", str(cert_file))
+    assert json.loads(out) == {"verdict": "pass"} and not loaded
+    out, loaded = probe("cylinders", "--n", "12", "--direction", "1")
+    assert json.loads(out)["cylinders"] and not loaded
+    _, loaded = probe("render", "--n", "5", "--out", str(tmp_path / "x5.svg"))
+    assert loaded

@@ -7,7 +7,7 @@ from veechlab.veech import (
     GroupWord,
     Mat2,
     eval_group_word,
-    gamma_generators,
+    gamma_generator_words,
     presentation_for,
     subgroup_words,
 )
@@ -135,8 +135,8 @@ def _ball(mats, depth):
 def test_schreier_generators_lie_in_subgroup(n):
     pres = presentation_for(n)
     table = coset_enumerate(pres, subgroup_words(n))
-    gens = gamma_generators(n)
-    gen_mats = [m for _w, m in gens if not (m == minus(n))]
+    gen_mats = [eval_group_word(n, w) for w in gamma_generator_words(n)]
+    gen_mats = [m for m in gen_mats if not (m == minus(n))]
     ball = _ball(gen_mats, 3)
 
     schreier = []

@@ -400,6 +400,85 @@ def test_inverse_builds_no_fraction(monkeypatch):
         assert x * inv == 1
 
 
+# ---------------------------------------------------------------------------
+# the integer cosine table and the decimal approximations, against mpmath
+
+
+@pytest.mark.parametrize("prec", [64, 80, 256, 1024])
+@pytest.mark.parametrize("N", [20, 28, 100, 244, 404, 804])
+def test_cos_fixed_is_within_one_of_mpmath(N, prec):
+    table = field._cos_fixed(N, prec)
+    assert len(table) == field.euler_phi(N) and table[0] == 1 << prec
+    with mpmath.workprec(3 * prec):
+        for j, c in enumerate(table):
+            assert abs(c - mpmath.ldexp(mpmath.cos(2 * mpmath.pi * j / N), prec)) <= 1
+    if prec == 80:
+        with mpmath.workprec(3 * prec):
+            for j, f in enumerate(field._float_cos_table(N)):
+                assert abs(f - mpmath.cos(2 * mpmath.pi * j / N)) <= 2.0 ** -53
+
+
+def _mpmath_approx(x, digits):
+    # approx as it was computed with mpmath, at digits + 15 decimal places
+    with mpmath.workdps(digits + 15):
+        val = mpmath.mpf(0)
+        for j, c in enumerate(x.value.coeffs):
+            if c:
+                val += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(
+                    2 * mpmath.pi * j / x.N)
+        return mpmath.nstr(val, digits, strip_zeros=False)
+
+
+_APPROX_DIGITS = (8, 12, 20, 25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_approx_matches_mpmath_nstr(data):
+    n = data.draw(st.sampled_from([5, 8, 9, 12, 25]))
+    N = 4 * n
+    phi = field.euler_phi(N)
+    coeffs = [Fraction(0)] * phi
+    for j, p, q in data.draw(st.lists(st.tuples(
+            st.integers(0, phi - 1), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+            min_size=1, max_size=4)):
+        coeffs[j] += Fraction(p, q)
+    z = CycloNumber(N, coeffs)
+    # scaled by 10^-30 .. 10^30, so that both notations occur
+    x = RealAlg(z + z.conjugate(), _trusted=True) * Fraction(10) ** data.draw(st.integers(-30, 30))
+    for k in _APPROX_DIGITS:
+        assert x.approx(k) == _mpmath_approx(x, k)
+
+
+@pytest.mark.parametrize("value", [
+    lambda_n(9), -lambda_n(9), lambda_n(25) * Fraction(1, 10 ** 7), -cos_pi_over(7) * 10 ** 21,
+    cos_pi_over(5) - sin_pi_over(5), lambda_n(7) - 4,
+    RealAlg.zero(20), RealAlg.rational(20, Fraction(3, 20)), RealAlg.rational(20, Fraction(-1, 4)),
+    RealAlg.rational(36, Fraction(123456785, 10 ** 9)), RealAlg.rational(36, Fraction(1, 3 * 10 ** 8)),
+    RealAlg.rational(36, Fraction(999999999995, 10 ** 12)), RealAlg.rational(36, 10 ** 25 + 5),
+    RealAlg.rational(36, Fraction(3, 20) + Fraction(1, 2 ** 50)),
+    RealAlg.rational(36, Fraction(123456789012345678905, 10 ** 21) + Fraction(1, 2 ** 100)),
+])
+def test_approx_matches_mpmath_nstr_examples(value):
+    # negative values, values below 1e-6 and above 1e20, rationals on a
+    # decimal rounding boundary, and two just above one, which mpmath
+    # rounds down because it truncates to a fixed number of bits first
+    for k in _APPROX_DIGITS + (1, 2, 3):
+        assert value.approx(k) == _mpmath_approx(value, k)
+    assert float(value) == float(mpmath.mpf(value.approx(25)))
+
+
+def test_interval_value_is_an_exact_bracket():
+    x = cos_pi_over(7) - Fraction(9, 10)
+    v = x.value
+    for prec in (64, 128):
+        iv = field._interval_value((v.num, v.den), v.N, prec)
+        assert type(iv.a) is Fraction and type(iv.b) is Fraction
+        with mpmath.workdps(60):
+            a, b = (mpmath.mpf(q.numerator) / q.denominator for q in iv)
+            assert a < mpmath.cos(mpmath.pi / 7) - mpmath.mpf(9) / 10 < b
+
+
 def test_interval_value_narrows_with_precision():
     assert list(inspect.signature(field._interval_value).parameters)[2] == "prec"
     x = lambda_n(25) - 15

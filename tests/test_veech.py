@@ -1,21 +1,43 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veechlab.field import cos_pi_over, sin_pi_over
+from veechlab.field import RealAlg, cos_pi_over, lambda_n, quarter_trig, sin_pi_over
 from veechlab.planar import Vec2
 from veechlab.veech import (
     GroupWord,
     Mat2,
     eval_group_word,
-    gamma_generators,
+    gamma_generator_words,
     gen_R,
     gen_T,
     minus_identity,
     presentation_for,
-    shear_matrix,
-    shear_matrix_closed_form,
     subgroup_words,
 )
+
+
+def shear_matrix(n: int, l: int) -> Mat2:
+    """R^l T^2 R^-l: the shear with factor 2*lambda_n in direction v_l."""
+    R, T = gen_R(n), gen_T(n)
+    return (R ** l) * (T * T) * (R ** (-l))
+
+
+def shear_matrix_closed_form(n: int, l: int) -> Mat2:
+    """The displayed entries of the same shear, as an independent oracle."""
+    c, s = quarter_trig(n, 2 * l)
+    lam = lambda_n(n)
+    one = RealAlg.one(4 * n)
+    return Mat2(
+        one - 2 * lam * c * s,
+        2 * lam * c * c,
+        -2 * lam * s * s,
+        one + 2 * lam * c * s,
+    )
+
+
+def gamma_generators(n: int) -> list:
+    """The covers' Veech-group generators with exact matrix values."""
+    return [(w, eval_group_word(n, w)) for w in gamma_generator_words(n)]
 
 
 @pytest.mark.parametrize("n", range(5, 14))
@@ -56,8 +78,6 @@ def test_shear_matrix_closed_form(n):
 @pytest.mark.parametrize("n", [5, 8])
 def test_shear_fixes_its_direction(n):
     for l in range(n):
-        from veechlab.field import quarter_trig
-
         c, s = quarter_trig(n, 2 * l)
         v = Vec2(c, s)
         assert shear_matrix(n, l).apply(v) == v
