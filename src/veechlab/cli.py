@@ -14,7 +14,7 @@ import sys
 from .certificates import revalidate, verify_quotient, verify_theorem
 from .covering import base_decomposition, build_cover, cover_cylinders
 from .errors import MalformedCertificate, VeechLabError
-from .render import render_cover, render_infinite_window, render_surface
+from .render import PALETTES, render_cover, render_infinite_window, render_surface
 from .surface import build_base
 from .zcover import (
     infinite_singularities,
@@ -152,6 +152,8 @@ def cmd_infinite(args) -> int:
 def cmd_render(args) -> int:
     _check_n(args.n)
     if args.infinite:
+        if args.window < 1:
+            raise UsageError("window must be at least 1")
         svg = render_infinite_window(args.n, args.window, palette=args.palette)
     elif args.d is not None:
         if args.d < 2:
@@ -195,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify the Veech-group theorem for (n, d)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--infinite", action="store_true")
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--d", type=int, default=None)
+    degree.add_argument("--infinite", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("revalidate", help="recompute the verdict of certificate JSON")
@@ -213,11 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="SVG of a surface, cover or infinite window")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--infinite", action="store_true")
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--d", type=int, default=None)
+    degree.add_argument("--infinite", action="store_true")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--direction", type=int, default=None, help="overlay cylinders in v_l")
-    p.add_argument("--palette", default="default")
+    p.add_argument("--palette", default="default", choices=sorted(PALETTES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -8,6 +8,12 @@ conductor is N = 4n: the field then contains i, zeta_2n, and hence
 cos(k*pi/n), sin(k*pi/n) and 2*cot(pi/n) -- everything the downstream
 geometry needs, closed under arithmetic.
 
+There is one number type.  CycloNumber holds any element; its subclass
+RealAlg holds an element of the real subfield (fixed under conjugation)
+in the same (N, num, den) and adds the ordering.  All arithmetic is
+CycloNumber's, and it returns a RealAlg exactly when both operands are
+real, so no operation re-checks realness.
+
 No predicate depends on floating point.  Equality and zero tests compare
 canonical residues coefficient-wise.  The sign of a nonzero real element
 sum_j (a_j / den) cos(2*pi*j/N) is decided in two steps, both from one
@@ -220,23 +226,24 @@ def _int_inverse(a, cyclo) -> tuple[list[int], int]:
     return t1, r1[0]
 
 
-def _new(N: int, num, den: int) -> CycloNumber:
-    # a residue whose (num, den) is already canonical
-    x = object.__new__(CycloNumber)
+def _new(cls: type, N: int, num, den: int) -> CycloNumber:
+    # an element of class cls whose (num, den) is already canonical
+    x = object.__new__(cls)
     object.__setattr__(x, "N", N)
     object.__setattr__(x, "num", tuple(num))
     object.__setattr__(x, "den", den)
     return x
 
 
-def _normal(N: int, num, den: int) -> CycloNumber:
-    # a residue from integer numerators over den > 0, put in lowest terms
+def _normal(cls: type, N: int, num, den: int) -> CycloNumber:
+    # an element of class cls from integer numerators over den > 0, put
+    # in lowest terms
     if den != 1:
         g = gcd(*num, den)
         if g != 1:
             num = [a // g for a in num]
             den //= g
-    return _new(N, num, den)
+    return _new(cls, N, num, den)
 
 
 class CycloNumber:
@@ -244,7 +251,13 @@ class CycloNumber:
 
     Canonical form: integer numerators ``num`` (one per power of zeta
     below phi(N)) over ``den > 0`` with ``gcd(*num, den) == 1``; zero is
-    all-zero numerators over 1.  Equal values have equal (N, num, den).
+    all-zero numerators over 1.  Equal values have equal (N, num, den),
+    whatever their class.
+
+    A binary operation returns a RealAlg when both operands are RealAlg
+    (a rational operand takes the class of the other) and a CycloNumber
+    otherwise; negation, conjugation, inversion and powers keep the
+    class.
     """
 
     __slots__ = ("N", "num", "den")
@@ -266,7 +279,7 @@ class CycloNumber:
         object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):
-        raise AttributeError("CycloNumber is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def coeffs(self) -> tuple[_QQ, ...]:
@@ -274,22 +287,26 @@ class CycloNumber:
         den = self.den
         return tuple(_QQ(a, den) for a in self.num)
 
+    def key(self):
+        """Hashable canonical form, usable as a multiset key."""
+        return (self.N, self.num, self.den)
+
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def from_rational(N: int, q) -> CycloNumber:
+    @classmethod
+    def from_rational(cls, N: int, q) -> CycloNumber:
         if not isinstance(q, (int, _QQ)):
             q = QQ(q)
         phi = get_context(N).phi
-        return _new(N, (q.numerator,) + (0,) * (phi - 1), q.denominator)
+        return _new(cls, N, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
-    @staticmethod
-    def zero(N: int) -> CycloNumber:
-        return CycloNumber.from_rational(N, 0)
+    @classmethod
+    def zero(cls, N: int) -> CycloNumber:
+        return cls.from_rational(N, 0)
 
-    @staticmethod
-    def one(N: int) -> CycloNumber:
-        return CycloNumber.from_rational(N, 1)
+    @classmethod
+    def one(cls, N: int) -> CycloNumber:
+        return cls.from_rational(N, 1)
 
     # -- predicates ----------------------------------------------------
 
@@ -325,17 +342,18 @@ class CycloNumber:
                 raise ValueError("mixed conductors %d and %d" % (self.N, other.N))
             return other
         if isinstance(other, (int, _QQ)):
-            return CycloNumber.from_rational(self.N, other)
+            return type(self).from_rational(self.N, other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        cls = type(self) if type(o) is type(self) else CycloNumber
         da, db = self.den, o.den
         if da == db:
-            return _normal(self.N, [a + b for a, b in zip(self.num, o.num)], da)
-        return _normal(self.N, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
+            return _normal(cls, self.N, [a + b for a, b in zip(self.num, o.num)], da)
+        return _normal(cls, self.N, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
@@ -343,10 +361,11 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        cls = type(self) if type(o) is type(self) else CycloNumber
         da, db = self.den, o.den
         if da == db:
-            return _normal(self.N, [a - b for a, b in zip(self.num, o.num)], da)
-        return _normal(self.N, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
+            return _normal(cls, self.N, [a - b for a, b in zip(self.num, o.num)], da)
+        return _normal(cls, self.N, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -355,22 +374,24 @@ class CycloNumber:
         return o - self
 
     def __neg__(self):
-        return _new(self.N, [-a for a in self.num], self.den)
+        return _new(type(self), self.N, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, _QQ)):
             p, q = other.numerator, other.denominator
-            return _normal(self.N, [a * p for a in self.num], self.den * q)
+            return _normal(type(self), self.N, [a * p for a in self.num], self.den * q)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        cls = type(self) if type(o) is type(self) else CycloNumber
         prod = get_context(self.N).product(self.num, o.num)
-        return _normal(self.N, prod, self.den * o.den)
+        return _normal(cls, self.N, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        return _inverse(self.N, self.num, self.den)
+        x = _inverse(self.N, self.num, self.den)
+        return _new(type(self), x.N, x.num, x.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -387,7 +408,7 @@ class CycloNumber:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloNumber.one(self.N)
+        result = type(self).one(self.N)
         base = self
         while k:
             if k & 1:
@@ -402,7 +423,7 @@ class CycloNumber:
         """Image under zeta -> zeta^(-1)."""
         # an integer involution of the numerators keeps their content, so
         # the image is already in lowest terms
-        return _new(self.N, get_context(self.N).conjugate(self.num), self.den)
+        return _new(type(self), self.N, get_context(self.N).conjugate(self.num), self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -430,14 +451,14 @@ def _inverse(N: int, num: tuple, den: int) -> CycloNumber:
     t, c = _int_inverse(num, ctx.cyclo)
     if c < 0:
         den, c = -den, -c
-    return _normal(N, [den * x for x in t] + [0] * (ctx.phi - len(t)), c)
+    return _normal(CycloNumber, N, [den * x for x in t] + [0] * (ctx.phi - len(t)), c)
 
 
 def cyclo_root(N: int, k: int) -> CycloNumber:
     """The residue of zeta_N^k; cyclo_root(N, 0) is 1."""
     if N < 1:
         raise ValueError("conductor must be positive")
-    return _new(N, get_context(N).zeta_pows[k % N], 1)
+    return _new(CycloNumber, N, get_context(N).zeta_pows[k % N], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -648,129 +669,28 @@ def _nstr(p: int, q: int, dps: int) -> str:
 _COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-class RealAlg:
+class RealAlg(CycloNumber):
     """A conjugation-fixed cyclotomic element; exact real arithmetic.
 
-    Supports ordering via exact sign determination.  All construction
-    paths either verify or preserve realness.
+    The arithmetic is CycloNumber's, which keeps the class of real
+    operands, so only RealAlg(value) has to check realness.  Ordering
+    comes from exact sign determination.
     """
 
-    __slots__ = ("value", "_sign")
+    __slots__ = ("_sign",)  # unset until sign() first runs
 
-    def __init__(self, value: CycloNumber, _trusted: bool = False):
-        if not _trusted and not value.is_real():
+    def __init__(self, value: CycloNumber):
+        if not value.is_real():
             raise ValueError("element is not fixed under conjugation")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_sign", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RealAlg is immutable")
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def rational(N: int, q) -> RealAlg:
-        return RealAlg(CycloNumber.from_rational(N, q), _trusted=True)
-
-    @staticmethod
-    def zero(N: int) -> RealAlg:
-        return RealAlg(CycloNumber.zero(N), _trusted=True)
-
-    @staticmethod
-    def one(N: int) -> RealAlg:
-        return RealAlg(CycloNumber.one(N), _trusted=True)
-
-    # -- basic structure -------------------------------------------------
-
-    @property
-    def N(self) -> int:
-        return self.value.N
-
-    def key(self):
-        """Hashable canonical form, usable as a multiset key."""
-        v = self.value
-        return (v.N, v.num, v.den)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def is_rational(self) -> bool:
-        return self.value.is_rational()
-
-    def as_rational(self):
-        return self.value.as_rational()
+        object.__setattr__(self, "N", value.N)
+        object.__setattr__(self, "num", value.num)
+        object.__setattr__(self, "den", value.den)
 
     def is_integer(self) -> bool:
-        return self.value.den == 1 and self.value.is_rational()
+        return self.den == 1 and self.is_rational()
 
     def __bool__(self):
         return not self.is_zero()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RealAlg):
-            return other
-        if isinstance(other, (int, _QQ)):
-            return RealAlg.rational(self.N, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(self.value + o.value, _trusted=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(self.value - o.value, _trusted=True)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(o.value - self.value, _trusted=True)
-
-    def __neg__(self):
-        return RealAlg(-self.value, _trusted=True)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, _QQ)):
-            return RealAlg(self.value * other, _trusted=True)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(self.value * o.value, _trusted=True)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(self.value / o.value, _trusted=True)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealAlg(o.value / self.value, _trusted=True)
-
-    def __pow__(self, k: int):
-        return RealAlg(self.value ** k, _trusted=True)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -778,35 +698,33 @@ class RealAlg:
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:
-        if self._sign is None:
-            v = self.value
-            s = 0 if v.is_zero() else _real_sign(v.num, v.den, v.N)
+        s = getattr(self, "_sign", None)
+        if s is None:
+            s = 0 if self.is_zero() else _real_sign(self.num, self.den, self.N)
             object.__setattr__(self, "_sign", s)
-        return self._sign
+        return s
+
+    def _minus(self, other):
+        # self - other for a real or rational other, else None
+        if isinstance(other, (RealAlg, int, _QQ)):
+            return self - other
+        return None
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        d = self._minus(other)
+        return NotImplemented if d is None else d.sign() < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        d = self._minus(other)
+        return NotImplemented if d is None else d.sign() <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        d = self._minus(other)
+        return NotImplemented if d is None else d.sign() > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        d = self._minus(other)
+        return NotImplemented if d is None else d.sign() >= 0
 
     # -- numeric views -------------------------------------------------------
 
@@ -821,16 +739,15 @@ class RealAlg:
         """
         if digits < 1:
             raise ValueError("digits must be positive")
-        v = self.value
-        if v.is_rational():
-            return _nstr(v.num[0], v.den, digits)
+        if self.is_rational():
+            return _nstr(self.num[0], self.den, digits)
         # start 16 bits or more above the bits _nstr keeps
         prec = 128
         while prec < (digits + 3) * _LOG2_10 + 26:
             prec *= 2
         while True:
-            total, weight = _fixed_sum(v.num, v.N, prec)
-            q = v.den << prec
+            total, weight = _fixed_sum(self.num, self.N, prec)
+            q = self.den << prec
             text = _nstr(total - weight, q, digits)
             if text == _nstr(total + weight, q, digits):
                 return text
@@ -840,7 +757,7 @@ class RealAlg:
         return float(self.approx(25))
 
     def __repr__(self):
-        return "RealAlg(%s ~ %s)" % (self.value, self.approx(12).strip())
+        return "RealAlg(%s ~ %s)" % (CycloNumber.__repr__(self), self.approx(12).strip())
 
     # -- serialization --------------------------------------------------------
 
@@ -853,12 +770,12 @@ class RealAlg:
         conductor): {"coeffs": [[power, "p/q"], ...]}, nonzero
         coefficients only, by increasing power.
         """
-        v = self.value
-        approx = _approx(v.N, v.num, v.den)
+        N, num, den = self.N, self.num, self.den
+        approx = _approx(N, num, den)
         if sparse:
-            return {"coeffs": [[j, _rational_str(a, v.den)] for j, a in enumerate(v.num) if a],
+            return {"coeffs": [[j, _rational_str(a, den)] for j, a in enumerate(num) if a],
                     "approx": approx}
-        return {"conductor": v.N, "coeffs": [_rational_str(a, v.den) for a in v.num],
+        return {"conductor": N, "coeffs": [_rational_str(a, den) for a in num],
                 "approx": approx}
 
     @staticmethod
@@ -915,10 +832,10 @@ class RealAlg:
         raw = [0] * top
         for j, p, q in zip(powers, nums, dens):
             raw[j] = p * (den // q)
-        value = _normal(N, ctx.reduce(raw), den)
+        value = _normal(RealAlg, N, ctx.reduce(raw), den)
         if not value.is_real():
             raise MalformedCertificate("element of conductor %d is not real" % N)
-        return RealAlg(value, _trusted=True)
+        return value
 
 
 def _rational_str(a: int, den: int) -> str:
@@ -932,7 +849,7 @@ def _rational_str(a: int, den: int) -> str:
 def _approx(N: int, num: tuple, den: int) -> str:
     # the approximation a serialised value carries; certificates and
     # surfaces write the same few values again and again
-    return RealAlg(_new(N, num, den), _trusted=True).approx(20)
+    return _new(RealAlg, N, num, den).approx(20)
 
 
 def sign(x: RealAlg) -> int:
@@ -942,10 +859,6 @@ def sign(x: RealAlg) -> int:
 
 # ---------------------------------------------------------------------------
 # trigonometric constructors (conductor 4n)
-
-
-def _real(value: CycloNumber) -> RealAlg:
-    return RealAlg(value, _trusted=True)
 
 
 @lru_cache(maxsize=None)
@@ -960,7 +873,7 @@ def quarter_trig(n: int, k: int) -> tuple[RealAlg, RealAlg]:
     cos_v = (zk + zmk) * half
     # 1/i = zeta_4^(-1) = zeta_N^(3n)
     sin_v = (zk - zmk) * cyclo_root(N, 3 * n) * half
-    return _real(cos_v), _real(sin_v)
+    return _new(RealAlg, N, cos_v.num, cos_v.den), _new(RealAlg, N, sin_v.num, sin_v.den)
 
 
 def cos_pi_over(n: int) -> RealAlg:

@@ -125,7 +125,7 @@ def render_surface(
     copy_offsets=None,
     copy_of=None,
 ) -> str:
-    colors = PALETTES.get(palette, PALETTES["default"])
+    colors = PALETTES[palette]
     svg = _Svg()
     n_polys = len(surface.polygons)
     if copy_offsets is None:

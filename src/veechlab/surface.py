@@ -50,7 +50,7 @@ class Polygon:
     def side_vector(self, i: int) -> Vec2:
         return self.sides[i % len(self.sides)]
 
-    def validate(self, require_convex: bool = True):
+    def validate(self):
         n = len(self.vertices)
         area2 = RealAlg.zero(self.vertices[0].x.N)
         for i in range(n):
@@ -59,11 +59,11 @@ class Polygon:
             area2 = area2 + self.vertex(i).cross(self.vertex(i + 1))
         if area2.sign() <= 0:
             raise InvalidSurface("polygon is not positively oriented")
-        if require_convex:
-            for i in range(n):
-                turn = self.side_vector(i).cross(self.side_vector(i + 1))
-                if turn.sign() <= 0:
-                    raise InvalidSurface("polygon is not strictly convex")
+        # strictly convex, as separatrix tracing (_Tracer.enters) assumes
+        for i in range(n):
+            turn = self.side_vector(i).cross(self.side_vector(i + 1))
+            if turn.sign() <= 0:
+                raise InvalidSurface("polygon is not strictly convex")
 
     def to_json(self):
         return [v.to_json() for v in self.vertices]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import VerificationFailure
 from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
 
 
@@ -264,7 +265,7 @@ class Presentation:
     def __post_init__(self):
         for rel in self.relators:
             if not eval_group_word(self.n, rel, self.images).is_identity():
-                raise VerificationError("relator %s does not hold" % rel)
+                raise VerificationFailure("relator %s does not hold" % rel, witness=str(rel))
 
     def to_json(self):
         return {
@@ -273,10 +274,6 @@ class Presentation:
             "relators": [str(r) for r in self.relators],
             "chi_orb": self.chi_orb_str,
         }
-
-
-class VerificationError(ValueError):
-    pass
 
 
 def presentation_for(n: int) -> Presentation:

@@ -166,12 +166,12 @@ def test_criterion_10_exactness_regression():
         N = 4 * n
         phi = len(cyclotomic_coeffs(N)) - 1
         z = CycloNumber(N, [QQ(rng.randint(-60, 60)) / rng.randint(1, 12) for _ in range(phi)])
-        x = RealAlg(z + z.conjugate(), _trusted=True)
+        x = RealAlg(z + z.conjugate())
         if x.is_zero():
             continue
         with mpmath.workdps(100):
             val = mpmath.mpf(0)
-            for j, c in enumerate(x.value.coeffs):
+            for j, c in enumerate(x.coeffs):
                 if c:
                     val += mpmath.mpf(int(c.numerator)) / int(c.denominator) * mpmath.cos(
                         2 * mpmath.pi * j / N

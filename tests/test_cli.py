@@ -116,6 +116,31 @@ def test_render_cover_and_window(tmp_path, capsys):
     assert window_file.read_text().count("<polygon") >= 5
 
 
+def test_render_empty_window_exit_two(tmp_path, capsys):
+    out_file = tmp_path / "x.svg"
+    code, _, err = run_cli(
+        capsys, "render", "--n", "8", "--infinite", "--window", "0", "--out", str(out_file)
+    )
+    assert code == 2
+    assert "window" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "--n", "5", "--palette", "nosuch", "--out", "x.svg"),
+    ("render", "--n", "5", "--d", "3", "--infinite", "--out", "x.svg"),
+    ("verify", "--n", "5", "--d", "3", "--infinite"),
+])
+def test_rejected_option_combinations_exit_two(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "7", "--d", "4")
     _, out2, _ = run_cli(capsys, "verify", "--n", "7", "--d", "4")

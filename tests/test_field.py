@@ -1,4 +1,5 @@
 import inspect
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -48,7 +49,7 @@ def test_cos_pi_over_5_minimal_polynomial():
 
 
 def test_sin_pi_over_4_squared():
-    assert sin_pi_over(4) ** 2 == RealAlg.rational(16, QQ("1/2"))
+    assert sin_pi_over(4) ** 2 == RealAlg.from_rational(16, QQ("1/2"))
 
 
 def test_lambda_5_matches_200_digit_evaluation():
@@ -75,7 +76,7 @@ def _random_element(rng, n):
 
 def _random_real(rng, n):
     z = _random_element(rng, n)
-    return RealAlg(z + z.conjugate(), _trusted=True)
+    return RealAlg(z + z.conjugate())
 
 
 def test_sign_agrees_with_100_digit_intervals():
@@ -88,7 +89,7 @@ def test_sign_agrees_with_100_digit_intervals():
             continue
         with mpmath.workdps(100):
             val = mpmath.mpf(0)
-            for j, c in enumerate(x.value.coeffs):
+            for j, c in enumerate(x.coeffs):
                 if c:
                     val += mpmath.mpf(int(c.numerator)) / int(c.denominator) * mpmath.cos(
                         2 * mpmath.pi * j / x.N
@@ -308,6 +309,43 @@ def test_equal_values_share_key_and_hash():
         assert zero == CycloNumber.zero(N)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_arithmetic_is_real_exactly_when_both_operands_are(data):
+    N = data.draw(st.sampled_from([20, 36, 60]))
+    phi = len(cyclotomic_coeffs(N)) - 1
+    coeff = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 7, 12, 35]))
+
+    def element():
+        return CycloNumber(N, data.draw(st.lists(coeff, min_size=phi, max_size=phi)))
+
+    x, y, z = element(), element(), element()
+    a, b = RealAlg(x + x.conjugate()), RealAlg(y + y.conjugate())
+    assume(not a.is_zero() and not b.is_zero() and not z.is_real())
+    # the same values, held as plain CycloNumbers
+    A, B = CycloNumber(N, a.coeffs), CycloNumber(N, b.coeffs)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        got = op(a, b)
+        assert type(got) is RealAlg and got == op(A, B)
+        for got, want in ((op(a, z), op(A, z)), (op(z, a), op(z, A))):
+            assert type(got) is CycloNumber and got == want
+    # a rational operand takes the other operand's class, and so do the
+    # unary operations
+    for got in (a + 3, 3 - a, a * Fraction(-2, 7), Fraction(5, 3) / a, -a, a ** 2, a ** -1,
+                a.inverse(), a.conjugate()):
+        assert type(got) is RealAlg
+    for got in (z + 3, 3 - z, z * Fraction(-2, 7), Fraction(5, 3) / z, -z, z ** -1, z.inverse()):
+        assert type(got) is CycloNumber
+    assert type(A) is CycloNumber and a == A and A == a and hash(a) == hash(A)
+    assert a.key() == A.key()
+    with pytest.raises(TypeError):
+        a < z
+    with pytest.raises(ValueError):
+        RealAlg(z)
+    parsed = RealAlg.from_json(a.to_json())
+    assert type(parsed) is RealAlg and parsed == a
+
+
 def test_unreduced_constructor_input_is_reduced():
     # zeta^phi given as a raw coefficient list reduces to the stored root
     N = 20
@@ -317,8 +355,8 @@ def test_unreduced_constructor_input_is_reduced():
 
 
 def test_integer_predicate_uses_the_common_denominator():
-    assert RealAlg.rational(20, 4).is_integer()
-    assert not RealAlg.rational(20, Fraction(7, 2)).is_integer()
+    assert RealAlg.from_rational(20, 4).is_integer()
+    assert not RealAlg.from_rational(20, Fraction(7, 2)).is_integer()
     # an algebraic integer with denominator 1 is still not a rational integer
     c, _ = quarter_trig(5, 2)
     assert not (c + c).is_integer()
@@ -422,7 +460,7 @@ def _mpmath_approx(x, digits):
     # approx as it was computed with mpmath, at digits + 15 decimal places
     with mpmath.workdps(digits + 15):
         val = mpmath.mpf(0)
-        for j, c in enumerate(x.value.coeffs):
+        for j, c in enumerate(x.coeffs):
             if c:
                 val += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(
                     2 * mpmath.pi * j / x.N)
@@ -445,7 +483,7 @@ def test_approx_matches_mpmath_nstr(data):
         coeffs[j] += Fraction(p, q)
     z = CycloNumber(N, coeffs)
     # scaled by 10^-30 .. 10^30, so that both notations occur
-    x = RealAlg(z + z.conjugate(), _trusted=True) * Fraction(10) ** data.draw(st.integers(-30, 30))
+    x = RealAlg(z + z.conjugate()) * Fraction(10) ** data.draw(st.integers(-30, 30))
     for k in _APPROX_DIGITS:
         assert x.approx(k) == _mpmath_approx(x, k)
 
@@ -453,11 +491,11 @@ def test_approx_matches_mpmath_nstr(data):
 @pytest.mark.parametrize("value", [
     lambda_n(9), -lambda_n(9), lambda_n(25) * Fraction(1, 10 ** 7), -cos_pi_over(7) * 10 ** 21,
     cos_pi_over(5) - sin_pi_over(5), lambda_n(7) - 4,
-    RealAlg.zero(20), RealAlg.rational(20, Fraction(3, 20)), RealAlg.rational(20, Fraction(-1, 4)),
-    RealAlg.rational(36, Fraction(123456785, 10 ** 9)), RealAlg.rational(36, Fraction(1, 3 * 10 ** 8)),
-    RealAlg.rational(36, Fraction(999999999995, 10 ** 12)), RealAlg.rational(36, 10 ** 25 + 5),
-    RealAlg.rational(36, Fraction(3, 20) + Fraction(1, 2 ** 50)),
-    RealAlg.rational(36, Fraction(123456789012345678905, 10 ** 21) + Fraction(1, 2 ** 100)),
+    RealAlg.zero(20), RealAlg.from_rational(20, Fraction(3, 20)), RealAlg.from_rational(20, Fraction(-1, 4)),
+    RealAlg.from_rational(36, Fraction(123456785, 10 ** 9)), RealAlg.from_rational(36, Fraction(1, 3 * 10 ** 8)),
+    RealAlg.from_rational(36, Fraction(999999999995, 10 ** 12)), RealAlg.from_rational(36, 10 ** 25 + 5),
+    RealAlg.from_rational(36, Fraction(3, 20) + Fraction(1, 2 ** 50)),
+    RealAlg.from_rational(36, Fraction(123456789012345678905, 10 ** 21) + Fraction(1, 2 ** 100)),
 ])
 def test_approx_matches_mpmath_nstr_examples(value):
     # negative values, values below 1e-6 and above 1e20, rationals on a
@@ -470,9 +508,8 @@ def test_approx_matches_mpmath_nstr_examples(value):
 
 def test_interval_value_is_an_exact_bracket():
     x = cos_pi_over(7) - Fraction(9, 10)
-    v = x.value
     for prec in (64, 128):
-        iv = field._interval_value((v.num, v.den), v.N, prec)
+        iv = field._interval_value((x.num, x.den), x.N, prec)
         assert type(iv.a) is Fraction and type(iv.b) is Fraction
         with mpmath.workdps(60):
             a, b = (mpmath.mpf(q.numerator) / q.denominator for q in iv)
@@ -482,10 +519,9 @@ def test_interval_value_is_an_exact_bracket():
 def test_interval_value_narrows_with_precision():
     assert list(inspect.signature(field._interval_value).parameters)[2] == "prec"
     x = lambda_n(25) - 15
-    v = x.value
     widths = []
     for prec in (64, 128, 256, 512):
-        iv = field._interval_value((v.num, v.den), v.N, prec)
+        iv = field._interval_value((x.num, x.den), x.N, prec)
         assert iv.a <= iv.b
         widths.append(float(iv.b - iv.a))
         assert iv.a > 0
@@ -497,7 +533,7 @@ def test_unseparated_sign_raises_typed_error(monkeypatch):
     monkeypatch.setattr(field, "_float_sign_filter", lambda *a: None)
     monkeypatch.setattr(field, "_interval_value", lambda x, N, prec: mpmath.iv.mpf([-1, 1]))
     with pytest.raises(SignUndetermined) as info:
-        RealAlg.rational(28, Fraction(3, 7)).sign()
+        RealAlg.from_rational(28, Fraction(3, 7)).sign()
     assert isinstance(info.value, VeechLabError)
     assert info.value.conductor == 28
     assert info.value.prec == 1 << 22
@@ -533,7 +569,7 @@ def test_from_json_matches_fraction_parse(data):
     ]
     want = CycloNumber(N, [Fraction(s) for s in strings])
     got = RealAlg.from_json({"conductor": N, "coeffs": strings})
-    assert (got.value.N, got.value.num, got.value.den) == (want.N, want.num, want.den)
+    assert (got.N, got.num, got.den) == (want.N, want.num, want.den)
     assert got.key() == RealAlg(want).key()
 
 

@@ -175,9 +175,10 @@ def test_even_parabolic_class_is_parabolic():
 
 
 def test_presentation_rejects_false_relator():
-    from veechlab.veech import Presentation, VerificationError
+    from veechlab.errors import VerificationFailure
+    from veechlab.veech import Presentation
 
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationFailure):
         Presentation(
             n=5,
             generators=("R", "T"),
