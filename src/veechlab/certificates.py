@@ -37,7 +37,6 @@ never does.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import perms
@@ -96,17 +95,18 @@ class _Values:
         return [x.to_json(sparse=True) for x in self._values]
 
 
-@dataclass
 class Certificate:
-    kind: str
-    n: int
-    d: object  # int or "inf" or None
-    verdict: str
-    payload: dict = field(default_factory=dict)
-    witness: object = None
-    # the table that the value indices in payload and witness point into;
-    # a theorem shares one with its subcertificates
-    values: _Values | None = None
+    def __init__(self, kind: str, n: int, d, verdict: str, payload: dict | None = None,
+                 witness=None, values: _Values | None = None):
+        self.kind = kind
+        self.n = n
+        self.d = d  # int or "inf" or None
+        self.verdict = verdict
+        self.payload = {} if payload is None else payload
+        self.witness = witness
+        # the table that the value indices in payload and witness point into;
+        # a theorem shares one with its subcertificates
+        self.values = values
 
     def ok(self) -> bool:
         return self.verdict == PASS

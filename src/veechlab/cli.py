@@ -152,9 +152,13 @@ def cmd_infinite(args) -> int:
 def cmd_render(args) -> int:
     _check_n(args.n)
     if args.infinite:
-        if args.window < 1:
+        if args.direction is not None:
+            raise UsageError("--direction does not apply to --infinite")
+        if args.window is not None and args.window < 1:
             raise UsageError("window must be at least 1")
-        svg = render_infinite_window(args.n, args.window, palette=args.palette)
+        svg = render_infinite_window(args.n, args.window or 2, palette=args.palette)
+    elif args.window is not None:
+        raise UsageError("--window applies only to --infinite")
     elif args.d is not None:
         if args.d < 2:
             raise UsageError("degree must be at least 2")
@@ -219,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     degree = p.add_mutually_exclusive_group()
     degree.add_argument("--d", type=int, default=None)
     degree.add_argument("--infinite", action="store_true")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=int, default=None, metavar="W",
+                   help="with --infinite, render copies -W..W (default 2)")
     p.add_argument("--direction", type=int, default=None, help="overlay cylinders in v_l")
     p.add_argument("--palette", default="default", choices=sorted(PALETTES))
     p.add_argument("--out", required=True)

@@ -12,7 +12,6 @@ overrides the default of 10**5.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .veech import GroupWord, Presentation
@@ -114,15 +113,15 @@ class _Enumerator:
         return [i for i in range(len(self.table)) if self.rep(i) == i]
 
 
-@dataclass
 class CosetTable:
     """Coset action of a finitely presented group on subgroup cosets."""
 
-    presentation: Presentation
-    subgroup: tuple  # the subgroup generator words
-    index: int
-    action: dict  # generator symbol -> tuple permutation of {0..index-1}
-    transversal: tuple  # GroupWord per coset, transversal[0] trivial
+    def __init__(self, presentation: Presentation, subgroup, index: int, action, transversal):
+        self.presentation = presentation
+        self.subgroup = subgroup  # the subgroup generator words
+        self.index = index
+        self.action = action  # generator symbol -> tuple permutation of {0..index-1}
+        self.transversal = transversal  # GroupWord per coset, transversal[0] trivial
 
     def act_letter(self, coset: int, sym: str, step: int) -> int:
         perm = self.action[sym]

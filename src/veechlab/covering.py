@@ -12,7 +12,6 @@ holonomy and cross-validation by the generic tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from . import perms
@@ -136,12 +135,12 @@ def standard_monodromy(n: int, d: int) -> Monodromy:
     return Monodromy(num_generators(n), d, {k1: sigma_d1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
 
 
-@dataclass
 class CoveringSurface:
-    base: TranslationSurface
-    monodromy: Monodromy
-    n: int
-    d: int
+    def __init__(self, base: TranslationSurface, monodromy: Monodromy, n: int, d: int):
+        self.base = base
+        self.monodromy = monodromy
+        self.n = n
+        self.d = d
 
     @cached_property
     def surface(self) -> TranslationSurface:
@@ -265,7 +264,7 @@ def _read_from_q(n: int) -> tuple:
         k = sum(base.crossing_label(EdgeRef(p, right)) is not None
                 for p, _, _, _, right in bands[:q])
         letters = cyl.core_word.letters
-        keyed.append((bands[q][1], replace(cyl, core_word=Word(letters[k:] + letters[:k]))))
+        keyed.append((bands[q][1], cyl._replace(core_word=Word(letters[k:] + letters[:k]))))
     keyed.sort(key=lambda e: e[0])
     return tuple(cyl for _, cyl in keyed)
 
@@ -279,7 +278,7 @@ def _base_decomposition(n: int, l: int):
     images = rotation_images(n, j)
     direction = Direction.from_index(n, l)
     return tuple(
-        replace(cyl, direction=direction, core_word=cyl.core_word.substitute(images), bands=())
+        cyl._replace(direction=direction, core_word=cyl.core_word.substitute(images), bands=())
         for cyl in source
     )
 
@@ -317,7 +316,7 @@ def cover_cylinders(cover: CoveringSurface, direction_index: int):
     out = []
     for i, a in lifted_cylinders(cover.n, cover.monodromy, direction_index):
         cyl = base[i]
-        out.append(replace(cyl, circumference=a * cyl.circumference,
-                           inverse_modulus=a * cyl.inverse_modulus,
-                           core_word=cyl.core_word ** a, bands=()))
+        out.append(cyl._replace(circumference=a * cyl.circumference,
+                                inverse_modulus=a * cyl.inverse_modulus,
+                                core_word=cyl.core_word ** a, bands=()))
     return out

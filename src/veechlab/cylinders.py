@@ -24,7 +24,7 @@ inverse moduli are exact either way.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSurface
 from .field import RealAlg, quarter_trig, sin_pi_over, cos_pi_over
@@ -73,8 +73,7 @@ class Direction:
         return "Direction(%s, %s)" % tuple(s.strip() for s in self.vector.approx(8))
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     direction: Direction
     height: RealAlg
     circumference: RealAlg

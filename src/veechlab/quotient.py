@@ -11,8 +11,8 @@ orbifold Riemann-Hurwitz identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import perms
 from .coset import CosetTable
@@ -23,8 +23,7 @@ class QuotientBookkeepingError(VeechLabError):
     """The exact Riemann-Hurwitz identity failed to close."""
 
 
-@dataclass(frozen=True)
-class QuotientInvariants:
+class QuotientInvariants(NamedTuple):
     genus: int
     cusps: tuple  # sorted relative widths
     elliptic: tuple  # sorted (order, count) pairs

@@ -8,16 +8,15 @@ angles and the genus are computed combinatorially from the gluing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidSurface
 from .field import RealAlg, quarter_trig
 from .planar import Vec2, ccw_arc_contains
 
 
-@dataclass(frozen=True, order=True)
-class EdgeRef:
+class EdgeRef(NamedTuple):
     polygon: int
     side: int
 
@@ -69,8 +68,7 @@ class Polygon:
         return [v.to_json() for v in self.vertices]
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(NamedTuple):
     """A vertex class with total angle 2*pi*angle_multiple."""
 
     corners: tuple  # tuple of (polygon, vertex) in cyclic walking order

@@ -10,8 +10,6 @@ relators are verified against the exact matrices at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationFailure
 from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
 
@@ -246,7 +244,6 @@ def gamma_generator_words(n: int) -> list[GroupWord]:
 # presentations
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Finite presentation with a faithful exact matrix assignment.
 
@@ -254,18 +251,22 @@ class Presentation:
     construction time.
     """
 
-    n: int
-    generators: tuple
-    relators: tuple
-    images: dict
-    parabolic_classes: tuple  # (name, GroupWord) generating each cusp stabilizer
-    elliptic_classes: tuple  # (order, name, GroupWord)
-    chi_orb_str: str  # orbifold Euler characteristic of the presented group, "p/q"
+    __slots__ = ("n", "generators", "relators", "images",
+                 "parabolic_classes",  # (name, GroupWord) generating each cusp stabilizer
+                 "elliptic_classes",  # (order, name, GroupWord)
+                 "chi_orb_str")  # orbifold Euler characteristic of the presented group, "p/q"
 
-    def __post_init__(self):
-        for rel in self.relators:
-            if not eval_group_word(self.n, rel, self.images).is_identity():
+    def __init__(self, n: int, generators: tuple, relators: tuple, images: dict,
+                 parabolic_classes: tuple, elliptic_classes: tuple, chi_orb_str: str):
+        for rel in relators:
+            if not eval_group_word(n, rel, images).is_identity():
                 raise VerificationFailure("relator %s does not hold" % rel, witness=str(rel))
+        for name, value in zip(self.__slots__, (n, generators, relators, images,
+                                                parabolic_classes, elliptic_classes, chi_orb_str)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Presentation is immutable")
 
     def to_json(self):
         return {

@@ -9,8 +9,6 @@ arithmetic on the pair (t_even, t_odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .covering import CoveringSurface, check_generators, monodromy_indices, num_generators
 from .errors import NonChainError, VerificationFailure
 from .planar import Vec2
@@ -18,7 +16,6 @@ from .surface import EdgeRef, build_base
 from .words import Word
 
 
-@dataclass(frozen=True)
 class ZPermutation:
     """The bijection of Z given by l -> l + t_{l mod 2}.
 
@@ -26,12 +23,27 @@ class ZPermutation:
     preserves the parity classes, both odd swaps them.
     """
 
-    t_even: int
-    t_odd: int
+    __slots__ = ("t_even", "t_odd")
 
-    def __post_init__(self):
-        if (self.t_even - self.t_odd) % 2:
+    def __init__(self, t_even: int, t_odd: int):
+        if (t_even - t_odd) % 2:
             raise ValueError("t_even and t_odd must have equal parity")
+        object.__setattr__(self, "t_even", t_even)
+        object.__setattr__(self, "t_odd", t_odd)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ZPermutation is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ZPermutation):
+            return NotImplemented
+        return self.t_even == other.t_even and self.t_odd == other.t_odd
+
+    def __hash__(self):
+        return hash((self.t_even, self.t_odd))
+
+    def __repr__(self):
+        return "ZPermutation(t_even=%r, t_odd=%r)" % (self.t_even, self.t_odd)
 
     def __call__(self, l: int) -> int:
         return l + (self.t_even if l % 2 == 0 else self.t_odd)
@@ -59,18 +71,6 @@ class ZPermutation:
 
     def is_involution(self) -> bool:
         return self.compose(self).is_identity()
-
-    def __pow__(self, k: int) -> ZPermutation:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ZPermutation.identity()
-        base = self
-        while k:
-            if k & 1:
-                out = base.compose(out)
-            base = base.compose(base)
-            k >>= 1
-        return out
 
     def orbit_count(self):
         """Number of orbits on Z, or None when infinite.

@@ -126,6 +126,19 @@ def test_render_empty_window_exit_two(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("render", "--n", "8", "--infinite", "--direction", "1"), "--direction"),
+    (("render", "--n", "5", "--window", "0"), "--window"),
+    (("render", "--n", "5", "--d", "3", "--window", "2"), "--window"),
+])
+def test_render_rejects_options_it_would_ignore(tmp_path, capsys, argv, option):
+    out_file = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and option in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("render", "--n", "5", "--palette", "nosuch", "--out", "x.svg"),
     ("render", "--n", "5", "--d", "3", "--infinite", "--out", "x.svg"),
@@ -219,6 +232,7 @@ GOLDEN_RENDER = {
     ("--n", "9", "--direction", "0"): "1dc4da5966b45c46ff903324419fc38542a88f5022c30fbd45a97d1197375618",
     ("--n", "5", "--d", "3", "--direction", "1"): "05aa77120b3e18cfe811a6e78993ed3d868e9b18255f779976239e2c508c9d2a",
     ("--n", "8", "--infinite", "--window", "2"): "556150133c4b0f61a4daeaa4dacf24644041d35e1fc2c558f37c211b989959dd",
+    ("--n", "8", "--infinite"): "556150133c4b0f61a4daeaa4dacf24644041d35e1fc2c558f37c211b989959dd",
 }
 
 
@@ -235,6 +249,22 @@ def test_render_svg_bytes_unchanged(tmp_path, capsys, args):
     code, _, _ = run_cli(capsys, "render", *args, "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_RENDER[args]
+
+
+def _modules_after(statement):
+    # the modules of a fresh interpreter on this test's sys.path after statement
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run(
+        [sys.executable, "-c", statement + "\nimport sys\nprint('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    added = _modules_after("import veechlab.cli") - _modules_after("pass")
+    assert "veechlab.cli" in added and "veechlab.certificates" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 # runs one command in a fresh interpreter; says on stderr whether mpmath was loaded

@@ -49,6 +49,8 @@ def test_inverse(a, l):
 def test_parity_consistency_enforced():
     with pytest.raises(ValueError):
         ZPermutation(1, 2)
+    with pytest.raises(ValueError, match="parity"):
+        ZPermutation(t_even=0, t_odd=-1)
 
 
 def _window_orbit_count(zp, span=300):
