@@ -9,7 +9,9 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
                         target factor;
   * SigmaT            - the copy permutation that makes the single
                         twist (horizontal, and vertical for even n)
-                        compatible with the gluings exists;
+                        compatible with the gluings exists; it reads
+                        x_k1 and x_k2 only, so it is inconclusive when
+                        another generator moves a sheet;
   * MinusIdentity     - the marked monodromy images are involutions;
   * RotationObstruction - the (inverse modulus, height) multiset in
                         direction v_l differs from the horizontal one,
@@ -57,6 +59,7 @@ from .covering import (
 from .errors import IntransitiveMonodromy, MalformedCertificate
 from .field import RealAlg, lambda_n
 from .quotient import quotient_invariants
+from .surface import no_base_surface
 from .veech import presentation_for, subgroup_words
 from .words import Word
 from .zcover import ZMonodromy, ZPermutation, sigma_T_infinite, std_infinite_monodromy
@@ -108,9 +111,6 @@ class Certificate:
         # a theorem shares one with its subcertificates
         self.values = values
 
-    def ok(self) -> bool:
-        return self.verdict == PASS
-
     def to_json(self):
         """The certificate as top-level format-2 JSON, with its value
         table and the sections its rows refer to."""
@@ -146,6 +146,10 @@ class _Perm:
     @staticmethod
     def inverse(p):
         return p.inverse() if isinstance(p, ZPermutation) else perms.inverse(p)
+
+    @staticmethod
+    def is_identity(p) -> bool:
+        return p.is_identity() if isinstance(p, ZPermutation) else p == perms.identity(len(p))
 
     @staticmethod
     def is_involution(p) -> bool:
@@ -283,8 +287,15 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     return PASS, None
 
 
-def _sigma_rule(sig1, sig2, sigma, mode: str):
-    """SigmaT: the two compatibility conditions, as exact permutation identities."""
+def _sigma_rule(sig1, sig2, sigma, mode: str, other_moving=()):
+    """SigmaT: the two compatibility conditions, as exact permutation identities.
+
+    They involve only x_k1 and x_k2, so they prove nothing when another
+    generator (one of other_moving) moves a sheet.
+    """
+    if other_moving:
+        return INCONCLUSIVE, {"reason": "generators other than x_k1, x_k2 move",
+                              "other_moving": other_moving}
     then = _Perm.then
     if mode == "horizontal":
         suc = then(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
@@ -536,32 +547,30 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
 
     horizontal: sigma_T itself; vertical (even n special direction):
     the same conditions hold for sigma_T^-1.  d = "inf" certifies
-    Y_{n,inf}, whose monodromy is a ZMonodromy.
+    Y_{n,inf}, whose monodromy is a ZMonodromy.  The payload lists the
+    generators other than x_k1, x_k2 that move a sheet, if any.
     """
     if monodromy is None:
         monodromy = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
-    k1, k2 = monodromy.k1, monodromy.k2
-    if k1 is None:
-        k1, k2 = monodromy_indices(n)
+    k1, k2 = monodromy_indices(n)
     sig1 = monodromy.image(k1)
     sig2 = monodromy.image(k2)
+    other_moving = [i for i, p in sorted(monodromy.images.items())
+                    if i not in (k1, k2) and not _Perm.is_identity(p)]
     sigma = sigma_T_infinite() if d == "inf" else sigma_T_claim(d)
     if mode == "vertical":
         sigma = _Perm.inverse(sigma)
-    verdict, witness = _sigma_rule(sig1, sig2, sigma, mode)
-    return Certificate(
-        kind="SigmaT",
-        n=n,
-        d=d,
-        verdict=verdict,
-        payload={
-            "mode": mode,
-            "sigma_T": _Perm.to_json(sigma),
-            "sigma1": _Perm.to_json(sig1),
-            "sigma2": _Perm.to_json(sig2),
-        },
-        witness=witness,
-    )
+    verdict, witness = _sigma_rule(sig1, sig2, sigma, mode, other_moving)
+    payload = {
+        "mode": mode,
+        "sigma_T": _Perm.to_json(sigma),
+        "sigma1": _Perm.to_json(sig1),
+        "sigma2": _Perm.to_json(sig2),
+    }
+    if other_moving:
+        payload["other_moving"] = other_moving
+    return Certificate(kind="SigmaT", n=n, d=d, verdict=verdict, payload=payload,
+                       witness=witness)
 
 
 def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certificate:
@@ -718,7 +727,7 @@ def mutated_sigma1(d: int) -> tuple:
 
 def mutated_monodromy(n: int, d: int) -> Monodromy:
     k1, k2 = monodromy_indices(n)
-    return Monodromy(num_generators(n), d, {k1: mutated_sigma1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
+    return Monodromy(num_generators(n), d, {k1: mutated_sigma1(d), k2: sigma_d2(d)})
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +900,10 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
             raise MalformedCertificate("unknown SigmaT mode %.40r" % mode)
         sig1, sig2, sigma = _perms([_field(payload, k, list, dict)
                                     for k in ("sigma1", "sigma2", "sigma_T")])
-        return _sigma_rule(sig1, sig2, sigma, mode)[0]
+        other_moving = _field(payload, "other_moving", list) if "other_moving" in payload else []
+        if any(type(i) is not int for i in other_moving):
+            raise MalformedCertificate("other_moving must list generator indices")
+        return _sigma_rule(sig1, sig2, sigma, mode, other_moving)[0]
     if kind == "MinusIdentity":
         entries = _field(payload, "images", list)
         generators = [_field(e, "generator", int) for e in entries]
@@ -899,7 +911,7 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
         return _minus_identity_rule(zip(generators, images))[0]
     if kind == "Index":
         n = _field(data, "n", int)
-        if n < 5 or n == 6:
+        if no_base_surface(n):
             raise MalformedCertificate("no base surface X_%d" % n)
         if not in_theorem and n > MAX_STANDALONE_INDEX_N:
             raise MalformedCertificate("a standalone Index for n = %d > %d is not revalidated"

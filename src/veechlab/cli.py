@@ -12,10 +12,10 @@ import json
 import sys
 
 from .certificates import revalidate, verify_quotient, verify_theorem
-from .covering import base_decomposition, build_cover, cover_cylinders
+from .covering import base_decomposition, build_cover, cover_cylinders, monodromy_indices
 from .errors import MalformedCertificate, VeechLabError
 from .render import PALETTES, render_cover, render_infinite_window, render_surface
-from .surface import build_base
+from .surface import build_base, no_base_surface
 from .zcover import (
     infinite_singularities,
     sigma_T_infinite,
@@ -39,7 +39,7 @@ def _emit(data, indent: int | None = 2) -> None:
 
 
 def _check_n(n: int) -> None:
-    if n < 5 or n == 6:
+    if no_base_surface(n):
         raise UsageError("n must be at least 5 and not 6")
 
 
@@ -132,13 +132,14 @@ def cmd_infinite(args) -> int:
     _check_n(args.n)
     n = args.n
     zm = std_infinite_monodromy(n)
+    k1, k2 = monodromy_indices(n)
     report = {
         "n": n,
         "monodromy": {
-            "k1": zm.k1,
-            "k2": zm.k2,
-            "sigma_k1": zm.image(zm.k1).to_json(),
-            "sigma_k2": zm.image(zm.k2).to_json(),
+            "k1": k1,
+            "k2": k2,
+            "sigma_k1": zm.image(k1).to_json(),
+            "sigma_k2": zm.image(k2).to_json(),
         },
         "infinite_angle_singularities": infinite_singularities(n),
         "singularity_loops": [w.to_json() for w in singularity_loops(n)],

@@ -4,25 +4,15 @@ Cosets are defined lowest-unfilled-first while scanning subgroup
 generators and then every relator at every live coset; coincidences are
 merged through a queue over a union-find.  After closure the table is
 renumbered canonically (breadth-first in generator order), so tables
-are reproducible bit-for-bit.  A configurable cap bounds the number of
-cosets ever defined; the environment variable VEECHLAB_COSET_CAP
-overrides the default of 10**5.
+are reproducible bit-for-bit.  A cap (10**5 by default) bounds the
+number of cosets ever defined.
 """
 
 from __future__ import annotations
 
-import os
-
+from . import perms
 from .errors import CapExceeded
 from .veech import GroupWord, Presentation
-
-
-DEFAULT_COSET_CAP = 10 ** 5
-
-
-def coset_cap() -> int:
-    value = os.environ.get("VEECHLAB_COSET_CAP")
-    return int(value) if value else DEFAULT_COSET_CAP
 
 
 def _word_to_cols(word: GroupWord, col: dict) -> tuple:
@@ -122,12 +112,10 @@ class CosetTable:
         self.index = index
         self.action = action  # generator symbol -> tuple permutation of {0..index-1}
         self.transversal = transversal  # GroupWord per coset, transversal[0] trivial
+        self._inverse = {sym: perms.inverse(p) for sym, p in action.items()}
 
     def act_letter(self, coset: int, sym: str, step: int) -> int:
-        perm = self.action[sym]
-        if step > 0:
-            return perm[coset]
-        return perm.index(coset)
+        return (self.action if step > 0 else self._inverse)[sym][coset]
 
     def act_word(self, coset: int, word: GroupWord) -> int:
         for sym, step in word.letters():
@@ -148,21 +136,10 @@ class CosetTable:
         for i, t in enumerate(self.transversal):
             if self.act_word(0, t) != i:
                 return False
-        # transitivity
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for sym in self.presentation.generators:
-                for y in (self.action[sym][x], self.action[sym].index(x)):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return len(seen) == self.index
+        return perms.is_transitive([self.action[sym] for sym in self.presentation.generators],
+                                   self.index)
 
     def to_json(self):
-        from . import perms
-
         return {
             "index": self.index,
             "perms": {
@@ -174,11 +151,9 @@ class CosetTable:
 
 
 def coset_enumerate(
-    presentation: Presentation, subgroup: list, cap: int | None = None
+    presentation: Presentation, subgroup: list, cap: int = 10 ** 5
 ) -> CosetTable:
     """Enumerate cosets of <subgroup> in the presented group (HLT)."""
-    if cap is None:
-        cap = coset_cap()
     gens = presentation.generators
     col = {}
     inv_col = []

@@ -17,13 +17,13 @@ from functools import cached_property, lru_cache
 from . import perms
 from .errors import IntransitiveMonodromy
 from .cylinders import Direction, decompose
-from .surface import EdgeRef, TranslationSurface, build_base
+from .surface import EdgeRef, TranslationSurface, build_base, no_base_surface
 from .words import Word
 
 
 def monodromy_indices(n: int) -> tuple[int, int]:
     """The two marked generators (k1, k2) of the covering family."""
-    if n < 5 or n == 6:
+    if no_base_surface(n):
         raise ValueError("n >= 5, n != 6")
     if n % 2:
         return (n - 1) // 2, (n + 1) // 2
@@ -69,7 +69,7 @@ class Monodromy:
     inspected.
     """
 
-    def __init__(self, num_generators: int, degree: int, images: dict, k1=None, k2=None):
+    def __init__(self, num_generators: int, degree: int, images: dict):
         if degree < 1:
             raise ValueError("degree must be positive")
         check_generators(num_generators, images)
@@ -85,8 +85,6 @@ class Monodromy:
         # the generators that move a sheet, with their inverse images;
         # eval_word composes only these
         self._moving = {i: (p, perms.inverse(p)) for i, p in self.images.items() if p != ident}
-        self.k1 = k1
-        self.k2 = k2
 
     def is_transitive(self) -> bool:
         return perms.is_transitive(list(self.images.values()), self.degree)
@@ -113,18 +111,10 @@ class Monodromy:
                          {i: self.eval_word(w) for i, w in enumerate(words)})
 
     def to_json(self):
-        data = {
+        return {
             "degree": self.degree,
-            "images": {
-                str(i): list(p)
-                for i, p in sorted(self.images.items())
-                if p != perms.identity(self.degree)
-            },
+            "images": {str(i): list(p) for i, (p, _) in sorted(self._moving.items())},
         }
-        if self.k1 is not None:
-            data["k1"] = self.k1
-            data["k2"] = self.k2
-        return data
 
 
 def standard_monodromy(n: int, d: int) -> Monodromy:
@@ -132,15 +122,23 @@ def standard_monodromy(n: int, d: int) -> Monodromy:
     if d < 2:
         raise ValueError("degree must be at least 2")
     k1, k2 = monodromy_indices(n)
-    return Monodromy(num_generators(n), d, {k1: sigma_d1(d), k2: sigma_d2(d)}, k1=k1, k2=k2)
+    return Monodromy(num_generators(n), d, {k1: sigma_d1(d), k2: sigma_d2(d)})
 
 
 class CoveringSurface:
-    def __init__(self, base: TranslationSurface, monodromy: Monodromy, n: int, d: int):
-        self.base = base
-        self.monodromy = monodromy
+    """The cover of X_n with the given monodromy; everything else follows from n."""
+
+    def __init__(self, n: int, monodromy: Monodromy):
         self.n = n
-        self.d = d
+        self.monodromy = monodromy
+
+    @property
+    def base(self) -> TranslationSurface:
+        return build_base(self.n)
+
+    @property
+    def d(self) -> int:
+        return self.monodromy.degree
 
     @cached_property
     def surface(self) -> TranslationSurface:
@@ -173,14 +171,12 @@ class CoveringSurface:
         return copy * len(self.base.polygons) + base_polygon
 
     def to_json(self):
-        data = {"n": self.n, "d": self.d, "monodromy": self.monodromy.to_json()}
         m = self.monodromy
-        if m.k1 is not None:
-            data["k1"] = m.k1
-            data["k2"] = m.k2
-            data["sigma1"] = perms.cycles(m.image(m.k1), include_fixed=False)
-            data["sigma2"] = perms.cycles(m.image(m.k2), include_fixed=False)
-        return data
+        k1, k2 = monodromy_indices(self.n)
+        marked = {"k1": k1, "k2": k2}
+        return {"n": self.n, "d": self.d, "monodromy": {**m.to_json(), **marked}, **marked,
+                "sigma1": perms.cycles(m.image(k1), include_fixed=False),
+                "sigma2": perms.cycles(m.image(k2), include_fixed=False)}
 
 
 def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringSurface:
@@ -199,7 +195,7 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
         raise IntransitiveMonodromy(
             "monodromy image is not transitive on %d sheets" % d
         )
-    return CoveringSurface(base=base, monodromy=monodromy, n=n, d=d)
+    return CoveringSurface(n, monodromy)
 
 
 def rotation_class(n: int, l: int) -> tuple[int, int]:
@@ -276,11 +272,8 @@ def _base_decomposition(n: int, l: int):
         return tuple(decompose(build_base(n), Direction.from_index(n, l)))
     source = _read_from_q(n) if n % 2 and j % 2 else _base_decomposition(n, r)
     images = rotation_images(n, j)
-    direction = Direction.from_index(n, l)
-    return tuple(
-        cyl._replace(direction=direction, core_word=cyl.core_word.substitute(images), bands=())
-        for cyl in source
-    )
+    return tuple(cyl._replace(core_word=cyl.core_word.substitute(images), bands=())
+                 for cyl in source)
 
 
 def base_decomposition(n: int, l: int):

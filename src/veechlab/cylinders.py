@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import BoundExceeded, InvalidSurface
 from .field import RealAlg, quarter_trig, sin_pi_over, cos_pi_over
 from .planar import Vec2
-from .surface import EdgeRef, TranslationSurface
+from .surface import EdgeRef, TranslationSurface, no_base_surface
 from .words import Word
 
 
@@ -74,7 +74,6 @@ class Direction:
 
 
 class Cylinder(NamedTuple):
-    direction: Direction
     height: RealAlg
     circumference: RealAlg
     inverse_modulus: RealAlg
@@ -304,29 +303,23 @@ def decompose(surface: TranslationSurface, direction: Direction):
             bands[(p, k)] = (lo, lv[k + 1], left[k], right[k])
             band_at_left_edge[(EdgeRef(p, left[k]), lo.key())] = (p, k)
 
-    def u_at(p, edge_i, level):
-        # u-coordinate of boundary edge edge_i at the given level; at the
-        # level of one of the edge's own vertices it needs no division
-        hs, us = tracer.h[p], tracer.u[p]
-        a, b = edge_i, (edge_i + 1) % len(hs)
-        if level == hs[a]:
-            return us[a]
-        if level == hs[b]:
-            return us[b]
-        return us[a] + (level - hs[a]) * (us[b] - us[a]) / (hs[b] - hs[a])
-
-    # flood bands rightward into cylinders
+    # flood bands rightward into cylinders; the core curve closes, so its
+    # steps inside the polygons and the translations of its crossings sum
+    # to zero, and its length along w is minus w . (sum of translations)
     unused = set(bands)
     cylinders = []
     while unused:
         start = cur = min(unused)
         chain = []
+        circumference = RealAlg.zero(w.x.N)
         while True:
             chain.append(cur)
             unused.discard(cur)
             lo, _, _, right = bands[cur]
             ref = EdgeRef(cur[0], right)
-            delta = w.cross(surface.crossing_translation(ref))
+            tau = surface.crossing_translation(ref)
+            circumference = circumference - w.dot(tau)
+            delta = w.cross(tau)
             nxt = band_at_left_edge.get((surface.gluing[ref], (lo + delta).key()))
             if nxt is None:
                 raise InvalidSurface("band flood lost its right neighbour")
@@ -337,23 +330,16 @@ def decompose(surface: TranslationSurface, direction: Direction):
             cur = nxt
         lo, hi, _, _ = bands[start]
         height = hi - lo
-        circumference = RealAlg.zero(height.N)
         letters = []
         for (p, k) in chain:
             lo, hi, left, right = bands[(p, k)]
             if not (hi - lo == height):
                 raise InvalidSurface("inconsistent band heights inside a cylinder")
-            # the band is a trapezoid: its midline width is the mean of
-            # its bottom and top widths
-            width = (u_at(p, right, lo) + u_at(p, right, hi)
-                     - u_at(p, left, lo) - u_at(p, left, hi)) / 2
-            circumference = circumference + width
             label = surface.crossing_label(EdgeRef(p, right))
             if label is not None:
                 letters.append(label)
         cylinders.append(
             Cylinder(
-                direction=direction,
                 height=height,
                 circumference=circumference,
                 inverse_modulus=circumference / height,
@@ -382,7 +368,7 @@ def closed_form_base(n: int, i: int):
     Even n, cylinder i in 1..n/4 (or (n-2)/4):
         h_i = 2 cos((2i-1)pi/n) sin(pi/n),  l_i = 4 cos((2i-1)pi/n) cos(pi/n).
     """
-    if n < 5 or n == 6:
+    if no_base_surface(n):
         raise ValueError("n >= 5, n != 6")
     count = cylinder_count_base(n)
     if not 1 <= i <= count:

@@ -66,6 +66,11 @@ def is_involution(p: tuple) -> bool:
 
 
 def is_transitive(perms, d: int) -> bool:
+    """Whether the permutations generate a group transitive on {0..d-1}.
+
+    Forward images suffice: a set of points closed under a permutation
+    of a finite set is closed under its inverse too.
+    """
     if d == 0:
         return False
     seen = {0}
@@ -73,8 +78,8 @@ def is_transitive(perms, d: int) -> bool:
     while stack:
         i = stack.pop()
         for p in perms:
-            for j in (p[i], p.index(i)):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
+            j = p[i]
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
     return len(seen) == d

@@ -220,5 +220,5 @@ def render_infinite_window(n: int, window: int, palette: str = "default") -> str
             target = zp(i - window) + window
             table[i] = target if 0 <= target < d else i  # truncate at boundary
         images[g] = tuple(table)
-    mono = Monodromy(num_generators(n), d, images, k1=k1, k2=k2)
+    mono = Monodromy(num_generators(n), d, images)
     return render_cover(build_cover(n, d, mono), palette=palette)

@@ -258,6 +258,11 @@ def _polygon_from_quarter_angles(n: int, units: list[int]) -> Polygon:
     return Polygon(verts)
 
 
+def no_base_surface(n: int) -> bool:
+    """Whether X_n is undefined: n < 5, or n = 6 (n = 4, 6 are degenerate)."""
+    return n < 5 or n == 6
+
+
 @lru_cache(maxsize=None)
 def build_base(n: int) -> TranslationSurface:
     """The base surface X_n.
@@ -268,7 +273,7 @@ def build_base(n: int) -> TranslationSurface:
     the horizontal one.  Even n: one regular n-gon with vertex j at
     (cos(2*pi*j/n), sin(2*pi*j/n)) and opposite sides glued.
     """
-    if n < 5 or n == 6:
+    if no_base_surface(n):
         raise ValueError("base surface requires n >= 5, n != 6 (n=4,6 are degenerate)")
     if n % 2:
         return _build_odd(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import VerificationFailure
 from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
+from .surface import no_base_surface
 
 
 class Mat2:
@@ -84,9 +85,6 @@ class Mat2:
         from .planar import Vec2
 
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
-    def to_json(self):
-        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
 
     def __repr__(self):
         return "Mat2[[%s, %s], [%s, %s]]" % tuple(
@@ -189,9 +187,6 @@ class GroupWord:
     def __repr__(self):
         return "GroupWord(%s)" % self
 
-    def to_json(self):
-        return str(self)
-
     @staticmethod
     def parse(text: str) -> GroupWord:
         text = text.strip()
@@ -268,17 +263,9 @@ class Presentation:
     def __setattr__(self, *a):
         raise AttributeError("Presentation is immutable")
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "generators": list(self.generators),
-            "relators": [str(r) for r in self.relators],
-            "chi_orb": self.chi_orb_str,
-        }
-
 
 def presentation_for(n: int) -> Presentation:
-    if n < 5 or n == 6:
+    if no_base_surface(n):
         raise ValueError("n >= 5, n != 6")
     if n % 2:
         R, T = GroupWord.gen("R"), GroupWord.gen("T")

@@ -97,12 +97,10 @@ class ZMonodromy:
 
     degree = "inf"  # the sheets are indexed by Z; certificates print d as "inf"
 
-    def __init__(self, num_generators: int, images: dict, k1=None, k2=None):
+    def __init__(self, num_generators: int, images: dict):
         check_generators(num_generators, images)
         self.num_generators = num_generators
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}
-        self.k1 = k1
-        self.k2 = k2
 
     def image(self, i: int) -> ZPermutation:
         return self.images[i]
@@ -121,12 +119,7 @@ def std_infinite_monodromy(n: int) -> ZMonodromy:
     """m_{n,infinity}: x_{k1} swaps within even/odd pairs upward,
     x_{k2} downward; all other generators act trivially."""
     k1, k2 = monodromy_indices(n)
-    return ZMonodromy(
-        num_generators(n),
-        {k1: ZPermutation(1, -1), k2: ZPermutation(-1, 1)},
-        k1=k1,
-        k2=k2,
-    )
+    return ZMonodromy(num_generators(n), {k1: ZPermutation(1, -1), k2: ZPermutation(-1, 1)})
 
 
 def singularity_loops(n: int) -> list[Word]:

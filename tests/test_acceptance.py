@@ -94,7 +94,8 @@ def test_criterion_04_monodromy_formulas():
     for n in (5, 8):
         for d in range(2, 9):
             m = standard_monodromy(n, d)
-            w = Word.generator(m.k1) * Word.generator(m.k2).inverse()
+            k1, k2 = monodromy_indices(n)
+            w = Word.generator(k1) * Word.generator(k2).inverse()
             assert m.eval_word(w) == displayed(d)
     _report(4, "m(x_k1 x_k2^-1) equals the displayed cycle forms for d in 2..8")
 

@@ -24,6 +24,7 @@ from veechlab.covering import (
     Monodromy,
     base_decomposition,
     build_cover,
+    monodromy_indices,
     num_generators,
     sigma_d1,
     sigma_d2,
@@ -107,7 +108,7 @@ def test_rotation_obstruction_d4_parallel_heights():
     n, d = 5, 4
     cover = build_cover(n, d)
     # directions parallel to x_k1 / x_k2: l with edge index match
-    k1, k2 = cover.monodromy.k1, cover.monodromy.k2
+    k1, k2 = monodromy_indices(n)
     parallel = [(2 * k1) % n, (2 * k2) % n]  # v_{2j mod n} is parallel to x_j
     for l in parallel:
         if l == 0:
@@ -145,11 +146,34 @@ def test_sigma_T_conditions_hold(d):
         assert cert.verdict == "pass"
 
 
+def _roundtrip(cert):
+    return json.loads(json.dumps(cert.to_json()))
+
+
+def test_sigma_T_is_inconclusive_when_another_generator_moves():
+    # x_0 alone moves a sheet; the SigmaT conditions read only the
+    # identity images of x_k1 and x_k2, so they say nothing here
+    m = Monodromy(4, 2, {0: (1, 0)})
+    cert = certify_sigma_T(5, 2, "horizontal", m)
+    assert cert.verdict == "inconclusive"
+    assert cert.payload["other_moving"] == cert.witness["other_moving"] == [0]
+    assert revalidate(_roundtrip(cert)) == "inconclusive"
+    theorem = verify_theorem(5, 2, monodromy=m)
+    assert theorem.verdict != "pass"
+    assert revalidate(_roundtrip(theorem)) == theorem.verdict
+    # the two-slit family writes no such key
+    assert "other_moving" not in certify_sigma_T(5, 2, "horizontal").payload
+    data = _roundtrip(cert)
+    data["payload"]["other_moving"] = ["0"]
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+
+
 def test_minus_identity_certificates():
     for d in range(2, 9):
         assert certify_minus_identity(5, build_cover(5, d).monodromy).verdict == "pass"
     # a 3-cycle image is not an involution
-    bad = Monodromy(4, 3, {2: perms.from_cycles(3, [(0, 1, 2)]), 3: sigma_d2(3)}, k1=2, k2=3)
+    bad = Monodromy(4, 3, {2: perms.from_cycles(3, [(0, 1, 2)]), 3: sigma_d2(3)})
     cover = build_cover(5, 3, bad)
     cert = certify_minus_identity(5, cover.monodromy)
     assert cert.verdict == "fail"
@@ -219,7 +243,7 @@ def test_pullback_inconclusive_for_symmetric_cover():
     # a cover invariant under the rotation: pullback gives no obstruction
     n, d = 8, 2
     images = {i: sigma_d1(2) for i in range(4)}  # all generators swap sheets
-    mono = Monodromy(4, d, images, k1=1, k2=2)
+    mono = Monodromy(4, d, images)
     cert = certify_pullback_obstruction(n, mono, 2)
     assert cert.verdict == "inconclusive"
 
@@ -292,11 +316,11 @@ def test_infinite_monodromy_uses_the_finite_rules():
     assert certify_minus_identity(n, zm).verdict == "pass"
     # a shift on Z is no involution: -I does not lift, and the witness
     # names the generator and its image as for a finite cover
-    shifted = ZMonodromy(zm.num_generators, {zm.k1: ZPermutation(2, 2), zm.k2: zm.image(zm.k2)},
-                         k1=zm.k1, k2=zm.k2)
+    k1, k2 = monodromy_indices(n)
+    shifted = ZMonodromy(zm.num_generators, {k1: ZPermutation(2, 2), k2: zm.image(k2)})
     cert = certify_minus_identity(n, shifted)
     assert cert.verdict == "fail"
-    assert cert.witness == {"generator": zm.k1, "image": {"t_even": 2, "t_odd": 2},
+    assert cert.witness == {"generator": k1, "image": {"t_even": 2, "t_odd": 2},
                             "reason": "not an involution"}
     assert revalidate(json.loads(json.dumps(cert.to_json()))) == "fail"
     assert certify_sigma_T(n, "inf", "horizontal", shifted).verdict == "fail"
@@ -590,10 +614,10 @@ def _traced_profile(profile, n, monodromy, l):
         return profile(n, monodromy, l)
 
 
-def _random_transitive_monodromy(data):
-    """(n, m): n in 5..16 and a transitive monodromy of degree d <= 6."""
-    n = data.draw(st.sampled_from([5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]), label="n")
-    d = data.draw(st.integers(2, 6), label="d")
+def _random_transitive_monodromy(data, ns=(5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), max_d=6):
+    """(n, m): n in ns and a transitive monodromy of degree 2 <= d <= max_d."""
+    n = data.draw(st.sampled_from(ns), label="n")
+    d = data.draw(st.integers(2, max_d), label="d")
     num = num_generators(n)
     images = {}
     for i in range(num):
@@ -613,6 +637,17 @@ def test_pulled_back_profiles_equal_traced_ones(data):
         assert list(certificates._finite_profile(n, m, l).items()) == list(
             _traced_profile(certificates._finite_profile, n, m, l).items()
         ), l
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_theorem_passes_when_an_unmarked_generator_moves(data):
+    n, m = _random_transitive_monodromy(data, ns=(5, 7, 8, 9, 10), max_d=4)
+    k1, k2 = monodromy_indices(n)
+    assume(any(p != perms.identity(m.degree) for i, p in m.images.items() if i not in (k1, k2)))
+    cert = verify_theorem(n, m.degree, monodromy=m)
+    assert cert.verdict != "pass"
+    assert revalidate(_roundtrip(cert)) == cert.verdict
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 10])

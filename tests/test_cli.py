@@ -236,6 +236,22 @@ GOLDEN_RENDER = {
 }
 
 
+# sha256 of `veechlab cover` and `veechlab infinite` stdout, recorded while
+# every monodromy still stored its own k1/k2
+GOLDEN_COVER = {
+    ("cover", "--n", "8", "--d", "3"): "c0886318e36fd3b0f05f833c10859c063544d6636ed5a941dc33a2adaab1d5db",
+    ("cover", "--n", "9", "--d", "5"): "698ce02410f0948aa086c2aa40b7fe43e664599f31bd5ba24ad31c043b380ed2",
+    ("infinite", "--n", "10"): "486bea5e5813d3a28ad0fa9615ab358e2e41fae54eb747db2c687a8c9d085381",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_COVER))
+def test_cover_and_infinite_stdout_bytes_unchanged(capsys, args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_COVER[args]
+
+
 @pytest.mark.parametrize("args", sorted(GOLDEN_CYLINDERS))
 def test_cylinders_stdout_bytes_unchanged(capsys, args):
     code, out, _ = run_cli(capsys, "cylinders", *args)

@@ -62,14 +62,6 @@ def test_cap_exceeded():
         coset_enumerate(presentation_for(9), subgroup_words(9), cap=3)
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("VEECHLAB_COSET_CAP", "3")
-    with pytest.raises(CapExceeded):
-        coset_enumerate(presentation_for(9), subgroup_words(9))
-    monkeypatch.setenv("VEECHLAB_COSET_CAP", "100000")
-    assert coset_enumerate(presentation_for(9), subgroup_words(9)).index == 9
-
-
 def test_table_json():
     table = coset_enumerate(presentation_for(5), subgroup_words(5))
     data = table.to_json()

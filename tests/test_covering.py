@@ -40,20 +40,20 @@ def core_cycle_form(d: int) -> tuple:
 @pytest.mark.parametrize("d", range(2, 9))
 def test_monodromy_of_core_word_matches_closed_cycle_form(n, d):
     m = standard_monodromy(n, d)
-    w = Word.generator(m.k1) * Word.generator(m.k2).inverse()
+    k1, k2 = monodromy_indices(n)
+    w = Word.generator(k1) * Word.generator(k2).inverse()
     assert m.eval_word(w) == core_cycle_form(d)
 
 
 def test_standard_monodromy_examples():
     m = standard_monodromy(5, 4)
-    assert (m.k1, m.k2) == (2, 3)
+    assert monodromy_indices(5) == (2, 3)
     assert m.image(2) == perms.from_cycles(4, [(0, 1), (2, 3)])
     assert m.image(3) == perms.from_cycles(4, [(1, 2), (3, 0)])
     m5 = standard_monodromy(5, 5)
     assert m5.image(2) == perms.from_cycles(5, [(0, 1), (2, 3)])
     assert m5.image(3) == perms.from_cycles(5, [(1, 2), (3, 4)])
-    assert standard_monodromy(8, 3).k1 == 1
-    assert standard_monodromy(8, 3).k2 == 2
+    assert monodromy_indices(8) == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ def test_cover_genus_y52_two_routes():
 
 def test_copies_connected_only_through_marked_edges():
     cover = build_cover(7, 4)
-    k1, k2 = cover.monodromy.k1, cover.monodromy.k2
+    k1, k2 = monodromy_indices(7)
     nb = len(cover.base.polygons)
     for src, dst in cover.surface.gluing.items():
         label = cover.surface.generator_labels.get(src)
@@ -187,7 +187,7 @@ def test_certified_paths_never_realize_the_cover(n, d, monkeypatch, capsys):
 
 
 def test_intransitive_monodromy_rejected():
-    m = Monodromy(4, 3, {}, k1=2, k2=3)  # all generators trivial
+    m = Monodromy(4, 3, {})  # all generators trivial
     with pytest.raises(IntransitiveMonodromy):
         build_cover(5, 3, m)
 
@@ -266,7 +266,7 @@ def test_sigma_factories():
 def test_rotation_images_carry_core_words_to_traced_ones(n):
     # base_decomposition traces only v_r and reads every other v_l as the
     # rho^j image of its words; the tracer run in v_l itself must give the
-    # same cylinders, core words and direction, in the same order
+    # same cylinders and core words, in the same order
     surface = build_base(n)
     for l in range(-n, 2 * n + 1):
         r, j = rotation_class(n, l)
@@ -274,7 +274,6 @@ def test_rotation_images_carry_core_words_to_traced_ones(n):
         derived = base_decomposition(n, l)
         traced = decompose(surface, Direction.from_index(n, l))
         assert [c.to_json() for c in derived] == [c.to_json() for c in traced], (n, l)
-        assert [c.direction for c in derived] == [c.direction for c in traced]
         assert [(c.height, c.inverse_modulus) for c in derived] == [
             (c.height, c.inverse_modulus) for c in traced
         ]
@@ -342,5 +341,4 @@ def test_cover_cylinders_read_the_traced_direction():
         by_height = {c.height.key(): c for c in traced}
         for cyl in cover_cylinders(cover, l):
             base = by_height[cyl.height.key()]
-            assert cyl.direction == Direction.from_index(7, l)
             assert cyl.core_word == base.core_word ** (len(cyl.core_word) // len(base.core_word))
