@@ -24,12 +24,11 @@ Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values: the certify_* functions apply it to what
 they computed, revalidate() to what it parsed from the payload.
 
-Certificates are written in format 2: the top level carries the
-conductor 4n once and a table of the distinct exact values, and rows and
-witnesses refer to the table by index; the horizontal profile that every
-RotationObstruction compares against is written once, at the top level.
-revalidate() also reads format 1, which writes every value out in full
-wherever it is used, into the same native values.
+Certificates are written and read in format 2: the top level carries
+the conductor 4n once and a table of the distinct exact values, and rows
+and witnesses refer to the table by index; the horizontal profile that
+every RotationObstruction compares against is written once, at the top
+level.  revalidate() reads no other format.
 
 Non-membership certificates for user-supplied monodromies may come out
 "inconclusive" (equal multisets prove nothing); the standard family
@@ -271,9 +270,8 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     """ShearMembership: every (inverse modulus, twist count) row must have
     a positive integer count k with k * inverse modulus == factor.
 
-    An infinite cylinder (d = inf) admits no twist at all.  Format 2
-    lists a d = inf payload's infinite cylinder types; format 1 does not,
-    so there only the certifier sees them.
+    An infinite cylinder (d = inf) admits no twist at all; a d = inf
+    payload lists its infinite cylinder types.
     """
     if infinite_cylinders:
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
@@ -636,8 +634,10 @@ def _aggregate(n: int, d, subs: list, preimages=None, values: _Values | None = N
 
 def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
                    monodromy: Monodromy | None = None) -> Certificate:
-    """Certify Gamma(Y_{n,d}) = Gamma_n for one n and degree (or infinity)."""
+    """Certify Gamma(Y_{n,d}) = Gamma_n for one n and degree (or infinity, standard monodromy)."""
     if infinite:
+        if d is not None or monodromy is not None:
+            raise ValueError("infinite verification takes neither d nor a monodromy")
         d, monodromy = "inf", std_infinite_monodromy(n)
         subs = []
     else:
@@ -754,53 +754,11 @@ def _field(obj, key: str, *types):
     return value
 
 
-class _Inline:
-    """Exact values of a format-1 certificate, written out in full where
-    they are used; each distinct one is parsed once per revalidate call.
-
-    Every value lies in the field Q(zeta_4n) of the certificate that
-    carries it, so any other conductor is malformed; it is rejected
-    before a field is built for it, as is a second conductor within one
-    call.
-    """
-
-    format = 1
-
-    def __init__(self):
-        self._memo = {}  # (conductor, coefficients) -> parsed value
-
-    def exact(self, obj, key: str, conductor: int) -> RealAlg:
-        """The exact value obj[key]."""
-        memo = self._memo
-        data = _field(obj, key, dict)
-        # types first: a conductor 36.0, or coefficients "12" instead of
-        # ["1", "2"], would otherwise hit the entry of a well-formed value
-        N, coeffs = _field(data, "conductor", int), _field(data, "coeffs", list)
-        if N != conductor:
-            raise MalformedCertificate("%r has conductor %d, not 4n = %d" % (key, N, conductor))
-        try:
-            memo_key = (N, tuple(coeffs))
-            value = memo.get(memo_key)
-        except TypeError as exc:  # an unhashable coefficient
-            raise MalformedCertificate("coefficient of %r is not a string" % key) from exc
-        if value is None:
-            if memo and next(iter(memo))[0] != N:
-                raise MalformedCertificate("mixed conductors %d and %d" % (next(iter(memo))[0], N))
-            value = memo[memo_key] = RealAlg.from_json(data)
-        return value
-
-    def horizontal(self, payload: dict, key: str, conductor: int) -> dict:
-        """A RotationObstruction's horizontal profile: its own rows."""
-        return _parse_multiset(_field(payload, key, list), self, conductor)
-
-
 class _Table:
-    """Exact values of a format-2 certificate: its top-level table, each
-    entry parsed once, up front, and indexed by rows and witnesses.  The
+    """Exact values of a certificate: its top-level table, each entry
+    parsed once, up front, and indexed by rows and witnesses.  The
     horizontal profile is a top-level section too, parsed on first use.
     """
-
-    format = 2
 
     def __init__(self, data: dict):
         n, conductor = _field(data, "n", int), _field(data, "conductor", int)
@@ -811,7 +769,7 @@ class _Table:
         self._top = data
         self._horizontal = {}
 
-    def exact(self, obj, key: str, conductor: int) -> RealAlg:
+    def exact(self, obj, key: str) -> RealAlg:
         # a subcertificate's n, and so its conductor, is bound to the
         # top level's before any rule runs
         i = _field(obj, key, int)
@@ -820,28 +778,27 @@ class _Table:
                                        % (key, i, len(self._values)))
         return self._values[i]
 
-    def horizontal(self, payload: dict, key: str, conductor: int) -> dict:
+    def horizontal(self, key: str) -> dict:
         """The horizontal profile, from the top-level section named key."""
         if key not in self._horizontal:
-            rows = _field(self._top, key, list)
-            self._horizontal[key] = _parse_multiset(rows, self, conductor)
+            self._horizontal[key] = _parse_multiset(_field(self._top, key, list), self)
         return self._horizontal[key]
 
 
-def _reader(data):
-    """The reader of a top-level certificate's exact values, by its format."""
-    if type(data) is dict and "format" in data:
-        if type(data["format"]) is not int or data["format"] != FORMAT:
-            raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
-        return _Table(data)
-    return _Inline()
+def _reader(data) -> _Table:
+    """The value table of a top-level certificate, which must be format 2."""
+    if type(data) is not dict or "format" not in data:
+        raise MalformedCertificate("certificate has no \"format\" key: format 1 is no longer "
+                                   "read; `veechlab verify` writes format 2")
+    if type(data["format"]) is not int or data["format"] != FORMAT:
+        raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
+    return _Table(data)
 
 
-def _parse_multiset(rows: list, reader, conductor: int) -> dict:
+def _parse_multiset(rows: list, table: _Table) -> dict:
     types = {}
     for e in rows:
-        mod = reader.exact(e, "inverse_modulus", conductor)
-        height = reader.exact(e, "height", conductor)
+        mod, height = table.exact(e, "inverse_modulus"), table.exact(e, "height")
         types[(mod.key(), height.key())] = ((mod, height), _field(e, "count", int, _NONE))
     return types
 
@@ -854,45 +811,53 @@ def _perms(data: list) -> list:
     return ps
 
 
+def _images(payload: dict) -> list:
+    """The (generator, image) pairs that a MinusIdentity lists."""
+    entries = _field(payload, "images", list)
+    generators = [_field(e, "generator", int) for e in entries]
+    return list(zip(generators, _perms([_field(e, "image", list, dict) for e in entries])))
+
+
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its JSON, format 1 or 2.
+    """Recompute a certificate's verdict from its format-2 JSON.
 
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so its stated verdict stands.
-    A ShearMembership inside a FullTheorem fails unless its factor is
-    the theorem's 2*lambda_n; a standalone one keeps its own factor.  A
-    standalone Index for n above MAX_STANDALONE_INDEX_N raises
-    MalformedCertificate before any coset is enumerated.
-    A payload that does not parse raises MalformedCertificate, and so
-    does a format other than 1 (no "format" key) and 2.  Each distinct
-    exact value is parsed once per call.
+    Inside a FullTheorem, a ShearMembership fails unless its factor is
+    2*lambda_n (alone it keeps its own factor), the MinusIdentity unless
+    it lists each generator of X_n once, in order, and a SigmaT unless
+    its sigma1, sigma2 and other_moving are read from that list.
+    MalformedCertificate is raised for a payload that does not parse, a
+    top level without "format": 2, and a standalone Index for n above
+    MAX_STANDALONE_INDEX_N (before any coset is enumerated).  Each table
+    entry is parsed once per call.
     """
     return _revalidate(data, _reader(data))
 
 
-def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
+def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
+    # theorem_images is None at the top level; inside a FullTheorem it returns each
+    # generator's image in the theorem's MinusIdentity, or {} if that is unbound
+    in_theorem = theorem_images is not None
     kind = _field(data, "kind", str)
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         n = _field(data, "n", int)
-        conductor = 4 * n
-        factor = reader.exact(payload, "factor", conductor)
+        factor = table.exact(payload, "factor")
         if in_theorem and factor != 2 * lambda_n(n):
             return FAIL
         infinite_types = {}
-        if reader.format == 2 and _field(data, "d", int, str, _NONE) == "inf":
-            infinite_types = _parse_multiset(
-                _field(payload, "infinite_cylinders", list), reader, conductor)
+        if _field(data, "d", int, str, _NONE) == "inf":
+            infinite_types = _parse_multiset(_field(payload, "infinite_cylinders", list), table)
         # a generator: the rule stops reading rows at the first failing one
-        rows = ((reader.exact(r, "inverse_modulus", conductor), _field(r, "twists", int, _NONE))
+        rows = ((table.exact(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
         return _shear_rule(factor, rows, _field(payload, "l", int), bool(infinite_types))[0]
     if kind == "RotationObstruction":
         infinite = "direction_infinite" in payload
         suffix = "_infinite" if infinite else ""
-        conductor = 4 * _field(data, "n", int)
-        horizontal = reader.horizontal(payload, "horizontal" + suffix, conductor)
-        direction = _parse_multiset(_field(payload, "direction" + suffix, list), reader, conductor)
+        horizontal = table.horizontal("horizontal" + suffix)
+        direction = _parse_multiset(_field(payload, "direction" + suffix, list), table)
         return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
         mode = _field(payload, "mode", str)
@@ -903,12 +868,17 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
         other_moving = _field(payload, "other_moving", list) if "other_moving" in payload else []
         if any(type(i) is not int for i in other_moving):
             raise MalformedCertificate("other_moving must list generator indices")
+        if in_theorem:
+            images = theorem_images()
+            k1, k2 = monodromy_indices(_field(data, "n", int))
+            moving = [g for g in images if g not in (k1, k2) and not _Perm.is_identity(images[g])]
+            if [sig1, sig2, other_moving] != [images.get(k1), images.get(k2), moving]:
+                return FAIL
         return _sigma_rule(sig1, sig2, sigma, mode, other_moving)[0]
     if kind == "MinusIdentity":
-        entries = _field(payload, "images", list)
-        generators = [_field(e, "generator", int) for e in entries]
-        images = _perms([_field(e, "image", list, dict) for e in entries])
-        return _minus_identity_rule(zip(generators, images))[0]
+        if in_theorem:  # parsed with the theorem; unbound, it fails
+            return _minus_identity_rule(theorem_images().items())[0] if theorem_images() else FAIL
+        return _minus_identity_rule(_images(payload))[0]
     if kind == "Index":
         n = _field(data, "n", int)
         if no_base_surface(n):
@@ -937,6 +907,8 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
         n, d = _field(data, "n", int), _field(data, "d", int, str)
         if d != "inf" and type(d) is str:
             raise MalformedCertificate("unknown degree %.40r" % d)
+        if no_base_surface(n):
+            raise MalformedCertificate("no base surface X_%d" % n)
         subcertificates = _field(payload, "subcertificates", list)
         for s in subcertificates:  # each one is about this (n, d); Index about n alone
             kind = _field(s, "kind", str)
@@ -944,7 +916,15 @@ def _revalidate(data: dict, reader, in_theorem: bool = False) -> str:
             if claim != (n, None if kind == "Index" else d):
                 raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
                                            "in a theorem for (%d, %r)" % (kind, *claim, n, d))
-        subs = ((s["kind"], _revalidate(s, reader, True), None) for s in subcertificates)
+
+        @lru_cache(maxsize=None)
+        def images():
+            # read lazily (the fold may stop first); only one MinusIdentity of x_0.. in order binds
+            minus = [s for s in subcertificates if s["kind"] == "MinusIdentity"]
+            found = _images(_field(minus[0], "payload", dict)) if len(minus) == 1 else []
+            return dict(found) if [g for g, _ in found] == list(range(num_generators(n))) else {}
+
+        subs = ((s["kind"], _revalidate(s, table, images), None) for s in subcertificates)
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]
     raise MalformedCertificate("unknown certificate kind %.40r" % kind)

@@ -190,43 +190,19 @@ class TranslationSurface:
             if multiple < 1:
                 raise InvalidSurface("vertex class with non-positive cone angle")
             points.append(ConePoint(corners=tuple(cycle), angle_multiple=multiple))
-        total = sum(cp.angle_multiple - 1 for cp in points)
-        if total != 2 * self.genus() - 2:
+        # Gauss-Bonnet: sum (k_i - 1) = 2g - 2 = -chi, chi = V - E + F
+        chi = len(points) - self.num_edges() + len(self.polygons)
+        if chi % 2:
+            raise InvalidSurface("odd Euler characteristic")
+        if sum(cp.angle_multiple - 1 for cp in points) != -chi:
             raise InvalidSurface("cone angles violate Gauss-Bonnet")
         self._cone_points = points
         return points
 
     def genus(self) -> int:
-        V = len(self._vertex_classes_fast())
-        E = self.num_edges()
-        F = len(self.polygons)
-        chi = V - E + F
-        if chi % 2:
-            raise InvalidSurface("odd Euler characteristic")
+        """The genus, from chi = V - E + F over the vertex classes of cone_points()."""
+        chi = len(self.cone_points()) - self.num_edges() + len(self.polygons)
         return (2 - chi) // 2
-
-    def _vertex_classes_fast(self):
-        # union-find over corners, avoiding angle computations
-        parent = {}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for p, poly in enumerate(self.polygons):
-            for v in range(len(poly)):
-                parent[(p, v)] = (p, v)
-        for p, poly in enumerate(self.polygons):
-            for v in range(len(poly)):
-                dst = self.gluing[EdgeRef(p, v)]
-                # start vertex of (p, v) is identified with end vertex of dst
-                a = find((p, v))
-                b = find((dst.polygon, (dst.side + 1) % len(self.polygons[dst.polygon])))
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        return {find(c) for c in parent}
 
     # -- serialization -------------------------------------------------------
 

@@ -1,9 +1,7 @@
-import gzip
 import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,9 +33,6 @@ from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
 from veechlab.surface import build_base
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
 
 # the top-level keys of a format-2 certificate that its subcertificates
 # refer to
@@ -167,6 +162,55 @@ def test_sigma_T_is_inconclusive_when_another_generator_moves():
     data["payload"]["other_moving"] = ["0"]
     with pytest.raises(MalformedCertificate):
         revalidate(data)
+
+
+# ---------------------------------------------------------------------------
+# inside a theorem, SigmaT reads the monodromy that the MinusIdentity lists
+
+
+def _subs(data, kind):
+    return [s for s in data["payload"]["subcertificates"] if s["kind"] == kind]
+
+
+def test_stripped_other_moving_fails_the_theorem():
+    # x_0 moves a sheet, so SigmaT is inconclusive; without its
+    # other_moving key it would read as a pass
+    data = _roundtrip(verify_theorem(5, 2, monodromy=Monodromy(4, 2, {0: (1, 0)})))
+    assert revalidate(data) == "inconclusive"
+    for sigma in _subs(data, "SigmaT"):
+        del sigma["payload"]["other_moving"]
+    assert revalidate(data) == "fail"
+    # dropping x_0 from the MinusIdentity as well does not make it bind
+    minus = _subs(data, "MinusIdentity")[0]["payload"]
+    minus["images"] = [e for e in minus["images"] if e["generator"] != 0]
+    assert revalidate(data) == "fail"
+
+
+@pytest.mark.parametrize("n,d", [(7, 4), (9, 4)])
+def test_swapped_sigma_images_fail_the_theorem(n, d):
+    data = _roundtrip(verify_theorem(n, d))
+    assert revalidate(data) == "pass"
+    payload = _subs(data, "SigmaT")[0]["payload"]
+    assert payload["sigma1"] != payload["sigma2"]
+    payload["sigma1"], payload["sigma2"] = payload["sigma2"], payload["sigma1"]
+    assert revalidate(data) == "fail"
+
+
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "reorder", "reorder without SigmaT"])
+def test_theorem_needs_one_complete_minus_identity(edit):
+    data = _roundtrip(verify_theorem(8, 3))
+    assert revalidate(data) == "pass"
+    subs = data["payload"]["subcertificates"]
+    minus = _subs(data, "MinusIdentity")[0]
+    if edit == "drop":  # SigmaT has nothing to be read from
+        subs.remove(minus)
+    elif edit == "duplicate":
+        subs.append(minus)
+    else:  # every generator, but not in order: the MinusIdentity fails itself
+        minus["payload"]["images"].reverse()
+        if edit == "reorder without SigmaT":
+            data["payload"]["subcertificates"] = [s for s in subs if s["kind"] != "SigmaT"]
+    assert revalidate(data) == "fail"
 
 
 def test_minus_identity_certificates():
@@ -375,6 +419,15 @@ def test_verify_rejects_bad_degree():
         verify_theorem(5)
 
 
+@pytest.mark.parametrize("kwargs", [{"d": 5}, {"monodromy": mutated_monodromy(7, 4)},
+                                    {"d": 4, "monodromy": mutated_monodromy(7, 4)}])
+def test_infinite_verify_takes_no_degree_or_monodromy(kwargs):
+    # Y_{7,inf} is certified for the standard monodromy only; a degree or a
+    # monodromy given with it would be silently dropped
+    with pytest.raises(ValueError, match="neither d nor a monodromy"):
+        verify_theorem(7, infinite=True, **kwargs)
+
+
 @pytest.mark.parametrize("n", [9, 16])
 def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
     directions = []
@@ -491,8 +544,7 @@ def test_malformed_payloads_raise_typed_error(tamper):
 
 
 def test_revalidate_parses_each_value_once_per_call(monkeypatch):
-    format2 = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
-    format1 = json.loads(gzip.decompress((FIXTURES / "verify_n9_d6.json.gz").read_bytes()))
+    data = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
     parsed = []
     parse = RealAlg.from_json
 
@@ -501,18 +553,14 @@ def test_revalidate_parses_each_value_once_per_call(monkeypatch):
         return parse(value, conductor)
 
     monkeypatch.setattr(RealAlg, "from_json", staticmethod(counting))
-    for data in (format2, format1):
-        parsed.clear()
-        assert revalidate(data) == "pass"
-        first = list(parsed)
-        assert first and len(first) == len(set(first))
-        # nothing parsed survives the call
-        assert revalidate(data) == "pass"
-        assert parsed[len(first):] == first
-    # format 2: each table entry once, in table order
-    parsed.clear()
-    revalidate(format2)
-    assert parsed == [json.dumps(entry["coeffs"]) for entry in format2["values"]]
+    assert revalidate(data) == "pass"
+    first = list(parsed)
+    assert first and len(first) == len(set(first))
+    # nothing parsed survives the call
+    assert revalidate(data) == "pass"
+    assert parsed[len(first):] == first
+    # each table entry once, in table order
+    assert first == [json.dumps(entry["coeffs"]) for entry in data["values"]]
 
 
 @lru_cache(maxsize=None)
@@ -526,9 +574,6 @@ def _genuine_texts() -> tuple:
         data = cert.to_json()
         texts += [json.dumps(data)] + [json.dumps(_standalone(data, s))
                                        for s in data["payload"]["subcertificates"]]
-    # format 1, as the parent of format 2 wrote it
-    texts += [gzip.decompress((FIXTURES / name).read_bytes()).decode()
-              for name in ("verify_n7_d4.json.gz", "mutated_n7_d4.json.gz")]
     return tuple(texts)
 
 
@@ -553,10 +598,8 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
     texts = _genuine_texts()
     doc = json.loads(texts[data.draw(st.integers(0, len(texts) - 1))])
     paths = list(_paths(doc))[1:]
-    if "format" in doc:  # a table entry's [power, "p/q"] pair
-        coefficient_paths = [p for p in paths if len(p) > 2 and p[-3] == "coeffs" and p[-1] == 1]
-    else:  # a dense coefficient string
-        coefficient_paths = [p for p in paths if len(p) > 1 and p[-2] == "coeffs"]
+    # a table entry's [power, "p/q"] pair
+    coefficient_paths = [p for p in paths if len(p) > 2 and p[-3] == "coeffs" and p[-1] == 1]
     shears = [s for s in [doc] + doc["payload"].get("subcertificates", [])
               if s["kind"] == "ShearMembership"]
     mutations = ["drop", "retype", "truncate"] + ["coefficient"] * bool(coefficient_paths)
@@ -586,13 +629,7 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
     # modulus (its height and count are carried, not checked)
     if mutation != "coefficient":
         return
-    if "format" not in doc:
-        if path[-3] in ("factor", "inverse_modulus"):
-            holder = doc["payload"]["subcertificates"][path[2]] if doc["kind"] == "FullTheorem" else doc
-            if holder["kind"] == "ShearMembership":
-                assert verdict != "pass", path
-        return
-    # format 2: every use of the edited entry changes with it, so a shear
+    # every use of the edited entry changes with it, so a shear
     # still closes if the entry is its factor and every row's modulus too
     index = path[1]
     for shear in shears:
@@ -799,13 +836,13 @@ def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatc
     coset_table = certificates._coset_table
     monkeypatch.setattr(certificates, "_coset_table",
                         lambda n: enumerated.append(n) or coset_table(n))
-    forged = {"kind": "Index", "n": 251, "verdict": "pass",
-              "payload": {"expected_index": 251, "index": 251}}
+    forged = {"format": 2, "conductor": 4 * 251, "values": [], "kind": "Index", "n": 251,
+              "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
     with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
         revalidate(forged)
     cap = certificates.MAX_STANDALONE_INDEX_N
     with pytest.raises(MalformedCertificate, match="standalone Index"):
-        revalidate(dict(forged, n=cap + 1))
+        revalidate(dict(forged, n=cap + 1, conductor=4 * (cap + 1)))
     assert enumerated == []
     # at and below the cap a standalone Index is judged as before
     assert revalidate(genuine) == "pass"
@@ -816,7 +853,7 @@ def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
     built = []
     get_context = field.get_context
     monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
-    # format 2: the one conductor of the table
+    # the one conductor of the table
     theorem = json.loads(json.dumps(verify_theorem(5, 3).to_json()))
     rotation = _standalone(theorem, _sub(theorem, "RotationObstruction"))
     for data in (theorem, rotation):
@@ -826,18 +863,4 @@ def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
     rotation["n"] = 7
     with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
         revalidate(rotation)
-    # format 1: the conductor of each value
-    theorem = json.loads(gzip.decompress((FIXTURES / "verify_n7_d4.json.gz").read_bytes()))
-    shear, rotation = _sub(theorem, "ShearMembership"), _sub(theorem, "RotationObstruction")
-    forged = {"conductor": 2000, "coeffs": ["1"]}
-    shear["payload"]["factor"] = forged
-    for payload in (shear, theorem):
-        with pytest.raises(MalformedCertificate, match="conductor 2000, not 4n = 28"):
-            revalidate(payload)
-    rotation["payload"]["direction"][0]["inverse_modulus"] = forged
-    with pytest.raises(MalformedCertificate, match="conductor 2000"):
-        revalidate(rotation)
     assert 2000 not in built
-    rotation["n"] = 5
-    with pytest.raises(MalformedCertificate, match="conductor 28, not 4n = 20"):
-        revalidate(rotation)

@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import io
 import json
@@ -9,8 +10,15 @@ from pathlib import Path
 import pytest
 
 import veechlab
-from veechlab.certificates import revalidate
+from veechlab.certificates import (
+    certify_rotation_obstruction,
+    certify_shear,
+    mutated_monodromy,
+    revalidate,
+    verify_theorem,
+)
 from veechlab.cli import main
+from veechlab.covering import build_cover
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +220,36 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[args]
+
+
+# sha256 of json.dumps(cert.to_json()) for the three format-1 fixtures that
+# GOLDEN_VERIFY does not pin, recorded when format 1 stopped being read
+GOLDEN_CERTIFICATES = {
+    "mutated_n7_d4": "6616787c2ef22f765f0254c4eacf94c537e80b8f7b0f98140cb1069ff640f779",
+    "shear_n7_d4_l1": "e223b113b0aaa50e953960e0caa63ff9c69f019db8e244fe2c19026ec92dfdb6",
+    "rotation_n7_d4_l2": "730ccfe5d55870d0913a9efe956827594d5002495d7a5af16c0c061251803ff2",
+}
+
+_CERTIFICATES = {
+    "mutated_n7_d4": lambda: verify_theorem(7, 4, monodromy=mutated_monodromy(7, 4)),
+    "shear_n7_d4_l1": lambda: certify_shear(build_cover(7, 4), 1),
+    "rotation_n7_d4_l2": lambda: certify_rotation_obstruction(build_cover(7, 4), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_bytes_unchanged(name):
+    data = _CERTIFICATES[name]().to_json()
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == GOLDEN_CERTIFICATES[name]
+
+
+def test_revalidate_subcommand_refuses_format1(capsys, tmp_path):
+    fixture = Path(__file__).parent / "fixtures" / "verify_n7_d4.json.gz"
+    path = tmp_path / "verify_n7_d4.json"
+    path.write_bytes(gzip.decompress(fixture.read_bytes()))
+    code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
+    assert code == 1 and out == ""
+    assert "format 1 is no longer read; `veechlab verify` writes format 2" in err
 
 
 # sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,

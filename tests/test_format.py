@@ -1,16 +1,19 @@
-"""Certificate formats 1 and 2.
+"""Certificate format 2, and the refusal of format 1.
 
-The fixtures under tests/fixtures are format-1 certificates exactly as
-the last format-1 release wrote them (gzipped): `veechlab verify` stdout
-for four (n, d), a failing mutated theorem, and one standalone
-ShearMembership and RotationObstruction, both written with
-json.dumps(cert.to_json(), indent=2) plus a newline.
+revalidate reads format 2 only.  The fixtures under tests/fixtures are
+format-1 certificates exactly as the last format-1 release wrote them
+(gzipped): `veechlab verify` stdout for four (n, d), a failing mutated
+theorem, and one standalone ShearMembership and RotationObstruction,
+both written with json.dumps(cert.to_json(), indent=2) plus a newline.
+Each must be refused; the certificates made today for the same claims
+are pinned by GOLDEN_VERIFY and GOLDEN_CERTIFICATES in tests/test_cli.py.
 """
 
 import gzip
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,14 +24,11 @@ import pytest
 import veechlab
 from veechlab import certificates
 from veechlab.certificates import (
-    certify_rotation_obstruction,
-    certify_shear,
     mutated_monodromy,
     revalidate,
     verify_theorem,
 )
 from veechlab.cli import main
-from veechlab.covering import build_cover
 from veechlab.errors import MalformedCertificate
 from veechlab.zcover import std_infinite_monodromy
 
@@ -43,16 +43,9 @@ FORMAT1_VERIFY = {
     "verify_n8_inf": "c11bd7322eb6defab4bcdd60b37cbfc2df1d6cac29c1643c2330b62087571abb",
 }
 
-# fixture -> (its verdict, the same certificate made today)
-FIXTURE_CERTIFICATES = {
-    "verify_n7_d4": ("pass", lambda: verify_theorem(7, 4)),
-    "verify_n9_d6": ("pass", lambda: verify_theorem(9, 6)),
-    "verify_n14_d3": ("pass", lambda: verify_theorem(14, 3)),
-    "verify_n8_inf": ("pass", lambda: verify_theorem(8, infinite=True)),
-    "mutated_n7_d4": ("fail", lambda: verify_theorem(7, 4, monodromy=mutated_monodromy(7, 4))),
-    "shear_n7_d4_l1": ("pass", lambda: certify_shear(build_cover(7, 4), 1)),
-    "rotation_n7_d4_l2": ("pass", lambda: certify_rotation_obstruction(build_cover(7, 4), 2)),
-}
+# every fixture is format 1, which revalidate refuses
+FIXTURES_FORMAT1 = sorted(FORMAT1_VERIFY) + ["mutated_n7_d4", "rotation_n7_d4_l2", "shear_n7_d4_l1"]
+FORMAT1_REFUSED = "format 1 is no longer read; `veechlab verify` writes format 2"
 
 
 def _fixture_bytes(name: str) -> bytes:
@@ -67,54 +60,17 @@ def _format2(cert) -> dict:
     return json.loads(json.dumps(cert.to_json()))
 
 
-def _exact_rows(doc: dict) -> list:
-    """Kind, verdict and exact rows of every (sub)certificate, as
-    revalidate's own reader parses them."""
-    reader = certificates._reader(doc)
-    conductor = 4 * doc["n"]
-    parse = lambda rows: certificates._parse_multiset(rows, reader, conductor)  # noqa: E731
-    subs = doc["payload"]["subcertificates"] if doc["kind"] == "FullTheorem" else [doc]
-    out = []
-    for sub in subs:
-        payload, rows = sub["payload"], None
-        if sub["kind"] == "ShearMembership":
-            factor = reader.exact(payload, "factor", conductor)
-            cylinders = {
-                key: (pair, count, row["twists"])
-                for row in payload["cylinders"]
-                for key, (pair, count) in parse([row]).items()
-            }
-            rows = (factor, cylinders)
-        elif sub["kind"] == "RotationObstruction":
-            suffix = "_infinite" if "direction_infinite" in payload else ""
-            rows = (reader.horizontal(payload, "horizontal" + suffix, conductor),
-                    parse(payload["direction" + suffix]))
-        out.append((sub["kind"], sub["verdict"], rows))
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(FORMAT1_VERIFY))
 def test_format1_fixtures_are_the_old_verify_bytes(name):
     assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT1_VERIFY[name]
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_CERTIFICATES))
-def test_format1_fixtures_keep_their_verdicts(name):
+@pytest.mark.parametrize("name", FIXTURES_FORMAT1)
+def test_format1_is_refused(name):
     data = _fixture(name)
     assert "format" not in data
-    assert revalidate(data) == data["verdict"] == FIXTURE_CERTIFICATES[name][0]
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_CERTIFICATES))
-def test_formats_1_and_2_give_equal_verdicts_and_exact_rows(name):
-    old = _fixture(name)
-    new = _format2(FIXTURE_CERTIFICATES[name][1]())
-    assert new["format"] == 2 and new["conductor"] == 4 * new["n"]
-    assert revalidate(old) == revalidate(new) == old["verdict"] == new["verdict"]
-    old_rows, new_rows = _exact_rows(old), _exact_rows(new)
-    assert [r[:2] for r in old_rows] == [r[:2] for r in new_rows]
-    assert any(r[2] for r in new_rows)
-    assert old_rows == new_rows
+    with pytest.raises(MalformedCertificate, match=re.escape(FORMAT1_REFUSED)):
+        revalidate(data)
 
 
 def test_each_value_is_written_once():
@@ -237,17 +193,6 @@ def test_theorem_shears_must_name_twice_lambda_n_format2():
     for shear in _shears(data):
         assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
                            **shear}) == "pass"
-
-
-def test_theorem_shears_must_name_twice_lambda_n_format1():
-    data = _fixture("verify_n7_d4")
-    for shear in _shears(data):
-        factor = shear["payload"]["factor"]
-        factor["coeffs"] = [str(2 * Fraction(c)) for c in factor["coeffs"]]
-        _double_the_twists(shear)
-    assert revalidate(data) == "fail"
-    for shear in _shears(data):
-        assert revalidate(shear) == "pass"
 
 
 # ---------------------------------------------------------------------------
