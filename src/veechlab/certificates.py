@@ -37,7 +37,6 @@ never does.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from . import perms
@@ -47,7 +46,6 @@ from .covering import (
     Monodromy,
     base_decomposition,
     build_cover,
-    lifted_cylinders,
     monodromy_indices,
     num_generators,
     rotation_images,
@@ -218,16 +216,18 @@ def _finite_profile(n: int, monodromy: Monodromy, l: int):
     """(inverse modulus, height) pairs with multiplicities for Y in v_l.
 
     The cover cylinders are counted as integer pairs (base cylinder,
-    cycle length) first; each distinct pair is made exact once.  Two
-    pairs can give the same exact type, and then they merge.
+    cycle length), in the order lifted_cylinders yields them, with
+    multiplicities read from the monodromy's memoised cycle types; each
+    distinct pair is made exact once.  Two pairs can give the same exact
+    type, and then they merge.
     """
-    base = base_decomposition(n, l)
     counter = {}
-    for (i, a), count in Counter(lifted_cylinders(n, monodromy, l)).items():
-        mu, height = base[i].inverse_modulus, base[i].height
-        mod = _scaled(mu, a)
-        slot = counter.setdefault((mod.key(), height.key()), [(mod, height), 0, (mu, a)])
-        slot[1] += count
+    for cyl in base_decomposition(n, l):
+        mu, height = cyl.inverse_modulus, cyl.height
+        for a, count in monodromy.cycle_type(cyl.core_word):
+            mod = _scaled(mu, a)
+            slot = counter.setdefault((mod.key(), height.key()), [(mod, height), 0, (mu, a)])
+            slot[1] += count
     return counter
 
 
@@ -275,14 +275,17 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     """
     if infinite_cylinders:
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
-    passed = set()  # (exact key, twists) of the rows checked so far
     for mod, twists in rows:
-        if (mod.key(), twists) in passed:
-            continue
-        if twists is None or twists < 1 or not (factor - twists * mod).is_zero():
+        if twists is None or twists < 1 or not _is_multiple(factor, twists, mod):
             return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
-        passed.add((mod.key(), twists))
     return PASS, None
+
+
+@lru_cache(maxsize=1024)
+def _is_multiple(factor: RealAlg, k: int, mod: RealAlg) -> bool:
+    """factor == k * mod, exactly: the few moduli of one n recur in every
+    shear direction and cover, so each is checked once."""
+    return (factor - k * mod).is_zero()
 
 
 def _sigma_rule(sig1, sig2, sigma, mode: str, other_moving=()):
@@ -322,7 +325,8 @@ def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
     multisets (exact key -> ((inverse modulus, height), count)) differ.
 
     The finite witness is the differing type of largest inverse modulus,
-    then height, in exact order.
+    then height, in exact order; _exceeds decides each pair of values
+    once.
     """
     h_counts = {k: v[1] for k, v in horizontal.items()}
     d_counts = {k: v[1] for k, v in direction.items()}
@@ -334,8 +338,12 @@ def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
         return PASS, {"reason": "infinite-cylinder heights differ between directions"}
     pairs = {**{k: v[0] for k, v in horizontal.items()},
              **{k: v[0] for k, v in direction.items()}}
-    wk = max((k for k in pairs if h_counts.get(k, 0) != d_counts.get(k, 0)),
-             key=pairs.__getitem__)
+    wk = None
+    for k in pairs:
+        if h_counts.get(k, 0) != d_counts.get(k, 0) and (
+            wk is None or _exceeds(pairs[k], pairs[wk])
+        ):
+            wk = k
     mod, height = pairs[wk]
     return PASS, {
         "inverse_modulus": mod,
@@ -343,6 +351,21 @@ def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
         "horizontal_count": h_counts.get(wk, 0),
         "direction_count": d_counts.get(wk, 0),
     }
+
+
+def _exceeds(t1: tuple, t2: tuple) -> bool:
+    """Whether the type t1 = (inverse modulus, height) exceeds the distinct
+    type t2 in exact order: by inverse modulus, then by height."""
+    x, y = (t1[0], t2[0]) if t1[0] != t2[0] else (t1[1], t2[1])
+    # integer keys orient each unordered pair of values one way, so it
+    # is decided once
+    return _above(x, y) if x.key() < y.key() else not _above(y, x)
+
+
+@lru_cache(maxsize=4096)
+def _above(x: RealAlg, y: RealAlg) -> bool:
+    # every direction of a theorem compares against the same few types
+    return x > y
 
 
 def _pullback_rule(original: dict, pulled: dict):
@@ -822,11 +845,13 @@ def revalidate(data: dict) -> str:
     """Recompute a certificate's verdict from its format-2 JSON.
 
     Parses the payload and applies the rule that made the verdict;
-    WellFormedCover carries no evidence, so its stated verdict stands.
-    Inside a FullTheorem, a ShearMembership fails unless its factor is
-    2*lambda_n (alone it keeps its own factor), the MinusIdentity unless
-    it lists each generator of X_n once, in order, and a SigmaT unless
-    its sigma1, sigma2 and other_moving are read from that list.
+    WellFormedCover carries no evidence, so alone its stated verdict
+    stands.  Inside a FullTheorem, a ShearMembership fails unless its
+    factor is 2*lambda_n (alone it keeps its own factor), the
+    MinusIdentity unless it lists each generator of X_n once, in order,
+    a SigmaT unless its sigma1, sigma2 and other_moving are read from
+    that list, and, for an integer d, a WellFormedCover unless those
+    images permute exactly d sheets and together act transitively.
     MalformedCertificate is raised for a payload that does not parse, a
     top level without "format": 2, and a standalone Index for n above
     MAX_STANDALONE_INDEX_N (before any coset is enumerated).  Each table
@@ -902,6 +927,14 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         verdict = _field(data, "verdict", str)
         if verdict not in (PASS, FAIL, INCONCLUSIVE):
             raise MalformedCertificate("unknown verdict %.40r" % verdict)
+        d = data.get("d")  # in a theorem, bound to the theorem's d before any rule
+        if in_theorem and type(d) is int:
+            # the theorem's images must act transitively on exactly d sheets
+            images = list(theorem_images().values())
+            if not images or any(_Perm.degree(p) != d for p in images) or (
+                not perms.is_transitive(images, d)
+            ):
+                return FAIL
         return verdict
     if kind == "FullTheorem":
         n, d = _field(data, "n", int), _field(data, "d", int, str)

@@ -13,6 +13,7 @@ holonomy and cross-validation by the generic tracer.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 from . import perms
 from .errors import IntransitiveMonodromy
@@ -85,6 +86,7 @@ class Monodromy:
         # the generators that move a sheet, with their inverse images;
         # eval_word composes only these
         self._moving = {i: (p, perms.inverse(p)) for i, p in self.images.items() if p != ident}
+        self._cycle_types = {}  # moving letters of a word -> cycle_type of the word
 
     def is_transitive(self) -> bool:
         return perms.is_transitive(list(self.images.values()), self.degree)
@@ -104,6 +106,24 @@ class Monodromy:
             if pair is not None:
                 cur = perms.compose(cur, pair[sgn < 0])
         return cur
+
+    def cycle_type(self, w: Word) -> tuple:
+        """The cycle lengths of eval_word(w), in the order perms.cycles
+        lists the cycles, as runs: (length, number of consecutive cycles
+        of that length), ...
+
+        Memoised on the word's moving letters (those whose generator
+        moves a sheet, in order, with their signs): eval_word composes
+        exactly these, so words that share them share the image.  The
+        cylinder words of X_n have few distinct moving letters.
+        """
+        moving = self._moving
+        key = tuple(letter for letter in w.letters if letter[0] in moving)
+        runs = self._cycle_types.get(key)
+        if runs is None:
+            lengths = groupby(map(len, perms.cycles(self.eval_word(w))))
+            runs = self._cycle_types[key] = tuple((a, len(list(g))) for a, g in lengths)
+        return runs
 
     def pullback(self, words) -> Monodromy:
         """The monodromy x_i -> m(words[i]) (words: one per generator)."""
@@ -295,8 +315,9 @@ def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
     circumference multiplied by a.
     """
     for i, cyl in enumerate(base_decomposition(n, l)):
-        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
-            yield i, len(cyc)
+        for a, repeat in monodromy.cycle_type(cyl.core_word):
+            for _ in range(repeat):
+                yield i, a
 
 
 def cover_cylinders(cover: CoveringSurface, direction_index: int):

@@ -308,6 +308,10 @@ def decompose(surface: TranslationSurface, direction: Direction):
     # to zero, and its length along w is minus w . (sum of translations)
     unused = set(bands)
     cylinders = []
+    # Veech's equal moduli: the cylinders of a v_l direction of X_n
+    # share at most two inverse moduli, so a known one is tested by a
+    # product before dividing
+    moduli = []
     while unused:
         start = cur = min(unused)
         chain = []
@@ -338,11 +342,15 @@ def decompose(surface: TranslationSurface, direction: Direction):
             label = surface.crossing_label(EdgeRef(p, right))
             if label is not None:
                 letters.append(label)
+        mu = next((mu for mu in moduli if mu * height == circumference), None)
+        if mu is None:
+            mu = circumference / height
+            moduli.append(mu)
         cylinders.append(
             Cylinder(
                 height=height,
                 circumference=circumference,
-                inverse_modulus=circumference / height,
+                inverse_modulus=mu,
                 core_word=Word(letters),
                 bands=tuple((p,) + bands[(p, k)] for (p, k) in chain),
             )

@@ -101,17 +101,28 @@ class ZMonodromy:
         check_generators(num_generators, images)
         self.num_generators = num_generators
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}
+        # the generators that move a sheet, with their inverse images
+        self._moving = {i: (p, p.inverse()) for i, p in self.images.items() if not p.is_identity()}
+        self._images_of = {}  # moving letters of a word -> its image
 
     def image(self, i: int) -> ZPermutation:
         return self.images[i]
 
     def eval_word(self, w: Word) -> ZPermutation:
-        cur = ZPermutation.identity()
-        for g, sgn in w:
-            p = self.images[g]
-            if sgn < 0:
-                p = p.inverse()
-            cur = p.compose(cur)
+        """Letters act in path order; those whose generator maps to the
+        identity are skipped.
+
+        Memoised on the word's moving letters, in order with their signs,
+        as Monodromy.cycle_type is: the image decides the orbits.
+        """
+        moving = self._moving
+        key = tuple(letter for letter in w.letters if letter[0] in moving)
+        cur = self._images_of.get(key)
+        if cur is None:
+            cur = ZPermutation.identity()
+            for g, sgn in key:
+                cur = moving[g][sgn < 0].compose(cur)
+            self._images_of[key] = cur
         return cur
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from fractions import Fraction
@@ -864,3 +865,95 @@ def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
     with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
         revalidate(rotation)
     assert 2000 not in built
+
+
+# ---------------------------------------------------------------------------
+# memoised cycle types and exact checks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memoised_profiles_equal_a_direct_count(data):
+    n = data.draw(st.sampled_from([5, 7, 8, 9]), label="n")
+    d = data.draw(st.integers(2, 6), label="d")
+    num = num_generators(n)
+    moves = st.permutations(range(d)).filter(lambda p: p != list(range(d)))
+    m1, m2 = (Monodromy(num, d, {i: tuple(data.draw(moves)) for i in range(num)})
+              for _ in range(2))
+    # in turn: a memo entry shared between the two would answer for the other
+    for m in (m1, m2, m1):
+        _profiles_and_twists_match_the_references(n, m)
+        for l in range(n):
+            assert list(covering.lifted_cylinders(n, m, l)) == [
+                (i, len(cyc)) for i, cyl in enumerate(base_decomposition(n, l))
+                for cyc in perms.cycles(m.eval_word(cyl.core_word))]
+
+
+def test_warm_theorem_does_each_exact_check_once(monkeypatch):
+    n, d = 25, 4
+    verify_theorem(n, d)  # the base decompositions
+    k1, k2 = monodromy_indices(n)
+    words = [cyl.core_word for l in range(n) for cyl in base_decomposition(n, l)]
+    sequences = {tuple(x for x in w if x[0] in (k1, k2)) for w in words}
+    assert (len(words), len(sequences)) == (300, 4)
+    evaluated = []
+    eval_word = Monodromy.eval_word
+    monkeypatch.setattr(Monodromy, "eval_word",
+                        lambda self, w: evaluated.append(w) or eval_word(self, w))
+    # the operands of every exact subtraction inside each rule; an exact
+    # comparison is one subtraction
+    certificates._is_multiple.cache_clear()
+    certificates._above.cache_clear()
+    inside, operands = [None], {"shear": [], "rotation": []}
+    sub = field.CycloNumber.__sub__
+
+    def counting_sub(self, other):
+        if inside[0] is not None:
+            operands[inside[0]].append(frozenset((self.key(), other.key())))
+        return sub(self, other)
+
+    def counted(name, rule):
+        def wrapper(*args):
+            inside[0] = name
+            try:
+                return rule(*args)
+            finally:
+                inside[0] = None
+        return wrapper
+
+    monkeypatch.setattr(field.CycloNumber, "__sub__", counting_sub)
+    monkeypatch.setattr(certificates, "_shear_rule", counted("shear", certificates._shear_rule))
+    monkeypatch.setattr(certificates, "_rotation_rule",
+                        counted("rotation", certificates._rotation_rule))
+    data = verify_theorem(n, d).to_json()
+    assert data["verdict"] == "pass"
+    # one evaluation per distinct moving-letter sequence, not per cylinder
+    assert len(evaluated) <= len(sequences)
+    # one test k * mu == 2 * lambda_n per distinct (mu, k) row of the
+    # theorem (every passing test subtracts 2 * lambda_n from itself)
+    rows = {(r["inverse_modulus"], r["twists"]) for s in data["payload"]["subcertificates"]
+            if s["kind"] == "ShearMembership" for r in s["payload"]["cylinders"]}
+    assert 0 < len(operands["shear"]) <= len(rows)
+    # the witness search compares no two values twice in the theorem
+    compared = operands["rotation"]
+    assert 0 < len(compared) == len(set(compared))
+
+
+@pytest.mark.parametrize("n,d,forged_d", [(7, 2, 3), (9, 2, 5)])
+def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
+    # each image must permute exactly d sheets, and together transitively
+    data = _roundtrip(verify_theorem(n, d))
+    assert revalidate(data) == "pass"
+    forged = copy.deepcopy(data)
+    forged["d"] = forged_d
+    for s in forged["payload"]["subcertificates"]:
+        if s["d"] is not None:
+            s["d"] = forged_d
+    assert revalidate(forged) == "fail"
+    # images of degree d that leave every sheet alone, with the SigmaT
+    # that would read them taken out: only the transitivity check fails
+    subs = data["payload"]["subcertificates"]
+    for entry in _sub(data, "MinusIdentity")["payload"]["images"]:
+        entry["image"] = list(range(d))
+    data["payload"]["subcertificates"] = [s for s in subs if s["kind"] != "SigmaT"]
+    assert revalidate(data) == "fail"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from veechlab.covering import build_cover
@@ -233,3 +235,30 @@ def test_base_trace_makes_few_sign_calls(monkeypatch):
     monkeypatch.setattr(RealAlg, "sign", counting)
     decompose(s, direction)
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 25])
+def test_equal_moduli_take_at_most_two_inverses_per_trace(monkeypatch, n):
+    # the cylinders of a v_l direction of X_n share at most two inverse
+    # moduli; decompose divides for a new one only (one per cylinder
+    # made 12 inverses at n = 25)
+    from veechlab import cylinders, field
+
+    callers = []
+    inverse = field._inverse
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename != cylinders.__file__:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return inverse(*args)
+
+    monkeypatch.setattr(field, "_inverse", counting)
+    s = build_base(n)
+    for l in range(n):
+        callers.clear()
+        cyls = decompose(s, Direction.from_index(n, l))
+        assert callers.count("decompose") <= 2, (n, l)
+        for c in cyls:
+            assert c.inverse_modulus * c.height == c.circumference

@@ -5,6 +5,7 @@ from veechlab.covering import build_cover, monodromy_indices
 from veechlab.errors import NonChainError
 from veechlab.words import Word
 from veechlab.zcover import (
+    ZMonodromy,
     ZPermutation,
     holonomy,
     infinite_singularities,
@@ -44,6 +45,25 @@ def test_compose_associative(a, b, c):
 def test_inverse(a, l):
     assert a.inverse()(a(l)) == l
     assert a.compose(a.inverse()).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_word_equals_the_letter_by_letter_product(data):
+    # two monodromies in turn on the same words: each answers from its
+    # own memo, which skips the letters of fixed generators
+    num = 4
+    letters = st.tuples(st.integers(0, num - 1), st.sampled_from([1, -1]))
+    words = [Word(w) for w in data.draw(st.lists(st.lists(letters, max_size=8), max_size=6))]
+    monodromies = [ZMonodromy(num, data.draw(st.dictionaries(st.integers(0, num - 1), zperms)))
+                   for _ in range(2)]
+    for w in words + words:
+        for zm in monodromies:
+            want = ZPermutation.identity()
+            for g, sgn in w:
+                p = zm.image(g)
+                want = (p if sgn > 0 else p.inverse()).compose(want)
+            assert zm.eval_word(w) == want
 
 
 def test_parity_consistency_enforced():
