@@ -65,6 +65,7 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 FORMAT = 2
+_SIGMA_MODES = ("horizontal", "vertical")
 
 
 class _Values:
@@ -201,8 +202,9 @@ def _witness_json(witness, values: _Values):
 # A profile maps the exact key of each cover cylinder type to
 # [(inverse modulus, height), count, (mu, a)]: count is None when there
 # are infinitely many, and the type's inverse modulus is a * mu for a
-# base cylinder's inverse modulus mu and a cycle length a.  Infinite
-# cylinders have no modulus and are typed [(0, height), count].
+# base cylinder's inverse modulus mu and an orbit length a.  An infinite
+# cylinder (a = 0, d = inf only) has no modulus and is typed
+# (0, height).
 
 
 @lru_cache(maxsize=1024)
@@ -212,14 +214,15 @@ def _scaled(mu: RealAlg, a: int) -> RealAlg:
     return mu if a == 1 else a * mu
 
 
-def _finite_profile(n: int, monodromy: Monodromy, l: int):
+def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     """(inverse modulus, height) pairs with multiplicities for Y in v_l.
 
-    The cover cylinders are counted as integer pairs (base cylinder,
-    cycle length), in the order lifted_cylinders yields them, with
-    multiplicities read from the monodromy's memoised cycle types; each
-    distinct pair is made exact once.  Two pairs can give the same exact
-    type, and then they merge.
+    A cover cylinder is a base cylinder times one orbit of its core
+    word's image, for finite and infinite degree alike: the runs
+    (orbit length, count) come from the monodromy's cycle_type, and each
+    distinct (base cylinder, length) pair is made exact once.  A count
+    of None (infinitely many) absorbs any count added to it.  Two pairs
+    can give the same exact type, and then they merge.
     """
     counter = {}
     for cyl in base_decomposition(n, l):
@@ -227,38 +230,13 @@ def _finite_profile(n: int, monodromy: Monodromy, l: int):
         for a, count in monodromy.cycle_type(cyl.core_word):
             mod = _scaled(mu, a)
             slot = counter.setdefault((mod.key(), height.key()), [(mod, height), 0, (mu, a)])
-            slot[1] += count
+            slot[1] = None if count is None or slot[1] is None else slot[1] + count
     return counter
 
 
-def _infinite_profile(n: int, zm: ZMonodromy, l: int):
-    """Like _finite_profile for d = infinity.
-
-    Returns (finite_types, infinite_types): finite cylinders come in
-    infinitely many copies per type (count None); infinite cylinders
-    have no modulus (typed (0, height)) and are counted exactly (orbits
-    of the shift are finitely many).
-    """
-    zero = RealAlg.zero(4 * n)
-    finite_types = {}
-    infinite_types = {}
-    for cyl in base_decomposition(n, l):
-        zp = zm.eval_word(cyl.core_word)
-        if zp.is_identity():
-            a = 1
-        elif zp.swaps_parity() and zp.t_even + zp.t_odd == 0:
-            a = 2
-        else:
-            count = zp.orbit_count()
-            slot = infinite_types.setdefault(
-                (zero.key(), cyl.height.key()), [(zero, cyl.height), 0]
-            )
-            slot[1] += count if count is not None else 0
-            continue
-        mod = _scaled(cyl.inverse_modulus, a)
-        finite_types[(mod.key(), cyl.height.key())] = (
-            (mod, cyl.height), None, (cyl.inverse_modulus, a))
-    return finite_types, infinite_types
+def _infinite_types(types: dict) -> dict:
+    """The infinite cylinders of a profile: its types of orbit length 0."""
+    return {k: v for k, v in types.items() if not v[2][1]}
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +407,15 @@ def _twist_count(factor: RealAlg, mu: RealAlg, a: int) -> int | None:
 
 
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
-                       infinite_types: dict | None = None,
-                       values: _Values | None = None) -> Certificate:
-    """ShearMembership from a profile's cylinder types, in exact-key order."""
+                       infinite_types: dict, values: _Values | None = None) -> Certificate:
+    """ShearMembership from a profile's cylinder types, in exact-key order;
+    infinite_types is _infinite_types(types), listed apart when d = inf."""
     if factor is None:
         factor = 2 * lambda_n(n)
     if values is None:
         values = _Values(n)
     found = [(pair, count, _twist_count(factor, *lift))
-             for _, (pair, count, lift) in sorted(types.items())]
+             for _, (pair, count, lift) in sorted(types.items()) if lift[1]]
     verdict, witness = _shear_rule(
         factor, ((mod, twists) for (mod, _), _, twists in found), l, bool(infinite_types)
     )
@@ -452,7 +430,7 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
         for (mod, height), count, twists in found
     ]
     if d == "inf":
-        payload["infinite_cylinders"] = _multiset_rows(infinite_types or {}, values)
+        payload["infinite_cylinders"] = _multiset_rows(infinite_types, values)
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
         witness=_witness_json(witness, values), values=values,
@@ -462,7 +440,7 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
 def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
     types = _finite_profile(cover.n, cover.monodromy, l)
-    return _shear_certificate(cover.n, cover.d, l, factor, types)
+    return _shear_certificate(cover.n, cover.d, l, factor, types, {})
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
@@ -642,6 +620,23 @@ def _obstruction_direction_indices(n: int):
     return [2 * l for l in range(1, n // 2)]
 
 
+@lru_cache(maxsize=256)
+def _theorem_slots(n: int, d) -> tuple:
+    """The subcertificates of a theorem for (n, d), in order, as (kind,
+    l or SigmaT mode) slots, None where a kind has neither.
+
+    In a finite theorem of even n, a PullbackObstruction may fill the
+    slot of the RotationObstruction with its l.
+    """
+    slots = [] if d == "inf" else [("WellFormedCover", None)]
+    slots += [("ShearMembership", l) for l in _shear_direction_indices(n)]
+    slots += [("SigmaT", mode) for mode in (_SIGMA_MODES if n % 2 == 0 else _SIGMA_MODES[:1])]
+    slots.append(("MinusIdentity", None))
+    slots += [("RotationObstruction", l) for l in _obstruction_direction_indices(n)]
+    slots.append(("Index", None))
+    return tuple(slots)
+
+
 def _aggregate(n: int, d, subs: list, preimages=None, values: _Values | None = None) -> Certificate:
     verdict, witness = _theorem_rule(d, ((s.kind, s.verdict, s.witness) for s in subs), preimages)
     payload = {"subcertificates": [s._body() for s in subs]}
@@ -662,7 +657,6 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         if d is not None or monodromy is not None:
             raise ValueError("infinite verification takes neither d nor a monodromy")
         d, monodromy = "inf", std_infinite_monodromy(n)
-        subs = []
     else:
         if d is None or d < 2:
             raise ValueError("finite verification needs d >= 2")
@@ -675,48 +669,51 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
             )
             return _aggregate(n, d, [bad])
         monodromy = cover.monodromy
-        subs = [
-            Certificate(kind="WellFormedCover", n=n, d=d, verdict=PASS,
-                        payload={"polygons": d * len(cover.base.polygons)}),
-        ]
     profiles = {}
     values = _Values(n)
     factor = 2 * lambda_n(n)
 
     def profile(l):
-        # (finite types, infinite types) in direction v_l, computed once per l
+        # (cylinder types, infinite cylinder types) in direction v_l,
+        # each computed once per l
         if l not in profiles:
-            profiles[l] = (_infinite_profile(n, monodromy, l) if infinite
-                           else (_finite_profile(n, monodromy, l), {}))
+            types = _finite_profile(n, monodromy, l)
+            profiles[l] = types, (_infinite_types(types) if infinite else {})
         return profiles[l]
 
-    for l in _shear_direction_indices(n):
-        subs.append(_shear_certificate(n, d, l, factor, *profile(l), values=values))
-    subs.append(certify_sigma_T(n, d, "horizontal", monodromy))
-    if n % 2 == 0:
-        subs.append(certify_sigma_T(n, d, "vertical", monodromy))
-    subs.append(certify_minus_identity(n, monodromy))
     # Y_{n,inf} is obstructed by its infinite cylinders, Y_{n,d} by all
     side = 1 if infinite else 0
-    horizontal = profile(0)[side]
-    for l in _obstruction_direction_indices(n):
-        direction = profile(l)[side]
-        ruled = _rotation_rule(horizontal, direction, infinite)
-        if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
-            # the multiset invariant is blind here (it happens for d = 2
-            # in the vertical direction); fall back to the covering-
-            # structure obstruction
-            subs.append(certify_pullback_obstruction(n, monodromy, l))
+    subs = []
+    for kind, key in _theorem_slots(n, d):
+        if kind == "WellFormedCover":
+            sub = Certificate(kind=kind, n=n, d=d, verdict=PASS,
+                              payload={"polygons": d * len(cover.base.polygons)})
+        elif kind == "ShearMembership":
+            sub = _shear_certificate(n, d, key, factor, *profile(key), values=values)
+        elif kind == "SigmaT":
+            sub = certify_sigma_T(n, d, key, monodromy)
+        elif kind == "MinusIdentity":
+            sub = certify_minus_identity(n, monodromy)
+        elif kind == "RotationObstruction":
+            horizontal, direction = profile(0)[side], profile(key)[side]
+            ruled = _rotation_rule(horizontal, direction, infinite)
+            if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
+                # the multiset invariant is blind here (it happens for d = 2
+                # in the vertical direction); fall back to the covering-
+                # structure obstruction
+                sub = certify_pullback_obstruction(n, monodromy, key)
+            else:
+                sub = _rotation_certificate(n, d, key, horizontal, direction, ruled, values)
         else:
-            subs.append(_rotation_certificate(n, d, l, horizontal, direction, ruled, values))
-    subs.append(certify_index(n))
+            sub = certify_index(n)
+        subs.append(sub)
     preimages = None
     if infinite:
         # key obstruction evidence: the core of cylinder k lifts to
         # exactly two infinite cylinders
         k1, k2 = monodromy_indices(n)
         core = Word.generator(k1) * Word.generator(k2).inverse()
-        preimages = monodromy.eval_word(core).orbit_count()
+        preimages = sum(count for a, count in monodromy.cycle_type(core) if not a)
     return _aggregate(n, d, subs, preimages, values)
 
 
@@ -826,6 +823,27 @@ def _parse_multiset(rows: list, table: _Table) -> dict:
     return types
 
 
+_KINDS = ("ShearMembership", "RotationObstruction", "SigmaT", "MinusIdentity", "Index",
+          "PullbackObstruction", "WellFormedCover", "FullTheorem")
+
+
+def _slot(data) -> tuple:
+    """The (kind, l or SigmaT mode) slot that a certificate fills, as
+    _theorem_slots lists them; an unknown kind or mode, or a non-int l,
+    raises MalformedCertificate."""
+    kind = _field(data, "kind", str)
+    if kind not in _KINDS:
+        raise MalformedCertificate("unknown certificate kind %.40r" % kind)
+    if kind == "SigmaT":
+        mode = _field(_field(data, "payload", dict), "mode", str)
+        if mode not in _SIGMA_MODES:
+            raise MalformedCertificate("unknown SigmaT mode %.40r" % mode)
+        return kind, mode
+    if kind in ("ShearMembership", "RotationObstruction", "PullbackObstruction"):
+        return kind, _field(_field(data, "payload", dict), "l", int)
+    return kind, None
+
+
 def _perms(data: list) -> list:
     """The permutations of one certificate; they must act on one set of sheets."""
     ps = [_Perm.from_json(p) for p in data]
@@ -846,16 +864,21 @@ def revalidate(data: dict) -> str:
 
     Parses the payload and applies the rule that made the verdict;
     WellFormedCover carries no evidence, so alone its stated verdict
-    stands.  Inside a FullTheorem, a ShearMembership fails unless its
-    factor is 2*lambda_n (alone it keeps its own factor), the
-    MinusIdentity unless it lists each generator of X_n once, in order,
-    a SigmaT unless its sigma1, sigma2 and other_moving are read from
-    that list, and, for an integer d, a WellFormedCover unless those
-    images permute exactly d sheets and together act transitively.
-    MalformedCertificate is raised for a payload that does not parse, a
-    top level without "format": 2, and a standalone Index for n above
-    MAX_STANDALONE_INDEX_N (before any coset is enumerated).  Each table
-    entry is parsed once per call.
+    stands.  A PullbackObstruction fails unless its pullback is the one
+    recomputed from its original images.  A FullTheorem fails, before
+    any rule runs, unless its subcertificates fill the slots of its
+    (n, d) in order (_theorem_slots).  Inside it, a ShearMembership
+    fails unless its factor is 2*lambda_n (alone it keeps its own
+    factor), the MinusIdentity unless it lists each generator of X_n
+    once, in order, a SigmaT unless its sigma1, sigma2 and other_moving
+    are read from that list, a PullbackObstruction unless its original
+    images are that list, and, for an integer d, a WellFormedCover
+    unless those images permute exactly d sheets and together act
+    transitively.  MalformedCertificate is raised for a payload that
+    does not parse, a top level without "format": 2, a standalone
+    PullbackObstruction of odd n or odd l, and a standalone Index for n
+    above MAX_STANDALONE_INDEX_N (before any coset is enumerated).  Each
+    table entry is parsed once per call.
     """
     return _revalidate(data, _reader(data))
 
@@ -864,7 +887,7 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
     # theorem_images is None at the top level; inside a FullTheorem it returns each
     # generator's image in the theorem's MinusIdentity, or {} if that is unbound
     in_theorem = theorem_images is not None
-    kind = _field(data, "kind", str)
+    kind, key = _slot(data)
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         n = _field(data, "n", int)
@@ -877,7 +900,7 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         # a generator: the rule stops reading rows at the first failing one
         rows = ((table.exact(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
-        return _shear_rule(factor, rows, _field(payload, "l", int), bool(infinite_types))[0]
+        return _shear_rule(factor, rows, key, bool(infinite_types))[0]
     if kind == "RotationObstruction":
         infinite = "direction_infinite" in payload
         suffix = "_infinite" if infinite else ""
@@ -885,9 +908,6 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         direction = _parse_multiset(_field(payload, "direction" + suffix, list), table)
         return _rotation_rule(horizontal, direction, infinite)[0]
     if kind == "SigmaT":
-        mode = _field(payload, "mode", str)
-        if mode not in ("horizontal", "vertical"):
-            raise MalformedCertificate("unknown SigmaT mode %.40r" % mode)
         sig1, sig2, sigma = _perms([_field(payload, k, list, dict)
                                     for k in ("sigma1", "sigma2", "sigma_T")])
         other_moving = _field(payload, "other_moving", list) if "other_moving" in payload else []
@@ -899,7 +919,7 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
             moving = [g for g in images if g not in (k1, k2) and not _Perm.is_identity(images[g])]
             if [sig1, sig2, other_moving] != [images.get(k1), images.get(k2), moving]:
                 return FAIL
-        return _sigma_rule(sig1, sig2, sigma, mode, other_moving)[0]
+        return _sigma_rule(sig1, sig2, sigma, key, other_moving)[0]
     if kind == "MinusIdentity":
         if in_theorem:  # parsed with the theorem; unbound, it fails
             return _minus_identity_rule(theorem_images().items())[0] if theorem_images() else FAIL
@@ -914,15 +934,28 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":
+        n, l = _field(data, "n", int), key
+        if n % 2 or l % 2 or no_base_surface(n):
+            raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
         original = _field(payload, "original", dict)
         pulled = _field(payload, "pullback", dict)
-        if not original or original.keys() != pulled.keys():
-            raise MalformedCertificate("original and pullback images name different generators")
-        images = _perms(list(original.values()) + [pulled[g] for g in original])
+        g = num_generators(n)
+        generators = [str(i) for i in range(g)]
+        if list(original) != generators or list(pulled) != generators:
+            raise MalformedCertificate("original and pullback images must name x_0..x_%d in order"
+                                       % (g - 1))
+        images = _perms(list(original.values()) + list(pulled.values()))
         if _Perm.degree(images[0]) == "inf":
             raise MalformedCertificate("pullback images must permute finitely many sheets")
-        k = len(original)
-        return _pullback_rule(dict(zip(original, images[:k])), dict(zip(original, images[k:])))[0]
+        original, pulled = dict(enumerate(images[:g])), dict(enumerate(images[g:]))
+        # the pullback is recomputed, and inside a theorem the original is
+        # the theorem's monodromy
+        m = Monodromy(g, len(images[0]), original)
+        if m.pullback(rotation_images(n, l // 2)).images != pulled or (
+            in_theorem and original != theorem_images()
+        ):
+            return FAIL
+        return _pullback_rule(original, pulled)[0]
     if kind == "WellFormedCover":
         verdict = _field(data, "verdict", str)
         if verdict not in (PASS, FAIL, INCONCLUSIVE):
@@ -943,21 +976,29 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         if no_base_surface(n):
             raise MalformedCertificate("no base surface X_%d" % n)
         subcertificates = _field(payload, "subcertificates", list)
+        slots = []
         for s in subcertificates:  # each one is about this (n, d); Index about n alone
-            kind = _field(s, "kind", str)
+            kind, key = _slot(s)
             claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
             if claim != (n, None if kind == "Index" else d):
                 raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
                                            "in a theorem for (%d, %r)" % (kind, *claim, n, d))
+            if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
+                kind = "RotationObstruction"  # the fallback fills the same slot
+            slots.append((kind, key))
+        # the subcertificates must fill the theorem's slots, in order,
+        # before any rule runs
+        if tuple(slots) != _theorem_slots(n, d):
+            return FAIL
 
         @lru_cache(maxsize=None)
         def images():
-            # read lazily (the fold may stop first); only one MinusIdentity of x_0.. in order binds
-            minus = [s for s in subcertificates if s["kind"] == "MinusIdentity"]
-            found = _images(_field(minus[0], "payload", dict)) if len(minus) == 1 else []
+            # read lazily (the fold may stop first); the theorem's one
+            # MinusIdentity binds only if it lists x_0.. in order
+            found = _images(_field(subcertificates[slots.index(("MinusIdentity", None))],
+                                   "payload", dict))
             return dict(found) if [g for g, _ in found] == list(range(num_generators(n))) else {}
 
         subs = ((s["kind"], _revalidate(s, table, images), None) for s in subcertificates)
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]
-    raise MalformedCertificate("unknown certificate kind %.40r" % kind)

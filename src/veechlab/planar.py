@@ -62,23 +62,13 @@ class Vec2:
         return "Vec2(%s, %s)" % (self.x.approx(8).strip(), self.y.approx(8).strip())
 
 
-def _in_closed_small_arc(u: Vec2, v: Vec2, w: Vec2) -> bool:
-    # closed CCW arc from u to v of angle < pi
-    cu = u.cross(w).sign()
-    if cu == 0:
-        return u.dot(w).sign() > 0
-    cv = w.cross(v).sign()
-    if cv == 0:
-        return v.dot(w).sign() > 0
-    return cu > 0 and cv > 0
-
-
 def ccw_arc_contains(a: Vec2, b: Vec2, r: Vec2) -> bool:
     """Whether r lies in the half-open CCW arc (a, b] of directions.
 
     The arc is the set of directions swept rotating counterclockwise
-    from a to b, excluding a, including b.  All vectors nonzero; the
-    swept angle is assumed to be in (0, 2*pi).
+    from a to b, excluding a, including b.  All vectors nonzero; the arc
+    must be smaller than pi (a x b > 0), as the corner of a strictly
+    convex polygon (Polygon.validate) is.
     """
     car = a.cross(r).sign()
     if car == 0 and a.dot(r).sign() > 0:  # r parallel to a: excluded
@@ -86,14 +76,4 @@ def ccw_arc_contains(a: Vec2, b: Vec2, r: Vec2) -> bool:
     cbr = b.cross(r).sign()
     if cbr == 0 and b.dot(r).sign() > 0:  # r parallel to b: included
         return True
-    cab = a.cross(b).sign()
-    if cab == 0:
-        if a.dot(b).sign() > 0:
-            # degenerate arc (0 or 2*pi); simple-polygon corners exclude this
-            raise ValueError("degenerate arc")
-        return car > 0  # arc of exactly pi
-    if cab > 0:
-        return car > 0 and cbr < 0  # arc smaller than pi
-    # arc larger than pi: complement is the closed CCW arc from b to a
-    return not _in_closed_small_arc(b, a, r)
-
+    return car > 0 and cbr < 0

@@ -72,21 +72,21 @@ class ZPermutation:
     def is_involution(self) -> bool:
         return self.compose(self).is_identity()
 
-    def orbit_count(self):
-        """Number of orbits on Z, or None when infinite.
+    def orbits(self) -> tuple:
+        """The orbits on Z as runs (length, count), the contract of
+        Monodromy.cycle_type: length 0 is an infinite orbit, count None
+        means infinitely many.
 
-        Parity preserved: each class contributes |t|/2 orbits (its
-        shift acts on the class as translation by t/2), infinitely many
-        when the shift is zero.  Parity swapped: orbits biject with the
-        orbits of the square on the evens, |t_even + t_odd| / 2 of
-        them, infinitely many 2-cycles when the square is trivial.
+        Parity preserved: one run per class, whose shift t acts on it as
+        translation by t/2, so (1, None) for t = 0, else (0, |t|/2).
+        Parity swapped: the orbits biject with those of the square on the
+        evens, a shift by t_even + t_odd; infinitely many 2-cycles when
+        that is 0.
         """
         if self.swaps_parity():
             s = self.t_even + self.t_odd
-            return None if s == 0 else abs(s) // 2
-        if self.t_even == 0 or self.t_odd == 0:
-            return None
-        return abs(self.t_even) // 2 + abs(self.t_odd) // 2
+            return ((2, None),) if s == 0 else ((0, abs(s) // 2),)
+        return tuple((1, None) if t == 0 else (0, abs(t) // 2) for t in (self.t_even, self.t_odd))
 
     def to_json(self):
         return {"t_even": self.t_even, "t_odd": self.t_odd}
@@ -125,6 +125,12 @@ class ZMonodromy:
             self._images_of[key] = cur
         return cur
 
+    def cycle_type(self, w: Word) -> tuple:
+        """The orbits of eval_word(w) as runs (length, count), as
+        Monodromy.cycle_type gives them: length 0 is an infinite orbit,
+        count None infinitely many."""
+        return self.eval_word(w).orbits()
+
 
 def std_infinite_monodromy(n: int) -> ZMonodromy:
     """m_{n,infinity}: x_{k1} swaps within even/odd pairs upward,
@@ -150,17 +156,17 @@ def singularity_loops(n: int) -> list[Word]:
 
 
 def infinite_singularities(n: int) -> int:
-    """Number of infinite-angle singularities of Y_{n,infinity}:
-    total orbit count of the singularity-loop monodromies on Z."""
+    """Number of infinite-angle singularities of Y_{n,infinity}: the
+    orbits of the singularity-loop monodromies on Z, all infinite."""
     m = std_infinite_monodromy(n)
     total = 0
     for loop in singularity_loops(n):
-        count = m.eval_word(loop).orbit_count()
-        if count is None:
+        runs = m.cycle_type(loop)
+        if any(count is None for _, count in runs):
             raise VerificationFailure(
                 "singularity loop has infinitely many preimages", witness=loop.to_json()
             )
-        total += count
+        total += sum(count for _, count in runs)
     return total
 
 

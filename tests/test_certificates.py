@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -443,17 +444,11 @@ def test_horizontal_profile_computed_once_per_verify(monkeypatch, n):
     assert directions.count(0) == 1
     # every direction at most once, shear and obstruction directions alike
     assert len(directions) == len(set(directions))
-    infinite_directions = []
-    infinite_profile = certificates._infinite_profile
-
-    def counting_infinite(n_, zm, l):
-        infinite_directions.append(l)
-        return infinite_profile(n_, zm, l)
-
-    monkeypatch.setattr(certificates, "_infinite_profile", counting_infinite)
+    # d = inf reads the same profiles
+    directions.clear()
     assert verify_theorem(n, infinite=True).verdict == "pass"
-    assert len(infinite_directions) == len(set(infinite_directions))
-    assert 0 in infinite_directions
+    assert directions.count(0) == 1
+    assert len(directions) == len(set(directions))
     # the public single-direction entry point still computes its own
     directions.clear()
     cert = certify_rotation_obstruction(build_cover(n, 4), 2)
@@ -692,9 +687,9 @@ def test_no_theorem_passes_when_an_unmarked_generator_moves(data):
 def test_pulled_back_infinite_profiles_equal_traced_ones(n):
     zm = std_infinite_monodromy(n)
     for l in range(n):
-        got = certificates._infinite_profile(n, zm, l)
-        want = _traced_profile(certificates._infinite_profile, n, zm, l)
-        assert [list(t.items()) for t in got] == [list(t.items()) for t in want], l
+        got = certificates._finite_profile(n, zm, l)
+        want = _traced_profile(certificates._finite_profile, n, zm, l)
+        assert list(got.items()) == list(want.items()), l
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +725,7 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
         got = certificates._finite_profile(n, m, l)
         # same exact types and counts, in the same order
         assert [(k, v[:2]) for k, v in got.items()] == list(_per_cycle_profile(n, m, l).items()), l
-        cert = certificates._shear_certificate(n, m.degree, l, None, got)
+        cert = certificates._shear_certificate(n, m.degree, l, None, got, {})
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
             assert row["twists"] == _per_row_twists(factor, table[row["inverse_modulus"]]), l
@@ -829,6 +824,108 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
     with pytest.raises(MalformedCertificate, match=r"Index subcertificate for \(n, d\) = \(251"):
         revalidate(with_subs(forged))
     assert enumerated == []
+
+
+# ---------------------------------------------------------------------------
+# a theorem's subcertificates fill the slots of its (n, d), in order
+
+
+def _slot_variants(data, foreign):
+    """data's subcertificate lists with one subcertificate dropped,
+    duplicated, swapped with its neighbour or replaced by one of the
+    foreign theorem, relabelled with data's (n, d), that fills a slot
+    data does not have."""
+    subs = data["payload"]["subcertificates"]
+    slots = [certificates._slot(s) for s in subs]
+    other = next(s for s in foreign["payload"]["subcertificates"]
+                 if certificates._slot(s) not in slots)
+    other = dict(other, n=data["n"], d=data["d"])
+    for i, sub in enumerate(subs):
+        yield "drop %d" % i, subs[:i] + subs[i + 1:]
+        yield "duplicate %d" % i, subs[:i + 1] + subs[i:]
+        if i + 1 < len(subs):
+            yield "reorder %d" % i, subs[:i] + [subs[i + 1], sub] + subs[i + 2:]
+        yield "swap %d" % i, subs[:i] + [other] + subs[i + 1:]
+
+
+@pytest.mark.parametrize("theorem, foreign", [((7, 4), (9, 4)), ((8, 2), (10, 2)),
+                                              ((9, "inf"), (11, "inf"))])
+def test_theorem_fails_unless_its_subcertificates_fill_its_slots(theorem, foreign):
+    def made(n, d):
+        return _roundtrip(verify_theorem(n, infinite=True) if d == "inf" else verify_theorem(n, d))
+
+    data, other = made(*theorem), made(*foreign)
+    assert revalidate(data) == "pass"
+    if theorem == (8, 2):
+        assert _subs(data, "PullbackObstruction")
+    for name, subs in _slot_variants(data, other):
+        forged = dict(data, payload=dict(data["payload"], subcertificates=subs))
+        assert revalidate(forged) == "fail", name
+
+
+def test_theorem_without_its_index_or_shears_fails():
+    data = _roundtrip(verify_theorem(7, 4))
+    subs = data["payload"]["subcertificates"]
+    for kind in ("Index", "ShearMembership"):
+        kept = [s for s in subs if s["kind"] != kind]
+        assert revalidate(dict(data, payload=dict(data["payload"], subcertificates=kept))) == "fail"
+
+
+def test_index_only_theorem_fails_before_enumeration(monkeypatch):
+    enumerated = []
+    coset_table = certificates._coset_table
+    monkeypatch.setattr(certificates, "_coset_table",
+                        lambda n: enumerated.append(n) or coset_table(n))
+    wrapper = {"format": 2, "conductor": 4 * 251, "values": [], "kind": "FullTheorem",
+               "n": 251, "d": 3, "verdict": "pass", "payload": {"subcertificates": [
+                   {"kind": "Index", "n": 251, "d": None, "verdict": "pass",
+                    "payload": {"expected_index": 251, "index": 251}}]}}
+    start = time.perf_counter()
+    assert revalidate(wrapper) == "fail"
+    assert time.perf_counter() - start < 0.01
+    assert enumerated == []
+
+
+@pytest.mark.parametrize("key, value", [("kind", "Sigma"), ("mode", "diagonal"), ("l", "1")])
+def test_slots_are_read_only_from_well_formed_subcertificates(key, value):
+    # the Index is missing, but a malformed subcertificate raises first
+    data = _roundtrip(verify_theorem(7, 4))
+    subs = [s for s in data["payload"]["subcertificates"] if s["kind"] != "Index"]
+    target = _subs(data, "SigmaT" if key == "mode" else "ShearMembership")[0]
+    (target if key == "kind" else target["payload"])[key] = value
+    data["payload"]["subcertificates"] = subs
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+
+
+def test_pullback_is_recomputed_from_its_original_images():
+    symmetric = Monodromy(4, 2, {i: sigma_d1(2) for i in range(4)})
+    data = _roundtrip(certify_pullback_obstruction(8, symmetric, 2))
+    assert revalidate(data) == "inconclusive"
+    forged = copy.deepcopy(data)
+    forged["payload"]["pullback"]["0"] = [0, 1]
+    assert revalidate(forged) == "fail"
+    # odd n or odd l is malformed alone, and refused by the certifier
+    forged = copy.deepcopy(data)
+    forged["payload"]["l"] = 3
+    for bad in (dict(data, n=9, conductor=36), forged):
+        with pytest.raises(MalformedCertificate, match="even n"):
+            revalidate(bad)
+    for n, l in ((9, 2), (8, 3)):
+        with pytest.raises(ValueError):
+            certify_pullback_obstruction(n, symmetric, l)
+
+
+def test_pullback_in_a_theorem_reads_the_theorem_monodromy():
+    theorem = _roundtrip(verify_theorem(8, 2))
+    assert revalidate(theorem) == "pass"
+    pullback = _sub(theorem, "PullbackObstruction")
+    l = pullback["payload"]["l"]
+    # a consistent pullback of another monodromy: alone it is judged
+    symmetric = Monodromy(4, 2, {i: sigma_d1(2) for i in range(4)})
+    pullback["payload"] = _roundtrip(certify_pullback_obstruction(8, symmetric, l))["payload"]
+    assert revalidate(_standalone(theorem, pullback)) == "inconclusive"
+    assert revalidate(theorem) == "fail"
 
 
 def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatch):
@@ -950,10 +1047,11 @@ def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
         if s["d"] is not None:
             s["d"] = forged_d
     assert revalidate(forged) == "fail"
-    # images of degree d that leave every sheet alone, with the SigmaT
-    # that would read them taken out: only the transitivity check fails
-    subs = data["payload"]["subcertificates"]
+    # images of degree d that leave every sheet alone, and a SigmaT that
+    # reads them: only the transitivity check fails
     for entry in _sub(data, "MinusIdentity")["payload"]["images"]:
         entry["image"] = list(range(d))
-    data["payload"]["subcertificates"] = [s for s in subs if s["kind"] != "SigmaT"]
+    for sigma in _subs(data, "SigmaT"):
+        sigma["payload"]["sigma1"] = sigma["payload"]["sigma2"] = list(range(d))
+    assert revalidate(_standalone(data, _sub(data, "SigmaT"))) == "pass"
     assert revalidate(data) == "fail"

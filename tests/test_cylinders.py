@@ -15,7 +15,7 @@ from veechlab.cylinders import (
 )
 from veechlab.errors import BoundExceeded
 from veechlab.field import RealAlg, lambda_n
-from veechlab.planar import Vec2, _in_closed_small_arc
+from veechlab.planar import Vec2
 from veechlab.surface import build_base
 
 ALL_N = [5, 7, 9, 11, 8, 10, 12]
@@ -142,6 +142,17 @@ def test_direction_canonicalization():
 # the rank-based tracer predicates against the exact ones they replaced
 
 
+def _in_closed_small_arc(u: Vec2, v: Vec2, w: Vec2) -> bool:
+    # closed CCW arc from u to v of angle < pi
+    cu = u.cross(w).sign()
+    if cu == 0:
+        return u.dot(w).sign() > 0
+    cv = w.cross(v).sign()
+    if cv == 0:
+        return v.dot(w).sign() > 0
+    return cu > 0 and cv > 0
+
+
 def _strictly_inside_cone(a, b, w):
     """Whether direction w points strictly inside the CCW cone from a to b."""
     caw = a.cross(w).sign()
@@ -212,6 +223,27 @@ def test_rank_predicates_match_exact_ones_on_x_n(n):
     # not vertex levels, which places them by bisection
     v = Direction.from_index(n, 1).vector
     assert _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y)) > 0
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 12])
+def test_sheared_directions_assemble_bands_at_traced_levels(n):
+    # T_n = [[1, lambda_n], [0, 1]] lies in the Veech group of X_n, so X_n
+    # in direction T_n v_l is the image of its v_l decomposition: the same
+    # heights, and inverse moduli times |T_n v_l|^2 (decompose does not
+    # normalise w).  Its separatrices cut polygons at levels that are no
+    # vertex levels, so the bands are assembled between traced levels.
+    s = build_base(n)
+    lam = lambda_n(n)
+    for l in (1, 2, 3):
+        v = Direction.from_index(n, l).vector
+        w = Vec2(v.x + lam * v.y, v.y)
+        tracer = _Tracer(s, w, default_bound(s))
+        assert any(lv.key() not in tracer.position[p] for p, lv in _trace_all(tracer)), l
+        scale = w.norm2()
+        want = sorted((c.height.key(), (scale * c.inverse_modulus).key())
+                      for c in decompose(s, Direction.from_index(n, l)))
+        got = sorted((c.height.key(), c.inverse_modulus.key()) for c in decompose(s, Direction(w)))
+        assert got == want, l
 
 
 def test_rank_predicates_match_exact_ones_on_a_realized_cover():

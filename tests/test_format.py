@@ -216,9 +216,10 @@ def test_infinite_shear_lists_its_infinite_cylinders():
 
 def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
     # the horizontal direction of Y_{8,inf} has infinite cylinders
-    finite, infinite = certificates._infinite_profile(8, std_infinite_monodromy(8), 0)
+    types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
+    infinite = certificates._infinite_types(types)
     assert infinite
-    cert = certificates._shear_certificate(8, "inf", 0, None, finite, infinite)
+    cert = certificates._shear_certificate(8, "inf", 0, None, types, infinite)
     assert cert.verdict == "fail"
     data = _format2(cert)
     assert len(data["payload"]["infinite_cylinders"]) == len(infinite)

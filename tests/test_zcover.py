@@ -73,10 +73,15 @@ def test_parity_consistency_enforced():
         ZPermutation(t_even=0, t_odd=-1)
 
 
-def _window_orbit_count(zp, span=300):
-    """Union-find oracle: orbits of a parity-affine map restricted to a
-    window.  In-window orbit traces are connected (steps are short), and
-    every orbit meets the window, so components = orbits."""
+def _window_orbits(zp, span=300):
+    """Union-find oracle: the orbits of a parity-affine map seen in a
+    window, as {length: count} with length 0 for an infinite orbit.
+
+    In-window orbit traces are connected (steps are short).  A component
+    that the map keeps inside the window is a finite orbit; one that
+    leaves it is an infinite orbit if it has more than 20 points, else a
+    finite orbit cut by the window's edge, and not counted.
+    """
     parent = {l: l for l in range(-span, span + 1)}
 
     def find(x):
@@ -91,19 +96,41 @@ def _window_orbit_count(zp, span=300):
             a, b = find(l), find(t)
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    return len({find(l) for l in parent})
+    components = {}
+    for l in parent:
+        components.setdefault(find(l), []).append(l)
+    seen = {}
+    for points in components.values():
+        if all(-span <= zp(l) <= span for l in points):
+            length = len(points)
+        elif len(points) > 20:
+            length = 0
+        else:
+            continue
+        seen[length] = seen.get(length, 0) + 1
+    return seen
 
 
-def test_orbit_count_against_window_enumeration():
-    finite_cases = [ZPermutation(2, -2), ZPermutation(4, -4), ZPermutation(1, 1),
-                    ZPermutation(1, 3), ZPermutation(-2, 2), ZPermutation(6, -2),
-                    ZPermutation(2, 4)]
-    for zp in finite_cases:
-        assert zp.orbit_count() == _window_orbit_count(zp)
-    infinite_cases = [ZPermutation(0, 0), ZPermutation(1, -1), ZPermutation(0, 2)]
-    for zp in infinite_cases:
-        assert zp.orbit_count() is None
-        assert _window_orbit_count(zp) > 50  # window sees unboundedly many
+def test_orbits_against_window_enumeration():
+    cases = [ZPermutation(0, 0), ZPermutation(2, -2), ZPermutation(4, -4), ZPermutation(-2, 2),
+             ZPermutation(6, -2), ZPermutation(2, 4), ZPermutation(1, 1), ZPermutation(1, 3),
+             ZPermutation(1, -1), ZPermutation(-3, 3), ZPermutation(3, 5),
+             # one parity class fixed, the other shifted
+             ZPermutation(0, 2), ZPermutation(4, 0), ZPermutation(0, -6)]
+    for zp in cases:
+        expected = {}
+        for length, count in zp.orbits():
+            before = expected.get(length, 0)
+            expected[length] = None if None in (before, count) else before + count
+        seen = _window_orbits(zp)
+        assert seen.keys() == expected.keys(), zp
+        for length, count in expected.items():
+            if count is None:
+                assert seen[length] > 50, zp  # the window sees unboundedly many
+            else:
+                assert seen[length] == count, zp
+    assert ZPermutation(0, 2).orbits() == ((1, None), (0, 1))
+    assert ZPermutation(-3, 3).orbits() == ((2, None),)
 
 
 def test_std_monodromy_shifts():
@@ -122,7 +149,7 @@ def test_cylinder_k_has_two_infinite_preimages():
         zm = std_infinite_monodromy(n)
         k1, k2 = monodromy_indices(n)
         w = Word.generator(k1) * Word.generator(k2).inverse()
-        assert zm.eval_word(w).orbit_count() == 2
+        assert zm.cycle_type(w) == ((0, 1), (0, 1))
 
 
 def test_singularity_loop_monodromy():
