@@ -37,6 +37,7 @@ never does.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 
 from . import perms
@@ -79,18 +80,27 @@ class _Values:
 
     def __init__(self, n: int):
         self.conductor = 4 * n
-        self._index = {}  # exact key -> index
+        self._index = {}  # exact value -> index
         self._values = []
+        self._pairs = {}  # type id of n -> indices of its (inverse modulus, height)
         self.sections = {}
 
     def __call__(self, x: RealAlg) -> int:
         """The index of x, which joins the table on first use."""
-        key = x.key()
-        i = self._index.get(key)
+        i = self._index.get(x)
         if i is None:
-            i = self._index[key] = len(self._values)
+            i = self._index[x] = len(self._values)
             self._values.append(x)
         return i
+
+    def pair(self, table: _Types, i: int) -> tuple:
+        """The indices of type i's (inverse modulus, height), in that order
+        on first use; each type is read from the type table once."""
+        pair = self._pairs.get(i)
+        if pair is None:
+            mod, height = table.pair(i)
+            pair = self._pairs[i] = self(mod), self(height)
+        return pair
 
     def to_json(self) -> list:
         return [x.to_json(sparse=True) for x in self._values]
@@ -179,12 +189,11 @@ class _Perm:
         raise MalformedCertificate("%.80r is not a permutation of its sheets" % (data,))
 
 
-def _multiset_rows(types: dict, values: _Values) -> list:
-    # types maps exact key -> ((inverse modulus, height), count or None,
-    # ...); rows in exact-key order
+def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
+    # types maps type id -> count or None; rows in exact-key order
     return [
-        {"inverse_modulus": values(mod), "height": values(height), "count": count}
-        for _, ((mod, height), count, *_) in sorted(types.items())
+        {"inverse_modulus": mod, "height": height, "count": types[i]}
+        for i in table.ordered(types) for mod, height in (values.pair(table, i),)
     ]
 
 
@@ -199,10 +208,10 @@ def _witness_json(witness, values: _Values):
 # ---------------------------------------------------------------------------
 # cylinder profiles of covers, finite and infinite degree
 #
-# A profile maps the exact key of each cover cylinder type to
-# [(inverse modulus, height), count, (mu, a)]: count is None when there
-# are infinitely many, and the type's inverse modulus is a * mu for a
-# base cylinder's inverse modulus mu and an orbit length a.  An infinite
+# A profile maps the type id of each cover cylinder type to its count,
+# None when there are infinitely many.  A type is the exact pair
+# (inverse modulus, height); its inverse modulus is a * mu for a base
+# cylinder's inverse modulus mu and an orbit length a.  An infinite
 # cylinder (a = 0, d = inf only) has no modulus and is typed
 # (0, height).
 
@@ -214,29 +223,169 @@ def _scaled(mu: RealAlg, a: int) -> RealAlg:
     return mu if a == 1 else a * mu
 
 
+@lru_cache(maxsize=256)
+def _base_quotient(factor: RealAlg, mu: RealAlg) -> int | None:
+    """factor / mu if it is a positive rational integer, else None."""
+    q = factor / mu
+    if q.is_integer() and q.as_rational() > 0:
+        return int(q.as_rational())
+    return None
+
+
+class _Order:
+    """Exact values by index, distinct indices for distinct values.
+
+    A cylinder type is a pair (inverse modulus index, height index); the
+    rules compare types and test twists through these indices, so each
+    exact comparison and each twist test is made once per table.
+    """
+
+    def __init__(self, exact: list):
+        self.exact = exact
+        self._above = {}  # (v, w), v < w -> whether value v exceeds value w
+        self._multiple = {}  # (factor, v, k) -> whether factor == k * value v
+
+    def above(self, v: int, w: int) -> bool:
+        """Whether value v exceeds the distinct value w."""
+        if v > w:
+            return not self.above(w, v)
+        above = self._above.get((v, w))
+        if above is None:
+            above = self._above[v, w] = self.exact[v] > self.exact[w]
+        return above
+
+    def _type_exceeds(self, t1: tuple, t2: tuple) -> bool:
+        # by inverse modulus, then by height
+        return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
+
+    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
+        """factor == k * (value v), exactly."""
+        multiple = self._multiple.get((factor, v, k))
+        if multiple is None:
+            multiple = self._multiple[factor, v, k] = (factor - k * self.exact[v]).is_zero()
+        return multiple
+
+
+class _Types(_Order):
+    """The distinct exact cover-cylinder types of one n, each with a small
+    int id.
+
+    Each distinct exact value gets a value index and each distinct pair
+    of them a type id, both from exact keys, so equal ids are equal
+    exact types.  Per id the table keeps the pair of value indices, the
+    exact sort key that orders rows and the first lift (mu, a) that gave
+    it.  A lift (base cylinder, orbit length) is typed once; two lifts
+    that give one exact type share its id.
+    """
+
+    def __init__(self, n: int):
+        super().__init__([])
+        self.factor = 2 * lambda_n(n)
+        self._value_index = {}  # exact key -> value index
+        self.keys = []  # type id -> exact sort key
+        self._sorted = []  # type ids in exact-key order
+        self._ranks = []  # type id -> place in _sorted, None while a new id is unranked
+        self.lifts = []  # type id -> first (mu, a)
+        self._types = []  # type id -> (inverse modulus index, height index)
+        self._ids = {}  # (inverse modulus index, height index) -> type id
+        self._lifted = {}  # (mu, height, a) -> type id
+        self._twists = {}  # (factor, inverse modulus index) -> twist count or None
+
+    def _value(self, x: RealAlg) -> tuple:
+        # (index, exact key) of a value
+        key = x.key()
+        v = self._value_index.get(key)
+        if v is None:
+            v = self._value_index[key] = len(self.exact)
+            self.exact.append(x)
+        return v, key
+
+    def lift(self, mu: RealAlg, height: RealAlg, a: int) -> int:
+        """The id of the type of a * mu-wide cylinders of this height."""
+        i = self._lifted.get((mu, height, a))
+        if i is None:
+            mod = _scaled(mu, a)
+            (m, mod_key), (h, height_key) = self._value(mod), self._value(height)
+            i = self._ids.get((m, h))
+            if i is None:
+                i = self._ids[m, h] = len(self.keys)
+                self.keys.append((mod_key, height_key))
+                insort(self._sorted, i, key=self.keys.__getitem__)
+                self._ranks = None
+                self.lifts.append((mu, a))
+                self._types.append((m, h))
+            self._lifted[mu, height, a] = i
+        return i
+
+    def ordered(self, ids) -> list:
+        """ids in exact-key order, the order of a certificate's rows."""
+        if self._ranks is None:
+            self._ranks = [0] * len(self._sorted)
+            for rank, i in enumerate(self._sorted):
+                self._ranks[i] = rank
+        return sorted(ids, key=self._ranks.__getitem__)
+
+    def modulus(self, i: int) -> int:
+        """The value index of type i's inverse modulus."""
+        return self._types[i][0]
+
+    def pair(self, i: int) -> tuple:
+        """Type i's (inverse modulus, height)."""
+        m, h = self._types[i]
+        return self.exact[m], self.exact[h]
+
+    def exceeds(self, i: int, j: int) -> bool:
+        """Whether type i exceeds the distinct type j in exact order."""
+        return self._type_exceeds(self._types[i], self._types[j])
+
+    def twists(self, factor: RealAlg, i: int) -> int | None:
+        """The positive integer k with k * (type i's inverse modulus) ==
+        factor, or None.
+
+        For type i's first lift (mu, a), k = q / a for q = factor / mu,
+        which is a positive integer exactly when q is one and a divides
+        it; so one exact quotient per base modulus serves every cycle
+        length.  Equal inverse moduli share the answer.
+        """
+        key = (factor, self._types[i][0])
+        if key not in self._twists:
+            mu, a = self.lifts[i]
+            q = _base_quotient(factor, mu)
+            self._twists[key] = q // a if q is not None and q % a == 0 else None
+        return self._twists[key]
+
+
+@lru_cache(maxsize=64)
+def _types(n: int) -> _Types:
+    """The type table of n: every cover of X_n shares its base cylinders."""
+    return _Types(n)
+
+
 def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
-    """(inverse modulus, height) pairs with multiplicities for Y in v_l.
+    """Cylinder type ids with multiplicities for Y in v_l.
 
     A cover cylinder is a base cylinder times one orbit of its core
     word's image, for finite and infinite degree alike: the runs
     (orbit length, count) come from the monodromy's cycle_type, and each
-    distinct (base cylinder, length) pair is made exact once.  A count
-    of None (infinitely many) absorbs any count added to it.  Two pairs
-    can give the same exact type, and then they merge.
+    distinct (base cylinder, length) pair is typed once per n (_types).
+    A count of None (infinitely many) absorbs any count added to it.
+    Two pairs can give the same exact type, and then they merge.
     """
+    lift = _types(n).lift
     counter = {}
     for cyl in base_decomposition(n, l):
         mu, height = cyl.inverse_modulus, cyl.height
         for a, count in monodromy.cycle_type(cyl.core_word):
-            mod = _scaled(mu, a)
-            slot = counter.setdefault((mod.key(), height.key()), [(mod, height), 0, (mu, a)])
-            slot[1] = None if count is None or slot[1] is None else slot[1] + count
+            i = lift(mu, height, a)
+            total = counter.get(i, 0)
+            counter[i] = None if count is None or total is None else total + count
     return counter
 
 
-def _infinite_types(types: dict) -> dict:
+def _infinite_types(n: int, types: dict) -> dict:
     """The infinite cylinders of a profile: its types of orbit length 0."""
-    return {k: v for k, v in types.items() if not v[2][1]}
+    lifts = _types(n).lifts
+    return {i: count for i, count in types.items() if not lifts[i][1]}
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +393,10 @@ def _infinite_types(types: dict) -> dict:
 # a witness of native values that only the certifiers serialise
 
 
-def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False):
-    """ShearMembership: every (inverse modulus, twist count) row must have
-    a positive integer count k with k * inverse modulus == factor.
+def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool, order: _Order):
+    """ShearMembership: every row (inverse modulus index, twist count)
+    must have a positive integer count k with k * inverse modulus ==
+    factor, which order decides once per (factor, modulus, k).
 
     An infinite cylinder (d = inf) admits no twist at all; a d = inf
     payload lists its infinite cylinder types.
@@ -254,16 +404,9 @@ def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool = False)
     if infinite_cylinders:
         return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
     for mod, twists in rows:
-        if twists is None or twists < 1 or not _is_multiple(factor, twists, mod):
-            return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
+        if twists is None or twists < 1 or not order.is_multiple(factor, mod, twists):
+            return FAIL, {"inverse_modulus": order.exact[mod], "reason": "non-integer twist"}
     return PASS, None
-
-
-@lru_cache(maxsize=1024)
-def _is_multiple(factor: RealAlg, k: int, mod: RealAlg) -> bool:
-    """factor == k * mod, exactly: the few moduli of one n recur in every
-    shear direction and cover, so each is checked once."""
-    return (factor - k * mod).is_zero()
 
 
 def _sigma_rule(sig1, sig2, sigma, mode: str, other_moving=()):
@@ -298,52 +441,34 @@ def _minus_identity_rule(images):
     return PASS, None
 
 
-def _rotation_rule(horizontal: dict, direction: dict, infinite: bool):
+def _rotation_rule(horizontal: dict, direction: dict, infinite: bool, order):
     """RotationObstruction: R^l is excluded iff the two cylinder-type
-    multisets (exact key -> ((inverse modulus, height), count)) differ.
+    multisets (type -> count) differ.
 
     The finite witness is the differing type of largest inverse modulus,
-    then height, in exact order; _exceeds decides each pair of values
-    once.
+    then height, in exact order: order.exceeds decides each pair of
+    types through their values, each pair of values once, and
+    order.pair gives a type's (inverse modulus, height).
     """
-    h_counts = {k: v[1] for k, v in horizontal.items()}
-    d_counts = {k: v[1] for k, v in direction.items()}
-    if h_counts == d_counts:
+    if horizontal == direction:
         if infinite:
             return INCONCLUSIVE, {"reason": "infinite-cylinder profiles agree"}
         return INCONCLUSIVE, {"reason": "multisets agree; rotation not excluded by this invariant"}
     if infinite:
         return PASS, {"reason": "infinite-cylinder heights differ between directions"}
-    pairs = {**{k: v[0] for k, v in horizontal.items()},
-             **{k: v[0] for k, v in direction.items()}}
     wk = None
-    for k in pairs:
-        if h_counts.get(k, 0) != d_counts.get(k, 0) and (
-            wk is None or _exceeds(pairs[k], pairs[wk])
+    for k in {**horizontal, **direction}:
+        if horizontal.get(k, 0) != direction.get(k, 0) and (
+            wk is None or order.exceeds(k, wk)
         ):
             wk = k
-    mod, height = pairs[wk]
+    mod, height = order.pair(wk)
     return PASS, {
         "inverse_modulus": mod,
         "height": height,
-        "horizontal_count": h_counts.get(wk, 0),
-        "direction_count": d_counts.get(wk, 0),
+        "horizontal_count": horizontal.get(wk, 0),
+        "direction_count": direction.get(wk, 0),
     }
-
-
-def _exceeds(t1: tuple, t2: tuple) -> bool:
-    """Whether the type t1 = (inverse modulus, height) exceeds the distinct
-    type t2 in exact order: by inverse modulus, then by height."""
-    x, y = (t1[0], t2[0]) if t1[0] != t2[0] else (t1[1], t2[1])
-    # integer keys orient each unordered pair of values one way, so it
-    # is decided once
-    return _above(x, y) if x.key() < y.key() else not _above(y, x)
-
-
-@lru_cache(maxsize=4096)
-def _above(x: RealAlg, y: RealAlg) -> bool:
-    # every direction of a theorem compares against the same few types
-    return x > y
 
 
 def _pullback_rule(original: dict, pulled: dict):
@@ -386,51 +511,28 @@ def _theorem_rule(d, subs, preimages=None):
 # individual certificates
 
 
-@lru_cache(maxsize=256)
-def _base_quotient(factor: RealAlg, mu: RealAlg) -> int | None:
-    """factor / mu if it is a positive rational integer, else None."""
-    q = factor / mu
-    if q.is_integer() and q.as_rational() > 0:
-        return int(q.as_rational())
-    return None
-
-
-def _twist_count(factor: RealAlg, mu: RealAlg, a: int) -> int | None:
-    """The positive integer k with k * (a * mu) == factor, or None.
-
-    k = q / a for q = factor / mu, which is a positive integer exactly
-    when q is one and a divides it; so one exact quotient per base
-    modulus serves every cycle length.
-    """
-    q = _base_quotient(factor, mu)
-    return q // a if q is not None and q % a == 0 else None
-
-
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
                        infinite_types: dict, values: _Values | None = None) -> Certificate:
     """ShearMembership from a profile's cylinder types, in exact-key order;
-    infinite_types is _infinite_types(types), listed apart when d = inf."""
+    infinite_types is _infinite_types(n, types), listed apart when d = inf."""
+    table = _types(n)
     if factor is None:
-        factor = 2 * lambda_n(n)
+        factor = table.factor
     if values is None:
         values = _Values(n)
-    found = [(pair, count, _twist_count(factor, *lift))
-             for _, (pair, count, lift) in sorted(types.items()) if lift[1]]
+    found = [(i, types[i], table.twists(factor, i))
+             for i in table.ordered(types) if table.lifts[i][1]]
     verdict, witness = _shear_rule(
-        factor, ((mod, twists) for (mod, _), _, twists in found), l, bool(infinite_types)
+        factor, ((table.modulus(i), twists) for i, _, twists in found), l,
+        bool(infinite_types), table,
     )
     payload = {"l": l, "factor": values(factor)}
     payload["cylinders"] = [
-        {
-            "inverse_modulus": values(mod),
-            "height": values(height),
-            "count": count,
-            "twists": twists,
-        }
-        for (mod, height), count, twists in found
+        {"inverse_modulus": mod, "height": height, "count": count, "twists": twists}
+        for i, count, twists in found for mod, height in (values.pair(table, i),)
     ]
     if d == "inf":
-        payload["infinite_cylinders"] = _multiset_rows(infinite_types, values)
+        payload["infinite_cylinders"] = _multiset_rows(infinite_types, table, values)
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
         witness=_witness_json(witness, values), values=values,
@@ -447,7 +549,7 @@ def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
     n, m = cover.n, cover.monodromy
     horizontal, direction = _finite_profile(n, m, 0), _finite_profile(n, m, l)
-    ruled = _rotation_rule(horizontal, direction, False)
+    ruled = _rotation_rule(horizontal, direction, False, _types(n))
     return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled)
 
 
@@ -458,14 +560,15 @@ def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
     # for every l; ruled is _rotation_rule's (verdict, witness) on them
     infinite = d == "inf"
     verdict, witness = ruled
+    table = _types(n)
     if values is None:
         values = _Values(n)
     suffix = "_infinite" if infinite else ""
     if "horizontal" + suffix not in values.sections:
-        values.sections["horizontal" + suffix] = _multiset_rows(horizontal, values)
+        values.sections["horizontal" + suffix] = _multiset_rows(horizontal, table, values)
     return Certificate(
         kind="RotationObstruction", n=n, d=d, verdict=verdict,
-        payload={"l": l, "direction" + suffix: _multiset_rows(direction, values)},
+        payload={"l": l, "direction" + suffix: _multiset_rows(direction, table, values)},
         witness=_witness_json(witness, values), values=values,
     )
 
@@ -671,14 +774,15 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         monodromy = cover.monodromy
     profiles = {}
     values = _Values(n)
-    factor = 2 * lambda_n(n)
+    table = _types(n)
+    factor = table.factor
 
     def profile(l):
         # (cylinder types, infinite cylinder types) in direction v_l,
         # each computed once per l
         if l not in profiles:
             types = _finite_profile(n, monodromy, l)
-            profiles[l] = types, (_infinite_types(types) if infinite else {})
+            profiles[l] = types, (_infinite_types(n, types) if infinite else {})
         return profiles[l]
 
     # Y_{n,inf} is obstructed by its infinite cylinders, Y_{n,d} by all
@@ -696,7 +800,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
             sub = certify_minus_identity(n, monodromy)
         elif kind == "RotationObstruction":
             horizontal, direction = profile(0)[side], profile(key)[side]
-            ruled = _rotation_rule(horizontal, direction, infinite)
+            ruled = _rotation_rule(horizontal, direction, infinite, table)
             if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
                 # the multiset invariant is blind here (it happens for d = 2
                 # in the vertical direction); fall back to the covering-
@@ -774,29 +878,42 @@ def _field(obj, key: str, *types):
     return value
 
 
-class _Table:
+class _Table(_Order):
     """Exact values of a certificate: its top-level table, each entry
-    parsed once, up front, and indexed by rows and witnesses.  The
-    horizontal profile is a top-level section too, parsed on first use.
+    parsed once, up front, and indexed by rows and witnesses.  Rows and
+    rules read an entry by its canonical index, that of the first entry
+    of equal value.  The horizontal profile is a top-level section too,
+    parsed on first use.
     """
 
     def __init__(self, data: dict):
         n, conductor = _field(data, "n", int), _field(data, "conductor", int)
         if conductor != 4 * n:
             raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
-        self._values = [RealAlg.from_json(entry, conductor)
-                        for entry in _field(data, "values", list)]
+        super().__init__([RealAlg.from_json(entry, conductor)
+                          for entry in _field(data, "values", list)])
+        first = {}
+        self._canonical = [first.setdefault(x, i) for i, x in enumerate(self.exact)]
         self._top = data
         self._horizontal = {}
 
-    def exact(self, obj, key: str) -> RealAlg:
+    def index(self, obj, key: str) -> int:
+        """The canonical index of the table entry that obj[key] names."""
         # a subcertificate's n, and so its conductor, is bound to the
         # top level's before any rule runs
         i = _field(obj, key, int)
-        if not 0 <= i < len(self._values):
+        if not 0 <= i < len(self.exact):
             raise MalformedCertificate("%r: value index %d is not in a table of %d"
-                                       % (key, i, len(self._values)))
-        return self._values[i]
+                                       % (key, i, len(self.exact)))
+        return self._canonical[i]
+
+    def value(self, obj, key: str) -> RealAlg:
+        return self.exact[self.index(obj, key)]
+
+    def pair(self, t: tuple) -> tuple:
+        return self.exact[t[0]], self.exact[t[1]]
+
+    exceeds = _Order._type_exceeds
 
     def horizontal(self, key: str) -> dict:
         """The horizontal profile, from the top-level section named key."""
@@ -816,11 +933,9 @@ def _reader(data) -> _Table:
 
 
 def _parse_multiset(rows: list, table: _Table) -> dict:
-    types = {}
-    for e in rows:
-        mod, height = table.exact(e, "inverse_modulus"), table.exact(e, "height")
-        types[(mod.key(), height.key())] = ((mod, height), _field(e, "count", int, _NONE))
-    return types
+    # (canonical inverse modulus index, canonical height index) -> count
+    return {(table.index(e, "inverse_modulus"), table.index(e, "height")):
+            _field(e, "count", int, _NONE) for e in rows}
 
 
 _KINDS = ("ShearMembership", "RotationObstruction", "SigmaT", "MinusIdentity", "Index",
@@ -862,9 +977,8 @@ def _images(payload: dict) -> list:
 def revalidate(data: dict) -> str:
     """Recompute a certificate's verdict from its format-2 JSON.
 
-    Parses the payload and applies the rule that made the verdict;
-    WellFormedCover carries no evidence, so alone its stated verdict
-    stands.  A PullbackObstruction fails unless its pullback is the one
+    Parses the payload and applies the rule that made the verdict.  A
+    PullbackObstruction fails unless its pullback is the one
     recomputed from its original images.  A FullTheorem fails, before
     any rule runs, unless its subcertificates fill the slots of its
     (n, d) in order (_theorem_slots).  Inside it, a ShearMembership
@@ -876,37 +990,39 @@ def revalidate(data: dict) -> str:
     unless those images permute exactly d sheets and together act
     transitively.  MalformedCertificate is raised for a payload that
     does not parse, a top level without "format": 2, a standalone
-    PullbackObstruction of odd n or odd l, and a standalone Index for n
-    above MAX_STANDALONE_INDEX_N (before any coset is enumerated).  Each
-    table entry is parsed once per call.
+    WellFormedCover (it carries no evidence; only a theorem's images
+    can check it), a standalone PullbackObstruction of odd n or odd l,
+    and a standalone Index for n above MAX_STANDALONE_INDEX_N (before
+    any coset is enumerated).  Each table entry is parsed once per call.
     """
-    return _revalidate(data, _reader(data))
+    return _revalidate(data, _reader(data), _slot(data))
 
 
-def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
-    # theorem_images is None at the top level; inside a FullTheorem it returns each
-    # generator's image in the theorem's MinusIdentity, or {} if that is unbound
+def _revalidate(data: dict, table: _Table, slot: tuple, theorem_images=None) -> str:
+    # slot is _slot(data), read once by the caller; theorem_images is None at
+    # the top level, and inside a FullTheorem it returns each generator's
+    # image in the theorem's MinusIdentity, or {} if that is unbound
     in_theorem = theorem_images is not None
-    kind, key = _slot(data)
+    kind, key = slot
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         n = _field(data, "n", int)
-        factor = table.exact(payload, "factor")
+        factor = table.value(payload, "factor")
         if in_theorem and factor != 2 * lambda_n(n):
             return FAIL
         infinite_types = {}
         if _field(data, "d", int, str, _NONE) == "inf":
             infinite_types = _parse_multiset(_field(payload, "infinite_cylinders", list), table)
         # a generator: the rule stops reading rows at the first failing one
-        rows = ((table.exact(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
+        rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
-        return _shear_rule(factor, rows, key, bool(infinite_types))[0]
+        return _shear_rule(factor, rows, key, bool(infinite_types), table)[0]
     if kind == "RotationObstruction":
         infinite = "direction_infinite" in payload
         suffix = "_infinite" if infinite else ""
         horizontal = table.horizontal("horizontal" + suffix)
         direction = _parse_multiset(_field(payload, "direction" + suffix, list), table)
-        return _rotation_rule(horizontal, direction, infinite)[0]
+        return _rotation_rule(horizontal, direction, infinite, table)[0]
     if kind == "SigmaT":
         sig1, sig2, sigma = _perms([_field(payload, k, list, dict)
                                     for k in ("sigma1", "sigma2", "sigma_T")])
@@ -957,11 +1073,14 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
             return FAIL
         return _pullback_rule(original, pulled)[0]
     if kind == "WellFormedCover":
+        if not in_theorem:
+            raise MalformedCertificate("a standalone WellFormedCover is not revalidated: "
+                                       "only a theorem's images can check it")
         verdict = _field(data, "verdict", str)
         if verdict not in (PASS, FAIL, INCONCLUSIVE):
             raise MalformedCertificate("unknown verdict %.40r" % verdict)
-        d = data.get("d")  # in a theorem, bound to the theorem's d before any rule
-        if in_theorem and type(d) is int:
+        d = data.get("d")  # bound to the theorem's d before any rule
+        if type(d) is int:
             # the theorem's images must act transitively on exactly d sheets
             images = list(theorem_images().values())
             if not images or any(_Perm.degree(p) != d for p in images) or (
@@ -976,13 +1095,14 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
         if no_base_surface(n):
             raise MalformedCertificate("no base surface X_%d" % n)
         subcertificates = _field(payload, "subcertificates", list)
-        slots = []
+        read, slots = [], []
         for s in subcertificates:  # each one is about this (n, d); Index about n alone
-            kind, key = _slot(s)
+            kind, key = slot = _slot(s)
             claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
             if claim != (n, None if kind == "Index" else d):
                 raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
                                            "in a theorem for (%d, %r)" % (kind, *claim, n, d))
+            read.append(slot)
             if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
                 kind = "RotationObstruction"  # the fallback fills the same slot
             slots.append((kind, key))
@@ -999,6 +1119,7 @@ def _revalidate(data: dict, table: _Table, theorem_images=None) -> str:
                                    "payload", dict))
             return dict(found) if [g for g, _ in found] == list(range(num_generators(n))) else {}
 
-        subs = ((s["kind"], _revalidate(s, table, images), None) for s in subcertificates)
+        subs = ((s["kind"], _revalidate(s, table, slot, images), None)
+                for s, slot in zip(subcertificates, read))
         preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]

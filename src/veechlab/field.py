@@ -260,7 +260,7 @@ class CycloNumber:
     class.
     """
 
-    __slots__ = ("N", "num", "den")
+    __slots__ = ("N", "num", "den", "_hash")  # _hash unset until __hash__ first runs
 
     def __init__(self, N: int, coeffs):
         ctx = get_context(N)
@@ -332,7 +332,13 @@ class CycloNumber:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.N, self.num, self.den))
+        # computed once per value: certificates key their tables by value
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.N, self.num, self.den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- arithmetic ----------------------------------------------------
 

@@ -309,19 +309,26 @@ def test_certificates_revalidate_from_payload():
         for d in (2, 3, 4):
             theorems.append(verify_theorem(n, d))
             theorems.append(verify_theorem(n, d, monodromy=mutated_monodromy(n, d)))
-    seen = set()
+    seen, refused = set(), set()
     for cert in singles + theorems:
         data = json.loads(json.dumps(cert.to_json()))
         subs = [_standalone(data, sub) for sub in data["payload"].get("subcertificates", [])]
         for sub in [data] + subs:
+            if sub["kind"] == "WellFormedCover":
+                # it carries no evidence: only its theorem's images check it
+                with pytest.raises(MalformedCertificate, match="standalone WellFormedCover"):
+                    revalidate(sub)
+                refused.add(sub["verdict"])
+                continue
             assert revalidate(sub) == sub["verdict"], (cert.n, cert.d, sub["kind"])
             seen.add((sub["kind"], sub["verdict"]))
     kinds = {kind for kind, _ in seen}
     assert kinds == {
-        "FullTheorem", "WellFormedCover", "ShearMembership", "SigmaT", "MinusIdentity",
+        "FullTheorem", "ShearMembership", "SigmaT", "MinusIdentity",
         "RotationObstruction", "PullbackObstruction", "Index",
     }
     assert {verdict for _, verdict in seen} == {"pass", "fail", "inconclusive"}
+    assert refused == {"pass", "fail"}
 
 
 def test_tampered_payload_fails_revalidation():
@@ -461,9 +468,9 @@ def test_rotation_rule_runs_once_per_obstruction_direction(monkeypatch, n):
     directions = []
     rule = certificates._rotation_rule
 
-    def counting(horizontal, direction, infinite):
+    def counting(horizontal, direction, *rest):
         directions.append(id(direction))
-        return rule(horizontal, direction, infinite)
+        return rule(horizontal, direction, *rest)
 
     monkeypatch.setattr(certificates, "_rotation_rule", counting)
     obstructions = len(certificates._obstruction_direction_indices(n))
@@ -530,7 +537,10 @@ def test_malformed_payloads_raise_typed_error(tamper):
     with pytest.raises(MalformedCertificate):
         revalidate(data)
     # the same inside the FullTheorem and alone, with its table attached
+    # (a standalone WellFormedCover is refused whatever its payload)
     for sub in data["payload"]["subcertificates"]:
+        if sub["kind"] == "WellFormedCover":
+            continue
         try:
             revalidate(_standalone(data, sub))
         except MalformedCertificate:
@@ -568,8 +578,13 @@ def _genuine_texts() -> tuple:
     texts = []
     for cert in certs:
         data = cert.to_json()
-        texts += [json.dumps(data)] + [json.dumps(_standalone(data, s))
-                                       for s in data["payload"]["subcertificates"]]
+        texts.append(json.dumps(data))
+        for s in data["payload"]["subcertificates"]:
+            if s["kind"] == "WellFormedCover":  # refused alone, whatever its payload
+                with pytest.raises(MalformedCertificate):
+                    revalidate(_standalone(data, s))
+            else:
+                texts.append(json.dumps(_standalone(data, s)))
     return tuple(texts)
 
 
@@ -723,8 +738,10 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
     seen = set()
     for l in range(n):
         got = certificates._finite_profile(n, m, l)
+        types = certificates._types(n)
         # same exact types and counts, in the same order
-        assert [(k, v[:2]) for k, v in got.items()] == list(_per_cycle_profile(n, m, l).items()), l
+        assert [(types.keys[i], [types.pair(i), count]) for i, count in got.items()] == list(
+            _per_cycle_profile(n, m, l).items()), l
         cert = certificates._shear_certificate(n, m.degree, l, None, got, {})
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
@@ -998,9 +1015,9 @@ def test_warm_theorem_does_each_exact_check_once(monkeypatch):
     monkeypatch.setattr(Monodromy, "eval_word",
                         lambda self, w: evaluated.append(w) or eval_word(self, w))
     # the operands of every exact subtraction inside each rule; an exact
-    # comparison is one subtraction
-    certificates._is_multiple.cache_clear()
-    certificates._above.cache_clear()
+    # comparison is one subtraction.  The type table of n decides each
+    # check once, so it starts empty.
+    certificates._types.cache_clear()
     inside, operands = [None], {"shear": [], "rotation": []}
     sub = field.CycloNumber.__sub__
 
@@ -1055,3 +1072,105 @@ def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
         sigma["payload"]["sigma1"] = sigma["payload"]["sigma2"] = list(range(d))
     assert revalidate(_standalone(data, _sub(data, "SigmaT"))) == "pass"
     assert revalidate(data) == "fail"
+
+
+# ---------------------------------------------------------------------------
+# integer cylinder types: one exact key per value and n
+
+
+def test_type_ids_are_exact_types():
+    types = certificates._Types(5)
+    mu = lambda_n(5)
+    height = 2 * field.sin_pi_over(5)
+    i = types.lift(mu, height, 2)
+    # another lift of the same exact type, and equal values from other objects
+    assert types.lift(2 * mu, height, 1) == i
+    assert types.lift(RealAlg.from_json(mu.to_json()), 1 * height, 2) == i
+    assert types.lifts[i] == (mu, 2) and types.pair(i) == (2 * mu, height)
+    others = {types.lift(mu, height, 1), types.lift(mu, 2 * height, 1),
+              types.lift(mu, 2 * height, 2), types.lift(mu, height, 0)}
+    assert i not in others and len(others) == 4
+    # rows in exact-key order, witnesses in exact order
+    ids = list(range(len(types.keys)))
+    assert [types.keys[j] for j in types.ordered(ids)] == sorted(types.keys)
+    for j in ids:
+        for k in ids:
+            if j != k:
+                assert types.exceeds(j, k) == (types.pair(j) > types.pair(k)), (j, k)
+
+
+@pytest.mark.parametrize("kwargs", [{"d": 2}, {"d": 5}, {"d": 48}, {"infinite": True}])
+def test_a_warm_theorem_keys_no_exact_value(monkeypatch, kwargs):
+    # the first theorem of n types every value; profiles, rows, rules and
+    # the value table of the second one do integer work only
+    verify_theorem(16, **kwargs)
+    keyed = []
+    key = field.CycloNumber.key
+    monkeypatch.setattr(field.CycloNumber, "key", lambda self: keyed.append(self) or key(self))
+    cert = verify_theorem(16, **kwargs)
+    cert.to_json()
+    assert cert.verdict == "pass"
+    assert keyed == []
+
+
+def test_revalidate_reads_each_slot_once(monkeypatch):
+    data = _roundtrip(verify_theorem(9, 4))
+    read = []
+    slot = certificates._slot
+    monkeypatch.setattr(certificates, "_slot", lambda s: read.append(s["kind"]) or slot(s))
+    assert revalidate(data) == "pass"
+    assert len(read) == len(data["payload"]["subcertificates"]) + 1
+
+
+def test_standalone_well_formed_cover_is_refused():
+    probe = {"format": 2, "conductor": 20, "values": [], "kind": "WellFormedCover", "n": 5,
+             "d": 3, "verdict": "pass", "payload": {}, "witnesses": []}
+    with pytest.raises(MalformedCertificate, match="standalone WellFormedCover"):
+        revalidate(probe)
+    # inside a theorem it is checked against the theorem's images, as before
+    theorem = _roundtrip(verify_theorem(5, 3))
+    assert _sub(theorem, "WellFormedCover")["verdict"] == "pass"
+    assert revalidate(theorem) == "pass"
+
+
+def test_equal_table_entries_are_one_value():
+    theorem = _roundtrip(verify_theorem(7, 4))
+    rotation = copy.deepcopy(_standalone(theorem, _sub(theorem, "RotationObstruction")))
+    assert revalidate(rotation) == "pass"
+    # the direction rows become the horizontal ones, naming copies of their
+    # values: the multisets agree
+    values, copies, rows = rotation["values"], {}, []
+    for row in rotation["horizontal"]:
+        row = dict(row)
+        for k in ("inverse_modulus", "height"):
+            if row[k] not in copies:
+                copies[row[k]] = len(values)
+                values.append(copy.deepcopy(values[row[k]]))
+            row[k] = copies[row[k]]
+        rows.append(row)
+    rotation["payload"]["direction"] = rows
+    assert revalidate(rotation) == "inconclusive"
+
+
+def _exact_multiset(table, rows):
+    return {(table[r["inverse_modulus"]], table[r["height"]]): r["count"] for r in rows}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_revalidate_agrees_with_verify_on_random_monodromies(data):
+    n, m = _random_transitive_monodromy(data, ns=(5, 7, 8, 9), max_d=6)
+    cert = verify_theorem(n, m.degree, monodromy=m)
+    doc = _roundtrip(cert)
+    assert revalidate(doc) == cert.verdict
+    table = _table(doc)
+    for sub in doc["payload"]["subcertificates"]:
+        if sub["kind"] != "WellFormedCover":
+            assert revalidate(_standalone(doc, sub)) == sub["verdict"], sub["kind"]
+        if sub["kind"] == "RotationObstruction" and sub["verdict"] == "pass":
+            # the witness is the largest differing type, in exact order
+            h = _exact_multiset(table, doc["horizontal"])
+            d = _exact_multiset(table, sub["payload"]["direction"])
+            differing = [t for t in {**h, **d} if h.get(t, 0) != d.get(t, 0)]
+            w = sub["witnesses"][0]
+            assert (table[w["inverse_modulus"]], table[w["height"]]) == max(differing)

@@ -217,7 +217,7 @@ def test_infinite_shear_lists_its_infinite_cylinders():
 def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
     # the horizontal direction of Y_{8,inf} has infinite cylinders
     types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
-    infinite = certificates._infinite_types(types)
+    infinite = certificates._infinite_types(8, types)
     assert infinite
     cert = certificates._shear_certificate(8, "inf", 0, None, types, infinite)
     assert cert.verdict == "fail"
