@@ -18,17 +18,22 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
                         so no rotation derivative can exist;
   * PullbackObstruction - the cover pulled back under the rotation is
                         not a relabeling of itself (even n fallback);
+  * WellFormedCover   - the monodromy acts transitively on d sheets;
   * Index             - coset enumeration gives the expected index.
 
 Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values: the certify_* functions apply it to what
 they computed, revalidate() to what it parsed from the payload.
 
-Certificates are written and read in format 2: the top level carries
+Certificates are written and read in format 3: the top level carries
 the conductor 4n once and a table of the distinct exact values, and rows
-and witnesses refer to the table by index; the horizontal profile that
-every RotationObstruction compares against is written once, at the top
-level.  revalidate() reads no other format.
+and witnesses refer to the table by index.  Two sections are written
+once, at the top level: the horizontal profile that every
+RotationObstruction compares against, and the monodromy's generator
+images, which SigmaT, MinusIdentity, PullbackObstruction and
+WellFormedCover read.  Every degree, d = inf too, uses the same rows: an
+infinite strip is a type of inverse modulus 0.  revalidate() reads no
+other format.
 
 Non-membership certificates for user-supplied monodromies may come out
 "inconclusive" (equal multisets prove nothing); the standard family
@@ -38,7 +43,7 @@ never does.
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import perms
 from .coset import coset_enumerate
@@ -65,7 +70,7 @@ from .zcover import ZMonodromy, ZPermutation, sigma_T_infinite, std_infinite_mon
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-FORMAT = 2
+FORMAT = 3
 _SIGMA_MODES = ("horizontal", "vertical")
 
 
@@ -74,8 +79,9 @@ class _Values:
 
     Each distinct exact value gets the next index on its first use, so
     the table follows the fixed order in which certificates are
-    assembled.  ``sections`` holds the rows that the top level writes
-    once for every subcertificate: the horizontal profile.
+    assembled.  ``sections`` holds what the top level writes once for
+    every subcertificate: the monodromy's images and the horizontal
+    profile.
     """
 
     def __init__(self, n: int):
@@ -120,8 +126,8 @@ class Certificate:
         self.values = values
 
     def to_json(self):
-        """The certificate as top-level format-2 JSON, with its value
-        table and the sections its rows refer to."""
+        """The certificate as top-level format-3 JSON, with its value
+        table and the sections its payload refers to."""
         values = _Values(self.n) if self.values is None else self.values
         return {"format": FORMAT, "conductor": values.conductor, **self._body(),
                 "values": values.to_json(), **values.sections}
@@ -197,6 +203,16 @@ def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
     ]
 
 
+def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
+    """A new value table of n whose images section lists the image of
+    each generator x_0..x_{g-1}, in order: every kind that reads the
+    monodromy reads it there."""
+    values = _Values(n)
+    values.sections["images"] = [{"generator": i, "image": _Perm.to_json(p)}
+                                 for i, p in monodromy.images.items()]
+    return values
+
+
 def _witness_json(witness, values: _Values):
     # a rule's witness as the certificate carries it: exact values as
     # table indices
@@ -212,8 +228,8 @@ def _witness_json(witness, values: _Values):
 # None when there are infinitely many.  A type is the exact pair
 # (inverse modulus, height); its inverse modulus is a * mu for a base
 # cylinder's inverse modulus mu and an orbit length a.  An infinite
-# cylinder (a = 0, d = inf only) has no modulus and is typed
-# (0, height).
+# strip (a = 0, d = inf only) is typed (0, height): every degree has
+# one row shape.
 
 
 @lru_cache(maxsize=1024)
@@ -345,13 +361,14 @@ class _Types(_Order):
         For type i's first lift (mu, a), k = q / a for q = factor / mu,
         which is a positive integer exactly when q is one and a divides
         it; so one exact quotient per base modulus serves every cycle
-        length.  Equal inverse moduli share the answer.
+        length.  Equal inverse moduli share the answer.  An infinite
+        strip (a = 0, inverse modulus 0) has none.
         """
         key = (factor, self._types[i][0])
         if key not in self._twists:
             mu, a = self.lifts[i]
             q = _base_quotient(factor, mu)
-            self._twists[key] = q // a if q is not None and q % a == 0 else None
+            self._twists[key] = q // a if a and q is not None and q % a == 0 else None
         return self._twists[key]
 
 
@@ -382,10 +399,12 @@ def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     return counter
 
 
-def _infinite_types(n: int, types: dict) -> dict:
-    """The infinite cylinders of a profile: its types of orbit length 0."""
-    lifts = _types(n).lifts
-    return {i: count for i, count in types.items() if not lifts[i][1]}
+def _infinite_preimages(n: int, monodromy: ZMonodromy) -> int:
+    """The number of infinite cylinders over the core of cylinder k, the
+    word x_k1 x_k2^-1."""
+    k1, k2 = monodromy_indices(n)
+    core = Word.generator(k1) * Word.generator(k2).inverse()
+    return sum(count for a, count in monodromy.cycle_type(core) if not a)
 
 
 # ---------------------------------------------------------------------------
@@ -393,31 +412,34 @@ def _infinite_types(n: int, types: dict) -> dict:
 # a witness of native values that only the certifiers serialise
 
 
-def _shear_rule(factor: RealAlg, rows, l: int, infinite_cylinders: bool, order: _Order):
+def _shear_rule(factor: RealAlg, rows, order: _Order):
     """ShearMembership: every row (inverse modulus index, twist count)
     must have a positive integer count k with k * inverse modulus ==
     factor, which order decides once per (factor, modulus, k).
 
-    An infinite cylinder (d = inf) admits no twist at all; a d = inf
-    payload lists its infinite cylinder types.
+    An infinite strip (d = inf) is a row without a twist count, so it
+    fails the rule.
     """
-    if infinite_cylinders:
-        return FAIL, {"reason": "infinite cylinder in shear direction", "l": l}
     for mod, twists in rows:
         if twists is None or twists < 1 or not order.is_multiple(factor, mod, twists):
             return FAIL, {"inverse_modulus": order.exact[mod], "reason": "non-integer twist"}
     return PASS, None
 
 
-def _sigma_rule(sig1, sig2, sigma, mode: str, other_moving=()):
-    """SigmaT: the two compatibility conditions, as exact permutation identities.
+def _sigma_rule(n: int, images: dict, sigma, mode: str):
+    """SigmaT: the two compatibility conditions, as exact permutation
+    identities between sigma and the images of x_k1 and x_k2.
 
     They involve only x_k1 and x_k2, so they prove nothing when another
-    generator (one of other_moving) moves a sheet.
+    generator moves a sheet.
     """
+    k1, k2 = monodromy_indices(n)
+    other_moving = [i for i, p in images.items()
+                    if i not in (k1, k2) and not _Perm.is_identity(p)]
     if other_moving:
         return INCONCLUSIVE, {"reason": "generators other than x_k1, x_k2 move",
                               "other_moving": other_moving}
+    sig1, sig2 = images[k1], images[k2]
     then = _Perm.then
     if mode == "horizontal":
         suc = then(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
@@ -441,21 +463,26 @@ def _minus_identity_rule(images):
     return PASS, None
 
 
-def _rotation_rule(horizontal: dict, direction: dict, infinite: bool, order):
+def _rotation_rule(horizontal: dict, direction: dict, order):
     """RotationObstruction: R^l is excluded iff the two cylinder-type
     multisets (type -> count) differ.
 
-    The finite witness is the differing type of largest inverse modulus,
-    then height, in exact order: order.exceeds decides each pair of
-    types through their values, each pair of values once, and
-    order.pair gives a type's (inverse modulus, height).
+    Proof.  An affine map of the cover with derivative R^l carries the
+    cylinders in direction v_0 onto those in v_l, one for one, and keeps
+    each one's height and circumference.  So the multiset of (inverse
+    modulus, height), with counts in N and infinity, is the same in both
+    directions, and R^l is excluded where it differs.  For d = inf the
+    map carries infinite strips onto infinite strips of the same height;
+    they are the types (0, height), so whole profiles differ whenever
+    the profiles of infinite strips alone do.
+
+    The witness is the differing type of largest inverse modulus, then
+    height, in exact order: order.exceeds decides each pair of types
+    through their values, each pair of values once, and order.pair
+    gives a type's (inverse modulus, height).
     """
     if horizontal == direction:
-        if infinite:
-            return INCONCLUSIVE, {"reason": "infinite-cylinder profiles agree"}
         return INCONCLUSIVE, {"reason": "multisets agree; rotation not excluded by this invariant"}
-    if infinite:
-        return PASS, {"reason": "infinite-cylinder heights differ between directions"}
     wk = None
     for k in {**horizontal, **direction}:
         if horizontal.get(k, 0) != direction.get(k, 0) and (
@@ -471,11 +498,12 @@ def _rotation_rule(horizontal: dict, direction: dict, infinite: bool, order):
     }
 
 
-def _pullback_rule(original: dict, pulled: dict):
-    """PullbackObstruction: R^l is excluded iff the pulled-back monodromy
-    is not the original one up to a sheet relabeling."""
-    d = len(next(iter(original.values())))
-    if _covers_isomorphic(original, pulled, d):
+def _pullback_rule(n: int, l: int, monodromy: Monodromy):
+    """PullbackObstruction: R^l is excluded iff the monodromy pulled back
+    under the rotation by l is not the monodromy itself up to a sheet
+    relabeling."""
+    pulled = monodromy.pullback(rotation_images(n, l // 2))
+    if _covers_isomorphic(monodromy.images, pulled.images, monodromy.degree):
         return INCONCLUSIVE, {"reason": "pullback cover is isomorphic; rotation not excluded"}
     return PASS, None
 
@@ -494,7 +522,7 @@ def _theorem_rule(d, subs, preimages=None):
 
     subs yields (kind, verdict, witness) and is consumed only up to the
     first failure.  For d = inf the core of cylinder k must also lift to
-    exactly two infinite cylinders.
+    exactly two infinite cylinders (preimages, _infinite_preimages).
     """
     if d == "inf" and preimages != 2:
         return FAIL, {"reason": "cylinder k does not have two infinite preimages"}
@@ -512,27 +540,21 @@ def _theorem_rule(d, subs, preimages=None):
 
 
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
-                       infinite_types: dict, values: _Values | None = None) -> Certificate:
-    """ShearMembership from a profile's cylinder types, in exact-key order;
-    infinite_types is _infinite_types(n, types), listed apart when d = inf."""
+                       values: _Values | None = None) -> Certificate:
+    """ShearMembership from a profile's cylinder types, in exact-key order."""
     table = _types(n)
     if factor is None:
         factor = table.factor
     if values is None:
         values = _Values(n)
-    found = [(i, types[i], table.twists(factor, i))
-             for i in table.ordered(types) if table.lifts[i][1]]
+    found = [(i, types[i], table.twists(factor, i)) for i in table.ordered(types)]
     verdict, witness = _shear_rule(
-        factor, ((table.modulus(i), twists) for i, _, twists in found), l,
-        bool(infinite_types), table,
-    )
+        factor, ((table.modulus(i), twists) for i, _, twists in found), table)
     payload = {"l": l, "factor": values(factor)}
     payload["cylinders"] = [
         {"inverse_modulus": mod, "height": height, "count": count, "twists": twists}
         for i, count, twists in found for mod, height in (values.pair(table, i),)
     ]
-    if d == "inf":
-        payload["infinite_cylinders"] = _multiset_rows(infinite_types, table, values)
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
         witness=_witness_json(witness, values), values=values,
@@ -542,33 +564,31 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
 def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
     types = _finite_profile(cover.n, cover.monodromy, l)
-    return _shear_certificate(cover.n, cover.d, l, factor, types, {})
+    return _shear_certificate(cover.n, cover.d, l, factor, types)
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
     n, m = cover.n, cover.monodromy
     horizontal, direction = _finite_profile(n, m, 0), _finite_profile(n, m, l)
-    ruled = _rotation_rule(horizontal, direction, False, _types(n))
+    ruled = _rotation_rule(horizontal, direction, _types(n))
     return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled)
 
 
 def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
                           ruled: tuple, values: _Values | None = None) -> Certificate:
-    # horizontal is the direction-0 profile (its infinite types when
-    # d = inf); its rows are a section of the value table, written once
-    # for every l; ruled is _rotation_rule's (verdict, witness) on them
-    infinite = d == "inf"
+    # horizontal is the direction-0 profile; its rows are a section of the
+    # value table, written once for every l; ruled is _rotation_rule's
+    # (verdict, witness) on the two profiles
     verdict, witness = ruled
     table = _types(n)
     if values is None:
         values = _Values(n)
-    suffix = "_infinite" if infinite else ""
-    if "horizontal" + suffix not in values.sections:
-        values.sections["horizontal" + suffix] = _multiset_rows(horizontal, table, values)
+    if "horizontal" not in values.sections:
+        values.sections["horizontal"] = _multiset_rows(horizontal, table, values)
     return Certificate(
         kind="RotationObstruction", n=n, d=d, verdict=verdict,
-        payload={"l": l, "direction" + suffix: _multiset_rows(direction, table, values)},
+        payload={"l": l, "direction": _multiset_rows(direction, table, values)},
         witness=_witness_json(witness, values), values=values,
     )
 
@@ -617,21 +637,9 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
     """
     if n % 2 or l % 2:
         raise ValueError("pullback obstruction applies to even n and even l")
-    pulled = monodromy.pullback(rotation_images(n, l // 2)).images
-    original = monodromy.images
-    verdict, witness = _pullback_rule(original, pulled)
-    return Certificate(
-        kind="PullbackObstruction",
-        n=n,
-        d=monodromy.degree,
-        verdict=verdict,
-        payload={
-            "l": l,
-            "original": {str(i): list(p) for i, p in sorted(original.items())},
-            "pullback": {str(i): list(p) for i, p in sorted(pulled.items())},
-        },
-        witness=witness,
-    )
+    verdict, witness = _pullback_rule(n, l, monodromy)
+    return Certificate(kind="PullbackObstruction", n=n, d=monodromy.degree, verdict=verdict,
+                       payload={"l": l}, witness=witness, values=_images_table(n, monodromy))
 
 
 def sigma_T_claim(d: int) -> tuple:
@@ -649,41 +657,26 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
 
     horizontal: sigma_T itself; vertical (even n special direction):
     the same conditions hold for sigma_T^-1.  d = "inf" certifies
-    Y_{n,inf}, whose monodromy is a ZMonodromy.  The payload lists the
-    generators other than x_k1, x_k2 that move a sheet, if any.
+    Y_{n,inf}, whose monodromy is a ZMonodromy.  The payload holds the
+    mode and sigma_T; the images of x_k1 and x_k2 are read from the
+    images section.
     """
     if monodromy is None:
         monodromy = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
-    k1, k2 = monodromy_indices(n)
-    sig1 = monodromy.image(k1)
-    sig2 = monodromy.image(k2)
-    other_moving = [i for i, p in sorted(monodromy.images.items())
-                    if i not in (k1, k2) and not _Perm.is_identity(p)]
     sigma = sigma_T_infinite() if d == "inf" else sigma_T_claim(d)
     if mode == "vertical":
         sigma = _Perm.inverse(sigma)
-    verdict, witness = _sigma_rule(sig1, sig2, sigma, mode, other_moving)
-    payload = {
-        "mode": mode,
-        "sigma_T": _Perm.to_json(sigma),
-        "sigma1": _Perm.to_json(sig1),
-        "sigma2": _Perm.to_json(sig2),
-    }
-    if other_moving:
-        payload["other_moving"] = other_moving
-    return Certificate(kind="SigmaT", n=n, d=d, verdict=verdict, payload=payload,
-                       witness=witness)
+    verdict, witness = _sigma_rule(n, monodromy.images, sigma, mode)
+    return Certificate(kind="SigmaT", n=n, d=d, verdict=verdict,
+                       payload={"mode": mode, "sigma_T": _Perm.to_json(sigma)},
+                       witness=witness, values=_images_table(n, monodromy))
 
 
 def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certificate:
     """-I lifts iff every generator's monodromy image is an involution."""
-    images = [(i, monodromy.image(i)) for i in sorted(monodromy.images)]
-    verdict, witness = _minus_identity_rule(images)
-    return Certificate(
-        kind="MinusIdentity", n=n, d=monodromy.degree, verdict=verdict,
-        payload={"images": [{"generator": i, "image": _Perm.to_json(p)} for i, p in images]},
-        witness=witness,
-    )
+    verdict, witness = _minus_identity_rule(monodromy.images.items())
+    return Certificate(kind="MinusIdentity", n=n, d=monodromy.degree, verdict=verdict,
+                       witness=witness, values=_images_table(n, monodromy))
 
 
 @lru_cache(maxsize=None)
@@ -702,7 +695,7 @@ def certify_index(n: int) -> Certificate:
         n=n,
         d=None,
         verdict=verdict,
-        payload={"expected_index": expected, "index": table.index, "table": table.to_json()},
+        payload={"expected_index": expected, "index": table.index},
         witness=witness,
     )
 
@@ -764,43 +757,34 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         if d is None or d < 2:
             raise ValueError("finite verification needs d >= 2")
         try:
-            cover = build_cover(n, d, monodromy)
+            monodromy = build_cover(n, d, monodromy).monodromy
         except IntransitiveMonodromy as exc:
-            bad = Certificate(
-                kind="WellFormedCover", n=n, d=d, verdict=FAIL,
-                payload={}, witness={"reason": str(exc)},
-            )
-            return _aggregate(n, d, [bad])
-        monodromy = cover.monodromy
+            bad = Certificate(kind="WellFormedCover", n=n, d=d, verdict=FAIL,
+                              witness={"reason": str(exc)})
+            return _aggregate(n, d, [bad], values=_images_table(n, monodromy))
     profiles = {}
-    values = _Values(n)
+    values = _images_table(n, monodromy)
     table = _types(n)
-    factor = table.factor
 
     def profile(l):
-        # (cylinder types, infinite cylinder types) in direction v_l,
-        # each computed once per l
+        # the cylinder types in direction v_l, computed once per l
         if l not in profiles:
-            types = _finite_profile(n, monodromy, l)
-            profiles[l] = types, (_infinite_types(n, types) if infinite else {})
+            profiles[l] = _finite_profile(n, monodromy, l)
         return profiles[l]
 
-    # Y_{n,inf} is obstructed by its infinite cylinders, Y_{n,d} by all
-    side = 1 if infinite else 0
     subs = []
     for kind, key in _theorem_slots(n, d):
         if kind == "WellFormedCover":
-            sub = Certificate(kind=kind, n=n, d=d, verdict=PASS,
-                              payload={"polygons": d * len(cover.base.polygons)})
+            sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)
         elif kind == "ShearMembership":
-            sub = _shear_certificate(n, d, key, factor, *profile(key), values=values)
+            sub = _shear_certificate(n, d, key, table.factor, profile(key), values)
         elif kind == "SigmaT":
             sub = certify_sigma_T(n, d, key, monodromy)
         elif kind == "MinusIdentity":
             sub = certify_minus_identity(n, monodromy)
         elif kind == "RotationObstruction":
-            horizontal, direction = profile(0)[side], profile(key)[side]
-            ruled = _rotation_rule(horizontal, direction, infinite, table)
+            horizontal, direction = profile(0), profile(key)
+            ruled = _rotation_rule(horizontal, direction, table)
             if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
                 # the multiset invariant is blind here (it happens for d = 2
                 # in the vertical direction); fall back to the covering-
@@ -811,13 +795,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         else:
             sub = certify_index(n)
         subs.append(sub)
-    preimages = None
-    if infinite:
-        # key obstruction evidence: the core of cylinder k lifts to
-        # exactly two infinite cylinders
-        k1, k2 = monodromy_indices(n)
-        core = Word.generator(k1) * Word.generator(k2).inverse()
-        preimages = sum(count for a, count in monodromy.cycle_type(core) if not a)
+    preimages = _infinite_preimages(n, monodromy) if infinite else None
     return _aggregate(n, d, subs, preimages, values)
 
 
@@ -859,6 +837,7 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 
 
 _NONE = type(None)
+_NO_LONGER_READ = "format %d is no longer read; `veechlab verify` writes format 3"
 
 # A standalone Index certificate names its own n, and revalidating it
 # enumerates that n's cosets, at a cost that grows steeply with n; above
@@ -882,8 +861,8 @@ class _Table(_Order):
     """Exact values of a certificate: its top-level table, each entry
     parsed once, up front, and indexed by rows and witnesses.  Rows and
     rules read an entry by its canonical index, that of the first entry
-    of equal value.  The horizontal profile is a top-level section too,
-    parsed on first use.
+    of equal value.  The horizontal profile and the monodromy's images
+    are top-level sections too, each parsed on first use.
     """
 
     def __init__(self, data: dict):
@@ -894,13 +873,13 @@ class _Table(_Order):
                           for entry in _field(data, "values", list)])
         first = {}
         self._canonical = [first.setdefault(x, i) for i, x in enumerate(self.exact)]
+        # every subcertificate's n is bound to the top level's before any
+        # rule runs
+        self.n = n
         self._top = data
-        self._horizontal = {}
 
     def index(self, obj, key: str) -> int:
         """The canonical index of the table entry that obj[key] names."""
-        # a subcertificate's n, and so its conductor, is bound to the
-        # top level's before any rule runs
         i = _field(obj, key, int)
         if not 0 <= i < len(self.exact):
             raise MalformedCertificate("%r: value index %d is not in a table of %d"
@@ -915,18 +894,31 @@ class _Table(_Order):
 
     exceeds = _Order._type_exceeds
 
-    def horizontal(self, key: str) -> dict:
-        """The horizontal profile, from the top-level section named key."""
-        if key not in self._horizontal:
-            self._horizontal[key] = _parse_multiset(_field(self._top, key, list), self)
-        return self._horizontal[key]
+    @cached_property
+    def horizontal(self) -> dict:
+        """The horizontal profile, from the top-level section."""
+        return _parse_multiset(_field(self._top, "horizontal", list), self)
+
+    @cached_property
+    def images(self) -> dict:
+        """The monodromy, generator -> image, from the top-level images
+        section, which must name x_0..x_{g-1} once each, in order, with
+        images that permute one set of sheets."""
+        if no_base_surface(self.n):
+            raise MalformedCertificate("no base surface X_%d" % self.n)
+        entries = _field(self._top, "images", list)
+        g = num_generators(self.n)
+        if [_field(e, "generator", int) for e in entries] != list(range(g)):
+            raise MalformedCertificate("images must name x_0..x_%d once each, in order" % (g - 1))
+        return dict(enumerate(_perms([_field(e, "image", list, dict) for e in entries])))
 
 
 def _reader(data) -> _Table:
-    """The value table of a top-level certificate, which must be format 2."""
+    """The value table of a top-level certificate, which must be format 3."""
     if type(data) is not dict or "format" not in data:
-        raise MalformedCertificate("certificate has no \"format\" key: format 1 is no longer "
-                                   "read; `veechlab verify` writes format 2")
+        raise MalformedCertificate("certificate has no \"format\" key: " + _NO_LONGER_READ % 1)
+    if type(data["format"]) is int and data["format"] == 2:
+        raise MalformedCertificate(_NO_LONGER_READ % 2)
     if type(data["format"]) is not int or data["format"] != FORMAT:
         raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
     return _Table(data)
@@ -967,81 +959,54 @@ def _perms(data: list) -> list:
     return ps
 
 
-def _images(payload: dict) -> list:
-    """The (generator, image) pairs that a MinusIdentity lists."""
-    entries = _field(payload, "images", list)
-    generators = [_field(e, "generator", int) for e in entries]
-    return list(zip(generators, _perms([_field(e, "image", list, dict) for e in entries])))
-
-
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its format-2 JSON.
+    """Recompute a certificate's verdict from its format-3 JSON.
 
-    Parses the payload and applies the rule that made the verdict.  A
-    PullbackObstruction fails unless its pullback is the one
-    recomputed from its original images.  A FullTheorem fails, before
-    any rule runs, unless its subcertificates fill the slots of its
-    (n, d) in order (_theorem_slots).  Inside it, a ShearMembership
-    fails unless its factor is 2*lambda_n (alone it keeps its own
-    factor), the MinusIdentity unless it lists each generator of X_n
-    once, in order, a SigmaT unless its sigma1, sigma2 and other_moving
-    are read from that list, a PullbackObstruction unless its original
-    images are that list, and, for an integer d, a WellFormedCover
-    unless those images permute exactly d sheets and together act
-    transitively.  MalformedCertificate is raised for a payload that
-    does not parse, a top level without "format": 2, a standalone
-    WellFormedCover (it carries no evidence; only a theorem's images
-    can check it), a standalone PullbackObstruction of odd n or odd l,
-    and a standalone Index for n above MAX_STANDALONE_INDEX_N (before
-    any coset is enumerated).  Each table entry is parsed once per call.
+    Parses the payload and applies the rule that made the verdict.
+    SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
+    the monodromy from the top-level images section, and the
+    PullbackObstruction's pullback is computed from it.  A FullTheorem
+    fails, before any rule runs, unless its subcertificates fill the
+    slots of its (n, d) in order (_theorem_slots).  Inside it, a
+    ShearMembership fails unless its factor is 2*lambda_n (alone it
+    keeps its own factor), and for d = inf the theorem fails unless its
+    count of infinite preimages of cylinder k is the one the images
+    give.  A WellFormedCover fails unless the images permute exactly d
+    sheets and together act transitively.  MalformedCertificate is
+    raised for a payload that does not parse, a top level without
+    "format": 3, images that do not name x_0..x_{g-1} once each, in
+    order, a PullbackObstruction of odd n or odd l, and a standalone
+    Index for n above MAX_STANDALONE_INDEX_N (before any coset is
+    enumerated).  Each table entry is parsed once per call.
     """
     return _revalidate(data, _reader(data), _slot(data))
 
 
-def _revalidate(data: dict, table: _Table, slot: tuple, theorem_images=None) -> str:
-    # slot is _slot(data), read once by the caller; theorem_images is None at
-    # the top level, and inside a FullTheorem it returns each generator's
-    # image in the theorem's MinusIdentity, or {} if that is unbound
-    in_theorem = theorem_images is not None
+def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False) -> str:
+    # slot is _slot(data), read once by the caller
     kind, key = slot
+    n = table.n
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
-        n = _field(data, "n", int)
         factor = table.value(payload, "factor")
         if in_theorem and factor != 2 * lambda_n(n):
             return FAIL
-        infinite_types = {}
-        if _field(data, "d", int, str, _NONE) == "inf":
-            infinite_types = _parse_multiset(_field(payload, "infinite_cylinders", list), table)
         # a generator: the rule stops reading rows at the first failing one
         rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
-        return _shear_rule(factor, rows, key, bool(infinite_types), table)[0]
+        return _shear_rule(factor, rows, table)[0]
     if kind == "RotationObstruction":
-        infinite = "direction_infinite" in payload
-        suffix = "_infinite" if infinite else ""
-        horizontal = table.horizontal("horizontal" + suffix)
-        direction = _parse_multiset(_field(payload, "direction" + suffix, list), table)
-        return _rotation_rule(horizontal, direction, infinite, table)[0]
+        direction = _parse_multiset(_field(payload, "direction", list), table)
+        return _rotation_rule(table.horizontal, direction, table)[0]
     if kind == "SigmaT":
-        sig1, sig2, sigma = _perms([_field(payload, k, list, dict)
-                                    for k in ("sigma1", "sigma2", "sigma_T")])
-        other_moving = _field(payload, "other_moving", list) if "other_moving" in payload else []
-        if any(type(i) is not int for i in other_moving):
-            raise MalformedCertificate("other_moving must list generator indices")
-        if in_theorem:
-            images = theorem_images()
-            k1, k2 = monodromy_indices(_field(data, "n", int))
-            moving = [g for g in images if g not in (k1, k2) and not _Perm.is_identity(images[g])]
-            if [sig1, sig2, other_moving] != [images.get(k1), images.get(k2), moving]:
-                return FAIL
-        return _sigma_rule(sig1, sig2, sigma, key, other_moving)[0]
+        images = table.images
+        sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
+        if _Perm.degree(sigma) != _Perm.degree(images[0]):
+            raise MalformedCertificate("sigma_T and the images permute different sheets")
+        return _sigma_rule(n, images, sigma, key)[0]
     if kind == "MinusIdentity":
-        if in_theorem:  # parsed with the theorem; unbound, it fails
-            return _minus_identity_rule(theorem_images().items())[0] if theorem_images() else FAIL
-        return _minus_identity_rule(_images(payload))[0]
+        return _minus_identity_rule(table.images.items())[0]
     if kind == "Index":
-        n = _field(data, "n", int)
         if no_base_surface(n):
             raise MalformedCertificate("no base surface X_%d" % n)
         if not in_theorem and n > MAX_STANDALONE_INDEX_N:
@@ -1050,46 +1015,19 @@ def _revalidate(data: dict, table: _Table, slot: tuple, theorem_images=None) -> 
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":
-        n, l = _field(data, "n", int), key
-        if n % 2 or l % 2 or no_base_surface(n):
+        if n % 2 or key % 2 or no_base_surface(n):
             raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
-        original = _field(payload, "original", dict)
-        pulled = _field(payload, "pullback", dict)
-        g = num_generators(n)
-        generators = [str(i) for i in range(g)]
-        if list(original) != generators or list(pulled) != generators:
-            raise MalformedCertificate("original and pullback images must name x_0..x_%d in order"
-                                       % (g - 1))
-        images = _perms(list(original.values()) + list(pulled.values()))
-        if _Perm.degree(images[0]) == "inf":
-            raise MalformedCertificate("pullback images must permute finitely many sheets")
-        original, pulled = dict(enumerate(images[:g])), dict(enumerate(images[g:]))
-        # the pullback is recomputed, and inside a theorem the original is
-        # the theorem's monodromy
-        m = Monodromy(g, len(images[0]), original)
-        if m.pullback(rotation_images(n, l // 2)).images != pulled or (
-            in_theorem and original != theorem_images()
-        ):
-            return FAIL
-        return _pullback_rule(original, pulled)[0]
+        images = table.images
+        d = _Perm.degree(images[0])
+        if d == "inf":
+            raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
+        return _pullback_rule(n, key, Monodromy(len(images), d, images))[0]
     if kind == "WellFormedCover":
-        if not in_theorem:
-            raise MalformedCertificate("a standalone WellFormedCover is not revalidated: "
-                                       "only a theorem's images can check it")
-        verdict = _field(data, "verdict", str)
-        if verdict not in (PASS, FAIL, INCONCLUSIVE):
-            raise MalformedCertificate("unknown verdict %.40r" % verdict)
-        d = data.get("d")  # bound to the theorem's d before any rule
-        if type(d) is int:
-            # the theorem's images must act transitively on exactly d sheets
-            images = list(theorem_images().values())
-            if not images or any(_Perm.degree(p) != d for p in images) or (
-                not perms.is_transitive(images, d)
-            ):
-                return FAIL
-        return verdict
+        # the images must act transitively on exactly d sheets
+        d, images = _field(data, "d", int), list(table.images.values())
+        return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL
     if kind == "FullTheorem":
-        n, d = _field(data, "n", int), _field(data, "d", int, str)
+        d = _field(data, "d", int, str)
         if d != "inf" and type(d) is str:
             raise MalformedCertificate("unknown degree %.40r" % d)
         if no_base_surface(n):
@@ -1110,16 +1048,16 @@ def _revalidate(data: dict, table: _Table, slot: tuple, theorem_images=None) -> 
         # before any rule runs
         if tuple(slots) != _theorem_slots(n, d):
             return FAIL
-
-        @lru_cache(maxsize=None)
-        def images():
-            # read lazily (the fold may stop first); the theorem's one
-            # MinusIdentity binds only if it lists x_0.. in order
-            found = _images(_field(subcertificates[slots.index(("MinusIdentity", None))],
-                                   "payload", dict))
-            return dict(found) if [g for g, _ in found] == list(range(num_generators(n))) else {}
-
-        subs = ((s["kind"], _revalidate(s, table, slot, images), None)
+        preimages = None
+        if d == "inf":
+            # the preimage count is recomputed from the images, which must
+            # permute Z
+            images = table.images
+            if _Perm.degree(images[0]) != "inf":
+                return FAIL
+            preimages = _infinite_preimages(n, ZMonodromy(len(images), images))
+            if payload.get("infinite_preimages_of_cylinder_k") != preimages:
+                return FAIL
+        subs = ((s["kind"], _revalidate(s, table, slot, True), None)
                 for s, slot in zip(subcertificates, read))
-        preimages = payload.get("infinite_preimages_of_cylinder_k")
         return _theorem_rule(d, subs, preimages)[0]

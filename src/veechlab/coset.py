@@ -139,16 +139,6 @@ class CosetTable:
         return perms.is_transitive([self.action[sym] for sym in self.presentation.generators],
                                    self.index)
 
-    def to_json(self):
-        return {
-            "index": self.index,
-            "perms": {
-                sym: perms.cycles(self.action[sym], include_fixed=False)
-                for sym in self.presentation.generators
-            },
-            "transversal": [str(t) for t in self.transversal],
-        }
-
 
 def coset_enumerate(
     presentation: Presentation, subgroup: list, cap: int = 10 ** 5

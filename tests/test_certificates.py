@@ -36,9 +36,9 @@ from veechlab.field import RealAlg, lambda_n
 from veechlab.surface import build_base
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
-# the top-level keys of a format-2 certificate that its subcertificates
+# the top-level keys of a format-3 certificate that its subcertificates
 # refer to
-_SHARED = ("format", "conductor", "values", "horizontal", "horizontal_infinite")
+_SHARED = ("format", "conductor", "values", "horizontal", "images")
 
 
 def _standalone(top, sub):
@@ -153,21 +153,22 @@ def test_sigma_T_is_inconclusive_when_another_generator_moves():
     m = Monodromy(4, 2, {0: (1, 0)})
     cert = certify_sigma_T(5, 2, "horizontal", m)
     assert cert.verdict == "inconclusive"
-    assert cert.payload["other_moving"] == cert.witness["other_moving"] == [0]
+    assert cert.witness["other_moving"] == [0]
     assert revalidate(_roundtrip(cert)) == "inconclusive"
     theorem = verify_theorem(5, 2, monodromy=m)
     assert theorem.verdict != "pass"
     assert revalidate(_roundtrip(theorem)) == theorem.verdict
-    # the two-slit family writes no such key
-    assert "other_moving" not in certify_sigma_T(5, 2, "horizontal").payload
-    data = _roundtrip(cert)
-    data["payload"]["other_moving"] = ["0"]
-    with pytest.raises(MalformedCertificate):
-        revalidate(data)
+    # the payload names no generator: the moving ones are read from the images
+    assert set(cert.payload) == {"mode", "sigma_T"}
+    for sigma in ([0, 0], [0, 1, 2]):  # no permutation, or one of other sheets
+        data = _roundtrip(cert)
+        data["payload"]["sigma_T"] = sigma
+        with pytest.raises(MalformedCertificate):
+            revalidate(data)
 
 
 # ---------------------------------------------------------------------------
-# inside a theorem, SigmaT reads the monodromy that the MinusIdentity lists
+# every kind that reads the monodromy reads the one images section
 
 
 def _subs(data, kind):
@@ -175,27 +176,17 @@ def _subs(data, kind):
 
 
 def test_stripped_other_moving_fails_the_theorem():
-    # x_0 moves a sheet, so SigmaT is inconclusive; without its
-    # other_moving key it would read as a pass
+    # x_0 moves a sheet, so SigmaT is inconclusive; it reads that from the
+    # images section, the only place that says so
     data = _roundtrip(verify_theorem(5, 2, monodromy=Monodromy(4, 2, {0: (1, 0)})))
     assert revalidate(data) == "inconclusive"
-    for sigma in _subs(data, "SigmaT"):
-        del sigma["payload"]["other_moving"]
+    # hiding x_0's move there leaves no transitive cover
+    data["images"][0]["image"] = [0, 1]
     assert revalidate(data) == "fail"
-    # dropping x_0 from the MinusIdentity as well does not make it bind
-    minus = _subs(data, "MinusIdentity")[0]["payload"]
-    minus["images"] = [e for e in minus["images"] if e["generator"] != 0]
-    assert revalidate(data) == "fail"
-
-
-@pytest.mark.parametrize("n,d", [(7, 4), (9, 4)])
-def test_swapped_sigma_images_fail_the_theorem(n, d):
-    data = _roundtrip(verify_theorem(n, d))
-    assert revalidate(data) == "pass"
-    payload = _subs(data, "SigmaT")[0]["payload"]
-    assert payload["sigma1"] != payload["sigma2"]
-    payload["sigma1"], payload["sigma2"] = payload["sigma2"], payload["sigma1"]
-    assert revalidate(data) == "fail"
+    # and dropping x_0 from the images is malformed
+    del data["images"][0]
+    with pytest.raises(MalformedCertificate, match="x_0..x_3 once each"):
+        revalidate(data)
 
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "reorder", "reorder without SigmaT"])
@@ -204,14 +195,18 @@ def test_theorem_needs_one_complete_minus_identity(edit):
     assert revalidate(data) == "pass"
     subs = data["payload"]["subcertificates"]
     minus = _subs(data, "MinusIdentity")[0]
-    if edit == "drop":  # SigmaT has nothing to be read from
+    if edit == "drop":
         subs.remove(minus)
     elif edit == "duplicate":
         subs.append(minus)
-    else:  # every generator, but not in order: the MinusIdentity fails itself
-        minus["payload"]["images"].reverse()
-        if edit == "reorder without SigmaT":
-            data["payload"]["subcertificates"] = [s for s in subs if s["kind"] != "SigmaT"]
+    else:  # every generator, but not in order: the images are malformed
+        data["images"].reverse()
+        if edit == "reorder":
+            with pytest.raises(MalformedCertificate, match="in order"):
+                revalidate(data)
+            return
+        # the slots fail first, before any rule reads the images
+        data["payload"]["subcertificates"] = [s for s in subs if s["kind"] != "SigmaT"]
     assert revalidate(data) == "fail"
 
 
@@ -309,26 +304,21 @@ def test_certificates_revalidate_from_payload():
         for d in (2, 3, 4):
             theorems.append(verify_theorem(n, d))
             theorems.append(verify_theorem(n, d, monodromy=mutated_monodromy(n, d)))
-    seen, refused = set(), set()
+    seen = set()
     for cert in singles + theorems:
         data = json.loads(json.dumps(cert.to_json()))
         subs = [_standalone(data, sub) for sub in data["payload"].get("subcertificates", [])]
         for sub in [data] + subs:
-            if sub["kind"] == "WellFormedCover":
-                # it carries no evidence: only its theorem's images check it
-                with pytest.raises(MalformedCertificate, match="standalone WellFormedCover"):
-                    revalidate(sub)
-                refused.add(sub["verdict"])
-                continue
             assert revalidate(sub) == sub["verdict"], (cert.n, cert.d, sub["kind"])
             seen.add((sub["kind"], sub["verdict"]))
     kinds = {kind for kind, _ in seen}
     assert kinds == {
         "FullTheorem", "ShearMembership", "SigmaT", "MinusIdentity",
-        "RotationObstruction", "PullbackObstruction", "Index",
+        "RotationObstruction", "PullbackObstruction", "Index", "WellFormedCover",
     }
     assert {verdict for _, verdict in seen} == {"pass", "fail", "inconclusive"}
-    assert refused == {"pass", "fail"}
+    # a standalone WellFormedCover is checked against the images section
+    assert {verdict for kind, verdict in seen if kind == "WellFormedCover"} == {"pass", "fail"}
 
 
 def test_tampered_payload_fails_revalidation():
@@ -342,6 +332,24 @@ def test_tampered_infinite_preimages_fail_revalidation():
     data = json.loads(json.dumps(verify_theorem(8, infinite=True).to_json()))
     assert revalidate(data) == "pass"
     data["payload"]["infinite_preimages_of_cylinder_k"] = 3
+    assert revalidate(data) == "fail"
+
+
+def test_infinite_preimages_are_recomputed_from_the_images():
+    # the disconnected trivial Z-cover: every image is the identity, so
+    # the core of cylinder k lifts to no infinite cylinder, whatever count
+    # the payload states
+    data = _roundtrip(verify_theorem(9, infinite=True))
+    assert revalidate(data) == "pass"
+    for entry in data["images"]:
+        entry["image"] = {"t_even": 0, "t_odd": 0}
+    assert data["payload"]["infinite_preimages_of_cylinder_k"] == 2
+    assert revalidate(data) == "fail"
+    data["payload"]["infinite_preimages_of_cylinder_k"] = 0
+    assert revalidate(data) == "fail"
+    # a d = inf theorem whose images permute finitely many sheets fails too
+    for entry in data["images"]:
+        entry["image"] = [0, 1]
     assert revalidate(data) == "fail"
 
 
@@ -506,11 +514,11 @@ def _drop_key(data):
 
 
 def _empty_pullback(data):
-    _sub(data, "PullbackObstruction")["payload"]["original"] = {}
+    _sub(data, "PullbackObstruction")["payload"] = {}
 
 
 def _bad_image(data):
-    _sub(data, "MinusIdentity")["payload"]["images"][0]["image"] = [5, 7]
+    data["images"][0]["image"] = [5, 7]
 
 
 def _bad_grammar(data):
@@ -537,10 +545,7 @@ def test_malformed_payloads_raise_typed_error(tamper):
     with pytest.raises(MalformedCertificate):
         revalidate(data)
     # the same inside the FullTheorem and alone, with its table attached
-    # (a standalone WellFormedCover is refused whatever its payload)
     for sub in data["payload"]["subcertificates"]:
-        if sub["kind"] == "WellFormedCover":
-            continue
         try:
             revalidate(_standalone(data, sub))
         except MalformedCertificate:
@@ -580,11 +585,7 @@ def _genuine_texts() -> tuple:
         data = cert.to_json()
         texts.append(json.dumps(data))
         for s in data["payload"]["subcertificates"]:
-            if s["kind"] == "WellFormedCover":  # refused alone, whatever its payload
-                with pytest.raises(MalformedCertificate):
-                    revalidate(_standalone(data, s))
-            else:
-                texts.append(json.dumps(_standalone(data, s)))
+            texts.append(json.dumps(_standalone(data, s)))
     return tuple(texts)
 
 
@@ -742,7 +743,7 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
         # same exact types and counts, in the same order
         assert [(types.keys[i], [types.pair(i), count]) for i, count in got.items()] == list(
             _per_cycle_profile(n, m, l).items()), l
-        cert = certificates._shear_certificate(n, m.degree, l, None, got, {})
+        cert = certificates._shear_certificate(n, m.degree, l, None, got)
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
             assert row["twists"] == _per_row_twists(factor, table[row["inverse_modulus"]]), l
@@ -893,7 +894,7 @@ def test_index_only_theorem_fails_before_enumeration(monkeypatch):
     coset_table = certificates._coset_table
     monkeypatch.setattr(certificates, "_coset_table",
                         lambda n: enumerated.append(n) or coset_table(n))
-    wrapper = {"format": 2, "conductor": 4 * 251, "values": [], "kind": "FullTheorem",
+    wrapper = {"format": 3, "conductor": 4 * 251, "values": [], "kind": "FullTheorem",
                "n": 251, "d": 3, "verdict": "pass", "payload": {"subcertificates": [
                    {"kind": "Index", "n": 251, "d": None, "verdict": "pass",
                     "payload": {"expected_index": 251, "index": 251}}]}}
@@ -916,12 +917,18 @@ def test_slots_are_read_only_from_well_formed_subcertificates(key, value):
 
 
 def test_pullback_is_recomputed_from_its_original_images():
+    # the payload holds only l; the pullback is computed from the images
     symmetric = Monodromy(4, 2, {i: sigma_d1(2) for i in range(4)})
     data = _roundtrip(certify_pullback_obstruction(8, symmetric, 2))
+    assert data["payload"] == {"l": 2}
     assert revalidate(data) == "inconclusive"
     forged = copy.deepcopy(data)
-    forged["payload"]["pullback"]["0"] = [0, 1]
-    assert revalidate(forged) == "fail"
+    forged["images"] = _roundtrip(certify_pullback_obstruction(8, standard_monodromy(8, 2), 2))["images"]
+    assert revalidate(forged) == "pass"
+    # a pullback needs finitely many sheets
+    forged["images"] = [dict(e, image={"t_even": 0, "t_odd": 0}) for e in forged["images"]]
+    with pytest.raises(MalformedCertificate, match="finitely many sheets"):
+        revalidate(forged)
     # odd n or odd l is malformed alone, and refused by the certifier
     forged = copy.deepcopy(data)
     forged["payload"]["l"] = 3
@@ -937,12 +944,14 @@ def test_pullback_in_a_theorem_reads_the_theorem_monodromy():
     theorem = _roundtrip(verify_theorem(8, 2))
     assert revalidate(theorem) == "pass"
     pullback = _sub(theorem, "PullbackObstruction")
-    l = pullback["payload"]["l"]
-    # a consistent pullback of another monodromy: alone it is judged
+    assert revalidate(_standalone(theorem, pullback)) == "pass"
+    # the images of a cover that the rotation by l fixes: the pullback
+    # reads the theorem's images, alone and inside the theorem
     symmetric = Monodromy(4, 2, {i: sigma_d1(2) for i in range(4)})
-    pullback["payload"] = _roundtrip(certify_pullback_obstruction(8, symmetric, l))["payload"]
+    theorem["images"] = _roundtrip(
+        certify_pullback_obstruction(8, symmetric, pullback["payload"]["l"]))["images"]
     assert revalidate(_standalone(theorem, pullback)) == "inconclusive"
-    assert revalidate(theorem) == "fail"
+    assert revalidate(theorem) == "inconclusive"
 
 
 def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatch):
@@ -951,7 +960,7 @@ def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatc
     coset_table = certificates._coset_table
     monkeypatch.setattr(certificates, "_coset_table",
                         lambda n: enumerated.append(n) or coset_table(n))
-    forged = {"format": 2, "conductor": 4 * 251, "values": [], "kind": "Index", "n": 251,
+    forged = {"format": 3, "conductor": 4 * 251, "values": [], "kind": "Index", "n": 251,
               "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
     with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
         revalidate(forged)
@@ -1064,13 +1073,12 @@ def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
         if s["d"] is not None:
             s["d"] = forged_d
     assert revalidate(forged) == "fail"
-    # images of degree d that leave every sheet alone, and a SigmaT that
-    # reads them: only the transitivity check fails
-    for entry in _sub(data, "MinusIdentity")["payload"]["images"]:
+    # images of degree d that leave every sheet alone: SigmaT holds on
+    # them, and only the transitivity check fails
+    for entry in data["images"]:
         entry["image"] = list(range(d))
-    for sigma in _subs(data, "SigmaT"):
-        sigma["payload"]["sigma1"] = sigma["payload"]["sigma2"] = list(range(d))
     assert revalidate(_standalone(data, _sub(data, "SigmaT"))) == "pass"
+    assert revalidate(_standalone(data, _sub(data, "WellFormedCover"))) == "fail"
     assert revalidate(data) == "fail"
 
 
@@ -1122,15 +1130,20 @@ def test_revalidate_reads_each_slot_once(monkeypatch):
     assert len(read) == len(data["payload"]["subcertificates"]) + 1
 
 
-def test_standalone_well_formed_cover_is_refused():
-    probe = {"format": 2, "conductor": 20, "values": [], "kind": "WellFormedCover", "n": 5,
-             "d": 3, "verdict": "pass", "payload": {}, "witnesses": []}
-    with pytest.raises(MalformedCertificate, match="standalone WellFormedCover"):
-        revalidate(probe)
-    # inside a theorem it is checked against the theorem's images, as before
+def test_standalone_well_formed_cover_is_checked():
+    # its evidence is the images section: they must act transitively on
+    # exactly d sheets, alone as inside the theorem
     theorem = _roundtrip(verify_theorem(5, 3))
-    assert _sub(theorem, "WellFormedCover")["verdict"] == "pass"
-    assert revalidate(theorem) == "pass"
+    cover = _standalone(theorem, _sub(theorem, "WellFormedCover"))
+    assert cover["verdict"] == "pass" and revalidate(cover) == "pass"
+    assert revalidate(dict(cover, d=4)) == "fail"
+    fixed = [dict(e, image=[0, 1, 2]) for e in cover["images"]]
+    assert revalidate(dict(cover, images=fixed)) == "fail"
+    # without the images it has no evidence
+    probe = {"format": 3, "conductor": 20, "values": [], "kind": "WellFormedCover", "n": 5,
+             "d": 3, "verdict": "pass", "payload": {}, "witnesses": []}
+    with pytest.raises(MalformedCertificate, match="images"):
+        revalidate(probe)
 
 
 def test_equal_table_entries_are_one_value():
@@ -1165,8 +1178,7 @@ def test_revalidate_agrees_with_verify_on_random_monodromies(data):
     assert revalidate(doc) == cert.verdict
     table = _table(doc)
     for sub in doc["payload"]["subcertificates"]:
-        if sub["kind"] != "WellFormedCover":
-            assert revalidate(_standalone(doc, sub)) == sub["verdict"], sub["kind"]
+        assert revalidate(_standalone(doc, sub)) == sub["verdict"], sub["kind"]
         if sub["kind"] == "RotationObstruction" and sub["verdict"] == "pass":
             # the witness is the largest differing type, in exact order
             h = _exact_multiset(table, doc["horizontal"])

@@ -205,13 +205,13 @@ def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path
 
 
 # sha256 of `veechlab verify` stdout, recorded when certificates moved to
-# format 2 (the format-1 hashes are kept with the format-1 fixtures in
-# tests/test_format.py)
+# format 3 (the format-1 and format-2 hashes are kept with their fixtures
+# in tests/test_format.py)
 GOLDEN_VERIFY = {
-    ("--n", "7", "--d", "4"): "77b72dd3868db2ed32288e30b5ea39368c105ca11213321ebdbedeec8e818bb2",
-    ("--n", "9", "--d", "6"): "845025ef759d5001838a151ae5dc4c6cf6b09bb8da286e3aa01d45ae3ae8b924",
-    ("--n", "14", "--d", "3"): "fcab2ae0785cdbcb66bc46fe7e47ed9e5bb9dd56d2ca9024c8df9a5cf8c5208c",
-    ("--n", "8", "--infinite"): "0e8804c440f4bd5316a1f3f8b9305a8db896b4ec2c1b1ee7c73e16e9e1add92d",
+    ("--n", "7", "--d", "4"): "4c034bd125b5805d1ebd12d175ebfaf389ea0d8b116db9930178809872f0ac1f",
+    ("--n", "9", "--d", "6"): "40b43a44603b1ea499a9344a9b81550781129992c3585d88f9dd6d69a09f3792",
+    ("--n", "14", "--d", "3"): "28a03969cf8016afcfdcf5904cffab209b3a8fcc3bca182d4289d917c274b524",
+    ("--n", "8", "--infinite"): "e54dcda525cdefc07b2dd22a462a8588adeb9075e8e08903a1fb5974e8a72638",
 }
 
 
@@ -223,11 +223,13 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
 
 
 # sha256 of json.dumps(cert.to_json()) for the three format-1 fixtures that
-# GOLDEN_VERIFY does not pin, recorded when format 1 stopped being read
+# GOLDEN_VERIFY does not pin, recorded when format 3 replaced format 2.  The
+# shear and rotation bytes are format 2's with "format": 3 for "format": 2
+# (their format-2 hashes were e223b113... and 730ccfe5...).
 GOLDEN_CERTIFICATES = {
-    "mutated_n7_d4": "6616787c2ef22f765f0254c4eacf94c537e80b8f7b0f98140cb1069ff640f779",
-    "shear_n7_d4_l1": "e223b113b0aaa50e953960e0caa63ff9c69f019db8e244fe2c19026ec92dfdb6",
-    "rotation_n7_d4_l2": "730ccfe5d55870d0913a9efe956827594d5002495d7a5af16c0c061251803ff2",
+    "mutated_n7_d4": "3e93c2976e1dd8830f4226888b0af28f240f2c4ff9cff6f22744c44ca76a94d4",
+    "shear_n7_d4_l1": "b746fa9cbe83f24498d256defbe754359b2525edbcebffa7209dbb304fde685f",
+    "rotation_n7_d4_l2": "7245f545906de11edae1a6b586a94dc6fe2270b45c839c4626e985e94dafd374",
 }
 
 _CERTIFICATES = {
@@ -249,7 +251,7 @@ def test_revalidate_subcommand_refuses_format1(capsys, tmp_path):
     path.write_bytes(gzip.decompress(fixture.read_bytes()))
     code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
     assert code == 1 and out == ""
-    assert "format 1 is no longer read; `veechlab verify` writes format 2" in err
+    assert "format 1 is no longer read; `veechlab verify` writes format 3" in err
 
 
 # sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,

@@ -62,14 +62,6 @@ def test_cap_exceeded():
         coset_enumerate(presentation_for(9), subgroup_words(9), cap=3)
 
 
-def test_table_json():
-    table = coset_enumerate(presentation_for(5), subgroup_words(5))
-    data = table.to_json()
-    assert data["index"] == 5
-    assert set(data["perms"]) == {"R", "T"}
-    assert len(data["transversal"]) == 5
-
-
 @pytest.mark.parametrize("n", [5, 7, 9, 8, 10])
 def test_against_sympy_enumerator(n):
     sympy = pytest.importorskip("sympy")

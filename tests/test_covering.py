@@ -162,7 +162,7 @@ def test_degree_of_projection():
         assert len(cover.surface.polygons) == d * len(cover.base.polygons)
         well_formed = verify_theorem(n, d).payload["subcertificates"][0]
         assert well_formed["kind"] == "WellFormedCover"
-        assert well_formed["payload"]["polygons"] == len(cover.surface.polygons)
+        assert well_formed["payload"] == {}  # its evidence is the images section
         cover.surface.validate()
 
 

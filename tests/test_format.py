@@ -1,14 +1,17 @@
-"""Certificate format 2, and the refusal of format 1.
+"""Certificate format 3, and the refusal of formats 1 and 2.
 
-revalidate reads format 2 only.  The fixtures under tests/fixtures are
-format-1 certificates exactly as the last format-1 release wrote them
-(gzipped): `veechlab verify` stdout for four (n, d), a failing mutated
-theorem, and one standalone ShearMembership and RotationObstruction,
-both written with json.dumps(cert.to_json(), indent=2) plus a newline.
-Each must be refused; the certificates made today for the same claims
-are pinned by GOLDEN_VERIFY and GOLDEN_CERTIFICATES in tests/test_cli.py.
+revalidate reads format 3 only.  The fixtures under tests/fixtures are
+older certificates exactly as the last release of their format wrote
+them (gzipped).  Format 1: `veechlab verify` stdout for four (n, d), a
+failing mutated theorem, and one standalone ShearMembership and
+RotationObstruction, both written with json.dumps(cert.to_json(),
+indent=2) plus a newline.  Format 2 (format2_*): `veechlab verify`
+stdout for the same four (n, d).  Each must be refused; the certificates
+made today for the same claims are pinned by GOLDEN_VERIFY and
+GOLDEN_CERTIFICATES in tests/test_cli.py.
 """
 
+import copy
 import gzip
 import hashlib
 import json
@@ -43,9 +46,19 @@ FORMAT1_VERIFY = {
     "verify_n8_inf": "c11bd7322eb6defab4bcdd60b37cbfc2df1d6cac29c1643c2330b62087571abb",
 }
 
-# every fixture is format 1, which revalidate refuses
+# sha256 of format-2 `veechlab verify` stdout: the GOLDEN_VERIFY hashes of
+# tests/test_cli.py before format 3 replaced them
+FORMAT2_VERIFY = {
+    "format2_verify_n7_d4": "77b72dd3868db2ed32288e30b5ea39368c105ca11213321ebdbedeec8e818bb2",
+    "format2_verify_n9_d6": "845025ef759d5001838a151ae5dc4c6cf6b09bb8da286e3aa01d45ae3ae8b924",
+    "format2_verify_n14_d3": "fcab2ae0785cdbcb66bc46fe7e47ed9e5bb9dd56d2ca9024c8df9a5cf8c5208c",
+    "format2_verify_n8_inf": "0e8804c440f4bd5316a1f3f8b9305a8db896b4ec2c1b1ee7c73e16e9e1add92d",
+}
+
+# the unprefixed fixtures are format 1; revalidate refuses both formats
 FIXTURES_FORMAT1 = sorted(FORMAT1_VERIFY) + ["mutated_n7_d4", "rotation_n7_d4_l2", "shear_n7_d4_l1"]
-FORMAT1_REFUSED = "format 1 is no longer read; `veechlab verify` writes format 2"
+FORMAT1_REFUSED = "format 1 is no longer read; `veechlab verify` writes format 3"
+FORMAT2_REFUSED = "format 2 is no longer read; `veechlab verify` writes format 3"
 
 
 def _fixture_bytes(name: str) -> bytes:
@@ -56,13 +69,26 @@ def _fixture(name: str) -> dict:
     return json.loads(_fixture_bytes(name))
 
 
-def _format2(cert) -> dict:
+def _format3(cert) -> dict:
     return json.loads(json.dumps(cert.to_json()))
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT1_VERIFY))
 def test_format1_fixtures_are_the_old_verify_bytes(name):
     assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT1_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT2_VERIFY))
+def test_format2_fixtures_are_the_old_verify_bytes(name):
+    assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT2_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT2_VERIFY))
+def test_format2_is_refused(name):
+    data = _fixture(name)
+    assert data["format"] == 2
+    with pytest.raises(MalformedCertificate, match=re.escape(FORMAT2_REFUSED)):
+        revalidate(data)
 
 
 @pytest.mark.parametrize("name", FIXTURES_FORMAT1)
@@ -74,7 +100,7 @@ def test_format1_is_refused(name):
 
 
 def test_each_value_is_written_once():
-    data = _format2(verify_theorem(9, 4))
+    data = _format3(verify_theorem(9, 4))
     entries = [json.dumps(entry["coeffs"]) for entry in data["values"]]
     assert len(entries) == len(set(entries))
     for entry in data["values"]:
@@ -85,14 +111,20 @@ def test_each_value_is_written_once():
     rotations = [s for s in data["payload"]["subcertificates"] if s["kind"] == "RotationObstruction"]
     assert len(rotations) == 8 and data["horizontal"]
     assert all(set(s["payload"]) == {"l", "direction"} for s in rotations)
+    # and so are the monodromy's images, which no payload repeats
+    assert [e["generator"] for e in data["images"]] == list(range(8))
+    payloads = {s["kind"]: s["payload"] for s in data["payload"]["subcertificates"]}
+    assert payloads["MinusIdentity"] == payloads["WellFormedCover"] == {}
+    assert set(payloads["SigmaT"]) == {"mode", "sigma_T"}
+    assert set(payloads["Index"]) == {"expected_index", "index"}
 
 
 # ---------------------------------------------------------------------------
-# tampered format-2 certificates
+# tampered certificates (the test names date from format 2)
 
 
 def _theorem() -> dict:
-    return _format2(verify_theorem(7, 4))
+    return _format3(verify_theorem(7, 4))
 
 
 def _shear(data: dict) -> dict:
@@ -129,8 +161,9 @@ def _drop_horizontal(data):
     _set_entry({"coeffs": [[60, "1"]], "approx": "1"}),  # beyond 2 phi(28) - 1
     _set_entry([[0, "1"]]),
     _drop_horizontal,
-    lambda data: data.update(format=3),
-    lambda data: data.update(format="2"),
+    lambda data: data.update(format=2),
+    lambda data: data.update(format=4),
+    lambda data: data.update(format="3"),
     lambda data: data.update(values={}),
     lambda data: data.pop("values"),
     lambda data: data.pop("conductor"),
@@ -196,33 +229,42 @@ def test_theorem_shears_must_name_twice_lambda_n_format2():
 
 
 # ---------------------------------------------------------------------------
-# d = inf: the infinite cylinder types of a shear direction
+# d = inf: infinite strips are rows of inverse modulus 0
+
+
+def _zero_modulus_rows(data: dict, rows: list) -> list:
+    return [r for r in rows if data["values"][r["inverse_modulus"]]["coeffs"] == []]
 
 
 def test_infinite_shear_lists_its_infinite_cylinders():
-    data = _format2(verify_theorem(8, infinite=True))
+    data = _format3(verify_theorem(8, infinite=True))
     shears = [s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership"]
-    assert shears and all(s["payload"]["infinite_cylinders"] == [] for s in shears)
-    # a forged payload that lists an infinite cylinder type must fail
-    shears[0]["payload"]["infinite_cylinders"].append(dict(data["horizontal_infinite"][0]))
-    assert revalidate(data) == "fail"
-    assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
-                       **shears[0]}) == "fail"
-    # and one that leaves the list out is malformed
-    del shears[0]["payload"]["infinite_cylinders"]
-    with pytest.raises(MalformedCertificate, match="infinite_cylinders"):
-        revalidate(data)
+    assert shears and not any(_zero_modulus_rows(data, s["payload"]["cylinders"]) for s in shears)
+    # the horizontal rows list the infinite strips, as types of inverse modulus 0
+    strips = _zero_modulus_rows(data, data["horizontal"])
+    assert strips
+    # a forged shear that lists an infinite strip must fail, with or without
+    # a twist count
+    for twists in (None, 1):
+        forged = copy.deepcopy(data)
+        shear = next(s for s in forged["payload"]["subcertificates"]
+                     if s["kind"] == "ShearMembership")
+        shear["payload"]["cylinders"].append(dict(strips[0], twists=twists))
+        assert revalidate(forged) == "fail"
+        assert revalidate({**{k: forged[k] for k in ("format", "conductor", "values")},
+                           **shear}) == "fail"
 
 
 def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
     # the horizontal direction of Y_{8,inf} has infinite cylinders
     types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
-    infinite = certificates._infinite_types(8, types)
+    infinite = [i for i in types if not certificates._types(8).lifts[i][1]]
     assert infinite
-    cert = certificates._shear_certificate(8, "inf", 0, None, types, infinite)
+    cert = certificates._shear_certificate(8, "inf", 0, None, types)
     assert cert.verdict == "fail"
-    data = _format2(cert)
-    assert len(data["payload"]["infinite_cylinders"]) == len(infinite)
+    data = _format3(cert)
+    rows = _zero_modulus_rows(data, data["payload"]["cylinders"])
+    assert len(rows) == len(infinite) and all(r["twists"] is None for r in rows)
     assert revalidate(data) == "fail"
 
 
@@ -231,8 +273,8 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
 
 
 # sha256 over json.dumps(verify_theorem(...).to_json()) of the sweep below,
-# recorded before profiles counted (base cylinder, cycle length) pairs
-GOLDEN_SWEEP = "1f3be8c1e1129a946c35b5074948398dd5ae620697d73e8920d0ab2c3d32430f"
+# recorded when format 3 replaced format 2
+GOLDEN_SWEEP = "10d01c98543419ccc63fba17bfc3348febbacc95b5573b658b1558e92d293631"
 
 
 def test_certificate_sweep_bytes_unchanged():
@@ -243,6 +285,27 @@ def test_certificate_sweep_bytes_unchanged():
                 h.update(json.dumps(verify_theorem(n, d, monodromy=monodromy).to_json()).encode())
         h.update(json.dumps(verify_theorem(n, infinite=True).to_json()).encode())
     assert h.hexdigest() == GOLDEN_SWEEP
+
+
+# sha256 of json.dumps(rows) over the grid below: each theorem's verdict, its
+# revalidated verdict and its subcertificates' (kind, l, verdict); recorded
+# in format 2, so no verdict moved with the format
+GOLDEN_VERDICTS = "bbc0757b9e90bf010f6fce1bcea934ddc6667bfaae4bce57cca9f6b9e2a23b67"
+
+
+def test_no_verdict_moves():
+    rows = []
+    for n in (5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 25):
+        certs = [("inf", verify_theorem(n, infinite=True))]
+        for d in range(2, 13):
+            certs.append((d, verify_theorem(n, d)))
+            certs.append(("m%d" % d, verify_theorem(n, d, monodromy=mutated_monodromy(n, d))))
+        for key, c in certs:
+            rows.append((n, key, c.verdict, revalidate(_format3(c)),
+                         [(s["kind"], s["payload"].get("l"), s["verdict"])
+                          for s in c.payload["subcertificates"]]))
+    assert len(rows) == 299
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_VERDICTS
 
 
 def _verify_stdout(args, hashseed: str) -> bytes:
@@ -263,6 +326,6 @@ def test_verify_emits_one_compact_line(capsys):
     assert main(["verify", "--n", "25", "--d", "4"]) == 0
     out = capsys.readouterr().out
     assert len(out.encode()) < 64 * 1024
-    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":2,"conductor":100,')
+    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":3,"conductor":100,')
     data = json.loads(out)
     assert data["verdict"] == "pass" and revalidate(data) == "pass"
