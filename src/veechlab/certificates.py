@@ -252,34 +252,16 @@ class _Order:
     """Exact values by index, distinct indices for distinct values.
 
     A cylinder type is a pair (inverse modulus index, height index); the
-    rules compare types and test twists through these indices, so each
-    exact comparison and each twist test is made once per table.
+    rules compare types and test twists through these indices, by the
+    subclass's above and is_multiple, which decide each exact fact once.
     """
 
     def __init__(self, exact: list):
         self.exact = exact
-        self._above = {}  # (v, w), v < w -> whether value v exceeds value w
-        self._multiple = {}  # (factor, v, k) -> whether factor == k * value v
-
-    def above(self, v: int, w: int) -> bool:
-        """Whether value v exceeds the distinct value w."""
-        if v > w:
-            return not self.above(w, v)
-        above = self._above.get((v, w))
-        if above is None:
-            above = self._above[v, w] = self.exact[v] > self.exact[w]
-        return above
 
     def _type_exceeds(self, t1: tuple, t2: tuple) -> bool:
         # by inverse modulus, then by height
         return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
-
-    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
-        """factor == k * (value v), exactly."""
-        multiple = self._multiple.get((factor, v, k))
-        if multiple is None:
-            multiple = self._multiple[factor, v, k] = (factor - k * self.exact[v]).is_zero()
-        return multiple
 
 
 class _Types(_Order):
@@ -296,7 +278,9 @@ class _Types(_Order):
 
     def __init__(self, n: int):
         super().__init__([])
-        self.factor = 2 * lambda_n(n)
+        self.factor = _shear_factor(n)
+        self._above = {}  # (v, w), v < w -> whether value v exceeds value w
+        self._multiple = {}  # (factor, v, k) -> whether factor == k * value v
         self._value_index = {}  # exact key -> value index
         self.keys = []  # type id -> exact sort key
         self._sorted = []  # type ids in exact-key order
@@ -315,6 +299,22 @@ class _Types(_Order):
             v = self._value_index[key] = len(self.exact)
             self.exact.append(x)
         return v, key
+
+    def above(self, v: int, w: int) -> bool:
+        """Whether value v exceeds the distinct value w."""
+        if v > w:
+            return not self.above(w, v)
+        above = self._above.get((v, w))
+        if above is None:
+            above = self._above[v, w] = self.exact[v] > self.exact[w]
+        return above
+
+    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
+        """factor == k * (value v), exactly."""
+        multiple = self._multiple.get((factor, v, k))
+        if multiple is None:
+            multiple = self._multiple[factor, v, k] = (factor - k * self.exact[v]).is_zero()
+        return multiple
 
     def lift(self, mu: RealAlg, height: RealAlg, a: int) -> int:
         """The id of the type of a * mu-wide cylinders of this height."""
@@ -370,6 +370,12 @@ class _Types(_Order):
             q = _base_quotient(factor, mu)
             self._twists[key] = q // a if a and q is not None and q % a == 0 else None
         return self._twists[key]
+
+
+@lru_cache(maxsize=64)
+def _shear_factor(n: int) -> RealAlg:
+    """2 * lambda_n, the factor of every shear in a theorem for n."""
+    return 2 * lambda_n(n)
 
 
 @lru_cache(maxsize=64)
@@ -857,19 +863,67 @@ def _field(obj, key: str, *types):
     return value
 
 
+# revalidate's memos, shared by every call in the process and bounded as
+# _approx is: a batch of certificates repeats few distinct values
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parsed(conductor: int, pairs: tuple) -> RealAlg:
+    """The value of a table entry with these (power, "p/q") pairs, by
+    RealAlg.from_json and every check it makes.  Only a successful parse
+    is kept: lru_cache keeps no exception."""
+    return RealAlg.from_json({"coeffs": [list(t) for t in pairs]}, conductor)
+
+
+def _entry_value(entry, conductor: int) -> RealAlg:
+    """A value table entry's exact value.
+
+    An entry whose coefficients are [int, str] pairs is looked up in
+    _parsed by those pairs.  Its key must be type-exact: True == 1 and
+    1.0 == 1, so a power of true would otherwise find its well-formed
+    twin.  Any other entry is parsed as it stands, and from_json refuses
+    it.
+    """
+    coeffs = entry.get("coeffs") if type(entry) is dict else None
+    if type(coeffs) is list:
+        for t in coeffs:
+            if type(t) is not list or len(t) != 2 or type(t[0]) is not int or type(t[1]) is not str:
+                break
+        else:
+            return _parsed(conductor, tuple(map(tuple, coeffs)))
+    return RealAlg.from_json(entry, conductor)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _exceeds(x: RealAlg, y: RealAlg) -> bool:
+    return x > y
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _is_multiple(factor: RealAlg, x: RealAlg, k: int) -> bool:
+    return (factor - k * x).is_zero()
+
+
+_REVALIDATE_MEMOS = (_parsed, _exceeds, _is_multiple)
+
+
 class _Table(_Order):
-    """Exact values of a certificate: its top-level table, each entry
-    parsed once, up front, and indexed by rows and witnesses.  Rows and
-    rules read an entry by its canonical index, that of the first entry
-    of equal value.  The horizontal profile and the monodromy's images
-    are top-level sections too, each parsed on first use.
+    """Exact values of a certificate: its top-level table, indexed by
+    rows and witnesses.  Rows and rules read an entry by its canonical
+    index, that of the first entry of equal value.  Each entry's value
+    and each exact comparison of two values come from a process-wide
+    memo (_REVALIDATE_MEMOS), so a value that an earlier call parsed or
+    compared costs no field arithmetic.  The horizontal profile and the
+    monodromy's images are top-level sections too, each parsed on first
+    use.
     """
 
     def __init__(self, data: dict):
         n, conductor = _field(data, "n", int), _field(data, "conductor", int)
         if conductor != 4 * n:
             raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
-        super().__init__([RealAlg.from_json(entry, conductor)
+        super().__init__([_entry_value(entry, conductor)
                           for entry in _field(data, "values", list)])
         first = {}
         self._canonical = [first.setdefault(x, i) for i, x in enumerate(self.exact)]
@@ -891,6 +945,14 @@ class _Table(_Order):
 
     def pair(self, t: tuple) -> tuple:
         return self.exact[t[0]], self.exact[t[1]]
+
+    def above(self, v: int, w: int) -> bool:
+        """Whether value v exceeds the distinct value w."""
+        return _exceeds(self.exact[v], self.exact[w])
+
+    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
+        """factor == k * (value v), exactly."""
+        return _is_multiple(factor, self.exact[v], k)
 
     exceeds = _Order._type_exceeds
 
@@ -951,6 +1013,16 @@ def _slot(data) -> tuple:
     return kind, None
 
 
+def _degree(data: dict, infinite: bool = False):
+    """The degree of a cover certificate: an int d >= 2, as verify_theorem
+    requires, or "inf" where infinite is allowed."""
+    d = _field(data, "d", int, str) if infinite else _field(data, "d", int)
+    if d != "inf" and (type(d) is str or d < 2):
+        raise MalformedCertificate("degree %.40r is not an int d >= 2%s"
+                                   % (d, ' or "inf"' if infinite else ""))
+    return d
+
+
 def _perms(data: list) -> list:
     """The permutations of one certificate; they must act on one set of sheets."""
     ps = [_Perm.from_json(p) for p in data]
@@ -975,9 +1047,11 @@ def revalidate(data: dict) -> str:
     sheets and together act transitively.  MalformedCertificate is
     raised for a payload that does not parse, a top level without
     "format": 3, images that do not name x_0..x_{g-1} once each, in
-    order, a PullbackObstruction of odd n or odd l, and a standalone
-    Index for n above MAX_STANDALONE_INDEX_N (before any coset is
-    enumerated).  Each table entry is parsed once per call.
+    order, a PullbackObstruction of odd n or odd l, a FullTheorem or
+    WellFormedCover whose int d is below 2 (before any rule runs), and a
+    standalone Index for n above MAX_STANDALONE_INDEX_N (before any coset
+    is enumerated).  Each distinct table entry is parsed, and each exact
+    check on values is decided, once per process (_REVALIDATE_MEMOS).
     """
     return _revalidate(data, _reader(data), _slot(data))
 
@@ -989,7 +1063,7 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         factor = table.value(payload, "factor")
-        if in_theorem and factor != 2 * lambda_n(n):
+        if in_theorem and factor != _shear_factor(n):
             return FAIL
         # a generator: the rule stops reading rows at the first failing one
         rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
@@ -1024,12 +1098,11 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
         return _pullback_rule(n, key, Monodromy(len(images), d, images))[0]
     if kind == "WellFormedCover":
         # the images must act transitively on exactly d sheets
-        d, images = _field(data, "d", int), list(table.images.values())
+        d = _degree(data)
+        images = list(table.images.values())
         return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL
     if kind == "FullTheorem":
-        d = _field(data, "d", int, str)
-        if d != "inf" and type(d) is str:
-            raise MalformedCertificate("unknown degree %.40r" % d)
+        d = _degree(data, infinite=True)
         if no_base_surface(n):
             raise MalformedCertificate("no base surface X_%d" % n)
         subcertificates = _field(payload, "subcertificates", list)

@@ -115,10 +115,12 @@ class Monodromy:
         Memoised on the word's moving letters (those whose generator
         moves a sheet, in order, with their signs): eval_word composes
         exactly these, so words that share them share the image.  The
-        cylinder words of X_n have few distinct moving letters.
+        cylinder words of X_n have few distinct moving letters.  The key
+        is built by a list comprehension, not a generator, whose set-up
+        costs more than filtering the one or two letters of a core word.
         """
         moving = self._moving
-        key = tuple(letter for letter in w.letters if letter[0] in moving)
+        key = tuple([letter for letter in w.letters if letter[0] in moving])
         runs = self._cycle_types.get(key)
         if runs is None:
             lengths = groupby(map(len, perms.cycles(self.eval_word(w))))

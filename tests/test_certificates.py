@@ -554,7 +554,12 @@ def test_malformed_payloads_raise_typed_error(tamper):
         pytest.fail("no subcertificate raised")
 
 
-def test_revalidate_parses_each_value_once_per_call(monkeypatch):
+def _clear_revalidate_memos():
+    for memo in certificates._REVALIDATE_MEMOS:
+        memo.cache_clear()
+
+
+def test_revalidate_parses_each_value_once_per_process(monkeypatch):
     data = json.loads(json.dumps(verify_theorem(9, 4).to_json()))
     parsed = []
     parse = RealAlg.from_json
@@ -564,14 +569,130 @@ def test_revalidate_parses_each_value_once_per_call(monkeypatch):
         return parse(value, conductor)
 
     monkeypatch.setattr(RealAlg, "from_json", staticmethod(counting))
+    _clear_revalidate_memos()
     assert revalidate(data) == "pass"
     first = list(parsed)
-    assert first and len(first) == len(set(first))
-    # nothing parsed survives the call
-    assert revalidate(data) == "pass"
-    assert parsed[len(first):] == first
     # each table entry once, in table order
     assert first == [json.dumps(entry["coeffs"]) for entry in data["values"]]
+    assert len(first) == len(set(first))
+    # the values survive the call
+    assert revalidate(data) == "pass"
+    assert parsed == first
+    # and only the memos keep them
+    _clear_revalidate_memos()
+    assert revalidate(data) == "pass"
+    assert parsed == first + first
+
+
+def test_a_malformed_entry_never_reads_its_well_formed_twin():
+    # a genuine table, and the rational 1, memoised first
+    data = _roundtrip(verify_theorem(9, 3))
+    data["values"].append({"coeffs": [[0, "1"]]})
+    assert revalidate(data) == "pass"
+    entries = [(0, 0), (2, 0), (5, 0), (len(data["values"]) - 1, 0)]
+    assert [data["values"][i]["coeffs"][j][0] for i, j in entries] == [1, 0, 0, 0]
+    # the same pairs with a power of true, false or 1.0, or a coefficient
+    # of 1 or 1.0, are equal to them but refused
+    for i, j in entries:
+        power, coefficient = data["values"][i]["coeffs"][j]
+        twins = [[bool(power), coefficient], [float(power), coefficient]]
+        if coefficient == "1":
+            twins += [[power, 1], [power, 1.0]]
+        for twin in twins:
+            forged = copy.deepcopy(data)
+            forged["values"][i]["coeffs"][j] = twin
+            with pytest.raises(MalformedCertificate):
+                revalidate(forged)
+    forged = copy.deepcopy(data)
+    forged["values"][-1] = {"coeffs": [[True, "1"]]}
+    with pytest.raises(MalformedCertificate):
+        revalidate(forged)
+    assert revalidate(data) == "pass"
+
+
+def _outcome(doc):
+    """revalidate's verdict on doc, or the type of what it raised."""
+    try:
+        return revalidate(doc)
+    except Exception as exc:  # compared by type, malformed or not
+        return type(exc)
+
+
+def _rows(doc):
+    """Every row list of doc's shears and rotation obstructions."""
+    for s in [doc] + doc["payload"].get("subcertificates", []):
+        if s["kind"] == "ShearMembership":
+            yield s["payload"]["cylinders"]
+        elif s["kind"] == "RotationObstruction":
+            yield s["payload"]["direction"]
+
+
+def _edit(data, doc):
+    """doc as it stands, or with a row, a value or an entry's shape edited."""
+    edit = data.draw(st.sampled_from(["none", "row", "value", "shape"]), label="edit")
+    rows = [r for rs in _rows(doc) for r in rs]
+    if edit == "row" and rows:
+        row = data.draw(st.sampled_from(rows))
+        key = data.draw(st.sampled_from(sorted(row)))
+        row[key] = data.draw(st.integers(0, len(doc["values"]) - 1)) if key in (
+            "inverse_modulus", "height") else (row[key] or 0) + 1
+    elif edit in ("value", "shape"):
+        entry = data.draw(st.sampled_from([e for e in doc["values"] if e["coeffs"]]))
+        pair = data.draw(st.sampled_from(entry["coeffs"]))
+        if edit == "value":
+            # a real value scaled, or one coefficient moved, which leaves
+            # a real value only at power 0
+            c = data.draw(st.fractions(-9, 9).filter(lambda c: c not in (0, 1)))
+            if data.draw(st.booleans()):
+                for p in entry["coeffs"]:
+                    p[1] = str(Fraction(p[1]) * c)
+            else:
+                pair[1] = str(Fraction(pair[1]) + c)
+        else:
+            k = data.draw(st.integers(0, 1))
+            pair[k] = data.draw(st.sampled_from([bool(pair[0]), float(pair[0])] if k == 0
+                                                else [int(Fraction(pair[1])), 1.5]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_revalidate_memos_never_change_an_outcome(data):
+    """A sequence of texts revalidated in one process, each after what came
+    before it, gives every text the outcome it has with the memos cleared.
+    Each edited text follows its genuine twin, whose values are then
+    memoised."""
+    texts = _genuine_texts()
+    picks = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=4))
+    docs = [doc for i in picks
+            for doc in (texts[i], json.dumps(_edit(data, json.loads(texts[i]))))]
+    warm = [_outcome(json.loads(doc)) for doc in docs]
+    cold = []
+    for doc in docs:
+        _clear_revalidate_memos()
+        cold.append(_outcome(json.loads(doc)))
+    assert warm == cold
+
+
+def test_revalidate_memos_stay_bounded():
+    data = _roundtrip(verify_theorem(5, 2))
+    shear = _standalone(data, _sub(data, "ShearMembership"))
+    rotation = _standalone(data, _sub(data, "RotationObstruction"))
+    memos = certificates._REVALIDATE_MEMOS
+    for i in range(certificates._MEMO_SIZE + 10):
+        # a fresh rational value: no shear closes with it as its factor, and
+        # a row of that height keeps the rotation excluded
+        fresh = {"coeffs": [[0, "%d/7" % (i + 1)]]}
+        for doc, row, key, verdict in ((shear, shear["payload"], "factor", "fail"),
+                                       (rotation, rotation["payload"]["direction"][0], "height",
+                                        "pass")):
+            doc["values"] = data["values"] + [fresh]
+            row[key] = len(data["values"])
+            assert revalidate(doc) == verdict
+        if i % 1024 == 0:
+            assert all(m.cache_info().currsize <= m.cache_info().maxsize for m in memos)
+    assert all(m.cache_info().currsize == m.cache_info().maxsize == certificates._MEMO_SIZE
+               for m in memos)
 
 
 @lru_cache(maxsize=None)
@@ -1080,6 +1201,35 @@ def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
     assert revalidate(_standalone(data, _sub(data, "SigmaT"))) == "pass"
     assert revalidate(_standalone(data, _sub(data, "WellFormedCover"))) == "fail"
     assert revalidate(data) == "fail"
+
+
+def test_a_cover_of_degree_below_two_is_refused_before_any_rule(monkeypatch):
+    # verify_theorem(5, 2) relabelled d = 1, on one sheet: every rule
+    # holds on it, and Y_{5,1} = X_5 has Gamma_5 at index 5
+    data = _roundtrip(verify_theorem(5, 2))
+    for entry in data["images"]:
+        entry["image"] = [0]
+    _sub(data, "SigmaT")["payload"]["sigma_T"] = [0]
+
+    def no_rule(*args):
+        raise AssertionError("a rule ran")
+
+    for rule in ("_shear_rule", "_sigma_rule", "_minus_identity_rule", "_rotation_rule",
+                 "_index_rule", "_theorem_rule"):
+        monkeypatch.setattr(certificates, rule, no_rule)
+    for d in (1, 0, -2):
+        data["d"] = d
+        for s in data["payload"]["subcertificates"]:
+            if s["d"] is not None:
+                s["d"] = d
+        with pytest.raises(MalformedCertificate):
+            revalidate(data)
+        with pytest.raises(MalformedCertificate):
+            revalidate(_standalone(data, _sub(data, "WellFormedCover")))
+    monkeypatch.undo()
+    data["d"] = "two"
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
 
 
 # ---------------------------------------------------------------------------

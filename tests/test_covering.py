@@ -119,6 +119,25 @@ def test_eval_word_equals_the_letter_by_letter_product(data):
     assert len(composed) == sum(m.image(g) != perms.identity(d) for g, _ in w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cycle_type_equals_the_cycles_of_the_image(data):
+    n = data.draw(st.sampled_from([5, 7, 8, 12]), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    num = num_generators(n)
+    images = {i: tuple(data.draw(st.permutations(range(d)))) for i in range(num)
+              if data.draw(st.booleans())}
+    m = Monodromy(num, d, images)
+    letters = st.tuples(st.integers(0, num - 1), st.sampled_from([1, -1]))
+    words = [Word(ls) for ls in data.draw(st.lists(st.lists(letters, max_size=12), max_size=8))]
+    # repeated words, and words made of another's moving letters, read
+    # the memo
+    words += words + [Word(l for l in w if m.image(l[0]) != perms.identity(d)) for w in words]
+    for w in data.draw(st.permutations(words)):
+        lengths = [a for a, count in m.cycle_type(w) for _ in range(count)]
+        assert lengths == [len(c) for c in perms.cycles(m.eval_word(w))], w.letters
+
+
 def test_build_cover_counts():
     assert len(build_cover(5, 2).surface.polygons) == 4
     assert len(build_cover(8, 3).surface.polygons) == 3
