@@ -42,7 +42,6 @@ never does.
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import cached_property, lru_cache
 
 from . import perms
@@ -88,7 +87,7 @@ class _Values:
         self.conductor = 4 * n
         self._index = {}  # exact value -> index
         self._values = []
-        self._pairs = {}  # type id of n -> indices of its (inverse modulus, height)
+        self._pairs = {}  # type of n -> indices of its (inverse modulus, height)
         self.sections = {}
 
     def __call__(self, x: RealAlg) -> int:
@@ -99,13 +98,13 @@ class _Values:
             self._values.append(x)
         return i
 
-    def pair(self, table: _Types, i: int) -> tuple:
-        """The indices of type i's (inverse modulus, height), in that order
+    def pair(self, table: _Types, t: tuple) -> tuple:
+        """The indices of type t's (inverse modulus, height), in that order
         on first use; each type is read from the type table once."""
-        pair = self._pairs.get(i)
+        pair = self._pairs.get(t)
         if pair is None:
-            mod, height = table.pair(i)
-            pair = self._pairs[i] = self(mod), self(height)
+            mod, height = table.pair(t)
+            pair = self._pairs[t] = self(mod), self(height)
         return pair
 
     def to_json(self) -> list:
@@ -196,10 +195,10 @@ class _Perm:
 
 
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
-    # types maps type id -> count or None; rows in exact-key order
+    # types maps type -> count or None; rows in exact-key order
     return [
-        {"inverse_modulus": mod, "height": height, "count": types[i]}
-        for i in table.ordered(types) for mod, height in (values.pair(table, i),)
+        {"inverse_modulus": mod, "height": height, "count": types[t]}
+        for t in table.ordered(types) for mod, height in (values.pair(table, t),)
     ]
 
 
@@ -224,12 +223,12 @@ def _witness_json(witness, values: _Values):
 # ---------------------------------------------------------------------------
 # cylinder profiles of covers, finite and infinite degree
 #
-# A profile maps the type id of each cover cylinder type to its count,
-# None when there are infinitely many.  A type is the exact pair
-# (inverse modulus, height); its inverse modulus is a * mu for a base
-# cylinder's inverse modulus mu and an orbit length a.  An infinite
-# strip (a = 0, d = inf only) is typed (0, height): every degree has
-# one row shape.
+# A profile maps each cover cylinder type to its count, None when there
+# are infinitely many.  A type is the pair of value indices (_Types) of
+# its exact (inverse modulus, height); its inverse modulus is a * mu for
+# a base cylinder's inverse modulus mu and an orbit length a.  An
+# infinite strip (a = 0, d = inf only) is typed (0, height): every
+# degree has one row shape.
 
 
 @lru_cache(maxsize=1024)
@@ -248,125 +247,112 @@ def _base_quotient(factor: RealAlg, mu: RealAlg) -> int | None:
     return None
 
 
+# The exact facts that the rules decide, memoised per process and bounded
+# as _approx is: Veech's equal moduli make few distinct values, which
+# every verify and revalidate of the process shares.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _exceeds(x: RealAlg, y: RealAlg) -> bool:
+    return x > y
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _is_multiple(factor: RealAlg, x: RealAlg, k: int) -> bool:
+    return (factor - k * x).is_zero()
+
+
 class _Order:
     """Exact values by index, distinct indices for distinct values.
 
     A cylinder type is a pair (inverse modulus index, height index); the
-    rules compare types and test twists through these indices, by the
-    subclass's above and is_multiple, which decide each exact fact once.
+    rules compare types and test twists through these indices, and each
+    exact fact is decided once per process (_exceeds, _is_multiple).
     """
 
     def __init__(self, exact: list):
         self.exact = exact
 
-    def _type_exceeds(self, t1: tuple, t2: tuple) -> bool:
-        # by inverse modulus, then by height
+    def above(self, v: int, w: int) -> bool:
+        """Whether value v exceeds the distinct value w."""
+        # the memo is asked in one order per pair of indices
+        if v > w:
+            return not _exceeds(self.exact[w], self.exact[v])
+        return _exceeds(self.exact[v], self.exact[w])
+
+    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
+        """factor == k * (value v), exactly."""
+        return _is_multiple(factor, self.exact[v], k)
+
+    def exceeds(self, t1: tuple, t2: tuple) -> bool:
+        """Whether type t1 exceeds the distinct type t2: by inverse
+        modulus, then by height."""
         return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
+
+    def pair(self, t: tuple) -> tuple:
+        """Type t's (inverse modulus, height)."""
+        return self.exact[t[0]], self.exact[t[1]]
 
 
 class _Types(_Order):
-    """The distinct exact cover-cylinder types of one n, each with a small
-    int id.
+    """The distinct exact values of one n's cover-cylinder types.
 
-    Each distinct exact value gets a value index and each distinct pair
-    of them a type id, both from exact keys, so equal ids are equal
-    exact types.  Per id the table keeps the pair of value indices, the
-    exact sort key that orders rows and the first lift (mu, a) that gave
-    it.  A lift (base cylinder, orbit length) is typed once; two lifts
-    that give one exact type share its id.
+    Each distinct exact value gets an index by its exact key, so equal
+    types are equal pairs of indices.  A lift (base cylinder, orbit
+    length) is typed once, and the table keeps the first lift (mu, a) of
+    each type for its twist count.
     """
 
     def __init__(self, n: int):
         super().__init__([])
         self.factor = _shear_factor(n)
-        self._above = {}  # (v, w), v < w -> whether value v exceeds value w
-        self._multiple = {}  # (factor, v, k) -> whether factor == k * value v
         self._value_index = {}  # exact key -> value index
-        self.keys = []  # type id -> exact sort key
-        self._sorted = []  # type ids in exact-key order
-        self._ranks = []  # type id -> place in _sorted, None while a new id is unranked
-        self.lifts = []  # type id -> first (mu, a)
-        self._types = []  # type id -> (inverse modulus index, height index)
-        self._ids = {}  # (inverse modulus index, height index) -> type id
-        self._lifted = {}  # (mu, height, a) -> type id
+        self._ranks = []  # value index -> exact-key rank, None after a new value
+        self.lifts = {}  # type -> first (mu, a)
+        self._lifted = {}  # (mu, height, a) -> type
         self._twists = {}  # (factor, inverse modulus index) -> twist count or None
 
-    def _value(self, x: RealAlg) -> tuple:
-        # (index, exact key) of a value
+    def _value(self, x: RealAlg) -> int:
         key = x.key()
         v = self._value_index.get(key)
         if v is None:
             v = self._value_index[key] = len(self.exact)
             self.exact.append(x)
-        return v, key
+            self._ranks = None
+        return v
 
-    def above(self, v: int, w: int) -> bool:
-        """Whether value v exceeds the distinct value w."""
-        if v > w:
-            return not self.above(w, v)
-        above = self._above.get((v, w))
-        if above is None:
-            above = self._above[v, w] = self.exact[v] > self.exact[w]
-        return above
+    def lift(self, mu: RealAlg, height: RealAlg, a: int) -> tuple:
+        """The type of a * mu-wide cylinders of this height."""
+        t = self._lifted.get((mu, height, a))
+        if t is None:
+            t = self._lifted[mu, height, a] = self._value(_scaled(mu, a)), self._value(height)
+            self.lifts.setdefault(t, (mu, a))
+        return t
 
-    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
-        """factor == k * (value v), exactly."""
-        multiple = self._multiple.get((factor, v, k))
-        if multiple is None:
-            multiple = self._multiple[factor, v, k] = (factor - k * self.exact[v]).is_zero()
-        return multiple
-
-    def lift(self, mu: RealAlg, height: RealAlg, a: int) -> int:
-        """The id of the type of a * mu-wide cylinders of this height."""
-        i = self._lifted.get((mu, height, a))
-        if i is None:
-            mod = _scaled(mu, a)
-            (m, mod_key), (h, height_key) = self._value(mod), self._value(height)
-            i = self._ids.get((m, h))
-            if i is None:
-                i = self._ids[m, h] = len(self.keys)
-                self.keys.append((mod_key, height_key))
-                insort(self._sorted, i, key=self.keys.__getitem__)
-                self._ranks = None
-                self.lifts.append((mu, a))
-                self._types.append((m, h))
-            self._lifted[mu, height, a] = i
-        return i
-
-    def ordered(self, ids) -> list:
-        """ids in exact-key order, the order of a certificate's rows."""
+    def ordered(self, types) -> list:
+        """types in the exact-key order of (inverse modulus, height), the
+        order of a certificate's rows."""
         if self._ranks is None:
-            self._ranks = [0] * len(self._sorted)
-            for rank, i in enumerate(self._sorted):
-                self._ranks[i] = rank
-        return sorted(ids, key=self._ranks.__getitem__)
+            self._ranks = [0] * len(self.exact)
+            for rank, (_, v) in enumerate(sorted(self._value_index.items())):
+                self._ranks[v] = rank
+        ranks = self._ranks
+        return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
 
-    def modulus(self, i: int) -> int:
-        """The value index of type i's inverse modulus."""
-        return self._types[i][0]
-
-    def pair(self, i: int) -> tuple:
-        """Type i's (inverse modulus, height)."""
-        m, h = self._types[i]
-        return self.exact[m], self.exact[h]
-
-    def exceeds(self, i: int, j: int) -> bool:
-        """Whether type i exceeds the distinct type j in exact order."""
-        return self._type_exceeds(self._types[i], self._types[j])
-
-    def twists(self, factor: RealAlg, i: int) -> int | None:
-        """The positive integer k with k * (type i's inverse modulus) ==
+    def twists(self, factor: RealAlg, t: tuple) -> int | None:
+        """The positive integer k with k * (type t's inverse modulus) ==
         factor, or None.
 
-        For type i's first lift (mu, a), k = q / a for q = factor / mu,
+        For type t's first lift (mu, a), k = q / a for q = factor / mu,
         which is a positive integer exactly when q is one and a divides
         it; so one exact quotient per base modulus serves every cycle
         length.  Equal inverse moduli share the answer.  An infinite
         strip (a = 0, inverse modulus 0) has none.
         """
-        key = (factor, self._types[i][0])
+        key = (factor, t[0])
         if key not in self._twists:
-            mu, a = self.lifts[i]
+            mu, a = self.lifts[t]
             q = _base_quotient(factor, mu)
             self._twists[key] = q // a if a and q is not None and q % a == 0 else None
         return self._twists[key]
@@ -385,7 +371,7 @@ def _types(n: int) -> _Types:
 
 
 def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
-    """Cylinder type ids with multiplicities for Y in v_l.
+    """Cylinder types with multiplicities for Y in v_l.
 
     A cover cylinder is a base cylinder times one orbit of its core
     word's image, for finite and infinite degree alike: the runs
@@ -399,9 +385,9 @@ def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     for cyl in base_decomposition(n, l):
         mu, height = cyl.inverse_modulus, cyl.height
         for a, count in monodromy.cycle_type(cyl.core_word):
-            i = lift(mu, height, a)
-            total = counter.get(i, 0)
-            counter[i] = None if count is None or total is None else total + count
+            t = lift(mu, height, a)
+            total = counter.get(t, 0)
+            counter[t] = None if count is None or total is None else total + count
     return counter
 
 
@@ -553,13 +539,12 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
         factor = table.factor
     if values is None:
         values = _Values(n)
-    found = [(i, types[i], table.twists(factor, i)) for i in table.ordered(types)]
-    verdict, witness = _shear_rule(
-        factor, ((table.modulus(i), twists) for i, _, twists in found), table)
+    found = [(t, types[t], table.twists(factor, t)) for t in table.ordered(types)]
+    verdict, witness = _shear_rule(factor, ((t[0], twists) for t, _, twists in found), table)
     payload = {"l": l, "factor": values(factor)}
     payload["cylinders"] = [
         {"inverse_modulus": mod, "height": height, "count": count, "twists": twists}
-        for i, count, twists in found for mod, height in (values.pair(table, i),)
+        for t, count, twists in found for mod, height in (values.pair(table, t),)
     ]
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
@@ -845,10 +830,12 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 _NONE = type(None)
 _NO_LONGER_READ = "format %d is no longer read; `veechlab verify` writes format 3"
 
-# A standalone Index certificate names its own n, and revalidating it
-# enumerates that n's cosets, at a cost that grows steeply with n; above
-# this n it is refused.  Inside a FullTheorem, n is the theorem's.
-MAX_STANDALONE_INDEX_N = 128
+# A standalone certificate names its own n, and revalidating it builds
+# the field of conductor 4n (at a cost that grows as N * phi(N)) or, for
+# an Index, enumerates that n's cosets (steeper still); above this n it
+# is refused before any value is parsed.  A FullTheorem is not capped:
+# verify_theorem writes one for every n.
+MAX_STANDALONE_N = 128
 
 
 def _field(obj, key: str, *types):
@@ -861,11 +848,6 @@ def _field(obj, key: str, *types):
         raise MalformedCertificate("%r: expected %s, got %s" % (
             key, " or ".join(t.__name__ for t in types), type(value).__name__))
     return value
-
-
-# revalidate's memos, shared by every call in the process and bounded as
-# _approx is: a batch of certificates repeats few distinct values
-_MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -895,16 +877,8 @@ def _entry_value(entry, conductor: int) -> RealAlg:
     return RealAlg.from_json(entry, conductor)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _exceeds(x: RealAlg, y: RealAlg) -> bool:
-    return x > y
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _is_multiple(factor: RealAlg, x: RealAlg, k: int) -> bool:
-    return (factor - k * x).is_zero()
-
-
+# what a revalidate reads from earlier calls; verify decides its exact
+# facts through the same _exceeds and _is_multiple
 _REVALIDATE_MEMOS = (_parsed, _exceeds, _is_multiple)
 
 
@@ -912,17 +886,25 @@ class _Table(_Order):
     """Exact values of a certificate: its top-level table, indexed by
     rows and witnesses.  Rows and rules read an entry by its canonical
     index, that of the first entry of equal value.  Each entry's value
-    and each exact comparison of two values come from a process-wide
-    memo (_REVALIDATE_MEMOS), so a value that an earlier call parsed or
-    compared costs no field arithmetic.  The horizontal profile and the
-    monodromy's images are top-level sections too, each parsed on first
-    use.
+    and each exact fact on values come from a process-wide memo
+    (_REVALIDATE_MEMOS), so a value that an earlier call, verify or
+    revalidate, parsed or compared costs no field arithmetic.  The table
+    refuses an n without X_n, and a standalone certificate (any kind but
+    FullTheorem) of n above MAX_STANDALONE_N, before it parses a value.
+    The horizontal profile and the monodromy's images are top-level
+    sections too, each parsed on first use.
     """
 
     def __init__(self, data: dict):
         n, conductor = _field(data, "n", int), _field(data, "conductor", int)
         if conductor != 4 * n:
             raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
+        if no_base_surface(n):
+            raise MalformedCertificate("no base surface X_%d" % n)
+        kind = _field(data, "kind", str)
+        if kind != "FullTheorem" and n > MAX_STANDALONE_N:
+            raise MalformedCertificate("a standalone %.40s for n = %d > %d is not revalidated"
+                                       % (kind, n, MAX_STANDALONE_N))
         super().__init__([_entry_value(entry, conductor)
                           for entry in _field(data, "values", list)])
         first = {}
@@ -943,19 +925,6 @@ class _Table(_Order):
     def value(self, obj, key: str) -> RealAlg:
         return self.exact[self.index(obj, key)]
 
-    def pair(self, t: tuple) -> tuple:
-        return self.exact[t[0]], self.exact[t[1]]
-
-    def above(self, v: int, w: int) -> bool:
-        """Whether value v exceeds the distinct value w."""
-        return _exceeds(self.exact[v], self.exact[w])
-
-    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
-        """factor == k * (value v), exactly."""
-        return _is_multiple(factor, self.exact[v], k)
-
-    exceeds = _Order._type_exceeds
-
     @cached_property
     def horizontal(self) -> dict:
         """The horizontal profile, from the top-level section."""
@@ -966,8 +935,6 @@ class _Table(_Order):
         """The monodromy, generator -> image, from the top-level images
         section, which must name x_0..x_{g-1} once each, in order, with
         images that permute one set of sheets."""
-        if no_base_surface(self.n):
-            raise MalformedCertificate("no base surface X_%d" % self.n)
         entries = _field(self._top, "images", list)
         g = num_generators(self.n)
         if [_field(e, "generator", int) for e in entries] != list(range(g)):
@@ -1048,10 +1015,11 @@ def revalidate(data: dict) -> str:
     raised for a payload that does not parse, a top level without
     "format": 3, images that do not name x_0..x_{g-1} once each, in
     order, a PullbackObstruction of odd n or odd l, a FullTheorem or
-    WellFormedCover whose int d is below 2 (before any rule runs), and a
-    standalone Index for n above MAX_STANDALONE_INDEX_N (before any coset
-    is enumerated).  Each distinct table entry is parsed, and each exact
-    check on values is decided, once per process (_REVALIDATE_MEMOS).
+    WellFormedCover whose int d is below 2 (before any rule runs), an n
+    without X_n, and a standalone certificate other than a FullTheorem
+    for n above MAX_STANDALONE_N (before any value is parsed).  Each
+    distinct table entry is parsed, and each exact check on values is
+    decided, once per process (_REVALIDATE_MEMOS).
     """
     return _revalidate(data, _reader(data), _slot(data))
 
@@ -1081,15 +1049,10 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
     if kind == "MinusIdentity":
         return _minus_identity_rule(table.images.items())[0]
     if kind == "Index":
-        if no_base_surface(n):
-            raise MalformedCertificate("no base surface X_%d" % n)
-        if not in_theorem and n > MAX_STANDALONE_INDEX_N:
-            raise MalformedCertificate("a standalone Index for n = %d > %d is not revalidated"
-                                       % (n, MAX_STANDALONE_INDEX_N))
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":
-        if n % 2 or key % 2 or no_base_surface(n):
+        if n % 2 or key % 2:
             raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
         images = table.images
         d = _Perm.degree(images[0])
@@ -1103,8 +1066,6 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
         return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL
     if kind == "FullTheorem":
         d = _degree(data, infinite=True)
-        if no_base_surface(n):
-            raise MalformedCertificate("no base surface X_%d" % n)
         subcertificates = _field(payload, "subcertificates", list)
         read, slots = [], []
         for s in subcertificates:  # each one is about this (n, d); Index about n alone

@@ -862,7 +862,8 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
         got = certificates._finite_profile(n, m, l)
         types = certificates._types(n)
         # same exact types and counts, in the same order
-        assert [(types.keys[i], [types.pair(i), count]) for i, count in got.items()] == list(
+        assert [((mod.key(), height.key()), [(mod, height), count])
+                for t, count in got.items() for mod, height in (types.pair(t),)] == list(
             _per_cycle_profile(n, m, l).items()), l
         cert = certificates._shear_certificate(n, m.degree, l, None, got)
         table = _table(cert.to_json())
@@ -1085,7 +1086,7 @@ def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatc
               "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
     with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
         revalidate(forged)
-    cap = certificates.MAX_STANDALONE_INDEX_N
+    cap = certificates.MAX_STANDALONE_N
     with pytest.raises(MalformedCertificate, match="standalone Index"):
         revalidate(dict(forged, n=cap + 1, conductor=4 * (cap + 1)))
     assert enumerated == []
@@ -1109,6 +1110,58 @@ def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
     with pytest.raises(MalformedCertificate, match="conductor 20, not 4n = 28"):
         revalidate(rotation)
     assert 2000 not in built
+
+
+# a payload of each kind that its rule reads; the table holds the value 1
+_MINIMAL_PAYLOADS = {
+    "ShearMembership": {"l": 1, "factor": 0, "cylinders": []},
+    "RotationObstruction": {"l": 1, "direction": []},
+    "SigmaT": {"mode": "horizontal", "sigma_T": [1, 0]},
+    "MinusIdentity": {},
+    "Index": {"expected_index": 1, "index": 1},
+    "PullbackObstruction": {"l": 2},
+    "WellFormedCover": {},
+    "FullTheorem": {"subcertificates": []},
+}
+
+
+def _minimal(kind, n):
+    return {"format": 3, "conductor": 4 * n, "values": [{"coeffs": [[0, "1"]]}],
+            "horizontal": [], "images": [{"generator": 0, "image": [1, 0]}],
+            "kind": kind, "n": n, "d": 2, "verdict": "pass", "payload": _MINIMAL_PAYLOADS[kind]}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("kind", certificates._KINDS)
+def test_a_certificate_for_an_n_without_x_n_is_refused_before_a_value_is_read(
+        monkeypatch, kind, n):
+    # a ShearMembership without rows would pass its rule
+    read = []
+    entry_value = certificates._entry_value
+    monkeypatch.setattr(certificates, "_entry_value",
+                        lambda entry, c: read.append(entry) or entry_value(entry, c))
+    with pytest.raises(MalformedCertificate, match="no base surface X_%d" % n):
+        revalidate(_minimal(kind, n))
+    assert read == []
+
+
+@pytest.mark.parametrize("kind", [k for k in certificates._KINDS if k != "FullTheorem"])
+def test_a_standalone_certificate_above_the_cap_builds_no_field(monkeypatch, kind):
+    built = []
+    get_context = field.get_context
+    monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
+    _clear_revalidate_memos()
+    # n names its own conductor, so the conductor check lets it through
+    with pytest.raises(MalformedCertificate, match="standalone %s for n = 1001" % kind):
+        revalidate(_minimal(kind, 1001))
+    assert 4004 not in built
+    # at the cap the same certificate is read
+    cap = certificates.MAX_STANDALONE_N
+    try:
+        revalidate(_minimal(kind, cap))
+    except MalformedCertificate as exc:
+        assert "standalone" not in str(exc)
+    assert 4 * cap in built
 
 
 # ---------------------------------------------------------------------------
@@ -1145,9 +1198,10 @@ def test_warm_theorem_does_each_exact_check_once(monkeypatch):
     monkeypatch.setattr(Monodromy, "eval_word",
                         lambda self, w: evaluated.append(w) or eval_word(self, w))
     # the operands of every exact subtraction inside each rule; an exact
-    # comparison is one subtraction.  The type table of n decides each
-    # check once, so it starts empty.
+    # comparison is one subtraction.  The process-wide memos decide each
+    # check once, so they start empty, and so does the type table of n.
     certificates._types.cache_clear()
+    _clear_revalidate_memos()
     inside, operands = [None], {"shear": [], "rotation": []}
     sub = field.CycloNumber.__sub__
 
@@ -1181,6 +1235,37 @@ def test_warm_theorem_does_each_exact_check_once(monkeypatch):
     # the witness search compares no two values twice in the theorem
     compared = operands["rotation"]
     assert 0 < len(compared) == len(set(compared))
+
+
+@pytest.mark.parametrize("n,d", [(9, 5), (8, 3), (25, 4)])
+def test_revalidate_reuses_the_twist_checks_that_verify_decided(monkeypatch, n, d):
+    # verify and revalidate decide k * mu == 2 * lambda_n through one
+    # memo, so the shear rule of a revalidate after verify subtracts
+    # nothing.  (The rotation witness scan visits types in each table's
+    # own order, so it may compare pairs that verify never compared.)
+    certificates._types.cache_clear()
+    _clear_revalidate_memos()
+    data = _roundtrip(verify_theorem(n, d))
+    inside, subtractions, rules = [False], [], []
+    sub, shear_rule = field.CycloNumber.__sub__, certificates._shear_rule
+
+    def counting_sub(self, other):
+        if inside[0]:
+            subtractions.append((self, other))
+        return sub(self, other)
+
+    def counted(*args):
+        rules.append(args)
+        inside[0] = True
+        try:
+            return shear_rule(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(field.CycloNumber, "__sub__", counting_sub)
+    monkeypatch.setattr(certificates, "_shear_rule", counted)
+    assert revalidate(data) == "pass"
+    assert rules and subtractions == []
 
 
 @pytest.mark.parametrize("n,d,forged_d", [(7, 2, 3), (9, 2, 5)])
@@ -1249,8 +1334,9 @@ def test_type_ids_are_exact_types():
               types.lift(mu, 2 * height, 2), types.lift(mu, height, 0)}
     assert i not in others and len(others) == 4
     # rows in exact-key order, witnesses in exact order
-    ids = list(range(len(types.keys)))
-    assert [types.keys[j] for j in types.ordered(ids)] == sorted(types.keys)
+    ids = list(types.lifts)
+    keys = {j: (types.pair(j)[0].key(), types.pair(j)[1].key()) for j in ids}
+    assert [keys[j] for j in types.ordered(ids)] == sorted(keys.values())
     for j in ids:
         for k in ids:
             if j != k:
