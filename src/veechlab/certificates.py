@@ -231,22 +231,6 @@ def _witness_json(witness, values: _Values):
 # degree has one row shape.
 
 
-@lru_cache(maxsize=1024)
-def _scaled(mu: RealAlg, a: int) -> RealAlg:
-    """a * mu: Veech's equal moduli make few distinct products, which
-    directions and covers of one n share."""
-    return mu if a == 1 else a * mu
-
-
-@lru_cache(maxsize=256)
-def _base_quotient(factor: RealAlg, mu: RealAlg) -> int | None:
-    """factor / mu if it is a positive rational integer, else None."""
-    q = factor / mu
-    if q.is_integer() and q.as_rational() > 0:
-        return int(q.as_rational())
-    return None
-
-
 # The exact facts that the rules decide, memoised per process and bounded
 # as _approx is: Veech's equal moduli make few distinct values, which
 # every verify and revalidate of the process shares.
@@ -306,7 +290,7 @@ class _Types(_Order):
 
     def __init__(self, n: int):
         super().__init__([])
-        self.factor = _shear_factor(n)
+        self.factor = 2 * lambda_n(n)  # the factor of every shear in a theorem for n
         self._value_index = {}  # exact key -> value index
         self._ranks = []  # value index -> exact-key rank, None after a new value
         self.lifts = {}  # type -> first (mu, a)
@@ -326,7 +310,7 @@ class _Types(_Order):
         """The type of a * mu-wide cylinders of this height."""
         t = self._lifted.get((mu, height, a))
         if t is None:
-            t = self._lifted[mu, height, a] = self._value(_scaled(mu, a)), self._value(height)
+            t = self._lifted[mu, height, a] = self._value(mu if a == 1 else a * mu), self._value(height)
             self.lifts.setdefault(t, (mu, a))
         return t
 
@@ -346,22 +330,20 @@ class _Types(_Order):
 
         For type t's first lift (mu, a), k = q / a for q = factor / mu,
         which is a positive integer exactly when q is one and a divides
-        it; so one exact quotient per base modulus serves every cycle
-        length.  Equal inverse moduli share the answer.  An infinite
+        it; mu's inverse is memoised (field._inverse), so q costs one
+        product.  Equal inverse moduli share the answer.  An infinite
         strip (a = 0, inverse modulus 0) has none.
         """
         key = (factor, t[0])
         if key not in self._twists:
             mu, a = self.lifts[t]
-            q = _base_quotient(factor, mu)
-            self._twists[key] = q // a if a and q is not None and q % a == 0 else None
+            k = None
+            if a:
+                q = factor / mu  # an integer q is num[0] over den 1
+                if q.is_integer() and q.num[0] > 0 and q.num[0] % a == 0:
+                    k = q.num[0] // a
+            self._twists[key] = k
         return self._twists[key]
-
-
-@lru_cache(maxsize=64)
-def _shear_factor(n: int) -> RealAlg:
-    """2 * lambda_n, the factor of every shear in a theorem for n."""
-    return 2 * lambda_n(n)
 
 
 @lru_cache(maxsize=64)
@@ -888,25 +870,14 @@ class _Table(_Order):
     index, that of the first entry of equal value.  Each entry's value
     and each exact fact on values come from a process-wide memo
     (_REVALIDATE_MEMOS), so a value that an earlier call, verify or
-    revalidate, parsed or compared costs no field arithmetic.  The table
-    refuses an n without X_n, and a standalone certificate (any kind but
-    FullTheorem) of n above MAX_STANDALONE_N, before it parses a value.
-    The horizontal profile and the monodromy's images are top-level
-    sections too, each parsed on first use.
+    revalidate, parsed or compared costs no field arithmetic.  The
+    horizontal profile and the monodromy's images are top-level sections
+    too, each parsed on first use.
     """
 
-    def __init__(self, data: dict):
-        n, conductor = _field(data, "n", int), _field(data, "conductor", int)
-        if conductor != 4 * n:
-            raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
-        if no_base_surface(n):
-            raise MalformedCertificate("no base surface X_%d" % n)
-        kind = _field(data, "kind", str)
-        if kind != "FullTheorem" and n > MAX_STANDALONE_N:
-            raise MalformedCertificate("a standalone %.40s for n = %d > %d is not revalidated"
-                                       % (kind, n, MAX_STANDALONE_N))
-        super().__init__([_entry_value(entry, conductor)
-                          for entry in _field(data, "values", list)])
+    def __init__(self, data: dict, n: int):
+        # n is _claimed_n(data)
+        super().__init__([_entry_value(entry, 4 * n) for entry in _field(data, "values", list)])
         first = {}
         self._canonical = [first.setdefault(x, i) for i, x in enumerate(self.exact)]
         # every subcertificate's n is bound to the top level's before any
@@ -942,15 +913,29 @@ class _Table(_Order):
         return dict(enumerate(_perms([_field(e, "image", list, dict) for e in entries])))
 
 
-def _reader(data) -> _Table:
-    """The value table of a top-level certificate, which must be format 3."""
+def _claimed_n(data) -> int:
+    """The n of a top-level certificate, which must be format 3.
+
+    Its table's conductor must be 4n, X_n must exist, and a standalone
+    certificate (any kind but FullTheorem) must have n at most
+    MAX_STANDALONE_N; all of this is checked before any value is parsed.
+    """
     if type(data) is not dict or "format" not in data:
         raise MalformedCertificate("certificate has no \"format\" key: " + _NO_LONGER_READ % 1)
     if type(data["format"]) is int and data["format"] == 2:
         raise MalformedCertificate(_NO_LONGER_READ % 2)
     if type(data["format"]) is not int or data["format"] != FORMAT:
         raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
-    return _Table(data)
+    n, conductor = _field(data, "n", int), _field(data, "conductor", int)
+    if conductor != 4 * n:
+        raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
+    if no_base_surface(n):
+        raise MalformedCertificate("no base surface X_%d" % n)
+    kind = _field(data, "kind", str)
+    if kind != "FullTheorem" and n > MAX_STANDALONE_N:
+        raise MalformedCertificate("a standalone %.40s for n = %d > %d is not revalidated"
+                                   % (kind, n, MAX_STANDALONE_N))
+    return n
 
 
 def _parse_multiset(rows: list, table: _Table) -> dict:
@@ -1005,8 +990,8 @@ def revalidate(data: dict) -> str:
     SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
     the monodromy from the top-level images section, and the
     PullbackObstruction's pullback is computed from it.  A FullTheorem
-    fails, before any rule runs, unless its subcertificates fill the
-    slots of its (n, d) in order (_theorem_slots).  Inside it, a
+    fails, before any value is parsed, unless its subcertificates fill
+    the slots of its (n, d) in order (_theorem_claim).  Inside it, a
     ShearMembership fails unless its factor is 2*lambda_n (alone it
     keeps its own factor), and for d = inf the theorem fails unless its
     count of infinite preimages of cylinder k is the one the images
@@ -1015,23 +1000,66 @@ def revalidate(data: dict) -> str:
     raised for a payload that does not parse, a top level without
     "format": 3, images that do not name x_0..x_{g-1} once each, in
     order, a PullbackObstruction of odd n or odd l, a FullTheorem or
-    WellFormedCover whose int d is below 2 (before any rule runs), an n
-    without X_n, and a standalone certificate other than a FullTheorem
-    for n above MAX_STANDALONE_N (before any value is parsed).  Each
-    distinct table entry is parsed, and each exact check on values is
-    decided, once per process (_REVALIDATE_MEMOS).
+    WellFormedCover whose int d is below 2 (before any rule runs), and,
+    before any value is parsed, an n without X_n, a subcertificate about
+    another (n, d) than its theorem, and a standalone certificate other
+    than a FullTheorem for n above MAX_STANDALONE_N.  Each distinct
+    table entry is parsed, and each exact check on values is decided,
+    once per process (_REVALIDATE_MEMOS).
     """
-    return _revalidate(data, _reader(data), _slot(data))
+    n = _claimed_n(data)
+    slot = _slot(data)
+    if slot[0] != "FullTheorem":
+        return _revalidate(data, _Table(data, n), slot)
+    d, read = _theorem_claim(data, n)
+    if read is None:
+        return FAIL
+    table = _Table(data, n)
+    payload = data["payload"]
+    preimages = None
+    if d == "inf":
+        # the preimage count is recomputed from the images, which must
+        # permute Z
+        images = table.images
+        if _Perm.degree(images[0]) != "inf":
+            return FAIL
+        preimages = _infinite_preimages(n, ZMonodromy(len(images), images))
+        if payload.get("infinite_preimages_of_cylinder_k") != preimages:
+            return FAIL
+    subs = ((s["kind"], _revalidate(s, table, slot, True), None)
+            for s, slot in zip(payload["subcertificates"], read))
+    return _theorem_rule(d, subs, preimages)[0]
+
+
+def _theorem_claim(data: dict, n: int) -> tuple:
+    """A FullTheorem's degree d and the slots its subcertificates fill,
+    in order; the slots are None unless they are those of (n, d)
+    (_theorem_slots).  Each subcertificate must be about this (n, d), an
+    Index about n alone.  No value is read."""
+    d = _degree(data, infinite=True)
+    read, slots = [], []
+    for s in _field(_field(data, "payload", dict), "subcertificates", list):
+        kind, key = slot = _slot(s)
+        claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
+        if claim != (n, None if kind == "Index" else d):
+            raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
+                                       "in a theorem for (%d, %r)" % (kind, *claim, n, d))
+        read.append(slot)
+        if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
+            kind = "RotationObstruction"  # the fallback fills the same slot
+        slots.append((kind, key))
+    return d, (read if tuple(slots) == _theorem_slots(n, d) else None)
 
 
 def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False) -> str:
-    # slot is _slot(data), read once by the caller
+    # the verdict of any kind but FullTheorem; slot is _slot(data), read
+    # once by the caller
     kind, key = slot
     n = table.n
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         factor = table.value(payload, "factor")
-        if in_theorem and factor != _shear_factor(n):
+        if in_theorem and factor != _types(n).factor:
             return FAIL
         # a generator: the rule stops reading rows at the first failing one
         rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
@@ -1059,39 +1087,7 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
         if d == "inf":
             raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
         return _pullback_rule(n, key, Monodromy(len(images), d, images))[0]
-    if kind == "WellFormedCover":
-        # the images must act transitively on exactly d sheets
-        d = _degree(data)
-        images = list(table.images.values())
-        return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL
-    if kind == "FullTheorem":
-        d = _degree(data, infinite=True)
-        subcertificates = _field(payload, "subcertificates", list)
-        read, slots = [], []
-        for s in subcertificates:  # each one is about this (n, d); Index about n alone
-            kind, key = slot = _slot(s)
-            claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
-            if claim != (n, None if kind == "Index" else d):
-                raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
-                                           "in a theorem for (%d, %r)" % (kind, *claim, n, d))
-            read.append(slot)
-            if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
-                kind = "RotationObstruction"  # the fallback fills the same slot
-            slots.append((kind, key))
-        # the subcertificates must fill the theorem's slots, in order,
-        # before any rule runs
-        if tuple(slots) != _theorem_slots(n, d):
-            return FAIL
-        preimages = None
-        if d == "inf":
-            # the preimage count is recomputed from the images, which must
-            # permute Z
-            images = table.images
-            if _Perm.degree(images[0]) != "inf":
-                return FAIL
-            preimages = _infinite_preimages(n, ZMonodromy(len(images), images))
-            if payload.get("infinite_preimages_of_cylinder_k") != preimages:
-                return FAIL
-        subs = ((s["kind"], _revalidate(s, table, slot, True), None)
-                for s, slot in zip(subcertificates, read))
-        return _theorem_rule(d, subs, preimages)[0]
+    # WellFormedCover: the images must act transitively on exactly d sheets
+    d = _degree(data)
+    images = list(table.images.values())
+    return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL

@@ -22,9 +22,10 @@ pi, Taylor series and the recurrence zeta^j = zeta^(j-1) zeta, all in
 integers):
   * a float filter over C_j / 2^80, which answers only when the float
     sum clears its rounding-error bound;
-  * otherwise exact rational bounds (sum a_j C_j -+ sum |a_j|) / (den 2^prec)
-    at prec = 64, 128, ... until they exclude 0 (termination is
-    guaranteed because nonzero was decided symbolically first).
+  * otherwise the exact bracket (sum a_j C_j -+ sum |a_j|) / (den 2^prec)
+    at prec = 64, 128, ... until its two integer numerators have one
+    sign (termination is guaranteed because nonzero was decided
+    symbolically first).
 Decimal approximations (approx, and float() through it) come from the same
 bounds, widened until both ends print alike, in the digits mpmath.nstr
 would write.  Nothing here imports mpmath.
@@ -36,7 +37,6 @@ import re
 from fractions import Fraction as _QQ
 from functools import lru_cache
 from math import gcd, lcm, log
-from typing import NamedTuple
 
 from .errors import MalformedCertificate, SignUndetermined
 
@@ -586,17 +586,13 @@ def _float_cos_table(N: int) -> tuple[float, ...]:
     return tuple(c / (1 << 80) for c in _cos_fixed(N, 80))
 
 
-class _Interval(NamedTuple):
-    a: _QQ  # lower bound
-    b: _QQ  # upper bound
-
-
-def _interval_value(x, N: int, prec: int) -> _Interval:
-    """Rigorous rational bounds on sum_j (num_j / den) cos(2*pi*j/N), x = (num, den)."""
+def _interval_value(x, N: int, prec: int) -> tuple[int, int]:
+    """Numerators (lo, hi) over the positive den << prec that bracket
+    sum_j (num_j / den) cos(2*pi*j/N), x = (num, den); RealAlg.approx
+    prints the same bracket."""
     num, den = x
     total, weight = _fixed_sum(num, N, prec)
-    q = den << prec
-    return _Interval(_QQ(total - weight, q), _QQ(total + weight, q))
+    return total - weight, total + weight
 
 
 def _real_sign(num, den: int, N: int) -> int:
@@ -606,10 +602,10 @@ def _real_sign(num, den: int, N: int) -> int:
         return s
     prec = 64
     while True:
-        val = _interval_value((num, den), N, prec)
-        if val.a > 0:
+        lo, hi = _interval_value((num, den), N, prec)
+        if lo > 0:
             return 1
-        if val.b < 0:
+        if hi < 0:
             return -1
         if prec >= _MAX_PREC:
             raise SignUndetermined(
@@ -892,7 +888,6 @@ def sin_pi_over(n: int) -> RealAlg:
     return quarter_trig(n, 2)[1]
 
 
-@lru_cache(maxsize=64)
 def lambda_n(n: int) -> RealAlg:
     """The shear constant 2*cot(pi/n)."""
     c, s = quarter_trig(n, 2)

@@ -6,8 +6,6 @@ Rendering is the one place exactness is dropped: coordinates are the
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cylinders import Direction, decompose
 from .surface import EdgeRef, TranslationSurface
 from .covering import CoveringSurface, build_cover
@@ -21,31 +19,25 @@ PALETTES = {
 _DIGITS = 20
 
 
-@lru_cache(maxsize=None)
-def load_mpmath():
-    """The mpmath module, imported on first use.
-
-    Rendering is its only user in the package, so no other command
-    loads it.
-    """
-    import mpmath
-
-    return mpmath
-
-
 def _f(x) -> float:
     return float(x)
 
 
+# mpmath is imported where it is used: rendering is its only user in the
+# package, so no other command loads it
+
+
 def _num(value: float) -> str:
-    mpmath = load_mpmath()
+    import mpmath
+
     with mpmath.workdps(_DIGITS + 5):
         return mpmath.nstr(mpmath.mpf(value), _DIGITS)
 
 
 def _pt(v, dx=0.0, dy=0.0) -> str:
     # exact coordinates at 20 significant digits; SVG y axis points down
-    mpmath = load_mpmath()
+    import mpmath
+
     with mpmath.workdps(_DIGITS + 5):
         x = mpmath.mpf(v.x.approx(_DIGITS)) + dx
         y = -(mpmath.mpf(v.y.approx(_DIGITS)) + dy)

@@ -10,6 +10,8 @@ relators are verified against the exact matrices at construction.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import VerificationFailure
 from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
 from .surface import no_base_surface
@@ -217,22 +219,27 @@ def eval_group_word(n: int, word: GroupWord, images: dict | None = None) -> Mat2
 # the Veech group generators of the covering family (Theorem statement lists)
 
 
+def _generator_words(n: int, minus_identity: GroupWord, shear: GroupWord,
+                     rotation: GroupWord) -> list[GroupWord]:
+    """The covers' Veech-group generators over one alphabet, from its -I
+    word, its shear T and its rotation (R for odd n, R^2 for even n).
+
+    With S_j = rotation^j for j = 1..floor((n-1)/2): -I, T and the
+    S_j T^2 S_j^-1; for even n also u = (T^-1 rotation)^2 and the
+    S_j u S_j^-1.
+    """
+    powers = list(accumulate([rotation] * ((n - 1) // 2), GroupWord.__mul__))
+    gens = [minus_identity, shear] + [(shear * shear).conjugate_by(p) for p in powers]
+    if n % 2 == 0:
+        u = (shear.inverse() * rotation) ** 2
+        gens += [u] + [u.conjugate_by(p) for p in powers]
+    return gens
+
+
 def gamma_generator_words(n: int) -> list[GroupWord]:
     """Generating words of the covers' common Veech group, over {R, T}."""
-    R, T = GroupWord.gen("R"), GroupWord.gen("T")
-    if n % 2:
-        gens = [GroupWord.gen("R", n), T]  # R^n = -I, T
-        for j in range(1, (n - 1) // 2 + 1):
-            gens.append((T * T).conjugate_by(GroupWord.gen("R", j)))
-        return gens
-    u = (T.inverse() * GroupWord.gen("R", 2)) ** 2
-    gens = [GroupWord.gen("R", n), T]
-    for j in range(1, (n - 2) // 2 + 1):
-        gens.append((T * T).conjugate_by(GroupWord.gen("R", 2 * j)))
-    gens.append(u)
-    for j in range(1, (n - 2) // 2 + 1):
-        gens.append(u.conjugate_by(GroupWord.gen("R", 2 * j)))
-    return gens
+    R = GroupWord.gen("R")
+    return _generator_words(n, R ** n, GroupWord.gen("T"), R if n % 2 else R ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +316,4 @@ def subgroup_words(n: int) -> list[GroupWord]:
     """The covers' Veech-group generators over the presentation's alphabet."""
     if n % 2:
         return gamma_generator_words(n)
-    r, t, z = GroupWord.gen("r"), GroupWord.gen("t"), GroupWord.gen("z")
-    u = (t.inverse() * r) ** 2
-    gens = [z, t]
-    for j in range(1, (n - 2) // 2 + 1):
-        gens.append((t * t).conjugate_by(GroupWord.gen("r", j)))
-    gens.append(u)
-    for j in range(1, (n - 2) // 2 + 1):
-        gens.append(u.conjugate_by(GroupWord.gen("r", j)))
-    return gens
+    return _generator_words(n, GroupWord.gen("z"), GroupWord.gen("t"), GroupWord.gen("r"))

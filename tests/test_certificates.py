@@ -892,7 +892,9 @@ def test_profiles_make_one_product_per_distinct_pair(monkeypatch, n):
     cycle length) pair, not once per cycle."""
     for l in range(n):  # the traces multiply too; take them out of the count
         base_decomposition(n, l)
-    certificates._scaled.cache_clear()
+    # a new type table, whose shear factor is made before the count
+    certificates._types.cache_clear()
+    certificates._types(n)
     multiplications = [0]
     mul = field.CycloNumber.__mul__
 
@@ -1162,6 +1164,20 @@ def test_a_standalone_certificate_above_the_cap_builds_no_field(monkeypatch, kin
     except MalformedCertificate as exc:
         assert "standalone" not in str(exc)
     assert 4 * cap in built
+
+
+def test_a_theorem_is_bound_to_its_slots_before_it_builds_a_field(monkeypatch):
+    # a one-value FullTheorem may claim any n, but its degree and slot
+    # list are checked before its table of conductor 4n is parsed
+    built = []
+    get_context = field.get_context
+    monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
+    _clear_revalidate_memos()
+    theorem = _minimal("FullTheorem", 1001)
+    assert revalidate(theorem) == "fail"
+    with pytest.raises(MalformedCertificate, match="degree 1 is not an int d >= 2"):
+        revalidate(dict(theorem, d=1))
+    assert 4004 not in built
 
 
 # ---------------------------------------------------------------------------

@@ -507,13 +507,14 @@ def test_approx_matches_mpmath_nstr_examples(value):
 
 
 def test_interval_value_is_an_exact_bracket():
+    # integer numerators over the positive den << prec
     x = cos_pi_over(7) - Fraction(9, 10)
     for prec in (64, 128):
-        iv = field._interval_value((x.num, x.den), x.N, prec)
-        assert type(iv.a) is Fraction and type(iv.b) is Fraction
+        lo, hi = field._interval_value((x.num, x.den), x.N, prec)
+        assert type(lo) is int and type(hi) is int
+        q = x.den << prec
         with mpmath.workdps(60):
-            a, b = (mpmath.mpf(q.numerator) / q.denominator for q in iv)
-            assert a < mpmath.cos(mpmath.pi / 7) - mpmath.mpf(9) / 10 < b
+            assert mpmath.mpf(lo) / q < mpmath.cos(mpmath.pi / 7) - mpmath.mpf(9) / 10 < mpmath.mpf(hi) / q
 
 
 def test_interval_value_narrows_with_precision():
@@ -521,17 +522,17 @@ def test_interval_value_narrows_with_precision():
     x = lambda_n(25) - 15
     widths = []
     for prec in (64, 128, 256, 512):
-        iv = field._interval_value((x.num, x.den), x.N, prec)
-        assert iv.a <= iv.b
-        widths.append(float(iv.b - iv.a))
-        assert iv.a > 0
-        assert abs(float(iv.a) - float(x)) < 1e-12
+        lo, hi = field._interval_value((x.num, x.den), x.N, prec)
+        q = x.den << prec
+        assert 0 < lo <= hi
+        widths.append(Fraction(hi - lo, q))
+        assert abs(float(Fraction(lo, q)) - float(x)) < 1e-12
     assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
 
 
 def test_unseparated_sign_raises_typed_error(monkeypatch):
     monkeypatch.setattr(field, "_float_sign_filter", lambda *a: None)
-    monkeypatch.setattr(field, "_interval_value", lambda x, N, prec: mpmath.iv.mpf([-1, 1]))
+    monkeypatch.setattr(field, "_interval_value", lambda x, N, prec: (-1, 1))
     with pytest.raises(SignUndetermined) as info:
         RealAlg.from_rational(28, Fraction(3, 7)).sign()
     assert isinstance(info.value, VeechLabError)
