@@ -22,8 +22,9 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
   * Index             - coset enumeration gives the expected index.
 
 Every verdict comes from one rule per kind (the ``_*_rule`` functions
-below) over native values: the certify_* functions apply it to what
-they computed, revalidate() to what it parsed from the payload.
+below) over native values, an exact value as its index in n's type
+table (_types): the certify_* functions apply it to what they
+computed, revalidate() to what it parsed from the payload.
 
 Certificates are written and read in format 3: the top level carries
 the conductor 4n once and a table of the distinct exact values, and rows
@@ -76,36 +77,27 @@ _SIGMA_MODES = ("horizontal", "vertical")
 class _Values:
     """The value table of one certificate and its subcertificates.
 
-    Each distinct exact value gets the next index on its first use, so
-    the table follows the fixed order in which certificates are
-    assembled.  ``sections`` holds what the top level writes once for
-    every subcertificate: the monodromy's images and the horizontal
-    profile.
+    Each distinct value of n's type table (_types) that they name gets
+    the next index on its first use, in the fixed order in which
+    certificates are assembled.  ``sections`` holds what the top level
+    writes once for every subcertificate: the monodromy's images and the
+    horizontal profile.
     """
 
     def __init__(self, n: int):
         self.conductor = 4 * n
-        self._index = {}  # exact value -> index
+        self._types = _types(n)
+        self._index = {}  # index in _types(n) -> index in this table
         self._values = []
-        self._pairs = {}  # type of n -> indices of its (inverse modulus, height)
         self.sections = {}
 
-    def __call__(self, x: RealAlg) -> int:
-        """The index of x, which joins the table on first use."""
-        i = self._index.get(x)
+    def __call__(self, v: int) -> int:
+        """The index of n's value v, which joins the table on first use."""
+        i = self._index.get(v)
         if i is None:
-            i = self._index[x] = len(self._values)
-            self._values.append(x)
+            i = self._index[v] = len(self._values)
+            self._values.append(self._types.exact[v])
         return i
-
-    def pair(self, table: _Types, t: tuple) -> tuple:
-        """The indices of type t's (inverse modulus, height), in that order
-        on first use; each type is read from the type table once."""
-        pair = self._pairs.get(t)
-        if pair is None:
-            mod, height = table.pair(t)
-            pair = self._pairs[t] = self(mod), self(height)
-        return pair
 
     def to_json(self) -> list:
         return [x.to_json(sparse=True) for x in self._values]
@@ -196,10 +188,8 @@ class _Perm:
 
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
     # types maps type -> count or None; rows in exact-key order
-    return [
-        {"inverse_modulus": mod, "height": height, "count": types[t]}
-        for t in table.ordered(types) for mod, height in (values.pair(table, t),)
-    ]
+    return [{"inverse_modulus": values(mod), "height": values(height), "count": types[mod, height]}
+            for mod, height in table.ordered(types)]
 
 
 def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
@@ -213,142 +203,158 @@ def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
 
 
 def _witness_json(witness, values: _Values):
-    # a rule's witness as the certificate carries it: exact values as
-    # table indices
+    # a rule's witness as the certificate carries it: the values it names,
+    # indices of _types(n), as indices of the certificate's table
     if witness is None:
         return None
-    return {k: values(v) if isinstance(v, RealAlg) else v for k, v in witness.items()}
+    return {k: values(v) if k in ("inverse_modulus", "height") else v
+            for k, v in witness.items()}
 
 
 # ---------------------------------------------------------------------------
 # cylinder profiles of covers, finite and infinite degree
 #
 # A profile maps each cover cylinder type to its count, None when there
-# are infinitely many.  A type is the pair of value indices (_Types) of
-# its exact (inverse modulus, height); its inverse modulus is a * mu for
-# a base cylinder's inverse modulus mu and an orbit length a.  An
-# infinite strip (a = 0, d = inf only) is typed (0, height): every
-# degree has one row shape.
+# are infinitely many.  A type's inverse modulus is a * mu for a base
+# cylinder's inverse modulus mu and an orbit length a.  An infinite strip
+# (a = 0, d = inf only) is typed (0, height): every degree has one row
+# shape.
 
-
-# The exact facts that the rules decide, memoised per process and bounded
-# as _approx is: Veech's equal moduli make few distinct values, which
-# every verify and revalidate of the process shares.
+# what revalidate may keep of untrusted payloads, per n: values of its own
+# in the type table, and exact facts
 _MEMO_SIZE = 4096
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _exceeds(x: RealAlg, y: RealAlg) -> bool:
-    return x > y
+class _Types:
+    """The distinct exact values of one n, and the exact facts on them.
 
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _is_multiple(factor: RealAlg, x: RealAlg, k: int) -> bool:
-    return (factor - k * x).is_zero()
-
-
-class _Order:
-    """Exact values by index, distinct indices for distinct values.
-
-    A cylinder type is a pair (inverse modulus index, height index); the
-    rules compare types and test twists through these indices, and each
-    exact fact is decided once per process (_exceeds, _is_multiple).
-    """
-
-    def __init__(self, exact: list):
-        self.exact = exact
-
-    def above(self, v: int, w: int) -> bool:
-        """Whether value v exceeds the distinct value w."""
-        # the memo is asked in one order per pair of indices
-        if v > w:
-            return not _exceeds(self.exact[w], self.exact[v])
-        return _exceeds(self.exact[v], self.exact[w])
-
-    def is_multiple(self, factor: RealAlg, v: int, k: int) -> bool:
-        """factor == k * (value v), exactly."""
-        return _is_multiple(factor, self.exact[v], k)
-
-    def exceeds(self, t1: tuple, t2: tuple) -> bool:
-        """Whether type t1 exceeds the distinct type t2: by inverse
-        modulus, then by height."""
-        return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
-
-    def pair(self, t: tuple) -> tuple:
-        """Type t's (inverse modulus, height)."""
-        return self.exact[t[0]], self.exact[t[1]]
-
-
-class _Types(_Order):
-    """The distinct exact values of one n's cover-cylinder types.
-
-    Each distinct exact value gets an index by its exact key, so equal
-    types are equal pairs of indices.  A lift (base cylinder, orbit
-    length) is typed once, and the table keeps the first lift (mu, a) of
-    each type for its twist count.
+    Every exact value that verify computes or revalidate reads gets an
+    index here by its exact key, so equal values are equal indices and a
+    cylinder type is a pair (inverse modulus index, height index).  The
+    lifts, twist counts and the rules' facts are decided on these ints,
+    each once per n.
     """
 
     def __init__(self, n: int):
-        super().__init__([])
-        self.factor = 2 * lambda_n(n)  # the factor of every shear in a theorem for n
-        self._value_index = {}  # exact key -> value index
-        self._ranks = []  # value index -> exact-key rank, None after a new value
-        self.lifts = {}  # type -> first (mu, a)
-        self._lifted = {}  # (mu, height, a) -> type
-        self._twists = {}  # (factor, inverse modulus index) -> twist count or None
+        self.n = n
+        self.exact = []  # index -> value
+        self._index = {}  # exact key -> index
+        self._ranks = None  # index -> exact-key rank, None after a new value
+        self._read = 0  # values that revalidate added
+        self._lifted = {}  # (l, base cylinder index, a) -> type
+        self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
+        self.lifts = {}  # inverse modulus index -> its first lift (base modulus index, a)
+        self._twists = {}  # (factor index, inverse modulus index) -> twist count or None
+        # the rules' facts: (v, w), v < w -> whether value v exceeds value w,
+        # and (f, v, k) -> whether value f == k * value v
+        self._facts = {}
+        self.factor = self.index(2 * lambda_n(n))  # every shear's factor in a theorem for n
 
-    def _value(self, x: RealAlg) -> int:
+    def index(self, x: RealAlg) -> int:
+        """The index of x, which joins the table on first use."""
         key = x.key()
-        v = self._value_index.get(key)
+        v = self._index.get(key)
         if v is None:
-            v = self._value_index[key] = len(self.exact)
+            v = self._index[key] = len(self.exact)
             self.exact.append(x)
             self._ranks = None
         return v
 
-    def lift(self, mu: RealAlg, height: RealAlg, a: int) -> tuple:
-        """The type of a * mu-wide cylinders of this height."""
-        t = self._lifted.get((mu, height, a))
+    def read(self, exact: list) -> tuple:
+        """The table in which revalidate reads values exact, and their
+        indices there.  A certificate whose new values would push this
+        table past _MEMO_SIZE values of revalidate's own starts a fresh
+        table, or, with more new values than that, reads them in one that
+        no later call sees."""
+        new = len({x.key() for x in exact}.difference(self._index))
+        table = self
+        if new > _MEMO_SIZE:
+            table = _Types(self.n)
+        elif self._read + new > _MEMO_SIZE:
+            self.__init__(self.n)  # a fresh table
+        table._read += new
+        return table, [table.index(x) for x in exact]
+
+    def lift(self, l: int, i: int, cyl, a: int) -> tuple:
+        """The type of the lifts of length a of X_n's cylinder cyl, the
+        i-th in direction v_l: a * mu-wide cylinders of its height."""
+        t = self._lifted.get((l, i, a))
         if t is None:
-            t = self._lifted[mu, height, a] = self._value(mu if a == 1 else a * mu), self._value(height)
-            self.lifts.setdefault(t, (mu, a))
+            m, h = self.index(cyl.inverse_modulus), self.index(cyl.height)
+            t = self._lifted[l, i, a] = self.scale(m, a), h
         return t
+
+    def scale(self, m: int, a: int) -> int:
+        """The index of a * (value m), an inverse modulus whose first lift
+        is kept for its twist count; the product is made once per (m, a)."""
+        v = self._scaled.get((m, a))
+        if v is None:
+            v = self._scaled[m, a] = m if a == 1 else self.index(a * self.exact[m])
+            self.lifts.setdefault(v, (m, a))
+        return v
 
     def ordered(self, types) -> list:
         """types in the exact-key order of (inverse modulus, height), the
         order of a certificate's rows."""
         if self._ranks is None:
             self._ranks = [0] * len(self.exact)
-            for rank, (_, v) in enumerate(sorted(self._value_index.items())):
+            for rank, (_, v) in enumerate(sorted(self._index.items())):
                 self._ranks[v] = rank
         ranks = self._ranks
         return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
 
-    def twists(self, factor: RealAlg, t: tuple) -> int | None:
-        """The positive integer k with k * (type t's inverse modulus) ==
-        factor, or None.
+    def twists(self, f: int, v: int) -> int | None:
+        """The positive integer k with k * (value v) == value f, or None,
+        for the inverse modulus v of a lift.
 
-        For type t's first lift (mu, a), k = q / a for q = factor / mu,
-        which is a positive integer exactly when q is one and a divides
-        it; mu's inverse is memoised (field._inverse), so q costs one
-        product.  Equal inverse moduli share the answer.  An infinite
-        strip (a = 0, inverse modulus 0) has none.
+        For v's first lift (m, a), k = q / a for q = (value f) / (value
+        m), one product with m's memoised inverse (field._inverse).  An
+        infinite strip (a = 0, inverse modulus 0) has none.
         """
-        key = (factor, t[0])
+        key = (f, v)
         if key not in self._twists:
-            mu, a = self.lifts[t]
+            m, a = self.lifts[v]
             k = None
             if a:
-                q = factor / mu  # an integer q is num[0] over den 1
+                q = self.exact[f] / self.exact[m]  # an integer q is num[0] over den 1
                 if q.is_integer() and q.num[0] > 0 and q.num[0] % a == 0:
                     k = q.num[0] // a
             self._twists[key] = k
         return self._twists[key]
 
+    def above(self, v: int, w: int) -> bool:
+        """Whether value v exceeds the distinct value w."""
+        if v > w:  # each pair is decided in one order
+            return not self.above(w, v)
+        r = self._facts.get((v, w))
+        if r is None:
+            r = self._decided((v, w), self.exact[v] > self.exact[w])
+        return r
+
+    def exceeds(self, t1: tuple, t2: tuple) -> bool:
+        """Whether type t1 exceeds the distinct type t2: by inverse
+        modulus, then by height."""
+        return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
+
+    def is_multiple(self, f: int, v: int, k: int) -> bool:
+        """value f == k * (value v), exactly."""
+        r = self._facts.get((f, v, k))
+        if r is None:
+            r = self._decided((f, v, k), (self.exact[f] - k * self.exact[v]).is_zero())
+        return r
+
+    def _decided(self, key: tuple, fact: bool) -> bool:
+        # untrusted rows can ask any number of facts
+        if len(self._facts) >= _MEMO_SIZE:
+            self._facts.clear()
+        self._facts[key] = fact
+        return fact
+
 
 @lru_cache(maxsize=64)
 def _types(n: int) -> _Types:
-    """The type table of n: every cover of X_n shares its base cylinders."""
+    """The type table of n: every cover of X_n shares its base cylinders,
+    and verify and revalidate share its values and facts."""
     return _Types(n)
 
 
@@ -364,10 +370,9 @@ def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     """
     lift = _types(n).lift
     counter = {}
-    for cyl in base_decomposition(n, l):
-        mu, height = cyl.inverse_modulus, cyl.height
+    for i, cyl in enumerate(base_decomposition(n, l)):
         for a, count in monodromy.cycle_type(cyl.core_word):
-            t = lift(mu, height, a)
+            t = lift(l, i, cyl, a)
             total = counter.get(t, 0)
             counter[t] = None if count is None or total is None else total + count
     return counter
@@ -383,20 +388,20 @@ def _infinite_preimages(n: int, monodromy: ZMonodromy) -> int:
 
 # ---------------------------------------------------------------------------
 # verdict rules, one per certificate kind; each returns (verdict, witness),
-# a witness of native values that only the certifiers serialise
+# which only the certifiers serialise; exact values are indices of _types(n)
 
 
-def _shear_rule(factor: RealAlg, rows, order: _Order):
-    """ShearMembership: every row (inverse modulus index, twist count)
-    must have a positive integer count k with k * inverse modulus ==
-    factor, which order decides once per (factor, modulus, k).
+def _shear_rule(factor: int, rows, types: _Types):
+    """ShearMembership: every row (inverse modulus, twist count) must
+    have a positive integer count k with k * inverse modulus == factor,
+    which types decides once per (factor, modulus, k).
 
     An infinite strip (d = inf) is a row without a twist count, so it
     fails the rule.
     """
     for mod, twists in rows:
-        if twists is None or twists < 1 or not order.is_multiple(factor, mod, twists):
-            return FAIL, {"inverse_modulus": order.exact[mod], "reason": "non-integer twist"}
+        if twists is None or twists < 1 or not types.is_multiple(factor, mod, twists):
+            return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
     return PASS, None
 
 
@@ -437,7 +442,7 @@ def _minus_identity_rule(images):
     return PASS, None
 
 
-def _rotation_rule(horizontal: dict, direction: dict, order):
+def _rotation_rule(horizontal: dict, direction: dict, types: _Types):
     """RotationObstruction: R^l is excluded iff the two cylinder-type
     multisets (type -> count) differ.
 
@@ -451,22 +456,20 @@ def _rotation_rule(horizontal: dict, direction: dict, order):
     the profiles of infinite strips alone do.
 
     The witness is the differing type of largest inverse modulus, then
-    height, in exact order: order.exceeds decides each pair of types
-    through their values, each pair of values once, and order.pair
-    gives a type's (inverse modulus, height).
+    height, in exact order: types.exceeds decides each pair of types
+    through their values, each pair of values once.
     """
     if horizontal == direction:
         return INCONCLUSIVE, {"reason": "multisets agree; rotation not excluded by this invariant"}
     wk = None
     for k in {**horizontal, **direction}:
         if horizontal.get(k, 0) != direction.get(k, 0) and (
-            wk is None or order.exceeds(k, wk)
+            wk is None or types.exceeds(k, wk)
         ):
             wk = k
-    mod, height = order.pair(wk)
     return PASS, {
-        "inverse_modulus": mod,
-        "height": height,
+        "inverse_modulus": wk[0],
+        "height": wk[1],
         "horizontal_count": horizontal.get(wk, 0),
         "direction_count": direction.get(wk, 0),
     }
@@ -515,19 +518,17 @@ def _theorem_rule(d, subs, preimages=None):
 
 def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
                        values: _Values | None = None) -> Certificate:
-    """ShearMembership from a profile's cylinder types, in exact-key order."""
+    """ShearMembership from a profile's cylinder types, in exact-key order;
+    factor None is 2 * lambda_n."""
     table = _types(n)
-    if factor is None:
-        factor = table.factor
+    f = table.factor if factor is None else table.index(factor)
     if values is None:
         values = _Values(n)
-    found = [(t, types[t], table.twists(factor, t)) for t in table.ordered(types)]
-    verdict, witness = _shear_rule(factor, ((t[0], twists) for t, _, twists in found), table)
-    payload = {"l": l, "factor": values(factor)}
-    payload["cylinders"] = [
-        {"inverse_modulus": mod, "height": height, "count": count, "twists": twists}
-        for t, count, twists in found for mod, height in (values.pair(table, t),)
-    ]
+    found = [(t, types[t], table.twists(f, t[0])) for t in table.ordered(types)]
+    verdict, witness = _shear_rule(f, ((t[0], twists) for t, _, twists in found), table)
+    payload = {"l": l, "factor": values(f), "cylinders": [
+        {"inverse_modulus": values(mod), "height": values(height), "count": count, "twists": k}
+        for (mod, height), count, k in found]}
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
         witness=_witness_json(witness, values), values=values,
@@ -737,7 +738,6 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
             return _aggregate(n, d, [bad], values=_images_table(n, monodromy))
     profiles = {}
     values = _images_table(n, monodromy)
-    table = _types(n)
 
     def profile(l):
         # the cylinder types in direction v_l, computed once per l
@@ -750,14 +750,14 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         if kind == "WellFormedCover":
             sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)
         elif kind == "ShearMembership":
-            sub = _shear_certificate(n, d, key, table.factor, profile(key), values)
+            sub = _shear_certificate(n, d, key, None, profile(key), values)
         elif kind == "SigmaT":
             sub = certify_sigma_T(n, d, key, monodromy)
         elif kind == "MinusIdentity":
             sub = certify_minus_identity(n, monodromy)
         elif kind == "RotationObstruction":
             horizontal, direction = profile(0), profile(key)
-            ruled = _rotation_rule(horizontal, direction, table)
+            ruled = _rotation_rule(horizontal, direction, _types(n))
             if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
                 # the multiset invariant is blind here (it happens for d = 2
                 # in the vertical direction); fall back to the covering-
@@ -859,42 +859,36 @@ def _entry_value(entry, conductor: int) -> RealAlg:
     return RealAlg.from_json(entry, conductor)
 
 
-# what a revalidate reads from earlier calls; verify decides its exact
-# facts through the same _exceeds and _is_multiple
-_REVALIDATE_MEMOS = (_parsed, _exceeds, _is_multiple)
+# what a revalidate reads from earlier calls: each table entry's parse,
+# and n's values and the exact facts on them, which verify shares
+_REVALIDATE_MEMOS = (_parsed, _types)
 
 
-class _Table(_Order):
+class _Table:
     """Exact values of a certificate: its top-level table, indexed by
-    rows and witnesses.  Rows and rules read an entry by its canonical
-    index, that of the first entry of equal value.  Each entry's value
-    and each exact fact on values come from a process-wide memo
-    (_REVALIDATE_MEMOS), so a value that an earlier call, verify or
-    revalidate, parsed or compared costs no field arithmetic.  The
-    horizontal profile and the monodromy's images are top-level sections
-    too, each parsed on first use.
+    rows and witnesses.  Each entry is read as its index in n's type
+    table (_Types.read), so rows are types in the index space of
+    verify's profiles, and the rules decide each exact fact there once
+    per process.  The horizontal profile and the monodromy's images are
+    top-level sections too, each parsed on first use.
     """
 
     def __init__(self, data: dict, n: int):
         # n is _claimed_n(data)
-        super().__init__([_entry_value(entry, 4 * n) for entry in _field(data, "values", list)])
-        first = {}
-        self._canonical = [first.setdefault(x, i) for i, x in enumerate(self.exact)]
+        exact = [_entry_value(entry, 4 * n) for entry in _field(data, "values", list)]
+        self.types, self._index = _types(n).read(exact)
         # every subcertificate's n is bound to the top level's before any
         # rule runs
         self.n = n
         self._top = data
 
     def index(self, obj, key: str) -> int:
-        """The canonical index of the table entry that obj[key] names."""
+        """The index in self.types of the table entry that obj[key] names."""
         i = _field(obj, key, int)
-        if not 0 <= i < len(self.exact):
+        if not 0 <= i < len(self._index):
             raise MalformedCertificate("%r: value index %d is not in a table of %d"
-                                       % (key, i, len(self.exact)))
-        return self._canonical[i]
-
-    def value(self, obj, key: str) -> RealAlg:
-        return self.exact[self.index(obj, key)]
+                                       % (key, i, len(self._index)))
+        return self._index[i]
 
     @cached_property
     def horizontal(self) -> dict:
@@ -939,9 +933,12 @@ def _claimed_n(data) -> int:
 
 
 def _parse_multiset(rows: list, table: _Table) -> dict:
-    # (canonical inverse modulus index, canonical height index) -> count
-    return {(table.index(e, "inverse_modulus"), table.index(e, "height")):
-            _field(e, "count", int, _NONE) for e in rows}
+    # type -> count, one row per type
+    multiset = {(table.index(e, "inverse_modulus"), table.index(e, "height")):
+                _field(e, "count", int, _NONE) for e in rows}
+    if len(multiset) != len(rows):
+        raise MalformedCertificate("a cylinder type has more than one row")
+    return multiset
 
 
 _KINDS = ("ShearMembership", "RotationObstruction", "SigmaT", "MinusIdentity", "Index",
@@ -1003,9 +1000,10 @@ def revalidate(data: dict) -> str:
     WellFormedCover whose int d is below 2 (before any rule runs), and,
     before any value is parsed, an n without X_n, a subcertificate about
     another (n, d) than its theorem, and a standalone certificate other
-    than a FullTheorem for n above MAX_STANDALONE_N.  Each distinct
-    table entry is parsed, and each exact check on values is decided,
-    once per process (_REVALIDATE_MEMOS).
+    than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
+    lists a cylinder type twice is malformed too.  Each distinct table
+    entry is parsed, and each exact check on values is decided, once
+    per process (_REVALIDATE_MEMOS).
     """
     n = _claimed_n(data)
     slot = _slot(data)
@@ -1058,16 +1056,16 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
     n = table.n
     payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
-        factor = table.value(payload, "factor")
-        if in_theorem and factor != _types(n).factor:
+        factor = table.index(payload, "factor")
+        if in_theorem and factor != table.types.factor:
             return FAIL
         # a generator: the rule stops reading rows at the first failing one
         rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
                 for r in _field(payload, "cylinders", list))
-        return _shear_rule(factor, rows, table)[0]
+        return _shear_rule(factor, rows, table.types)[0]
     if kind == "RotationObstruction":
         direction = _parse_multiset(_field(payload, "direction", list), table)
-        return _rotation_rule(table.horizontal, direction, table)[0]
+        return _rotation_rule(table.horizontal, direction, table.types)[0]
     if kind == "SigmaT":
         images = table.images
         sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))

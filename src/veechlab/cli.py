@@ -114,7 +114,7 @@ def cmd_revalidate(args) -> int:
                 data = json.load(fh)
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (args.file, exc.strerror)) from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         source = "stdin" if args.file == "-" else args.file
         raise MalformedCertificate("%s is not JSON: %s" % (source, exc)) from exc
     verdict = revalidate(data)

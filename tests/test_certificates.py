@@ -610,6 +610,27 @@ def test_a_malformed_entry_never_reads_its_well_formed_twin():
     assert revalidate(data) == "pass"
 
 
+def test_a_cylinder_type_listed_twice_is_malformed():
+    # the horizontal section of a (7, 4) theorem repeats a row, count + 5
+    data = _roundtrip(verify_theorem(7, 4))
+    assert revalidate(data) == "pass"
+    row = data["horizontal"][0]
+    data["horizontal"].append(dict(row, count=row["count"] + 5))
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+    with pytest.raises(MalformedCertificate):
+        revalidate(_standalone(data, _sub(data, "RotationObstruction")))
+    # a (9, 3) rotation row repeated through an equal twin table entry
+    data = _roundtrip(verify_theorem(9, 3))
+    rotation = _standalone(data, _sub(data, "RotationObstruction"))
+    assert revalidate(rotation) == "pass"
+    row = rotation["payload"]["direction"][0]
+    rotation["values"] = data["values"] + [copy.deepcopy(data["values"][row["height"]])]
+    rotation["payload"]["direction"].append(dict(row, height=len(data["values"])))
+    with pytest.raises(MalformedCertificate):
+        revalidate(rotation)
+
+
 def _outcome(doc):
     """revalidate's verdict on doc, or the type of what it raised."""
     try:
@@ -675,10 +696,12 @@ def test_revalidate_memos_never_change_an_outcome(data):
 
 
 def test_revalidate_memos_stay_bounded():
+    certificates._types.cache_clear()
     data = _roundtrip(verify_theorem(5, 2))
+    made = len(certificates._types(5).exact)  # the values verify made
     shear = _standalone(data, _sub(data, "ShearMembership"))
     rotation = _standalone(data, _sub(data, "RotationObstruction"))
-    memos = certificates._REVALIDATE_MEMOS
+    memos = [certificates._parsed]
     for i in range(certificates._MEMO_SIZE + 10):
         # a fresh rational value: no shear closes with it as its factor, and
         # a row of that height keeps the rotation excluded
@@ -693,6 +716,20 @@ def test_revalidate_memos_stay_bounded():
             assert all(m.cache_info().currsize <= m.cache_info().maxsize for m in memos)
     assert all(m.cache_info().currsize == m.cache_info().maxsize == certificates._MEMO_SIZE
                for m in memos)
+    # n's type table keeps at most _MEMO_SIZE values that revalidate read,
+    # also after one certificate with more new values than that
+    assert len(certificates._types(5).exact) <= made + certificates._MEMO_SIZE
+    shear["values"] = data["values"] + [{"coeffs": [[0, "%d/11" % (i + 1)]]}
+                                        for i in range(certificates._MEMO_SIZE + 10)]
+    assert revalidate(shear) == "fail"
+    assert len(certificates._types(5).exact) <= made + certificates._MEMO_SIZE
+    # and as many exact facts, which forged twist counts ask without a new value
+    data = _roundtrip(verify_theorem(5, 2))
+    shear = _standalone(data, _sub(data, "ShearMembership"))
+    for i in range(certificates._MEMO_SIZE + 10):
+        shear["payload"]["cylinders"][0]["twists"] = 10**6 + i
+        assert revalidate(shear) == "fail"
+    assert len(certificates._types(5)._facts) <= certificates._MEMO_SIZE
 
 
 @lru_cache(maxsize=None)
@@ -860,10 +897,10 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
     seen = set()
     for l in range(n):
         got = certificates._finite_profile(n, m, l)
-        types = certificates._types(n)
+        exact = certificates._types(n).exact
         # same exact types and counts, in the same order
-        assert [((mod.key(), height.key()), [(mod, height), count])
-                for t, count in got.items() for mod, height in (types.pair(t),)] == list(
+        assert [((exact[mod].key(), exact[height].key()), [(exact[mod], exact[height]), count])
+                for (mod, height), count in got.items()] == list(
             _per_cycle_profile(n, m, l).items()), l
         cert = certificates._shear_certificate(n, m.degree, l, None, got)
         table = _table(cert.to_json())
@@ -1341,22 +1378,27 @@ def test_type_ids_are_exact_types():
     types = certificates._Types(5)
     mu = lambda_n(5)
     height = 2 * field.sin_pi_over(5)
-    i = types.lift(mu, height, 2)
+    m, h = types.index(mu), types.index(height)
+    i = (types.scale(m, 2), h)
     # another lift of the same exact type, and equal values from other objects
-    assert types.lift(2 * mu, height, 1) == i
-    assert types.lift(RealAlg.from_json(mu.to_json()), 1 * height, 2) == i
-    assert types.lifts[i] == (mu, 2) and types.pair(i) == (2 * mu, height)
-    others = {types.lift(mu, height, 1), types.lift(mu, 2 * height, 1),
-              types.lift(mu, 2 * height, 2), types.lift(mu, height, 0)}
+    assert (types.scale(types.index(2 * mu), 1), h) == i
+    assert types.index(RealAlg.from_json(mu.to_json())) == m
+    assert types.index(1 * height) == h
+    assert types.lifts[i[0]] == (m, 2)
+    assert (types.exact[i[0]], types.exact[i[1]]) == (2 * mu, height)
+    h2 = types.index(2 * height)
+    others = {(types.scale(m, 1), h), (types.scale(m, 1), h2), (types.scale(m, 2), h2),
+              (types.scale(m, 0), h)}
     assert i not in others and len(others) == 4
     # rows in exact-key order, witnesses in exact order
-    ids = list(types.lifts)
-    keys = {j: (types.pair(j)[0].key(), types.pair(j)[1].key()) for j in ids}
+    ids = others | {i}
+    pair = {j: (types.exact[j[0]], types.exact[j[1]]) for j in ids}
+    keys = {j: (pair[j][0].key(), pair[j][1].key()) for j in ids}
     assert [keys[j] for j in types.ordered(ids)] == sorted(keys.values())
     for j in ids:
         for k in ids:
             if j != k:
-                assert types.exceeds(j, k) == (types.pair(j) > types.pair(k)), (j, k)
+                assert types.exceeds(j, k) == (pair[j] > pair[k]), (j, k)
 
 
 @pytest.mark.parametrize("kwargs", [{"d": 2}, {"d": 5}, {"d": 48}, {"infinite": True}])
@@ -1371,6 +1413,23 @@ def test_a_warm_theorem_keys_no_exact_value(monkeypatch, kwargs):
     cert.to_json()
     assert cert.verdict == "pass"
     assert keyed == []
+
+
+@pytest.mark.parametrize("n,d", [(9, 3), (14, 5), (16, 8), (16, 2)])
+def test_warm_verify_and_revalidate_hash_and_compare_no_value(monkeypatch, n, d):
+    # values are told apart by their index in _types(n), which a warm
+    # call reads by int only
+    text = json.dumps(verify_theorem(n, d).to_json())
+    assert revalidate(json.loads(text)) == "pass"
+    calls = []
+    for name in ("__hash__", "__eq__"):
+        method = getattr(field.CycloNumber, name)
+        monkeypatch.setattr(field.CycloNumber, name,
+                            lambda self, *other, _m=method, _n=name: calls.append(_n)
+                            or _m(self, *other))
+    assert json.dumps(verify_theorem(n, d).to_json()) == text
+    assert revalidate(json.loads(text)) == "pass"
+    assert calls == []
 
 
 def test_revalidate_reads_each_slot_once(monkeypatch):

@@ -204,6 +204,14 @@ def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path
     assert code == 2 and "cannot read" in err
 
 
+def test_revalidate_subcommand_reports_deeply_nested_json_as_malformed(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s is not JSON: " % path) and err.count("\n") == 1
+
+
 # sha256 of `veechlab verify` stdout, recorded when certificates moved to
 # format 3 (the format-1 and format-2 hashes are kept with their fixtures
 # in tests/test_format.py)
