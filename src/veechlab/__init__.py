@@ -45,7 +45,6 @@ from .zcover import (
     z_cover_structure,
 )
 from .veech import (
-    GroupWord,
     Mat2,
     Presentation,
     eval_group_word,

@@ -59,7 +59,7 @@ from .covering import (
     sigma_d2,
     standard_monodromy,
 )
-from .errors import IntransitiveMonodromy, MalformedCertificate
+from .errors import IntransitiveMonodromy, MalformedCertificate, short_repr
 from .field import RealAlg, lambda_n
 from .quotient import quotient_invariants
 from .surface import no_base_surface
@@ -183,7 +183,7 @@ class _Perm:
             sorted(data) == list(range(len(data)))
         ):
             return tuple(data)
-        raise MalformedCertificate("%.80r is not a permutation of its sheets" % (data,))
+        raise MalformedCertificate("%s is not a permutation of its sheets" % short_repr(data))
 
 
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
@@ -919,7 +919,7 @@ def _claimed_n(data) -> int:
     if type(data["format"]) is int and data["format"] == 2:
         raise MalformedCertificate(_NO_LONGER_READ % 2)
     if type(data["format"]) is not int or data["format"] != FORMAT:
-        raise MalformedCertificate("unknown certificate format %.40r" % (data["format"],))
+        raise MalformedCertificate("unknown certificate format %s" % short_repr(data["format"], 40))
     n, conductor = _field(data, "n", int), _field(data, "conductor", int)
     if conductor != 4 * n:
         raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from . import perms
 from .errors import CapExceeded
-from .veech import GroupWord, Presentation
+from .veech import Presentation
+from .words import Word
 
 
-def _word_to_cols(word: GroupWord, col: dict) -> tuple:
-    return tuple(col[(sym, step)] for sym, step in word.letters())
+def _word_to_cols(word: Word, col: dict) -> tuple:
+    return tuple(col[letter] for letter in word.letters)
 
 
 class _Enumerator:
@@ -111,18 +112,18 @@ class CosetTable:
         self.subgroup = subgroup  # the subgroup generator words
         self.index = index
         self.action = action  # generator symbol -> tuple permutation of {0..index-1}
-        self.transversal = transversal  # GroupWord per coset, transversal[0] trivial
+        self.transversal = transversal  # Word per coset, transversal[0] trivial
         self._inverse = {sym: perms.inverse(p) for sym, p in action.items()}
 
     def act_letter(self, coset: int, sym: str, step: int) -> int:
         return (self.action if step > 0 else self._inverse)[sym][coset]
 
-    def act_word(self, coset: int, word: GroupWord) -> int:
-        for sym, step in word.letters():
+    def act_word(self, coset: int, word: Word) -> int:
+        for sym, step in word.letters:
             coset = self.act_letter(coset, sym, step)
         return coset
 
-    def word_permutation(self, word: GroupWord) -> tuple:
+    def word_permutation(self, word: Word) -> tuple:
         return tuple(self.act_word(i, word) for i in range(self.index))
 
     def validate(self) -> bool:
@@ -175,7 +176,7 @@ def coset_enumerate(
 
     # canonical renumbering: BFS from coset 0 in generator order
     order = {enum.rep(0): 0}
-    words = {enum.rep(0): GroupWord()}
+    words = {enum.rep(0): Word()}
     frontier = [enum.rep(0)]
     while frontier:
         nxt = []
@@ -185,7 +186,7 @@ def coset_enumerate(
                     b = enum.rep(enum.table[a][col[(g, step)]])
                     if b not in order:
                         order[b] = len(order)
-                        words[b] = words[a] * GroupWord.gen(g, step)
+                        words[b] = words[a] * Word.generator(g, step)
                         nxt.append(b)
         frontier = nxt
     if len(order) != len(live):

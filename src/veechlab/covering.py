@@ -203,16 +203,15 @@ class CoveringSurface:
 
 def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringSurface:
     """The connected degree-d cover of X_n (standard monodromy by default)."""
-    base = build_base(n)
+    if no_base_surface(n):
+        raise ValueError("base surface requires n >= 5, n != 6 (n=4,6 are degenerate)")
     if monodromy is None:
         monodromy = standard_monodromy(n, d)
     if monodromy.degree != d:
         raise ValueError("monodromy degree disagrees with d")
-    if monodromy.num_generators != base.metadata["num_generators"]:
-        raise ValueError(
-            "monodromy has %d generators, X_%d has %d"
-            % (monodromy.num_generators, n, base.metadata["num_generators"])
-        )
+    if monodromy.num_generators != num_generators(n):
+        raise ValueError("monodromy has %d generators, X_%d has %d"
+                         % (monodromy.num_generators, n, num_generators(n)))
     if not monodromy.is_transitive():
         raise IntransitiveMonodromy(
             "monodromy image is not transitive on %d sheets" % d

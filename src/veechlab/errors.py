@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+import reprlib
+
 
 class VeechLabError(Exception):
     """Base class for all package errors."""
@@ -48,6 +50,19 @@ class MalformedCertificate(VeechLabError, ValueError):
     A ValueError too, so that handlers written for the untyped errors of
     earlier versions still catch it.
     """
+
+
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 8  # deeper lists and dicts print as [...] and {...}
+# cut well past width: a flat list, string or number shows its repr up to width
+_SHORT.maxlist = _SHORT.maxdict = 40
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 240
+
+
+def short_repr(value, width: int = 80) -> str:
+    """At most width characters of repr(value), for an error message
+    about untrusted JSON: bounded in depth, so any nesting formats."""
+    return _SHORT.repr(value)[:width]
 
 
 class SignUndetermined(VeechLabError):

@@ -38,7 +38,7 @@ from fractions import Fraction as _QQ
 from functools import lru_cache
 from math import gcd, lcm, log
 
-from .errors import MalformedCertificate, SignUndetermined
+from .errors import MalformedCertificate, SignUndetermined, short_repr
 
 
 def QQ(value) -> _QQ:
@@ -805,25 +805,26 @@ class RealAlg(CycloNumber):
             powers, strings = range(len(coeffs)), coeffs
         else:
             if not all(type(t) is list and len(t) == 2 and type(t[0]) is int for t in coeffs):
-                raise MalformedCertificate("coefficients %.80r are not [power, p/q] pairs"
-                                           % (coeffs,))
+                raise MalformedCertificate("coefficients %s are not [power, p/q] pairs"
+                                           % short_repr(coeffs))
             powers, strings = [t[0] for t in coeffs], [t[1] for t in coeffs]
             if any(a >= b for a, b in zip([-1] + powers, powers)):
-                raise MalformedCertificate("powers %.80r are not increasing from 0"
-                                           % (powers,))
+                raise MalformedCertificate("powers %s are not increasing from 0"
+                                           % short_repr(powers))
         nums, dens = [], []
         for c in strings:
             m = _COEFF.fullmatch(c) if type(c) is str else None
             if m is None:
-                raise MalformedCertificate("coefficient %.40r is not of the form p or p/q" % (c,))
+                raise MalformedCertificate("coefficient %s is not of the form p or p/q"
+                                           % short_repr(c, 40))
             p, q = m.groups()
             try:
                 nums.append(int(p))
                 dens.append(1 if q is None else int(q))
             except ValueError as exc:  # more digits than int() converts
-                raise MalformedCertificate("coefficient %.40r: %s" % (c, exc)) from exc
+                raise MalformedCertificate("coefficient %s: %s" % (short_repr(c, 40), exc)) from exc
         if 0 in dens:
-            raise MalformedCertificate("zero denominator in coefficients %.80r" % (coeffs,))
+            raise MalformedCertificate("zero denominator in coefficients %s" % short_repr(coeffs))
         ctx = get_context(N)
         top = powers[-1] + 1 if len(powers) else 0
         if top > 2 * ctx.phi - 1:

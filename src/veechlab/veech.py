@@ -10,11 +10,12 @@ relators are verified against the exact matrices at construction.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import groupby
 
 from .errors import VerificationFailure
 from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
 from .surface import no_base_surface
+from .words import Word
 
 
 class Mat2:
@@ -112,106 +113,17 @@ def minus_identity(n: int) -> Mat2:
 
 
 # ---------------------------------------------------------------------------
-# group words
+# group words: a words.Word whose letters are (generator symbol, +-1)
 
 
-class GroupWord:
-    """A word over named generators with integer exponents, kept reduced."""
-
-    __slots__ = ("syllables",)
-
-    def __init__(self, syllables=()):
-        merged = []
-        for sym, exp in syllables:
-            exp = int(exp)
-            if exp == 0:
-                continue
-            if merged and merged[-1][0] == sym:
-                total = merged[-1][1] + exp
-                merged.pop()
-                if total:
-                    merged.append((sym, total))
-            else:
-                merged.append((sym, exp))
-        object.__setattr__(self, "syllables", tuple(merged))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupWord is immutable")
-
-    @staticmethod
-    def gen(sym: str, exp: int = 1) -> GroupWord:
-        return GroupWord(((sym, exp),))
-
-    def __mul__(self, other: GroupWord) -> GroupWord:
-        return GroupWord(self.syllables + other.syllables)
-
-    def inverse(self) -> GroupWord:
-        return GroupWord(tuple((s, -e) for s, e in reversed(self.syllables)))
-
-    def __pow__(self, k: int) -> GroupWord:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GroupWord()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conjugate_by(self, g: GroupWord) -> GroupWord:
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
-    def letters(self):
-        """Flat sequence of (symbol, +-1)."""
-        for sym, exp in self.syllables:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (sym, step)
-
-    def __len__(self):
-        return sum(abs(e) for _, e in self.syllables)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupWord):
-            return NotImplemented
-        return self.syllables == other.syllables
-
-    def __hash__(self):
-        return hash(self.syllables)
-
-    def __str__(self):
-        if not self.syllables:
-            return "1"
-        parts = []
-        for sym, exp in self.syllables:
-            parts.append(sym if exp == 1 else "%s^%d" % (sym, exp))
-        return "*".join(parts)
-
-    def __repr__(self):
-        return "GroupWord(%s)" % self
-
-    @staticmethod
-    def parse(text: str) -> GroupWord:
-        text = text.strip()
-        if text in ("", "1"):
-            return GroupWord()
-        sylls = []
-        for part in text.split("*"):
-            if "^" in part:
-                sym, exp = part.split("^")
-                sylls.append((sym.strip(), int(exp)))
-            else:
-                sylls.append((part.strip(), 1))
-        return GroupWord(sylls)
-
-
-def eval_group_word(n: int, word: GroupWord, images: dict | None = None) -> Mat2:
-    """Evaluate a word left-to-right under the exact representation,
-    each syllable by repeated squaring."""
+def eval_group_word(n: int, word: Word, images: dict | None = None) -> Mat2:
+    """Evaluate a word over generator symbols left-to-right under the exact
+    representation, each run of equal letters by repeated squaring."""
     if images is None:
         images = {"R": gen_R(n), "T": gen_T(n)}
     out = Mat2.identity(4 * n)
-    for sym, exp in word.syllables:
-        out = out * images[sym] ** exp
+    for (sym, step), run in groupby(word.letters):
+        out = out * images[sym] ** (step * sum(1 for _ in run))
     return out
 
 
@@ -219,27 +131,27 @@ def eval_group_word(n: int, word: GroupWord, images: dict | None = None) -> Mat2
 # the Veech group generators of the covering family (Theorem statement lists)
 
 
-def _generator_words(n: int, minus_identity: GroupWord, shear: GroupWord,
-                     rotation: GroupWord) -> list[GroupWord]:
+def _generator_words(n: int, minus_identity: Word, shear: Word, rotation: Word) -> list[Word]:
     """The covers' Veech-group generators over one alphabet, from its -I
     word, its shear T and its rotation (R for odd n, R^2 for even n).
 
     With S_j = rotation^j for j = 1..floor((n-1)/2): -I, T and the
     S_j T^2 S_j^-1; for even n also u = (T^-1 rotation)^2 and the
-    S_j u S_j^-1.
+    S_j u S_j^-1, written freely reduced.
     """
-    powers = list(accumulate([rotation] * ((n - 1) // 2), GroupWord.__mul__))
-    gens = [minus_identity, shear] + [(shear * shear).conjugate_by(p) for p in powers]
+    powers = range((n - 1) // 2 + 1)  # j = 0..floor((n-1)/2)
+    gens = [minus_identity, shear] + [rotation ** j * shear * shear * rotation ** -j
+                                      for j in powers[1:]]
     if n % 2 == 0:
-        u = (shear.inverse() * rotation) ** 2
-        gens += [u] + [u.conjugate_by(p) for p in powers]
+        t_inv = shear.inverse()
+        gens += [rotation ** j * t_inv * rotation * t_inv * rotation ** (1 - j) for j in powers]
     return gens
 
 
-def gamma_generator_words(n: int) -> list[GroupWord]:
+def gamma_generator_words(n: int) -> list[Word]:
     """Generating words of the covers' common Veech group, over {R, T}."""
-    R = GroupWord.gen("R")
-    return _generator_words(n, R ** n, GroupWord.gen("T"), R if n % 2 else R ** 2)
+    R = Word.generator("R")
+    return _generator_words(n, R ** n, Word.generator("T"), R if n % 2 else R ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +166,15 @@ class Presentation:
     """
 
     __slots__ = ("n", "generators", "relators", "images",
-                 "parabolic_classes",  # (name, GroupWord) generating each cusp stabilizer
-                 "elliptic_classes",  # (order, name, GroupWord)
+                 "parabolic_classes",  # (name, Word) generating each cusp stabilizer
+                 "elliptic_classes",  # (order, name, Word)
                  "chi_orb_str")  # orbifold Euler characteristic of the presented group, "p/q"
 
     def __init__(self, n: int, generators: tuple, relators: tuple, images: dict,
                  parabolic_classes: tuple, elliptic_classes: tuple, chi_orb_str: str):
         for rel in relators:
             if not eval_group_word(n, rel, images).is_identity():
-                raise VerificationFailure("relator %s does not hold" % rel, witness=str(rel))
+                raise VerificationFailure("relator %r does not hold" % rel, witness=repr(rel))
         for name, value in zip(self.__slots__, (n, generators, relators, images,
                                                 parabolic_classes, elliptic_classes, chi_orb_str)):
             object.__setattr__(self, name, value)
@@ -275,11 +187,11 @@ def presentation_for(n: int) -> Presentation:
     if no_base_surface(n):
         raise ValueError("n >= 5, n != 6")
     if n % 2:
-        R, T = GroupWord.gen("R"), GroupWord.gen("T")
+        R, T = Word.generator("R"), Word.generator("T")
         relators = (
-            GroupWord.gen("R", n) * ((T.inverse() * R) ** 2).inverse(),
-            GroupWord.gen("R", 2 * n),
-            GroupWord.gen("R", n) * T * GroupWord.gen("R", -n) * T.inverse(),
+            R ** (n - 1) * T * R.inverse() * T,  # R^n ((T^-1 R)^2)^-1
+            R ** (2 * n),
+            R ** n * T * R ** -n * T.inverse(),
         )
         return Presentation(
             n=n,
@@ -290,9 +202,9 @@ def presentation_for(n: int) -> Presentation:
             elliptic_classes=((2, "T^-1*R", T.inverse() * R), (n, "R", R)),
             chi_orb_str="%d/%d" % (2 + n - 2 * n, 2 * n),  # 1/2 + 1/n - 1
         )
-    r, t, z = GroupWord.gen("r"), GroupWord.gen("t"), GroupWord.gen("z")
+    r, t, z = Word.generator("r"), Word.generator("t"), Word.generator("z")
     relators = (
-        GroupWord.gen("r", n // 2) * z.inverse(),
+        r ** (n // 2) * z.inverse(),
         z * z,
         z * r * z.inverse() * r.inverse(),
         z * t * z.inverse() * t.inverse(),
@@ -312,8 +224,8 @@ def presentation_for(n: int) -> Presentation:
     )
 
 
-def subgroup_words(n: int) -> list[GroupWord]:
+def subgroup_words(n: int) -> list[Word]:
     """The covers' Veech-group generators over the presentation's alphabet."""
     if n % 2:
         return gamma_generator_words(n)
-    return _generator_words(n, GroupWord.gen("z"), GroupWord.gen("t"), GroupWord.gen("r"))
+    return _generator_words(n, Word.generator("z"), Word.generator("t"), Word.generator("r"))

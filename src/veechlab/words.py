@@ -1,8 +1,11 @@
-"""Words in the fundamental-group basis x_0, x_1, ...
+"""Free-group words: sequences of letters (generator, sign).
 
-A word is a sequence of letters (generator index, sign).  Words record
-edge crossings: crossing the unprimed side x_i outward contributes
-(i, +1), crossing back through x_i' contributes (i, -1).
+Words in the fundamental-group basis x_0, x_1, ... of X_n name each
+generator by its index and record edge crossings: crossing the unprimed
+side x_i outward contributes (i, +1), crossing back through x_i'
+contributes (i, -1).  Veech-group words name each generator by its
+presentation symbol ("R", "T" or "r", "t", "z"); they are read by
+`veech.eval_group_word` and the coset enumeration.
 """
 
 from __future__ import annotations
@@ -16,15 +19,15 @@ class Word:
         for gen, sgn in letters:
             if sgn not in (1, -1):
                 raise ValueError("letter sign must be +1 or -1")
-            ls.append((int(gen), sgn))
+            ls.append((gen, sgn))
         object.__setattr__(self, "letters", tuple(ls))
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
     @staticmethod
-    def generator(i: int, sgn: int = 1) -> Word:
-        return Word(((i, sgn),))
+    def generator(gen, sgn: int = 1) -> Word:
+        return Word(((gen, sgn),))
 
     def __len__(self):
         return len(self.letters)
@@ -78,5 +81,5 @@ class Word:
             return "Word()"
         parts = []
         for g, s in self.letters:
-            parts.append("x%d" % g if s > 0 else "x%d^-1" % g)
+            parts.append("%s" % g if s > 0 else "%s^-1" % g)
         return "Word(%s)" % "*".join(parts)

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -552,6 +553,44 @@ def test_malformed_payloads_raise_typed_error(tamper):
             break
     else:
         pytest.fail("no subcertificate raised")
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _set_format(data, value):
+    data["format"] = value
+
+
+def _set_image(data, value):
+    data["images"][0]["image"] = value
+
+
+def _set_sigma_T(data, value):
+    _sub(data, "SigmaT")["payload"]["sigma_T"] = value
+
+
+def _set_coeffs(data, value):
+    data["values"][0]["coeffs"] = value
+
+
+def _set_coefficient(data, value):
+    data["values"][0]["coeffs"][0][1] = value
+
+
+@pytest.mark.parametrize("site", [_set_format, _set_image, _set_sigma_T, _set_coeffs,
+                                  _set_coefficient])
+def test_values_nested_deeper_than_repr_prints_are_malformed(site):
+    # json.loads builds lists nested this deep (the CLI's json.load fails
+    # first); the error message formats them with bounded depth
+    data = json.loads(json.dumps(verify_theorem(9, 3).to_json()))
+    site(data, _nested_list(sys.getrecursionlimit() + 10))
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
 
 
 def _clear_revalidate_memos():

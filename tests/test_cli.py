@@ -293,6 +293,27 @@ GOLDEN_COVER = {
 }
 
 
+# sha256 of `veechlab quotient --n N` stdout, recorded while Veech-group
+# words were still a class of their own
+GOLDEN_QUOTIENT = {
+    5: "3f5ffd86d3fe9ba8b973bf94873f7ca38bf1dbc1c41f0dd4be627223f77bda8d",
+    7: "6550daaa2aa8dc35e0c333639973fd435102b4fb9f7ca2ff123dd72c4c2dade2",
+    8: "1a2a13e75a6e1365c1131fe278a6f90cc67c2f87460c856078f2beb57f4dfdca",
+    9: "76505a4040669510d7dfe7f564b45335af4015dc1866019c6cdcb69ccabd79b0",
+    10: "470a540f0409021290015dd4eb87ce400712d1e19439e9270df5410e1d4f2025",
+    12: "7ec09202519a4a32ea32f2459582d53d553701e44edccbed415db5f86ef9c0f5",
+    16: "f007637f8292f47b3b872b5408efb2586580d9d709e70a93daccdff32ac1e177",
+    25: "2dc870064821b1ef49eebc2fa44584e1c16f779b5d0b7a6f9cb9c748dbabbd14",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_QUOTIENT))
+def test_quotient_stdout_bytes_unchanged(capsys, n):
+    code, out, _ = run_cli(capsys, "quotient", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_QUOTIENT[n]
+
+
 @pytest.mark.parametrize("args", sorted(GOLDEN_COVER))
 def test_cover_and_infinite_stdout_bytes_unchanged(capsys, args):
     code, out, _ = run_cli(capsys, *args)

@@ -4,13 +4,13 @@ from veechlab import perms
 from veechlab.coset import coset_enumerate
 from veechlab.errors import CapExceeded
 from veechlab.veech import (
-    GroupWord,
     Mat2,
     eval_group_word,
     gamma_generator_words,
     presentation_for,
     subgroup_words,
 )
+from veechlab.words import Word
 
 
 @pytest.mark.parametrize("n,expected", [(5, 5), (7, 7), (9, 9), (11, 11), (8, 4), (10, 5), (12, 6)])
@@ -22,7 +22,7 @@ def test_index(n, expected):
 
 def test_whole_group_has_index_one():
     p = presentation_for(5)
-    table = coset_enumerate(p, [GroupWord.gen("R"), GroupWord.gen("T")])
+    table = coset_enumerate(p, [Word.generator("R"), Word.generator("T")])
     assert table.index == 1
 
 
@@ -38,7 +38,7 @@ def test_rotation_acts_as_full_cycle(n):
 def test_odd_transversal_is_rotation_powers(n):
     # the cosets are G, GR, ..., GR^(n-1): the words R^j hit all cosets
     table = coset_enumerate(presentation_for(n), subgroup_words(n))
-    hit = {table.act_word(0, GroupWord.gen("R", j)) for j in range(n)}
+    hit = {table.act_word(0, Word.generator("R") ** j) for j in range(n)}
     assert hit == set(range(n))
 
 
@@ -46,7 +46,7 @@ def test_odd_transversal_is_rotation_powers(n):
 def test_even_transversal_is_even_rotation_powers(n):
     # computational verification of the coset representatives I, R^2, ..., R^(n-2)
     table = coset_enumerate(presentation_for(n), subgroup_words(n))
-    hit = {table.act_word(0, GroupWord.gen("r", j)) for j in range(n // 2)}
+    hit = {table.act_word(0, Word.generator("r") ** j) for j in range(n // 2)}
     assert hit == set(range(n // 2))
 
 
@@ -54,7 +54,7 @@ def test_deterministic_tables():
     a = coset_enumerate(presentation_for(7), subgroup_words(7))
     b = coset_enumerate(presentation_for(7), subgroup_words(7))
     assert a.action == b.action
-    assert [str(w) for w in a.transversal] == [str(w) for w in b.transversal]
+    assert a.transversal == b.transversal
 
 
 def test_cap_exceeded():
@@ -78,7 +78,7 @@ def test_against_sympy_enumerator(n):
 
     def to_free(word):
         out = F.identity
-        for sym, step in word.letters():
+        for sym, step in word.letters:
             out = out * (table[sym] if step > 0 else table[sym] ** -1)
         return out
 
@@ -127,10 +127,10 @@ def test_schreier_generators_lie_in_subgroup(n):
     for i, t in enumerate(table.transversal):
         for sym in pres.generators:
             j = table.act_letter(i, sym, 1)
-            word = t * GroupWord.gen(sym) * table.transversal[j].inverse()
+            word = t * Word.generator(sym) * table.transversal[j].inverse()
             m = eval_group_word(n, word, pres.images)
             if not m.is_identity():
-                schreier.append((str(word), m))
+                schreier.append((repr(word), m))
     assert schreier  # the table does produce nontrivial Schreier generators
 
     for label, m in schreier:

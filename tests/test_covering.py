@@ -235,6 +235,16 @@ def test_build_cover_rejects_a_generator_count_mismatch():
         build_cover(8, 4, short)
 
 
+def test_build_cover_does_not_build_the_base():
+    # the generator count and the existence of X_n follow from n alone
+    build_base.cache_clear()
+    assert build_cover(7, 3, standard_monodromy(7, 3)).d == 3
+    assert build_base.cache_info().currsize == 0
+    for n in (4, 6):
+        with pytest.raises(ValueError, match="n >= 5, n != 6"):
+            build_cover(n, 3)
+
+
 def test_cover_moduli_examples():
     lam = lambda_n(5)
     mods54 = sorted(

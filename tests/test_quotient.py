@@ -4,7 +4,8 @@ import pytest
 
 from veechlab.coset import coset_enumerate
 from veechlab.quotient import quotient_invariants
-from veechlab.veech import GroupWord, presentation_for, subgroup_words
+from veechlab.veech import presentation_for, subgroup_words
+from veechlab.words import Word
 
 
 def _invariants(n):
@@ -61,7 +62,7 @@ def test_elliptic_points():
 def test_whole_group_quotient():
     # sanity: the quotient for the trivial subgroup is the ambient orbifold
     p = presentation_for(5)
-    table = coset_enumerate(p, [GroupWord.gen("R"), GroupWord.gen("T")])
+    table = coset_enumerate(p, [Word.generator("R"), Word.generator("T")])
     q = quotient_invariants(table)
     assert q.genus == 0
     assert q.cusps == (1,)

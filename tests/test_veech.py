@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from veechlab.field import RealAlg, cos_pi_over, lambda_n, quarter_trig, sin_pi_over
 from veechlab.planar import Vec2
 from veechlab.veech import (
-    GroupWord,
     Mat2,
     eval_group_word,
     gamma_generator_words,
@@ -14,6 +13,9 @@ from veechlab.veech import (
     presentation_for,
     subgroup_words,
 )
+from veechlab.words import Word
+
+R_, T_ = Word.generator("R"), Word.generator("T")
 
 
 def shear_matrix(n: int, l: int) -> Mat2:
@@ -54,19 +56,22 @@ def test_matrix_identities(n):
 
 def test_group_word_evaluation():
     n = 7
-    w = GroupWord.parse("R^7")
-    assert eval_group_word(n, w) == -Mat2.identity(28)
-    assert eval_group_word(n, GroupWord.parse("R^14")).is_identity()
-    tw = GroupWord.parse("T*R^-1*T")
-    assert eval_group_word(n, tw) == -gen_R(n)
-    assert eval_group_word(n, GroupWord()) == Mat2.identity(28)
+    assert eval_group_word(n, R_ ** 7) == -Mat2.identity(28)
+    assert eval_group_word(n, R_ ** 14).is_identity()
+    assert eval_group_word(n, T_ * R_.inverse() * T_) == -gen_R(n)
+    assert eval_group_word(n, Word()) == Mat2.identity(28)
 
 
 def test_group_word_algebra():
-    w = GroupWord.parse("R^2*T^-1")
-    assert str(w * w.inverse()) == "1"
-    assert str(w ** 2) == "R^2*T^-1*R^2*T^-1"
-    assert str(GroupWord.gen("R", 2) * GroupWord.gen("R", -1)) == "R"
+    w = R_ ** 2 * T_.inverse()
+    assert w.letters == (("R", 1), ("R", 1), ("T", -1))
+    assert (w ** 2).letters == w.letters * 2
+    assert w.inverse().letters == (("T", 1), ("R", -1), ("R", -1))
+    assert repr(w ** -1) == "Word(T*R^-1*R^-1)"
+    # words are not reduced, but adjacent inverse letters evaluate to the identity
+    assert len(w * w.inverse()) == 6
+    assert eval_group_word(7, w * w.inverse()).is_identity()
+    assert eval_group_word(7, R_ ** 2 * R_ ** -1) == gen_R(7)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 10])
@@ -127,7 +132,7 @@ def test_gamma_generators_even_structure():
 def _letter_by_letter(n, word, images):
     """The oracle: a word multiplied out one letter at a time."""
     out = Mat2.identity(4 * n)
-    for sym, step in word.letters():
+    for sym, step in word.letters:
         m = images[sym]
         out = out * (m if step > 0 else m.inverse())
     return out
@@ -142,9 +147,10 @@ def test_syllables_by_squaring_equal_letter_by_letter(data):
         {"R": R, "T": T},
         {"r": R * R, "t": T, "z": minus_identity(n)},
     ]))
-    syllables = data.draw(st.lists(
+    # runs of one symbol, unreduced: a run may follow its own inverse
+    runs = data.draw(st.lists(
         st.tuples(st.sampled_from(sorted(images)), st.integers(-3 * n, 3 * n)), max_size=5))
-    word = GroupWord(syllables)
+    word = Word([(sym, 1 if exp > 0 else -1) for sym, exp in runs for _ in range(abs(exp))])
     assert eval_group_word(n, word, images) == _letter_by_letter(n, word, images), word
 
 
@@ -182,7 +188,7 @@ def test_presentation_rejects_false_relator():
         Presentation(
             n=5,
             generators=("R", "T"),
-            relators=(GroupWord.parse("R^3"),),
+            relators=(R_ ** 3,),
             images={"R": gen_R(5), "T": gen_T(5)},
             parabolic_classes=(),
             elliptic_classes=(),
