@@ -22,11 +22,11 @@ from .surface import ConePoint, EdgeRef, Polygon, TranslationSurface, build_base
 from .words import Word
 from .cylinders import (
     Cylinder,
-    Direction,
     closed_form_base,
     cylinder_count_base,
     decompose,
     default_bound,
+    unit_vector,
 )
 from .covering import (
     CoveringSurface,

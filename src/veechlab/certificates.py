@@ -44,6 +44,7 @@ never does.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain, zip_longest
 
 from . import perms
 from .coset import coset_enumerate
@@ -678,33 +679,31 @@ def certify_index(n: int) -> Certificate:
 # theorem aggregation
 
 
-def _shear_direction_indices(n: int):
-    if n % 2:
-        return list(range(1, (n - 1) // 2 + 1))
-    return [l for l in range(1, n) if l != n // 2]
+def _obstruction_direction_indices(n: int) -> range:
+    return range(1, n) if n % 2 else range(2, n, 2)
 
 
-def _obstruction_direction_indices(n: int):
-    if n % 2:
-        return list(range(1, n))
-    return [2 * l for l in range(1, n // 2)]
-
-
-@lru_cache(maxsize=256)
-def _theorem_slots(n: int, d) -> tuple:
+def _theorem_slots(n: int, d):
     """The subcertificates of a theorem for (n, d), in order, as (kind,
-    l or SigmaT mode) slots, None where a kind has neither.
+    l or SigmaT mode) slots, None where a kind has neither; generated,
+    so that a reader stops at the first slot a payload gets wrong.
 
     In a finite theorem of even n, a PullbackObstruction may fill the
     slot of the RotationObstruction with its l.
     """
-    slots = [] if d == "inf" else [("WellFormedCover", None)]
-    slots += [("ShearMembership", l) for l in _shear_direction_indices(n)]
-    slots += [("SigmaT", mode) for mode in (_SIGMA_MODES if n % 2 == 0 else _SIGMA_MODES[:1])]
-    slots.append(("MinusIdentity", None))
-    slots += [("RotationObstruction", l) for l in _obstruction_direction_indices(n)]
-    slots.append(("Index", None))
-    return tuple(slots)
+    if d != "inf":
+        yield "WellFormedCover", None
+    half = n // 2
+    # the shear directions: l = 1..(n-1)/2 for odd n, l = 1..n-1 but n/2 for even n
+    shears = range(1, half + 1) if n % 2 else chain(range(1, half), range(half + 1, n))
+    for l in shears:
+        yield "ShearMembership", l
+    for mode in _SIGMA_MODES if n % 2 == 0 else _SIGMA_MODES[:1]:
+        yield "SigmaT", mode
+    yield "MinusIdentity", None
+    for l in _obstruction_direction_indices(n):
+        yield "RotationObstruction", l
+    yield "Index", None
 
 
 def _aggregate(n: int, d, subs: list, preimages=None, values: _Values | None = None) -> Certificate:
@@ -938,6 +937,8 @@ def _parse_multiset(rows: list, table: _Table) -> dict:
                 _field(e, "count", int, _NONE) for e in rows}
     if len(multiset) != len(rows):
         raise MalformedCertificate("a cylinder type has more than one row")
+    if any(c is not None and c < 1 for c in multiset.values()):
+        raise MalformedCertificate("a cylinder type has a count below 1")
     return multiset
 
 
@@ -1001,9 +1002,9 @@ def revalidate(data: dict) -> str:
     before any value is parsed, an n without X_n, a subcertificate about
     another (n, d) than its theorem, and a standalone certificate other
     than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
-    lists a cylinder type twice is malformed too.  Each distinct table
-    entry is parsed, and each exact check on values is decided, once
-    per process (_REVALIDATE_MEMOS).
+    lists a cylinder type twice, or counts one below 1, is malformed
+    too.  Each distinct table entry is parsed, and each exact check on
+    values is decided, once per process (_REVALIDATE_MEMOS).
     """
     n = _claimed_n(data)
     slot = _slot(data)
@@ -1046,7 +1047,9 @@ def _theorem_claim(data: dict, n: int) -> tuple:
         if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
             kind = "RotationObstruction"  # the fallback fills the same slot
         slots.append((kind, key))
-    return d, (read if tuple(slots) == _theorem_slots(n, d) else None)
+    # compared slot by slot: a forged n costs nothing before the first mismatch
+    agree = all(a == b for a, b in zip_longest(slots, _theorem_slots(n, d)))
+    return d, (read if agree else None)
 
 
 def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False) -> str:

@@ -17,7 +17,7 @@ from itertools import groupby
 
 from . import perms
 from .errors import IntransitiveMonodromy
-from .cylinders import Direction, decompose
+from .cylinders import decompose, unit_vector
 from .surface import EdgeRef, TranslationSurface, build_base, no_base_surface
 from .words import Word
 
@@ -290,7 +290,7 @@ def _read_from_q(n: int) -> tuple:
 def _base_decomposition(n: int, l: int):
     r, j = rotation_class(n, l)
     if not j:
-        return tuple(decompose(build_base(n), Direction.from_index(n, l)))
+        return tuple(decompose(build_base(n), unit_vector(n, l)))
     source = _read_from_q(n) if n % 2 and j % 2 else _base_decomposition(n, r)
     images = rotation_images(n, j)
     return tuple(cyl._replace(core_word=cyl.core_word.substitute(images), bands=())

@@ -33,44 +33,9 @@ from .surface import EdgeRef, TranslationSurface, no_base_surface
 from .words import Word
 
 
-class Direction:
-    """A nonzero direction; equality and hashing are projective."""
-
-    __slots__ = ("vector", "_canon")
-
-    def __init__(self, vector: Vec2):
-        if vector.is_zero():
-            raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "vector", vector)
-        sy = vector.y.sign()
-        flip = sy < 0 or (sy == 0 and vector.x.sign() < 0)
-        object.__setattr__(self, "_canon", (-vector if flip else vector).key())
-
-    def __setattr__(self, *a):
-        raise AttributeError("Direction is immutable")
-
-    @staticmethod
-    def from_index(n: int, l: int) -> Direction:
-        """v_l = R_n^l (1, 0)^T = (cos(l*pi/n), sin(l*pi/n))."""
-        c, s = quarter_trig(n, 2 * l)
-        return Direction(Vec2(c, s))
-
-    def key(self):
-        return self._canon
-
-    def __eq__(self, other):
-        if not isinstance(other, Direction):
-            return NotImplemented
-        return self._canon == other._canon
-
-    def __hash__(self):
-        return hash(self._canon)
-
-    def is_unit(self) -> bool:
-        return self.vector.norm2() == 1
-
-    def __repr__(self):
-        return "Direction(%s, %s)" % tuple(s.strip() for s in self.vector.approx(8))
+def unit_vector(n: int, l: int) -> Vec2:
+    """v_l = R_n^l (1, 0)^T = (cos(l*pi/n), sin(l*pi/n))."""
+    return Vec2(*quarter_trig(n, 2 * l))
 
 
 class Cylinder(NamedTuple):
@@ -265,8 +230,8 @@ def _band_edges(rank, count: int):
     return left, right
 
 
-def decompose(surface: TranslationSurface, direction: Direction):
-    """Cylinder decomposition of the surface in the given direction.
+def decompose(surface: TranslationSurface, w: Vec2):
+    """Cylinder decomposition of the surface in the flow direction w.
 
     Traces all separatrices (raising BoundExceeded past default_bound),
     cuts every polygon into bands at the traced levels and glues bands
@@ -274,7 +239,8 @@ def decompose(surface: TranslationSurface, direction: Direction):
     Cylinders are listed by their first band in (polygon, level) order,
     and each core word is read rightward from that band.
     """
-    w = direction.vector
+    if w.is_zero():
+        raise ValueError("flow direction must be nonzero")
     tracer = _Tracer(surface, w, default_bound(surface))
 
     # transversal cut levels per polygon: vertex levels + traced levels

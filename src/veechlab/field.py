@@ -260,7 +260,7 @@ class CycloNumber:
     class.
     """
 
-    __slots__ = ("N", "num", "den", "_hash")  # _hash unset until __hash__ first runs
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, N: int, coeffs):
         ctx = get_context(N)
@@ -332,13 +332,7 @@ class CycloNumber:
         return NotImplemented
 
     def __hash__(self):
-        # computed once per value: certificates key their tables by value
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.N, self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.key())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -679,7 +673,7 @@ class RealAlg(CycloNumber):
     comes from exact sign determination.
     """
 
-    __slots__ = ("_sign",)  # unset until sign() first runs
+    __slots__ = ()
 
     def __init__(self, value: CycloNumber):
         if not value.is_real():
@@ -700,11 +694,7 @@ class RealAlg(CycloNumber):
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:
-        s = getattr(self, "_sign", None)
-        if s is None:
-            s = 0 if self.is_zero() else _real_sign(self.num, self.den, self.N)
-            object.__setattr__(self, "_sign", s)
-        return s
+        return 0 if self.is_zero() else _real_sign(self.num, self.den, self.N)
 
     def _minus(self, other):
         # self - other for a real or rational other, else None

@@ -1,12 +1,15 @@
 """SVG rendering of surfaces, covers and cylinder decompositions.
 
-Rendering is the one place exactness is dropped: coordinates are the
-20-significant-digit decimal approximations of the exact values.
+Rendering is the one place exactness is dropped: every number is a
+20-significant-digit decimal, written by the field's decimal writer
+from the exact value (a float for labels and the view box) and with
+trailing zeros stripped.
 """
 
 from __future__ import annotations
 
-from .cylinders import Direction, decompose
+from .cylinders import decompose, unit_vector
+from .field import QQ, _nstr
 from .surface import EdgeRef, TranslationSurface
 from .covering import CoveringSurface, build_cover
 
@@ -23,25 +26,24 @@ def _f(x) -> float:
     return float(x)
 
 
-# mpmath is imported where it is used: rendering is its only user in the
-# package, so no other command loads it
+def _strip(text: str) -> str:
+    # mpmath.nstr's default form: the mantissa's trailing zeros go, but
+    # one digit stays after the point
+    mantissa, e, exponent = text.partition("e")
+    mantissa = mantissa.rstrip("0")
+    if mantissa.endswith("."):
+        mantissa += "0"
+    return mantissa + e + exponent
 
 
 def _num(value: float) -> str:
-    import mpmath
-
-    with mpmath.workdps(_DIGITS + 5):
-        return mpmath.nstr(mpmath.mpf(value), _DIGITS)
+    return _strip(_nstr(*value.as_integer_ratio(), _DIGITS))
 
 
-def _pt(v, dx=0.0, dy=0.0) -> str:
-    # exact coordinates at 20 significant digits; SVG y axis points down
-    import mpmath
-
-    with mpmath.workdps(_DIGITS + 5):
-        x = mpmath.mpf(v.x.approx(_DIGITS)) + dx
-        y = -(mpmath.mpf(v.y.approx(_DIGITS)) + dy)
-        return "%s,%s" % (mpmath.nstr(x, _DIGITS), mpmath.nstr(y, _DIGITS))
+def _pt(v, dx) -> str:
+    # exact coordinates, shifted by the copy offset dx; SVG y axis points down
+    x, y = v.x + QQ(dx), -v.y
+    return "%s,%s" % (_strip(x.approx(_DIGITS)), _strip(y.approx(_DIGITS)))
 
 
 class _Svg:
@@ -131,11 +133,11 @@ def render_surface(
 
     if overlay_direction is not None:
         meta_n = surface.metadata.get("n") or len(surface.polygons[0])
-        direction = Direction.from_index(meta_n, overlay_direction)
-        for ci, cyl in enumerate(decompose(surface, direction)):
+        w = unit_vector(meta_n, overlay_direction)
+        for ci, cyl in enumerate(decompose(surface, w)):
             color = colors[ci % len(colors)]
             for band in cyl.bands:
-                corners = _band_corners(surface, direction, *band)
+                corners = _band_corners(surface, w, *band)
                 svg.polygon(
                     [(v, copy_offsets[band[0]]) for v in corners],
                     fill=color,
@@ -156,10 +158,9 @@ def render_surface(
     return svg.render()
 
 
-def _band_corners(surface, direction, p, lo, hi, left, right):
-    """The four corners of a band (trapezoid) between the levels lo and hi,
-    bounded by polygon p's edges left and right."""
-    w = direction.vector
+def _band_corners(surface, w, p, lo, hi, left, right):
+    """The four corners of a band (trapezoid) between the levels lo and hi
+    across the flow w, bounded by polygon p's edges left and right."""
     poly = surface.polygons[p]
     m = len(poly)
     hs = [w.cross(v) for v in poly.vertices]

@@ -19,10 +19,10 @@ from veechlab.certificates import (
 from veechlab.coset import coset_enumerate
 from veechlab.covering import build_cover, monodromy_indices, standard_monodromy
 from veechlab.cylinders import (
-    Direction,
     closed_form_base,
     cylinder_count_base,
     decompose,
+    unit_vector,
 )
 from veechlab.field import CycloNumber, QQ, RealAlg, cyclotomic_coeffs, lambda_n
 from veechlab.surface import build_base
@@ -55,7 +55,7 @@ def test_criterion_01_base_surface_invariants():
 def test_criterion_02_cylinder_oracle_equivalence():
     for n in (5, 7, 9, 11, 13, 8, 10, 12):
         s = build_base(n)
-        cyls = decompose(s, Direction.from_index(n, 0))
+        cyls = decompose(s, unit_vector(n, 0))
         count = cylinder_count_base(n)
         assert len(cyls) == count
         got = sorted((c.height.key(), c.circumference.key()) for c in cyls)
@@ -74,7 +74,7 @@ def test_criterion_03_even_diagonal_moduli():
         s = build_base(n)
         lam = lambda_n(n)
         for l in range(1, n, 2):
-            cyls = decompose(s, Direction.from_index(n, l))
+            cyls = decompose(s, unit_vector(n, l))
             halves = [c for c in cyls if c.inverse_modulus == lam / 2]
             assert len(halves) == 1
             assert all(c.inverse_modulus == lam for c in cyls if c not in halves)

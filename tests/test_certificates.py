@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from veechlab.covering import (
     sigma_d2,
     standard_monodromy,
 )
-from veechlab.cylinders import Direction, decompose
+from veechlab.cylinders import decompose, unit_vector
 from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
 from veechlab.surface import build_base
@@ -534,9 +535,25 @@ def _unknown_kind(data):
     _sub(data, "SigmaT")["kind"] = "Sigma"
 
 
+def _count_below_one(where, count):
+    # a profile counts at least one cylinder of each type, or None for
+    # infinitely many
+    def tamper(data):
+        rotation = _sub(data, "RotationObstruction")["payload"]
+        if where == "new type":
+            rotation["direction"] = data["horizontal"] + [
+                {"inverse_modulus": 0, "height": 0, "count": count}]
+        else:
+            (data["horizontal"] if where == "horizontal" else rotation["direction"])[0]["count"] = count
+    tamper.__name__ = "_count_%d_in_%s" % (count, where.replace(" ", "_"))
+    return tamper
+
+
 @pytest.mark.parametrize("tamper", [
     _tamper_coefficient, _mix_conductors, _drop_key, _empty_pullback, _bad_image,
     _bad_grammar, _zero_denominator, _unknown_kind,
+    *(_count_below_one(where, count)
+      for where in ("horizontal", "direction", "new type") for count in (0, -3)),
 ])
 def test_malformed_payloads_raise_typed_error(tamper):
     # every subcertificate of Y_{8,2} passes, so revalidation reads them all
@@ -852,7 +869,7 @@ def _traced_profile(profile, n, monodromy, l):
     """profile(n, monodromy, l) read from the decomposition traced in v_l."""
     @lru_cache(maxsize=None)  # traced once, however often the profile reads it
     def traced(n_, l_):
-        return decompose(build_base(n_), Direction.from_index(n_, l_))
+        return decompose(build_base(n_), unit_vector(n_, l_))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "base_decomposition", traced)
@@ -1254,6 +1271,22 @@ def test_a_theorem_is_bound_to_its_slots_before_it_builds_a_field(monkeypatch):
     with pytest.raises(MalformedCertificate, match="degree 1 is not an int d >= 2"):
         revalidate(dict(theorem, d=1))
     assert 4004 not in built
+
+
+def test_a_forged_theorem_fails_before_it_lists_its_slots():
+    # n = 10^6 has 1.5 million slots; the reader compares them with the
+    # carried ones one by one, so an empty theorem fails at the first
+    theorem = _minimal("FullTheorem", 10 ** 6)
+    tracemalloc.start()
+    try:
+        assert revalidate(theorem) == "fail"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    start = time.perf_counter()
+    assert revalidate(theorem) == "fail"
+    assert time.perf_counter() - start < 0.01
 
 
 # ---------------------------------------------------------------------------

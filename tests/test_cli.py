@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import veechlab
+from veechlab import render
 from veechlab.certificates import (
     certify_rotation_obstruction,
     certify_shear,
@@ -19,6 +23,7 @@ from veechlab.certificates import (
 )
 from veechlab.cli import main
 from veechlab.covering import build_cover
+from veechlab.cylinders import unit_vector
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +341,33 @@ def test_render_svg_bytes_unchanged(tmp_path, capsys, args):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_RENDER[args]
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_render_numbers_are_written_as_mpmath_writes_them(x):
+    with mpmath.workdps(25):
+        assert render._num(x) == mpmath.nstr(mpmath.mpf(x), 20)
+
+
+def _mpmath_value(x):
+    # x from its coefficients, in the current mpmath precision
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * j / x.N)
+                       for j, c in enumerate(x.coeffs) if c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, 8, 9, 12]), st.integers(0, 23),
+       st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+       st.sampled_from([0.0, 2.6, 5.2, 7.8]) | st.floats(-100, 100))
+def test_render_points_are_within_one_unit_of_mpmath(n, l, scale, dx):
+    # each coordinate is its exact value rounded once to 20 significant digits
+    v = unit_vector(n, l) * scale
+    x, y = render._pt(v, dx).split(",")
+    with mpmath.workdps(50):
+        for ours, value in ((x, _mpmath_value(v.x) + dx), (y, -_mpmath_value(v.y))):
+            unit = mpmath.mpf(10) ** (Decimal(ours).adjusted() - 19)
+            assert abs(mpmath.mpf(ours) - value) <= unit, (ours, value)
+
+
 def _modules_after(statement):
     # the modules of a fresh interpreter on this test's sys.path after statement
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -379,7 +411,7 @@ def test_import_does_not_load_mpmath(tmp_path):
                              env=env, capture_output=True, text=True, check=True)
         return run.stdout, run.stderr.strip().splitlines()[-1] == "mpmath loaded: True"
 
-    # the commands that print numbers never load it; only render does
+    # no command loads it, render included
     cert, loaded = probe("verify", "--n", "9", "--d", "3")
     assert not loaded
     cert_file = tmp_path / "cert.json"
@@ -389,4 +421,4 @@ def test_import_does_not_load_mpmath(tmp_path):
     out, loaded = probe("cylinders", "--n", "12", "--direction", "1")
     assert json.loads(out)["cylinders"] and not loaded
     _, loaded = probe("render", "--n", "5", "--out", str(tmp_path / "x5.svg"))
-    assert loaded
+    assert not loaded

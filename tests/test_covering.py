@@ -18,7 +18,7 @@ from veechlab.covering import (
     standard_monodromy,
     Monodromy,
 )
-from veechlab.cylinders import Direction, decompose
+from veechlab.cylinders import decompose, unit_vector
 from veechlab.errors import IntransitiveMonodromy
 from veechlab.field import lambda_n
 from veechlab.surface import TranslationSurface, build_base
@@ -269,7 +269,7 @@ def test_cycle_prediction_equals_direct_decomposition(n, d):
     cover = build_cover(n, d)
     for l in range(n):
         predicted = _pairs(cover_cylinders(cover, l))
-        direct = _pairs(decompose(cover.surface, Direction.from_index(n, l)))
+        direct = _pairs(decompose(cover.surface, unit_vector(n, l)))
         assert predicted == direct, (n, d, l)
 
 
@@ -301,7 +301,7 @@ def test_rotation_images_carry_core_words_to_traced_ones(n):
         r, j = rotation_class(n, l)
         assert l == r + (j if n % 2 else 2 * j)
         derived = base_decomposition(n, l)
-        traced = decompose(surface, Direction.from_index(n, l))
+        traced = decompose(surface, unit_vector(n, l))
         assert [c.to_json() for c in derived] == [c.to_json() for c in traced], (n, l)
         assert [(c.height, c.inverse_modulus) for c in derived] == [
             (c.height, c.inverse_modulus) for c in traced
@@ -366,7 +366,7 @@ def test_cover_cylinders_read_the_traced_direction():
     # cover_cylinders prints core words: they must be those traced in v_l
     cover = build_cover(7, 3)
     for l in range(7):
-        traced = decompose(build_base(7), Direction.from_index(7, l))
+        traced = decompose(build_base(7), unit_vector(7, l))
         by_height = {c.height.key(): c for c in traced}
         for cyl in cover_cylinders(cover, l):
             base = by_height[cyl.height.key()]

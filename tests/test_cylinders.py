@@ -4,7 +4,6 @@ import pytest
 
 from veechlab.covering import build_cover
 from veechlab.cylinders import (
-    Direction,
     _band_edges,
     _trace_all,
     _Tracer,
@@ -12,6 +11,7 @@ from veechlab.cylinders import (
     cylinder_count_base,
     decompose,
     default_bound,
+    unit_vector,
 )
 from veechlab.errors import BoundExceeded
 from veechlab.field import RealAlg, lambda_n
@@ -28,7 +28,7 @@ def _pairs(cylinders):
 @pytest.mark.parametrize("n", ALL_N)
 def test_horizontal_matches_closed_forms_exactly(n):
     s = build_base(n)
-    cyls = decompose(s, Direction.from_index(n, 0))
+    cyls = decompose(s, unit_vector(n, 0))
     assert len(cyls) == cylinder_count_base(n)
     expected = [closed_form_base(n, i) for i in range(1, cylinder_count_base(n) + 1)]
     assert _pairs(cyls) == sorted((h.key(), l.key()) for h, l in expected)
@@ -38,7 +38,7 @@ def test_horizontal_matches_closed_forms_exactly(n):
 def test_inverse_modulus_is_lambda_horizontally(n):
     s = build_base(n)
     lam = lambda_n(n)
-    for c in decompose(s, Direction.from_index(n, 0)):
+    for c in decompose(s, unit_vector(n, 0)):
         assert c.inverse_modulus == lam
         assert c.inverse_modulus * c.height == c.circumference
 
@@ -54,13 +54,13 @@ def test_closed_form_ratio(n):
 
 
 def test_decompose_x9_gives_4_cylinders():
-    assert len(decompose(build_base(9), Direction.from_index(9, 0))) == 4
+    assert len(decompose(build_base(9), unit_vector(9, 0))) == 4
 
 
 def test_core_word_of_cylinder_k1():
     # the innermost horizontal cylinder describes an element of <x_k1 x_k2^-1>
     s = build_base(5)
-    cyls = decompose(s, Direction.from_index(5, 0))
+    cyls = decompose(s, unit_vector(5, 0))
     words = {c.core_word.cyclic_normal_form() for c in cyls}
     from veechlab.words import Word
 
@@ -72,19 +72,19 @@ def test_core_word_of_cylinder_k1():
 def test_direction_covariance_odd(n):
     # the double-n-gon is R_n-symmetric: every v_l looks horizontal
     s = build_base(n)
-    ref = _pairs(decompose(s, Direction.from_index(n, 0)))
+    ref = _pairs(decompose(s, unit_vector(n, 0)))
     for l in range(1, n):
-        assert _pairs(decompose(s, Direction.from_index(n, l))) == ref
+        assert _pairs(decompose(s, unit_vector(n, l))) == ref
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_direction_covariance_even(n):
     # the even base is only R_n^2-symmetric: covariance within each parity
     s = build_base(n)
-    ref_even = _pairs(decompose(s, Direction.from_index(n, 0)))
-    ref_odd = _pairs(decompose(s, Direction.from_index(n, 1)))
+    ref_even = _pairs(decompose(s, unit_vector(n, 0)))
+    ref_odd = _pairs(decompose(s, unit_vector(n, 1)))
     for l in range(2, n):
-        got = _pairs(decompose(s, Direction.from_index(n, l)))
+        got = _pairs(decompose(s, unit_vector(n, l)))
         assert got == (ref_even if l % 2 == 0 else ref_odd)
 
 
@@ -93,14 +93,14 @@ def test_even_odd_directions_have_half_lambda_innermost(n):
     s = build_base(n)
     lam = lambda_n(n)
     for l in range(1, n, 2):
-        cyls = decompose(s, Direction.from_index(n, l))
+        cyls = decompose(s, unit_vector(n, l))
         halves = [c for c in cyls if c.inverse_modulus == lam / 2]
         fulls = [c for c in cyls if c.inverse_modulus == lam]
         assert len(halves) == 1
         assert len(fulls) == len(cyls) - 1
     # and even directions are all lambda
     for l in range(2, n, 2):
-        for c in decompose(s, Direction.from_index(n, l)):
+        for c in decompose(s, unit_vector(n, l)):
             assert c.inverse_modulus == lam
 
 
@@ -110,7 +110,7 @@ def test_edge_membership_rule(n):
     s = build_base(n)
     for i in range(n):
         # v_l parallel to edge x_i: l = 2i mod 2n projectively
-        direction = Direction(s.polygons[0].side_vector(i))
+        direction = s.polygons[0].side_vector(i)
         cyls = decompose(s, direction)
         seen = {}
         for cyl in cyls:
@@ -124,18 +124,21 @@ def test_edge_membership_rule(n):
 
 def test_bound_exceeded_on_non_periodic_direction():
     s = build_base(5)
-    d = Direction(Vec2(RealAlg.one(20), RealAlg.one(20)))
+    d = Vec2(RealAlg.one(20), RealAlg.one(20))
     with pytest.raises(BoundExceeded) as exc:
         decompose(s, d)
     assert exc.value.bound == default_bound(s)
 
 
-def test_direction_canonicalization():
-    a = Direction.from_index(5, 1)
-    b = Direction.from_index(5, 6)  # v_6 = -v_1
-    assert a == b
-    assert a.vector == -b.vector
-    assert Direction.from_index(5, 0).is_unit()
+def test_unit_vectors_turn_by_pi_over_n():
+    assert unit_vector(5, 6) == -unit_vector(5, 1)  # v_(l+n) = -v_l
+    assert all(unit_vector(5, l).norm2() == 1 for l in range(10))
+
+
+def test_decompose_rejects_the_zero_vector():
+    zero = RealAlg.zero(20)
+    with pytest.raises(ValueError):
+        decompose(build_base(5), Vec2(zero, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +221,10 @@ def _check_rank_predicates(surface, w):
 def test_rank_predicates_match_exact_ones_on_x_n(n):
     s = build_base(n)
     for l in range(2 * n):
-        assert _check_rank_predicates(s, Direction.from_index(n, l).vector) == 0
+        assert _check_rank_predicates(s, unit_vector(n, l)) == 0
     # a sheared v_1: its separatrices cross polygons at levels that are
     # not vertex levels, which places them by bisection
-    v = Direction.from_index(n, 1).vector
+    v = unit_vector(n, 1)
     assert _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y)) > 0
 
 
@@ -235,28 +238,28 @@ def test_sheared_directions_assemble_bands_at_traced_levels(n):
     s = build_base(n)
     lam = lambda_n(n)
     for l in (1, 2, 3):
-        v = Direction.from_index(n, l).vector
+        v = unit_vector(n, l)
         w = Vec2(v.x + lam * v.y, v.y)
         tracer = _Tracer(s, w, default_bound(s))
         assert any(lv.key() not in tracer.position[p] for p, lv in _trace_all(tracer)), l
         scale = w.norm2()
         want = sorted((c.height.key(), (scale * c.inverse_modulus).key())
-                      for c in decompose(s, Direction.from_index(n, l)))
-        got = sorted((c.height.key(), c.inverse_modulus.key()) for c in decompose(s, Direction(w)))
+                      for c in decompose(s, unit_vector(n, l)))
+        got = sorted((c.height.key(), c.inverse_modulus.key()) for c in decompose(s, w))
         assert got == want, l
 
 
 def test_rank_predicates_match_exact_ones_on_a_realized_cover():
     cover = build_cover(9, 3)
     for l in range(18):
-        _check_rank_predicates(cover.surface, Direction.from_index(9, l).vector)
+        _check_rank_predicates(cover.surface, unit_vector(9, l))
 
 
 def test_base_trace_makes_few_sign_calls(monkeypatch):
     # one sign per vertex and band, or per vertex and traced level, made
     # 2604 sign calls here; the ranks leave under a hundred
     s = build_base(25)
-    direction = Direction.from_index(25, 0)
+    direction = unit_vector(25, 0)
     calls = []
     sign = RealAlg.sign
 
@@ -290,7 +293,7 @@ def test_equal_moduli_take_at_most_two_inverses_per_trace(monkeypatch, n):
     s = build_base(n)
     for l in range(n):
         callers.clear()
-        cyls = decompose(s, Direction.from_index(n, l))
+        cyls = decompose(s, unit_vector(n, l))
         assert callers.count("decompose") <= 2, (n, l)
         for c in cyls:
             assert c.inverse_modulus * c.height == c.circumference
