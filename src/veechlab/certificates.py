@@ -44,7 +44,7 @@ never does.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, zip_longest
+from itertools import chain, islice
 
 from . import perms
 from .coset import coset_enumerate
@@ -173,16 +173,14 @@ class _Perm:
     def from_json(data):
         """A permutation from its JSON form; anything else raises
         MalformedCertificate."""
-        if type(data) is dict and data.keys() == {"t_even", "t_odd"} and all(
-            type(t) is int for t in data.values()
-        ):
+        if type(data) is dict and data.keys() == {"t_even", "t_odd"} and (
+                {*map(type, data.values())} == {int}):
             try:
                 return ZPermutation(**data)
             except ValueError as exc:  # t_even and t_odd of unequal parity
                 raise MalformedCertificate(str(exc)) from exc
-        if type(data) is list and data and all(type(i) is int for i in data) and (
-            sorted(data) == list(range(len(data)))
-        ):
+        if type(data) is list and {*map(type, data)} == {int} and (
+                sorted(data) == list(range(len(data)))):
             return tuple(data)
         raise MalformedCertificate("%s is not a permutation of its sheets" % short_repr(data))
 
@@ -221,8 +219,8 @@ def _witness_json(witness, values: _Values):
 # (a = 0, d = inf only) is typed (0, height): every degree has one row
 # shape.
 
-# what revalidate may keep of untrusted payloads, per n: values of its own
-# in the type table, and exact facts
+# what revalidate may keep of untrusted payloads, per n: the entries it
+# read and their values in the type table, and exact facts
 _MEMO_SIZE = 4096
 
 
@@ -241,7 +239,7 @@ class _Types:
         self.exact = []  # index -> value
         self._index = {}  # exact key -> index
         self._ranks = None  # index -> exact-key rank, None after a new value
-        self._read = 0  # values that revalidate added
+        self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
         self._lifted = {}  # (l, base cylinder index, a) -> type
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
         self.lifts = {}  # inverse modulus index -> its first lift (base modulus index, a)
@@ -261,20 +259,39 @@ class _Types:
             self._ranks = None
         return v
 
-    def read(self, exact: list) -> tuple:
-        """The table in which revalidate reads values exact, and their
-        indices there.  A certificate whose new values would push this
-        table past _MEMO_SIZE values of revalidate's own starts a fresh
-        table, or, with more new values than that, reads them in one that
-        no later call sees."""
-        new = len({x.key() for x in exact}.difference(self._index))
+    def read(self, entries: list) -> tuple:
+        """The table in which revalidate reads a certificate's value table
+        entries, and their indices there.  An entry is looked up by its
+        [power, "p/q"] pairs, which must hold ints and strs only (True ==
+        1 == 1.0: a power of true would find its well-formed twin), and a
+        new one parsed by RealAlg.from_json, in table order.  A
+        certificate whose new entries would push this table past
+        _MEMO_SIZE entries of revalidate's own starts a fresh table, or,
+        with more entries than that, reads them in one that no later call
+        sees."""
+        try:
+            keys = [tuple(map(tuple, e["coeffs"])) for e in entries]
+            exact = {*map(type, chain.from_iterable(chain.from_iterable(keys)))} <= {int, str}
+        except (KeyError, TypeError):  # an entry that is no dict, or a pair that is no list
+            exact = False
+        if not exact:
+            raise MalformedCertificate('a value is not {"coeffs": [[power, "p/q"], ...]}')
+        memo = self._entries
+        indices = [*map(memo.get, keys)]
+        if None not in indices:
+            return self, indices
+        values = {}  # each entry's value, memoised or parsed
+        for k, entry in zip(keys, entries):
+            if k not in values:
+                values[k] = self.exact[memo[k]] if k in memo else RealAlg.from_json(entry, 4 * self.n)
         table = self
-        if new > _MEMO_SIZE:
+        if len(values) > _MEMO_SIZE:
             table = _Types(self.n)
-        elif self._read + new > _MEMO_SIZE:
+        elif len(memo) + len(values.keys() - memo.keys()) > _MEMO_SIZE:
             self.__init__(self.n)  # a fresh table
-        table._read += new
-        return table, [table.index(x) for x in exact]
+        memo = table._entries
+        memo.update((k, table.index(x)) for k, x in values.items() if k not in memo)
+        return table, [*map(memo.__getitem__, keys)]
 
     def lift(self, l: int, i: int, cyl, a: int) -> tuple:
         """The type of the lifts of length a of X_n's cylinder cyl, the
@@ -443,7 +460,7 @@ def _minus_identity_rule(images):
     return PASS, None
 
 
-def _rotation_rule(horizontal: dict, direction: dict, types: _Types):
+def _rotation_rule(horizontal: dict, direction: dict, types: _Types | None):
     """RotationObstruction: R^l is excluded iff the two cylinder-type
     multisets (type -> count) differ.
 
@@ -458,10 +475,13 @@ def _rotation_rule(horizontal: dict, direction: dict, types: _Types):
 
     The witness is the differing type of largest inverse modulus, then
     height, in exact order: types.exceeds decides each pair of types
-    through their values, each pair of values once.
+    through their values, each pair of values once.  Without types
+    (revalidate, which reads no witness) a pass has none.
     """
     if horizontal == direction:
         return INCONCLUSIVE, {"reason": "multisets agree; rotation not excluded by this invariant"}
+    if types is None:
+        return PASS, None
     wk = None
     for k in {**horizontal, **direction}:
         if horizontal.get(k, 0) != direction.get(k, 0) and (
@@ -570,11 +590,9 @@ def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
 
 def _covers_isomorphic(images1: dict, images2: dict, d: int) -> bool:
     """Whether two transitive monodromies differ by a sheet relabeling."""
-    gens = sorted(images1)
-    pairs = []
-    for g in gens:
-        pairs.append((images1[g], images2[g]))
-        pairs.append((perms.inverse(images1[g]), perms.inverse(images2[g])))
+    # forward images suffice: a relabeling that commutes with an image
+    # commutes with its inverse, and they reach every sheet (perms.is_transitive)
+    pairs = [(images1[g], images2[g]) for g in sorted(images1)]
     for t in range(d):
         sigma = {0: t}
         frontier = [0]
@@ -591,11 +609,8 @@ def _covers_isomorphic(images1: dict, images2: dict, d: int) -> bool:
                 else:
                     sigma[y] = target
                     frontier.append(y)
-        if not consistent or len(sigma) != d:
-            continue
-        if len(set(sigma.values())) != d:
-            continue
-        if all(sigma[p2[x]] == p1[sigma[x]] for p1, p2 in pairs for x in range(d)):
+        # consistent: every pair was checked at every sheet that sigma maps
+        if consistent and len(sigma) == d == len(set(sigma.values())):
             return True
     return False
 
@@ -686,7 +701,7 @@ def _obstruction_direction_indices(n: int) -> range:
 def _theorem_slots(n: int, d):
     """The subcertificates of a theorem for (n, d), in order, as (kind,
     l or SigmaT mode) slots, None where a kind has neither; generated,
-    so that a reader stops at the first slot a payload gets wrong.
+    so that a reader makes no more of them than a payload lists.
 
     In a finite theorem of even n, a PullbackObstruction may fill the
     slot of the RotationObstruction with its l.
@@ -792,11 +807,8 @@ def mutated_sigma1(d: int) -> tuple:
     """
     if d == 2:
         return perms.identity(2)
-    top = d if d % 2 == 0 else d - 1
-    out = perms.from_cycles(d, [(1, 2)])
-    for i in range(2, top - 1, 2):
-        out = perms.compose(out, perms.from_cycles(d, [(i, i + 1)]))
-    return out
+    pairs = [(i, i + 1) for i in range(2, d - 1 - d % 2, 2)]  # (2 3), (4 5), ...
+    return perms.compose(perms.from_cycles(d, [(1, 2)]), perms.from_cycles(d, pairs))
 
 
 def mutated_monodromy(n: int, d: int) -> Monodromy:
@@ -831,51 +843,18 @@ def _field(obj, key: str, *types):
     return value
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _parsed(conductor: int, pairs: tuple) -> RealAlg:
-    """The value of a table entry with these (power, "p/q") pairs, by
-    RealAlg.from_json and every check it makes.  Only a successful parse
-    is kept: lru_cache keeps no exception."""
-    return RealAlg.from_json({"coeffs": [list(t) for t in pairs]}, conductor)
-
-
-def _entry_value(entry, conductor: int) -> RealAlg:
-    """A value table entry's exact value.
-
-    An entry whose coefficients are [int, str] pairs is looked up in
-    _parsed by those pairs.  Its key must be type-exact: True == 1 and
-    1.0 == 1, so a power of true would otherwise find its well-formed
-    twin.  Any other entry is parsed as it stands, and from_json refuses
-    it.
-    """
-    coeffs = entry.get("coeffs") if type(entry) is dict else None
-    if type(coeffs) is list:
-        for t in coeffs:
-            if type(t) is not list or len(t) != 2 or type(t[0]) is not int or type(t[1]) is not str:
-                break
-        else:
-            return _parsed(conductor, tuple(map(tuple, coeffs)))
-    return RealAlg.from_json(entry, conductor)
-
-
-# what a revalidate reads from earlier calls: each table entry's parse,
-# and n's values and the exact facts on them, which verify shares
-_REVALIDATE_MEMOS = (_parsed, _types)
-
-
 class _Table:
     """Exact values of a certificate: its top-level table, indexed by
     rows and witnesses.  Each entry is read as its index in n's type
     table (_Types.read), so rows are types in the index space of
     verify's profiles, and the rules decide each exact fact there once
     per process.  The horizontal profile and the monodromy's images are
-    top-level sections too, each parsed on first use.
+    top-level sections too, each read on first use.
     """
 
     def __init__(self, data: dict, n: int):
         # n is _claimed_n(data)
-        exact = [_entry_value(entry, 4 * n) for entry in _field(data, "values", list)]
-        self.types, self._index = _types(n).read(exact)
+        self.types, self._index = _types(n).read(_field(data, "values", list))
         # every subcertificate's n is bound to the top level's before any
         # rule runs
         self.n = n
@@ -888,6 +867,28 @@ class _Table:
             raise MalformedCertificate("%r: value index %d is not in a table of %d"
                                        % (key, i, len(self._index)))
         return self._index[i]
+
+    def rows(self, rows: list, twists: bool = False) -> list:
+        """Profile rows as ((inverse modulus, height), count) or, with
+        twists, shear rows as (inverse modulus, twists), the values as
+        indices in self.types.  Each row must name two table entries and
+        a count that is None or at least 1 and, with twists, twists that
+        are an int or None."""
+        index, size, out = self._index, len(self._index), []
+        for r in rows:
+            try:
+                m, h, c = r["inverse_modulus"], r["height"], r["count"]
+                k = r["twists"] if twists else None
+                ok = (type(m) is int and type(h) is int and 0 <= m < size and 0 <= h < size
+                      and (c is None or type(c) is int and c > 0)
+                      and (k is None or type(k) is int))
+            except (KeyError, TypeError):  # a missing key, or a row that is no dict
+                ok = False
+            if not ok:
+                raise MalformedCertificate("not a cylinder row of a table of %d values: %s"
+                                           % (size, short_repr(r)))
+            out.append((index[m], k) if twists else ((index[m], index[h]), c))
+        return out
 
     @cached_property
     def horizontal(self) -> dict:
@@ -903,7 +904,10 @@ class _Table:
         g = num_generators(self.n)
         if [_field(e, "generator", int) for e in entries] != list(range(g)):
             raise MalformedCertificate("images must name x_0..x_%d once each, in order" % (g - 1))
-        return dict(enumerate(_perms([_field(e, "image", list, dict) for e in entries])))
+        ps = [_Perm.from_json(_field(e, "image", list, dict)) for e in entries]
+        if len({*map(_Perm.degree, ps)}) > 1:
+            raise MalformedCertificate("permutations of different degrees")
+        return dict(enumerate(ps))
 
 
 def _claimed_n(data) -> int:
@@ -933,34 +937,35 @@ def _claimed_n(data) -> int:
 
 def _parse_multiset(rows: list, table: _Table) -> dict:
     # type -> count, one row per type
-    multiset = {(table.index(e, "inverse_modulus"), table.index(e, "height")):
-                _field(e, "count", int, _NONE) for e in rows}
+    multiset = dict(table.rows(rows))
     if len(multiset) != len(rows):
         raise MalformedCertificate("a cylinder type has more than one row")
-    if any(c is not None and c < 1 for c in multiset.values()):
-        raise MalformedCertificate("a cylinder type has a count below 1")
     return multiset
 
 
-_KINDS = ("ShearMembership", "RotationObstruction", "SigmaT", "MinusIdentity", "Index",
-          "PullbackObstruction", "WellFormedCover", "FullTheorem")
+# kind -> the payload key of its slot (_theorem_slots), and that key's type
+_SLOTS = {"ShearMembership": ("l", int), "RotationObstruction": ("l", int),
+          "SigmaT": ("mode", str), "MinusIdentity": (None, _NONE), "Index": (None, _NONE),
+          "PullbackObstruction": ("l", int), "WellFormedCover": (None, _NONE),
+          "FullTheorem": (None, _NONE)}
 
 
 def _slot(data) -> tuple:
     """The (kind, l or SigmaT mode) slot that a certificate fills, as
-    _theorem_slots lists them; an unknown kind or mode, or a non-int l,
-    raises MalformedCertificate."""
-    kind = _field(data, "kind", str)
-    if kind not in _KINDS:
-        raise MalformedCertificate("unknown certificate kind %.40r" % kind)
-    if kind == "SigmaT":
-        mode = _field(_field(data, "payload", dict), "mode", str)
-        if mode not in _SIGMA_MODES:
-            raise MalformedCertificate("unknown SigmaT mode %.40r" % mode)
-        return kind, mode
-    if kind in ("ShearMembership", "RotationObstruction", "PullbackObstruction"):
-        return kind, _field(_field(data, "payload", dict), "l", int)
-    return kind, None
+    _theorem_slots lists them (None where a kind has neither), and its
+    payload, which must be a dict; an unknown kind or mode, or an l that
+    is no int, raises MalformedCertificate."""
+    try:
+        kind, payload = data["kind"], data["payload"]
+        name, key_type = _SLOTS[kind]
+        key = payload[name] if name else None
+    except (KeyError, TypeError):  # a missing key, or data or payload that is no dict
+        kind = None
+    if kind is None or type(payload) is not dict or type(key) is not key_type or (
+            kind == "SigmaT" and key not in _SIGMA_MODES):
+        raise MalformedCertificate("not a certificate of a known kind whose dict payload "
+                                   "names its slot: %s" % short_repr(data))
+    return kind, key, payload
 
 
 def _degree(data: dict, infinite: bool = False):
@@ -971,14 +976,6 @@ def _degree(data: dict, infinite: bool = False):
         raise MalformedCertificate("degree %.40r is not an int d >= 2%s"
                                    % (d, ' or "inf"' if infinite else ""))
     return d
-
-
-def _perms(data: list) -> list:
-    """The permutations of one certificate; they must act on one set of sheets."""
-    ps = [_Perm.from_json(p) for p in data]
-    if len({_Perm.degree(p) for p in ps}) > 1:
-        raise MalformedCertificate("permutations of different degrees")
-    return ps
 
 
 def revalidate(data: dict) -> str:
@@ -1002,19 +999,19 @@ def revalidate(data: dict) -> str:
     before any value is parsed, an n without X_n, a subcertificate about
     another (n, d) than its theorem, and a standalone certificate other
     than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
-    lists a cylinder type twice, or counts one below 1, is malformed
-    too.  Each distinct table entry is parsed, and each exact check on
-    values is decided, once per process (_REVALIDATE_MEMOS).
+    lists a cylinder type twice, and a profile or shear row that counts
+    one below 1, are malformed too.  Each distinct table entry is
+    parsed, and each exact check decided, once per process (_types).
     """
     n = _claimed_n(data)
-    slot = _slot(data)
-    if slot[0] != "FullTheorem":
-        return _revalidate(data, _Table(data, n), slot)
-    d, read = _theorem_claim(data, n)
+    kind, key, payload = _slot(data)
+    if kind != "FullTheorem":
+        return _revalidate(kind, key, payload, _Table(data, n),
+                           _degree(data) if kind == "WellFormedCover" else None)
+    d, read = _theorem_claim(data, payload, n)
     if read is None:
         return FAIL
     table = _Table(data, n)
-    payload = data["payload"]
     preimages = None
     if d == "inf":
         # the preimage count is recomputed from the images, which must
@@ -1025,50 +1022,48 @@ def revalidate(data: dict) -> str:
         preimages = _infinite_preimages(n, ZMonodromy(len(images), images))
         if payload.get("infinite_preimages_of_cylinder_k") != preimages:
             return FAIL
-    subs = ((s["kind"], _revalidate(s, table, slot, True), None)
-            for s, slot in zip(payload["subcertificates"], read))
+    subs = ((kind, _revalidate(kind, key, p, table, d, True), None) for kind, key, p in read)
     return _theorem_rule(d, subs, preimages)[0]
 
 
-def _theorem_claim(data: dict, n: int) -> tuple:
-    """A FullTheorem's degree d and the slots its subcertificates fill,
-    in order; the slots are None unless they are those of (n, d)
-    (_theorem_slots).  Each subcertificate must be about this (n, d), an
-    Index about n alone.  No value is read."""
+def _theorem_claim(data: dict, payload: dict, n: int) -> tuple:
+    """A FullTheorem's degree d and the (kind, l or SigmaT mode, payload)
+    of its subcertificates, in order; these are None unless they fill
+    the slots of (n, d) (_theorem_slots).  Each subcertificate must be
+    about this (n, d), an Index about n alone.  No value is read."""
     d = _degree(data, infinite=True)
-    read, slots = [], []
-    for s in _field(_field(data, "payload", dict), "subcertificates", list):
-        kind, key = slot = _slot(s)
-        claim = (_field(s, "n", int), _field(s, "d", int, str, _NONE))
-        if claim != (n, None if kind == "Index" else d):
-            raise MalformedCertificate("%.40s subcertificate for (n, d) = (%r, %.40r) "
-                                       "in a theorem for (%d, %r)" % (kind, *claim, n, d))
-        read.append(slot)
-        if kind == "PullbackObstruction" and n % 2 == 0 and d != "inf":
-            kind = "RotationObstruction"  # the fallback fills the same slot
-        slots.append((kind, key))
-    # compared slot by slot: a forged n costs nothing before the first mismatch
-    agree = all(a == b for a, b in zip_longest(slots, _theorem_slots(n, d)))
+    subs, read, slots = _field(payload, "subcertificates", list), [], []
+    pullback = n % 2 == 0 and d != "inf"  # a PullbackObstruction may fill a rotation's slot
+    for s in subs:
+        kind, key, _ = sub = _slot(s)
+        want = (n, None if kind == "Index" else d)
+        claim = (s.get("n"), s.get("d"))  # s is a dict: _slot read it
+        if "d" not in s or claim != want or type(claim[0]) is not int or (
+                type(claim[1]) is not type(want[1])):
+            raise MalformedCertificate("%.40s subcertificate for (n, d) = (%s, %s) in a theorem "
+                                       "for (%d, %r)" % (kind, *map(short_repr, claim), n, d))
+        read.append(sub)
+        slots.append(("RotationObstruction" if kind == "PullbackObstruction" and pullback
+                      else kind, key))
+    # as many slots of (n, d) as a forger wrote subcertificates, and one more
+    agree = slots == [*islice(_theorem_slots(n, d), len(subs) + 1)]
     return d, (read if agree else None)
 
 
-def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False) -> str:
-    # the verdict of any kind but FullTheorem; slot is _slot(data), read
-    # once by the caller
-    kind, key = slot
+def _revalidate(kind: str, key, payload: dict, table: _Table, d=None,
+                in_theorem: bool = False) -> str:
+    # the verdict of any kind but FullTheorem, from the slot and payload
+    # that _slot read; d is a WellFormedCover's degree
     n = table.n
-    payload = _field(data, "payload", dict)
     if kind == "ShearMembership":
         factor = table.index(payload, "factor")
         if in_theorem and factor != table.types.factor:
             return FAIL
-        # a generator: the rule stops reading rows at the first failing one
-        rows = ((table.index(r, "inverse_modulus"), _field(r, "twists", int, _NONE))
-                for r in _field(payload, "cylinders", list))
+        rows = table.rows(_field(payload, "cylinders", list), twists=True)
         return _shear_rule(factor, rows, table.types)[0]
     if kind == "RotationObstruction":
         direction = _parse_multiset(_field(payload, "direction", list), table)
-        return _rotation_rule(table.horizontal, direction, table.types)[0]
+        return _rotation_rule(table.horizontal, direction, None)[0]
     if kind == "SigmaT":
         images = table.images
         sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
@@ -1084,11 +1079,10 @@ def _revalidate(data: dict, table: _Table, slot: tuple, in_theorem: bool = False
         if n % 2 or key % 2:
             raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
         images = table.images
-        d = _Perm.degree(images[0])
-        if d == "inf":
+        degree = _Perm.degree(images[0])
+        if degree == "inf":
             raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
-        return _pullback_rule(n, key, Monodromy(len(images), d, images))[0]
+        return _pullback_rule(n, key, Monodromy(len(images), degree, images))[0]
     # WellFormedCover: the images must act transitively on exactly d sheets
-    d = _degree(data)
     images = list(table.images.values())
     return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL

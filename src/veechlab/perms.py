@@ -9,7 +9,7 @@ def identity(d: int) -> tuple:
 
 def compose(first: tuple, then: tuple) -> tuple:
     """Permutation acting as `first` followed by `then`."""
-    return tuple(then[first[i]] for i in range(len(first)))
+    return tuple([then[i] for i in first])
 
 
 def inverse(p: tuple) -> tuple:

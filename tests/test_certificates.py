@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import re
 import sys
@@ -256,6 +257,18 @@ def test_mutation_failure_modes():
     assert kinds.get("MinusIdentity") == "fail"
 
 
+def test_mutated_sigma1_is_one_product_of_disjoint_pairs():
+    # the transposition (1 2) followed by (2 3), (4 5), ..., each composed
+    # in turn
+    for d in range(2, 65):
+        expected = perms.identity(2)
+        if d > 2:
+            expected = perms.from_cycles(d, [(1, 2)])
+            for i in range(2, d - 1 - d % 2, 2):
+                expected = perms.compose(expected, perms.from_cycles(d, [(i, i + 1)]))
+        assert certificates.mutated_sigma1(d) == expected, d
+
+
 def test_pullback_obstruction_resolves_d2_vertical():
     # (inverse modulus, height) multisets agree for n=0 mod 4, d=2 in the
     # vertical direction; the covering-structure obstruction decides
@@ -280,6 +293,27 @@ def test_pullback_obstruction_consistent_across_grid():
             # the cover itself (generator images are involutions)
             full = certify_pullback_obstruction(n, mono, n)
             assert full.verdict == "inconclusive"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_covers_isomorphic_agrees_with_every_relabeling(data):
+    # the search follows forward images only; it must find a relabeling
+    # sigma (sigma(p2(x)) = p1(sigma(x)) for every generator) exactly when
+    # one of the d! bijections is one
+    d = data.draw(st.integers(2, 5), label="d")
+    perm = st.permutations(range(d)).map(tuple)
+    images1 = {g: data.draw(perm) for g in range(data.draw(st.integers(1, 3)))}
+    assume(perms.is_transitive(list(images1.values()), d))
+    if data.draw(st.booleans(), label="relabelled"):
+        sigma = data.draw(perm)
+        back = perms.inverse(sigma)
+        images2 = {g: tuple(back[p[sigma[x]]] for x in range(d)) for g, p in images1.items()}
+    else:
+        images2 = {g: data.draw(perm) for g in images1}
+    expected = any(all(s[p2[x]] == images1[g][s[x]] for g, p2 in images2.items() for x in range(d))
+                   for s in itertools.permutations(range(d)))
+    assert certificates._covers_isomorphic(images1, images2, d) == expected
 
 
 def test_pullback_inconclusive_for_symmetric_cover():
@@ -535,6 +569,10 @@ def _unknown_kind(data):
     _sub(data, "SigmaT")["kind"] = "Sigma"
 
 
+def _payload_not_a_dict(data):
+    _sub(data, "MinusIdentity")["payload"] = []
+
+
 def _count_below_one(where, count):
     # a profile counts at least one cylinder of each type, or None for
     # infinitely many
@@ -549,11 +587,61 @@ def _count_below_one(where, count):
     return tamper
 
 
+_ROW_LISTS = {
+    "shear": lambda data: _sub(data, "ShearMembership")["payload"]["cylinders"],
+    "direction": lambda data: _sub(data, "RotationObstruction")["payload"]["direction"],
+    "horizontal": lambda data: data["horizontal"],
+    "images": lambda data: data["images"],
+}
+_PAST_END = "past end"  # an index one past the value table, or past the generators
+_DELETED = "deleted"
+
+
+def _edit_row(where, key, value, label):
+    # the first row of a row list (or images entry) with key set to value,
+    # or, with key None, replaced by value
+    def tamper(data):
+        rows = _ROW_LISTS[where](data)
+        i = 1 if where == "images" else 0  # generator 1: True == 1.0 == 1
+        if key is None:
+            rows[i] = value
+        elif value == _DELETED:
+            del rows[i][key]
+        elif value == _PAST_END:
+            rows[i][key] = len(data["values"] if where != "images" else data["images"])
+        else:
+            rows[i][key] = value
+    tamper.__name__ = "_%s_%s_%s" % (where, key or "row", label)
+    return tamper
+
+
+_BAD_INDICES = [(True, "true"), (-1, "minus_one"), (_PAST_END, "past_end"), (1.0, "float"),
+                ("1", "string")]
+_BAD_COUNTS = [(True, "true"), ("2", "string"), (1.0, "float")]
+
+
+def _row_pitfalls():
+    """Each row list's first row with a bad index or count, without a key,
+    or not a dict."""
+    for where in ("shear", "direction", "horizontal"):
+        for key in ("inverse_modulus", "height"):
+            yield from (_edit_row(where, key, v, "index_" + label) for v, label in _BAD_INDICES)
+        yield from (_edit_row(where, "count", v, label) for v, label in _BAD_COUNTS)
+        yield _edit_row(where, "height", _DELETED, "missing")
+        yield _edit_row(where, None, [0, 0, 1], "list")
+    yield _edit_row("shear", "count", 0, "zero")
+    yield _edit_row("shear", "count", _DELETED, "missing")
+    yield from (_edit_row("images", "generator", v, label) for v, label in _BAD_INDICES)
+    yield _edit_row("images", "image", _DELETED, "missing")
+    yield _edit_row("images", None, [0, [1, 0]], "list")
+
+
 @pytest.mark.parametrize("tamper", [
     _tamper_coefficient, _mix_conductors, _drop_key, _empty_pullback, _bad_image,
-    _bad_grammar, _zero_denominator, _unknown_kind,
+    _bad_grammar, _zero_denominator, _unknown_kind, _payload_not_a_dict,
     *(_count_below_one(where, count)
       for where in ("horizontal", "direction", "new type") for count in (0, -3)),
+    *_row_pitfalls(),
 ])
 def test_malformed_payloads_raise_typed_error(tamper):
     # every subcertificate of Y_{8,2} passes, so revalidation reads them all
@@ -611,8 +699,8 @@ def test_values_nested_deeper_than_repr_prints_are_malformed(site):
 
 
 def _clear_revalidate_memos():
-    for memo in certificates._REVALIDATE_MEMOS:
-        memo.cache_clear()
+    # n's type table keeps each entry that revalidate read, with its index
+    certificates._types.cache_clear()
 
 
 def test_revalidate_parses_each_value_once_per_process(monkeypatch):
@@ -664,6 +752,32 @@ def test_a_malformed_entry_never_reads_its_well_formed_twin():
     with pytest.raises(MalformedCertificate):
         revalidate(forged)
     assert revalidate(data) == "pass"
+
+
+@pytest.mark.parametrize("key, value", [("height", 10**9), ("height", "x"), ("count", "x"),
+                                        ("count", -5), ("count", True), ("height", _DELETED)])
+def test_a_shear_row_reads_its_height_and_count(key, value):
+    data = _roundtrip(verify_theorem(9, 4))
+    assert revalidate(data) == "pass"
+    row = _sub(data, "ShearMembership")["payload"]["cylinders"][0]
+    if value == _DELETED:
+        del row[key]
+    else:
+        row[key] = value
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
+
+
+def test_a_shear_reads_every_row_before_its_rule():
+    # a malformed row after a failing one raises: the rows are read first
+    data = _roundtrip(verify_theorem(9, 4))
+    rows = _sub(data, "ShearMembership")["payload"]["cylinders"]
+    assert len(rows) > 1
+    rows[0]["twists"] += 1
+    assert revalidate(data) == "fail"
+    rows[-1]["count"] = "x"
+    with pytest.raises(MalformedCertificate):
+        revalidate(data)
 
 
 def test_a_cylinder_type_listed_twice_is_malformed():
@@ -757,7 +871,7 @@ def test_revalidate_memos_stay_bounded():
     made = len(certificates._types(5).exact)  # the values verify made
     shear = _standalone(data, _sub(data, "ShearMembership"))
     rotation = _standalone(data, _sub(data, "RotationObstruction"))
-    memos = [certificates._parsed]
+    read = []  # the size of n's memo of read entries after each revalidate
     for i in range(certificates._MEMO_SIZE + 10):
         # a fresh rational value: no shear closes with it as its factor, and
         # a row of that height keeps the rotation excluded
@@ -768,10 +882,9 @@ def test_revalidate_memos_stay_bounded():
             doc["values"] = data["values"] + [fresh]
             row[key] = len(data["values"])
             assert revalidate(doc) == verdict
-        if i % 1024 == 0:
-            assert all(m.cache_info().currsize <= m.cache_info().maxsize for m in memos)
-    assert all(m.cache_info().currsize == m.cache_info().maxsize == certificates._MEMO_SIZE
-               for m in memos)
+            read.append(len(certificates._types(5)._entries))
+    # it fills up to _MEMO_SIZE entries, and never beyond
+    assert max(read) == certificates._MEMO_SIZE
     # n's type table keeps at most _MEMO_SIZE values that revalidate read,
     # also after one certificate with more new values than that
     assert len(certificates._types(5).exact) <= made + certificates._MEMO_SIZE
@@ -1061,6 +1174,29 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
     assert enumerated == []
 
 
+@pytest.mark.parametrize("kind", ["Index", "ShearMembership"])
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_a_subcertificate_without_its_n_or_d_is_malformed(kind, key):
+    # to_json writes both keys, d null for an Index: a missing d is no null
+    data = json.loads(json.dumps(verify_theorem(8, 2).to_json()))
+    del _sub(data, kind)[key]
+    with pytest.raises(MalformedCertificate, match="subcertificate for"):
+        revalidate(data)
+
+
+def test_a_payload_that_is_no_dict_raises_before_the_slots_are_compared():
+    # every subcertificate is read before its theorem compares the slots,
+    # so one without a dict payload raises even where the slots disagree
+    data = json.loads(json.dumps(verify_theorem(8, 2).to_json()))
+    data["payload"]["subcertificates"].reverse()
+    assert revalidate(data) == "fail"
+    for kind in ("MinusIdentity", "Index", "WellFormedCover"):
+        forged = json.loads(json.dumps(data))
+        _sub(forged, kind)["payload"] = []
+        with pytest.raises(MalformedCertificate, match="names its slot"):
+            revalidate(forged)
+
+
 # ---------------------------------------------------------------------------
 # a theorem's subcertificates fill the slots of its (n, d), in order
 
@@ -1071,9 +1207,9 @@ def _slot_variants(data, foreign):
     foreign theorem, relabelled with data's (n, d), that fills a slot
     data does not have."""
     subs = data["payload"]["subcertificates"]
-    slots = [certificates._slot(s) for s in subs]
+    slots = [certificates._slot(s)[:2] for s in subs]
     other = next(s for s in foreign["payload"]["subcertificates"]
-                 if certificates._slot(s) not in slots)
+                 if certificates._slot(s)[:2] not in slots)
     other = dict(other, n=data["n"], d=data["d"])
     for i, sub in enumerate(subs):
         yield "drop %d" % i, subs[:i] + subs[i + 1:]
@@ -1227,20 +1363,20 @@ def _minimal(kind, n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-@pytest.mark.parametrize("kind", certificates._KINDS)
+@pytest.mark.parametrize("kind", certificates._SLOTS)
 def test_a_certificate_for_an_n_without_x_n_is_refused_before_a_value_is_read(
         monkeypatch, kind, n):
     # a ShearMembership without rows would pass its rule
     read = []
-    entry_value = certificates._entry_value
-    monkeypatch.setattr(certificates, "_entry_value",
-                        lambda entry, c: read.append(entry) or entry_value(entry, c))
+    read_entries = certificates._Types.read
+    monkeypatch.setattr(certificates._Types, "read",
+                        lambda types, entries: read.append(entries) or read_entries(types, entries))
     with pytest.raises(MalformedCertificate, match="no base surface X_%d" % n):
         revalidate(_minimal(kind, n))
     assert read == []
 
 
-@pytest.mark.parametrize("kind", [k for k in certificates._KINDS if k != "FullTheorem"])
+@pytest.mark.parametrize("kind", [k for k in certificates._SLOTS if k != "FullTheorem"])
 def test_a_standalone_certificate_above_the_cap_builds_no_field(monkeypatch, kind):
     built = []
     get_context = field.get_context
@@ -1487,14 +1623,15 @@ def test_a_warm_theorem_keys_no_exact_value(monkeypatch, kwargs):
     assert keyed == []
 
 
-@pytest.mark.parametrize("n,d", [(9, 3), (14, 5), (16, 8), (16, 2)])
+@pytest.mark.parametrize("n,d", [(9, 3), (9, 4), (14, 5), (16, 8), (16, 2)])
 def test_warm_verify_and_revalidate_hash_and_compare_no_value(monkeypatch, n, d):
     # values are told apart by their index in _types(n), which a warm
-    # call reads by int only
+    # call reads by int only; a warm revalidate finds each table entry by
+    # its pairs, and keys no value
     text = json.dumps(verify_theorem(n, d).to_json())
     assert revalidate(json.loads(text)) == "pass"
     calls = []
-    for name in ("__hash__", "__eq__"):
+    for name in ("__hash__", "__eq__", "key"):
         method = getattr(field.CycloNumber, name)
         monkeypatch.setattr(field.CycloNumber, name,
                             lambda self, *other, _m=method, _n=name: calls.append(_n)
