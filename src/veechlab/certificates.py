@@ -651,6 +651,8 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
     mode and sigma_T; the images of x_k1 and x_k2 are read from the
     images section.
     """
+    if mode not in _SIGMA_MODES:
+        raise ValueError("mode must be one of %s, not %r" % (", ".join(_SIGMA_MODES), mode))
     if monodromy is None:
         monodromy = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
     sigma = sigma_T_infinite() if d == "inf" else sigma_T_claim(d)

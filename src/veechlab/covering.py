@@ -264,34 +264,14 @@ def rotation_images(n: int, j: int) -> list[Word]:
 
 
 @lru_cache(maxsize=None)
-def _read_from_q(n: int) -> tuple:
-    """The v_0 cylinders of odd X_n, listed and read from their lowest band in Q.
-
-    decompose lists each cylinder by its lowest band in P (polygon 0)
-    and reads the core word from there.  For odd j, rho^j carries Q onto
-    P keeping the order of levels, so the v_l cylinders come in the order
-    of their preimages' lowest bands in Q, and their core words are the
-    rho^j-images of the v_0 words read from those bands.
-    """
-    base = build_base(n)
-    keyed = []
-    for cyl in _base_decomposition(n, 0):
-        bands = cyl.bands
-        q = min((b for b, band in enumerate(bands) if band[0] == 1), key=lambda b: bands[b][1])
-        k = sum(base.crossing_label(EdgeRef(p, right)) is not None
-                for p, _, _, _, right in bands[:q])
-        letters = cyl.core_word.letters
-        keyed.append((bands[q][1], cyl._replace(core_word=Word(letters[k:] + letters[:k]))))
-    keyed.sort(key=lambda e: e[0])
-    return tuple(cyl for _, cyl in keyed)
-
-
-@lru_cache(maxsize=None)
 def _base_decomposition(n: int, l: int):
     r, j = rotation_class(n, l)
     if not j:
         return tuple(decompose(build_base(n), unit_vector(n, l)))
-    source = _read_from_q(n) if n % 2 and j % 2 else _base_decomposition(n, r)
+    source = _base_decomposition(n, r)
+    if n % 2 and j % 2:
+        source = [c._replace(core_word=Word(c.core_word.letters[1:] + c.core_word.letters[:1]))
+                  for c in reversed(source)]
     images = rotation_images(n, j)
     return tuple(cyl._replace(core_word=cyl.core_word.substitute(images), bands=())
                  for cyl in source)
@@ -303,7 +283,16 @@ def base_decomposition(n: int, l: int):
     Only v_r is traced (it alone carries bands).  rho^j keeps heights and
     circumferences and carries the listed v_r core words onto those that
     decompose reads in v_l, in its order: their images under
-    rotation_images(n, j), freely reduced.
+    rotation_images(n, j), freely reduced.  For odd n and odd j, rho^j
+    carries Q onto P, so the listed words are those of v_0 read from Q,
+    which R^n = -I gives without a trace.  -I maps P onto Q and reverses
+    the v_0 levels.  The v_0 heights 2 sin(pi/n) sin(k pi/n), k even, are
+    distinct (a tie needs k' = n - k, odd), so -I fixes each cylinder and
+    maps its band in P onto its band in Q.  Every side glues P to Q, and
+    a core word x_i x_{n-i}^-1 (x_{n-1} trivial) crosses two sides, so a
+    cylinder has one band in P, which decompose lists first, and one in
+    Q.  Read from Q, the cylinders come in reverse order and each word
+    starts at its second letter.
     """
     return list(_base_decomposition(n, l))
 

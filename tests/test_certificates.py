@@ -146,6 +146,14 @@ def test_sigma_T_conditions_hold(d):
         assert cert.verdict == "pass"
 
 
+def test_sigma_T_rejects_an_unknown_mode():
+    # a certificate with any other mode is one that revalidate refuses
+    # as malformed
+    for n, d in ((8, 4), (8, "inf"), (5, 3)):
+        with pytest.raises(ValueError, match="'diagonal'"):
+            certify_sigma_T(n, d, mode="diagonal")
+
+
 def _roundtrip(cert):
     return json.loads(json.dumps(cert.to_json()))
 
@@ -1127,7 +1135,6 @@ def test_profiles_make_one_product_per_distinct_pair(monkeypatch, n):
 @pytest.mark.parametrize("n,traced", [(9, 1), (12, 2), (14, 2), (25, 1)])
 def test_verify_traces_one_decomposition_per_rotation_class(monkeypatch, n, traced):
     covering._base_decomposition.cache_clear()
-    covering._read_from_q.cache_clear()
     directions = []
     decompose = covering.decompose
 

@@ -291,7 +291,7 @@ def test_sigma_factories():
         assert perms.is_involution(sigma_d2(d))
 
 
-@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25])
 def test_rotation_images_carry_core_words_to_traced_ones(n):
     # base_decomposition traces only v_r and reads every other v_l as the
     # rho^j image of its words; the tracer run in v_l itself must give the
@@ -306,6 +306,18 @@ def test_rotation_images_carry_core_words_to_traced_ones(n):
         assert [(c.height, c.inverse_modulus) for c in derived] == [
             (c.height, c.inverse_modulus) for c in traced
         ]
+
+
+@pytest.mark.parametrize("n", range(5, 62, 2))
+def test_traced_v0_meets_the_minus_identity_hypotheses(n):
+    # base_decomposition reads the odd-j words of odd n off the traced v_0
+    # through R^n = -I; that needs distinct heights, one band in P (listed
+    # first) and one in Q per cylinder, and core words of at most two letters
+    cyls = base_decomposition(n, 0)
+    assert len({c.height.key() for c in cyls}) == len(cyls)
+    for c in cyls:
+        assert [band[0] for band in c.bands] == [0, 1], (n, c.bands)
+        assert len(c.core_word) <= 2
 
 
 def test_substitute_freely_reduces():
@@ -342,7 +354,6 @@ def test_rotation_images_are_reduced_words_of_the_generators(n):
 @pytest.mark.parametrize("n,traced", [(9, 1), (12, 2)])
 def test_every_reader_of_v_l_traces_only_the_rotation_classes(monkeypatch, capsys, n, traced):
     covering._base_decomposition.cache_clear()
-    covering._read_from_q.cache_clear()
     directions = []
 
     def counting(surface, direction):

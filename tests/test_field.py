@@ -398,7 +398,6 @@ def test_inverse_matches_fraction_euclid_on_traced_divisors(monkeypatch, n):
 
     monkeypatch.setattr(field, "_inverse", collecting)
     covering._base_decomposition.cache_clear()
-    covering._read_from_q.cache_clear()
     for l in range(n):
         base_decomposition(n, l)
     assert divisors
@@ -528,6 +527,34 @@ def test_interval_value_narrows_with_precision():
         widths.append(Fraction(hi - lo, q))
         assert abs(float(Fraction(lo, q)) - float(x)) < 1e-12
     assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
+
+
+def test_interval_refinement_decides_what_the_float_filter_leaves_open():
+    # cos(pi/5) minus its floor and ceiling at 20 decimals: too close to
+    # zero for the float filter, so the interval loop decides the sign
+    c = cos_pi_over(5)
+    with mpmath.workdps(60):
+        scaled = mpmath.cos(mpmath.pi / 5) * 10 ** 20
+        for p in (int(mpmath.floor(scaled)), int(mpmath.ceil(scaled))):
+            x = c - RealAlg.from_rational(20, Fraction(p, 10 ** 20))
+            expected = int(mpmath.sign(scaled - p))
+            for y, s in ((x, expected), (-x, -expected)):
+                assert y.N == 20
+                assert field._float_sign_filter(y.num, y.den, field._float_cos_table(20)) is None
+                assert y.sign() == s != 0
+
+
+def test_interval_refinement_alone_orders_as_with_the_float_filter(monkeypatch):
+    rng = random.Random(20261019)
+    cases = []
+    for n in (5, 15, 25):  # conductors 20, 60 and 100
+        for _ in range(40):
+            x, y = _random_real(rng, n), _random_real(rng, n)
+            cases.append((x, y, x.sign(), x < y))
+    monkeypatch.setattr(field, "_float_sign_filter", lambda *a: None)
+    for x, y, s, less in cases:
+        assert x.sign() == s
+        assert (x < y) == less
 
 
 def test_unseparated_sign_raises_typed_error(monkeypatch):
