@@ -247,7 +247,15 @@ class _Types:
         # the rules' facts: (v, w), v < w -> whether value v exceeds value w,
         # and (f, v, k) -> whether value f == k * value v
         self._facts = {}
-        self.factor = self.index(2 * lambda_n(n))  # every shear's factor in a theorem for n
+        self._factor = None  # index of 2 * lambda_n, made on first use
+
+    @property
+    def factor(self) -> int:
+        """The index of every shear's factor in a theorem for n, 2 *
+        lambda_n; a table that reads no value builds no field."""
+        if self._factor is None:
+            self._factor = self.index(2 * lambda_n(self.n))
+        return self._factor
 
     def index(self, x: RealAlg) -> int:
         """The index of x, which joins the table on first use."""

@@ -52,21 +52,6 @@ def QQ(value) -> _QQ:
 # cyclotomic polynomials and per-conductor context
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # exact division of integer polynomials, den monic
     num = list(num)
@@ -108,36 +93,21 @@ class FieldContext:
             raise ValueError("conductor must be positive")
         self.N = N
         self.cyclo = cyclotomic_coeffs(N)
-        self.phi = len(self.cyclo) - 1
-        # x^k mod Phi_N for k = phi .. 2*phi-2, as sparse integer rows
-        # of (power, coefficient) pairs
-        rows = []
-        top = [-c for c in self.cyclo[: self.phi]]  # x^phi
-        row = list(top)
-        rows.append(tuple(row))
-        for _ in range(self.phi - 2):
+        self.phi = phi = len(self.cyclo) - 1
+        # x^k mod Phi_N for k < max(N, 2*phi - 1), as sparse rows of
+        # (power, coefficient) pairs: the residues of zeta^k for k < N,
+        # and the rows that reduce a product, k = phi .. 2*phi - 2
+        top = _nonzero_terms(-c for c in self.cyclo[:phi])  # x^phi
+        row, rows = [1] + [0] * (phi - 1), []
+        for _ in range(max(N, 2 * phi - 1)):
+            rows.append(_nonzero_terms(row))
             carry = row[-1]
             row = [0] + row[:-1]
             if carry:
-                for j, tj in enumerate(top):
+                for j, tj in top:
                     row[j] += carry * tj
-            rows.append(tuple(row))
-        self.red_rows = tuple(_nonzero_terms(r) for r in rows)
-        # residues of zeta^k for k = 0..N-1
-        pows = [(1,) + (0,) * (self.phi - 1)]
-        for _ in range(N - 1):
-            pows.append(self._shift(pows[-1]))
-        self.zeta_pows = tuple(pows)
-        self._zeta_terms = tuple(_nonzero_terms(p) for p in pows)
-
-    def _shift(self, coeffs):
-        # multiply a residue by x
-        carry = coeffs[-1]
-        out = [0] + list(coeffs[:-1])
-        if carry:
-            for j, tj in self.red_rows[0]:
-                out[j] += carry * tj
-        return tuple(out)
+        self.powers = tuple(rows)
+        self._reduction = self.powers[phi:2 * phi - 1]
 
     def reduce(self, raw) -> list[int]:
         """Reduce an integer coefficient list of length < 2*phi modulo Phi_N."""
@@ -145,7 +115,7 @@ class FieldContext:
         if len(raw) > 2 * phi - 1:
             raise ValueError("residue of length %d is too long to reduce" % len(raw))
         out = list(raw[:phi]) + [0] * (phi - min(phi, len(raw)))
-        for ck, terms in zip(raw[phi:], self.red_rows):
+        for ck, terms in zip(raw[phi:], self._reduction):
             if ck:
                 for j, rj in terms:
                     out[j] += ck * rj
@@ -167,7 +137,7 @@ class FieldContext:
         out = [0] * self.phi
         for j, aj in enumerate(a):
             if aj:
-                for k, zk in self._zeta_terms[(N - j) % N]:
+                for k, zk in self.powers[(N - j) % N]:
                     out[k] += aj * zk
         return out
 
@@ -458,7 +428,11 @@ def cyclo_root(N: int, k: int) -> CycloNumber:
     """The residue of zeta_N^k; cyclo_root(N, 0) is 1."""
     if N < 1:
         raise ValueError("conductor must be positive")
-    return _new(CycloNumber, N, get_context(N).zeta_pows[k % N], 1)
+    ctx = get_context(N)
+    num = [0] * ctx.phi
+    for j, c in ctx.powers[k % N]:
+        num[j] = c
+    return _new(CycloNumber, N, num, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +482,7 @@ def _cos_fixed(N: int, prec: int) -> tuple[int, ...]:
       2^(g - 1) >= 64 N (prec + 64) that holds whenever g <= 143, that is
       for N (prec + 64) < 2^136.
     """
-    phi = euler_phi(N)
+    phi = len(cyclotomic_coeffs(N)) - 1
     if phi == 1:  # N = 1, 2: only cos 0
         return (1 << prec,)
     g = (N * (prec + 64)).bit_length() + 7

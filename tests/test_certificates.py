@@ -1108,7 +1108,7 @@ def test_profiles_make_one_product_per_distinct_pair(monkeypatch, n):
         base_decomposition(n, l)
     # a new type table, whose shear factor is made before the count
     certificates._types.cache_clear()
-    certificates._types(n)
+    certificates._types(n).factor
     multiplications = [0]
     mul = field.CycloNumber.__mul__
 
@@ -1414,6 +1414,27 @@ def test_a_theorem_is_bound_to_its_slots_before_it_builds_a_field(monkeypatch):
     with pytest.raises(MalformedCertificate, match="degree 1 is not an int d >= 2"):
         revalidate(dict(theorem, d=1))
     assert 4004 not in built
+
+
+def test_a_theorem_without_values_or_images_builds_no_field(monkeypatch):
+    # the slots of (1001, 3) filled with payloads that name their slot only
+    n, d = 1001, 3
+    names = {kind: name for kind, (name, _) in certificates._SLOTS.items()}
+    subs = [{"kind": kind, "n": n, "d": None if kind == "Index" else d, "verdict": "pass",
+             "payload": {names[kind]: key} if names[kind] else {}}
+            for kind, key in certificates._theorem_slots(n, d)]
+    theorem = {"format": 3, "conductor": 4 * n, "values": [], "kind": "FullTheorem", "n": n,
+               "d": d, "verdict": "pass", "payload": {"subcertificates": subs}}
+
+    def no_field(N):
+        raise AssertionError("a field of conductor %d was built" % N)
+
+    _clear_revalidate_memos()
+    # uncached, so that a context built earlier cannot hide a build
+    monkeypatch.setattr(field, "get_context", field.get_context.__wrapped__)
+    monkeypatch.setattr(field, "FieldContext", no_field)
+    with pytest.raises(MalformedCertificate, match="missing key 'images'"):
+        revalidate(theorem)
 
 
 def test_a_forged_theorem_fails_before_it_lists_its_slots():

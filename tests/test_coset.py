@@ -1,6 +1,6 @@
 import pytest
 
-from veechlab import perms
+from veechlab import certificates, perms
 from veechlab.coset import coset_enumerate
 from veechlab.errors import CapExceeded
 from veechlab.veech import (
@@ -148,3 +148,22 @@ def test_schreier_generators_lie_in_subgroup(n):
 
 def minus(n):
     return -Mat2.identity(4 * n)
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])
+def test_the_coset_action_has_its_closed_form(n):
+    # the cosets are H rho^i for i < k (k = n for odd n, n/2 for even n):
+    # rho acts as i -> i + 1, T as i -> -i mod k, and z fixes every coset
+    table = certificates._coset_table(n)
+    k = n if n % 2 else n // 2
+    rho, tau = ("R", "T") if n % 2 else ("r", "t")
+    assert table.index == k
+    cosets = [0]
+    for _ in range(k - 1):
+        cosets.append(table.action[rho][cosets[-1]])
+    assert len(set(cosets)) == k
+    for i, c in enumerate(cosets):
+        assert table.action[rho][c] == cosets[(i + 1) % k]
+        assert table.action[tau][c] == cosets[-i % k]
+        if n % 2 == 0:
+            assert table.action["z"][c] == c

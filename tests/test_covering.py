@@ -320,6 +320,27 @@ def test_traced_v0_meets_the_minus_identity_hypotheses(n):
         assert len(c.core_word) <= 2
 
 
+@pytest.mark.parametrize("n", [n for n in range(5, 32) if n != 6] + [40, 41])
+def test_base_table_has_distinct_heights_ratios_2_or_4_and_short_words(n):
+    # the facts that a closed-form base table and integer lift types rest
+    # on, in every v_l: no two cylinders share a height; 2 lambda_n over
+    # the inverse modulus is 2, but 4 for one cylinder when n is even and
+    # l odd; a core word has one or two letters, of opposite signs for odd
+    # n and in v_0 and v_1
+    factor = 2 * lambda_n(n)
+    for l in range(2 * n):
+        cyls = base_decomposition(n, l)
+        assert len({c.height.key() for c in cyls}) == len(cyls), (n, l)
+        ratios = sorted(factor / c.inverse_modulus for c in cyls)
+        fours = 1 if n % 2 == 0 and l % 2 else 0
+        assert ratios == [2] * (len(cyls) - fours) + [4] * fours, (n, l)
+        for c in cyls:
+            letters = c.core_word.letters
+            assert len(letters) in (1, 2), (n, l, c.core_word)
+            if len(letters) == 2 and (n % 2 or l < 2):
+                assert letters[0][1] == -letters[1][1], (n, l, c.core_word)
+
+
 def test_substitute_freely_reduces():
     x = Word.generator
     images = [x(1) * x(2).inverse(), x(2), x(0).inverse()]

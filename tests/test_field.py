@@ -1,11 +1,16 @@
 import inspect
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from veechlab import covering, field
@@ -35,11 +40,37 @@ def test_cyclo_root_basics():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 20, 28, 36, 40, 44, 52])
 def test_cyclotomic_polynomial_against_sympy(N):
-    import sympy
-
     x = sympy.symbols("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
     assert list(cyclotomic_coeffs(N)) == [int(c) for c in expected]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 20, 28, 60, 100])
+def test_power_table_rows_are_remainders_of_x_to_the_k(N):
+    x = sympy.symbols("x")
+    cyclo = sympy.Poly(sympy.cyclotomic_poly(N, x), x)
+    ctx = field.FieldContext(N)
+    phi = cyclo.degree()
+    assert ctx.phi == phi and len(ctx.powers) == max(N, 2 * phi - 1)
+    for k, row in enumerate(ctx.powers):
+        remainder = sympy.Poly(x ** k, x).rem(cyclo).all_coeffs()[::-1]
+        assert row == [(j, int(c)) for j, c in enumerate(remainder) if c], k
+
+
+def test_the_context_of_conductor_4004_fits_in_80_mib():
+    # a fresh interpreter, started by a small one: a process's ru_maxrss
+    # keeps the high-water mark of the process that spawned it, here the
+    # test runner's
+    src = str(Path(field.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import resource\n"
+             "from veechlab.field import get_context\n"
+             "get_context(4004)\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    spawn = "import subprocess, sys; subprocess.run([sys.executable, '-c', %r], check=True)" % probe
+    run = subprocess.run([sys.executable, "-c", spawn], env=env, capture_output=True, text=True,
+                         check=True)
+    assert int(run.stdout) < 80 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_cos_pi_over_5_minimal_polynomial():
@@ -445,7 +476,7 @@ def test_inverse_builds_no_fraction(monkeypatch):
 @pytest.mark.parametrize("N", [20, 28, 100, 244, 404, 804])
 def test_cos_fixed_is_within_one_of_mpmath(N, prec):
     table = field._cos_fixed(N, prec)
-    assert len(table) == field.euler_phi(N) and table[0] == 1 << prec
+    assert len(table) == sympy.totient(N) and table[0] == 1 << prec
     with mpmath.workprec(3 * prec):
         for j, c in enumerate(table):
             assert abs(c - mpmath.ldexp(mpmath.cos(2 * mpmath.pi * j / N), prec)) <= 1
@@ -474,7 +505,7 @@ _APPROX_DIGITS = (8, 12, 20, 25)
 def test_approx_matches_mpmath_nstr(data):
     n = data.draw(st.sampled_from([5, 8, 9, 12, 25]))
     N = 4 * n
-    phi = field.euler_phi(N)
+    phi = int(sympy.totient(N))
     coeffs = [Fraction(0)] * phi
     for j, p, q in data.draw(st.lists(st.tuples(
             st.integers(0, phi - 1), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
