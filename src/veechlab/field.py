@@ -11,8 +11,9 @@ geometry needs, closed under arithmetic.
 There is one number type.  CycloNumber holds any element; its subclass
 RealAlg holds an element of the real subfield (fixed under conjugation)
 in the same (N, num, den) and adds the ordering.  All arithmetic is
-CycloNumber's, and it returns a RealAlg exactly when both operands are
-real, so no operation re-checks realness.
+CycloNumber's, and it returns a RealAlg exactly when every operand is
+real, so no operation re-checks realness.  Products multiply only the
+nonzero numerators, and product_sum fuses a*b +- c*d into one reduction.
 
 No predicate depends on floating point.  Equality and zero tests compare
 canonical residues coefficient-wise.  The sign of a nonzero real element
@@ -36,6 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as _QQ
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, lcm, log
 
 from .errors import MalformedCertificate, SignUndetermined, short_repr
@@ -52,37 +54,42 @@ def QQ(value) -> _QQ:
 # cyclotomic polynomials and per-conductor context
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low to high."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0] = -1
-    poly[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_coeffs(d)))
+    """Integer coefficients of the n-th cyclotomic polynomial, low to high.
+
+    Phi_n is the product of (x^(n/m) - 1)^mu(m) over the squarefree
+    divisors m of n: the factors with mu = +1 are multiplied out, then
+    those with mu = -1 divided off exactly.
+    """
+    divisors, rest, p = [(1, 1)], n, 2  # (m, mu(m)) for the squarefree m dividing n
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # rest is prime
+        if rest % p == 0:
+            divisors += [(m * p, -mu) for m, mu in divisors]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for m, mu in sorted(divisors, key=lambda factor: -factor[1]):
+        d = n // m
+        if mu > 0:  # poly * (x^d - 1)
+            low, poly = poly, [0] * d + poly
+            for j, c in enumerate(low):
+                poly[j] -= c
+        else:  # poly / (x^d - 1), high to low
+            rem, poly = poly, [0] * (len(poly) - d)
+            for k in range(len(poly) - 1, -1, -1):
+                poly[k] = c = rem[k + d]
+                rem[k] += c
+            if any(rem[:d]):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
 
 
 def _nonzero_terms(row) -> list:
-    return [(j, c) for j, c in enumerate(row) if c]
+    return [(j, row[j]) for j in compress(count(), row)]
 
 
 class FieldContext:
@@ -97,7 +104,7 @@ class FieldContext:
         # x^k mod Phi_N for k < max(N, 2*phi - 1), as sparse rows of
         # (power, coefficient) pairs: the residues of zeta^k for k < N,
         # and the rows that reduce a product, k = phi .. 2*phi - 2
-        top = _nonzero_terms(-c for c in self.cyclo[:phi])  # x^phi
+        top = _nonzero_terms([-c for c in self.cyclo[:phi]])  # x^phi
         row, rows = [1] + [0] * (phi - 1), []
         for _ in range(max(N, 2 * phi - 1)):
             rows.append(_nonzero_terms(row))
@@ -107,29 +114,39 @@ class FieldContext:
                 for j, tj in top:
                     row[j] += carry * tj
         self.powers = tuple(rows)
-        self._reduction = self.powers[phi:2 * phi - 1]
 
     def reduce(self, raw) -> list[int]:
         """Reduce an integer coefficient list of length < 2*phi modulo Phi_N."""
-        phi = self.phi
-        if len(raw) > 2 * phi - 1:
+        if len(raw) > 2 * self.phi - 1:
             raise ValueError("residue of length %d is too long to reduce" % len(raw))
-        out = list(raw[:phi]) + [0] * (phi - min(phi, len(raw)))
-        for ck, terms in zip(raw[phi:], self._reduction):
-            if ck:
-                for j, rj in terms:
-                    out[j] += ck * rj
-        return out
+        return self.product(raw, (1,))
 
-    def product(self, a, b) -> list[int]:
-        """Product of two integer residues, reduced modulo Phi_N."""
-        raw = [0] * (2 * self.phi - 1)
-        b_terms = _nonzero_terms(b)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in b_terms:
-                    raw[i + j] += ai * bj
-        return self.reduce(raw)
+    def product(self, a, b, s=1, c=(), d=(), t=0) -> list[int]:
+        """s*a*b + t*c*d for integer coefficient lists a, b, c, d (each
+        product of degree < 2*phi - 1) and int scales s, t, reduced
+        modulo Phi_N; product(a, b) is a*b.
+
+        Only nonzero coefficients are multiplied (compress finds them).
+        The terms of each power k >= phi are summed first and folded
+        through row k once, so a dense product costs no more than a
+        reduction of its 2*phi - 1 coefficients.
+        """
+        phi = self.phi
+        out = [0] * (2 * phi - 1)
+        for x, y, scale in ((a, b, s), (c, d, t)):
+            if scale:
+                y_terms = [(j, scale * y[j]) for j in compress(count(), y)]
+                for i in compress(count(), x):
+                    xi = x[i]
+                    for j, yj in y_terms:
+                        out[i + j] += xi * yj
+        high = out[phi:]
+        del out[phi:]
+        for k in compress(count(phi), high):
+            ck = high[k - phi]
+            for j, rj in self.powers[k]:
+                out[j] += ck * rj
+        return out
 
     def conjugate(self, a) -> list[int]:
         """Image of an integer residue under zeta -> zeta^(-1)."""
@@ -197,11 +214,12 @@ def _int_inverse(a, cyclo) -> tuple[list[int], int]:
 
 
 def _new(cls: type, N: int, num, den: int) -> CycloNumber:
-    # an element of class cls whose (num, den) is already canonical
+    # an element of class cls whose (num, den) is already canonical, its
+    # slots set through their descriptors
     x = object.__new__(cls)
-    object.__setattr__(x, "N", N)
-    object.__setattr__(x, "num", tuple(num))
-    object.__setattr__(x, "den", den)
+    _set_N(x, N)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
     return x
 
 
@@ -244,9 +262,9 @@ class CycloNumber:
         else:
             num += [0] * (ctx.phi - len(num))
         g = gcd(*num, den)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "num", tuple(a // g for a in num))
-        object.__setattr__(self, "den", den // g)
+        _set_N(self, N)
+        _set_num(self, tuple(a // g for a in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -302,6 +320,9 @@ class CycloNumber:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element hashes as the int or Fraction it equals
+        if self.is_rational():
+            return hash(_QQ(self.num[0], self.den))
         return hash(self.key())
 
     # -- arithmetic ----------------------------------------------------
@@ -316,10 +337,13 @@ class CycloNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        cls = type(self) if type(o) is type(self) else CycloNumber
+        if type(other) is type(self) and other.N == self.N:
+            o, cls = other, type(self)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            cls = type(self) if type(o) is type(self) else CycloNumber
         da, db = self.den, o.den
         if da == db:
             return _normal(cls, self.N, [a + b for a, b in zip(self.num, o.num)], da)
@@ -328,10 +352,13 @@ class CycloNumber:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        cls = type(self) if type(o) is type(self) else CycloNumber
+        if type(other) is type(self) and other.N == self.N:
+            o, cls = other, type(self)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            cls = type(self) if type(o) is type(self) else CycloNumber
         da, db = self.den, o.den
         if da == db:
             return _normal(cls, self.N, [a - b for a, b in zip(self.num, o.num)], da)
@@ -347,13 +374,16 @@ class CycloNumber:
         return _new(type(self), self.N, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, _QQ)):
+        if type(other) is type(self) and other.N == self.N:
+            o, cls = other, type(self)
+        elif isinstance(other, (int, _QQ)):
             p, q = other.numerator, other.denominator
             return _normal(type(self), self.N, [a * p for a in self.num], self.den * q)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        cls = type(self) if type(o) is type(self) else CycloNumber
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            cls = type(self) if type(o) is type(self) else CycloNumber
         prod = get_context(self.N).product(self.num, o.num)
         return _normal(cls, self.N, prod, self.den * o.den)
 
@@ -410,6 +440,30 @@ class CycloNumber:
                     terms.append("%s*z^%d" % (c, j))
         body = " + ".join(terms) if terms else "0"
         return "Cyclo(%d; %s)" % (self.N, body)
+
+
+_set_N, _set_num, _set_den = (vars(CycloNumber)[slot].__set__ for slot in CycloNumber.__slots__)
+
+
+def product_sum(a: CycloNumber, b: CycloNumber, c: CycloNumber, d: CycloNumber,
+                sign: int = 1) -> CycloNumber:
+    """a*b + c*d, or a*b - c*d for sign = -1, as one element.
+
+    The two products are accumulated into one residue, which is reduced
+    and put in lowest terms once.  As for the operators, the four
+    elements share one conductor (else ValueError), and the result is a
+    RealAlg exactly when all four are.
+    """
+    N = a.N
+    if not b.N == c.N == d.N == N:
+        raise ValueError("mixed conductors %s" % sorted({a.N, b.N, c.N, d.N}))
+    cls = RealAlg if type(a) is type(b) is type(c) is type(d) is RealAlg else CycloNumber
+    dab, dcd = a.den * b.den, c.den * d.den
+    if dab == dcd:
+        num = get_context(N).product(a.num, b.num, 1, c.num, d.num, sign)
+        return _normal(cls, N, num, dab)
+    num = get_context(N).product(a.num, b.num, dcd, c.num, d.num, sign * dab)
+    return _normal(cls, N, num, dab * dcd)
 
 
 @lru_cache(maxsize=4096)
@@ -652,9 +706,9 @@ class RealAlg(CycloNumber):
     def __init__(self, value: CycloNumber):
         if not value.is_real():
             raise ValueError("element is not fixed under conjugation")
-        object.__setattr__(self, "N", value.N)
-        object.__setattr__(self, "num", value.num)
-        object.__setattr__(self, "den", value.den)
+        _set_N(self, value.N)
+        _set_num(self, value.num)
+        _set_den(self, value.den)
 
     def is_integer(self) -> bool:
         return self.den == 1 and self.is_rational()
@@ -834,13 +888,19 @@ def quarter_trig(n: int, k: int) -> tuple[RealAlg, RealAlg]:
     if n < 3:
         raise ValueError("n must be at least 3")
     N = 4 * n
-    zk = cyclo_root(N, k)
-    zmk = cyclo_root(N, -k)
-    half = QQ("1/2")
-    cos_v = (zk + zmk) * half
-    # 1/i = zeta_4^(-1) = zeta_N^(3n)
-    sin_v = (zk - zmk) * cyclo_root(N, 3 * n) * half
-    return _new(RealAlg, N, cos_v.num, cos_v.den), _new(RealAlg, N, sin_v.num, sin_v.den)
+    ctx = get_context(N)
+
+    def half_sum(j, i, sign):
+        # (zeta^j + sign * zeta^i) / 2, read off the rows of powers
+        num = [0] * ctx.phi
+        for m, c in ctx.powers[j % N]:
+            num[m] += c
+        for m, c in ctx.powers[i % N]:
+            num[m] += sign * c
+        return _normal(RealAlg, N, num, 2)
+
+    # sin = (zeta^k - zeta^-k) / 2i, and 1/i = zeta^(3n)
+    return half_sum(k, -k, 1), half_sum(k + 3 * n, 3 * n - k, -1)
 
 
 def cos_pi_over(n: int) -> RealAlg:

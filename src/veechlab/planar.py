@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .field import RealAlg
+from .field import RealAlg, product_sum
 
 
 class Vec2:
@@ -30,10 +30,10 @@ class Vec2:
     __rmul__ = __mul__
 
     def cross(self, other: Vec2) -> RealAlg:
-        return self.x * other.y - self.y * other.x
+        return product_sum(self.x, other.y, self.y, other.x, -1)
 
     def dot(self, other: Vec2) -> RealAlg:
-        return self.x * other.x + self.y * other.y
+        return product_sum(self.x, other.x, self.y, other.y)
 
     def norm2(self) -> RealAlg:
         return self.dot(self)

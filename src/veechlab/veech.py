@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .errors import VerificationFailure
-from .field import RealAlg, cos_pi_over, lambda_n, sin_pi_over
+from .field import RealAlg, cos_pi_over, lambda_n, product_sum, sin_pi_over
 from .surface import no_base_surface
 from .words import Word
 
@@ -37,17 +37,17 @@ class Mat2:
 
     def __mul__(self, other: Mat2) -> Mat2:
         return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            product_sum(self.a, other.a, self.b, other.c),
+            product_sum(self.a, other.b, self.b, other.d),
+            product_sum(self.c, other.a, self.d, other.c),
+            product_sum(self.c, other.b, self.d, other.d),
         )
 
     def __neg__(self) -> Mat2:
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def det(self) -> RealAlg:
-        return self.a * self.d - self.b * self.c
+        return product_sum(self.a, self.d, self.b, self.c, -1)
 
     def trace(self) -> RealAlg:
         return self.a + self.d
@@ -87,7 +87,7 @@ class Mat2:
     def apply(self, v):
         from .planar import Vec2
 
-        return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
+        return Vec2(product_sum(self.a, v.x, self.b, v.y), product_sum(self.c, v.x, self.d, v.y))
 
     def __repr__(self):
         return "Mat2[[%s, %s], [%s, %s]]" % tuple(

@@ -225,6 +225,9 @@ GOLDEN_VERIFY = {
     ("--n", "9", "--d", "6"): "40b43a44603b1ea499a9344a9b81550781129992c3585d88f9dd6d69a09f3792",
     ("--n", "14", "--d", "3"): "28a03969cf8016afcfdcf5904cffab209b3a8fcc3bca182d4289d917c274b524",
     ("--n", "8", "--infinite"): "e54dcda525cdefc07b2dd22a462a8588adeb9075e8e08903a1fb5974e8a72638",
+    # conductors 100 and 404, recorded before products were fused
+    ("--n", "25", "--d", "4"): "4d2b419e8cfeeb6c4b8974c06758974adad54d149773524d51343c284b54765a",
+    ("--n", "101", "--d", "3"): "68663fb71b474f22e073c1281f55b7aaedea7d902fba46af309a09bb635b88a6",
 }
 
 

@@ -16,6 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from veechlab import covering, field
 from veechlab.covering import base_decomposition
 from veechlab.errors import MalformedCertificate, SignUndetermined, VeechLabError
+from veechlab.planar import Vec2
+from veechlab.veech import Mat2
 from veechlab.field import (
     QQ,
     CycloNumber,
@@ -24,6 +26,7 @@ from veechlab.field import (
     cyclo_root,
     cyclotomic_coeffs,
     lambda_n,
+    product_sum,
     quarter_trig,
     sign,
     sin_pi_over,
@@ -38,7 +41,8 @@ def test_cyclo_root_basics():
     assert cyclo_root(12, 0) == 1
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 20, 28, 36, 40, 44, 52])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 20, 28, 36, 40, 44, 52,
+                               1024, 2187, 2310, 4004])
 def test_cyclotomic_polynomial_against_sympy(N):
     x = sympy.symbols("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
@@ -338,6 +342,102 @@ def test_equal_values_share_key_and_hash():
         zero = a - a
         assert zero.num == (0,) * len(a.num) and zero.den == 1
         assert zero == CycloNumber.zero(N)
+
+
+def test_rational_elements_hash_as_the_numbers_they_equal():
+    for N in (1, 20, 404):
+        for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+            for x in (RealAlg.from_rational(N, q), CycloNumber.from_rational(N, q)):
+                assert x == q and hash(x) == hash(q)
+                assert len({x, q}) == 1
+    assert len({RealAlg.one(20), 1}) == 1
+    assert len({RealAlg.from_rational(20, Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+# the product kernel and the fused a*b +- c*d on zero, sparse and dense
+# residues; 1 and 2 have phi = 1, 404 = 4 * 101 has long rows of powers
+_KERNEL_CONDUCTORS = [1, 2, 7, 20, 28, 36, 60, 100, 404]
+
+
+def _residue(data, rng, phi):
+    kind = data.draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if kind == "zero":
+        return [0] * phi
+    density = 1.0 if kind == "dense" else 2.0 / phi
+    return [rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(phi)]
+
+
+def _element(data, rng, N, real):
+    phi = len(cyclotomic_coeffs(N)) - 1
+    den = data.draw(st.sampled_from([1, 1, 2, 3, 35]))
+    x = CycloNumber(N, [Fraction(a, den) for a in _residue(data, rng, phi)])
+    return RealAlg(x + x.conjugate()) if real else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_kernel_is_the_remainder_of_the_dense_product(data):
+    N = data.draw(st.sampled_from(_KERNEL_CONDUCTORS))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    ctx = field.get_context(N)
+    a, b, c, d = (_residue(data, rng, ctx.phi) for _ in range(4))
+    s, t = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+    x = sympy.symbols("x")
+    cyclo = sympy.Poly(sympy.cyclotomic_poly(N, x), x)
+
+    def poly(r):
+        return sympy.Poly(r[::-1], x)
+
+    def coeffs(p):
+        out = [int(v) for v in p.rem(cyclo).all_coeffs()[::-1]]
+        return out + [0] * (ctx.phi - len(out))
+
+    assert ctx.product(a, b) == coeffs(poly(a) * poly(b))
+    assert ctx.product(a, b, s, c, d, t) == coeffs(s * poly(a) * poly(b) + t * poly(c) * poly(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_vector_and_matrix_products_equal_their_operator_expressions(data):
+    N = data.draw(st.sampled_from(_KERNEL_CONDUCTORS))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    # each entry real or not: the result is a RealAlg exactly when every
+    # operand is one, as it is for the operators
+    a, b, c, d, e, f, g, h = (_element(data, rng, N, data.draw(st.booleans())) for _ in range(8))
+
+    def same(got, want):
+        assert type(got) is type(want) and got.key() == want.key()
+        _assert_canonical(got)
+
+    same(product_sum(a, b, c, d), a * b + c * d)
+    same(product_sum(a, b, c, d, -1), a * b - c * d)
+    v, w = Vec2(a, b), Vec2(c, d)
+    same(v.cross(w), a * d - b * c)
+    same(v.dot(w), a * c + b * d)
+    m, k = Mat2(a, b, c, d), Mat2(e, f, g, h)
+    same(m.det(), a * d - b * c)
+    mk = m * k
+    for got, want in zip((mk.a, mk.b, mk.c, mk.d),
+                         (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)):
+        same(got, want)
+    mv = m.apply(Vec2(e, f))
+    same(mv.x, a * e + b * f)
+    same(mv.y, c * e + d * f)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_fused_products_reject_mixed_conductors(slot):
+    operands = [cos_pi_over(5)] * 4
+    operands[slot] = cos_pi_over(7)
+    with pytest.raises(ValueError, match="mixed conductors"):
+        product_sum(*operands)
+    with pytest.raises(ValueError, match="mixed conductors"):
+        Vec2(*operands[:2]).cross(Vec2(*operands[2:]))
+    with pytest.raises(ValueError, match="mixed conductors"):
+        Mat2(*operands) * Mat2(*operands)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="mixed conductors"):
+            op(cos_pi_over(5), cyclo_root(28, slot))
 
 
 @settings(max_examples=40, deadline=None)
