@@ -6,7 +6,7 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
 
   * ShearMembership   - every cylinder in the shear direction is
                         twisted an integer number of times by the
-                        target factor;
+                        factor 2*lambda_n;
   * SigmaT            - the copy permutation that makes the single
                         twist (horizontal, and vertical for even n)
                         compatible with the gluings exists; it reads
@@ -251,8 +251,8 @@ class _Types:
 
     @property
     def factor(self) -> int:
-        """The index of every shear's factor in a theorem for n, 2 *
-        lambda_n; a table that reads no value builds no field."""
+        """The index of every shear's factor for n, 2 * lambda_n; a table
+        that reads no value builds no field."""
         if self._factor is None:
             self._factor = self.index(2 * lambda_n(self.n))
         return self._factor
@@ -274,9 +274,8 @@ class _Types:
         1 == 1.0: a power of true would find its well-formed twin), and a
         new one parsed by RealAlg.from_json, in table order.  A
         certificate whose new entries would push this table past
-        _MEMO_SIZE entries of revalidate's own starts a fresh table, or,
-        with more entries than that, reads them in one that no later call
-        sees."""
+        _MEMO_SIZE entries of revalidate's own is read in a new table that
+        no later call sees; this one is never reset."""
         try:
             keys = [tuple(map(tuple, e["coeffs"])) for e in entries]
             exact = {*map(type, chain.from_iterable(chain.from_iterable(keys)))} <= {int, str}
@@ -293,10 +292,8 @@ class _Types:
             if k not in values:
                 values[k] = self.exact[memo[k]] if k in memo else RealAlg.from_json(entry, 4 * self.n)
         table = self
-        if len(values) > _MEMO_SIZE:
+        if len(memo) + len(values.keys() - memo.keys()) > _MEMO_SIZE:
             table = _Types(self.n)
-        elif len(memo) + len(values.keys() - memo.keys()) > _MEMO_SIZE:
-            self.__init__(self.n)  # a fresh table
         memo = table._entries
         memo.update((k, table.index(x)) for k, x in values.items() if k not in memo)
         return table, [*map(memo.__getitem__, keys)]
@@ -545,12 +542,12 @@ def _theorem_rule(d, subs, preimages=None):
 # individual certificates
 
 
-def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
+def _shear_certificate(n: int, d, l: int, types: dict,
                        values: _Values | None = None) -> Certificate:
-    """ShearMembership from a profile's cylinder types, in exact-key order;
-    factor None is 2 * lambda_n."""
+    """ShearMembership by 2 * lambda_n from a profile's cylinder types, in
+    exact-key order."""
     table = _types(n)
-    f = table.factor if factor is None else table.index(factor)
+    f = table.factor
     if values is None:
         values = _Values(n)
     found = [(t, types[t], table.twists(f, t[0])) for t in table.ordered(types)]
@@ -564,10 +561,10 @@ def _shear_certificate(n: int, d, l: int, factor: RealAlg | None, types: dict,
     )
 
 
-def certify_shear(cover: CoveringSurface, l: int, factor: RealAlg | None = None) -> Certificate:
+def certify_shear(cover: CoveringSurface, l: int) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
     types = _finite_profile(cover.n, cover.monodromy, l)
-    return _shear_certificate(cover.n, cover.d, l, factor, types)
+    return _shear_certificate(cover.n, cover.d, l, types)
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
@@ -704,10 +701,6 @@ def certify_index(n: int) -> Certificate:
 # theorem aggregation
 
 
-def _obstruction_direction_indices(n: int) -> range:
-    return range(1, n) if n % 2 else range(2, n, 2)
-
-
 def _theorem_slots(n: int, d):
     """The subcertificates of a theorem for (n, d), in order, as (kind,
     l or SigmaT mode) slots, None where a kind has neither; generated,
@@ -726,7 +719,7 @@ def _theorem_slots(n: int, d):
     for mode in _SIGMA_MODES if n % 2 == 0 else _SIGMA_MODES[:1]:
         yield "SigmaT", mode
     yield "MinusIdentity", None
-    for l in _obstruction_direction_indices(n):
+    for l in range(1, n) if n % 2 else range(2, n, 2):
         yield "RotationObstruction", l
     yield "Index", None
 
@@ -774,7 +767,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         if kind == "WellFormedCover":
             sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)
         elif kind == "ShearMembership":
-            sub = _shear_certificate(n, d, key, None, profile(key), values)
+            sub = _shear_certificate(n, d, key, profile(key), values)
         elif kind == "SigmaT":
             sub = certify_sigma_T(n, d, key, monodromy)
         elif kind == "MinusIdentity":
@@ -859,7 +852,8 @@ class _Table:
     table (_Types.read), so rows are types in the index space of
     verify's profiles, and the rules decide each exact fact there once
     per process.  The horizontal profile and the monodromy's images are
-    top-level sections too, each read on first use.
+    top-level sections too, each read on first use, the images once as
+    the carried monodromy that every kind reading them shares.
     """
 
     def __init__(self, data: dict, n: int):
@@ -906,18 +900,21 @@ class _Table:
         return _parse_multiset(_field(self._top, "horizontal", list), self)
 
     @cached_property
-    def images(self) -> dict:
-        """The monodromy, generator -> image, from the top-level images
-        section, which must name x_0..x_{g-1} once each, in order, with
-        images that permute one set of sheets."""
+    def monodromy(self) -> Monodromy | ZMonodromy:
+        """The carried monodromy, from the top-level images section, which
+        must name x_0..x_{g-1} once each, in order, with images that
+        permute one set of sheets: finitely many, or Z."""
         entries = _field(self._top, "images", list)
         g = num_generators(self.n)
         if [_field(e, "generator", int) for e in entries] != list(range(g)):
             raise MalformedCertificate("images must name x_0..x_%d once each, in order" % (g - 1))
         ps = [_Perm.from_json(_field(e, "image", list, dict)) for e in entries]
-        if len({*map(_Perm.degree, ps)}) > 1:
+        degrees = {*map(_Perm.degree, ps)}
+        if len(degrees) > 1:
             raise MalformedCertificate("permutations of different degrees")
-        return dict(enumerate(ps))
+        [degree] = degrees
+        images = dict(enumerate(ps))
+        return ZMonodromy(g, images) if degree == "inf" else Monodromy(g, degree, images)
 
 
 def _claimed_n(data) -> int:
@@ -994,15 +991,14 @@ def revalidate(data: dict) -> str:
     Parses the payload and applies the rule that made the verdict.
     SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
     the monodromy from the top-level images section, and the
-    PullbackObstruction's pullback is computed from it.  A FullTheorem
+    PullbackObstruction's pullback is computed from it.  A
+    ShearMembership fails unless its factor is 2*lambda_n.  A FullTheorem
     fails, before any value is parsed, unless its subcertificates fill
-    the slots of its (n, d) in order (_theorem_claim).  Inside it, a
-    ShearMembership fails unless its factor is 2*lambda_n (alone it
-    keeps its own factor), and for d = inf the theorem fails unless its
-    count of infinite preimages of cylinder k is the one the images
-    give.  A WellFormedCover fails unless the images permute exactly d
-    sheets and together act transitively.  MalformedCertificate is
-    raised for a payload that does not parse, a top level without
+    the slots of its (n, d) in order (_theorem_claim), and for d = inf
+    unless its count of infinite preimages of cylinder k is the one the
+    images give.  A WellFormedCover fails unless the images permute
+    exactly d sheets and together act transitively.  MalformedCertificate
+    is raised for a payload that does not parse, a top level without
     "format": 3, images that do not name x_0..x_{g-1} once each, in
     order, a PullbackObstruction of odd n or odd l, a FullTheorem or
     WellFormedCover whose int d is below 2 (before any rule runs), and,
@@ -1026,13 +1022,12 @@ def revalidate(data: dict) -> str:
     if d == "inf":
         # the preimage count is recomputed from the images, which must
         # permute Z
-        images = table.images
-        if _Perm.degree(images[0]) != "inf":
+        if table.monodromy.degree != "inf":
             return FAIL
-        preimages = _infinite_preimages(n, ZMonodromy(len(images), images))
+        preimages = _infinite_preimages(n, table.monodromy)
         if payload.get("infinite_preimages_of_cylinder_k") != preimages:
             return FAIL
-    subs = ((kind, _revalidate(kind, key, p, table, d, True), None) for kind, key, p in read)
+    subs = ((kind, _revalidate(kind, key, p, table, d), None) for kind, key, p in read)
     return _theorem_rule(d, subs, preimages)[0]
 
 
@@ -1060,14 +1055,13 @@ def _theorem_claim(data: dict, payload: dict, n: int) -> tuple:
     return d, (read if agree else None)
 
 
-def _revalidate(kind: str, key, payload: dict, table: _Table, d=None,
-                in_theorem: bool = False) -> str:
+def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
     # the verdict of any kind but FullTheorem, from the slot and payload
     # that _slot read; d is a WellFormedCover's degree
     n = table.n
     if kind == "ShearMembership":
         factor = table.index(payload, "factor")
-        if in_theorem and factor != table.types.factor:
+        if factor != table.types.factor:
             return FAIL
         rows = table.rows(_field(payload, "cylinders", list), twists=True)
         return _shear_rule(factor, rows, table.types)[0]
@@ -1075,24 +1069,23 @@ def _revalidate(kind: str, key, payload: dict, table: _Table, d=None,
         direction = _parse_multiset(_field(payload, "direction", list), table)
         return _rotation_rule(table.horizontal, direction, None)[0]
     if kind == "SigmaT":
-        images = table.images
+        m = table.monodromy
         sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
-        if _Perm.degree(sigma) != _Perm.degree(images[0]):
+        if _Perm.degree(sigma) != m.degree:
             raise MalformedCertificate("sigma_T and the images permute different sheets")
-        return _sigma_rule(n, images, sigma, key)[0]
+        return _sigma_rule(n, m.images, sigma, key)[0]
     if kind == "MinusIdentity":
-        return _minus_identity_rule(table.images.items())[0]
+        return _minus_identity_rule(table.monodromy.images.items())[0]
     if kind == "Index":
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]
     if kind == "PullbackObstruction":
         if n % 2 or key % 2:
             raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
-        images = table.images
-        degree = _Perm.degree(images[0])
-        if degree == "inf":
+        m = table.monodromy
+        if m.degree == "inf":
             raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
-        return _pullback_rule(n, key, Monodromy(len(images), degree, images))[0]
+        return _pullback_rule(n, key, m)[0]
     # WellFormedCover: the images must act transitively on exactly d sheets
-    images = list(table.images.values())
-    return PASS if _Perm.degree(images[0]) == d and perms.is_transitive(images, d) else FAIL
+    m = table.monodromy
+    return PASS if m.degree == d and m.is_transitive() else FAIL

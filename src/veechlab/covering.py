@@ -297,30 +297,18 @@ def base_decomposition(n: int, l: int):
     return list(_base_decomposition(n, l))
 
 
-def lifted_cylinders(n: int, monodromy: Monodromy, l: int):
-    """(i, a) for every cycle of the lift to Y in direction v_l.
-
-    i indexes base_decomposition(n, l).  A cycle of length a glues a
-    copies of base cylinder i into one cover cylinder: height unchanged,
-    circumference multiplied by a.
-    """
-    for i, cyl in enumerate(base_decomposition(n, l)):
-        for a, repeat in monodromy.cycle_type(cyl.core_word):
-            for _ in range(repeat):
-                yield i, a
-
-
 def cover_cylinders(cover: CoveringSurface, direction_index: int):
     """Cover cylinders predicted from monodromy cycle structure.
 
-    Must agree with decompose() run on the realized surface; the test
-    suite checks exactly that.
+    A cycle of length a of a base cylinder's core word glues a copies of
+    that cylinder into one cover cylinder: height unchanged,
+    circumference multiplied by a.  Must agree with decompose() run on
+    the realized surface; the test suite checks exactly that.
     """
-    base = base_decomposition(cover.n, direction_index)
     out = []
-    for i, a in lifted_cylinders(cover.n, cover.monodromy, direction_index):
-        cyl = base[i]
-        out.append(cyl._replace(circumference=a * cyl.circumference,
-                                inverse_modulus=a * cyl.inverse_modulus,
-                                core_word=cyl.core_word ** a, bands=()))
+    for cyl in base_decomposition(cover.n, direction_index):
+        for a, repeat in cover.monodromy.cycle_type(cyl.core_word):
+            out += [cyl._replace(circumference=a * cyl.circumference,
+                                 inverse_modulus=a * cyl.inverse_modulus,
+                                 core_word=cyl.core_word ** a, bands=())] * repeat
     return out

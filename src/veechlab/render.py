@@ -22,10 +22,6 @@ PALETTES = {
 _DIGITS = 20
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 def _strip(text: str) -> str:
     # mpmath.nstr's default form: the mantissa's trailing zeros go, but
     # one digit stays after the point
@@ -59,9 +55,10 @@ class _Svg:
         self.max_y = max(self.max_y, -y)
 
     def polygon(self, pts, fill, stroke="#222222", opacity=1.0, width=0.01):
-        for v, dx in pts_iter(pts):
-            self.track(_f(v.x) + dx, _f(v.y))
-        body = " ".join(_pt(v, dx) for v, dx in pts_iter(pts))
+        # pts: (exact vertex, copy offset) pairs
+        for v, dx in pts:
+            self.track(float(v.x) + dx, float(v.y))
+        body = " ".join(_pt(v, dx) for v, dx in pts)
         self.parts.append(
             '<polygon points="%s" fill="%s" fill-opacity="%s" stroke="%s" stroke-width="%s"/>'
             % (body, fill, opacity, stroke, width)
@@ -87,17 +84,9 @@ class _Svg:
         return header + "\n" + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def pts_iter(pts):
-    for item in pts:
-        if isinstance(item, tuple):
-            yield item
-        else:
-            yield (item, 0.0)
-
-
 def _surface_extent(surface: TranslationSurface) -> float:
     xs = [
-        _f(v.x)
+        float(v.x)
         for poly in surface.polygons
         for v in poly.vertices
     ]
@@ -152,8 +141,8 @@ def render_surface(
             if not text:
                 continue
             a, b = poly.vertex(e), poly.vertex(e + 1)
-            mx = (_f(a.x) + _f(b.x)) / 2 + copy_offsets[p]
-            my = (_f(a.y) + _f(b.y)) / 2
+            mx = (float(a.x) + float(b.x)) / 2 + copy_offsets[p]
+            my = (float(a.y) + float(b.y)) / 2
             svg.text(mx, my, text)
     return svg.render()
 

@@ -222,10 +222,10 @@ def test_theorem_shears_must_name_twice_lambda_n_format2():
         shear["payload"]["factor"] = len(data["values"]) - 1
         _double_the_twists(shear)
     assert revalidate(data) == "fail"
-    # a standalone shear keeps its own factor, as certify_shear(..., factor=) does
+    # alone too: every shear is by 2*lambda_n
     for shear in _shears(data):
         assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
-                           **shear}) == "pass"
+                           **shear}) == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
     types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
     infinite = [t for t in types if not certificates._types(8).lifts[t[0]][1]]
     assert infinite
-    cert = certificates._shear_certificate(8, "inf", 0, None, types)
+    cert = certificates._shear_certificate(8, "inf", 0, types)
     assert cert.verdict == "fail"
     data = _format3(cert)
     rows = _zero_modulus_rows(data, data["payload"]["cylinders"])
