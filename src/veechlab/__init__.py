@@ -3,7 +3,7 @@
 Builds the double-n-gon (odd n) and regular n-gon (even n) translation
 surfaces, their covering family from two-slit monodromy, and certifies
 the covers' common Veech group by exact computation: cylinder moduli,
-permutation conditions, coset enumeration and quotient invariants.
+permutation conditions, the coset action and quotient invariants.
 """
 
 from .field import (

@@ -19,7 +19,8 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
   * PullbackObstruction - the cover pulled back under the rotation is
                         not a relabeling of itself (even n fallback);
   * WellFormedCover   - the monodromy acts transitively on d sheets;
-  * Index             - coset enumeration gives the expected index.
+  * Index             - the closed-form coset action of the covers'
+                        group has the expected index.
 
 Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values, an exact value as its index in n's type
@@ -47,7 +48,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, islice
 
 from . import perms
-from .coset import coset_enumerate
+from .coset import CosetTable
 from .covering import (
     CoveringSurface,
     Monodromy,
@@ -60,7 +61,7 @@ from .covering import (
     sigma_d2,
     standard_monodromy,
 )
-from .errors import IntransitiveMonodromy, MalformedCertificate, short_repr
+from .errors import IntransitiveMonodromy, MalformedCertificate, VerificationFailure, short_repr
 from .field import RealAlg, lambda_n
 from .quotient import quotient_invariants
 from .surface import no_base_surface
@@ -367,10 +368,9 @@ class _Types:
         return r
 
     def _decided(self, key: tuple, fact: bool) -> bool:
-        # untrusted rows can ask any number of facts
-        if len(self._facts) >= _MEMO_SIZE:
-            self._facts.clear()
-        self._facts[key] = fact
+        # untrusted rows can ask any number of facts; past _MEMO_SIZE none is kept
+        if len(self._facts) < _MEMO_SIZE:
+            self._facts[key] = fact
         return fact
 
 
@@ -512,7 +512,7 @@ def _pullback_rule(n: int, l: int, monodromy: Monodromy):
 
 
 def _index_rule(n: int, expected: int, index: int):
-    """Index: the enumerated index, the expected one and the stated one agree."""
+    """Index: the validated coset action's index, the expected one and the stated one agree."""
     actual = _coset_table(n).index
     if actual == expected == index:
         return PASS, None
@@ -677,13 +677,59 @@ def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certifi
 
 
 @lru_cache(maxsize=None)
-def _coset_table(n: int):
-    """Coset table of the covers' Veech group in Gamma(X_n); it depends on n only."""
-    return coset_enumerate(presentation_for(n), subgroup_words(n))
+def _coset_table(n: int) -> CosetTable:
+    """The action of Gamma(X_n) on the cosets of the covers' Veech group H.
+
+    Write rho, tau for R, T (odd n) or r, t (even n), k = n or n/2, and
+    ~ for equality in Gamma(X_n), presented by veech.presentation_for.
+    The cosets are H rho^i for i < k: rho acts as i -> i + 1 and tau as
+    i -> -i mod k, z fixes every coset, and rho^i leads from coset 0 to
+    coset i.  CosetTable.validate() checks in integers that every relator
+    fixes every coset, that H's words (veech.subgroup_words) fix coset 0,
+    the transversal, and transitivity.  So this is an action of
+    Gamma(X_n) whose stabiliser S of coset 0 has index k and contains H.
+    And S lies in H, so H has index k:
+
+    By Schreier's lemma S is generated by rho^i g rho^-j for i < k, each
+    generator g and j the image of i under g.
+      * g = rho gives 1, or rho^k at i = k - 1: R^n, or r^(n/2) ~ z, which
+        is H's first word.
+      * g = z gives r^i z r^-i ~ z.
+      * g = tau gives tau at i = 0 and rho^i tau rho^i rho^-k otherwise.
+        So S = H once P(i): rho^i tau rho^i is in H, for every i < k.
+    P(0): tau is H's second word.  For 1 <= i <= (n - 1)//2, P(i - 1) gives
+    P(i) by
+
+        R^i T R^i ~ (R^i T^2 R^-i) (R^(i-1) T R^(i-1)) R^n,
+        r^i t r^i = (r^i t^2 r^-i) (r^(i-1) t r^(i-1)) (r^-(i-1) u r^(i-1)),
+
+    with u = (t^-1 r)^2: rho^i tau^2 rho^-i is one of H's words, and so
+    are u and, for 0 < j < k, r^-j u r^j = r^(k-j) (r^-k u r^k) r^-(k-j)
+    ~ r^(k-j) u r^-(k-j).  For even n this reaches i = k - 1.  For odd n
+    the cosets (n + 1)/2 <= i < n are left, and
+
+        R^i T R^i ~ R^n (R^(n-1-i) T R^(n-1-i))^-1
+
+    gives P(i) from P(n - 1 - i), where n - 1 - i <= (n - 3)/2.
+
+    Each ~ is one relator consequence: a conjugate of T R^-1 T R^(n-1),
+    the first odd relator rotated, or of its inverse; or r^-k u r^k u^-1,
+    as r^k ~ z and z is central.
+    """
+    k = n if n % 2 else n // 2
+    presentation = presentation_for(n)
+    rho, tau, *z = presentation.generators
+    action = {rho: tuple((i + 1) % k for i in range(k)), tau: tuple(-i % k for i in range(k))}
+    action.update((g, tuple(range(k))) for g in z)
+    table = CosetTable(presentation, tuple(subgroup_words(n)), k, action,
+                       tuple(Word.generator(rho) ** i for i in range(k)))
+    if not table.validate():
+        raise VerificationFailure("the closed-form coset table of n = %d fails its check" % n)
+    return table
 
 
 def certify_index(n: int) -> Certificate:
-    """Coset enumeration of the covers' Veech group in Gamma(X_n)."""
+    """The index of the covers' Veech group in Gamma(X_n)."""
     expected = n if n % 2 else n // 2
     table = _coset_table(n)
     verdict, witness = _index_rule(n, expected, table.index)
@@ -827,10 +873,10 @@ _NONE = type(None)
 _NO_LONGER_READ = "format %d is no longer read; `veechlab verify` writes format 3"
 
 # A standalone certificate names its own n, and revalidating it builds
-# the field of conductor 4n (at a cost that grows as N * phi(N)) or, for
-# an Index, enumerates that n's cosets (steeper still); above this n it
-# is refused before any value is parsed.  A FullTheorem is not capped:
-# verify_theorem writes one for every n.
+# the field of conductor 4n, at a cost that grows as N * phi(N); above
+# this n it is refused before any value is parsed.  An Index builds no
+# field, but is capped with the other kinds.  A FullTheorem is not
+# capped: verify_theorem writes one for every n.
 MAX_STANDALONE_N = 128
 
 

@@ -1,4 +1,6 @@
-"""Todd-Coxeter coset enumeration (HLT strategy).
+"""Coset tables, checked in integers by CosetTable.validate(), and
+Todd-Coxeter coset enumeration (HLT strategy): the tests' reference for
+the closed-form table that the Index reads (certificates._coset_table).
 
 Cosets are defined lowest-unfilled-first while scanning subgroup
 generators and then every relator at every live coset; coincidences are

@@ -4,8 +4,8 @@ Words in the fundamental-group basis x_0, x_1, ... of X_n name each
 generator by its index and record edge crossings: crossing the unprimed
 side x_i outward contributes (i, +1), crossing back through x_i'
 contributes (i, -1).  Veech-group words name each generator by its
-presentation symbol ("R", "T" or "r", "t", "z"); they are read by
-`veech.eval_group_word` and the coset enumeration.
+presentation symbol ("R", "T" or "r", "t", "z"); coset tables act by
+them, and `veech.eval_group_word` evaluates them as exact matrices.
 """
 
 from __future__ import annotations

@@ -449,24 +449,32 @@ def test_infinite_monodromy_uses_the_finite_rules():
     assert certify_sigma_T(n, "inf", "horizontal", shifted).verdict == "fail"
 
 
-def test_coset_table_enumerated_once_per_n(monkeypatch):
-    calls = []
-    enumerate_ = certificates.coset_enumerate
-
-    def counting(presentation, subgroup):
-        calls.append(presentation)
-        return enumerate_(presentation, subgroup)
-
+def test_coset_table_built_once_per_n():
     verify_theorem(7, 2)  # warm-up: base decompositions
     certificates._coset_table.cache_clear()
-    monkeypatch.setattr(certificates, "coset_enumerate", counting)
     for n in (7, 8):
         for d in (2, 3, 4):
             assert verify_theorem(n, d).verdict == "pass"
         data = json.loads(json.dumps(verify_theorem(n, infinite=True).to_json()))
         assert revalidate(data) == "pass"
         certificates.verify_quotient(n)
-    assert len(calls) == 2
+    assert certificates._coset_table.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_the_index_and_the_quotient_build_no_field(monkeypatch, n):
+    # the coset action is integers from its closed form: no presentation
+    # is checked as exact matrices on the way
+    built = []
+    get_context = field.get_context
+    monkeypatch.setattr(field, "get_context", lambda N: built.append(N) or get_context(N))
+    certificates._coset_table.cache_clear()
+    cert = certificates.certify_index(n)
+    assert cert.verdict == "pass"
+    certificates.verify_quotient(n)
+    certificates._coset_table.cache_clear()
+    assert revalidate(json.loads(json.dumps(cert.to_json()))) == "pass"
+    assert built == []
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -945,6 +953,25 @@ def test_an_over_bound_certificate_leaves_the_shared_table(monkeypatch):
     assert certificates._types(5) is types
     assert types.exact[:len(exact)] == exact
     assert facts.items() <= types._facts.items()
+
+
+def test_facts_past_the_bound_leave_the_kept_ones(monkeypatch):
+    # a fact decided while n's table holds _MEMO_SIZE of them is not kept,
+    # and the ones that verify and revalidate kept stay
+    certificates._types.cache_clear()
+    data = _roundtrip(verify_theorem(5, 2))
+    assert revalidate(data) == "pass"  # every value of data is now shared
+    types = certificates._types(5)
+    facts = dict(types._facts)
+    monkeypatch.setattr(certificates, "_MEMO_SIZE", len(facts) + 2)
+    shear = _standalone(data, _sub(data, "ShearMembership"))
+    for i in range(4):  # each forged twist count is a new fact
+        forged = copy.deepcopy(shear)
+        forged["payload"]["cylinders"][0]["twists"] = 10 ** 6 + i
+        assert revalidate(forged) == "fail"
+    assert certificates._types(5) is types
+    assert facts.items() <= types._facts.items()
+    assert len(types._facts) == len(facts) + 2
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 import pytest
 
 from veechlab import certificates, perms
-from veechlab.coset import coset_enumerate
-from veechlab.errors import CapExceeded
+from veechlab.coset import CosetTable, coset_enumerate
+from veechlab.errors import CapExceeded, VerificationFailure
+from veechlab.quotient import quotient_invariants
 from veechlab.veech import (
     Mat2,
     eval_group_word,
@@ -128,7 +129,7 @@ def test_schreier_generators_lie_in_subgroup(n):
         for sym in pres.generators:
             j = table.act_letter(i, sym, 1)
             word = t * Word.generator(sym) * table.transversal[j].inverse()
-            m = eval_group_word(n, word, pres.images)
+            m = eval_group_word(n, word)
             if not m.is_identity():
                 schreier.append((repr(word), m))
     assert schreier  # the table does produce nontrivial Schreier generators
@@ -153,8 +154,9 @@ def minus(n):
 @pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])
 def test_the_coset_action_has_its_closed_form(n):
     # the cosets are H rho^i for i < k (k = n for odd n, n/2 for even n):
-    # rho acts as i -> i + 1, T as i -> -i mod k, and z fixes every coset
-    table = certificates._coset_table(n)
+    # rho acts as i -> i + 1, T as i -> -i mod k, and z fixes every coset;
+    # read off the enumerated table, which assumes no closed form
+    table = coset_enumerate(presentation_for(n), subgroup_words(n))
     k = n if n % 2 else n // 2
     rho, tau = ("R", "T") if n % 2 else ("r", "t")
     assert table.index == k
@@ -167,3 +169,99 @@ def test_the_coset_action_has_its_closed_form(n):
         assert table.action[tau][c] == cosets[-i % k]
         if n % 2 == 0:
             assert table.action["z"][c] == c
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])
+def test_the_closed_form_table_is_the_enumerated_one(n):
+    closed = certificates._coset_table(n)
+    enumerated = coset_enumerate(presentation_for(n), subgroup_words(n))
+    assert closed.index == enumerated.index
+    assert quotient_invariants(closed) == quotient_invariants(enumerated)
+    # the relabelling that fixes coset H: closed coset i is the enumerated
+    # coset that the closed transversal word of i reaches
+    sigma = [enumerated.act_word(0, word) for word in closed.transversal]
+    assert sorted(sigma) == list(range(closed.index))
+    for g, perm in closed.action.items():
+        assert [sigma[c] for c in perm] == [enumerated.action[g][c] for c in sigma], g
+
+
+def _reduced(word: Word) -> Word:
+    out = []
+    for g, s in word.letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return Word(out)
+
+
+def _conjugacy_class(word: Word) -> tuple:
+    """The cyclic normal form of word's cyclically reduced core."""
+    letters = _reduced(word).letters
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return Word(letters).cyclic_normal_form()
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])
+def test_the_schreier_identities_are_one_relator_consequence(n):
+    # _coset_table's proof that H is the whole stabiliser of coset 0: each
+    # identity lhs ~ rhs, for either sign of i, freely reduces lhs^-1 rhs
+    # to a conjugate of one word or its inverse (or to nothing), and that
+    # word holds as exact matrices; each word that the proof puts in H is
+    # one of H's words
+    k = n if n % 2 else n // 2
+    words = set(subgroup_words(n))
+    R, T = Word.generator("R"), Word.generator("T")
+    if n % 2:
+        consequence = T * R.inverse() * T * R ** (n - 1)
+        identities = [(R ** i * T * R ** i, rhs) for i in range(-k, k + 1) for rhs in (
+            (R ** i * T * T * R ** -i) * (R ** (i - 1) * T * R ** (i - 1)) * R ** n,
+            R ** n * (R ** (n - 1 - i) * T * R ** (n - 1 - i)).inverse())]
+        in_h = [R ** n, T] + [R ** i * T * T * R ** -i for i in range(1, (n - 1) // 2 + 1)]
+        matrices = consequence
+    else:
+        r, t, z = Word.generator("r"), Word.generator("t"), Word.generator("z")
+        u = (t.inverse() * r) ** 2
+        consequence = r ** -k * u * r ** k * u.inverse()
+        identities = [(lhs, rhs) for i in range(-k, k + 1) for lhs, rhs in (
+            (r ** i * t * r ** i,
+             (r ** i * t * t * r ** -i) * (r ** (i - 1) * t * r ** (i - 1))
+             * (r ** -(i - 1) * u * r ** (i - 1))),
+            (r ** -i * u * r ** i, r ** (k - i) * (r ** -k * u * r ** k) * r ** -(k - i)))]
+        in_h = [z, t] + [r ** i * t * t * r ** -i for i in range(1, k)]
+        in_h += [r ** i * u * r ** -i for i in range(k)]
+        matrices = consequence.substitute({"r": R * R, "t": T, "z": R ** n})
+    classes = {(), _conjugacy_class(consequence), _conjugacy_class(consequence.inverse())}
+    for lhs, rhs in identities:
+        assert _conjugacy_class(lhs.inverse() * rhs) in classes, (lhs, rhs)
+    assert eval_group_word(n, matrices).is_identity()
+    assert {_reduced(w) for w in in_h} <= words
+
+
+@pytest.mark.parametrize("n", [5, 9, 8, 12])
+def test_validate_rejects_another_closed_form(n):
+    table = certificates._coset_table(n)
+    pres, k = table.presentation, table.index
+    rho, tau, *z = pres.generators
+
+    def closed(size, reflect=-1):
+        # rho: i -> i + 1 and tau: i -> reflect * i on size cosets
+        action = {rho: tuple((i + 1) % size for i in range(size)),
+                  tau: tuple(reflect * i % size for i in range(size))}
+        action.update((g, tuple(range(size))) for g in z)
+        return CosetTable(pres, table.subgroup, size, action,
+                          tuple(Word.generator(rho) ** i for i in range(size)))
+
+    assert closed(k).validate()
+    for size, reflect in ((k - 1, -1), (k + 1, -1), (k, 1)):
+        assert not closed(size, reflect).validate(), (size, reflect)
+
+
+def test_an_index_is_certified_only_from_a_validated_table(monkeypatch):
+    certificates._coset_table.cache_clear()
+    monkeypatch.setattr(CosetTable, "validate", lambda table: False)
+    with pytest.raises(VerificationFailure, match="closed-form coset table of n = 9"):
+        certificates.certify_index(9)
+    monkeypatch.undo()
+    assert certificates.certify_index(9).verdict == "pass"
