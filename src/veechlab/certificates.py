@@ -48,7 +48,6 @@ from functools import cached_property, lru_cache
 from itertools import chain, islice
 
 from . import perms
-from .coset import CosetTable
 from .covering import (
     CoveringSurface,
     Monodromy,
@@ -63,11 +62,9 @@ from .covering import (
 )
 from .errors import IntransitiveMonodromy, MalformedCertificate, VerificationFailure, short_repr
 from .field import RealAlg, lambda_n
-from .quotient import quotient_invariants
 from .surface import no_base_surface
-from .veech import presentation_for, subgroup_words
+from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
-from .zcover import ZMonodromy, ZPermutation, sigma_T_infinite, std_infinite_monodromy
 
 PASS = "pass"
 FAIL = "fail"
@@ -142,33 +139,34 @@ class _Perm:
 
     Finite covers permute sheets {0, ..., d-1} as tuples (module perms,
     where compose(a, b) is a followed by b); Y_{n,inf} permutes Z by
-    ZPermutation, whose a.compose(b) applies a after b.
+    zcover.ZPermutation, whose a.compose(b) applies a after b.  Only the
+    d = inf paths import zcover.
     """
 
     @staticmethod
     def then(a, b):
         """a followed by b."""
-        return b.compose(a) if isinstance(a, ZPermutation) else perms.compose(a, b)
+        return perms.compose(a, b) if type(a) is tuple else b.compose(a)
 
     @staticmethod
     def inverse(p):
-        return p.inverse() if isinstance(p, ZPermutation) else perms.inverse(p)
+        return perms.inverse(p) if type(p) is tuple else p.inverse()
 
     @staticmethod
     def is_identity(p) -> bool:
-        return p.is_identity() if isinstance(p, ZPermutation) else p == perms.identity(len(p))
+        return p == perms.identity(len(p)) if type(p) is tuple else p.is_identity()
 
     @staticmethod
     def is_involution(p) -> bool:
-        return p.is_involution() if isinstance(p, ZPermutation) else perms.is_involution(p)
+        return perms.is_involution(p) if type(p) is tuple else p.is_involution()
 
     @staticmethod
     def to_json(p):
-        return p.to_json() if isinstance(p, ZPermutation) else list(p)
+        return list(p) if type(p) is tuple else p.to_json()
 
     @staticmethod
     def degree(p):
-        return "inf" if isinstance(p, ZPermutation) else len(p)
+        return len(p) if type(p) is tuple else "inf"
 
     @staticmethod
     def from_json(data):
@@ -176,6 +174,8 @@ class _Perm:
         MalformedCertificate."""
         if type(data) is dict and data.keys() == {"t_even", "t_odd"} and (
                 {*map(type, data.values())} == {int}):
+            from .zcover import ZPermutation
+
             try:
                 return ZPermutation(**data)
             except ValueError as exc:  # t_even and t_odd of unequal parity
@@ -658,9 +658,16 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
     """
     if mode not in _SIGMA_MODES:
         raise ValueError("mode must be one of %s, not %r" % (", ".join(_SIGMA_MODES), mode))
-    if monodromy is None:
-        monodromy = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
-    sigma = sigma_T_infinite() if d == "inf" else sigma_T_claim(d)
+    if d == "inf":
+        from .zcover import sigma_T_infinite, std_infinite_monodromy
+
+        sigma = sigma_T_infinite()
+        if monodromy is None:
+            monodromy = std_infinite_monodromy(n)
+    else:
+        sigma = sigma_T_claim(d)
+        if monodromy is None:
+            monodromy = standard_monodromy(n, d)
     if mode == "vertical":
         sigma = _Perm.inverse(sigma)
     verdict, witness = _sigma_rule(n, monodromy.images, sigma, mode)
@@ -789,6 +796,8 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
     if infinite:
         if d is not None or monodromy is not None:
             raise ValueError("infinite verification takes neither d nor a monodromy")
+        from .zcover import std_infinite_monodromy
+
         d, monodromy = "inf", std_infinite_monodromy(n)
     else:
         if d is None or d < 2:
@@ -837,6 +846,8 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
 
 def verify_quotient(n: int):
     """Quotient invariants of H/Gamma_n from the coset action."""
+    from .quotient import quotient_invariants
+
     return quotient_invariants(_coset_table(n))
 
 
@@ -960,7 +971,11 @@ class _Table:
             raise MalformedCertificate("permutations of different degrees")
         [degree] = degrees
         images = dict(enumerate(ps))
-        return ZMonodromy(g, images) if degree == "inf" else Monodromy(g, degree, images)
+        if degree != "inf":
+            return Monodromy(g, degree, images)
+        from .zcover import ZMonodromy
+
+        return ZMonodromy(g, images)
 
 
 def _claimed_n(data) -> int:

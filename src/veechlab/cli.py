@@ -14,15 +14,7 @@ import sys
 from .certificates import revalidate, verify_quotient, verify_theorem
 from .covering import base_decomposition, build_cover, cover_cylinders, monodromy_indices
 from .errors import MalformedCertificate, VeechLabError
-from .render import PALETTES, render_cover, render_infinite_window, render_surface
 from .surface import build_base, no_base_surface
-from .zcover import (
-    infinite_singularities,
-    sigma_T_infinite,
-    singularity_loops,
-    std_infinite_monodromy,
-    z_cover_structure,
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -129,6 +121,14 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_infinite(args) -> int:
+    from .zcover import (
+        infinite_singularities,
+        sigma_T_infinite,
+        singularity_loops,
+        std_infinite_monodromy,
+        z_cover_structure,
+    )
+
     _check_n(args.n)
     n = args.n
     zm = std_infinite_monodromy(n)
@@ -151,6 +151,8 @@ def cmd_infinite(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_cover, render_infinite_window, render_surface
+
     _check_n(args.n)
     if args.infinite:
         if args.direction is not None:
@@ -172,6 +174,16 @@ def cmd_render(args) -> int:
         fh.write(svg)
     _emit({"written": args.out})
     return EXIT_PASS
+
+
+def _palette(name: str) -> str:
+    # render loads only when a render command is parsed
+    from .render import PALETTES
+
+    if name not in PALETTES:
+        raise argparse.ArgumentTypeError(
+            "invalid choice: %r (choose from %s)" % (name, ", ".join(map(repr, sorted(PALETTES)))))
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None, metavar="W",
                    help="with --infinite, render copies -W..W (default 2)")
     p.add_argument("--direction", type=int, default=None, help="overlay cylinders in v_l")
-    p.add_argument("--palette", default="default", choices=sorted(PALETTES))
+    p.add_argument("--palette", default="default", type=_palette)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -1,6 +1,6 @@
-"""Coset tables, checked in integers by CosetTable.validate(), and
-Todd-Coxeter coset enumeration (HLT strategy): the tests' reference for
-the closed-form table that the Index reads (certificates._coset_table).
+"""Todd-Coxeter coset enumeration (HLT strategy): the tests' reference
+for the closed-form table that the Index reads (certificates._coset_table).
+It returns a veech.CosetTable; no command imports this module.
 
 Cosets are defined lowest-unfilled-first while scanning subgroup
 generators and then every relator at every live coset; coincidences are
@@ -12,9 +12,8 @@ number of cosets ever defined.
 
 from __future__ import annotations
 
-from . import perms
 from .errors import CapExceeded
-from .veech import Presentation
+from .veech import CosetTable, Presentation
 from .words import Word
 
 
@@ -104,43 +103,6 @@ class _Enumerator:
 
     def live_cosets(self):
         return [i for i in range(len(self.table)) if self.rep(i) == i]
-
-
-class CosetTable:
-    """Coset action of a finitely presented group on subgroup cosets."""
-
-    def __init__(self, presentation: Presentation, subgroup, index: int, action, transversal):
-        self.presentation = presentation
-        self.subgroup = subgroup  # the subgroup generator words
-        self.index = index
-        self.action = action  # generator symbol -> tuple permutation of {0..index-1}
-        self.transversal = transversal  # Word per coset, transversal[0] trivial
-        self._inverse = {sym: perms.inverse(p) for sym, p in action.items()}
-
-    def act_letter(self, coset: int, sym: str, step: int) -> int:
-        return (self.action if step > 0 else self._inverse)[sym][coset]
-
-    def act_word(self, coset: int, word: Word) -> int:
-        for sym, step in word.letters:
-            coset = self.act_letter(coset, sym, step)
-        return coset
-
-    def word_permutation(self, word: Word) -> tuple:
-        return tuple(self.act_word(i, word) for i in range(self.index))
-
-    def validate(self) -> bool:
-        ident = tuple(range(self.index))
-        for rel in self.presentation.relators:
-            if self.word_permutation(rel) != ident:
-                return False
-        for w in self.subgroup:
-            if self.act_word(0, w) != 0:
-                return False
-        for i, t in enumerate(self.transversal):
-            if self.act_word(0, t) != i:
-                return False
-        return perms.is_transitive([self.action[sym] for sym in self.presentation.generators],
-                                   self.index)
 
 
 def coset_enumerate(

@@ -35,19 +35,35 @@ would write.  Nothing here imports mpmath.
 from __future__ import annotations
 
 import re
-from fractions import Fraction as _QQ
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm, log
+from numbers import Rational
 
 from .errors import MalformedCertificate, SignUndetermined, short_repr
 
 
-def QQ(value) -> _QQ:
+# fractions, and the decimal module that it loads, is imported where a
+# Fraction is built: a cold verify computes in integers and loads neither
+
+
+def QQ(value):
     """Coerce an int / string 'p/q' / rational to a Fraction."""
-    if isinstance(value, _QQ):
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
         return value
-    return _QQ(value)
+    return Fraction(value)
+
+
+def __getattr__(name):
+    # _QQ names the rational type (bench/run.py records its module) and
+    # resolves to Fraction when first read
+    if name == "_QQ":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +286,12 @@ class CycloNumber:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
-    def coeffs(self) -> tuple[_QQ, ...]:
+    def coeffs(self) -> tuple:
         """The rational coefficients, low to high power of zeta."""
+        from fractions import Fraction
+
         den = self.den
-        return tuple(_QQ(a, den) for a in self.num)
+        return tuple(Fraction(a, den) for a in self.num)
 
     def key(self):
         """Hashable canonical form, usable as a multiset key."""
@@ -283,7 +301,7 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, N: int, q) -> CycloNumber:
-        if not isinstance(q, (int, _QQ)):
+        if not isinstance(q, (int, Rational)):
             q = QQ(q)
         phi = get_context(N).phi
         return _new(cls, N, (q.numerator,) + (0,) * (phi - 1), q.denominator)
@@ -307,12 +325,14 @@ class CycloNumber:
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return _QQ(self.num[0], self.den)
+        from fractions import Fraction
+
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
             return self.N == other.N and self.den == other.den and self.num == other.num
-        if isinstance(other, (int, _QQ)):
+        if isinstance(other, (int, Rational)):
             return (
                 self.is_rational()
                 and self.num[0] * other.denominator == other.numerator * self.den
@@ -322,7 +342,9 @@ class CycloNumber:
     def __hash__(self):
         # a rational element hashes as the int or Fraction it equals
         if self.is_rational():
-            return hash(_QQ(self.num[0], self.den))
+            from fractions import Fraction
+
+            return hash(Fraction(self.num[0], self.den))
         return hash(self.key())
 
     # -- arithmetic ----------------------------------------------------
@@ -332,7 +354,7 @@ class CycloNumber:
             if other.N != self.N:
                 raise ValueError("mixed conductors %d and %d" % (self.N, other.N))
             return other
-        if isinstance(other, (int, _QQ)):
+        if isinstance(other, (int, Rational)):
             return type(self).from_rational(self.N, other)
         return None
 
@@ -376,7 +398,7 @@ class CycloNumber:
     def __mul__(self, other):
         if type(other) is type(self) and other.N == self.N:
             o, cls = other, type(self)
-        elif isinstance(other, (int, _QQ)):
+        elif isinstance(other, (int, Rational)):
             p, q = other.numerator, other.denominator
             return _normal(type(self), self.N, [a * p for a in self.num], self.den * q)
         else:
@@ -726,7 +748,7 @@ class RealAlg(CycloNumber):
 
     def _minus(self, other):
         # self - other for a real or rational other, else None
-        if isinstance(other, (RealAlg, int, _QQ)):
+        if isinstance(other, (RealAlg, int, Rational)):
             return self - other
         return None
 

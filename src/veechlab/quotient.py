@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import perms
-from .coset import CosetTable
 from .errors import VeechLabError
+from .veech import CosetTable
 
 
 class QuotientBookkeepingError(VeechLabError):

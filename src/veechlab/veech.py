@@ -1,130 +1,24 @@
-"""Exact 2x2 matrix layer: R_n, T_n, group words and presentations.
+"""Veech's presentations of Gamma(X_n), the covers' generator words and
+coset tables, all over group words: no matrix and no field element.
 
 R_n rotates by pi/n and T_n shears by lambda_n = 2 cot(pi/n).  For odd
 n the group they generate is presented by {(T^-1 R)^2 = R^n, R^2n = I,
 R^n T = T R^n}; for even n the Veech group of the base is <R^2, T>, a
 (n/2, inf, inf) triangle group, presented here on generators r = R^2,
 t = T, z = R^n = -I with relators r^(n/2) z^-1, z^2 and z central
-(Veech, Invent. Math. 97, 1989).  The matrices are the tests' oracle.
+(Veech, Invent. Math. 97, 1989).  The tests check these words as exact
+2x2 matrices (tests/oracles.py).  A CosetTable is the action of a
+presented group on the cosets of a subgroup, checked in integers by
+CosetTable.validate().
 """
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import NamedTuple
 
-from .field import RealAlg, cos_pi_over, lambda_n, product_sum, sin_pi_over
+from . import perms
 from .surface import no_base_surface
 from .words import Word
-
-
-class Mat2:
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: RealAlg, b: RealAlg, c: RealAlg, d: RealAlg):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *x):
-        raise AttributeError("Mat2 is immutable")
-
-    @staticmethod
-    def identity(N: int) -> Mat2:
-        one, zero = RealAlg.one(N), RealAlg.zero(N)
-        return Mat2(one, zero, zero, one)
-
-    def __mul__(self, other: Mat2) -> Mat2:
-        return Mat2(
-            product_sum(self.a, other.a, self.b, other.c),
-            product_sum(self.a, other.b, self.b, other.d),
-            product_sum(self.c, other.a, self.d, other.c),
-            product_sum(self.c, other.b, self.d, other.d),
-        )
-
-    def __neg__(self) -> Mat2:
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def det(self) -> RealAlg:
-        return product_sum(self.a, self.d, self.b, self.c, -1)
-
-    def trace(self) -> RealAlg:
-        return self.a + self.d
-
-    def inverse(self) -> Mat2:
-        det = self.det()
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-    def __pow__(self, k: int) -> Mat2:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Mat2.identity(self.a.N) if out is None else out
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def is_identity(self) -> bool:
-        return self == Mat2.identity(self.a.N)
-
-    def key(self):
-        return (self.a.key(), self.b.key(), self.c.key(), self.d.key())
-
-    def apply(self, v):
-        from .planar import Vec2
-
-        return Vec2(product_sum(self.a, v.x, self.b, v.y), product_sum(self.c, v.x, self.d, v.y))
-
-    def __repr__(self):
-        return "Mat2[[%s, %s], [%s, %s]]" % tuple(
-            x.approx(8).strip() for x in (self.a, self.b, self.c, self.d)
-        )
-
-
-def gen_R(n: int) -> Mat2:
-    """Rotation by pi/n."""
-    c, s = cos_pi_over(n), sin_pi_over(n)
-    return Mat2(c, -s, s, c)
-
-
-def gen_T(n: int) -> Mat2:
-    """Horizontal shear by lambda_n = 2 cot(pi/n)."""
-    N = 4 * n
-    one, zero = RealAlg.one(N), RealAlg.zero(N)
-    return Mat2(one, lambda_n(n), zero, one)
-
-
-def minus_identity(n: int) -> Mat2:
-    return -Mat2.identity(4 * n)
-
-
-# ---------------------------------------------------------------------------
-# group words: a words.Word whose letters are (generator symbol, +-1)
-
-
-def eval_group_word(n: int, word: Word, images: dict | None = None) -> Mat2:
-    """Evaluate a word over generator symbols left-to-right under the exact
-    representation, each run of equal letters by repeated squaring."""
-    if images is None:
-        images = {"R": gen_R(n), "T": gen_T(n)}
-    out = Mat2.identity(4 * n)
-    for (sym, step), run in groupby(word.letters):
-        out = out * images[sym] ** (step * sum(1 for _ in run))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +105,50 @@ def subgroup_words(n: int) -> list[Word]:
     if n % 2:
         return gamma_generator_words(n)
     return _generator_words(n, Word.generator("z"), Word.generator("t"), Word.generator("r"))
+
+
+# ---------------------------------------------------------------------------
+# coset tables
+
+
+class CosetTable:
+    """Coset action of a finitely presented group on subgroup cosets."""
+
+    def __init__(self, presentation: Presentation, subgroup, index: int, action, transversal):
+        self.presentation = presentation
+        self.subgroup = subgroup  # the subgroup generator words
+        self.index = index
+        self.action = action  # generator symbol -> tuple permutation of {0..index-1}
+        self.transversal = transversal  # Word per coset, transversal[0] trivial
+        self._inverse = {sym: perms.inverse(p) for sym, p in action.items()}
+
+    def act_letter(self, coset: int, sym: str, step: int) -> int:
+        return (self.action if step > 0 else self._inverse)[sym][coset]
+
+    def act_word(self, coset: int, word: Word) -> int:
+        for sym, step in word.letters:
+            coset = self.act_letter(coset, sym, step)
+        return coset
+
+    def word_permutation(self, word: Word) -> tuple:
+        """The word's action on every coset: each letter's permutation
+        applied to the images of all cosets at once."""
+        image = range(self.index)
+        for sym, step in word.letters:
+            p = (self.action if step > 0 else self._inverse)[sym]
+            image = [p[c] for c in image]
+        return tuple(image)
+
+    def validate(self) -> bool:
+        ident = tuple(range(self.index))
+        for rel in self.presentation.relators:
+            if self.word_permutation(rel) != ident:
+                return False
+        for w in self.subgroup:
+            if self.act_word(0, w) != 0:
+                return False
+        for i, t in enumerate(self.transversal):
+            if self.act_word(0, t) != i:
+                return False
+        return perms.is_transitive([self.action[sym] for sym in self.presentation.generators],
+                                   self.index)

@@ -4,8 +4,9 @@ Words in the fundamental-group basis x_0, x_1, ... of X_n name each
 generator by its index and record edge crossings: crossing the unprimed
 side x_i outward contributes (i, +1), crossing back through x_i'
 contributes (i, -1).  Veech-group words name each generator by its
-presentation symbol ("R", "T" or "r", "t", "z"); coset tables act by
-them, and `veech.eval_group_word` evaluates them as exact matrices.
+presentation symbol ("R", "T" or "r", "t", "z"); coset tables
+(veech.CosetTable) act by them, and the tests evaluate them as exact
+matrices (tests/oracles.py).
 """
 
 from __future__ import annotations

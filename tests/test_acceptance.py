@@ -26,9 +26,11 @@ from veechlab.cylinders import (
 )
 from veechlab.field import CycloNumber, QQ, RealAlg, cyclotomic_coeffs, lambda_n
 from veechlab.surface import build_base
-from veechlab.veech import Mat2, gen_R, gen_T, presentation_for, subgroup_words
+from veechlab.veech import presentation_for, subgroup_words
 from veechlab.words import Word
 from veechlab.zcover import holonomy, infinite_singularities, z_cover_structure
+
+from oracles import Mat2, gen_R, gen_T
 
 
 def _report(number, text):

@@ -387,6 +387,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
+# what a finite verify and its revalidate never run: Fractions (and the
+# decimal module that fractions loads), SVG, quotient bookkeeping, Z-covers
+# and Todd-Coxeter
+_OFF_THE_VERIFY_PATH = {"fractions", "decimal", "veechlab.render", "veechlab.quotient",
+                        "veechlab.zcover", "veechlab.coset"}
+
+# runs one command in a fresh interpreter; prints on stderr which of the
+# modules named in argv[1] it loaded
+_LOADED_PROBE = (
+    "import sys\n"
+    "from veechlab.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "print('loaded:', *sorted(set(sys.argv[1].split()) & set(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_a_cold_verify_and_its_revalidate_load_only_what_they_run():
+    added = _modules_after("import veechlab.cli") - _modules_after("pass")
+    assert not added & _OFF_THE_VERIFY_PATH, sorted(added & _OFF_THE_VERIFY_PATH)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    watched = " ".join(sorted(_OFF_THE_VERIFY_PATH))
+
+    def probe(argv, stdin=None):
+        run = subprocess.run([sys.executable, "-c", _LOADED_PROBE, watched, *argv], input=stdin,
+                             env=env, capture_output=True, text=True, check=True)
+        return run.stdout, set(run.stderr.splitlines()[-1].split()[1:])
+
+    cert, loaded = probe(["verify", "--n", "9", "--d", "3"])
+    assert json.loads(cert)["verdict"] == "pass" and not loaded, loaded
+    out, loaded = probe(["revalidate", "--file", "-"], cert)
+    assert json.loads(out) == {"verdict": "pass"} and not loaded, loaded
+    # the probe sees a module that a command does load
+    _, loaded = probe(["quotient", "--n", "9"])
+    assert loaded == {"fractions", "decimal", "veechlab.quotient"}, loaded
+
+
 # runs one command in a fresh interpreter; says on stderr whether mpmath was loaded
 _MPMATH_PROBE = (
     "import sys\n"

@@ -4,14 +4,10 @@ from veechlab import certificates, perms
 from veechlab.coset import CosetTable, coset_enumerate
 from veechlab.errors import CapExceeded, VerificationFailure
 from veechlab.quotient import quotient_invariants
-from veechlab.veech import (
-    Mat2,
-    eval_group_word,
-    gamma_generator_words,
-    presentation_for,
-    subgroup_words,
-)
+from veechlab.veech import gamma_generator_words, presentation_for, subgroup_words
 from veechlab.words import Word
+
+from oracles import Mat2, eval_group_word
 
 
 @pytest.mark.parametrize("n,expected", [(5, 5), (7, 7), (9, 9), (11, 11), (8, 4), (10, 5), (12, 6)])

@@ -17,7 +17,6 @@ from veechlab import covering, field
 from veechlab.covering import base_decomposition
 from veechlab.errors import MalformedCertificate, SignUndetermined, VeechLabError
 from veechlab.planar import Vec2
-from veechlab.veech import Mat2
 from veechlab.field import (
     QQ,
     CycloNumber,
@@ -31,6 +30,8 @@ from veechlab.field import (
     sign,
     sin_pi_over,
 )
+
+from oracles import Mat2
 
 
 def test_cyclo_root_basics():

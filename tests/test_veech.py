@@ -3,17 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from veechlab.field import RealAlg, cos_pi_over, lambda_n, quarter_trig, sin_pi_over
 from veechlab.planar import Vec2
-from veechlab.veech import (
-    Mat2,
-    eval_group_word,
-    gamma_generator_words,
-    gen_R,
-    gen_T,
-    minus_identity,
-    presentation_for,
-    subgroup_words,
-)
+from veechlab.veech import gamma_generator_words, presentation_for, subgroup_words
 from veechlab.words import Word
+
+from oracles import Mat2, eval_group_word, gen_R, gen_T, minus_identity
 
 R_, T_ = Word.generator("R"), Word.generator("T")
 
