@@ -153,10 +153,6 @@ class _Perm:
         return perms.inverse(p) if type(p) is tuple else p.inverse()
 
     @staticmethod
-    def is_identity(p) -> bool:
-        return p == perms.identity(len(p)) if type(p) is tuple else p.is_identity()
-
-    @staticmethod
     def is_involution(p) -> bool:
         return perms.is_involution(p) if type(p) is tuple else p.is_involution()
 
@@ -428,7 +424,7 @@ def _shear_rule(factor: int, rows, types: _Types):
     return PASS, None
 
 
-def _sigma_rule(n: int, images: dict, sigma, mode: str):
+def _sigma_rule(n: int, monodromy: Monodromy | ZMonodromy, sigma, mode: str):
     """SigmaT: the two compatibility conditions, as exact permutation
     identities between sigma and the images of x_k1 and x_k2.
 
@@ -436,12 +432,11 @@ def _sigma_rule(n: int, images: dict, sigma, mode: str):
     generator moves a sheet.
     """
     k1, k2 = monodromy_indices(n)
-    other_moving = [i for i, p in images.items()
-                    if i not in (k1, k2) and not _Perm.is_identity(p)]
+    other_moving = [i for i in monodromy._moving if i not in (k1, k2)]
     if other_moving:
         return INCONCLUSIVE, {"reason": "generators other than x_k1, x_k2 move",
                               "other_moving": other_moving}
-    sig1, sig2 = images[k1], images[k2]
+    sig1, sig2 = monodromy.image(k1), monodromy.image(k2)
     then = _Perm.then
     if mode == "horizontal":
         suc = then(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
@@ -457,9 +452,9 @@ def _sigma_rule(n: int, images: dict, sigma, mode: str):
     return FAIL, {"cond1": cond1, "cond2": cond2}
 
 
-def _minus_identity_rule(images):
-    """MinusIdentity: -I lifts iff every (generator, image) image is an involution."""
-    for i, p in images:
+def _minus_identity_rule(monodromy: Monodromy | ZMonodromy):
+    """MinusIdentity: -I lifts iff every moving generator's image is an involution."""
+    for i, (p, _) in monodromy._moving.items():
         if not _Perm.is_involution(p):
             return FAIL, {"generator": i, "image": _Perm.to_json(p), "reason": "not an involution"}
     return PASS, None
@@ -658,27 +653,36 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
     """
     if mode not in _SIGMA_MODES:
         raise ValueError("mode must be one of %s, not %r" % (", ".join(_SIGMA_MODES), mode))
+    if monodromy is None:
+        if d == "inf":
+            from .zcover import std_infinite_monodromy
+
+            monodromy = std_infinite_monodromy(n)
+        else:
+            monodromy = standard_monodromy(n, d)
+    return _sigma_certificate(n, d, mode, monodromy, _images_table(n, monodromy))
+
+
+def _sigma_certificate(n: int, d, mode: str, monodromy: Monodromy | ZMonodromy,
+                       values: _Values) -> Certificate:
+    # values holds the monodromy's images: a theorem passes its own table
     if d == "inf":
-        from .zcover import sigma_T_infinite, std_infinite_monodromy
+        from .zcover import sigma_T_infinite
 
         sigma = sigma_T_infinite()
-        if monodromy is None:
-            monodromy = std_infinite_monodromy(n)
     else:
         sigma = sigma_T_claim(d)
-        if monodromy is None:
-            monodromy = standard_monodromy(n, d)
     if mode == "vertical":
         sigma = _Perm.inverse(sigma)
-    verdict, witness = _sigma_rule(n, monodromy.images, sigma, mode)
+    verdict, witness = _sigma_rule(n, monodromy, sigma, mode)
     return Certificate(kind="SigmaT", n=n, d=d, verdict=verdict,
                        payload={"mode": mode, "sigma_T": _Perm.to_json(sigma)},
-                       witness=witness, values=_images_table(n, monodromy))
+                       witness=witness, values=values)
 
 
 def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certificate:
     """-I lifts iff every generator's monodromy image is an involution."""
-    verdict, witness = _minus_identity_rule(monodromy.images.items())
+    verdict, witness = _minus_identity_rule(monodromy)
     return Certificate(kind="MinusIdentity", n=n, d=monodromy.degree, verdict=verdict,
                        witness=witness, values=_images_table(n, monodromy))
 
@@ -689,13 +693,14 @@ def _coset_table(n: int) -> CosetTable:
 
     Write rho, tau for R, T (odd n) or r, t (even n), k = n or n/2, and
     ~ for equality in Gamma(X_n), presented by veech.presentation_for.
-    The cosets are H rho^i for i < k: rho acts as i -> i + 1 and tau as
-    i -> -i mod k, z fixes every coset, and rho^i leads from coset 0 to
-    coset i.  CosetTable.validate() checks in integers that every relator
-    fixes every coset, that H's words (veech.subgroup_words) fix coset 0,
-    the transversal, and transitivity.  So this is an action of
-    Gamma(X_n) whose stabiliser S of coset 0 has index k and contains H.
-    And S lies in H, so H has index k:
+    On the cosets i < k, rho acts as the successor map i -> i + 1 mod k,
+    tau as i -> -i mod k, and z fixes every coset.  CosetTable.validate()
+    checks in integers that every relator fixes every coset, so this is
+    an action of Gamma(X_n); that H's words (veech.subgroup_words) fix
+    coset 0, so the stabiliser S of coset 0 contains H; and that the
+    action is transitive, so S has index k (orbit-stabiliser).  As rho is
+    the successor map, rho^i takes coset 0 to coset i: the rho^i, i < k,
+    are a transversal of S.  And S lies in H, so H has index k:
 
     By Schreier's lemma S is generated by rho^i g rho^-j for i < k, each
     generator g and j the image of i under g.
@@ -728,8 +733,7 @@ def _coset_table(n: int) -> CosetTable:
     rho, tau, *z = presentation.generators
     action = {rho: tuple((i + 1) % k for i in range(k)), tau: tuple(-i % k for i in range(k))}
     action.update((g, tuple(range(k))) for g in z)
-    table = CosetTable(presentation, tuple(subgroup_words(n)), k, action,
-                       tuple(Word.generator(rho) ** i for i in range(k)))
+    table = CosetTable(presentation, tuple(subgroup_words(n)), k, action)
     if not table.validate():
         raise VerificationFailure("the closed-form coset table of n = %d fails its check" % n)
     return table
@@ -824,9 +828,10 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         elif kind == "ShearMembership":
             sub = _shear_certificate(n, d, key, profile(key), values)
         elif kind == "SigmaT":
-            sub = certify_sigma_T(n, d, key, monodromy)
+            sub = _sigma_certificate(n, d, key, monodromy, values)
         elif kind == "MinusIdentity":
-            sub = certify_minus_identity(n, monodromy)
+            verdict, witness = _minus_identity_rule(monodromy)
+            sub = Certificate(kind=kind, n=n, d=d, verdict=verdict, witness=witness, values=values)
         elif kind == "RotationObstruction":
             horizontal, direction = profile(0), profile(key)
             ruled = _rotation_rule(horizontal, direction, _types(n))
@@ -1134,9 +1139,9 @@ def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
         sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
         if _Perm.degree(sigma) != m.degree:
             raise MalformedCertificate("sigma_T and the images permute different sheets")
-        return _sigma_rule(n, m.images, sigma, key)[0]
+        return _sigma_rule(n, m, sigma, key)[0]
     if kind == "MinusIdentity":
-        return _minus_identity_rule(table.monodromy.images.items())[0]
+        return _minus_identity_rule(table.monodromy)[0]
     if kind == "Index":
         expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
         return _index_rule(n, expected, index)[0]

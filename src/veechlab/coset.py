@@ -138,21 +138,15 @@ def coset_enumerate(
             if enum.table[a][c] is None:
                 raise CapExceeded("table not closed at cap %d" % cap)
 
-    # canonical renumbering: BFS from coset 0 in generator order
-    order = {enum.rep(0): 0}
-    words = {enum.rep(0): Word()}
-    frontier = [enum.rep(0)]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                for step in (1, -1):
-                    b = enum.rep(enum.table[a][col[(g, step)]])
-                    if b not in order:
-                        order[b] = len(order)
-                        words[b] = words[a] * Word.generator(g, step)
-                        nxt.append(b)
-        frontier = nxt
+    # canonical renumbering: BFS from coset 0 in generator order, each
+    # generator's column before its inverse's
+    queue = [enum.rep(0)]
+    order = {queue[0]: 0}
+    for a in queue:
+        for b in map(enum.rep, enum.table[a]):
+            if b not in order:
+                order[b] = len(order)
+                queue.append(b)
     if len(order) != len(live):
         raise CapExceeded("coset graph is not connected")  # cannot happen
 
@@ -164,16 +158,8 @@ def coset_enumerate(
         for a in live:
             perm[order[a]] = order[enum.rep(enum.table[a][c])]
         action[g] = tuple(perm)
-    transversal = [None] * index
-    for a in live:
-        transversal[order[a]] = words[a]
-    table = CosetTable(
-        presentation=presentation,
-        subgroup=tuple(subgroup),
-        index=index,
-        action=action,
-        transversal=tuple(transversal),
-    )
+    table = CosetTable(presentation=presentation, subgroup=tuple(subgroup), index=index,
+                       action=action)
     if not table.validate():
         raise CapExceeded("enumeration produced an inconsistent table")
     return table

@@ -76,20 +76,22 @@ class Monodromy:
         check_generators(num_generators, images)
         self.num_generators = num_generators
         self.degree = degree
-        self.images = {}
         ident = perms.identity(degree)
-        for i in range(num_generators):
-            p = tuple(images.get(i, ident))
-            if sorted(p) != list(range(degree)):
+        self.images = dict.fromkeys(range(num_generators), ident)
+        # the generators that move a sheet, in order, with their inverse
+        # images: eval_word composes only these, and every rule that asks
+        # which generators move reads them
+        self._moving = {}
+        for i in sorted(images):  # only the given images need checking
+            p = self.images[i] = tuple(images[i])
+            if sorted(p) != list(ident):
                 raise ValueError("image of x_%d is not a permutation" % i)
-            self.images[i] = p
-        # the generators that move a sheet, with their inverse images;
-        # eval_word composes only these
-        self._moving = {i: (p, perms.inverse(p)) for i, p in self.images.items() if p != ident}
+            if p != ident:
+                self._moving[i] = (p, perms.inverse(p))
         self._cycle_types = {}  # moving letters of a word -> cycle_type of the word
 
     def is_transitive(self) -> bool:
-        return perms.is_transitive(list(self.images.values()), self.degree)
+        return perms.is_transitive([p for p, _ in self._moving.values()], self.degree)
 
     def image(self, i: int) -> tuple:
         return self.images[i]

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidSurface
-from .field import RealAlg, quarter_trig
+from .field import quarter_trig
 from .planar import Vec2, ccw_arc_contains
 
 
@@ -25,7 +25,7 @@ class EdgeRef(NamedTuple):
 
 
 class Polygon:
-    """A simple, positively oriented polygon with exact vertices."""
+    """A strictly convex, positively oriented polygon with exact vertices."""
 
     __slots__ = ("vertices", "sides")
 
@@ -50,19 +50,24 @@ class Polygon:
         return self.sides[i % len(self.sides)]
 
     def validate(self):
-        n = len(self.vertices)
-        area2 = RealAlg.zero(self.vertices[0].x.N)
-        for i in range(n):
-            if self.side_vector(i).is_zero():
-                raise InvalidSurface("consecutive vertices coincide")
-            area2 = area2 + self.vertex(i).cross(self.vertex(i + 1))
-        if area2.sign() <= 0:
-            raise InvalidSurface("polygon is not positively oriented")
-        # strictly convex, as separatrix tracing (_Tracer.enters) assumes
-        for i in range(n):
-            turn = self.side_vector(i).cross(self.side_vector(i + 1))
-            if turn.sign() <= 0:
+        """Strictly convex and positively oriented, as separatrix tracing
+        (_Tracer.enters) assumes: every corner turns left and, unlike a
+        star polygon's, the sides turn once around, so +x is in exactly one
+        corner's CCW arc (side i, side i + 1] (ccw_arc_contains against +x)."""
+        sides = self.sides
+        if any(side.is_zero() for side in sides):
+            raise InvalidSurface("consecutive vertices coincide")
+        ys = [side.y.sign() for side in sides]
+        turns = 0
+        for i in range(-1, len(sides) - 1):  # the corner from side i to side i + 1
+            if sides[i].cross(sides[i + 1]).sign() <= 0:
                 raise InvalidSurface("polygon is not strictly convex")
+            # +x is in the arc if side i + 1 points along +x, or side i
+            # points below the x-axis and side i + 1 above it
+            if ys[i] < 0 < ys[i + 1] or ys[i + 1] == 0 and sides[i + 1].x.sign() > 0:
+                turns += 1
+        if turns != 1:
+            raise InvalidSurface("polygon sides turn %d times around, not once" % turns)
 
     def to_json(self):
         return [v.to_json() for v in self.vertices]

@@ -8,12 +8,13 @@ R^n T = T R^n}; for even n the Veech group of the base is <R^2, T>, a
 t = T, z = R^n = -I with relators r^(n/2) z^-1, z^2 and z central
 (Veech, Invent. Math. 97, 1989).  The tests check these words as exact
 2x2 matrices (tests/oracles.py).  A CosetTable is the action of a
-presented group on the cosets of a subgroup, checked in integers by
-CosetTable.validate().
+presented group on the cosets of a subgroup, one permutation per
+generator, checked in integers by CosetTable.validate().
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from . import perms
@@ -112,43 +113,38 @@ def subgroup_words(n: int) -> list[Word]:
 
 
 class CosetTable:
-    """Coset action of a finitely presented group on subgroup cosets."""
+    """The action of a finitely presented group on the cosets of a
+    subgroup: the presentation, the subgroup's generator words, the index
+    and, per generator symbol, a tuple permutation of {0..index-1}, with
+    coset 0 the subgroup itself.  No coset stores a word that reaches it."""
 
-    def __init__(self, presentation: Presentation, subgroup, index: int, action, transversal):
+    def __init__(self, presentation: Presentation, subgroup, index: int, action):
         self.presentation = presentation
         self.subgroup = subgroup  # the subgroup generator words
         self.index = index
         self.action = action  # generator symbol -> tuple permutation of {0..index-1}
-        self.transversal = transversal  # Word per coset, transversal[0] trivial
         self._inverse = {sym: perms.inverse(p) for sym, p in action.items()}
-
-    def act_letter(self, coset: int, sym: str, step: int) -> int:
-        return (self.action if step > 0 else self._inverse)[sym][coset]
 
     def act_word(self, coset: int, word: Word) -> int:
         for sym, step in word.letters:
-            coset = self.act_letter(coset, sym, step)
+            coset = (self.action if step > 0 else self._inverse)[sym][coset]
         return coset
 
     def word_permutation(self, word: Word) -> tuple:
-        """The word's action on every coset: each letter's permutation
-        applied to the images of all cosets at once."""
+        """The word's action on every coset: each run of one letter, as
+        one power of its permutation, applied to the images of all cosets
+        at once (R^2n is one step)."""
         image = range(self.index)
-        for sym, step in word.letters:
-            p = (self.action if step > 0 else self._inverse)[sym]
+        for (sym, step), run in groupby(word.letters):
+            p = perms.power((self.action if step > 0 else self._inverse)[sym], len(list(run)))
             image = [p[c] for c in image]
         return tuple(image)
 
     def validate(self) -> bool:
+        """Whether every relator fixes every coset, the subgroup's words
+        fix coset 0, and the generators act transitively."""
         ident = tuple(range(self.index))
-        for rel in self.presentation.relators:
-            if self.word_permutation(rel) != ident:
-                return False
-        for w in self.subgroup:
-            if self.act_word(0, w) != 0:
-                return False
-        for i, t in enumerate(self.transversal):
-            if self.act_word(0, t) != i:
-                return False
-        return perms.is_transitive([self.action[sym] for sym in self.presentation.generators],
-                                   self.index)
+        return (all(self.word_permutation(rel) == ident for rel in self.presentation.relators)
+                and all(self.act_word(0, w) == 0 for w in self.subgroup)
+                and perms.is_transitive([self.action[g] for g in self.presentation.generators],
+                                        self.index))

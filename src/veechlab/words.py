@@ -16,11 +16,14 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
+        # a letter that is already a tuple is kept, not copied, so a power
+        # w ** j refers j times to each of w's letter tuples
         ls = []
-        for gen, sgn in letters:
+        for letter in letters:
+            gen, sgn = letter
             if sgn not in (1, -1):
                 raise ValueError("letter sign must be +1 or -1")
-            ls.append((gen, sgn))
+            ls.append(letter if type(letter) is tuple else (gen, sgn))
         object.__setattr__(self, "letters", tuple(ls))
 
     def __setattr__(self, *a):

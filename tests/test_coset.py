@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from veechlab import certificates, perms
@@ -51,7 +53,6 @@ def test_deterministic_tables():
     a = coset_enumerate(presentation_for(7), subgroup_words(7))
     b = coset_enumerate(presentation_for(7), subgroup_words(7))
     assert a.action == b.action
-    assert a.transversal == b.transversal
 
 
 def test_cap_exceeded():
@@ -120,11 +121,22 @@ def test_schreier_generators_lie_in_subgroup(n):
     gen_mats = [m for m in gen_mats if not (m == minus(n))]
     ball = _ball(gen_mats, 3)
 
-    schreier = []
-    for i, t in enumerate(table.transversal):
+    # a transversal: the word that first reaches each coset, breadth-first
+    # from coset 0 in generator order, each generator before its inverse
+    words, queue = {0: Word()}, [0]
+    for a in queue:
         for sym in pres.generators:
-            j = table.act_letter(i, sym, 1)
-            word = t * Word.generator(sym) * table.transversal[j].inverse()
+            p = table.action[sym]
+            for step, b in ((1, p[a]), (-1, p.index(a))):
+                if b not in words:
+                    words[b] = words[a] * Word.generator(sym, step)
+                    queue.append(b)
+    transversal = [words[i] for i in range(table.index)]
+    schreier = []
+    for i, t in enumerate(transversal):
+        for sym in pres.generators:
+            j = table.action[sym][i]
+            word = t * Word.generator(sym) * transversal[j].inverse()
             m = eval_group_word(n, word)
             if not m.is_identity():
                 schreier.append((repr(word), m))
@@ -174,11 +186,57 @@ def test_the_closed_form_table_is_the_enumerated_one(n):
     assert closed.index == enumerated.index
     assert quotient_invariants(closed) == quotient_invariants(enumerated)
     # the relabelling that fixes coset H: closed coset i is the enumerated
-    # coset that the closed transversal word of i reaches
-    sigma = [enumerated.act_word(0, word) for word in closed.transversal]
+    # coset that rho^i reaches, as rho^i reaches closed coset i
+    rho = Word.generator(closed.presentation.generators[0])
+    sigma = [enumerated.act_word(0, rho ** i) for i in range(closed.index)]
     assert sorted(sigma) == list(range(closed.index))
     for g, perm in closed.action.items():
         assert [sigma[c] for c in perm] == [enumerated.action[g][c] for c in sigma], g
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])
+def test_the_closed_form_table_is_successor_and_reflection(n):
+    # the premise of _coset_table's proof: rho is the successor map and tau
+    # the reflection i -> -i mod k, so rho^i takes coset 0 to coset i
+    table = certificates._coset_table(n)
+    k = table.index
+    rho, tau, *z = table.presentation.generators
+    assert k == (n if n % 2 else n // 2)
+    assert table.action[rho] == tuple((i + 1) % k for i in range(k))
+    assert table.action[tau] == tuple(-i % k for i in range(k))
+    assert all(table.action[g] == tuple(range(k)) for g in z)
+    assert [table.act_word(0, Word.generator(rho) ** i) for i in range(k)] == list(range(k))
+
+
+@pytest.mark.parametrize("n", [5, 9, 25, 8, 12, 26])
+def test_word_permutation_by_runs_is_the_letter_walk(n):
+    # word_permutation applies each run of one letter as one power; every
+    # coset's image is the one that act_word reaches letter by letter
+    table = certificates._coset_table(n)
+    pres = table.presentation
+    words = [*pres.relators, *table.subgroup, *(w for _, w in pres.parabolic_classes),
+             *(w for _, _, w in pres.elliptic_classes)]
+    rho, tau = (Word.generator(g) for g in pres.generators[:2])
+    words += [rho ** 3 * tau ** -2 * rho * rho.inverse() * tau, Word()]
+    for w in words:
+        walked = tuple(table.act_word(c, w) for c in range(table.index))
+        assert table.word_permutation(w) == walked, w
+
+
+def test_the_closed_form_table_keeps_no_transversal():
+    # the table holds its presentation, subgroup words and action, and the
+    # words' powers share their letter tuples; a word rho^i per coset
+    # would add k(k - 1)/2 letters (17.7 MB in all at n = 601)
+    certificates._coset_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = certificates._coset_table(601)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.index == 601
+    assert kept < 3_000_000, kept
 
 
 def _reduced(word: Word) -> Word:
@@ -246,8 +304,7 @@ def test_validate_rejects_another_closed_form(n):
         action = {rho: tuple((i + 1) % size for i in range(size)),
                   tau: tuple(reflect * i % size for i in range(size))}
         action.update((g, tuple(range(size))) for g in z)
-        return CosetTable(pres, table.subgroup, size, action,
-                          tuple(Word.generator(rho) ** i for i in range(size)))
+        return CosetTable(pres, table.subgroup, size, action)
 
     assert closed(k).validate()
     for size, reflect in ((k - 1, -1), (k + 1, -1), (k, 1)):

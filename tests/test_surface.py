@@ -101,6 +101,42 @@ def test_gluing_validation_rejects_non_translation():
         TranslationSurface([square], bad)
 
 
+def _integer_polygon(N, points):
+    one = RealAlg.one(N)
+    return Polygon([Vec2(x * one, y * one) for x, y in points])
+
+
+def test_star_polygon_rejected():
+    # the pentagram turns left at every corner (and has positive signed
+    # area) but its sides turn twice around: it is not convex
+    from veechlab.field import quarter_trig
+
+    pentagram = Polygon([Vec2(*quarter_trig(5, 4 * (2 * k % 5))) for k in range(5)])
+    assert all(pentagram.side_vector(i).cross(pentagram.side_vector(i + 1)).sign() > 0
+               for i in range(5))
+    with pytest.raises(InvalidSurface, match="2 times around"):
+        pentagram.validate()
+    # its vertices in convex order are the regular pentagon
+    Polygon([Vec2(*quarter_trig(5, 4 * k)) for k in range(5)]).validate()
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (0, 1), (1, 1), (1, 0)],  # the unit square, clockwise
+    [(0, 0), (2, 0), (1, 1), (1, 3)],  # reflex at (1, 1)
+    [(0, 0), (1, 0), (1, 0), (0, 1)],  # a repeated vertex
+], ids=["clockwise-square", "reflex-quadrilateral", "repeated-vertex"])
+def test_non_convex_polygons_rejected(points):
+    with pytest.raises(InvalidSurface):
+        _integer_polygon(20, points).validate()
+    _integer_polygon(20, [(0, 0), (1, 0), (1, 1), (0, 1)]).validate()
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 26) if n != 6])
+def test_base_polygons_are_accepted(n):
+    for poly in build_base(n).polygons:
+        poly.validate()
+
+
 def test_unmatched_edge_rejected():
     s = build_base(5)
     gluing = dict(s.gluing)

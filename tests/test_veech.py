@@ -75,6 +75,16 @@ def test_group_word_algebra():
     assert eval_group_word(7, R_ ** 2 * R_ ** -1) == gen_R(7)
 
 
+def test_group_word_powers_share_their_letters():
+    # a letter that is already a tuple is kept: R^1000 holds one tuple
+    # object a thousand times, and its product with R^-1000 holds two
+    w = Word.generator("R") ** 1000
+    assert len(w) == 1000 and len({id(letter) for letter in w.letters}) == 1
+    assert len({id(letter) for letter in (w * Word.generator("R") ** -1000).letters}) == 2
+    # any other pair is copied into a tuple
+    assert Word([["R", 1], ("T", -1)]).letters == (("R", 1), ("T", -1))
+
+
 @pytest.mark.parametrize("n", [5, 7, 8, 10])
 def test_shear_matrix_closed_form(n):
     for l in range(n):
