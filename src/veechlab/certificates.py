@@ -73,33 +73,30 @@ FORMAT = 3
 _SIGMA_MODES = ("horizontal", "vertical")
 
 
-class _Values:
+class _Values(dict):
     """The value table of one certificate and its subcertificates.
 
-    Each distinct value of n's type table (_types) that they name gets
-    the next index on its first use, in the fixed order in which
-    certificates are assembled.  ``sections`` holds what the top level
-    writes once for every subcertificate: the monodromy's images and the
-    horizontal profile.
+    It maps each value of n's type table (_types) that they name to its
+    index here: values[v] is the next index on v's first use, in the
+    fixed order in which certificates are assembled, so the keys are in
+    table order.  ``sections`` holds what the top level writes once for
+    every subcertificate: the monodromy's images and the horizontal
+    profile.
     """
 
     def __init__(self, n: int):
+        super().__init__()
         self.conductor = 4 * n
         self._types = _types(n)
-        self._index = {}  # index in _types(n) -> index in this table
-        self._values = []
         self.sections = {}
 
-    def __call__(self, v: int) -> int:
-        """The index of n's value v, which joins the table on first use."""
-        i = self._index.get(v)
-        if i is None:
-            i = self._index[v] = len(self._values)
-            self._values.append(self._types.exact[v])
+    def __missing__(self, v: int) -> int:
+        i = self[v] = len(self)
         return i
 
     def to_json(self) -> list:
-        return [x.to_json(sparse=True) for x in self._values]
+        exact = self._types.exact
+        return [exact[v].to_json(sparse=True) for v in self]
 
 
 class Certificate:
@@ -183,9 +180,10 @@ class _Perm:
 
 
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
-    # types maps type -> count or None; rows in exact-key order
-    return [{"inverse_modulus": values(mod), "height": values(height), "count": types[mod, height]}
-            for mod, height in table.ordered(types)]
+    # types maps type -> count or None; rows in exact-key order, which
+    # n's table keeps with the shear rows of these types
+    return [{"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t]}
+            for t, _ in table.sheared(types)[0]]
 
 
 def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
@@ -203,7 +201,7 @@ def _witness_json(witness, values: _Values):
     # indices of _types(n), as indices of the certificate's table
     if witness is None:
         return None
-    return {k: values(v) if k in ("inverse_modulus", "height") else v
+    return {k: values[v] if k in ("inverse_modulus", "height") else v
             for k, v in witness.items()}
 
 
@@ -228,7 +226,10 @@ class _Types:
     index here by its exact key, so equal values are equal indices and a
     cylinder type is a pair (inverse modulus index, height index).  The
     lifts, twist counts and the rules' facts are decided on these ints,
-    each once per n.
+    each once per n.  So is what a theorem's rows take from n alone:
+    each direction's base cylinders (direction) and the rows of a set of
+    types (sheared).  The memos keyed by what a caller passes keep at
+    most _MEMO_SIZE entries.
     """
 
     def __init__(self, n: int):
@@ -237,7 +238,7 @@ class _Types:
         self._index = {}  # exact key -> index
         self._ranks = None  # index -> exact-key rank, None after a new value
         self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
-        self._lifted = {}  # (l, base cylinder index, a) -> type
+        self._directions = {}  # l -> the base cylinders of v_l, as direction() plans them
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
         self.lifts = {}  # inverse modulus index -> its first lift (base modulus index, a)
         self._twists = {}  # (factor index, inverse modulus index) -> twist count or None
@@ -245,6 +246,7 @@ class _Types:
         # and (f, v, k) -> whether value f == k * value v
         self._facts = {}
         self._factor = None  # index of 2 * lambda_n, made on first use
+        self._sheared = {}  # a profile's types, as a tuple in its order -> sheared()
 
     @property
     def factor(self) -> int:
@@ -295,14 +297,22 @@ class _Types:
         memo.update((k, table.index(x)) for k, x in values.items() if k not in memo)
         return table, [*map(memo.__getitem__, keys)]
 
-    def lift(self, l: int, i: int, cyl, a: int) -> tuple:
-        """The type of the lifts of length a of X_n's cylinder cyl, the
-        i-th in direction v_l: a * mu-wide cylinders of its height."""
-        t = self._lifted.get((l, i, a))
-        if t is None:
-            m, h = self.index(cyl.inverse_modulus), self.index(cyl.height)
-            t = self._lifted[l, i, a] = self.scale(m, a), h
-        return t
+    def direction(self, l: int) -> tuple:
+        """X_n's cylinders in v_l, each one's type (its a = 1 lift), and
+        for each generator the indices of the cylinders whose core words
+        contain it; made once per l."""
+        plan = self._directions.get(l)
+        if plan is None:
+            cylinders = base_decomposition(self.n, l)
+            base = [(self.scale(self.index(c.inverse_modulus), 1), self.index(c.height))
+                    for c in cylinders]
+            containing = {}
+            for i, cyl in enumerate(cylinders):
+                for g in dict.fromkeys(g for g, _ in cyl.core_word):
+                    containing.setdefault(g, []).append(i)
+            plan = cylinders, base, containing
+            self._keep(self._directions, l, plan)
+        return plan
 
     def scale(self, m: int, a: int) -> int:
         """The index of a * (value m), an inverse modulus whose first lift
@@ -312,6 +322,24 @@ class _Types:
             v = self._scaled[m, a] = m if a == 1 else self.index(a * self.exact[m])
             self.lifts.setdefault(v, (m, a))
         return v
+
+    def sheared(self, types) -> tuple:
+        """The rows of a profile with these types, (type, twist count by
+        the factor) pairs in the order of ordered(), and _shear_rule's
+        (verdict, witness) on them.
+
+        Memoised on the tuple of types, which distinct degrees of one n
+        share: a value that joins the table later keeps the others'
+        relative order, so the order stays valid.
+        """
+        key = tuple(types)
+        out = self._sheared.get(key)
+        if out is None:
+            f = self.factor
+            rows = tuple((t, self.twists(f, t[0])) for t in self.ordered(key))
+            out = rows, _shear_rule(f, ((t[0], k) for t, k in rows), self)
+            self._keep(self._sheared, key, out)
+        return out
 
     def ordered(self, types) -> list:
         """types in the exact-key order of (inverse modulus, height), the
@@ -364,10 +392,15 @@ class _Types:
         return r
 
     def _decided(self, key: tuple, fact: bool) -> bool:
-        # untrusted rows can ask any number of facts; past _MEMO_SIZE none is kept
-        if len(self._facts) < _MEMO_SIZE:
-            self._facts[key] = fact
+        # untrusted rows can ask any number of facts
+        self._keep(self._facts, key, fact)
         return fact
+
+    @staticmethod
+    def _keep(memo: dict, key, value):
+        # past _MEMO_SIZE entries a memo keeps nothing more
+        if len(memo) < _MEMO_SIZE:
+            memo[key] = value
 
 
 @lru_cache(maxsize=64)
@@ -381,17 +414,29 @@ def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     """Cylinder types with multiplicities for Y in v_l.
 
     A cover cylinder is a base cylinder times one orbit of its core
-    word's image, for finite and infinite degree alike: the runs
-    (orbit length, count) come from the monodromy's cycle_type, and each
-    distinct (base cylinder, length) pair is typed once per n (_types).
-    A count of None (infinitely many) absorbs any count added to it.
-    Two pairs can give the same exact type, and then they merge.
+    word's image, for finite and infinite degree alike.  A base cylinder
+    whose core word contains no generator that moves a sheet lifts to d
+    copies of itself (d = inf: infinitely many), so it adds d to its own
+    type.  Only the others, the moved ones, are typed from the runs
+    (orbit length a, count) of the monodromy's cycle_type, each distinct
+    (inverse modulus, a) scaled once per n (_types).  The cylinders are
+    walked in order, each one's runs in order, so the profile's types
+    come in that order.  A count of None (infinitely many) absorbs any
+    count added to it.  Two lifts can have the same exact type, and then
+    they merge.
     """
-    lift = _types(n).lift
+    table = _types(n)
+    cylinders, base, containing = table.direction(l)
+    moved = {i for g in monodromy._moving if g in containing for i in containing[g]}
+    copies = None if monodromy.degree == "inf" else monodromy.degree
     counter = {}
-    for i, cyl in enumerate(base_decomposition(n, l)):
-        for a, count in monodromy.cycle_type(cyl.core_word):
-            t = lift(l, i, cyl, a)
+    for i, (m, h) in enumerate(base):
+        if i in moved:
+            runs = [((table.scale(m, a), h), count)
+                    for a, count in monodromy.cycle_type(cylinders[i].core_word)]
+        else:
+            runs = (((m, h), copies),)
+        for t, count in runs:
             total = counter.get(t, 0)
             counter[t] = None if count is None or total is None else total + count
     return counter
@@ -542,14 +587,12 @@ def _shear_certificate(n: int, d, l: int, types: dict,
     """ShearMembership by 2 * lambda_n from a profile's cylinder types, in
     exact-key order."""
     table = _types(n)
-    f = table.factor
     if values is None:
         values = _Values(n)
-    found = [(t, types[t], table.twists(f, t[0])) for t in table.ordered(types)]
-    verdict, witness = _shear_rule(f, ((t[0], twists) for t, _, twists in found), table)
-    payload = {"l": l, "factor": values(f), "cylinders": [
-        {"inverse_modulus": values(mod), "height": values(height), "count": count, "twists": k}
-        for (mod, height), count, k in found]}
+    rows, (verdict, witness) = table.sheared(types)
+    payload = {"l": l, "factor": values[table.factor], "cylinders": [
+        {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
+        for t, k in rows]}
     return Certificate(
         kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
         witness=_witness_json(witness, values), values=values,

@@ -24,7 +24,7 @@ inverse moduli are exact either way.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import BoundExceeded, InvalidSurface
 from .field import RealAlg, quarter_trig, sin_pi_over, cos_pi_over
@@ -38,13 +38,12 @@ def unit_vector(n: int, l: int) -> Vec2:
     return Vec2(*quarter_trig(n, 2 * l))
 
 
-class Cylinder(NamedTuple):
-    height: RealAlg
-    circumference: RealAlg
-    inverse_modulus: RealAlg
-    core_word: Word
-    # ((polygon, level_lo, level_hi, left edge, right edge), ...) when traced
-    bands: tuple = ()
+class Cylinder(namedtuple("Cylinder", "height circumference inverse_modulus core_word bands",
+                          defaults=((),))):
+    # height, circumference and inverse_modulus are RealAlgs, core_word a
+    # Word; bands is ((polygon, level_lo, level_hi, left edge, right edge),
+    # ...) when traced, else ()
+    __slots__ = ()
 
     def to_json(self):
         return {

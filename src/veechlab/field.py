@@ -812,13 +812,13 @@ class RealAlg(CycloNumber):
         conductor): {"coeffs": [[power, "p/q"], ...]}, nonzero
         coefficients only, by increasing power.
         """
-        N, num, den = self.N, self.num, self.den
-        approx = _approx(N, num, den)
+        nonzero, approx = _serialised(self.N, self.num, self.den)
         if sparse:
-            return {"coeffs": [[j, _rational_str(a, den)] for j, a in enumerate(num) if a],
-                    "approx": approx}
-        return {"conductor": N, "coeffs": [_rational_str(a, den) for a in num],
-                "approx": approx}
+            return {"coeffs": [[j, x] for j, x in nonzero], "approx": approx}
+        coeffs = ["0"] * len(self.num)
+        for j, x in nonzero:
+            coeffs[j] = x
+        return {"conductor": self.N, "coeffs": coeffs, "approx": approx}
 
     @staticmethod
     def from_json(data: dict, conductor: int | None = None) -> RealAlg:
@@ -889,10 +889,13 @@ def _rational_str(a: int, den: int) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _approx(N: int, num: tuple, den: int) -> str:
-    # the approximation a serialised value carries; certificates and
-    # surfaces write the same few values again and again
-    return _new(RealAlg, N, num, den).approx(20)
+def _serialised(N: int, num: tuple, den: int) -> tuple:
+    # what a serialised value carries, as immutable parts that to_json
+    # copies into fresh containers: the nonzero coefficients as (power,
+    # "p/q") pairs and the approximation; certificates and surfaces write
+    # the same few values again and again
+    nonzero = tuple((j, _rational_str(a, den)) for j, a in enumerate(num) if a)
+    return nonzero, _new(RealAlg, N, num, den).approx(20)
 
 
 def sign(x: RealAlg) -> int:

@@ -11,8 +11,8 @@ orbifold Riemann-Hurwitz identity
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import perms
 from .errors import VeechLabError
@@ -23,11 +23,10 @@ class QuotientBookkeepingError(VeechLabError):
     """The exact Riemann-Hurwitz identity failed to close."""
 
 
-class QuotientInvariants(NamedTuple):
-    genus: int
-    cusps: tuple  # sorted relative widths
-    elliptic: tuple  # sorted (order, count) pairs
-    chi_orb: Fraction
+class QuotientInvariants(namedtuple("QuotientInvariants", "genus cusps elliptic chi_orb")):
+    # cusps: sorted relative widths; elliptic: sorted (order, count) pairs;
+    # chi_orb: a Fraction
+    __slots__ = ()
 
     def to_json(self):
         return {

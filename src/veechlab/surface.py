@@ -8,17 +8,16 @@ angles and the genus are computed combinatorially from the gluing.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InvalidSurface
 from .field import quarter_trig
 from .planar import Vec2, ccw_arc_contains
 
 
-class EdgeRef(NamedTuple):
-    polygon: int
-    side: int
+class EdgeRef(namedtuple("EdgeRef", "polygon side")):
+    __slots__ = ()
 
     def to_json(self):
         return [self.polygon, self.side]
@@ -73,11 +72,11 @@ class Polygon:
         return [v.to_json() for v in self.vertices]
 
 
-class ConePoint(NamedTuple):
+class ConePoint(namedtuple("ConePoint", "corners angle_multiple")):
     """A vertex class with total angle 2*pi*angle_multiple."""
 
-    corners: tuple  # tuple of (polygon, vertex) in cyclic walking order
-    angle_multiple: int
+    # corners: tuple of (polygon, vertex) in cyclic walking order
+    __slots__ = ()
 
     def to_json(self):
         return {"corners": [list(c) for c in self.corners], "angle_multiple": self.angle_multiple}

@@ -14,8 +14,8 @@ generator, checked in integers by CosetTable.validate().
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
 
 from . import perms
 from .surface import no_base_surface
@@ -53,15 +53,14 @@ def gamma_generator_words(n: int) -> list[Word]:
 # presentations
 
 
-class Presentation(NamedTuple):
+class Presentation(namedtuple("Presentation", "n generators relators parabolic_classes "
+                                              "elliptic_classes chi_orb_str")):
     """Finite presentation of Gamma(X_n) over group words."""
 
-    n: int
-    generators: tuple
-    relators: tuple
-    parabolic_classes: tuple  # (name, Word) generating each cusp stabilizer
-    elliptic_classes: tuple  # (order, name, Word)
-    chi_orb_str: str  # orbifold Euler characteristic of the presented group, "p/q"
+    # parabolic_classes: (name, Word) generating each cusp stabilizer;
+    # elliptic_classes: (order, name, Word); chi_orb_str: the orbifold
+    # Euler characteristic of the presented group, "p/q"
+    __slots__ = ()
 
 
 def presentation_for(n: int) -> Presentation:

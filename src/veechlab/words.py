@@ -16,7 +16,9 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        # a letter that is already a tuple is kept, not copied, so a power
+        # checks what a caller passes; a letter that is already a tuple is
+        # kept, not copied.  Products, powers, inverses and substitutions
+        # are built from their operands' checked letters (_of), so a power
         # w ** j refers j times to each of w's letter tuples
         ls = []
         for letter in letters:
@@ -25,6 +27,13 @@ class Word:
                 raise ValueError("letter sign must be +1 or -1")
             ls.append(letter if type(letter) is tuple else (gen, sgn))
         object.__setattr__(self, "letters", tuple(ls))
+
+    @classmethod
+    def _of(cls, letters: tuple) -> Word:
+        # a word of letters that a Word already checked, kept as they are
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
@@ -48,15 +57,18 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other: Word) -> Word:
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def inverse(self) -> Word:
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        """The reversed word with negated signs; equal letters share one
+        negated tuple."""
+        negated = {x: (x[0], -x[1]) for x in dict.fromkeys(self.letters)}
+        return Word._of(tuple(map(negated.__getitem__, reversed(self.letters))))
 
     def __pow__(self, k: int) -> Word:
         if k < 0:
             return self.inverse() ** (-k)
-        return Word(self.letters * k)
+        return Word._of(self.letters * k)
 
     def substitute(self, images) -> Word:
         """The freely reduced image under x_i -> images[i]."""
@@ -67,7 +79,7 @@ class Word:
                     out.pop()
                 else:
                     out.append(letter)
-        return Word(out)
+        return Word._of(tuple(out))
 
     def cyclic_normal_form(self) -> tuple:
         """Smallest rotation of the letter tuple; invariant of the free

@@ -1052,15 +1052,24 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
 
 
 def _traced_profile(profile, n, monodromy, l):
-    """profile(n, monodromy, l) read from the decomposition traced in v_l."""
+    """profile(n, monodromy, l) read from the decomposition traced in v_l.
+
+    n's direction plans are set aside for the call, so the profile plans
+    v_l from the traced cylinders, not from the derived table."""
+    traced_at = []
+
     @lru_cache(maxsize=None)  # traced once, however often the profile reads it
     def traced(n_, l_):
+        traced_at.append((n_, l_))
         return decompose(build_base(n_), unit_vector(n_, l_))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "base_decomposition", traced)
         mp.setattr(certificates, "base_decomposition", traced)
-        return profile(n, monodromy, l)
+        mp.setattr(certificates._types(n), "_directions", {})
+        out = profile(n, monodromy, l)
+    assert (n, l) in traced_at
+    return out
 
 
 def _random_transitive_monodromy(data, ns=(5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), max_d=6):
@@ -1099,13 +1108,22 @@ def test_no_theorem_passes_when_an_unmarked_generator_moves(data):
     assert revalidate(_roundtrip(cert)) == cert.verdict
 
 
-@pytest.mark.parametrize("n", [5, 7, 8, 10])
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 12, 13, 16])
 def test_pulled_back_infinite_profiles_equal_traced_ones(n):
-    zm = std_infinite_monodromy(n)
-    for l in range(n):
-        got = certificates._finite_profile(n, zm, l)
-        want = _traced_profile(certificates._finite_profile, n, zm, l)
-        assert list(got.items()) == list(want.items()), l
+    std = std_infinite_monodromy(n)
+    num = num_generators(n)
+    # the standard images, the same with every other image given as the
+    # identity, and images that move every generator's sheets
+    explicit = ZMonodromy(num, {i: std.image(i) for i in range(num)})
+    shifts = [ZPermutation(1, -1), ZPermutation(2, 0), ZPermutation(-1, 3), ZPermutation(0, -2)]
+    every = ZMonodromy(num, {i: shifts[i % 4] for i in range(num)})
+    assert len(every._moving) == num
+    for zm in (std, explicit, every):
+        for l in range(n):
+            got = certificates._finite_profile(n, zm, l)
+            want = _traced_profile(certificates._finite_profile, n, zm, l)
+            assert list(got.items()) == list(want.items()), l
+            assert _exact_items(n, got) == list(_per_cycle_profile(n, zm, l).items()), l
 
 
 # ---------------------------------------------------------------------------
@@ -1113,14 +1131,27 @@ def test_pulled_back_infinite_profiles_equal_traced_ones(n):
 
 
 def _per_cycle_profile(n, monodromy, l):
-    """The profile with one exact a * mu per cycle of the lift."""
+    """The profile with one exact a * mu per cycle of the lift, every base
+    cylinder's; for a Z-cover, per run of its orbits (a = 0 an infinite
+    strip), where a count of None absorbs what is added to it."""
     counter = {}
     for cyl in base_decomposition(n, l):
-        for cyc in perms.cycles(monodromy.eval_word(cyl.core_word)):
-            mod = len(cyc) * cyl.inverse_modulus
+        if isinstance(monodromy, ZMonodromy):
+            runs = monodromy.cycle_type(cyl.core_word)
+        else:
+            runs = [(len(cyc), 1) for cyc in perms.cycles(monodromy.eval_word(cyl.core_word))]
+        for a, count in runs:
+            mod = a * cyl.inverse_modulus
             slot = counter.setdefault((mod.key(), cyl.height.key()), [(mod, cyl.height), 0])
-            slot[1] += 1
+            slot[1] = None if count is None or slot[1] is None else slot[1] + count
     return counter
+
+
+def _exact_items(n, profile) -> list:
+    # a profile's items as _per_cycle_profile keys them, in its order
+    exact = certificates._types(n).exact
+    return [((exact[mod].key(), exact[height].key()), [(exact[mod], exact[height]), count])
+            for (mod, height), count in profile.items()]
 
 
 def _per_row_twists(factor, mod):
@@ -1139,11 +1170,8 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
     seen = set()
     for l in range(n):
         got = certificates._finite_profile(n, m, l)
-        exact = certificates._types(n).exact
         # same exact types and counts, in the same order
-        assert [((exact[mod].key(), exact[height].key()), [(exact[mod], exact[height]), count])
-                for (mod, height), count in got.items()] == list(
-            _per_cycle_profile(n, m, l).items()), l
+        assert _exact_items(n, got) == list(_per_cycle_profile(n, m, l).items()), l
         cert = certificates._shear_certificate(n, m.degree, l, got)
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
@@ -1155,7 +1183,18 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_integer_pair_profiles_equal_the_per_cycle_reference(data):
-    _profiles_and_twists_match_the_references(*_random_transitive_monodromy(data))
+    n, m = _random_transitive_monodromy(data)
+    _profiles_and_twists_match_the_references(n, m)
+    # the same images with every identity image given explicitly, and
+    # with every generator moving a sheet
+    d, num = m.degree, m.num_generators
+    ident = perms.identity(d)
+    _profiles_and_twists_match_the_references(n, Monodromy(num, d, m.images))
+    moves = st.permutations(range(d)).map(tuple).filter(lambda p: p != ident)
+    every = Monodromy(num, d, {i: m.image(i) if m.image(i) != ident else data.draw(moves)
+                               for i in range(num)})
+    assert len(every._moving) == num
+    _profiles_and_twists_match_the_references(n, every)
 
 
 def test_twist_counts_match_the_reference_on_rows_with_and_without_integer_twist():
@@ -1541,6 +1580,67 @@ def test_memoised_profiles_equal_a_direct_count(data):
                     for a, repeat in m.cycle_type(cyl.core_word) for _ in range(repeat)] == [
                 (i, len(cyc)) for i, cyl in enumerate(base_decomposition(n, l))
                 for cyc in perms.cycles(m.eval_word(cyl.core_word))]
+
+
+@pytest.mark.parametrize("n", [9, 16, 25])
+def test_a_theorem_types_only_the_cylinders_a_generator_moves(monkeypatch, n):
+    # x_k1 and x_k2 each occur in at most one core word per direction, so
+    # the standard monodromy moves sheets on at most two base cylinders
+    # there; every other one lifts to d copies without a cycle type
+    typed, profiled = [], []
+    cycle_type, profile = Monodromy.cycle_type, certificates._finite_profile
+    monkeypatch.setattr(Monodromy, "cycle_type",
+                        lambda self, w: typed.append(w) or cycle_type(self, w))
+    monkeypatch.setattr(certificates, "_finite_profile",
+                        lambda n_, m, l: profiled.append(l) or profile(n_, m, l))
+    assert verify_theorem(n, 5).verdict == "pass"
+    assert profiled and len(typed) <= 2 * len(profiled)
+
+
+def _containers(data):
+    # every list and dict of a JSON document, the document too
+    if isinstance(data, (list, dict)):
+        yield data
+        for v in data.values() if isinstance(data, dict) else data:
+            yield from _containers(v)
+
+
+@pytest.mark.parametrize("kind", ["standard", "mutated", "infinite"])
+def test_two_certificates_share_no_json_container(kind):
+    # the rows and values that n's table keeps are copied into each output
+    def theorem():
+        if kind == "infinite":
+            return verify_theorem(9, infinite=True)
+        monodromy = mutated_monodromy(9, 4) if kind == "mutated" else None
+        return verify_theorem(9, 4, monodromy=monodromy)
+
+    first, second = theorem(), theorem()
+    text = json.dumps(second.to_json())
+    out = first.to_json()
+    assert not {*map(id, _containers(out))} & {*map(id, _containers(second.to_json()))}
+    for container in list(_containers(out)):
+        container.clear()
+    assert json.dumps(second.to_json()) == text
+
+
+def test_the_per_n_memos_stay_bounded(monkeypatch):
+    # a sweep of more distinct monodromies than _MEMO_SIZE at one n fills
+    # each of n's memos up to the bound, and the certificates stay the same
+    n, size = 9, 6
+    covers = [(d, None) for d in range(2, 10)] + [(d, mutated_monodromy(n, d))
+                                                  for d in range(4, 12, 2)]
+    certificates._types.cache_clear()
+    texts = [json.dumps(verify_theorem(n, d, monodromy=m).to_json()) for d, m in covers]
+    certificates._types.cache_clear()
+    monkeypatch.setattr(certificates, "_MEMO_SIZE", size)
+    try:
+        for (d, m), text in zip(covers, texts):
+            assert json.dumps(verify_theorem(n, d, monodromy=m).to_json()) == text
+        types = certificates._types(n)
+        memos = [types._directions, types._sheared, types._facts]
+        assert max(map(len, memos)) == size
+    finally:  # later tests get a table that kept everything
+        certificates._types.cache_clear()
 
 
 def test_warm_theorem_does_each_exact_check_once(monkeypatch):

@@ -371,11 +371,12 @@ def test_render_points_are_within_one_unit_of_mpmath(n, l, scale, dx):
             assert abs(mpmath.mpf(ours) - value) <= unit, (ours, value)
 
 
-def _modules_after(statement):
-    # the modules of a fresh interpreter on this test's sys.path after statement
+def _modules_after(statement, *flags):
+    # the modules of a fresh interpreter on this test's sys.path, started
+    # with flags, after statement
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     run = subprocess.run(
-        [sys.executable, "-c", statement + "\nimport sys\nprint('\\n'.join(sys.modules))"],
+        [sys.executable, *flags, "-c", statement + "\nimport sys\nprint('\\n'.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True,
     )
     return set(run.stdout.split())
@@ -385,6 +386,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = _modules_after("import veechlab.cli") - _modules_after("pass")
     assert "veechlab.cli" in added and "veechlab.certificates" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+    # nor typing, which an interpreter without site has not loaded before
+    bare = _modules_after("import veechlab.cli", "-S")
+    assert "veechlab.cli" in bare and "typing" not in bare, sorted(bare)
 
 
 # what a finite verify and its revalidate never run: Fractions (and the

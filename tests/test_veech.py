@@ -85,6 +85,21 @@ def test_group_word_powers_share_their_letters():
     assert Word([["R", 1], ("T", -1)]).letters == (("R", 1), ("T", -1))
 
 
+def test_group_word_inverses_share_their_letters():
+    # the inverse negates each distinct letter once: (R^1000)^-1 holds one
+    # tuple object a thousand times, as R^-1000 does
+    inverse = (Word.generator("R") ** 1000).inverse()
+    assert inverse.letters == (("R", -1),) * 1000
+    assert len({id(letter) for letter in inverse.letters}) == 1
+    assert len({id(letter) for letter in (Word.generator("R") ** -1000).letters}) == 1
+    mixed = Word([("R", 1), ("T", -1), ("R", 1), ("T", -1)]).inverse()
+    assert mixed.letters == (("T", 1), ("R", -1)) * 2
+    assert len({id(letter) for letter in mixed.letters}) == 2
+    # what a caller passes is still checked
+    with pytest.raises(ValueError):
+        Word([("R", 2)])
+
+
 @pytest.mark.parametrize("n", [5, 7, 8, 10])
 def test_shear_matrix_closed_form(n):
     for l in range(n):
