@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _PUBLIC = {
     "field": ("CycloNumber", "RealAlg", "QQ", "cos_pi_over", "cyclo_root", "lambda_n",
-              "quarter_trig", "sign", "sin_pi_over"),
+              "quarter_trig", "sin_pi_over"),
     "planar": ("Vec2",),
     "surface": ("ConePoint", "EdgeRef", "Polygon", "TranslationSurface", "build_base"),
     "words": ("Word",),

@@ -55,6 +55,7 @@ from .covering import (
     build_cover,
     monodromy_indices,
     num_generators,
+    reduced,
     rotation_images,
     sigma_d1,
     sigma_d2,
@@ -241,7 +242,7 @@ class _Types:
         self._directions = {}  # l -> the base cylinders of v_l, as direction() plans them
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
         self.lifts = {}  # inverse modulus index -> its first lift (base modulus index, a)
-        self._twists = {}  # (factor index, inverse modulus index) -> twist count or None
+        self._twists = {}  # inverse modulus index -> twist count or None
         # the rules' facts: (v, w), v < w -> whether value v exceeds value w,
         # and (f, v, k) -> whether value f == k * value v
         self._facts = {}
@@ -335,9 +336,8 @@ class _Types:
         key = tuple(types)
         out = self._sheared.get(key)
         if out is None:
-            f = self.factor
-            rows = tuple((t, self.twists(f, t[0])) for t in self.ordered(key))
-            out = rows, _shear_rule(f, ((t[0], k) for t, k in rows), self)
+            rows = tuple((t, self.twists(t[0])) for t in self.ordered(key))
+            out = rows, _shear_rule(self.factor, ((t[0], k) for t, k in rows), self)
             self._keep(self._sheared, key, out)
         return out
 
@@ -351,24 +351,23 @@ class _Types:
         ranks = self._ranks
         return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
 
-    def twists(self, f: int, v: int) -> int | None:
-        """The positive integer k with k * (value v) == value f, or None,
-        for the inverse modulus v of a lift.
+    def twists(self, v: int) -> int | None:
+        """The positive integer k with k * (value v) == the factor, or
+        None, for the inverse modulus v of a lift.
 
-        For v's first lift (m, a), k = q / a for q = (value f) / (value
-        m), one product with m's memoised inverse (field._inverse).  An
+        For v's first lift (m, a), k = q / a for q = factor / (value m),
+        one product with m's memoised inverse (field._inverse).  An
         infinite strip (a = 0, inverse modulus 0) has none.
         """
-        key = (f, v)
-        if key not in self._twists:
+        if v not in self._twists:
             m, a = self.lifts[v]
             k = None
             if a:
-                q = self.exact[f] / self.exact[m]  # an integer q is num[0] over den 1
+                q = self.exact[self.factor] / self.exact[m]  # an integer q is num[0] over den 1
                 if q.is_integer() and q.num[0] > 0 and q.num[0] % a == 0:
                     k = q.num[0] // a
-            self._twists[key] = k
-        return self._twists[key]
+            self._twists[v] = k
+        return self._twists[v]
 
     def above(self, v: int, w: int) -> bool:
         """Whether value v exceeds the distinct value w."""
@@ -676,10 +675,11 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
 
 
 def sigma_T_claim(d: int) -> tuple:
-    """The claimed copy permutation: (1 3 5 ... d-1) for even d,
-    (sigma_2 o sigma_1)^((d-1)/2) for odd d."""
+    """The claimed copy permutation: (1 3 5 ... d-1) for even d, which is
+    Y_{n,inf}'s sigma_T (0, 2) reduced mod d, and (sigma_2 o
+    sigma_1)^((d-1)/2) for odd d."""
     if d % 2 == 0:
-        return perms.from_cycles(d, [tuple(range(1, d, 2))])
+        return reduced(d, 0, 2)
     suc = perms.compose(sigma_d1(d), sigma_d2(d))
     return perms.power(suc, (d - 1) // 2)
 

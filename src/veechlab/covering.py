@@ -33,19 +33,30 @@ def monodromy_indices(n: int) -> tuple[int, int]:
     return (n - 2) // 4 - 1, (n - 2) // 4 + 1
 
 
+def reduced(d: int, t_even: int, t_odd: int) -> tuple:
+    """The sheet map l -> l + t_{l mod 2} of Y_{n,inf} (a parity-affine
+    Z-permutation) read on the d sheets of its quotient Y_{n,d}: modulo
+    d for even d; for odd d modulo 2d, where m >= d folds to 2d - 1 - m.
+
+    The odd-d fold is the quotient by the reflections l -> -1 - l and
+    l -> 2d - 1 - l, so it is well defined for maps with t_even = -t_odd,
+    which commute with both.
+    """
+    period = 2 * d if d % 2 else d
+    images = [(l + (t_odd if l % 2 else t_even)) % period for l in range(d)]
+    return tuple(m if m < d else 2 * d - 1 - m for m in images)
+
+
 def sigma_d1(d: int) -> tuple:
-    """(0 1)(2 3)... up to d-2,d-1 (d even) or d-3,d-2 (d odd)."""
-    top = d if d % 2 == 0 else d - 1
-    return perms.from_cycles(d, [(i, i + 1) for i in range(0, top - 1, 2)])
+    """(0 1)(2 3)... up to d-2,d-1 (d even) or d-3,d-2 (d odd): x_k1's
+    image (1, -1) on Y_{n,inf}, reduced to d sheets."""
+    return reduced(d, 1, -1)
 
 
 def sigma_d2(d: int) -> tuple:
-    """(1 2)(3 4)... with the extra pair (d-1 0) when d is even."""
-    if d % 2 == 0:
-        pairs = [(i, i + 1) for i in range(1, d - 2, 2)] + [(d - 1, 0)]
-    else:
-        pairs = [(i, i + 1) for i in range(1, d - 1, 2)]
-    return perms.from_cycles(d, pairs)
+    """(1 2)(3 4)... with the extra pair (d-1 0) when d is even: x_k2's
+    image (-1, 1) on Y_{n,inf}, reduced to d sheets."""
+    return reduced(d, -1, 1)
 
 
 def num_generators(n: int) -> int:

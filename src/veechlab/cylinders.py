@@ -69,10 +69,10 @@ def default_bound(surface: TranslationSurface) -> RealAlg:
 
 
 class _Tracer:
-    def __init__(self, surface: TranslationSurface, w: Vec2, bound: RealAlg):
+    def __init__(self, surface: TranslationSurface, w: Vec2):
         self.surface = surface
         self.w = w
-        self.bound = bound
+        self.bound = bound = default_bound(surface)
         # a path parallel to w is longer than bound iff its u-extent
         # exceeds bound * |w|^2
         self.cap = bound * w.norm2()
@@ -240,7 +240,7 @@ def decompose(surface: TranslationSurface, w: Vec2):
     """
     if w.is_zero():
         raise ValueError("flow direction must be nonzero")
-    tracer = _Tracer(surface, w, default_bound(surface))
+    tracer = _Tracer(surface, w)
 
     # transversal cut levels per polygon: vertex levels + traced levels
     # that are not vertex levels (none on X_n in a v_l direction)

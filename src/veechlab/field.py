@@ -39,6 +39,7 @@ from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm, log
 from numbers import Rational
+from operator import add, sub
 
 from .errors import MalformedCertificate, SignUndetermined, short_repr
 
@@ -358,33 +359,34 @@ class CycloNumber:
             return type(self).from_rational(self.N, other)
         return None
 
-    def __add__(self, other):
+    def _operand(self, other):
+        # (other in self's field, the class of the result): the same type
+        # first, then _coerce, which gives None for a type that is no number
         if type(other) is type(self) and other.N == self.N:
-            o, cls = other, type(self)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            cls = type(self) if type(o) is type(self) else CycloNumber
+            return other, type(self)
+        o = self._coerce(other)
+        return o, type(self) if type(o) is type(self) else CycloNumber
+
+    def _sum(self, other, op):
+        # self op other for op = operator.add or operator.sub, one op per
+        # pair of numerators; over unequal denominators the sign goes
+        # into other's scale
+        o, cls = self._operand(other)
+        if o is None:
+            return NotImplemented
         da, db = self.den, o.den
         if da == db:
-            return _normal(cls, self.N, [a + b for a, b in zip(self.num, o.num)], da)
-        return _normal(cls, self.N, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
+            return _normal(cls, self.N, [*map(op, self.num, o.num)], da)
+        s = op(0, da)
+        return _normal(cls, self.N, [a * db + b * s for a, b in zip(self.num, o.num)], da * db)
+
+    def __add__(self, other):
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is type(self) and other.N == self.N:
-            o, cls = other, type(self)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            cls = type(self) if type(o) is type(self) else CycloNumber
-        da, db = self.den, o.den
-        if da == db:
-            return _normal(cls, self.N, [a - b for a, b in zip(self.num, o.num)], da)
-        return _normal(cls, self.N, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -396,16 +398,9 @@ class CycloNumber:
         return _new(type(self), self.N, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        if type(other) is type(self) and other.N == self.N:
-            o, cls = other, type(self)
-        elif isinstance(other, (int, Rational)):
-            p, q = other.numerator, other.denominator
-            return _normal(type(self), self.N, [a * p for a in self.num], self.den * q)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            cls = type(self) if type(o) is type(self) else CycloNumber
+        o, cls = self._operand(other)
+        if o is None:
+            return NotImplemented
         prod = get_context(self.N).product(self.num, o.num)
         return _normal(cls, self.N, prod, self.den * o.den)
 
@@ -490,8 +485,9 @@ def product_sum(a: CycloNumber, b: CycloNumber, c: CycloNumber, d: CycloNumber,
 
 @lru_cache(maxsize=4096)
 def _inverse(N: int, num: tuple, den: int) -> CycloNumber:
-    # Geometry divides by the same few level differences again and again,
-    # so inverses are memoised on the canonical form.  (num/den)^-1 is
+    # On the certificate path the hits are twist counts of lifts that share
+    # a base modulus (_Types.twists); the tracer divides only on its
+    # crossing walk, which no v_l direction of X_n takes.  (num/den)^-1 is
     # den * num^-1; a zero argument raises and is not cached.
     ctx = get_context(N)
     t, c = _int_inverse(num, ctx.cyclo)
@@ -896,11 +892,6 @@ def _serialised(N: int, num: tuple, den: int) -> tuple:
     # the same few values again and again
     nonzero = tuple((j, _rational_str(a, den)) for j, a in enumerate(num) if a)
     return nonzero, _new(RealAlg, N, num, den).approx(20)
-
-
-def sign(x: RealAlg) -> int:
-    """Exact sign: 0 iff x is the zero element."""
-    return x.sign()
 
 
 # ---------------------------------------------------------------------------

@@ -103,26 +103,19 @@ class ZMonodromy:
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}
         # the generators that move a sheet, with their inverse images
         self._moving = {i: (p, p.inverse()) for i, p in self.images.items() if not p.is_identity()}
-        self._images_of = {}  # moving letters of a word -> its image
 
     def image(self, i: int) -> ZPermutation:
         return self.images[i]
 
     def eval_word(self, w: Word) -> ZPermutation:
         """Letters act in path order; those whose generator maps to the
-        identity are skipped.
-
-        Memoised on the word's moving letters, in order with their signs,
-        as Monodromy.cycle_type is: the image decides the orbits.
-        """
+        identity are skipped."""
+        cur = ZPermutation.identity()
         moving = self._moving
-        key = tuple(letter for letter in w.letters if letter[0] in moving)
-        cur = self._images_of.get(key)
-        if cur is None:
-            cur = ZPermutation.identity()
-            for g, sgn in key:
-                cur = moving[g][sgn < 0].compose(cur)
-            self._images_of[key] = cur
+        for g, sgn in w:
+            pair = moving.get(g)
+            if pair is not None:
+                cur = pair[sgn < 0].compose(cur)
         return cur
 
     def cycle_type(self, w: Word) -> tuple:

@@ -194,7 +194,7 @@ def _check_rank_predicates(surface, w):
     """Compare corner entry, the side of every traced level and both band
     edges with their exact oracles; return the traced levels that are
     not vertex levels."""
-    tracer = _Tracer(surface, w, default_bound(surface))
+    tracer = _Tracer(surface, w)
     for p, poly in enumerate(surface.polygons):
         for v in range(len(poly)):
             a, b = poly.side_vector(v), -poly.side_vector(v - 1)
@@ -228,6 +228,25 @@ def test_rank_predicates_match_exact_ones_on_x_n(n):
     assert _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y)) > 0
 
 
+def test_every_separatrix_in_a_v_l_direction_is_one_chord():
+    # on X_n every germ that enters a polygon in a direction v_l ends
+    # after one segment, at a vertex of the polygon it entered: no CLI
+    # command reaches exit_from's edge crossings (only sheared and
+    # non-periodic directions do)
+    for n in range(5, 32):
+        if n == 6:
+            continue
+        s = build_base(n)
+        for l in range(2 * n):
+            tracer = _Tracer(s, unit_vector(n, l))
+            for p, poly in enumerate(s.polygons):
+                for v in range(len(poly)):
+                    for forward in (True, False):
+                        if tracer.enters(p, v, forward):
+                            (end_p, _), cuts = tracer.trace_germ(p, v, forward)
+                            assert end_p == p and len(cuts) == 1, (n, l, p, v, forward)
+
+
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 12])
 def test_sheared_directions_assemble_bands_at_traced_levels(n):
     # T_n = [[1, lambda_n], [0, 1]] lies in the Veech group of X_n, so X_n
@@ -240,7 +259,7 @@ def test_sheared_directions_assemble_bands_at_traced_levels(n):
     for l in (1, 2, 3):
         v = unit_vector(n, l)
         w = Vec2(v.x + lam * v.y, v.y)
-        tracer = _Tracer(s, w, default_bound(s))
+        tracer = _Tracer(s, w)
         assert any(lv.key() not in tracer.position[p] for p, lv in _trace_all(tracer)), l
         scale = w.norm2()
         want = sorted((c.height.key(), (scale * c.inverse_modulus).key())

@@ -35,7 +35,7 @@ def test_star_import_and_dir_list_every_name():
     assert {"field", "covering", "certificates", "perms"} <= set(listed)
 
 
-@pytest.mark.parametrize("name", ["nosuch", "Mat2", "_QQ"])
+@pytest.mark.parametrize("name", ["nosuch", "Mat2", "_QQ", "sign"])
 def test_an_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(veechlab, name)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veechlab.covering import build_cover, monodromy_indices
+from veechlab.certificates import sigma_T_claim
+from veechlab.covering import build_cover, monodromy_indices, standard_monodromy
 from veechlab.errors import NonChainError
 from veechlab.words import Word
 from veechlab.zcover import (
@@ -142,6 +143,31 @@ def test_std_monodromy_shifts():
         assert zm.image(k1).is_involution()
         w = Word.generator(k1) * Word.generator(k2).inverse()
         assert zm.eval_word(w) == ZPermutation(2, -2)
+
+
+def _reduced(z: ZPermutation, d: int) -> tuple:
+    # where z sends each sheet l < d of Y_{n,inf}, read on Y_{n,d}: modulo
+    # d for even d; for odd d modulo 2d, folding m >= d to 2d - 1 - m
+    def fold(m):
+        if d % 2 == 0:
+            return m % d
+        m %= 2 * d
+        return m if m < d else 2 * d - 1 - m
+    return tuple(fold(z(l)) for l in range(d))
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_the_finite_family_reduces_the_infinite_one(n):
+    # Y_{n,d} is a quotient of Y_{n,inf}: sigma_{d,1}, sigma_{d,2} and,
+    # for even d, sigma_T are the parity-affine images reduced to d sheets
+    zm = std_infinite_monodromy(n)
+    k1, k2 = monodromy_indices(n)
+    for d in range(2, 14):
+        m = standard_monodromy(n, d)
+        assert m.image(k1) == _reduced(zm.image(k1), d), d
+        assert m.image(k2) == _reduced(zm.image(k2), d), d
+        if d % 2 == 0:
+            assert sigma_T_claim(d) == _reduced(sigma_T_infinite(), d), d
 
 
 def test_cylinder_k_has_two_infinite_preimages():
