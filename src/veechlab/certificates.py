@@ -216,7 +216,7 @@ def _witness_json(witness, values: _Values):
 # shape.
 
 # what revalidate may keep of untrusted payloads, per n: the entries it
-# read and their values in the type table, and exact facts
+# read and their values in the type table, each with at most one twist count
 _MEMO_SIZE = 4096
 
 
@@ -225,12 +225,13 @@ class _Types:
 
     Every exact value that verify computes or revalidate reads gets an
     index here by its exact key, so equal values are equal indices and a
-    cylinder type is a pair (inverse modulus index, height index).  The
-    lifts, twist counts and the rules' facts are decided on these ints,
-    each once per n.  So is what a theorem's rows take from n alone:
-    each direction's base cylinders (direction) and the rows of a set of
-    types (sheared).  The memos keyed by what a caller passes keep at
-    most _MEMO_SIZE entries.
+    cylinder type is a pair (inverse modulus index, height index).  An
+    inverse modulus has one twist count, the positive integer k with k *
+    value == 2 * lambda_n or None, decided once per n; so are the
+    comparisons that verify's witness search makes.  So is what a
+    theorem's rows take from n alone: each direction's base cylinders
+    (direction) and the rows of a set of types (sheared).  The memos
+    keyed by what a caller passes keep at most _MEMO_SIZE entries.
     """
 
     def __init__(self, n: int):
@@ -241,11 +242,8 @@ class _Types:
         self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
         self._directions = {}  # l -> the base cylinders of v_l, as direction() plans them
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
-        self.lifts = {}  # inverse modulus index -> its first lift (base modulus index, a)
-        self._twists = {}  # inverse modulus index -> twist count or None
-        # the rules' facts: (v, w), v < w -> whether value v exceeds value w,
-        # and (f, v, k) -> whether value f == k * value v
-        self._facts = {}
+        self._twists = {}  # inverse modulus index -> its twist count or None
+        self._facts = {}  # (v, w), v < w -> whether value v exceeds value w
         self._factor = None  # index of 2 * lambda_n, made on first use
         self._sheared = {}  # a profile's types, as a tuple in its order -> sheared()
 
@@ -316,12 +314,23 @@ class _Types:
         return plan
 
     def scale(self, m: int, a: int) -> int:
-        """The index of a * (value m), an inverse modulus whose first lift
-        is kept for its twist count; the product is made once per (m, a)."""
+        """The index of a * (value m), an inverse modulus, made once per
+        (m, a).
+
+        A new lift's twist count comes from m's quotient q = factor /
+        (value m), one exact division per base modulus, kept as m's own
+        count: q // a when q is a positive integer that a divides, else
+        None.  An infinite strip (a = 0) has none.
+        """
         v = self._scaled.get((m, a))
         if v is None:
+            twists = self._twists
+            if m not in twists:
+                q = self.exact[self.factor] / self.exact[m]  # an integer q is num[0] over den 1
+                twists[m] = q.num[0] if q.is_integer() and q.num[0] > 0 else None
             v = self._scaled[m, a] = m if a == 1 else self.index(a * self.exact[m])
-            self.lifts.setdefault(v, (m, a))
+            q = twists[m]
+            twists.setdefault(v, q // a if a and q and q % a == 0 else None)
         return v
 
     def sheared(self, types) -> tuple:
@@ -336,8 +345,8 @@ class _Types:
         key = tuple(types)
         out = self._sheared.get(key)
         if out is None:
-            rows = tuple((t, self.twists(t[0])) for t in self.ordered(key))
-            out = rows, _shear_rule(self.factor, ((t[0], k) for t, k in rows), self)
+            rows = tuple((t, self._twists[t[0]]) for t in self.ordered(key))
+            out = rows, _shear_rule(((t[0], k) for t, k in rows), self)
             self._keep(self._sheared, key, out)
         return out
 
@@ -351,31 +360,14 @@ class _Types:
         ranks = self._ranks
         return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
 
-    def twists(self, v: int) -> int | None:
-        """The positive integer k with k * (value v) == the factor, or
-        None, for the inverse modulus v of a lift.
-
-        For v's first lift (m, a), k = q / a for q = factor / (value m),
-        one product with m's memoised inverse (field._inverse).  An
-        infinite strip (a = 0, inverse modulus 0) has none.
-        """
-        if v not in self._twists:
-            m, a = self.lifts[v]
-            k = None
-            if a:
-                q = self.exact[self.factor] / self.exact[m]  # an integer q is num[0] over den 1
-                if q.is_integer() and q.num[0] > 0 and q.num[0] % a == 0:
-                    k = q.num[0] // a
-            self._twists[v] = k
-        return self._twists[v]
-
     def above(self, v: int, w: int) -> bool:
         """Whether value v exceeds the distinct value w."""
         if v > w:  # each pair is decided in one order
             return not self.above(w, v)
         r = self._facts.get((v, w))
         if r is None:
-            r = self._decided((v, w), self.exact[v] > self.exact[w])
+            r = self.exact[v] > self.exact[w]
+            self._keep(self._facts, (v, w), r)
         return r
 
     def exceeds(self, t1: tuple, t2: tuple) -> bool:
@@ -383,17 +375,16 @@ class _Types:
         modulus, then by height."""
         return self.above(t1[0], t2[0]) if t1[0] != t2[0] else self.above(t1[1], t2[1])
 
-    def is_multiple(self, f: int, v: int, k: int) -> bool:
-        """value f == k * (value v), exactly."""
-        r = self._facts.get((f, v, k))
-        if r is None:
-            r = self._decided((f, v, k), (self.exact[f] - k * self.exact[v]).is_zero())
-        return r
-
-    def _decided(self, key: tuple, fact: bool) -> bool:
-        # untrusted rows can ask any number of facts
-        self._keep(self._facts, key, fact)
-        return fact
+    def twists_by(self, v: int, k: int) -> bool:
+        """Whether k * (value v) == the factor, for an int k >= 1: v's
+        twist count if the table knows it, else one exact product, and a
+        true one makes k v's count."""
+        if v in self._twists:
+            return self._twists[v] == k
+        if k * self.exact[v] != self.exact[self.factor]:
+            return False
+        self._twists[v] = k
+        return True
 
     @staticmethod
     def _keep(memo: dict, key, value):
@@ -454,16 +445,16 @@ def _infinite_preimages(n: int, monodromy: ZMonodromy) -> int:
 # which only the certifiers serialise; exact values are indices of _types(n)
 
 
-def _shear_rule(factor: int, rows, types: _Types):
-    """ShearMembership: every row (inverse modulus, twist count) must
-    have a positive integer count k with k * inverse modulus == factor,
-    which types decides once per (factor, modulus, k).
+def _shear_rule(rows, types: _Types):
+    """ShearMembership by types.factor, 2 * lambda_n: every row (inverse
+    modulus, twist count) must have a count k >= 1 that is the modulus's
+    twist count in types (_Types.twists_by).
 
     An infinite strip (d = inf) is a row without a twist count, so it
     fails the rule.
     """
     for mod, twists in rows:
-        if twists is None or twists < 1 or not types.is_multiple(factor, mod, twists):
+        if twists is None or twists < 1 or not types.twists_by(mod, twists):
             return FAIL, {"inverse_modulus": mod, "reason": "non-integer twist"}
     return PASS, None
 
@@ -669,6 +660,8 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
     """
     if n % 2 or l % 2:
         raise ValueError("pullback obstruction applies to even n and even l")
+    if monodromy.degree == "inf":
+        raise ValueError("pullback obstruction needs finitely many sheets")
     verdict, witness = _pullback_rule(n, l, monodromy)
     return Certificate(kind="PullbackObstruction", n=n, d=monodromy.degree, verdict=verdict,
                        payload={"l": l}, witness=witness, values=_images_table(n, monodromy))
@@ -881,8 +874,10 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
             if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
                 # the multiset invariant is blind here (it happens for d = 2
                 # in the vertical direction); fall back to the covering-
-                # structure obstruction
-                sub = certify_pullback_obstruction(n, monodromy, key)
+                # structure obstruction, on the theorem's table
+                verdict, witness = _pullback_rule(n, key, monodromy)
+                sub = Certificate(kind="PullbackObstruction", n=n, d=d, verdict=verdict,
+                                  payload={"l": key}, witness=witness, values=values)
             else:
                 sub = _rotation_certificate(n, d, key, horizontal, direction, ruled, values)
         else:
@@ -1169,11 +1164,10 @@ def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
     # that _slot read; d is a WellFormedCover's degree
     n = table.n
     if kind == "ShearMembership":
-        factor = table.index(payload, "factor")
-        if factor != table.types.factor:
+        if table.index(payload, "factor") != table.types.factor:
             return FAIL
         rows = table.rows(_field(payload, "cylinders", list), twists=True)
-        return _shear_rule(factor, rows, table.types)[0]
+        return _shear_rule(rows, table.types)[0]
     if kind == "RotationObstruction":
         direction = _parse_multiset(_field(payload, "direction", list), table)
         return _rotation_rule(table.horizontal, direction, None)[0]

@@ -485,10 +485,11 @@ def product_sum(a: CycloNumber, b: CycloNumber, c: CycloNumber, d: CycloNumber,
 
 @lru_cache(maxsize=4096)
 def _inverse(N: int, num: tuple, den: int) -> CycloNumber:
-    # On the certificate path the hits are twist counts of lifts that share
-    # a base modulus (_Types.twists); the tracer divides only on its
-    # crossing walk, which no v_l direction of X_n takes.  (num/den)^-1 is
-    # den * num^-1; a zero argument raises and is not cached.
+    # The hits are the tracer's: its crossing walk in sheared directions
+    # repeats its divisors.  The certificate path divides once per base
+    # modulus of n, and hits only where lambda_n inverts a height that
+    # decompose inverted (n = 12).  (num/den)^-1 is den * num^-1; a zero
+    # argument raises and is not cached.
     ctx = get_context(N)
     t, c = _int_inverse(num, ctx.cyclo)
     if c < 0:

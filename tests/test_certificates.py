@@ -955,23 +955,26 @@ def test_an_over_bound_certificate_leaves_the_shared_table(monkeypatch):
     assert facts.items() <= types._facts.items()
 
 
-def test_facts_past_the_bound_leave_the_kept_ones(monkeypatch):
-    # a fact decided while n's table holds _MEMO_SIZE of them is not kept,
-    # and the ones that verify and revalidate kept stay
+def test_forged_twist_counts_keep_nothing():
+    # a forged count of a modulus whose count n's table knows is read off
+    # that count, and one of a value without a count (a height) fails its
+    # exact product: however many a forger sends, the table keeps what it
+    # kept before
     certificates._types.cache_clear()
     data = _roundtrip(verify_theorem(5, 2))
     assert revalidate(data) == "pass"  # every value of data is now shared
     types = certificates._types(5)
-    facts = dict(types._facts)
-    monkeypatch.setattr(certificates, "_MEMO_SIZE", len(facts) + 2)
+    facts, twists = dict(types._facts), dict(types._twists)
     shear = _standalone(data, _sub(data, "ShearMembership"))
-    for i in range(4):  # each forged twist count is a new fact
-        forged = copy.deepcopy(shear)
-        forged["payload"]["cylinders"][0]["twists"] = 10 ** 6 + i
-        assert revalidate(forged) == "fail"
+    row = shear["payload"]["cylinders"][0]
+    modulus, height = row["inverse_modulus"], row["height"]
+    assert types.read(data["values"])[1][height] not in twists
+    for i in range(certificates._MEMO_SIZE + 10):
+        row["inverse_modulus"] = height if i % 2 else modulus
+        row["twists"] = 10 ** 6 + i
+        assert revalidate(shear) == "fail"
     assert certificates._types(5) is types
-    assert facts.items() <= types._facts.items()
-    assert len(types._facts) == len(facts) + 2
+    assert (types._facts, types._twists) == (facts, twists)
 
 
 @lru_cache(maxsize=None)
@@ -1406,6 +1409,29 @@ def test_pullback_is_recomputed_from_its_original_images():
             certify_pullback_obstruction(n, symmetric, l)
 
 
+def test_a_pullback_of_infinitely_many_sheets_is_refused_before_any_work(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("the rule ran")
+
+    monkeypatch.setattr(certificates, "_pullback_rule", no_rule)
+    with pytest.raises(ValueError, match="finitely many sheets"):
+        certify_pullback_obstruction(8, std_infinite_monodromy(8), 2)
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (12, 2), (16, 2), (9, 3)])
+def test_a_theorem_builds_one_value_table(monkeypatch, n, d):
+    # an even-n theorem whose rotation falls back to a PullbackObstruction
+    # builds that certificate on its own table too
+    built = []
+    init = certificates._Values.__init__
+    monkeypatch.setattr(certificates._Values, "__init__",
+                        lambda self, n: built.append(n) or init(self, n))
+    cert = verify_theorem(n, d)
+    cert.to_json()
+    assert cert.verdict == "pass"
+    assert built == [n]
+
+
 def test_pullback_in_a_theorem_reads_the_theorem_monodromy():
     theorem = _roundtrip(verify_theorem(8, 2))
     assert revalidate(theorem) == "pass"
@@ -1684,11 +1710,9 @@ def test_warm_theorem_does_each_exact_check_once(monkeypatch):
     assert data["verdict"] == "pass"
     # one evaluation per distinct moving-letter sequence, not per cylinder
     assert len(evaluated) <= len(sequences)
-    # one test k * mu == 2 * lambda_n per distinct (mu, k) row of the
-    # theorem (every passing test subtracts 2 * lambda_n from itself)
-    rows = {(r["inverse_modulus"], r["twists"]) for s in data["payload"]["subcertificates"]
-            if s["kind"] == "ShearMembership" for r in s["payload"]["cylinders"]}
-    assert 0 < len(operands["shear"]) <= len(rows)
+    # the shear rule reads each row's twist count, which scaling its
+    # modulus made: it subtracts nothing
+    assert operands["shear"] == []
     # the witness search compares no two values twice in the theorem
     compared = operands["rotation"]
     assert 0 < len(compared) == len(set(compared))
@@ -1788,7 +1812,8 @@ def test_type_ids_are_exact_types():
     assert (types.scale(types.index(2 * mu), 1), h) == i
     assert types.index(RealAlg.from_json(mu.to_json())) == m
     assert types.index(1 * height) == h
-    assert types.lifts[i[0]] == (m, 2)
+    # 2 * lambda_5 is twice mu, so mu twists twice, 2 * mu once, a strip never
+    assert [types._twists[v] for v in (m, i[0], types.scale(m, 0))] == [2, 1, None]
     assert (types.exact[i[0]], types.exact[i[1]]) == (2 * mu, height)
     h2 = types.index(2 * height)
     others = {(types.scale(m, 1), h), (types.scale(m, 1), h2), (types.scale(m, 2), h2),

@@ -258,7 +258,7 @@ def test_infinite_shear_lists_its_infinite_cylinders():
 def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
     # the horizontal direction of Y_{8,inf} has infinite cylinders
     types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
-    infinite = [t for t in types if not certificates._types(8).lifts[t[0]][1]]
+    infinite = [t for t in types if certificates._types(8).exact[t[0]].is_zero()]
     assert infinite
     cert = certificates._shear_certificate(8, "inf", 0, types)
     assert cert.verdict == "fail"
