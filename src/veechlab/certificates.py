@@ -15,7 +15,9 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
   * MinusIdentity     - the marked monodromy images are involutions;
   * RotationObstruction - the (inverse modulus, height) multiset in
                         direction v_l differs from the horizontal one,
-                        so no rotation derivative can exist;
+                        so no rotation derivative can exist; a theorem
+                        needs one only at l = n/p for each prime p of
+                        the index (the dihedral lemma, _theorem_slots);
   * PullbackObstruction - the cover pulled back under the rotation is
                         not a relabeling of itself (even n fallback);
   * WellFormedCover   - the monodromy acts transitively on d sheets;
@@ -27,15 +29,17 @@ below) over native values, an exact value as its index in n's type
 table (_types): the certify_* functions apply it to what they
 computed, revalidate() to what it parsed from the payload.
 
-Certificates are written and read in format 3: the top level carries
+Certificates are written and read in format 4: the top level carries
 the conductor 4n once and a table of the distinct exact values, and rows
 and witnesses refer to the table by index.  Two sections are written
 once, at the top level: the horizontal profile that every
 RotationObstruction compares against, and the monodromy's generator
 images, which SigmaT, MinusIdentity, PullbackObstruction and
 WellFormedCover read.  Every degree, d = inf too, uses the same rows: an
-infinite strip is a type of inverse modulus 0.  revalidate() reads no
-other format.
+infinite strip is a type of inverse modulus 0.  A theorem lists its
+rotation slots at l = n/p only; revalidate() reads no other format, and
+refuses formats 1 to 3, which listed one for every l, with a
+MalformedCertificate that says to run verify again.
 
 Non-membership certificates for user-supplied monodromies may come out
 "inconclusive" (equal multisets prove nothing); the standard family
@@ -62,7 +66,7 @@ from .covering import (
     standard_monodromy,
 )
 from .errors import IntransitiveMonodromy, MalformedCertificate, VerificationFailure, short_repr
-from .field import RealAlg, lambda_n
+from .field import RealAlg, lambda_n, prime_divisors
 from .surface import no_base_surface
 from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
@@ -70,7 +74,7 @@ from .words import Word
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-FORMAT = 3
+FORMAT = 4
 _SIGMA_MODES = ("horizontal", "vertical")
 
 
@@ -114,7 +118,7 @@ class Certificate:
         self.values = values
 
     def to_json(self):
-        """The certificate as top-level format-3 JSON, with its value
+        """The certificate as top-level format-4 JSON, with its value
         table and the sections its payload refers to."""
         values = _Values(self.n) if self.values is None else self.values
         return {"format": FORMAT, "conductor": values.conductor, **self._body(),
@@ -801,6 +805,35 @@ def _theorem_slots(n: int, d):
 
     In a finite theorem of even n, a PullbackObstruction may fill the
     slot of the RotationObstruction with its l.
+
+    The rotation slots are l = n/p for the primes p of k (k = n for odd
+    n, n/2 for even n), in increasing l: the dihedral lemma.  Write rho,
+    tau for R, T (odd n) or r = R^2, t (even n), so that rho^(k/p) is
+    R^(n/p), and H for the covers' Veech group, whose words the other
+    slots certify to lie in Gamma(Y).
+
+      * Gamma(Y) lies in Gamma(X_n).  X_n is primitive, of genus at
+        least 2, and every affine map of a translation cover of such a
+        Veech surface descends to it, as the primitive surface below a
+        cover is unique (Moeller, Invent. Math. 165, 2006, section 2;
+        the same descent for infinite covers: Hubert-Schmithuesen, J.
+        Mod. Dyn. 4, 2010).  So H <= Gamma(Y) <= Gamma(X_n).
+      * _coset_table(n) is an action phi of Gamma(X_n) on k cosets, with
+        rho as i -> i + 1, tau as i -> -i and z trivial, so its image
+        is D_k; H is the stabiliser of coset 0, so phi(H) = {1, tau}.
+        The kernel of phi fixes coset 0, so H contains it, and every G
+        with H <= G is the full preimage of phi(G): if phi(g) = phi(g')
+        with g' in G, then g = g' (g'^-1 g) with g'^-1 g in the kernel.
+        So G -> phi(G) is one to one from the groups between H and
+        Gamma(X_n) to the subgroups of D_k that contain tau.
+      * Those are exactly the <rho^m, tau> with m | k.  Such an S meets
+        <rho> in some <rho^m> with m | k, and for each reflection
+        rho^j tau in S, rho^j = (rho^j tau) tau is in S too; so S is
+        <rho^m> together with <rho^m> tau, which is <rho^m, tau>.
+      * So phi(Gamma(Y)) = <rho^m, tau> for one m | k, and Gamma(Y) = H
+        exactly when m = k.  If m < k, some prime p divides k/m, and
+        rho^(k/p), a power of rho^m, lies in Gamma(Y), which is a full
+        preimage.  So Gamma(Y) = H once each R^(n/p) is excluded.
     """
     if d != "inf":
         yield "WellFormedCover", None
@@ -812,8 +845,8 @@ def _theorem_slots(n: int, d):
     for mode in _SIGMA_MODES if n % 2 == 0 else _SIGMA_MODES[:1]:
         yield "SigmaT", mode
     yield "MinusIdentity", None
-    for l in range(1, n) if n % 2 else range(2, n, 2):
-        yield "RotationObstruction", l
+    for p in reversed(prime_divisors(n if n % 2 else half)):
+        yield "RotationObstruction", n // p
     yield "Index", None
 
 
@@ -924,7 +957,8 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 
 
 _NONE = type(None)
-_NO_LONGER_READ = "format %d is no longer read; `veechlab verify` writes format 3"
+_NO_LONGER_READ = ("format %%d is no longer read; run `veechlab verify` again to write format %d"
+                   % FORMAT)
 
 # A standalone certificate names its own n, and revalidating it builds
 # the field of conductor 4n, at a cost that grows as N * phi(N); above
@@ -1022,7 +1056,7 @@ class _Table:
 
 
 def _claimed_n(data) -> int:
-    """The n of a top-level certificate, which must be format 3.
+    """The n of a top-level certificate, which must be format FORMAT.
 
     Its table's conductor must be 4n, X_n must exist, and a standalone
     certificate (any kind but FullTheorem) must have n at most
@@ -1030,8 +1064,8 @@ def _claimed_n(data) -> int:
     """
     if type(data) is not dict or "format" not in data:
         raise MalformedCertificate("certificate has no \"format\" key: " + _NO_LONGER_READ % 1)
-    if type(data["format"]) is int and data["format"] == 2:
-        raise MalformedCertificate(_NO_LONGER_READ % 2)
+    if type(data["format"]) is int and 2 <= data["format"] < FORMAT:
+        raise MalformedCertificate(_NO_LONGER_READ % data["format"])
     if type(data["format"]) is not int or data["format"] != FORMAT:
         raise MalformedCertificate("unknown certificate format %s" % short_repr(data["format"], 40))
     n, conductor = _field(data, "n", int), _field(data, "conductor", int)
@@ -1090,7 +1124,7 @@ def _degree(data: dict, infinite: bool = False):
 
 
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its format-3 JSON.
+    """Recompute a certificate's verdict from its format-4 JSON.
 
     Parses the payload and applies the rule that made the verdict.
     SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
@@ -1103,12 +1137,13 @@ def revalidate(data: dict) -> str:
     images give.  A WellFormedCover fails unless the images permute
     exactly d sheets and together act transitively.  MalformedCertificate
     is raised for a payload that does not parse, a top level without
-    "format": 3, images that do not name x_0..x_{g-1} once each, in
-    order, a PullbackObstruction of odd n or odd l, a FullTheorem or
-    WellFormedCover whose int d is below 2 (before any rule runs), and,
-    before any value is parsed, an n without X_n, a subcertificate about
-    another (n, d) than its theorem, and a standalone certificate other
-    than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
+    "format": 4 (formats 1 to 3 are refused by name), images that do
+    not name x_0..x_{g-1} once each, in order, a PullbackObstruction of
+    odd n or odd l, a FullTheorem or WellFormedCover whose int d is
+    below 2 (before any rule runs), and, before any value is parsed, an
+    n without X_n, a subcertificate about another (n, d) than its
+    theorem, and a standalone certificate other than a FullTheorem for
+    n above MAX_STANDALONE_N.  A profile that
     lists a cylinder type twice, and a profile or shear row that counts
     one below 1, are malformed too.  Each distinct table entry is
     parsed, and each exact check decided, once per process (_types).

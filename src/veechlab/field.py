@@ -71,6 +71,20 @@ def __getattr__(name):
 # cyclotomic polynomials and per-conductor context
 
 
+def prime_divisors(n: int) -> list:
+    """The primes that divide n >= 1, in increasing order, by trial division."""
+    primes, rest, p = [], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # rest is prime
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return primes
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low to high.
@@ -79,15 +93,9 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     divisors m of n: the factors with mu = +1 are multiplied out, then
     those with mu = -1 divided off exactly.
     """
-    divisors, rest, p = [(1, 1)], n, 2  # (m, mu(m)) for the squarefree m dividing n
-    while rest > 1:
-        if p * p > rest:
-            p = rest  # rest is prime
-        if rest % p == 0:
-            divisors += [(m * p, -mu) for m, mu in divisors]
-            while rest % p == 0:
-                rest //= p
-        p += 1
+    divisors = [(1, 1)]  # (m, mu(m)) for the squarefree m dividing n
+    for p in prime_divisors(n):
+        divisors += [(m * p, -mu) for m, mu in divisors]
     poly = [1]
     for m, mu in sorted(divisors, key=lambda factor: -factor[1]):
         d = n // m

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import random
 import re
 import sys
 import time
@@ -37,10 +38,10 @@ from veechlab.covering import (
 from veechlab.cylinders import decompose, unit_vector
 from veechlab.errors import MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
-from veechlab.surface import build_base
+from veechlab.surface import build_base, no_base_surface
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
-# the top-level keys of a format-3 certificate that its subcertificates
+# the top-level keys of a format-4 certificate that its subcertificates
 # refer to
 _SHARED = ("format", "conductor", "values", "horizontal", "images")
 
@@ -357,6 +358,7 @@ def test_certificates_revalidate_from_payload():
     singles = [
         certify_shear(build_cover(5, 3), 1),
         certify_rotation_obstruction(build_cover(5, 4), 2),
+        certify_rotation_obstruction(build_cover(8, 2), 4),  # inconclusive
         certify_sigma_T(5, 5, "horizontal"),
         certify_minus_identity(8, build_cover(8, 3).monodromy),
     ]
@@ -559,6 +561,97 @@ def test_rotation_rule_runs_once_per_obstruction_direction(monkeypatch, n):
         assert len(directions) == len(set(directions)) == obstructions
 
 
+def _group(gens, k: int) -> frozenset:
+    """The group of permutations of range(k) that gens generate."""
+    one = perms.identity(k)
+    group, frontier = {one}, [one]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = perms.compose(g, s)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return frozenset(group)
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_subgroups_above_the_reflection_are_the_rho_m_tau(k):
+    # the dihedral lemma of _theorem_slots, by brute force: on k cosets rho
+    # acts as i -> i + 1 and tau as i -> -i (as _coset_table's action does
+    # wherever X_n exists), and the subgroups of the group they generate
+    # that contain tau are exactly the <rho^m, tau> with m | k
+    rho = tuple((i + 1) % k for i in range(k))
+    tau = tuple(-i % k for i in range(k))
+    for n in (k, 2 * k) if k % 2 else (2 * k,):  # the n whose k this is
+        if not no_base_surface(n):
+            table = certificates._coset_table(n)
+            r, t = table.presentation.generators[:2]
+            assert (table.action[r], table.action[t]) == (rho, tau), n
+    dihedral = _group([rho, tau], k)
+    found, frontier = set(), [[tau]]  # each subgroup as the gens it was reached by
+    while frontier:
+        gens = frontier.pop()
+        group = _group(gens, k)
+        if group not in found:
+            found.add(group)
+            frontier += [gens + [g] for g in dihedral - group]
+    divisors = [m for m in range(1, k + 1) if k % m == 0]
+    assert found == {_group([perms.power(rho, m), tau], k) for m in divisors}
+    assert len(found) == len(divisors)
+    # so every subgroup but <tau>, the stabiliser of coset 0, holds a
+    # rho^(k/p) for a prime p | k: the theorem's rotation slots
+    stabiliser = _group([tau], k)
+    primes = field.prime_divisors(k)
+    for group in found - {stabiliser}:
+        assert any(perms.power(rho, k // p) in group for p in primes)
+
+
+def _two_slit_monodromy(n: int, d: int, rng) -> Monodromy:
+    """A transitive monodromy of degree d that moves x_k1 and x_k2 only,
+    each by a random involution."""
+    k1, k2 = monodromy_indices(n)
+    while True:
+        images = {}
+        for g in (k1, k2):
+            sheets = rng.sample(range(d), d)
+            pairs = rng.randint(0, d // 2)
+            images[g] = perms.from_cycles(d, [sheets[2 * i:2 * i + 2] for i in range(pairs)])
+        m = Monodromy(num_generators(n), d, images)
+        if m.is_transitive():
+            return m
+
+
+def test_rotation_slots_at_n_over_p_keep_every_verdict(monkeypatch):
+    # the oracle: a rotation slot for every l, as format 3 listed them; on
+    # the standard, mutated, random two-slit and d = inf covers of n <= 25
+    # and d <= 8, the theorem's verdict is the full-slot verdict
+    slots = certificates._theorem_slots
+
+    def full_slots(n, d):
+        kept = [s for s in slots(n, d) if s[0] != "RotationObstruction"]
+        rotations = [("RotationObstruction", l) for l in (range(1, n) if n % 2 else range(2, n, 2))]
+        return kept[:-1] + rotations + kept[-1:]
+
+    rng = random.Random(41)
+    verdicts = []
+    for n in [n for n in range(5, 26) if not no_base_surface(n)]:
+        ls = [l for kind, l in slots(n, 2) if kind == "RotationObstruction"]
+        assert ls == sorted(n // p for p in field.prime_divisors(n if n % 2 else n // 2))
+        claims = [{"infinite": True}]
+        for d in range(2, 9):
+            claims += [{"d": d}, {"d": d, "monodromy": mutated_monodromy(n, d)}]
+            claims += [{"d": d, "monodromy": _two_slit_monodromy(n, d, rng)} for _ in range(3)]
+        for claim in claims:
+            cert = verify_theorem(n, **claim)
+            with monkeypatch.context() as mp:
+                mp.setattr(certificates, "_theorem_slots", full_slots)
+                oracle = verify_theorem(n, **claim)
+            assert cert.verdict == oracle.verdict, (n, claim)
+            verdicts.append(cert.verdict)
+    assert {"pass", "fail"} <= set(verdicts)
+
+
 # ---------------------------------------------------------------------------
 # revalidating malformed payloads
 
@@ -679,8 +772,9 @@ def _row_pitfalls():
     *_row_pitfalls(),
 ])
 def test_malformed_payloads_raise_typed_error(tamper):
-    # every subcertificate of Y_{8,2} passes, so revalidation reads them all
-    data = json.loads(json.dumps(verify_theorem(8, 2).to_json()))
+    # every subcertificate of Y_{12,2} passes, so revalidation reads them
+    # all; it has a RotationObstruction (l = 4) and a PullbackObstruction (l = 6)
+    data = json.loads(json.dumps(verify_theorem(12, 2).to_json()))
     assert revalidate(data) == "pass"
     tamper(data)
     with pytest.raises(MalformedCertificate):
@@ -927,13 +1021,6 @@ def test_revalidate_memos_stay_bounded():
                                         for i in range(certificates._MEMO_SIZE + 10)]
     assert revalidate(shear) == "fail"
     assert len(certificates._types(5).exact) <= made + certificates._MEMO_SIZE
-    # and as many exact facts, which forged twist counts ask without a new value
-    data = _roundtrip(verify_theorem(5, 2))
-    shear = _standalone(data, _sub(data, "ShearMembership"))
-    for i in range(certificates._MEMO_SIZE + 10):
-        shear["payload"]["cylinders"][0]["twists"] = 10**6 + i
-        assert revalidate(shear) == "fail"
-    assert len(certificates._types(5)._facts) <= certificates._MEMO_SIZE
 
 
 def test_an_over_bound_certificate_leaves_the_shared_table(monkeypatch):
@@ -1363,8 +1450,9 @@ def test_index_only_theorem_fails_before_enumeration(monkeypatch):
     coset_table = certificates._coset_table
     monkeypatch.setattr(certificates, "_coset_table",
                         lambda n: enumerated.append(n) or coset_table(n))
-    wrapper = {"format": 3, "conductor": 4 * 251, "values": [], "kind": "FullTheorem",
-               "n": 251, "d": 3, "verdict": "pass", "payload": {"subcertificates": [
+    wrapper = {"format": certificates.FORMAT, "conductor": 4 * 251, "values": [],
+               "kind": "FullTheorem", "n": 251, "d": 3, "verdict": "pass",
+               "payload": {"subcertificates": [
                    {"kind": "Index", "n": 251, "d": None, "verdict": "pass",
                     "payload": {"expected_index": 251, "index": 251}}]}}
     start = time.perf_counter()
@@ -1452,8 +1540,8 @@ def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatc
     coset_table = certificates._coset_table
     monkeypatch.setattr(certificates, "_coset_table",
                         lambda n: enumerated.append(n) or coset_table(n))
-    forged = {"format": 3, "conductor": 4 * 251, "values": [], "kind": "Index", "n": 251,
-              "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
+    forged = {"format": certificates.FORMAT, "conductor": 4 * 251, "values": [], "kind": "Index",
+              "n": 251, "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
     with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
         revalidate(forged)
     cap = certificates.MAX_STANDALONE_N
@@ -1496,7 +1584,7 @@ _MINIMAL_PAYLOADS = {
 
 
 def _minimal(kind, n):
-    return {"format": 3, "conductor": 4 * n, "values": [{"coeffs": [[0, "1"]]}],
+    return {"format": certificates.FORMAT, "conductor": 4 * n, "values": [{"coeffs": [[0, "1"]]}],
             "horizontal": [], "images": [{"generator": 0, "image": [1, 0]}],
             "kind": kind, "n": n, "d": 2, "verdict": "pass", "payload": _MINIMAL_PAYLOADS[kind]}
 
@@ -1555,8 +1643,9 @@ def test_a_theorem_without_values_or_images_builds_no_field(monkeypatch):
     subs = [{"kind": kind, "n": n, "d": None if kind == "Index" else d, "verdict": "pass",
              "payload": {names[kind]: key} if names[kind] else {}}
             for kind, key in certificates._theorem_slots(n, d)]
-    theorem = {"format": 3, "conductor": 4 * n, "values": [], "kind": "FullTheorem", "n": n,
-               "d": d, "verdict": "pass", "payload": {"subcertificates": subs}}
+    theorem = {"format": certificates.FORMAT, "conductor": 4 * n, "values": [],
+               "kind": "FullTheorem", "n": n, "d": d, "verdict": "pass",
+               "payload": {"subcertificates": subs}}
 
     def no_field(N):
         raise AssertionError("a field of conductor %d was built" % N)
@@ -1881,8 +1970,9 @@ def test_standalone_well_formed_cover_is_checked():
     fixed = [dict(e, image=[0, 1, 2]) for e in cover["images"]]
     assert revalidate(dict(cover, images=fixed)) == "fail"
     # without the images it has no evidence
-    probe = {"format": 3, "conductor": 20, "values": [], "kind": "WellFormedCover", "n": 5,
-             "d": 3, "verdict": "pass", "payload": {}, "witnesses": []}
+    probe = {"format": certificates.FORMAT, "conductor": 20, "values": [],
+             "kind": "WellFormedCover", "n": 5, "d": 3, "verdict": "pass", "payload": {},
+             "witnesses": []}
     with pytest.raises(MalformedCertificate, match="images"):
         revalidate(probe)
 

@@ -218,16 +218,16 @@ def test_revalidate_subcommand_reports_deeply_nested_json_as_malformed(capsys, t
 
 
 # sha256 of `veechlab verify` stdout, recorded when certificates moved to
-# format 3 (the format-1 and format-2 hashes are kept with their fixtures
-# in tests/test_format.py)
+# format 4, whose rotation slots are only l = n/p (the format-1 to format-3
+# hashes are kept with their fixtures in tests/test_format.py)
 GOLDEN_VERIFY = {
-    ("--n", "7", "--d", "4"): "4c034bd125b5805d1ebd12d175ebfaf389ea0d8b116db9930178809872f0ac1f",
-    ("--n", "9", "--d", "6"): "40b43a44603b1ea499a9344a9b81550781129992c3585d88f9dd6d69a09f3792",
-    ("--n", "14", "--d", "3"): "28a03969cf8016afcfdcf5904cffab209b3a8fcc3bca182d4289d917c274b524",
-    ("--n", "8", "--infinite"): "e54dcda525cdefc07b2dd22a462a8588adeb9075e8e08903a1fb5974e8a72638",
-    # conductors 100 and 404, recorded before products were fused
-    ("--n", "25", "--d", "4"): "4d2b419e8cfeeb6c4b8974c06758974adad54d149773524d51343c284b54765a",
-    ("--n", "101", "--d", "3"): "68663fb71b474f22e073c1281f55b7aaedea7d902fba46af309a09bb635b88a6",
+    ("--n", "7", "--d", "4"): "fead083592ee57cfd4c73e4fd91627a2f94e6371e62c83a7f8c46f02426b8a4f",
+    ("--n", "9", "--d", "6"): "c740c747a0984599f95f07eb13e51a7ff0ba14a320db057163d6aedfe93503d4",
+    ("--n", "14", "--d", "3"): "038d0a666dc227af469b7b59f9080c7bbe4904b31b413f395227833bbcfa4d27",
+    ("--n", "8", "--infinite"): "f6cb2b20644eff3b5b9f32e43a735323d66fa0246fe3732b9a59a3bd4f5b5ea7",
+    # conductors 100 and 404
+    ("--n", "25", "--d", "4"): "b63e7e6ada2af199ff3d2256d2cc1b2b6b880abacc754ca330bd6c523e3e3c49",
+    ("--n", "101", "--d", "3"): "c83601b0f8194cde9edb64cde45b00bae5b8a0c6f639dbd75a2efc2ea7a0f550",
 }
 
 
@@ -239,13 +239,13 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
 
 
 # sha256 of json.dumps(cert.to_json()) for the three format-1 fixtures that
-# GOLDEN_VERIFY does not pin, recorded when format 3 replaced format 2.  The
-# shear and rotation bytes are format 2's with "format": 3 for "format": 2
-# (their format-2 hashes were e223b113... and 730ccfe5...).
+# GOLDEN_VERIFY does not pin, recorded when format 4 replaced format 3.  The
+# shear and rotation bytes are format 3's with "format": 4 for "format": 3
+# (their format-3 hashes were b746fa9c... and 7245f545...).
 GOLDEN_CERTIFICATES = {
-    "mutated_n7_d4": "3e93c2976e1dd8830f4226888b0af28f240f2c4ff9cff6f22744c44ca76a94d4",
-    "shear_n7_d4_l1": "b746fa9cbe83f24498d256defbe754359b2525edbcebffa7209dbb304fde685f",
-    "rotation_n7_d4_l2": "7245f545906de11edae1a6b586a94dc6fe2270b45c839c4626e985e94dafd374",
+    "mutated_n7_d4": "ffde0085af78b5765030d7cbb817157138d7ffd0217905aac5028844302fa734",
+    "shear_n7_d4_l1": "f14fb8791f0b241e820a9e8ba46701227725812bcefcc6a74eb0ddc443965950",
+    "rotation_n7_d4_l2": "0c48df9a661bf4441bce69956ebf7c20a91e9fc30f679f9c6e6305de5df20fb5",
 }
 
 _CERTIFICATES = {
@@ -267,7 +267,7 @@ def test_revalidate_subcommand_refuses_format1(capsys, tmp_path):
     path.write_bytes(gzip.decompress(fixture.read_bytes()))
     code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
     assert code == 1 and out == ""
-    assert "format 1 is no longer read; `veechlab verify` writes format 3" in err
+    assert "format 1 is no longer read; run `veechlab verify` again to write format 4" in err
 
 
 # sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,

@@ -1,13 +1,14 @@
-"""Certificate format 3, and the refusal of formats 1 and 2.
+"""Certificate format 4, and the refusal of formats 1 to 3.
 
-revalidate reads format 3 only.  The fixtures under tests/fixtures are
+revalidate reads format 4 only.  The fixtures under tests/fixtures are
 older certificates exactly as the last release of their format wrote
 them (gzipped).  Format 1: `veechlab verify` stdout for four (n, d), a
 failing mutated theorem, and one standalone ShearMembership and
 RotationObstruction, both written with json.dumps(cert.to_json(),
-indent=2) plus a newline.  Format 2 (format2_*): `veechlab verify`
-stdout for the same four (n, d).  Each must be refused; the certificates
-made today for the same claims are pinned by GOLDEN_VERIFY and
+indent=2) plus a newline.  Formats 2 and 3 (format2_*, format3_*):
+`veechlab verify` stdout for the same four (n, d); format 3 listed a
+rotation slot for every l.  Each must be refused; the certificates made
+today for the same claims are pinned by GOLDEN_VERIFY and
 GOLDEN_CERTIFICATES in tests/test_cli.py.
 """
 
@@ -20,6 +21,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -55,10 +57,20 @@ FORMAT2_VERIFY = {
     "format2_verify_n8_inf": "0e8804c440f4bd5316a1f3f8b9305a8db896b4ec2c1b1ee7c73e16e9e1add92d",
 }
 
-# the unprefixed fixtures are format 1; revalidate refuses both formats
+# sha256 of format-3 `veechlab verify` stdout: the GOLDEN_VERIFY hashes of
+# tests/test_cli.py before format 4 replaced them
+FORMAT3_VERIFY = {
+    "format3_verify_n7_d4": "4c034bd125b5805d1ebd12d175ebfaf389ea0d8b116db9930178809872f0ac1f",
+    "format3_verify_n9_d6": "40b43a44603b1ea499a9344a9b81550781129992c3585d88f9dd6d69a09f3792",
+    "format3_verify_n14_d3": "28a03969cf8016afcfdcf5904cffab209b3a8fcc3bca182d4289d917c274b524",
+    "format3_verify_n8_inf": "e54dcda525cdefc07b2dd22a462a8588adeb9075e8e08903a1fb5974e8a72638",
+}
+
+# the unprefixed fixtures are format 1; revalidate refuses formats 1 to 3
 FIXTURES_FORMAT1 = sorted(FORMAT1_VERIFY) + ["mutated_n7_d4", "rotation_n7_d4_l2", "shear_n7_d4_l1"]
-FORMAT1_REFUSED = "format 1 is no longer read; `veechlab verify` writes format 3"
-FORMAT2_REFUSED = "format 2 is no longer read; `veechlab verify` writes format 3"
+FORMAT1_REFUSED = "format 1 is no longer read; run `veechlab verify` again to write format 4"
+FORMAT2_REFUSED = "format 2 is no longer read; run `veechlab verify` again to write format 4"
+FORMAT3_REFUSED = "format 3 is no longer read; run `veechlab verify` again to write format 4"
 
 
 def _fixture_bytes(name: str) -> bytes:
@@ -69,7 +81,7 @@ def _fixture(name: str) -> dict:
     return json.loads(_fixture_bytes(name))
 
 
-def _format3(cert) -> dict:
+def _as_json(cert) -> dict:
     return json.loads(json.dumps(cert.to_json()))
 
 
@@ -91,6 +103,21 @@ def test_format2_is_refused(name):
         revalidate(data)
 
 
+@pytest.mark.parametrize("name", sorted(FORMAT3_VERIFY))
+def test_format3_fixtures_are_the_old_verify_bytes(name):
+    assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT3_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT3_VERIFY))
+def test_format3_is_refused(name):
+    # format 3 listed a rotation slot for every l; its verdicts still
+    # hold, but revalidate reads only format 4's slot list
+    data = _fixture(name)
+    assert data["format"] == 3
+    with pytest.raises(MalformedCertificate, match=re.escape(FORMAT3_REFUSED)):
+        revalidate(data)
+
+
 @pytest.mark.parametrize("name", FIXTURES_FORMAT1)
 def test_format1_is_refused(name):
     data = _fixture(name)
@@ -100,16 +127,17 @@ def test_format1_is_refused(name):
 
 
 def test_each_value_is_written_once():
-    data = _format3(verify_theorem(9, 4))
+    data = _as_json(verify_theorem(9, 4))
     entries = [json.dumps(entry["coeffs"]) for entry in data["values"]]
     assert len(entries) == len(set(entries))
     for entry in data["values"]:
         powers = [j for j, _ in entry["coeffs"]]
         assert powers == sorted(set(powers)) and all(c != "0" for _, c in entry["coeffs"])
         assert set(entry) == {"coeffs", "approx"}
-    # the horizontal profile is written once, at the top level
+    # the horizontal profile is written once, at the top level; 9 = 3^2
+    # has one rotation slot, l = 9/3
     rotations = [s for s in data["payload"]["subcertificates"] if s["kind"] == "RotationObstruction"]
-    assert len(rotations) == 8 and data["horizontal"]
+    assert [s["payload"]["l"] for s in rotations] == [3] and data["horizontal"]
     assert all(set(s["payload"]) == {"l", "direction"} for s in rotations)
     # and so are the monodromy's images, which no payload repeats
     assert [e["generator"] for e in data["images"]] == list(range(8))
@@ -124,7 +152,7 @@ def test_each_value_is_written_once():
 
 
 def _theorem() -> dict:
-    return _format3(verify_theorem(7, 4))
+    return _as_json(verify_theorem(7, 4))
 
 
 def _shear(data: dict) -> dict:
@@ -162,8 +190,8 @@ def _drop_horizontal(data):
     _set_entry([[0, "1"]]),
     _drop_horizontal,
     lambda data: data.update(format=2),
-    lambda data: data.update(format=4),
-    lambda data: data.update(format="3"),
+    lambda data: data.update(format=5),
+    lambda data: data.update(format="4"),
     lambda data: data.update(values={}),
     lambda data: data.pop("values"),
     lambda data: data.pop("conductor"),
@@ -190,9 +218,13 @@ def test_edited_table_entry_fails():
 
 
 def test_format1_subcertificate_in_a_format2_theorem_raises():
+    # format 1 listed a rotation for every l; those that fill (7, 4)'s
+    # slots bind the old payloads to the theorem, which must raise
     data = _theorem()
     old = _fixture("verify_n7_d4")
-    data["payload"]["subcertificates"] = old["payload"]["subcertificates"]
+    data["payload"]["subcertificates"] = [
+        s for s in old["payload"]["subcertificates"]
+        if s["kind"] != "RotationObstruction" or s["payload"]["l"] == 1]
     with pytest.raises(MalformedCertificate):
         revalidate(data)
 
@@ -237,7 +269,7 @@ def _zero_modulus_rows(data: dict, rows: list) -> list:
 
 
 def test_infinite_shear_lists_its_infinite_cylinders():
-    data = _format3(verify_theorem(8, infinite=True))
+    data = _as_json(verify_theorem(8, infinite=True))
     shears = [s for s in data["payload"]["subcertificates"] if s["kind"] == "ShearMembership"]
     assert shears and not any(_zero_modulus_rows(data, s["payload"]["cylinders"]) for s in shears)
     # the horizontal rows list the infinite strips, as types of inverse modulus 0
@@ -262,7 +294,7 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
     assert infinite
     cert = certificates._shear_certificate(8, "inf", 0, types)
     assert cert.verdict == "fail"
-    data = _format3(cert)
+    data = _as_json(cert)
     rows = _zero_modulus_rows(data, data["payload"]["cylinders"])
     assert len(rows) == len(infinite) and all(r["twists"] is None for r in rows)
     assert revalidate(data) == "fail"
@@ -273,8 +305,8 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
 
 
 # sha256 over json.dumps(verify_theorem(...).to_json()) of the sweep below,
-# recorded when format 3 replaced format 2
-GOLDEN_SWEEP = "10d01c98543419ccc63fba17bfc3348febbacc95b5573b658b1558e92d293631"
+# recorded when format 4 replaced format 3
+GOLDEN_SWEEP = "09f3c777fe8a5ddc9c700c7d897db9d83477d10bb1c3f9b1c90a3689486b2f9f"
 
 
 def test_certificate_sweep_bytes_unchanged():
@@ -287,25 +319,42 @@ def test_certificate_sweep_bytes_unchanged():
     assert h.hexdigest() == GOLDEN_SWEEP
 
 
-# sha256 of json.dumps(rows) over the grid below: each theorem's verdict, its
-# revalidated verdict and its subcertificates' (kind, l, verdict); recorded
-# in format 2, so no verdict moved with the format
-GOLDEN_VERDICTS = "bbc0757b9e90bf010f6fce1bcea934ddc6667bfaae4bce57cca9f6b9e2a23b67"
-
-
-def test_no_verdict_moves():
+@lru_cache(maxsize=None)
+def _verdict_grid() -> tuple:
+    """(n, key, theorem, revalidated verdict) for 299 theorems: d = inf,
+    and the standard and mutated covers of degree 2..12."""
     rows = []
     for n in (5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 25):
         certs = [("inf", verify_theorem(n, infinite=True))]
         for d in range(2, 13):
             certs.append((d, verify_theorem(n, d)))
             certs.append(("m%d" % d, verify_theorem(n, d, monodromy=mutated_monodromy(n, d))))
-        for key, c in certs:
-            rows.append((n, key, c.verdict, revalidate(_format3(c)),
-                         [(s["kind"], s["payload"].get("l"), s["verdict"])
-                          for s in c.payload["subcertificates"]]))
+        rows += [(n, key, c, revalidate(_as_json(c))) for key, c in certs]
     assert len(rows) == 299
+    return tuple(rows)
+
+
+# sha256 of json.dumps(rows) over _verdict_grid: each theorem's verdict, its
+# revalidated verdict and its subcertificates' (kind, l, verdict); recorded
+# in format 4, whose rotation slots are only l = n/p
+GOLDEN_VERDICTS = "666fcfd9d87c3c8db76f195a82af32edb2db6aa998ef3ccb753eeb6f5fec7e07"
+
+# sha256 of json.dumps(rows) over _verdict_grid with each theorem's (n, key,
+# verdict, revalidated verdict) alone; recorded in format 3, which listed a
+# rotation slot for every l, so no theorem's verdict moved with format 4
+GOLDEN_THEOREM_VERDICTS = "2d2186275c4538122858a2f48fcfe7433f0a0ebe9d91b30d409a35e77c26d48b"
+
+
+def test_no_verdict_moves():
+    rows = [(n, key, c.verdict, again, [(s["kind"], s["payload"].get("l"), s["verdict"])
+                                        for s in c.payload["subcertificates"]])
+            for n, key, c, again in _verdict_grid()]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_VERDICTS
+
+
+def test_no_theorem_verdict_moves():
+    rows = [(n, key, c.verdict, again) for n, key, c, again in _verdict_grid()]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_THEOREM_VERDICTS
 
 
 def _verify_stdout(args, hashseed: str) -> bytes:
@@ -326,6 +375,6 @@ def test_verify_emits_one_compact_line(capsys):
     assert main(["verify", "--n", "25", "--d", "4"]) == 0
     out = capsys.readouterr().out
     assert len(out.encode()) < 64 * 1024
-    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":3,"conductor":100,')
+    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":4,"conductor":100,')
     data = json.loads(out)
     assert data["verdict"] == "pass" and revalidate(data) == "pass"

@@ -1,0 +1,55 @@
+"""Growth pins: how the work of one theorem grows with n.
+
+verify_theorem(n, 3), its compact JSON (as `veechlab verify` writes it)
+and its revalidate run at n = 61 and at n = 123 = 2 * 61 + 1.  Counts and
+bytes are exact and repeatable where timings are not, and their ratio
+between the two n shows the complexity class: about 2 for work linear in
+n, about 4 for quadratic.  A change that alters a class lowers (or, with
+its reason, raises) the bound here in the same change.
+"""
+
+import json
+
+from veechlab import certificates, covering
+from veechlab.certificates import revalidate, verify_theorem
+
+# the largest ratio (n = 123) / (n = 61) of each count, and its values
+BOUNDS = {
+    "profiles": 2.1,  # _finite_profile calls: 31 and 62 directions
+    "cycle_types": 2.1,  # Monodromy.cycle_type calls: 60 and 122
+    # 35 and 67; 61 is prime and 123 = 3 * 41, so they have one and two
+    # rotation slots
+    "subcertificates": 2.1,
+    # 67,552 and 243,211 bytes (x3.60) plus 10%: each shear row names
+    # values of O(n) terms
+    "json_bytes": 3.96,
+}
+
+
+def _counts(n: int, monkeypatch) -> dict:
+    counts = dict.fromkeys(BOUNDS, 0)
+    profile, cycle_type = certificates._finite_profile, covering.Monodromy.cycle_type
+
+    def counted_profile(*args):
+        counts["profiles"] += 1
+        return profile(*args)
+
+    def counted_cycle_type(self, w):
+        counts["cycle_types"] += 1
+        return cycle_type(self, w)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certificates, "_finite_profile", counted_profile)
+        mp.setattr(covering.Monodromy, "cycle_type", counted_cycle_type)
+        cert = verify_theorem(n, 3)
+        text = json.dumps(cert.to_json(), separators=(",", ":"))
+        assert cert.verdict == revalidate(json.loads(text)) == "pass"
+    counts["subcertificates"] = len(cert.payload["subcertificates"])
+    counts["json_bytes"] = len(text.encode())
+    return counts
+
+
+def test_one_theorem_grows_linearly_in_n(monkeypatch):
+    small, large = _counts(61, monkeypatch), _counts(123, monkeypatch)
+    for name, bound in BOUNDS.items():
+        assert large[name] <= bound * small[name], (name, small[name], large[name])
