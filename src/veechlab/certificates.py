@@ -234,7 +234,8 @@ class _Types:
     value == 2 * lambda_n or None, decided once per n; so are the
     comparisons that verify's witness search makes.  So is what a
     theorem's rows take from n alone: each direction's base cylinders
-    (direction) and the rows of a set of types (sheared).  The memos
+    (direction), their lift plan for a set of moving generators (lifts)
+    and the rows of a set of types (sheared).  The memos
     keyed by what a caller passes keep at most _MEMO_SIZE entries.
     """
 
@@ -245,6 +246,7 @@ class _Types:
         self._ranks = None  # index -> exact-key rank, None after a new value
         self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
         self._directions = {}  # l -> the base cylinders of v_l, as direction() plans them
+        self._lifts = {}  # (l, moving generators) -> v_l's lift plan for them, as lifts() makes it
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
         self._twists = {}  # inverse modulus index -> its twist count or None
         self._facts = {}  # (v, w), v < w -> whether value v exceeds value w
@@ -301,20 +303,38 @@ class _Types:
         return table, [*map(memo.__getitem__, keys)]
 
     def direction(self, l: int) -> tuple:
-        """X_n's cylinders in v_l, each one's type (its a = 1 lift), and
-        for each generator the indices of the cylinders whose core words
-        contain it; made once per l."""
+        """X_n's cylinders in v_l and each one's type (its a = 1 lift);
+        made once per l."""
         plan = self._directions.get(l)
         if plan is None:
             cylinders = base_decomposition(self.n, l)
             base = [(self.scale(self.index(c.inverse_modulus), 1), self.index(c.height))
                     for c in cylinders]
-            containing = {}
-            for i, cyl in enumerate(cylinders):
-                for g in dict.fromkeys(g for g, _ in cyl.core_word):
-                    containing.setdefault(g, []).append(i)
-            plan = cylinders, base, containing
+            plan = cylinders, base
             self._keep(self._directions, l, plan)
+        return plan
+
+    def lifts(self, l: int, moving) -> tuple:
+        """The lift plan of v_l for covers whose moving generators are
+        moving (in order): the unmoved types, distinct and in walk order,
+        and the rest of v_l's cylinders in walk order as (type, core word),
+        the word None for an unmoved cylinder whose type an earlier one
+        has.  A cylinder is moved when its core word contains a moving
+        generator.  Read once per (l, moving) from direction(l)."""
+        key = (l, tuple(moving))
+        plan = self._lifts.get(key)
+        if plan is None:
+            moves = set(key[1])
+            unmoved, rest = {}, []
+            for cyl, t in zip(*self.direction(l)):
+                if any(g in moves for g, _ in cyl.core_word):
+                    rest.append((t, cyl.core_word))
+                elif t in unmoved:
+                    rest.append((t, None))
+                else:
+                    unmoved[t] = None
+            plan = tuple(unmoved), tuple(rest)
+            self._keep(self._lifts, key, plan)
         return plan
 
     def scale(self, m: int, a: int) -> int:
@@ -411,26 +431,24 @@ def _finite_profile(n: int, monodromy: Monodromy | ZMonodromy, l: int):
     word's image, for finite and infinite degree alike.  A base cylinder
     whose core word contains no generator that moves a sheet lifts to d
     copies of itself (d = inf: infinitely many), so it adds d to its own
-    type.  Only the others, the moved ones, are typed from the runs
-    (orbit length a, count) of the monodromy's cycle_type, each distinct
-    (inverse modulus, a) scaled once per n (_types).  The cylinders are
-    walked in order, each one's runs in order, so the profile's types
-    come in that order.  A count of None (infinitely many) absorbs any
-    count added to it.  Two lifts can have the same exact type, and then
-    they merge.
+    type: the plan of v_l (_Types.lifts) lists these unmoved types once
+    each, and they enter the profile in one step.  Only the others, the
+    moved ones, are typed from the runs (orbit length a, count) of the
+    monodromy's cycle_type, each distinct (inverse modulus, a) scaled
+    once per n (_types); an unmoved cylinder whose type an earlier one
+    has adds d to it there.  So the profile's types come in this order:
+    the unmoved types in walk order, then the moved cylinders' lifts in
+    walk order, each one's runs in order.  A count of None (infinitely
+    many) absorbs any count added to it.  Two lifts can have the same
+    exact type, and then they merge.
     """
     table = _types(n)
-    cylinders, base, containing = table.direction(l)
-    moved = {i for g in monodromy._moving if g in containing for i in containing[g]}
+    unmoved, rest = table.lifts(l, monodromy._moving)
     copies = None if monodromy.degree == "inf" else monodromy.degree
-    counter = {}
-    for i, (m, h) in enumerate(base):
-        if i in moved:
-            runs = [((table.scale(m, a), h), count)
-                    for a, count in monodromy.cycle_type(cylinders[i].core_word)]
-        else:
-            runs = (((m, h), copies),)
-        for t, count in runs:
+    counter = dict.fromkeys(unmoved, copies)
+    for (m, h), word in rest:
+        for a, count in ((1, copies),) if word is None else monodromy.cycle_type(word):
+            t = table.scale(m, a), h
             total = counter.get(t, 0)
             counter[t] = None if count is None or total is None else total + count
     return counter
@@ -700,18 +718,24 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
             monodromy = std_infinite_monodromy(n)
         else:
             monodromy = standard_monodromy(n, d)
-    return _sigma_certificate(n, d, mode, monodromy, _images_table(n, monodromy))
+    return _sigma_certificate(n, d, mode, monodromy, _claimed_sigma(d),
+                              _images_table(n, monodromy))
 
 
-def _sigma_certificate(n: int, d, mode: str, monodromy: Monodromy | ZMonodromy,
-                       values: _Values) -> Certificate:
-    # values holds the monodromy's images: a theorem passes its own table
+def _claimed_sigma(d):
+    # the claimed sigma_T of degree d, finite or "inf"
     if d == "inf":
         from .zcover import sigma_T_infinite
 
-        sigma = sigma_T_infinite()
-    else:
-        sigma = sigma_T_claim(d)
+        return sigma_T_infinite()
+    return sigma_T_claim(d)
+
+
+def _sigma_certificate(n: int, d, mode: str, monodromy: Monodromy | ZMonodromy, sigma,
+                       values: _Values) -> Certificate:
+    # sigma is _claimed_sigma(d), which a theorem computes once for both
+    # modes; values holds the monodromy's images: a theorem passes its
+    # own table
     if mode == "vertical":
         sigma = _Perm.inverse(sigma)
     verdict, witness = _sigma_rule(n, monodromy, sigma, mode)
@@ -891,13 +915,14 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         return profiles[l]
 
     subs = []
+    sigma = _claimed_sigma(d)  # one claim for both of even n's SigmaT modes
     for kind, key in _theorem_slots(n, d):
         if kind == "WellFormedCover":
             sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)
         elif kind == "ShearMembership":
             sub = _shear_certificate(n, d, key, profile(key), values)
         elif kind == "SigmaT":
-            sub = _sigma_certificate(n, d, key, monodromy, values)
+            sub = _sigma_certificate(n, d, key, monodromy, sigma, values)
         elif kind == "MinusIdentity":
             verdict, witness = _minus_identity_rule(monodromy)
             sub = Certificate(kind=kind, n=n, d=d, verdict=verdict, witness=witness, values=values)

@@ -1144,8 +1144,9 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
 def _traced_profile(profile, n, monodromy, l):
     """profile(n, monodromy, l) read from the decomposition traced in v_l.
 
-    n's direction plans are set aside for the call, so the profile plans
-    v_l from the traced cylinders, not from the derived table."""
+    n's direction and lift plans are set aside for the call, so the
+    profile plans v_l from the traced cylinders, not from the derived
+    table."""
     traced_at = []
 
     @lru_cache(maxsize=None)  # traced once, however often the profile reads it
@@ -1157,6 +1158,7 @@ def _traced_profile(profile, n, monodromy, l):
         mp.setattr(covering, "base_decomposition", traced)
         mp.setattr(certificates, "base_decomposition", traced)
         mp.setattr(certificates._types(n), "_directions", {})
+        mp.setattr(certificates._types(n), "_lifts", {})
         out = profile(n, monodromy, l)
     assert (n, l) in traced_at
     return out
@@ -1216,6 +1218,28 @@ def test_pulled_back_infinite_profiles_equal_traced_ones(n):
             assert _exact_items(n, got) == list(_per_cycle_profile(n, zm, l).items()), l
 
 
+@pytest.mark.parametrize("d", [3, "inf"])
+def test_a_repeated_unmoved_type_counts_every_cylinder(monkeypatch, d):
+    # no two base cylinders of a direction share a type where
+    # test_covering.py pins it (n <= 61), so this direction is made: v_1 of
+    # X_9 with its first unmoved cylinder listed once more, at the end
+    n, l = 9, 1
+    m = std_infinite_monodromy(n) if d == "inf" else standard_monodromy(n, d)
+    cyls = base_decomposition(n, l)
+    want = certificates._finite_profile(n, m, l)
+    [c, *_] = [c for c in cyls if not any(g in m._moving for g, _ in c.core_word)]
+    table = certificates._types(n)
+    monkeypatch.setattr(certificates, "base_decomposition", lambda n_, l_: cyls + [c])
+    monkeypatch.setattr(table, "_directions", {})
+    monkeypatch.setattr(table, "_lifts", {})
+    got = certificates._finite_profile(n, m, l)
+    t = (table.index(c.inverse_modulus), table.index(c.height))
+    # the type keeps its place, and counts both cylinders' lifts
+    assert list(got) == list(want)
+    assert (want[t], got[t]) == ((None, None) if d == "inf" else (d, 2 * d))
+    assert {**got, t: None} == {**want, t: None}
+
+
 # ---------------------------------------------------------------------------
 # integer-pair profiles and twist counts against per-cycle references
 
@@ -1223,9 +1247,15 @@ def test_pulled_back_infinite_profiles_equal_traced_ones(n):
 def _per_cycle_profile(n, monodromy, l):
     """The profile with one exact a * mu per cycle of the lift, every base
     cylinder's; for a Z-cover, per run of its orbits (a = 0 an infinite
-    strip), where a count of None absorbs what is added to it."""
+    strip), where a count of None absorbs what is added to it.  The
+    cylinders are read in _finite_profile's order: first the unmoved ones
+    (no generator of the core word moves a sheet), then the moved ones,
+    each in walk order."""
+    def moved(cyl):
+        return any(g in monodromy._moving for g, _ in cyl.core_word)
+
     counter = {}
-    for cyl in base_decomposition(n, l):
+    for cyl in sorted(base_decomposition(n, l), key=moved):  # stable: walk order within each
         if isinstance(monodromy, ZMonodromy):
             runs = monodromy.cycle_type(cyl.core_word)
         else:
@@ -1752,7 +1782,7 @@ def test_the_per_n_memos_stay_bounded(monkeypatch):
         for (d, m), text in zip(covers, texts):
             assert json.dumps(verify_theorem(n, d, monodromy=m).to_json()) == text
         types = certificates._types(n)
-        memos = [types._directions, types._sheared, types._facts]
+        memos = [types._directions, types._lifts, types._sheared, types._facts]
         assert max(map(len, memos)) == size
     finally:  # later tests get a table that kept everything
         certificates._types.cache_clear()

@@ -341,6 +341,22 @@ def test_base_table_has_distinct_heights_ratios_2_or_4_and_short_words(n):
                 assert letters[0][1] == -letters[1][1], (n, l, c.core_word)
 
 
+@pytest.mark.parametrize("n", [9, 16, 25])
+def test_a_derived_direction_inverts_each_rotation_image_at_most_once(monkeypatch, n):
+    # each generator occurs in at most one core word of a direction, so
+    # substitute inverts each of rho^j's images at most once per direction
+    # with no memo of inverses
+    for r in range(1 if n % 2 else 2):
+        base_decomposition(n, r)  # the traced sources
+    inverted = []
+    inverse = Word.inverse
+    monkeypatch.setattr(Word, "inverse", lambda w: inverted.append(w.letters) or inverse(w))
+    for l in range(1 if n % 2 else 2, n):
+        inverted.clear()
+        covering._base_decomposition.__wrapped__(n, l)
+        assert 0 < len(inverted) == len({*inverted}) <= num_generators(n), l
+
+
 def test_substitute_freely_reduces():
     x = Word.generator
     images = [x(1) * x(2).inverse(), x(2), x(0).inverse()]

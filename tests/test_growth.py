@@ -9,7 +9,12 @@ its reason, raises) the bound here in the same change.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import veechlab
 from veechlab import certificates, covering
 from veechlab.certificates import revalidate, verify_theorem
 
@@ -53,3 +58,40 @@ def test_one_theorem_grows_linearly_in_n(monkeypatch):
     small, large = _counts(61, monkeypatch), _counts(123, monkeypatch)
     for name, bound in BOUNDS.items():
         assert large[name] <= bound * small[name], (name, small[name], large[name])
+
+
+# the largest ratio (n = 123) / (n = 61) of the bytes that tracemalloc
+# counts live after a cold verify_theorem(n, 3), the certificate and every
+# memo it filled: 1,517,259 and 4,723,438 (x3.11, Python 3.11; with the
+# generator-to-cylinder map that each direction kept before lift plans,
+# 1,777,707 and 5,824,998, x3.28) plus 10%.  The type table keeps a lift
+# plan per direction and set of
+# moving generators, each as long as the direction's unmoved types, so
+# this also bounds how the plans grow
+LIVE_BYTES_BOUND = 3.42
+
+# run in a fresh interpreter, whose memos start empty whatever tests ran
+# before; each n is traced from its own start, after a collection
+_LIVE_BYTES = """
+import gc, json, tracemalloc
+from veechlab.certificates import verify_theorem
+live = []
+for n in (61, 123):
+    gc.collect()
+    tracemalloc.start()
+    cert = verify_theorem(n, 3)
+    gc.collect()
+    live.append(tracemalloc.get_traced_memory()[0])
+    tracemalloc.stop()
+print(json.dumps(live))
+"""
+
+
+def test_live_bytes_after_a_cold_theorem_grow_below_the_bound():
+    src = str(Path(veechlab.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _LIVE_BYTES], env=env, capture_output=True,
+                         text=True, check=True)
+    small, large = json.loads(run.stdout)
+    assert large <= LIVE_BYTES_BOUND * small, (small, large)
