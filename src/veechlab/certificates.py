@@ -233,10 +233,10 @@ class _Types:
     inverse modulus has one twist count, the positive integer k with k *
     value == 2 * lambda_n or None, decided once per n; so are the
     comparisons that verify's witness search makes.  So is what a
-    theorem's rows take from n alone: each direction's base cylinders
-    (direction), their lift plan for a set of moving generators (lifts)
-    and the rows of a set of types (sheared).  The memos
-    keyed by what a caller passes keep at most _MEMO_SIZE entries.
+    theorem's rows take from n alone: each direction's lift plan for a
+    set of moving generators (lifts) and the rows of a set of types
+    (sheared).  The memos keyed by what a caller passes keep at most
+    _MEMO_SIZE entries.
     """
 
     def __init__(self, n: int):
@@ -245,7 +245,6 @@ class _Types:
         self._index = {}  # exact key -> index
         self._ranks = None  # index -> exact-key rank, None after a new value
         self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
-        self._directions = {}  # l -> the base cylinders of v_l, as direction() plans them
         self._lifts = {}  # (l, moving generators) -> v_l's lift plan for them, as lifts() makes it
         self._scaled = {}  # (inverse modulus index, a) -> index of a * that modulus
         self._twists = {}  # inverse modulus index -> its twist count or None
@@ -302,31 +301,21 @@ class _Types:
         memo.update((k, table.index(x)) for k, x in values.items() if k not in memo)
         return table, [*map(memo.__getitem__, keys)]
 
-    def direction(self, l: int) -> tuple:
-        """X_n's cylinders in v_l and each one's type (its a = 1 lift);
-        made once per l."""
-        plan = self._directions.get(l)
-        if plan is None:
-            cylinders = base_decomposition(self.n, l)
-            base = [(self.scale(self.index(c.inverse_modulus), 1), self.index(c.height))
-                    for c in cylinders]
-            plan = cylinders, base
-            self._keep(self._directions, l, plan)
-        return plan
-
     def lifts(self, l: int, moving) -> tuple:
         """The lift plan of v_l for covers whose moving generators are
         moving (in order): the unmoved types, distinct and in walk order,
         and the rest of v_l's cylinders in walk order as (type, core word),
         the word None for an unmoved cylinder whose type an earlier one
         has.  A cylinder is moved when its core word contains a moving
-        generator.  Read once per (l, moving) from direction(l)."""
+        generator, and a cylinder's type is that of its a = 1 lift.  Read
+        once per (l, moving) from base_decomposition(n, l)."""
         key = (l, tuple(moving))
         plan = self._lifts.get(key)
         if plan is None:
             moves = set(key[1])
             unmoved, rest = {}, []
-            for cyl, t in zip(*self.direction(l)):
+            for cyl in base_decomposition(self.n, l):
+                t = self.scale(self.index(cyl.inverse_modulus), 1), self.index(cyl.height)
                 if any(g in moves for g, _ in cyl.core_word):
                     rest.append((t, cyl.core_word))
                 elif t in unmoved:
@@ -594,13 +583,10 @@ def _theorem_rule(d, subs, preimages=None):
 # individual certificates
 
 
-def _shear_certificate(n: int, d, l: int, types: dict,
-                       values: _Values | None = None) -> Certificate:
+def _shear_certificate(n: int, d, l: int, types: dict, values: _Values) -> Certificate:
     """ShearMembership by 2 * lambda_n from a profile's cylinder types, in
-    exact-key order."""
+    exact-key order, on the value table values."""
     table = _types(n)
-    if values is None:
-        values = _Values(n)
     rows, (verdict, witness) = table.sheared(types)
     payload = {"l": l, "factor": values[table.factor], "cylinders": [
         {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
@@ -614,7 +600,7 @@ def _shear_certificate(n: int, d, l: int, types: dict,
 def certify_shear(cover: CoveringSurface, l: int) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
     types = _finite_profile(cover.n, cover.monodromy, l)
-    return _shear_certificate(cover.n, cover.d, l, types)
+    return _shear_certificate(cover.n, cover.d, l, types, _Values(cover.n))
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
@@ -622,18 +608,16 @@ def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     n, m = cover.n, cover.monodromy
     horizontal, direction = _finite_profile(n, m, 0), _finite_profile(n, m, l)
     ruled = _rotation_rule(horizontal, direction, _types(n))
-    return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled)
+    return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled, _Values(n))
 
 
 def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
-                          ruled: tuple, values: _Values | None = None) -> Certificate:
+                          ruled: tuple, values: _Values) -> Certificate:
     # horizontal is the direction-0 profile; its rows are a section of the
     # value table, written once for every l; ruled is _rotation_rule's
     # (verdict, witness) on the two profiles
     verdict, witness = ruled
     table = _types(n)
-    if values is None:
-        values = _Values(n)
     if "horizontal" not in values.sections:
         values.sections["horizontal"] = _multiset_rows(horizontal, table, values)
     return Certificate(
@@ -689,10 +673,15 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
                        payload={"l": l}, witness=witness, values=_images_table(n, monodromy))
 
 
-def sigma_T_claim(d: int) -> tuple:
+def sigma_T_claim(d):
     """The claimed copy permutation: (1 3 5 ... d-1) for even d, which is
     Y_{n,inf}'s sigma_T (0, 2) reduced mod d, and (sigma_2 o
-    sigma_1)^((d-1)/2) for odd d."""
+    sigma_1)^((d-1)/2) for odd d; for d = "inf", that sigma_T itself, a
+    ZPermutation."""
+    if d == "inf":
+        from .zcover import sigma_T_infinite
+
+        return sigma_T_infinite()
     if d % 2 == 0:
         return reduced(d, 0, 2)
     suc = perms.compose(sigma_d1(d), sigma_d2(d))
@@ -718,22 +707,13 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
             monodromy = std_infinite_monodromy(n)
         else:
             monodromy = standard_monodromy(n, d)
-    return _sigma_certificate(n, d, mode, monodromy, _claimed_sigma(d),
+    return _sigma_certificate(n, d, mode, monodromy, sigma_T_claim(d),
                               _images_table(n, monodromy))
-
-
-def _claimed_sigma(d):
-    # the claimed sigma_T of degree d, finite or "inf"
-    if d == "inf":
-        from .zcover import sigma_T_infinite
-
-        return sigma_T_infinite()
-    return sigma_T_claim(d)
 
 
 def _sigma_certificate(n: int, d, mode: str, monodromy: Monodromy | ZMonodromy, sigma,
                        values: _Values) -> Certificate:
-    # sigma is _claimed_sigma(d), which a theorem computes once for both
+    # sigma is sigma_T_claim(d), which a theorem computes once for both
     # modes; values holds the monodromy's images: a theorem passes its
     # own table
     if mode == "vertical":
@@ -874,7 +854,7 @@ def _theorem_slots(n: int, d):
     yield "Index", None
 
 
-def _aggregate(n: int, d, subs: list, preimages=None, values: _Values | None = None) -> Certificate:
+def _aggregate(n: int, d, subs: list, preimages, values: _Values) -> Certificate:
     verdict, witness = _theorem_rule(d, ((s.kind, s.verdict, s.witness) for s in subs), preimages)
     payload = {"subcertificates": [s._body() for s in subs]}
     if d == "inf":
@@ -904,7 +884,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         except IntransitiveMonodromy as exc:
             bad = Certificate(kind="WellFormedCover", n=n, d=d, verdict=FAIL,
                               witness={"reason": str(exc)})
-            return _aggregate(n, d, [bad], values=_images_table(n, monodromy))
+            return _aggregate(n, d, [bad], None, _images_table(n, monodromy))
     profiles = {}
     values = _images_table(n, monodromy)
 
@@ -915,7 +895,7 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         return profiles[l]
 
     subs = []
-    sigma = _claimed_sigma(d)  # one claim for both of even n's SigmaT modes
+    sigma = sigma_T_claim(d)  # one claim for both of even n's SigmaT modes
     for kind, key in _theorem_slots(n, d):
         if kind == "WellFormedCover":
             sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)

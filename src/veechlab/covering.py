@@ -263,7 +263,7 @@ def rotation_images(n: int, j: int) -> list[Word]:
     if n % 2 == 0:
         half = n // 2
         return [
-            Word.generator(s) if s < half else Word.generator(s - half, -1)
+            Word._of(((s, 1),) if s < half else ((s - half, -1),))
             for s in ((i + j) % n for i in range(half))
         ]
     t = j * (n + 1) // 2 % n
@@ -272,7 +272,7 @@ def rotation_images(n: int, j: int) -> list[Word]:
     for i in range(n - 1):
         side = (i + t) % n
         letters = ((back, 1), (side, -1)) if j % 2 else ((side, 1), (back, -1))
-        images.append(Word([(g, s) for g, s in letters if g != n - 1]))
+        images.append(Word._of(tuple((g, s) for g, s in letters if g != n - 1)))
     return images
 
 

@@ -1144,9 +1144,8 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
 def _traced_profile(profile, n, monodromy, l):
     """profile(n, monodromy, l) read from the decomposition traced in v_l.
 
-    n's direction and lift plans are set aside for the call, so the
-    profile plans v_l from the traced cylinders, not from the derived
-    table."""
+    n's lift plans are set aside for the call, so the profile plans v_l
+    from the traced cylinders, not from the derived table."""
     traced_at = []
 
     @lru_cache(maxsize=None)  # traced once, however often the profile reads it
@@ -1157,7 +1156,6 @@ def _traced_profile(profile, n, monodromy, l):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "base_decomposition", traced)
         mp.setattr(certificates, "base_decomposition", traced)
-        mp.setattr(certificates._types(n), "_directions", {})
         mp.setattr(certificates._types(n), "_lifts", {})
         out = profile(n, monodromy, l)
     assert (n, l) in traced_at
@@ -1230,7 +1228,6 @@ def test_a_repeated_unmoved_type_counts_every_cylinder(monkeypatch, d):
     [c, *_] = [c for c in cyls if not any(g in m._moving for g, _ in c.core_word)]
     table = certificates._types(n)
     monkeypatch.setattr(certificates, "base_decomposition", lambda n_, l_: cyls + [c])
-    monkeypatch.setattr(table, "_directions", {})
     monkeypatch.setattr(table, "_lifts", {})
     got = certificates._finite_profile(n, m, l)
     t = (table.index(c.inverse_modulus), table.index(c.height))
@@ -1292,7 +1289,7 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
         got = certificates._finite_profile(n, m, l)
         # same exact types and counts, in the same order
         assert _exact_items(n, got) == list(_per_cycle_profile(n, m, l).items()), l
-        cert = certificates._shear_certificate(n, m.degree, l, got)
+        cert = certificates._shear_certificate(n, m.degree, l, got, certificates._Values(n))
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
             assert row["twists"] == _per_row_twists(factor, table[row["inverse_modulus"]]), l
@@ -1782,7 +1779,7 @@ def test_the_per_n_memos_stay_bounded(monkeypatch):
         for (d, m), text in zip(covers, texts):
             assert json.dumps(verify_theorem(n, d, monodromy=m).to_json()) == text
         types = certificates._types(n)
-        memos = [types._directions, types._lifts, types._sheared, types._facts]
+        memos = [types._lifts, types._sheared, types._facts]
         assert max(map(len, memos)) == size
     finally:  # later tests get a table that kept everything
         certificates._types.cache_clear()
@@ -1929,7 +1926,7 @@ def test_type_ids_are_exact_types():
     i = (types.scale(m, 2), h)
     # another lift of the same exact type, and equal values from other objects
     assert (types.scale(types.index(2 * mu), 1), h) == i
-    assert types.index(RealAlg.from_json(mu.to_json())) == m
+    assert types.index(RealAlg.from_json(mu.to_json(sparse=True), 20)) == m
     assert types.index(1 * height) == h
     # 2 * lambda_5 is twice mu, so mu twists twice, 2 * mu once, a strip never
     assert [types._twists[v] for v in (m, i[0], types.scale(m, 0))] == [2, 1, None]

@@ -388,6 +388,20 @@ def test_rotation_images_are_reduced_words_of_the_generators(n):
             assert current == rotation_images(n, j % n)
 
 
+@pytest.mark.parametrize("n", [9, 16, 25])
+def test_rotation_images_make_their_letters_unchecked(monkeypatch, n):
+    # rotation_images makes every letter itself, so it builds its words
+    # with Word._of and not through Word.__init__'s check; the letters are
+    # (generator, +-1) tuples all the same
+    made = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    for j in range(2 * n):
+        for w in rotation_images(n, j):
+            assert all(type(x) is tuple and x[1] in (1, -1) for x in w.letters), (j, w)
+    assert made == []
+
+
 @pytest.mark.parametrize("n,traced", [(9, 1), (12, 2)])
 def test_every_reader_of_v_l_traces_only_the_rotation_classes(monkeypatch, capsys, n, traced):
     covering._base_decomposition.cache_clear()

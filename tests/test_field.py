@@ -186,11 +186,16 @@ def test_zero_test_is_symbolic():
 
 def test_serialization_round_trip():
     x = lambda_n(7) - 3 * cos_pi_over(7) / 2
-    data = x.to_json()
-    assert data["conductor"] == 28
-    assert isinstance(data["coeffs"][0], str)
+    # the dense form, which the surface and cylinders commands print, has
+    # one coefficient per power below phi(28) = 12, and the sparse form its
+    # nonzero ones; the sparse form reads back
+    dense, data = x.to_json(), x.to_json(sparse=True)
+    assert dense["conductor"] == 28 and len(dense["coeffs"]) == 12
+    assert isinstance(dense["coeffs"][0], str)
+    assert data["coeffs"] == [[j, c] for j, c in enumerate(dense["coeffs"]) if c != "0"]
+    assert data["approx"] == dense["approx"]
     assert len(data["approx"].replace("-", "").replace(".", "").lstrip("0")) >= 20
-    assert RealAlg.from_json(data) == x
+    assert RealAlg.from_json(data, 28) == x
 
 
 def test_real_constructor_rejects_non_real():
@@ -473,7 +478,7 @@ def test_arithmetic_is_real_exactly_when_both_operands_are(data):
         a < z
     with pytest.raises(ValueError):
         RealAlg(z)
-    parsed = RealAlg.from_json(a.to_json())
+    parsed = RealAlg.from_json(a.to_json(sparse=True), a.N)
     assert type(parsed) is RealAlg and parsed == a
 
 
@@ -706,7 +711,8 @@ def test_unseparated_sign_raises_typed_error(monkeypatch):
 @given(st.data())
 def test_from_json_matches_fraction_parse(data):
     # a real element written with coefficients out of lowest terms
-    # ("2/4"), zeros ("0/3", "-0") and, past phi(N), a multiple of Phi_N
+    # ("2/4"), zeros ("0/3", "-0") and, past phi(N), a multiple of Phi_N;
+    # a zero coefficient's pair may be left out
     N = data.draw(st.sampled_from([20, 36, 60, 100]))
     cyclo = cyclotomic_coeffs(N)
     phi = len(cyclo) - 1
@@ -727,7 +733,9 @@ def test_from_json_matches_fraction_parse(data):
         for q, k in zip(raw, scales)
     ]
     want = CycloNumber(N, [Fraction(s) for s in strings])
-    got = RealAlg.from_json({"conductor": N, "coeffs": strings})
+    kept = data.draw(st.lists(st.booleans(), min_size=len(raw), max_size=len(raw)))
+    pairs = [[j, c] for j, (c, keep) in enumerate(zip(strings, kept)) if keep or Fraction(c)]
+    got = RealAlg.from_json({"coeffs": pairs}, N)
     assert (got.N, got.num, got.den) == (want.N, want.num, want.den)
     assert got.key() == RealAlg(want).key()
 
@@ -736,23 +744,26 @@ def test_from_json_matches_fraction_parse(data):
                                  "\u0663", "1/2/3", "--1", 1, None, ["1"]])
 def test_from_json_rejects_coefficients_outside_the_grammar(bad):
     with pytest.raises(MalformedCertificate):
-        RealAlg.from_json({"conductor": 20, "coeffs": ["1", bad]})
+        RealAlg.from_json({"coeffs": [[0, "1"], [1, bad]]}, 20)
 
 
 @pytest.mark.parametrize("data", [
-    {"coeffs": ["1"]},
-    {"conductor": 20},
-    {"conductor": "20", "coeffs": ["1"]},
-    {"conductor": True, "coeffs": ["1"]},
-    {"conductor": 0, "coeffs": ["1"]},
-    {"conductor": 20, "coeffs": "1"},
-    {"conductor": 20, "coeffs": ["0", "1"]},  # zeta_20 is not real
-    {"conductor": 20, "coeffs": ["1"] * 16},  # longer than 2*phi(20) - 1
-    {"conductor": 20, "coeffs": ["1" * 5000]},  # more digits than int() converts
+    {},
+    {"coeffs": "1"},
+    {"coeffs": ["1"]},  # a coefficient without its power
+    {"coeffs": [[0, "1", "2"]]},
+    {"coeffs": [["0", "1"]]},
+    {"coeffs": [[True, "1"]]},
+    {"coeffs": [[1, "1"], [0, "1"]]},  # powers not increasing
+    {"coeffs": [[0, "1"], [0, "1"]]},  # a power twice
+    {"coeffs": [[-1, "1"]]},
+    {"coeffs": [[1, "1"]]},  # zeta_20 is not real
+    {"coeffs": [[15, "1"]]},  # a power past 2*phi(20) - 2
+    {"coeffs": [[0, "1" * 5000]]},  # more digits than int() converts
     ["1"],
 ])
 def test_from_json_rejects_malformed_values(data):
     with pytest.raises(MalformedCertificate) as info:
-        RealAlg.from_json(data)
+        RealAlg.from_json(data, 20)
     # handlers written for the untyped errors still catch it
     assert isinstance(info.value, ValueError) and isinstance(info.value, VeechLabError)

@@ -168,6 +168,8 @@ def test_the_finite_family_reduces_the_infinite_one(n):
         assert m.image(k2) == _reduced(zm.image(k2), d), d
         if d % 2 == 0:
             assert sigma_T_claim(d) == _reduced(sigma_T_infinite(), d), d
+    # the claim of degree inf is sigma_T itself
+    assert sigma_T_claim("inf") == sigma_T_infinite()
 
 
 def test_cylinder_k_has_two_infinite_preimages():
