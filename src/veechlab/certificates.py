@@ -27,7 +27,9 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
 Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values, an exact value as its index in n's type
 table (_types): the certify_* functions apply it to what they
-computed, revalidate() to what it parsed from the payload.
+computed, revalidate() to what it parsed from the payload.  The parser
+is the module revalidation, which revalidate() loads on its first call,
+so a verify never compiles it.
 
 Certificates are written and read in format 4: the top level carries
 the conductor 4n once and a table of the distinct exact values, and rows
@@ -48,8 +50,8 @@ never does.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import chain
 
 from . import perms
 from .covering import (
@@ -67,7 +69,6 @@ from .covering import (
 )
 from .errors import IntransitiveMonodromy, MalformedCertificate, VerificationFailure, short_repr
 from .field import RealAlg, lambda_n, prime_divisors
-from .surface import no_base_surface
 from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
 
@@ -961,173 +962,6 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 # revalidation from payload
 
 
-_NONE = type(None)
-_NO_LONGER_READ = ("format %%d is no longer read; run `veechlab verify` again to write format %d"
-                   % FORMAT)
-
-# A standalone certificate names its own n, and revalidating it builds
-# the field of conductor 4n, at a cost that grows as N * phi(N); above
-# this n it is refused before any value is parsed.  An Index builds no
-# field, but is capped with the other kinds.  A FullTheorem is not
-# capped: verify_theorem writes one for every n.
-MAX_STANDALONE_N = 128
-
-
-def _field(obj, key: str, *types):
-    """obj[key] from certificate JSON; its type must be one of types
-    (exactly: a bool is no int)."""
-    if type(obj) is not dict or key not in obj:
-        raise MalformedCertificate("missing key %r" % key)
-    value = obj[key]
-    if type(value) not in types:
-        raise MalformedCertificate("%r: expected %s, got %s" % (
-            key, " or ".join(t.__name__ for t in types), type(value).__name__))
-    return value
-
-
-class _Table:
-    """Exact values of a certificate: its top-level table, indexed by
-    rows and witnesses.  Each entry is read as its index in n's type
-    table (_Types.read), so rows are types in the index space of
-    verify's profiles, and the rules decide each exact fact there once
-    per process.  The horizontal profile and the monodromy's images are
-    top-level sections too, each read on first use, the images once as
-    the carried monodromy that every kind reading them shares.
-    """
-
-    def __init__(self, data: dict, n: int):
-        # n is _claimed_n(data)
-        self.types, self._index = _types(n).read(_field(data, "values", list))
-        # every subcertificate's n is bound to the top level's before any
-        # rule runs
-        self.n = n
-        self._top = data
-
-    def index(self, obj, key: str) -> int:
-        """The index in self.types of the table entry that obj[key] names."""
-        i = _field(obj, key, int)
-        if not 0 <= i < len(self._index):
-            raise MalformedCertificate("%r: value index %d is not in a table of %d"
-                                       % (key, i, len(self._index)))
-        return self._index[i]
-
-    def rows(self, rows: list, twists: bool = False) -> list:
-        """Profile rows as ((inverse modulus, height), count) or, with
-        twists, shear rows as (inverse modulus, twists), the values as
-        indices in self.types.  Each row must name two table entries and
-        a count that is None or at least 1 and, with twists, twists that
-        are an int or None."""
-        index, size, out = self._index, len(self._index), []
-        for r in rows:
-            try:
-                m, h, c = r["inverse_modulus"], r["height"], r["count"]
-                k = r["twists"] if twists else None
-                ok = (type(m) is int and type(h) is int and 0 <= m < size and 0 <= h < size
-                      and (c is None or type(c) is int and c > 0)
-                      and (k is None or type(k) is int))
-            except (KeyError, TypeError):  # a missing key, or a row that is no dict
-                ok = False
-            if not ok:
-                raise MalformedCertificate("not a cylinder row of a table of %d values: %s"
-                                           % (size, short_repr(r)))
-            out.append((index[m], k) if twists else ((index[m], index[h]), c))
-        return out
-
-    @cached_property
-    def horizontal(self) -> dict:
-        """The horizontal profile, from the top-level section."""
-        return _parse_multiset(_field(self._top, "horizontal", list), self)
-
-    @cached_property
-    def monodromy(self) -> Monodromy | ZMonodromy:
-        """The carried monodromy, from the top-level images section, which
-        must name x_0..x_{g-1} once each, in order, with images that
-        permute one set of sheets: finitely many, or Z."""
-        entries = _field(self._top, "images", list)
-        g = num_generators(self.n)
-        if [_field(e, "generator", int) for e in entries] != list(range(g)):
-            raise MalformedCertificate("images must name x_0..x_%d once each, in order" % (g - 1))
-        ps = [_Perm.from_json(_field(e, "image", list, dict)) for e in entries]
-        degrees = {*map(_Perm.degree, ps)}
-        if len(degrees) > 1:
-            raise MalformedCertificate("permutations of different degrees")
-        [degree] = degrees
-        images = dict(enumerate(ps))
-        if degree != "inf":
-            return Monodromy(g, degree, images)
-        from .zcover import ZMonodromy
-
-        return ZMonodromy(g, images)
-
-
-def _claimed_n(data) -> int:
-    """The n of a top-level certificate, which must be format FORMAT.
-
-    Its table's conductor must be 4n, X_n must exist, and a standalone
-    certificate (any kind but FullTheorem) must have n at most
-    MAX_STANDALONE_N; all of this is checked before any value is parsed.
-    """
-    if type(data) is not dict or "format" not in data:
-        raise MalformedCertificate("certificate has no \"format\" key: " + _NO_LONGER_READ % 1)
-    if type(data["format"]) is int and 2 <= data["format"] < FORMAT:
-        raise MalformedCertificate(_NO_LONGER_READ % data["format"])
-    if type(data["format"]) is not int or data["format"] != FORMAT:
-        raise MalformedCertificate("unknown certificate format %s" % short_repr(data["format"], 40))
-    n, conductor = _field(data, "n", int), _field(data, "conductor", int)
-    if conductor != 4 * n:
-        raise MalformedCertificate("values have conductor %d, not 4n = %d" % (conductor, 4 * n))
-    if no_base_surface(n):
-        raise MalformedCertificate("no base surface X_%d" % n)
-    kind = _field(data, "kind", str)
-    if kind != "FullTheorem" and n > MAX_STANDALONE_N:
-        raise MalformedCertificate("a standalone %.40s for n = %d > %d is not revalidated"
-                                   % (kind, n, MAX_STANDALONE_N))
-    return n
-
-
-def _parse_multiset(rows: list, table: _Table) -> dict:
-    # type -> count, one row per type
-    multiset = dict(table.rows(rows))
-    if len(multiset) != len(rows):
-        raise MalformedCertificate("a cylinder type has more than one row")
-    return multiset
-
-
-# kind -> the payload key of its slot (_theorem_slots), and that key's type
-_SLOTS = {"ShearMembership": ("l", int), "RotationObstruction": ("l", int),
-          "SigmaT": ("mode", str), "MinusIdentity": (None, _NONE), "Index": (None, _NONE),
-          "PullbackObstruction": ("l", int), "WellFormedCover": (None, _NONE),
-          "FullTheorem": (None, _NONE)}
-
-
-def _slot(data) -> tuple:
-    """The (kind, l or SigmaT mode) slot that a certificate fills, as
-    _theorem_slots lists them (None where a kind has neither), and its
-    payload, which must be a dict; an unknown kind or mode, or an l that
-    is no int, raises MalformedCertificate."""
-    try:
-        kind, payload = data["kind"], data["payload"]
-        name, key_type = _SLOTS[kind]
-        key = payload[name] if name else None
-    except (KeyError, TypeError):  # a missing key, or data or payload that is no dict
-        kind = None
-    if kind is None or type(payload) is not dict or type(key) is not key_type or (
-            kind == "SigmaT" and key not in _SIGMA_MODES):
-        raise MalformedCertificate("not a certificate of a known kind whose dict payload "
-                                   "names its slot: %s" % short_repr(data))
-    return kind, key, payload
-
-
-def _degree(data: dict, infinite: bool = False):
-    """The degree of a cover certificate: an int d >= 2, as verify_theorem
-    requires, or "inf" where infinite is allowed."""
-    d = _field(data, "d", int, str) if infinite else _field(data, "d", int)
-    if d != "inf" and (type(d) is str or d < 2):
-        raise MalformedCertificate("degree %.40r is not an int d >= 2%s"
-                                   % (d, ' or "inf"' if infinite else ""))
-    return d
-
-
 def revalidate(data: dict) -> str:
     """Recompute a certificate's verdict from its format-4 JSON.
 
@@ -1153,82 +987,8 @@ def revalidate(data: dict) -> str:
     one below 1, are malformed too.  Each distinct table entry is
     parsed, and each exact check decided, once per process (_types).
     """
-    n = _claimed_n(data)
-    kind, key, payload = _slot(data)
-    if kind != "FullTheorem":
-        return _revalidate(kind, key, payload, _Table(data, n),
-                           _degree(data) if kind == "WellFormedCover" else None)
-    d, read = _theorem_claim(data, payload, n)
-    if read is None:
-        return FAIL
-    table = _Table(data, n)
-    preimages = None
-    if d == "inf":
-        # the preimage count is recomputed from the images, which must
-        # permute Z
-        if table.monodromy.degree != "inf":
-            return FAIL
-        preimages = _infinite_preimages(n, table.monodromy)
-        if payload.get("infinite_preimages_of_cylinder_k") != preimages:
-            return FAIL
-    subs = ((kind, _revalidate(kind, key, p, table, d), None) for kind, key, p in read)
-    return _theorem_rule(d, subs, preimages)[0]
+    # the reader of certificate JSON is its own module, which verify
+    # never loads
+    from . import revalidation
 
-
-def _theorem_claim(data: dict, payload: dict, n: int) -> tuple:
-    """A FullTheorem's degree d and the (kind, l or SigmaT mode, payload)
-    of its subcertificates, in order; these are None unless they fill
-    the slots of (n, d) (_theorem_slots).  Each subcertificate must be
-    about this (n, d), an Index about n alone.  No value is read."""
-    d = _degree(data, infinite=True)
-    subs, read, slots = _field(payload, "subcertificates", list), [], []
-    pullback = n % 2 == 0 and d != "inf"  # a PullbackObstruction may fill a rotation's slot
-    for s in subs:
-        kind, key, _ = sub = _slot(s)
-        want = (n, None if kind == "Index" else d)
-        claim = (s.get("n"), s.get("d"))  # s is a dict: _slot read it
-        if "d" not in s or claim != want or type(claim[0]) is not int or (
-                type(claim[1]) is not type(want[1])):
-            raise MalformedCertificate("%.40s subcertificate for (n, d) = (%s, %s) in a theorem "
-                                       "for (%d, %r)" % (kind, *map(short_repr, claim), n, d))
-        read.append(sub)
-        slots.append(("RotationObstruction" if kind == "PullbackObstruction" and pullback
-                      else kind, key))
-    # as many slots of (n, d) as a forger wrote subcertificates, and one more
-    agree = slots == [*islice(_theorem_slots(n, d), len(subs) + 1)]
-    return d, (read if agree else None)
-
-
-def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
-    # the verdict of any kind but FullTheorem, from the slot and payload
-    # that _slot read; d is a WellFormedCover's degree
-    n = table.n
-    if kind == "ShearMembership":
-        if table.index(payload, "factor") != table.types.factor:
-            return FAIL
-        rows = table.rows(_field(payload, "cylinders", list), twists=True)
-        return _shear_rule(rows, table.types)[0]
-    if kind == "RotationObstruction":
-        direction = _parse_multiset(_field(payload, "direction", list), table)
-        return _rotation_rule(table.horizontal, direction, None)[0]
-    if kind == "SigmaT":
-        m = table.monodromy
-        sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
-        if _Perm.degree(sigma) != m.degree:
-            raise MalformedCertificate("sigma_T and the images permute different sheets")
-        return _sigma_rule(n, m, sigma, key)[0]
-    if kind == "MinusIdentity":
-        return _minus_identity_rule(table.monodromy)[0]
-    if kind == "Index":
-        expected, index = (_field(payload, k, int) for k in ("expected_index", "index"))
-        return _index_rule(n, expected, index)[0]
-    if kind == "PullbackObstruction":
-        if n % 2 or key % 2:
-            raise MalformedCertificate("a pullback obstruction needs an X_n of even n and an even l")
-        m = table.monodromy
-        if m.degree == "inf":
-            raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
-        return _pullback_rule(n, key, m)[0]
-    # WellFormedCover: the images must act transitively on exactly d sheets
-    m = table.monodromy
-    return PASS if m.degree == d and m.is_transitive() else FAIL
+    return revalidation.revalidate(data)

@@ -283,7 +283,7 @@ def _base_decomposition(n: int, l: int):
         return tuple(decompose(build_base(n), unit_vector(n, l)))
     source = _base_decomposition(n, r)
     if n % 2 and j % 2:
-        source = [c._replace(core_word=Word(c.core_word.letters[1:] + c.core_word.letters[:1]))
+        source = [c._replace(core_word=Word._of(c.core_word.letters[1:] + c.core_word.letters[:1]))
                   for c in reversed(source)]
     images = rotation_images(n, j)
     return tuple(cyl._replace(core_word=cyl.core_word.substitute(images), bands=())

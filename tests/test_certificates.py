@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from veechlab import certificates, covering, field, perms
+from veechlab import certificates, covering, field, perms, revalidation
 from veechlab.certificates import (
     certify_minus_identity,
     certify_pullback_obstruction,
@@ -1437,9 +1437,9 @@ def _slot_variants(data, foreign):
     foreign theorem, relabelled with data's (n, d), that fills a slot
     data does not have."""
     subs = data["payload"]["subcertificates"]
-    slots = [certificates._slot(s)[:2] for s in subs]
+    slots = [revalidation._slot(s)[:2] for s in subs]
     other = next(s for s in foreign["payload"]["subcertificates"]
-                 if certificates._slot(s)[:2] not in slots)
+                 if revalidation._slot(s)[:2] not in slots)
     other = dict(other, n=data["n"], d=data["d"])
     for i, sub in enumerate(subs):
         yield "drop %d" % i, subs[:i] + subs[i + 1:]
@@ -1571,7 +1571,7 @@ def test_standalone_index_above_the_cap_is_refused_before_enumeration(monkeypatc
               "n": 251, "verdict": "pass", "payload": {"expected_index": 251, "index": 251}}
     with pytest.raises(MalformedCertificate, match="standalone Index for n = 251"):
         revalidate(forged)
-    cap = certificates.MAX_STANDALONE_N
+    cap = revalidation.MAX_STANDALONE_N
     with pytest.raises(MalformedCertificate, match="standalone Index"):
         revalidate(dict(forged, n=cap + 1, conductor=4 * (cap + 1)))
     assert enumerated == []
@@ -1617,7 +1617,7 @@ def _minimal(kind, n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-@pytest.mark.parametrize("kind", certificates._SLOTS)
+@pytest.mark.parametrize("kind", revalidation._SLOTS)
 def test_a_certificate_for_an_n_without_x_n_is_refused_before_a_value_is_read(
         monkeypatch, kind, n):
     # a ShearMembership without rows would pass its rule
@@ -1630,7 +1630,7 @@ def test_a_certificate_for_an_n_without_x_n_is_refused_before_a_value_is_read(
     assert read == []
 
 
-@pytest.mark.parametrize("kind", [k for k in certificates._SLOTS if k != "FullTheorem"])
+@pytest.mark.parametrize("kind", [k for k in revalidation._SLOTS if k != "FullTheorem"])
 def test_a_standalone_certificate_above_the_cap_builds_no_field(monkeypatch, kind):
     built = []
     get_context = field.get_context
@@ -1641,7 +1641,7 @@ def test_a_standalone_certificate_above_the_cap_builds_no_field(monkeypatch, kin
         revalidate(_minimal(kind, 1001))
     assert 4004 not in built
     # at the cap the same certificate is read
-    cap = certificates.MAX_STANDALONE_N
+    cap = revalidation.MAX_STANDALONE_N
     try:
         revalidate(_minimal(kind, cap))
     except MalformedCertificate as exc:
@@ -1666,7 +1666,7 @@ def test_a_theorem_is_bound_to_its_slots_before_it_builds_a_field(monkeypatch):
 def test_a_theorem_without_values_or_images_builds_no_field(monkeypatch):
     # the slots of (1001, 3) filled with payloads that name their slot only
     n, d = 1001, 3
-    names = {kind: name for kind, (name, _) in certificates._SLOTS.items()}
+    names = {kind: name for kind, (name, _) in revalidation._SLOTS.items()}
     subs = [{"kind": kind, "n": n, "d": None if kind == "Index" else d, "verdict": "pass",
              "payload": {names[kind]: key} if names[kind] else {}}
             for kind, key in certificates._theorem_slots(n, d)]
@@ -1860,7 +1860,7 @@ def test_revalidate_reuses_the_twist_checks_that_verify_decided(monkeypatch, n, 
             inside[0] = False
 
     monkeypatch.setattr(field.CycloNumber, "__sub__", counting_sub)
-    monkeypatch.setattr(certificates, "_shear_rule", counted)
+    monkeypatch.setattr(revalidation, "_shear_rule", counted)
     assert revalidate(data) == "pass"
     assert rules and subtractions == []
 
@@ -1898,7 +1898,7 @@ def test_a_cover_of_degree_below_two_is_refused_before_any_rule(monkeypatch):
 
     for rule in ("_shear_rule", "_sigma_rule", "_minus_identity_rule", "_rotation_rule",
                  "_index_rule", "_theorem_rule"):
-        monkeypatch.setattr(certificates, rule, no_rule)
+        monkeypatch.setattr(revalidation, rule, no_rule)
     for d in (1, 0, -2):
         data["d"] = d
         for s in data["payload"]["subcertificates"]:
@@ -1981,8 +1981,8 @@ def test_warm_verify_and_revalidate_hash_and_compare_no_value(monkeypatch, n, d)
 def test_revalidate_reads_each_slot_once(monkeypatch):
     data = _roundtrip(verify_theorem(9, 4))
     read = []
-    slot = certificates._slot
-    monkeypatch.setattr(certificates, "_slot", lambda s: read.append(s["kind"]) or slot(s))
+    slot = revalidation._slot
+    monkeypatch.setattr(revalidation, "_slot", lambda s: read.append(s["kind"]) or slot(s))
     assert revalidate(data) == "pass"
     assert len(read) == len(data["payload"]["subcertificates"]) + 1
 

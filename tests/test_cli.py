@@ -397,6 +397,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 _OFF_THE_VERIFY_PATH = {"fractions", "decimal", "veechlab.render", "veechlab.quotient",
                         "veechlab.zcover", "veechlab.coset"}
 
+# what only revalidate runs: the reader of certificate JSON
+_READER = "veechlab.revalidation"
+
 # runs one command in a fresh interpreter; prints on stderr which of the
 # modules named in argv[1] it loaded
 _LOADED_PROBE = (
@@ -409,10 +412,11 @@ _LOADED_PROBE = (
 
 
 def test_a_cold_verify_and_its_revalidate_load_only_what_they_run():
+    off = _OFF_THE_VERIFY_PATH | {_READER}
     added = _modules_after("import veechlab.cli") - _modules_after("pass")
-    assert not added & _OFF_THE_VERIFY_PATH, sorted(added & _OFF_THE_VERIFY_PATH)
+    assert not added & off, sorted(added & off)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    watched = " ".join(sorted(_OFF_THE_VERIFY_PATH))
+    watched = " ".join(sorted(off))
 
     def probe(argv, stdin=None):
         run = subprocess.run([sys.executable, "-c", _LOADED_PROBE, watched, *argv], input=stdin,
@@ -421,8 +425,11 @@ def test_a_cold_verify_and_its_revalidate_load_only_what_they_run():
 
     cert, loaded = probe(["verify", "--n", "9", "--d", "3"])
     assert json.loads(cert)["verdict"] == "pass" and not loaded, loaded
+    # an infinite verify loads zcover, and no verify loads the reader
+    infinite, loaded = probe(["verify", "--n", "8", "--infinite"])
+    assert json.loads(infinite)["verdict"] == "pass" and loaded == {"veechlab.zcover"}, loaded
     out, loaded = probe(["revalidate", "--file", "-"], cert)
-    assert json.loads(out) == {"verdict": "pass"} and not loaded, loaded
+    assert json.loads(out) == {"verdict": "pass"} and loaded == {_READER}, loaded
     # the probe sees a module that a command does load
     _, loaded = probe(["quotient", "--n", "9"])
     assert loaded == {"fractions", "decimal", "veechlab.quotient"}, loaded

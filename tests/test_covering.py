@@ -341,6 +341,24 @@ def test_base_table_has_distinct_heights_ratios_2_or_4_and_short_words(n):
                 assert letters[0][1] == -letters[1][1], (n, l, c.core_word)
 
 
+@pytest.mark.parametrize("n", range(5, 62, 2))
+def test_odd_n_lifts_follow_their_closed_form(n):
+    # under standard_monodromy, with c = (n - 3)/2 and j = floor(l/2), v_l
+    # moves cylinder c - j through x_k1 and cylinder c - j + 1 through
+    # x_k2, wherever those indices exist (l >= 1); in v_0 both generators
+    # lie in cylinder c
+    k1, k2 = monodromy_indices(n)
+    assert {*standard_monodromy(n, 3)._moving} == {k1, k2}
+    c = (n - 3) // 2
+    for l in range(n):
+        cyls = base_decomposition(n, l)
+        holding = [{i for i, cyl in enumerate(cyls) if any(g == k for g, _ in cyl.core_word)}
+                   for k in (k1, k2)]
+        want = [{c}, {c}] if l == 0 else [{i} & {*range(len(cyls))}
+                                          for i in (c - l // 2, c - l // 2 + 1)]
+        assert holding == want, (n, l)
+
+
 @pytest.mark.parametrize("n", [9, 16, 25])
 def test_a_derived_direction_inverts_each_rotation_image_at_most_once(monkeypatch, n):
     # each generator occurs in at most one core word of a direction, so
@@ -399,6 +417,21 @@ def test_rotation_images_make_their_letters_unchecked(monkeypatch, n):
     for j in range(2 * n):
         for w in rotation_images(n, j):
             assert all(type(x) is tuple and x[1] in (1, -1) for x in w.letters), (j, w)
+    assert made == []
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_odd_rotations_make_their_core_words_unchecked(monkeypatch, n):
+    # an odd-j direction of odd n reads the traced v_0 words from Q, each
+    # rotated by one letter: letters that a Word already checked, so the
+    # derived table builds no word through Word.__init__
+    covering._base_decomposition.cache_clear()
+    base_decomposition(n, 0)
+    made = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    for l in range(1, n, 2):
+        assert base_decomposition(n, l)
     assert made == []
 
 

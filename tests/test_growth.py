@@ -1,11 +1,11 @@
 """Growth pins: how the work of one theorem grows with n.
 
-verify_theorem(n, 3), its compact JSON (as `veechlab verify` writes it)
-and its revalidate run at n = 61 and at n = 123 = 2 * 61 + 1.  Counts and
-bytes are exact and repeatable where timings are not, and their ratio
-between the two n shows the complexity class: about 2 for work linear in
-n, about 4 for quadratic.  A change that alters a class lowers (or, with
-its reason, raises) the bound here in the same change.
+verify_theorem(n, 3), its compact JSON (as `veechlab verify` writes it),
+its revalidate and the Index's words at n = 61 and at n = 123 = 2 * 61 +
+1.  Counts and bytes are exact and repeatable where timings are not, and
+their ratio between the two n shows the complexity class: about 2 for
+work linear in n, about 4 for quadratic.  A change that alters a class
+lowers (or, with its reason, raises) the bound here in the same change.
 """
 
 import json
@@ -17,6 +17,7 @@ from pathlib import Path
 import veechlab
 from veechlab import certificates, covering
 from veechlab.certificates import revalidate, verify_theorem
+from veechlab.veech import subgroup_words
 
 # the largest ratio (n = 123) / (n = 61) of each count, and its values
 BOUNDS = {
@@ -57,6 +58,35 @@ def _counts(n: int, monkeypatch) -> dict:
 def test_one_theorem_grows_linearly_in_n(monkeypatch):
     small, large = _counts(61, monkeypatch), _counts(123, monkeypatch)
     for name, bound in BOUNDS.items():
+        assert large[name] <= bound * small[name], (name, small[name], large[name])
+
+
+# the largest ratio (n = 123) / (n = 61) of two counts that grow
+# quadratically today, and their values
+QUADRATIC_BOUNDS = {
+    # the Index's letters, len(w) summed over subgroup_words(n): 1,052 and
+    # 4,028 (x3.83); the words S_j T^2 S_j^-1 hold O(n^2) letters in all
+    # until item 13's syllable words lower it
+    "index_letters": 4.2,
+    # the lift-plan entries that a cold verify_theorem(n, 3) types,
+    # len(unmoved) + len(rest) over the plans of n's type table: 930 and
+    # 3,782 (x4.07); each plan holds its direction's O(n) cylinders until
+    # item 15's sparse theorems lower it
+    "lift_plan_entries": 4.5,
+}
+
+
+def _quadratic_counts(n: int) -> dict:
+    certificates._types.cache_clear()  # the theorem types its plans cold
+    assert verify_theorem(n, 3).verdict == "pass"
+    plans = certificates._types(n)._lifts.values()
+    return {"index_letters": sum(map(len, subgroup_words(n))),
+            "lift_plan_entries": sum(len(unmoved) + len(rest) for unmoved, rest in plans)}
+
+
+def test_the_index_letters_and_the_lift_plans_grow_below_their_bounds():
+    small, large = _quadratic_counts(61), _quadratic_counts(123)
+    for name, bound in QUADRATIC_BOUNDS.items():
         assert large[name] <= bound * small[name], (name, small[name], large[name])
 
 
