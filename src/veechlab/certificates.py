@@ -26,8 +26,10 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
 
 Every verdict comes from one rule per kind (the ``_*_rule`` functions
 below) over native values, an exact value as its index in n's type
-table (_types): the certify_* functions apply it to what they
-computed, revalidate() to what it parsed from the payload.  The parser
+table (_types).  One builder, _subcertificate, applies it and writes
+the payload and witness of each kind, for verify_theorem and for every
+certify_* alike; revalidate() applies it to what it parsed from the
+payload.  The parser
 is the module revalidation, which revalidate() loads on its first call,
 so a verify never compiles it.
 
@@ -50,24 +52,23 @@ never does.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from . import perms
 from .covering import (
     CoveringSurface,
     Monodromy,
+    _checked,
     base_decomposition,
-    build_cover,
     monodromy_indices,
     num_generators,
     reduced,
     rotation_images,
     sigma_d1,
     sigma_d2,
-    standard_monodromy,
 )
-from .errors import IntransitiveMonodromy, MalformedCertificate, VerificationFailure, short_repr
+from .errors import MalformedCertificate, VerificationFailure, short_repr
 from .field import RealAlg, lambda_n, prime_divisors
 from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
@@ -454,7 +455,7 @@ def _infinite_preimages(n: int, monodromy: ZMonodromy) -> int:
 
 # ---------------------------------------------------------------------------
 # verdict rules, one per certificate kind; each returns (verdict, witness),
-# which only the certifiers serialise; exact values are indices of _types(n)
+# which only _subcertificate serialises; exact values are indices of _types(n)
 
 
 def _shear_rule(rows, types: _Types):
@@ -505,6 +506,14 @@ def _minus_identity_rule(monodromy: Monodromy | ZMonodromy):
         if not _Perm.is_involution(p):
             return FAIL, {"generator": i, "image": _Perm.to_json(p), "reason": "not an involution"}
     return PASS, None
+
+
+def _well_formed_rule(monodromy: Monodromy | ZMonodromy, d: int):
+    """WellFormedCover: the images must permute exactly d sheets and act
+    transitively."""
+    if monodromy.degree == d and monodromy.is_transitive():
+        return PASS, None
+    return FAIL, {"reason": "monodromy image is not transitive on %d sheets" % d}
 
 
 def _rotation_rule(horizontal: dict, direction: dict, types: _Types | None):
@@ -584,48 +593,62 @@ def _theorem_rule(d, subs, preimages=None):
 # individual certificates
 
 
-def _shear_certificate(n: int, d, l: int, types: dict, values: _Values) -> Certificate:
-    """ShearMembership by 2 * lambda_n from a profile's cylinder types, in
-    exact-key order, on the value table values."""
-    table = _types(n)
-    rows, (verdict, witness) = table.sheared(types)
-    payload = {"l": l, "factor": values[table.factor], "cylinders": [
-        {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
-        for t, k in rows]}
-    return Certificate(
-        kind="ShearMembership", n=n, d=d, verdict=verdict, payload=payload,
-        witness=_witness_json(witness, values), values=values,
-    )
+def _subcertificate(kind: str, key, n: int, d, monodromy: Monodromy | ZMonodromy,
+                    values: _Values, profile=None, sigma=None) -> Certificate:
+    """The certificate of one kind and slot key (l, SigmaT mode or None,
+    as _theorem_slots lists them) for the cover of X_n of degree d with
+    this monodromy: its rule's verdict, and its payload and witness on
+    the value table values.  profile(l) is the cylinder types in
+    direction v_l (_finite_profile by default), and sigma the claim
+    sigma_T_claim(d), which a theorem makes once for both SigmaT modes.
+    A RotationObstruction writes the horizontal profile into the table's
+    sections once for every l.
+    """
+    table, payload = _types(n), {}
+    profile = profile or partial(_finite_profile, n, monodromy)
+    if kind == "WellFormedCover":
+        ruled = _well_formed_rule(monodromy, d)
+    elif kind == "ShearMembership":
+        types = profile(key)
+        rows, ruled = table.sheared(types)
+        payload = {"l": key, "factor": values[table.factor], "cylinders": [
+            {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
+            for t, k in rows]}
+    elif kind == "RotationObstruction":
+        horizontal, direction = profile(0), profile(key)
+        ruled = _rotation_rule(horizontal, direction, table)
+        if "horizontal" not in values.sections:
+            values.sections["horizontal"] = _multiset_rows(horizontal, table, values)
+        payload = {"l": key, "direction": _multiset_rows(direction, table, values)}
+    elif kind == "PullbackObstruction":
+        ruled, payload = _pullback_rule(n, key, monodromy), {"l": key}
+    elif kind == "SigmaT":
+        sigma = sigma_T_claim(d) if sigma is None else sigma
+        if key == "vertical":
+            sigma = _Perm.inverse(sigma)
+        ruled = _sigma_rule(n, monodromy, sigma, key)
+        payload = {"mode": key, "sigma_T": _Perm.to_json(sigma)}
+    elif kind == "MinusIdentity":
+        ruled = _minus_identity_rule(monodromy)
+    else:  # Index, about n alone
+        d, expected, index = None, (n if n % 2 else n // 2), _coset_table(n).index
+        ruled = _index_rule(n, expected, index)
+        payload = {"expected_index": expected, "index": index}
+    verdict, witness = ruled
+    return Certificate(kind, n, d, verdict, payload, _witness_json(witness, values), values)
 
 
 def certify_shear(cover: CoveringSurface, l: int) -> Certificate:
     """Integer twist counts for the factor-2*lambda shear in direction v_l."""
-    types = _finite_profile(cover.n, cover.monodromy, l)
-    return _shear_certificate(cover.n, cover.d, l, types, _Values(cover.n))
+    n, d = cover.n, cover.d
+    return _subcertificate("ShearMembership", l, n, d, _checked(n, d, cover.monodromy), _Values(n))
 
 
 def certify_rotation_obstruction(cover: CoveringSurface, l: int) -> Certificate:
     """No rotation derivative R^l: moduli/height multisets must differ."""
-    n, m = cover.n, cover.monodromy
-    horizontal, direction = _finite_profile(n, m, 0), _finite_profile(n, m, l)
-    ruled = _rotation_rule(horizontal, direction, _types(n))
-    return _rotation_certificate(n, cover.d, l, horizontal, direction, ruled, _Values(n))
-
-
-def _rotation_certificate(n: int, d, l: int, horizontal: dict, direction: dict,
-                          ruled: tuple, values: _Values) -> Certificate:
-    # horizontal is the direction-0 profile; its rows are a section of the
-    # value table, written once for every l; ruled is _rotation_rule's
-    # (verdict, witness) on the two profiles
-    verdict, witness = ruled
-    table = _types(n)
-    if "horizontal" not in values.sections:
-        values.sections["horizontal"] = _multiset_rows(horizontal, table, values)
-    return Certificate(
-        kind="RotationObstruction", n=n, d=d, verdict=verdict,
-        payload={"l": l, "direction": _multiset_rows(direction, table, values)},
-        witness=_witness_json(witness, values), values=values,
-    )
+    n, d = cover.n, cover.d
+    return _subcertificate("RotationObstruction", l, n, d, _checked(n, d, cover.monodromy),
+                           _Values(n))
 
 
 def _covers_isomorphic(images1: dict, images2: dict, d: int) -> bool:
@@ -667,11 +690,11 @@ def certify_pullback_obstruction(n: int, monodromy: Monodromy, l: int) -> Certif
     """
     if n % 2 or l % 2:
         raise ValueError("pullback obstruction applies to even n and even l")
-    if monodromy.degree == "inf":
+    d = monodromy.degree
+    if d == "inf":
         raise ValueError("pullback obstruction needs finitely many sheets")
-    verdict, witness = _pullback_rule(n, l, monodromy)
-    return Certificate(kind="PullbackObstruction", n=n, d=monodromy.degree, verdict=verdict,
-                       payload={"l": l}, witness=witness, values=_images_table(n, monodromy))
+    return _subcertificate("PullbackObstruction", l, n, d, _checked(n, d, monodromy),
+                           _images_table(n, monodromy))
 
 
 def sigma_T_claim(d):
@@ -701,35 +724,19 @@ def certify_sigma_T(n: int, d, mode: str = "horizontal",
     """
     if mode not in _SIGMA_MODES:
         raise ValueError("mode must be one of %s, not %r" % (", ".join(_SIGMA_MODES), mode))
-    if monodromy is None:
-        if d == "inf":
-            from .zcover import std_infinite_monodromy
+    if monodromy is None and d == "inf":
+        from .zcover import std_infinite_monodromy
 
-            monodromy = std_infinite_monodromy(n)
-        else:
-            monodromy = standard_monodromy(n, d)
-    return _sigma_certificate(n, d, mode, monodromy, sigma_T_claim(d),
-                              _images_table(n, monodromy))
-
-
-def _sigma_certificate(n: int, d, mode: str, monodromy: Monodromy | ZMonodromy, sigma,
-                       values: _Values) -> Certificate:
-    # sigma is sigma_T_claim(d), which a theorem computes once for both
-    # modes; values holds the monodromy's images: a theorem passes its
-    # own table
-    if mode == "vertical":
-        sigma = _Perm.inverse(sigma)
-    verdict, witness = _sigma_rule(n, monodromy, sigma, mode)
-    return Certificate(kind="SigmaT", n=n, d=d, verdict=verdict,
-                       payload={"mode": mode, "sigma_T": _Perm.to_json(sigma)},
-                       witness=witness, values=values)
+        monodromy = std_infinite_monodromy(n)
+    monodromy = _checked(n, d, monodromy)
+    return _subcertificate("SigmaT", mode, n, d, monodromy, _images_table(n, monodromy))
 
 
 def certify_minus_identity(n: int, monodromy: Monodromy | ZMonodromy) -> Certificate:
     """-I lifts iff every generator's monodromy image is an involution."""
-    verdict, witness = _minus_identity_rule(monodromy)
-    return Certificate(kind="MinusIdentity", n=n, d=monodromy.degree, verdict=verdict,
-                       witness=witness, values=_images_table(n, monodromy))
+    d = monodromy.degree
+    return _subcertificate("MinusIdentity", None, n, d, _checked(n, d, monodromy),
+                           _images_table(n, monodromy))
 
 
 @lru_cache(maxsize=None)
@@ -786,17 +793,7 @@ def _coset_table(n: int) -> CosetTable:
 
 def certify_index(n: int) -> Certificate:
     """The index of the covers' Veech group in Gamma(X_n)."""
-    expected = n if n % 2 else n // 2
-    table = _coset_table(n)
-    verdict, witness = _index_rule(n, expected, table.index)
-    return Certificate(
-        kind="Index",
-        n=n,
-        d=None,
-        verdict=verdict,
-        payload={"expected_index": expected, "index": table.index},
-        witness=witness,
-    )
+    return _subcertificate("Index", None, n, None, None, _Values(n))
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +874,10 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         from .zcover import std_infinite_monodromy
 
         d, monodromy = "inf", std_infinite_monodromy(n)
-    else:
-        if d is None or d < 2:
-            raise ValueError("finite verification needs d >= 2")
-        try:
-            monodromy = build_cover(n, d, monodromy).monodromy
-        except IntransitiveMonodromy as exc:
-            bad = Certificate(kind="WellFormedCover", n=n, d=d, verdict=FAIL,
-                              witness={"reason": str(exc)})
-            return _aggregate(n, d, [bad], None, _images_table(n, monodromy))
-    profiles = {}
+    elif d is None or d < 2:
+        raise ValueError("finite verification needs d >= 2")
+    monodromy = _checked(n, d, monodromy)
+    profiles, subs, sigma = {}, [], None
     values = _images_table(n, monodromy)
 
     def profile(l):
@@ -895,33 +886,18 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
             profiles[l] = _finite_profile(n, monodromy, l)
         return profiles[l]
 
-    subs = []
-    sigma = sigma_T_claim(d)  # one claim for both of even n's SigmaT modes
     for kind, key in _theorem_slots(n, d):
-        if kind == "WellFormedCover":
-            sub = Certificate(kind=kind, n=n, d=d, verdict=PASS)
-        elif kind == "ShearMembership":
-            sub = _shear_certificate(n, d, key, profile(key), values)
-        elif kind == "SigmaT":
-            sub = _sigma_certificate(n, d, key, monodromy, sigma, values)
-        elif kind == "MinusIdentity":
-            verdict, witness = _minus_identity_rule(monodromy)
-            sub = Certificate(kind=kind, n=n, d=d, verdict=verdict, witness=witness, values=values)
-        elif kind == "RotationObstruction":
-            horizontal, direction = profile(0), profile(key)
-            ruled = _rotation_rule(horizontal, direction, _types(n))
-            if n % 2 == 0 and not infinite and ruled[0] == INCONCLUSIVE:
-                # the multiset invariant is blind here (it happens for d = 2
-                # in the vertical direction); fall back to the covering-
-                # structure obstruction, on the theorem's table
-                verdict, witness = _pullback_rule(n, key, monodromy)
-                sub = Certificate(kind="PullbackObstruction", n=n, d=d, verdict=verdict,
-                                  payload={"l": key}, witness=witness, values=values)
-            else:
-                sub = _rotation_certificate(n, d, key, horizontal, direction, ruled, values)
-        else:
-            sub = certify_index(n)
-        subs.append(sub)
+        if kind == "SigmaT" and sigma is None:
+            sigma = sigma_T_claim(d)  # one claim for both of even n's SigmaT modes
+        elif kind == "RotationObstruction" and n % 2 == 0 and not infinite and (
+                profile(0) == profile(key)):
+            # the multiset invariant is blind here (_rotation_rule: it
+            # happens for d = 2 in the vertical direction); the covering-
+            # structure obstruction takes the slot
+            kind = "PullbackObstruction"
+        subs.append(_subcertificate(kind, key, n, d, monodromy, values, profile, sigma))
+        if subs[-1].verdict == FAIL and kind == "WellFormedCover":
+            return _aggregate(n, d, subs, None, values)  # a disconnected cover
     preimages = _infinite_preimages(n, monodromy) if infinite else None
     return _aggregate(n, d, subs, preimages, values)
 

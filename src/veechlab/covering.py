@@ -214,8 +214,10 @@ class CoveringSurface:
                 "sigma2": perms.cycles(m.image(k2), include_fixed=False)}
 
 
-def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringSurface:
-    """The connected degree-d cover of X_n (standard monodromy by default)."""
+def _checked(n: int, d, monodromy: Monodromy | None = None):
+    """The monodromy of a degree-d cover of X_n (standard by default), if
+    X_n exists and the monodromy has its generators and permutes d
+    sheets; else ValueError.  Transitivity is left to the caller."""
     if no_base_surface(n):
         raise ValueError("base surface requires n >= 5, n != 6 (n=4,6 are degenerate)")
     if monodromy is None:
@@ -225,6 +227,12 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
     if monodromy.num_generators != num_generators(n):
         raise ValueError("monodromy has %d generators, X_%d has %d"
                          % (monodromy.num_generators, n, num_generators(n)))
+    return monodromy
+
+
+def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringSurface:
+    """The connected degree-d cover of X_n (standard monodromy by default)."""
+    monodromy = _checked(n, d, monodromy)
     if not monodromy.is_transitive():
         raise IntransitiveMonodromy(
             "monodromy image is not transitive on %d sheets" % d
@@ -281,10 +289,13 @@ def _base_decomposition(n: int, l: int):
     r, j = rotation_class(n, l)
     if not j:
         return tuple(decompose(build_base(n), unit_vector(n, l)))
-    source = _base_decomposition(n, r)
-    if n % 2 and j % 2:
+    if n % 2 and j % 2 and j > 1:
+        source, j = _base_decomposition(n, 1), j - 1  # v_1 reads v_0 from Q already
+    elif n % 2 and j % 2:
         source = [c._replace(core_word=Word._of(c.core_word.letters[1:] + c.core_word.letters[:1]))
-                  for c in reversed(source)]
+                  for c in reversed(_base_decomposition(n, 0))]
+    else:
+        source = _base_decomposition(n, r)
     images = rotation_images(n, j)
     return tuple(cyl._replace(core_word=cyl.core_word.substitute(images), bands=())
                  for cyl in source)
@@ -305,7 +316,8 @@ def base_decomposition(n: int, l: int):
     a core word x_i x_{n-i}^-1 (x_{n-1} trivial) crosses two sides, so a
     cylinder has one band in P, which decompose lists first, and one in
     Q.  Read from Q, the cylinders come in reverse order and each word
-    starts at its second letter.
+    starts at its second letter.  Only v_1 reads them so: every other odd
+    j derives v_l from v_1 by rho^(j-1), so odd n reads Q once.
     """
     return list(_base_decomposition(n, l))
 

@@ -16,7 +16,6 @@ from itertools import islice
 from .certificates import (
     FAIL,
     FORMAT,
-    PASS,
     _SIGMA_MODES,
     _index_rule,
     _infinite_preimages,
@@ -29,6 +28,7 @@ from .certificates import (
     _theorem_rule,
     _theorem_slots,
     _types,
+    _well_formed_rule,
 )
 from .covering import Monodromy, num_generators
 from .errors import MalformedCertificate, short_repr
@@ -281,6 +281,4 @@ def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
         if m.degree == "inf":
             raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
         return _pullback_rule(n, key, m)[0]
-    # WellFormedCover: the images must act transitively on exactly d sheets
-    m = table.monodromy
-    return PASS if m.degree == d and m.is_transitive() else FAIL
+    return _well_formed_rule(table.monodromy, d)[0]

@@ -25,6 +25,7 @@ from veechlab.certificates import (
     verify_theorem,
 )
 from veechlab.covering import (
+    CoveringSurface,
     Monodromy,
     base_decomposition,
     build_cover,
@@ -228,6 +229,76 @@ def test_minus_identity_certificates():
     cert = certify_minus_identity(5, cover.monodromy)
     assert cert.verdict == "fail"
     assert cert.witness["generator"] == 2
+
+
+def test_certifiers_refuse_a_monodromy_of_another_x_n_or_degree():
+    # X_7 and X_12 have more generators than X_5 and X_8, and a cover of 3
+    # sheets is no cover of 5
+    cases = [
+        (lambda: certify_shear(CoveringSurface(5, standard_monodromy(7, 3)), 1),
+         "6 generators, X_5 has 4"),
+        (lambda: certify_rotation_obstruction(CoveringSurface(5, standard_monodromy(7, 3)), 2),
+         "6 generators, X_5 has 4"),
+        (lambda: certify_minus_identity(5, standard_monodromy(7, 3)), "6 generators, X_5 has 4"),
+        (lambda: certify_pullback_obstruction(8, standard_monodromy(12, 3), 2),
+         "6 generators, X_8 has 4"),
+        (lambda: certify_sigma_T(5, 5, "horizontal", standard_monodromy(5, 3)),
+         "monodromy degree disagrees with d"),
+        (lambda: certify_sigma_T(5, "inf", "horizontal", standard_monodromy(5, 3)),
+         "monodromy degree disagrees with d"),
+        (lambda: certify_sigma_T(5, 3, "horizontal", std_infinite_monodromy(5)),
+         "monodromy degree disagrees with d"),
+        (lambda: verify_theorem(5, 5, monodromy=standard_monodromy(5, 3)),
+         "monodromy degree disagrees with d"),
+    ]
+    for certify, message in cases:
+        with pytest.raises(ValueError, match=message):
+            certify()
+
+
+def _resolved(data, table):
+    """Certificate JSON with each value index replaced by its table
+    entry's coeffs."""
+    if type(data) is list:
+        return [_resolved(x, table) for x in data]
+    if type(data) is not dict:
+        return data
+    return {k: table[v]["coeffs"] if k in ("factor", "inverse_modulus", "height") and type(v) is int
+            else _resolved(v, table) for k, v in data.items()}
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12, 14, 16])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, "inf"])
+def test_each_certifier_writes_the_subcertificate_of_its_theorem(n, d):
+    if d == "inf":
+        theorem, m = verify_theorem(n, infinite=True), std_infinite_monodromy(n)
+    else:
+        theorem, m = verify_theorem(n, d), standard_monodromy(n, d)
+    cover = CoveringSurface(n, m)
+    top = theorem.to_json()
+    certify = {
+        "ShearMembership": lambda l: certify_shear(cover, l),
+        "RotationObstruction": lambda l: certify_rotation_obstruction(cover, l),
+        "PullbackObstruction": lambda l: certify_pullback_obstruction(n, m, l),
+        "SigmaT": lambda mode: certify_sigma_T(n, d, mode),
+        "MinusIdentity": lambda _: certify_minus_identity(n, m),
+        "Index": lambda _: certificates.certify_index(n),
+    }
+    compared = 0
+    for sub in top["payload"]["subcertificates"]:
+        if sub["kind"] == "WellFormedCover":  # no certifier of its own
+            continue
+        key = sub["payload"].get("l", sub["payload"].get("mode"))
+        alone = certify[sub["kind"]](key).to_json()
+        assert alone["kind"] == sub["kind"] and alone["verdict"] == sub["verdict"], key
+        for name in ("n", "d", "payload", "witnesses"):
+            assert (_resolved(alone[name], alone["values"])
+                    == _resolved(sub[name], top["values"])), (sub["kind"], key, name)
+        if sub["kind"] == "RotationObstruction":
+            assert (_resolved(alone["horizontal"], alone["values"])
+                    == _resolved(top["horizontal"], top["values"])), key
+        compared += 1
+    assert compared == len(top["payload"]["subcertificates"]) - (d != "inf")
 
 
 def _cyclic_cover_8_4() -> Monodromy:
@@ -553,11 +624,14 @@ def test_rotation_rule_runs_once_per_obstruction_direction(monkeypatch, n):
         return rule(horizontal, direction, *rest)
 
     monkeypatch.setattr(certificates, "_rotation_rule", counting)
-    obstructions = sum(kind == "RotationObstruction"
-                       for kind, _ in certificates._theorem_slots(n, 4))
     for kwargs in ({"d": 4}, {"d": 2}, {"infinite": True}):
         directions.clear()
-        assert verify_theorem(n, **kwargs).verdict == "pass"
+        cert = verify_theorem(n, **kwargs)
+        assert cert.verdict == "pass"
+        # a PullbackObstruction that takes a rotation slot (at (16, 2),
+        # l = 8) runs no rotation rule
+        obstructions = sum(s["kind"] == "RotationObstruction"
+                           for s in cert.payload["subcertificates"])
         assert len(directions) == len(set(directions)) == obstructions
 
 
@@ -1289,7 +1363,8 @@ def _profiles_and_twists_match_the_references(n, m) -> set:
         got = certificates._finite_profile(n, m, l)
         # same exact types and counts, in the same order
         assert _exact_items(n, got) == list(_per_cycle_profile(n, m, l).items()), l
-        cert = certificates._shear_certificate(n, m.degree, l, got, certificates._Values(n))
+        cert = certificates._subcertificate("ShearMembership", l, n, m.degree, m,
+                                            certificates._Values(n), profile=lambda l: got)
         table = _table(cert.to_json())
         for row in cert.payload["cylinders"]:
             assert row["twists"] == _per_row_twists(factor, table[row["inverse_modulus"]]), l

@@ -359,6 +359,48 @@ def test_odd_n_lifts_follow_their_closed_form(n):
         assert holding == want, (n, l)
 
 
+@pytest.mark.parametrize("n", range(8, 61, 2))
+def test_even_n_lifts_follow_their_closed_form(n):
+    # under standard_monodromy, the cylinder of v_l whose core word holds
+    # x_k1, and the one that holds x_k2, by n mod 4; none where the index
+    # is negative
+    k1, k2 = monodromy_indices(n)
+    assert {*standard_monodromy(n, 3)._moving} == {k1, k2}
+    for l in range(n):
+        if n % 4 == 0:
+            want = (min(l // 2, (n - 2 - l) // 2),
+                    0 if l == 0 else min((l - 2) // 2, (n - l) // 2))
+        else:
+            want = (0 if l == n - 1 else min((l + 1) // 2, (n - 3 - l) // 2),
+                    0 if l < 2 else min((l - 3) // 2, (n + 1 - l) // 2))
+        cyls = base_decomposition(n, l)
+        holding = [{i for i, cyl in enumerate(cyls) if any(g == k for g, _ in cyl.core_word)}
+                   for k in (k1, k2)]
+        assert holding == [{i} if i >= 0 else set() for i in want], (n, l)
+
+
+def test_odd_n_reads_the_v0_words_from_q_once(monkeypatch):
+    # every odd-j direction of odd n derives from v_1, the one direction
+    # that reads v_0's core words from Q, each rotated by a letter: the
+    # only step that changes a cylinder's word and keeps its traced bands
+    n = 25
+    covering._base_decomposition.cache_clear()
+    v0 = base_decomposition(n, 0)
+    cylinder = type(v0[0])
+    replace, rotated = cylinder._replace, []
+
+    def counting(self, **changes):
+        if "bands" not in changes:
+            rotated.append(self)
+        return replace(self, **changes)
+
+    monkeypatch.setattr(cylinder, "_replace", counting)
+    for l in range(1, n):
+        base_decomposition(n, l)
+    assert len(v0) == 12
+    assert sorted(map(id, rotated)) == sorted(map(id, v0))
+
+
 @pytest.mark.parametrize("n", [9, 16, 25])
 def test_a_derived_direction_inverts_each_rotation_image_at_most_once(monkeypatch, n):
     # each generator occurs in at most one core word of a direction, so

@@ -292,7 +292,8 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
     types = certificates._finite_profile(8, std_infinite_monodromy(8), 0)
     infinite = [t for t in types if certificates._types(8).exact[t[0]].is_zero()]
     assert infinite
-    cert = certificates._shear_certificate(8, "inf", 0, types, certificates._Values(8))
+    cert = certificates._subcertificate("ShearMembership", 0, 8, "inf", std_infinite_monodromy(8),
+                                        certificates._Values(8), profile=lambda l: types)
     assert cert.verdict == "fail"
     data = _as_json(cert)
     rows = _zero_modulus_rows(data, data["payload"]["cylinders"])
