@@ -33,16 +33,20 @@ payload.  The parser
 is the module revalidation, which revalidate() loads on its first call,
 so a verify never compiles it.
 
-Certificates are written and read in format 4: the top level carries
-the conductor 4n once and a table of the distinct exact values, and rows
-and witnesses refer to the table by index.  Two sections are written
-once, at the top level: the horizontal profile that every
-RotationObstruction compares against, and the monodromy's generator
-images, which SigmaT, MinusIdentity, PullbackObstruction and
-WellFormedCover read.  Every degree, d = inf too, uses the same rows: an
-infinite strip is a type of inverse modulus 0.  A theorem lists its
-rotation slots at l = n/p only; revalidate() reads no other format, and
-refuses formats 1 to 3, which listed one for every l, with a
+Certificates are written and read in format 5, which carries each fact
+once.  The top level carries the claim (n, d) and the conductor 4n once,
+and a table of the distinct exact values, each its nonzero rational
+coefficients alone, with no decimal approximation; rows and witnesses
+refer to the table by index.  A theorem's subcertificates are about its
+(n, d) and name neither.  Two sections are written once, at the top
+level: the horizontal profile that every RotationObstruction compares
+against, and the images of the generators that move a sheet, in
+increasing order, which SigmaT, MinusIdentity, PullbackObstruction and
+WellFormedCover read under the claim's d.  Every shear is by 2*lambda_n,
+which n fixes, so no payload names its factor.  Every degree, d = inf
+too, uses the same rows: an infinite strip is a type of inverse modulus
+0.  A theorem lists its rotation slots at l = n/p only.  revalidate()
+reads no other format, and refuses formats 1 to 4 with a
 MalformedCertificate that says to run verify again.
 
 Non-membership certificates for user-supplied monodromies may come out
@@ -68,7 +72,7 @@ from .covering import (
     sigma_d1,
     sigma_d2,
 )
-from .errors import MalformedCertificate, VerificationFailure, short_repr
+from .errors import NOT_TRANSITIVE, MalformedCertificate, VerificationFailure, short_repr
 from .field import RealAlg, lambda_n, prime_divisors
 from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
@@ -76,7 +80,7 @@ from .words import Word
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-FORMAT = 4
+FORMAT = 5
 _SIGMA_MODES = ("horizontal", "vertical")
 
 
@@ -120,18 +124,17 @@ class Certificate:
         self.values = values
 
     def to_json(self):
-        """The certificate as top-level format-4 JSON, with its value
-        table and the sections its payload refers to."""
+        """The certificate as top-level JSON of format FORMAT: its claim
+        (n, d), its value table and the sections its payload refers to."""
         values = _Values(self.n) if self.values is None else self.values
-        return {"format": FORMAT, "conductor": values.conductor, **self._body(),
-                "values": values.to_json(), **values.sections}
+        return {"format": FORMAT, "conductor": values.conductor, "n": self.n, "d": self.d,
+                **self._body(), "values": values.to_json(), **values.sections}
 
     def _body(self) -> dict:
-        # what a theorem writes for each of its subcertificates
+        # what a theorem writes for each of its subcertificates, which are
+        # about the theorem's own (n, d)
         return {
             "kind": self.kind,
-            "n": self.n,
-            "d": self.d,
             "verdict": self.verdict,
             "payload": self.payload,
             "witnesses": [] if self.witness is None else [self.witness],
@@ -195,11 +198,12 @@ def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
 
 def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
     """A new value table of n whose images section lists the image of
-    each generator x_0..x_{g-1}, in order: every kind that reads the
+    each generator that moves a sheet, in increasing order (the others
+    fix every sheet of the claim's d): every kind that reads the
     monodromy reads it there."""
     values = _Values(n)
     values.sections["images"] = [{"generator": i, "image": _Perm.to_json(p)}
-                                 for i, p in monodromy.images.items()]
+                                 for i, (p, _) in monodromy._moving.items()]
     return values
 
 
@@ -245,6 +249,9 @@ class _Types:
         self.n = n
         self.exact = []  # index -> value
         self._index = {}  # exact key -> index
+        # id of a value object in exact -> its index; exact keeps each such
+        # object alive, so its id names no other object
+        self._ids = {}
         self._ranks = None  # index -> exact-key rank, None after a new value
         self._entries = {}  # an entry's (power, "p/q") pairs that revalidate read -> index
         self._lifts = {}  # (l, moving generators) -> v_l's lift plan for them, as lifts() makes it
@@ -263,13 +270,18 @@ class _Types:
         return self._factor
 
     def index(self, x: RealAlg) -> int:
-        """The index of x, which joins the table on first use."""
-        key = x.key()
-        v = self._index.get(key)
+        """The index of x, which joins the table on first use.  The object
+        that the table keeps for a value is found by its identity, with
+        no hash of its coefficients: the directions derived from one
+        traced direction share its value objects."""
+        v = self._ids.get(id(x))
         if v is None:
-            v = self._index[key] = len(self.exact)
-            self.exact.append(x)
-            self._ranks = None
+            key = x.key()
+            v = self._index.get(key)
+            if v is None:
+                v = self._index[key] = self._ids[id(x)] = len(self.exact)
+                self.exact.append(x)
+                self._ranks = None
         return v
 
     def read(self, entries: list) -> tuple:
@@ -513,7 +525,7 @@ def _well_formed_rule(monodromy: Monodromy | ZMonodromy, d: int):
     transitively."""
     if monodromy.degree == d and monodromy.is_transitive():
         return PASS, None
-    return FAIL, {"reason": "monodromy image is not transitive on %d sheets" % d}
+    return FAIL, {"reason": NOT_TRANSITIVE % d}
 
 
 def _rotation_rule(horizontal: dict, direction: dict, types: _Types | None):
@@ -556,6 +568,11 @@ def _pullback_rule(n: int, l: int, monodromy: Monodromy):
     """PullbackObstruction: R^l is excluded iff the monodromy pulled back
     under the rotation by l is not the monodromy itself up to a sheet
     relabeling."""
+    if not monodromy.is_transitive():
+        # the rotation's images generate pi_1(X_n), so the pullback has
+        # the monodromy's image, no more transitive than it, and no
+        # relabeling maps it onto the monodromy (_covers_isomorphic)
+        return PASS, None
     pulled = monodromy.pullback(rotation_images(n, l // 2))
     if _covers_isomorphic(monodromy.images, pulled.images, monodromy.degree):
         return INCONCLUSIVE, {"reason": "pullback cover is isomorphic; rotation not excluded"}
@@ -611,7 +628,7 @@ def _subcertificate(kind: str, key, n: int, d, monodromy: Monodromy | ZMonodromy
     elif kind == "ShearMembership":
         types = profile(key)
         rows, ruled = table.sheared(types)
-        payload = {"l": key, "factor": values[table.factor], "cylinders": [
+        payload = {"l": key, "cylinders": [
             {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
             for t, k in rows]}
     elif kind == "RotationObstruction":
@@ -939,26 +956,28 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 
 
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its format-4 JSON.
+    """Recompute a certificate's verdict from its format-5 JSON.
 
     Parses the payload and applies the rule that made the verdict.
     SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
-    the monodromy from the top-level images section, and the
-    PullbackObstruction's pullback is computed from it.  A
-    ShearMembership fails unless its factor is 2*lambda_n.  A FullTheorem
+    the monodromy from the top-level images section under the claim's
+    d, and the PullbackObstruction's pullback is computed from it.  A
+    ShearMembership is by 2*lambda_n, which n fixes.  A FullTheorem
     fails, before any value is parsed, unless its subcertificates fill
     the slots of its (n, d) in order (_theorem_claim), and for d = inf
     unless its count of infinite preimages of cylinder k is the one the
-    images give.  A WellFormedCover fails unless the images permute
-    exactly d sheets and together act transitively.  MalformedCertificate
-    is raised for a payload that does not parse, a top level without
-    "format": 4 (formats 1 to 3 are refused by name), images that do
-    not name x_0..x_{g-1} once each, in order, a PullbackObstruction of
-    odd n or odd l, a FullTheorem or WellFormedCover whose int d is
-    below 2 (before any rule runs), and, before any value is parsed, an
-    n without X_n, a subcertificate about another (n, d) than its
-    theorem, and a standalone certificate other than a FullTheorem for
-    n above MAX_STANDALONE_N.  A profile that
+    images give.  A WellFormedCover fails unless the images act
+    transitively on its d sheets.  MalformedCertificate is raised for a
+    payload that does not parse, a top level without "format": 5
+    (formats 1 to 4 are refused by name), images that name a generator
+    out of range, twice or out of increasing order, or an image that is
+    the identity or does not permute the claim's d sheets, a
+    PullbackObstruction of odd n or odd l, a FullTheorem or
+    WellFormedCover whose int d is below 2 and a SigmaT, MinusIdentity or
+    PullbackObstruction whose int d is below 1 (before any rule runs),
+    and, before any value is parsed, an n without X_n, a subcertificate
+    of a theorem that names its own n or d, and a standalone certificate
+    other than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
     lists a cylinder type twice, and a profile or shear row that counts
     one below 1, are malformed too.  Each distinct table entry is
     parsed, and each exact check decided, once per process (_types).

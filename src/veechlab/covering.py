@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import groupby
 
 from . import perms
-from .errors import IntransitiveMonodromy
+from .errors import NOT_TRANSITIVE, IntransitiveMonodromy
 from .cylinders import decompose, unit_vector
 from .surface import EdgeRef, TranslationSurface, build_base, no_base_surface
 from .words import Word
@@ -87,19 +87,25 @@ class Monodromy:
         check_generators(num_generators, images)
         self.num_generators = num_generators
         self.degree = degree
-        ident = perms.identity(degree)
-        self.images = dict.fromkeys(range(num_generators), ident)
         # the generators that move a sheet, in order, with their inverse
         # images: eval_word composes only these, and every rule that asks
-        # which generators move reads them
+        # which generators move reads them.  Only the given images are
+        # read, so no list of the d sheets is made unless one is given.
         self._moving = {}
-        for i in sorted(images):  # only the given images need checking
-            p = self.images[i] = tuple(images[i])
+        ident = perms.identity(degree) if images else ()
+        for i in sorted(images):
+            p = tuple(images[i])
             if sorted(p) != list(ident):
                 raise ValueError("image of x_%d is not a permutation" % i)
             if p != ident:
                 self._moving[i] = (p, perms.inverse(p))
         self._cycle_types = {}  # moving letters of a word -> cycle_type of the word
+
+    @cached_property
+    def images(self) -> dict:
+        """Every generator's image, the identity where it moves no sheet."""
+        ident = perms.identity(self.degree)
+        return {i: self._moving.get(i, (ident,))[0] for i in range(self.num_generators)}
 
     def is_transitive(self) -> bool:
         return perms.is_transitive([p for p, _ in self._moving.values()], self.degree)
@@ -234,9 +240,7 @@ def build_cover(n: int, d: int, monodromy: Monodromy | None = None) -> CoveringS
     """The connected degree-d cover of X_n (standard monodromy by default)."""
     monodromy = _checked(n, d, monodromy)
     if not monodromy.is_transitive():
-        raise IntransitiveMonodromy(
-            "monodromy image is not transitive on %d sheets" % d
-        )
+        raise IntransitiveMonodromy(NOT_TRANSITIVE % d)
     return CoveringSurface(n, monodromy)
 
 

@@ -26,6 +26,11 @@ class IntransitiveMonodromy(VeechLabError):
     """Monodromy image does not act transitively on the fiber."""
 
 
+# the text of IntransitiveMonodromy, and of a failing WellFormedCover's
+# witness, for d sheets
+NOT_TRANSITIVE = "monodromy image is not transitive on %d sheets"
+
+
 class CapExceeded(VeechLabError):
     """Coset enumeration exceeded the configured coset cap."""
 

@@ -811,22 +811,22 @@ class RealAlg(CycloNumber):
     # -- serialization --------------------------------------------------------
 
     def to_json(self, sparse: bool = False) -> dict:
-        """The exact value with a 20-digit decimal approximation.
+        """The exact value.
 
-        Dense (the default): {"conductor": N, "coeffs": ["p/q", ...]}, one
-        coefficient per power of zeta below phi(N), as the surface and
-        cylinders commands print it; nothing reads it.  Sparse, as a
-        certificate's value table holds it (the certificate carries the
-        conductor): {"coeffs": [[power, "p/q"], ...]}, nonzero
-        coefficients only, by increasing power.
+        Dense (the default): {"conductor": N, "coeffs": ["p/q", ...],
+        "approx": ...}, one coefficient per power of zeta below phi(N) and
+        a 20-digit decimal approximation, as the surface and cylinders
+        commands print it; nothing reads it.  Sparse, as a certificate's
+        value table holds it (the certificate carries the conductor):
+        {"coeffs": [[power, "p/q"], ...]}, nonzero coefficients only, by
+        increasing power, and no approximation, which nothing would read.
         """
-        nonzero, approx = _serialised(self.N, self.num, self.den)
         if sparse:
-            return {"coeffs": [[j, x] for j, x in nonzero], "approx": approx}
+            return {"coeffs": [[j, x] for j, x in _nonzero(self.num, self.den)]}
         coeffs = ["0"] * len(self.num)
-        for j, x in nonzero:
+        for j, x in _nonzero(self.num, self.den):
             coeffs[j] = x
-        return {"conductor": self.N, "coeffs": coeffs, "approx": approx}
+        return {"conductor": self.N, "coeffs": coeffs, "approx": self.approx(20)}
 
     @staticmethod
     def from_json(data: dict, conductor: int) -> RealAlg:
@@ -884,13 +884,13 @@ def _rational_str(a: int, den: int) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _serialised(N: int, num: tuple, den: int) -> tuple:
-    # what a serialised value carries, as immutable parts that to_json
-    # copies into fresh containers: the nonzero coefficients as (power,
-    # "p/q") pairs and the approximation; certificates and surfaces write
-    # the same few values again and again
-    nonzero = tuple((j, _rational_str(a, den)) for j, a in enumerate(num) if a)
-    return nonzero, _new(RealAlg, N, num, den).approx(20)
+def _nonzero(num: tuple, den: int) -> tuple:
+    # the nonzero coefficients as (power, "p/q") pairs, immutable, which
+    # to_json copies into fresh containers; the same few values are
+    # written again and again: the 141 theorems of n = 9, 14, 16 and
+    # d = 2..48 write 129 distinct values 1,404 times, and `cylinders
+    # --n 25 --d 3` in its 25 directions prints 40 values 2,556 times
+    return tuple((j, _rational_str(a, den)) for j, a in enumerate(num) if a)
 
 
 # ---------------------------------------------------------------------------

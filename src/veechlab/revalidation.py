@@ -69,21 +69,12 @@ class _Table:
     the carried monodromy that every kind reading them shares.
     """
 
-    def __init__(self, data: dict, n: int):
-        # n is _claimed_n(data)
+    def __init__(self, data: dict, n: int, d):
+        # n is _claimed_n(data), d is _degree(data, kind): every
+        # subcertificate is about the top level's claim
         self.types, self._index = _types(n).read(_field(data, "values", list))
-        # every subcertificate's n is bound to the top level's before any
-        # rule runs
-        self.n = n
+        self.n, self.d = n, d
         self._top = data
-
-    def index(self, obj, key: str) -> int:
-        """The index in self.types of the table entry that obj[key] names."""
-        i = _field(obj, key, int)
-        if not 0 <= i < len(self._index):
-            raise MalformedCertificate("%r: value index %d is not in a table of %d"
-                                       % (key, i, len(self._index)))
-        return self._index[i]
 
     def rows(self, rows: list, twists: bool = False) -> list:
         """Profile rows as ((inverse modulus, height), count) or, with
@@ -114,24 +105,34 @@ class _Table:
 
     @cached_property
     def monodromy(self) -> Monodromy | ZMonodromy:
-        """The carried monodromy, from the top-level images section, which
-        must name x_0..x_{g-1} once each, in order, with images that
-        permute one set of sheets: finitely many, or Z."""
+        """The carried monodromy, from the top-level images section and the
+        claim's d: the images of the generators that move a sheet, in
+        increasing order, each a permutation of the d sheets (of Z for
+        d = inf) other than the identity; every other generator fixes
+        every sheet."""
+        d = self.d
         entries = _field(self._top, "images", list)
         g = num_generators(self.n)
-        if [_field(e, "generator", int) for e in entries] != list(range(g)):
-            raise MalformedCertificate("images must name x_0..x_%d once each, in order" % (g - 1))
-        ps = [_Perm.from_json(_field(e, "image", list, dict)) for e in entries]
-        degrees = {*map(_Perm.degree, ps)}
-        if len(degrees) > 1:
-            raise MalformedCertificate("permutations of different degrees")
-        [degree] = degrees
-        images = dict(enumerate(ps))
-        if degree != "inf":
-            return Monodromy(g, degree, images)
-        from .zcover import ZMonodromy
+        generators = [_field(e, "generator", int) for e in entries]
+        if not all(a < b for a, b in zip([-1, *generators], [*generators, g])):
+            raise MalformedCertificate("images must name generators of x_0..x_%d once each, "
+                                       "in increasing order" % (g - 1))
+        images = {}
+        for i, e in zip(generators, entries):
+            p = images[i] = _Perm.from_json(_field(e, "image", list, dict))
+            if _Perm.degree(p) != d:
+                raise MalformedCertificate("the image of x_%d does not permute the %s sheets of "
+                                           "the claim" % (i, d))
+        if d == "inf":
+            from .zcover import ZMonodromy
 
-        return ZMonodromy(g, images)
+            m = ZMonodromy(g, images)
+        else:
+            m = Monodromy(g, d, images)
+        if len(m._moving) != len(images):
+            raise MalformedCertificate("the image of x_%d moves no sheet"
+                                       % min(images.keys() - m._moving.keys()))
+        return m
 
 
 def _claimed_n(data) -> int:
@@ -192,13 +193,23 @@ def _slot(data) -> tuple:
     return kind, key, payload
 
 
-def _degree(data: dict, infinite: bool = False):
-    """The degree of a cover certificate: an int d >= 2, as verify_theorem
-    requires, or "inf" where infinite is allowed."""
+# kind -> the least d its claim may name, and whether d may be "inf": a
+# cover claim (a theorem, or WellFormedCover) is of d >= 2 sheets, as
+# verify_theorem requires; a kind that reads only the monodromy takes
+# any d >= 1, as covering.Monodromy does.  The other kinds read no d.
+_DEGREES = {"FullTheorem": (2, True), "WellFormedCover": (2, False), "SigmaT": (1, True),
+            "MinusIdentity": (1, True), "PullbackObstruction": (1, True)}
+
+
+def _degree(data: dict, kind: str):
+    """The claim's degree d, for a kind that reads one (_DEGREES), else None."""
+    if kind not in _DEGREES:
+        return None
+    least, infinite = _DEGREES[kind]
     d = _field(data, "d", int, str) if infinite else _field(data, "d", int)
-    if d != "inf" and (type(d) is str or d < 2):
-        raise MalformedCertificate("degree %.40r is not an int d >= 2%s"
-                                   % (d, ' or "inf"' if infinite else ""))
+    if d != "inf" and (type(d) is str or d < least):
+        raise MalformedCertificate("degree %.40r is not an int d >= %d%s"
+                                   % (d, least, ' or "inf"' if infinite else ""))
     return d
 
 
@@ -207,57 +218,49 @@ def revalidate(data: dict) -> str:
     says what is checked."""
     n = _claimed_n(data)
     kind, key, payload = _slot(data)
+    d = _degree(data, kind)
     if kind != "FullTheorem":
-        return _revalidate(kind, key, payload, _Table(data, n),
-                           _degree(data) if kind == "WellFormedCover" else None)
-    d, read = _theorem_claim(data, payload, n)
+        return _revalidate(kind, key, payload, _Table(data, n, d))
+    read = _theorem_claim(payload, n, d)
     if read is None:
         return FAIL
-    table = _Table(data, n)
+    table = _Table(data, n, d)
     preimages = None
     if d == "inf":
-        # the preimage count is recomputed from the images, which must
-        # permute Z
-        if table.monodromy.degree != "inf":
-            return FAIL
+        # the preimage count is recomputed from the images, which permute Z
         preimages = _infinite_preimages(n, table.monodromy)
         if payload.get("infinite_preimages_of_cylinder_k") != preimages:
             return FAIL
-    subs = ((kind, _revalidate(kind, key, p, table, d), None) for kind, key, p in read)
+    subs = ((kind, _revalidate(kind, key, p, table), None) for kind, key, p in read)
     return _theorem_rule(d, subs, preimages)[0]
 
 
-def _theorem_claim(data: dict, payload: dict, n: int) -> tuple:
-    """A FullTheorem's degree d and the (kind, l or SigmaT mode, payload)
-    of its subcertificates, in order; these are None unless they fill
-    the slots of (n, d) (_theorem_slots).  Each subcertificate must be
-    about this (n, d), an Index about n alone.  No value is read."""
-    d = _degree(data, infinite=True)
+def _theorem_claim(payload: dict, n: int, d) -> list | None:
+    """The (kind, l or SigmaT mode, payload) of a FullTheorem's
+    subcertificates, in order, or None unless they fill the slots of
+    (n, d) (_theorem_slots).  Each subcertificate is about the theorem's
+    (n, d) and names neither, so a standalone certificate is no
+    subcertificate.  No value is read."""
     subs, read, slots = _field(payload, "subcertificates", list), [], []
     pullback = n % 2 == 0 and d != "inf"  # a PullbackObstruction may fill a rotation's slot
     for s in subs:
         kind, key, _ = sub = _slot(s)
-        want = (n, None if kind == "Index" else d)
-        claim = (s.get("n"), s.get("d"))  # s is a dict: _slot read it
-        if "d" not in s or claim != want or type(claim[0]) is not int or (
-                type(claim[1]) is not type(want[1])):
-            raise MalformedCertificate("%.40s subcertificate for (n, d) = (%s, %s) in a theorem "
-                                       "for (%d, %r)" % (kind, *map(short_repr, claim), n, d))
+        if "n" in s or "d" in s:  # s is a dict: _slot read it
+            raise MalformedCertificate("a %.40s subcertificate names its own n or d in a theorem "
+                                       "for (%d, %r)" % (kind, n, d))
         read.append(sub)
         slots.append(("RotationObstruction" if kind == "PullbackObstruction" and pullback
                       else kind, key))
     # as many slots of (n, d) as a forger wrote subcertificates, and one more
     agree = slots == [*islice(_theorem_slots(n, d), len(subs) + 1)]
-    return d, (read if agree else None)
+    return read if agree else None
 
 
-def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
+def _revalidate(kind: str, key, payload: dict, table: _Table) -> str:
     # the verdict of any kind but FullTheorem, from the slot and payload
-    # that _slot read; d is a WellFormedCover's degree
+    # that _slot read
     n = table.n
     if kind == "ShearMembership":
-        if table.index(payload, "factor") != table.types.factor:
-            return FAIL
         rows = table.rows(_field(payload, "cylinders", list), twists=True)
         return _shear_rule(rows, table.types)[0]
     if kind == "RotationObstruction":
@@ -281,4 +284,4 @@ def _revalidate(kind: str, key, payload: dict, table: _Table, d=None) -> str:
         if m.degree == "inf":
             raise MalformedCertificate("a pullback obstruction needs finitely many sheets")
         return _pullback_rule(n, key, m)[0]
-    return _well_formed_rule(table.monodromy, d)[0]
+    return _well_formed_rule(table.monodromy, table.d)[0]

@@ -37,23 +37,24 @@ from veechlab.covering import (
     standard_monodromy,
 )
 from veechlab.cylinders import decompose, unit_vector
-from veechlab.errors import MalformedCertificate
+from veechlab.errors import IntransitiveMonodromy, MalformedCertificate
 from veechlab.field import RealAlg, lambda_n
 from veechlab.surface import build_base, no_base_surface
 from veechlab.zcover import ZMonodromy, ZPermutation, std_infinite_monodromy
 
-# the top-level keys of a format-4 certificate that its subcertificates
-# refer to
-_SHARED = ("format", "conductor", "values", "horizontal", "images")
+# the top-level keys of a certificate that its subcertificates refer to:
+# the claim (n, d) too, which a theorem states once for all of them
+_SHARED = ("format", "conductor", "n", "d", "values", "horizontal", "images")
 
 
 def _standalone(top, sub):
-    """A theorem's subcertificate with the theorem's value table attached."""
+    """A theorem's subcertificate with the theorem's claim and value table
+    attached."""
     return {**{k: top[k] for k in _SHARED if k in top}, **sub}
 
 
 def _table(data):
-    """The exact values of a format-2 certificate's table, by index."""
+    """The exact values of a certificate's table, by index."""
     return [RealAlg.from_json(entry, data["conductor"]) for entry in data["values"]]
 
 
@@ -190,13 +191,16 @@ def test_stripped_other_moving_fails_the_theorem():
     # images section, the only place that says so
     data = _roundtrip(verify_theorem(5, 2, monodromy=Monodromy(4, 2, {0: (1, 0)})))
     assert revalidate(data) == "inconclusive"
-    # hiding x_0's move there leaves no transitive cover
-    data["images"][0]["image"] = [0, 1]
-    assert revalidate(data) == "fail"
-    # and dropping x_0 from the images is malformed
+    assert [e["generator"] for e in data["images"]] == [0]
+    # writing x_0's image as the identity is malformed: the section lists
+    # only the generators that move a sheet
+    forged = copy.deepcopy(data)
+    forged["images"][0]["image"] = [0, 1]
+    with pytest.raises(MalformedCertificate, match="x_0 moves no sheet"):
+        revalidate(forged)
+    # and hiding x_0's move by dropping its entry leaves no transitive cover
     del data["images"][0]
-    with pytest.raises(MalformedCertificate, match="x_0..x_3 once each"):
-        revalidate(data)
+    assert revalidate(data) == "fail"
 
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate", "reorder", "reorder without SigmaT"])
@@ -209,10 +213,10 @@ def test_theorem_needs_one_complete_minus_identity(edit):
         subs.remove(minus)
     elif edit == "duplicate":
         subs.append(minus)
-    else:  # every generator, but not in order: the images are malformed
+    else:  # the moving generators, but not in increasing order: malformed
         data["images"].reverse()
         if edit == "reorder":
-            with pytest.raises(MalformedCertificate, match="in order"):
+            with pytest.raises(MalformedCertificate, match="in increasing order"):
                 revalidate(data)
             return
         # the slots fail first, before any rule reads the images
@@ -263,7 +267,7 @@ def _resolved(data, table):
         return [_resolved(x, table) for x in data]
     if type(data) is not dict:
         return data
-    return {k: table[v]["coeffs"] if k in ("factor", "inverse_modulus", "height") and type(v) is int
+    return {k: table[v]["coeffs"] if k in ("inverse_modulus", "height") and type(v) is int
             else _resolved(v, table) for k, v in data.items()}
 
 
@@ -291,7 +295,11 @@ def test_each_certifier_writes_the_subcertificate_of_its_theorem(n, d):
         key = sub["payload"].get("l", sub["payload"].get("mode"))
         alone = certify[sub["kind"]](key).to_json()
         assert alone["kind"] == sub["kind"] and alone["verdict"] == sub["verdict"], key
-        for name in ("n", "d", "payload", "witnesses"):
+        # a standalone certificate states the claim that its theorem states
+        # once for every subcertificate; an Index is about n alone
+        assert "n" not in sub and "d" not in sub
+        assert (alone["n"], alone["d"]) == (n, None if sub["kind"] == "Index" else d)
+        for name in ("payload", "witnesses"):
             assert (_resolved(alone[name], alone["values"])
                     == _resolved(sub[name], top["values"])), (sub["kind"], key, name)
         if sub["kind"] == "RotationObstruction":
@@ -471,21 +479,21 @@ def test_tampered_infinite_preimages_fail_revalidation():
 
 
 def test_infinite_preimages_are_recomputed_from_the_images():
-    # the disconnected trivial Z-cover: every image is the identity, so
+    # the disconnected trivial Z-cover: no generator moves a sheet, so
     # the core of cylinder k lifts to no infinite cylinder, whatever count
     # the payload states
     data = _roundtrip(verify_theorem(9, infinite=True))
     assert revalidate(data) == "pass"
-    for entry in data["images"]:
-        entry["image"] = {"t_even": 0, "t_odd": 0}
+    images = data["images"]
+    data["images"] = []
     assert data["payload"]["infinite_preimages_of_cylinder_k"] == 2
     assert revalidate(data) == "fail"
     data["payload"]["infinite_preimages_of_cylinder_k"] = 0
     assert revalidate(data) == "fail"
-    # a d = inf theorem whose images permute finitely many sheets fails too
-    for entry in data["images"]:
-        entry["image"] = [0, 1]
-    assert revalidate(data) == "fail"
+    # a d = inf theorem whose images permute finitely many sheets is malformed
+    data["images"] = [dict(e, image=[1, 0]) for e in images]
+    with pytest.raises(MalformedCertificate, match="does not permute the inf sheets"):
+        revalidate(data)
 
 
 def test_perm_helper_conventions():
@@ -759,12 +767,17 @@ def _bad_image(data):
     data["images"][0]["image"] = [5, 7]
 
 
+def _shear_modulus_entry(data):
+    # the table entry of the first shear row's inverse modulus
+    return data["values"][_sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"]]
+
+
 def _bad_grammar(data):
-    data["values"][_sub(data, "ShearMembership")["payload"]["factor"]]["coeffs"][0][1] = "0.5"
+    _shear_modulus_entry(data)["coeffs"][0][1] = "0.5"
 
 
 def _zero_denominator(data):
-    data["values"][_sub(data, "ShearMembership")["payload"]["factor"]]["coeffs"][0][1] = "1/0"
+    _shear_modulus_entry(data)["coeffs"][0][1] = "1/0"
 
 
 def _unknown_kind(data):
@@ -795,7 +808,7 @@ _ROW_LISTS = {
     "horizontal": lambda data: data["horizontal"],
     "images": lambda data: data["images"],
 }
-_PAST_END = "past end"  # an index one past the value table, or past the generators
+_PAST_END = "past end"  # an index one past the value table, or x_g of X_n's g generators
 _DELETED = "deleted"
 
 
@@ -803,16 +816,17 @@ def _edit_row(where, key, value, label):
     # the first row of a row list (or images entry) with key set to value,
     # or, with key None, replaced by value
     def tamper(data):
+        # the images of Y_{12,2} name x_2 and x_3: x_1 in x_2's place (True
+        # == 1.0 == 1) would be in increasing order
         rows = _ROW_LISTS[where](data)
-        i = 1 if where == "images" else 0  # generator 1: True == 1.0 == 1
         if key is None:
-            rows[i] = value
+            rows[0] = value
         elif value == _DELETED:
-            del rows[i][key]
+            del rows[0][key]
         elif value == _PAST_END:
-            rows[i][key] = len(data["values"] if where != "images" else data["images"])
+            rows[0][key] = len(data["values"]) if where != "images" else num_generators(data["n"])
         else:
-            rows[i][key] = value
+            rows[0][key] = value
     tamper.__name__ = "_%s_%s_%s" % (where, key or "row", label)
     return tamper
 
@@ -936,7 +950,7 @@ def test_a_malformed_entry_never_reads_its_well_formed_twin():
     data = _roundtrip(verify_theorem(9, 3))
     data["values"].append({"coeffs": [[0, "1"]]})
     assert revalidate(data) == "pass"
-    entries = [(0, 0), (2, 0), (5, 0), (len(data["values"]) - 1, 0)]
+    entries = [(0, 0), (1, 0), (4, 0), (len(data["values"]) - 1, 0)]
     assert [data["values"][i]["coeffs"][j][0] for i, j in entries] == [1, 0, 0, 0]
     # the same pairs with a power of true, false or 1.0, or a coefficient
     # of 1 or 1.0, are equal to them but refused
@@ -969,6 +983,19 @@ def test_a_shear_row_reads_its_height_and_count(key, value):
         row[key] = value
     with pytest.raises(MalformedCertificate):
         revalidate(data)
+
+
+def test_a_row_may_name_the_first_table_entry():
+    # value 0 of a theorem's table is its first shear row's inverse
+    # modulus; a row whose height names it is well formed, and the shear
+    # rule reads no height
+    data = _roundtrip(verify_theorem(7, 4))
+    rows = _sub(data, "ShearMembership")["payload"]["cylinders"]
+    assert rows[0]["inverse_modulus"] == 0 and rows[-1]["height"] != 0
+    rows[-1]["height"] = 0
+    assert revalidate(data) == "pass"
+    data["horizontal"][-1]["height"] = 0
+    assert revalidate(data) in ("pass", "fail", "inconclusive")
 
 
 def test_a_shear_reads_every_row_before_its_rule():
@@ -1076,10 +1103,12 @@ def test_revalidate_memos_stay_bounded():
     rotation = _standalone(data, _sub(data, "RotationObstruction"))
     read = []  # the size of n's memo of read entries after each revalidate
     for i in range(certificates._MEMO_SIZE + 10):
-        # a fresh rational value: no shear closes with it as its factor, and
-        # a row of that height keeps the rotation excluded
+        # a fresh rational value: no shear row of that inverse modulus
+        # twists an integer number of times by 2*lambda_5, and a row of that
+        # height keeps the rotation excluded
         fresh = {"coeffs": [[0, "%d/7" % (i + 1)]]}
-        for doc, row, key, verdict in ((shear, shear["payload"], "factor", "fail"),
+        for doc, row, key, verdict in ((shear, shear["payload"]["cylinders"][0], "inverse_modulus",
+                                        "fail"),
                                        (rotation, rotation["payload"]["direction"][0], "height",
                                         "pass")):
             doc["values"] = data["values"] + [fresh]
@@ -1201,17 +1230,15 @@ def test_mutated_payloads_give_a_verdict_or_a_typed_error(data):
     except MalformedCertificate:
         return
     assert verdict in ("pass", "fail", "inconclusive")
-    # what a ShearMembership certifies: the factor and each row's inverse
-    # modulus (its height and count are carried, not checked)
+    # what a ShearMembership certifies: each row's inverse modulus against
+    # 2*lambda_n, which n fixes (its height and count are carried, not
+    # checked)
     if mutation != "coefficient":
         return
-    # every use of the edited entry changes with it, so a shear
-    # still closes if the entry is its factor and every row's modulus too
+    # a row's twist count times its edited modulus is no longer the factor
     index = path[1]
     for shear in shears:
-        factor = shear["payload"]["factor"]
-        mods = {row["inverse_modulus"] for row in shear["payload"]["cylinders"]}
-        if index in mods | {factor} and mods != {factor}:
+        if index in {row["inverse_modulus"] for row in shear["payload"]["cylinders"]}:
             assert verdict != "pass", path
 
 
@@ -1457,14 +1484,16 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
     def with_subs(replaced):
         return dict(theorem, payload=dict(theorem["payload"], subcertificates=replaced))
 
-    with pytest.raises(MalformedCertificate, match=r"in a theorem for \(7, 4\)"):
-        revalidate(with_subs(other["payload"]["subcertificates"]))
-    # one foreign subcertificate anywhere in the list, even after the
-    # first failing one, and an Index that names a degree
-    for i, key, value in ((0, "n", 5), (-2, "d", 3), (-2, "n", 9), (-1, "d", 4)):
+    # the subcertificates of (5, 3) are judged as (7, 4)'s, whose slots
+    # they do not fill
+    assert revalidate(with_subs(other["payload"]["subcertificates"])) == "fail"
+    # a subcertificate that names an n or d anywhere in the list, even
+    # after the first failing one and even the theorem's own, is malformed
+    for i, key, value in ((0, "n", 5), (-2, "d", 3), (-2, "n", 7), (-1, "d", None), (-1, "d", 4)):
         forged = json.loads(json.dumps(subs))
         forged[i][key] = value
-        with pytest.raises(MalformedCertificate, match="subcertificate for"):
+        with pytest.raises(MalformedCertificate, match=r"names its own n or d in a theorem "
+                                                      r"for \(7, 4\)"):
             revalidate(with_subs(forged))
     # a forged Index n inside a theorem costs no coset enumeration
     enumerated = []
@@ -1474,19 +1503,24 @@ def test_subcertificates_are_bound_to_the_theorem(monkeypatch):
     forged = json.loads(json.dumps(subs))
     forged[-1]["n"] = 251
     forged[-1]["payload"] = {"expected_index": 251, "index": 251}
-    with pytest.raises(MalformedCertificate, match=r"Index subcertificate for \(n, d\) = \(251"):
+    with pytest.raises(MalformedCertificate, match="Index subcertificate names its own n"):
         revalidate(with_subs(forged))
     assert enumerated == []
 
 
 @pytest.mark.parametrize("kind", ["Index", "ShearMembership"])
 @pytest.mark.parametrize("key", ["n", "d"])
-def test_a_subcertificate_without_its_n_or_d_is_malformed(kind, key):
-    # to_json writes both keys, d null for an Index: a missing d is no null
+def test_a_subcertificate_that_names_its_n_or_d_is_malformed(kind, key):
+    # a theorem states its (n, d) once; a subcertificate that names its
+    # own, as a standalone certificate does, is refused even where it
+    # names the theorem's, and a null d is a d
     data = json.loads(json.dumps(verify_theorem(8, 2).to_json()))
-    del _sub(data, kind)[key]
-    with pytest.raises(MalformedCertificate, match="subcertificate for"):
-        revalidate(data)
+    assert revalidate(data) == "pass"
+    for value in (data[key], None):
+        forged = copy.deepcopy(data)
+        _sub(forged, kind)[key] = value
+        with pytest.raises(MalformedCertificate, match="names its own n or d"):
+            revalidate(forged)
 
 
 def test_a_payload_that_is_no_dict_raises_before_the_slots_are_compared():
@@ -1509,13 +1543,12 @@ def test_a_payload_that_is_no_dict_raises_before_the_slots_are_compared():
 def _slot_variants(data, foreign):
     """data's subcertificate lists with one subcertificate dropped,
     duplicated, swapped with its neighbour or replaced by one of the
-    foreign theorem, relabelled with data's (n, d), that fills a slot
-    data does not have."""
+    foreign theorem that fills a slot data does not have, which data
+    judges under its own (n, d)."""
     subs = data["payload"]["subcertificates"]
     slots = [revalidation._slot(s)[:2] for s in subs]
     other = next(s for s in foreign["payload"]["subcertificates"]
                  if revalidation._slot(s)[:2] not in slots)
-    other = dict(other, n=data["n"], d=data["d"])
     for i, sub in enumerate(subs):
         yield "drop %d" % i, subs[:i] + subs[i + 1:]
         yield "duplicate %d" % i, subs[:i + 1] + subs[i:]
@@ -1555,7 +1588,7 @@ def test_index_only_theorem_fails_before_enumeration(monkeypatch):
     wrapper = {"format": certificates.FORMAT, "conductor": 4 * 251, "values": [],
                "kind": "FullTheorem", "n": 251, "d": 3, "verdict": "pass",
                "payload": {"subcertificates": [
-                   {"kind": "Index", "n": 251, "d": None, "verdict": "pass",
+                   {"kind": "Index", "verdict": "pass",
                     "payload": {"expected_index": 251, "index": 251}}]}}
     start = time.perf_counter()
     assert revalidate(wrapper) == "fail"
@@ -1585,9 +1618,9 @@ def test_pullback_is_recomputed_from_its_original_images():
     forged["images"] = _roundtrip(certify_pullback_obstruction(8, standard_monodromy(8, 2), 2))["images"]
     assert revalidate(forged) == "pass"
     # a pullback needs finitely many sheets
-    forged["images"] = [dict(e, image={"t_even": 0, "t_odd": 0}) for e in forged["images"]]
+    forged["images"] = [dict(e, image={"t_even": 1, "t_odd": 1}) for e in forged["images"]]
     with pytest.raises(MalformedCertificate, match="finitely many sheets"):
-        revalidate(forged)
+        revalidate(dict(forged, d="inf"))
     # odd n or odd l is malformed alone, and refused by the certifier
     forged = copy.deepcopy(data)
     forged["payload"]["l"] = 3
@@ -1674,7 +1707,7 @@ def test_forged_conductor_is_rejected_before_a_field_is_built(monkeypatch):
 
 # a payload of each kind that its rule reads; the table holds the value 1
 _MINIMAL_PAYLOADS = {
-    "ShearMembership": {"l": 1, "factor": 0, "cylinders": []},
+    "ShearMembership": {"l": 1, "cylinders": []},
     "RotationObstruction": {"l": 1, "direction": []},
     "SigmaT": {"mode": "horizontal", "sigma_T": [1, 0]},
     "MinusIdentity": {},
@@ -1742,8 +1775,7 @@ def test_a_theorem_without_values_or_images_builds_no_field(monkeypatch):
     # the slots of (1001, 3) filled with payloads that name their slot only
     n, d = 1001, 3
     names = {kind: name for kind, (name, _) in revalidation._SLOTS.items()}
-    subs = [{"kind": kind, "n": n, "d": None if kind == "Index" else d, "verdict": "pass",
-             "payload": {names[kind]: key} if names[kind] else {}}
+    subs = [{"kind": kind, "verdict": "pass", "payload": {names[kind]: key} if names[kind] else {}}
             for kind, key in certificates._theorem_slots(n, d)]
     theorem = {"format": certificates.FORMAT, "conductor": 4 * n, "values": [],
                "kind": "FullTheorem", "n": n, "d": d, "verdict": "pass",
@@ -1942,30 +1974,38 @@ def test_revalidate_reuses_the_twist_checks_that_verify_decided(monkeypatch, n, 
 
 @pytest.mark.parametrize("n,d,forged_d", [(7, 2, 3), (9, 2, 5)])
 def test_theorem_degree_is_bound_to_its_images(n, d, forged_d):
-    # each image must permute exactly d sheets, and together transitively
+    # each image must permute exactly the claim's d sheets, and together
+    # transitively
     data = _roundtrip(verify_theorem(n, d))
     assert revalidate(data) == "pass"
-    forged = copy.deepcopy(data)
-    forged["d"] = forged_d
-    for s in forged["payload"]["subcertificates"]:
-        if s["d"] is not None:
-            s["d"] = forged_d
-    assert revalidate(forged) == "fail"
-    # images of degree d that leave every sheet alone: SigmaT holds on
-    # them, and only the transitivity check fails
-    for entry in data["images"]:
-        entry["image"] = list(range(d))
+    with pytest.raises(MalformedCertificate, match="does not permute the %d sheets" % forged_d):
+        revalidate(dict(data, d=forged_d))
+    # no generator moves a sheet: SigmaT holds, and only the transitivity
+    # check fails
+    data["images"] = []
     assert revalidate(_standalone(data, _sub(data, "SigmaT"))) == "pass"
     assert revalidate(_standalone(data, _sub(data, "WellFormedCover"))) == "fail"
     assert revalidate(data) == "fail"
 
 
+def test_the_degree_error_names_inf_where_the_claim_may_be_infinite():
+    # a theorem may claim d = inf, a standalone WellFormedCover may not
+    theorem = _roundtrip(verify_theorem(5, 3))
+    with pytest.raises(MalformedCertificate) as raised:
+        revalidate(dict(theorem, d=1))
+    assert str(raised.value) == 'degree 1 is not an int d >= 2 or "inf"'
+    cover = _standalone(theorem, _sub(theorem, "WellFormedCover"))
+    with pytest.raises(MalformedCertificate) as raised:
+        revalidate(dict(cover, d=1))
+    assert str(raised.value) == "degree 1 is not an int d >= 2"
+
+
 def test_a_cover_of_degree_below_two_is_refused_before_any_rule(monkeypatch):
-    # verify_theorem(5, 2) relabelled d = 1, on one sheet: every rule
-    # holds on it, and Y_{5,1} = X_5 has Gamma_5 at index 5
+    # verify_theorem(5, 2) relabelled d = 1, on one sheet that no
+    # generator moves: every rule holds on it, and Y_{5,1} = X_5 has
+    # Gamma_5 at index 5
     data = _roundtrip(verify_theorem(5, 2))
-    for entry in data["images"]:
-        entry["image"] = [0]
+    data["images"] = []
     _sub(data, "SigmaT")["payload"]["sigma_T"] = [0]
 
     def no_rule(*args):
@@ -1976,9 +2016,6 @@ def test_a_cover_of_degree_below_two_is_refused_before_any_rule(monkeypatch):
         monkeypatch.setattr(revalidation, rule, no_rule)
     for d in (1, 0, -2):
         data["d"] = d
-        for s in data["payload"]["subcertificates"]:
-            if s["d"] is not None:
-                s["d"] = d
         with pytest.raises(MalformedCertificate):
             revalidate(data)
         with pytest.raises(MalformedCertificate):
@@ -1987,6 +2024,78 @@ def test_a_cover_of_degree_below_two_is_refused_before_any_rule(monkeypatch):
     data["d"] = "two"
     with pytest.raises(MalformedCertificate):
         revalidate(data)
+
+
+def _many_sheets(kind, n, payload):
+    # a claim of 10^12 sheets that no listed image spells out
+    return {"format": certificates.FORMAT, "conductor": 4 * n, "n": n, "d": 10 ** 12,
+            "kind": kind, "payload": payload, "values": [], "images": []}
+
+
+def _many_sheet_theorem():
+    data = _roundtrip(verify_theorem(5, 3))
+    data.update(d=10 ** 12, images=[])
+    return data
+
+
+@pytest.mark.parametrize("data,verdict", [
+    (_many_sheets("MinusIdentity", 5, {}), "pass"),
+    (_many_sheets("WellFormedCover", 5, {}), "fail"),
+    (_many_sheets("PullbackObstruction", 8, {"l": 2}), "pass"),
+    (_many_sheets("SigmaT", 5, {"mode": "horizontal", "sigma_T": [1, 0]}), None),
+    (_many_sheet_theorem(), "fail"),
+], ids=["MinusIdentity", "WellFormedCover", "PullbackObstruction", "SigmaT", "FullTheorem"])
+def test_a_claim_of_many_sheets_costs_what_its_text_does(data, verdict):
+    # every generator fixes each of the claimed sheets: the cover is not
+    # connected, and no list of 10^12 sheets is made to say so
+    revalidate(_roundtrip(verify_theorem(8, 3)))  # n's tables are built outside the count
+    tracemalloc.start()
+    try:
+        if verdict is None:
+            with pytest.raises(MalformedCertificate, match="permute different sheets"):
+                revalidate(data)
+        else:
+            assert revalidate(data) == verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("certify", [
+    lambda m: certify_minus_identity(5, m),
+    lambda m: certify_sigma_T(5, 1, "vertical", m),
+    lambda m: certify_pullback_obstruction(8, m, 2),
+    lambda m: certify_shear(build_cover(5, 1, m), 1),
+], ids=["MinusIdentity", "SigmaT", "PullbackObstruction", "ShearMembership"])
+def test_a_certificate_of_one_sheet_revalidates_to_its_own_verdict(certify):
+    # the certifiers take any monodromy, one sheet too, and the reader
+    # reads what they write
+    cert = certify(Monodromy(4, 1, {}))
+    assert cert.to_json()["d"] == 1
+    assert revalidate(_roundtrip(cert)) == cert.verdict
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_an_intransitive_monodromy_pulls_back_to_no_relabeling_of_itself(n):
+    # _pullback_rule passes an intransitive monodromy without pulling it
+    # back: the pullback it skips is intransitive too, and not isomorphic
+    rng = random.Random(n)
+    g = num_generators(n)
+    for _ in range(40):
+        d = rng.randint(2, 6)
+        cut = rng.randint(1, d - 1)  # no image mixes sheets below cut with those above
+        images = {}
+        for i in rng.sample(range(g), rng.randint(0, g)):
+            low, high = list(range(cut)), list(range(cut, d))
+            rng.shuffle(low), rng.shuffle(high)
+            images[i] = (*low, *high)
+        m = Monodromy(g, d, images)
+        for l in range(2, n, 2):
+            pulled = m.pullback(rotation_images(n, l // 2))
+            assert not pulled.is_transitive()
+            assert not certificates._covers_isomorphic(m.images, pulled.images, d)
+            assert certificates._pullback_rule(n, l, m) == ("pass", None)
 
 
 # ---------------------------------------------------------------------------
@@ -2035,6 +2144,24 @@ def test_a_warm_theorem_keys_no_exact_value(monkeypatch, kwargs):
     assert keyed == []
 
 
+def test_lift_plans_key_each_value_object_once(monkeypatch):
+    # the directions derived from v_0 share its value objects, which a
+    # type table finds by identity: the plans of every direction key no
+    # more values than they name objects, not one per cylinder
+    n = 61
+    cylinders = [c for l in range(n) for c in base_decomposition(n, l)]
+    objects = {id(x) for c in cylinders for x in (c.inverse_modulus, c.height)}
+    types = certificates._Types(n)
+    types.factor  # made before the count
+    keyed = []
+    key = field.CycloNumber.key
+    monkeypatch.setattr(field.CycloNumber, "key", lambda self: keyed.append(self) or key(self))
+    moving = [*standard_monodromy(n, 3)._moving]
+    for l in range(n):
+        types.lifts(l, moving)
+    assert len(keyed) <= len(objects) < len(cylinders)
+
+
 @pytest.mark.parametrize("n,d", [(9, 3), (9, 4), (14, 5), (16, 8), (16, 2)])
 def test_warm_verify_and_revalidate_hash_and_compare_no_value(monkeypatch, n, d):
     # values are told apart by their index in _types(n), which a warm
@@ -2068,15 +2195,25 @@ def test_standalone_well_formed_cover_is_checked():
     theorem = _roundtrip(verify_theorem(5, 3))
     cover = _standalone(theorem, _sub(theorem, "WellFormedCover"))
     assert cover["verdict"] == "pass" and revalidate(cover) == "pass"
-    assert revalidate(dict(cover, d=4)) == "fail"
-    fixed = [dict(e, image=[0, 1, 2]) for e in cover["images"]]
-    assert revalidate(dict(cover, images=fixed)) == "fail"
+    with pytest.raises(MalformedCertificate, match="does not permute the 4 sheets"):
+        revalidate(dict(cover, d=4))
+    assert revalidate(dict(cover, images=cover["images"][:1])) == "fail"
     # without the images it has no evidence
     probe = {"format": certificates.FORMAT, "conductor": 20, "values": [],
              "kind": "WellFormedCover", "n": 5, "d": 3, "verdict": "pass", "payload": {},
              "witnesses": []}
     with pytest.raises(MalformedCertificate, match="images"):
         revalidate(probe)
+
+
+def test_an_intransitive_cover_is_reported_in_one_text():
+    # build_cover raises, and the WellFormedCover rule fails, with one reason
+    m = Monodromy(4, 3, {2: sigma_d1(3)})
+    with pytest.raises(IntransitiveMonodromy) as raised:
+        build_cover(5, 3, m)
+    verdict, witness = certificates._well_formed_rule(m, 3)
+    assert verdict == "fail"
+    assert str(raised.value) == witness["reason"] == "monodromy image is not transitive on 3 sheets"
 
 
 def test_equal_table_entries_are_one_value():

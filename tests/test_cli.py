@@ -199,7 +199,7 @@ def test_revalidate_subcommand_reads_verify_output(capsys, monkeypatch, tmp_path
     assert code == 1
     assert json.loads(verdict) == {"verdict": "fail"}
     # malformed input is a typed error, reported like any other failure
-    data["values"][shear["payload"]["factor"]]["coeffs"][0][1] = "0.5"
+    data["values"][shear["payload"]["cylinders"][0]["inverse_modulus"]]["coeffs"][0][1] = "0.5"
     edited.write_text(json.dumps(data))
     for path in (str(edited), "-"):
         monkeypatch.setattr("sys.stdin", io.StringIO("{"))
@@ -218,16 +218,17 @@ def test_revalidate_subcommand_reports_deeply_nested_json_as_malformed(capsys, t
 
 
 # sha256 of `veechlab verify` stdout, recorded when certificates moved to
-# format 4, whose rotation slots are only l = n/p (the format-1 to format-3
-# hashes are kept with their fixtures in tests/test_format.py)
+# format 5, which carries each fact once (the format-1 to format-4 hashes
+# are kept with their fixtures in tests/test_format.py; format 4's were
+# b63e7e6a... at (25, 4) and c83601b0... at (101, 3))
 GOLDEN_VERIFY = {
-    ("--n", "7", "--d", "4"): "fead083592ee57cfd4c73e4fd91627a2f94e6371e62c83a7f8c46f02426b8a4f",
-    ("--n", "9", "--d", "6"): "c740c747a0984599f95f07eb13e51a7ff0ba14a320db057163d6aedfe93503d4",
-    ("--n", "14", "--d", "3"): "038d0a666dc227af469b7b59f9080c7bbe4904b31b413f395227833bbcfa4d27",
-    ("--n", "8", "--infinite"): "f6cb2b20644eff3b5b9f32e43a735323d66fa0246fe3732b9a59a3bd4f5b5ea7",
+    ("--n", "7", "--d", "4"): "c8bbe5daeba03e0ee3e8f6046db7e4aad4109548cd75bb65462f3be9855db12c",
+    ("--n", "9", "--d", "6"): "8bb14cdf513a62e7135d47c131746a16bd05a52e871ee80044cedf643a2f1ab9",
+    ("--n", "14", "--d", "3"): "c29ee834b2446bf7a93fa1a38fcc7f05bf4a765762a48fd2e397026a599ed310",
+    ("--n", "8", "--infinite"): "36186fdd8148d4fa3cd21c7ae55b402a88ef900d3603d1764946ab000c6a4adb",
     # conductors 100 and 404
-    ("--n", "25", "--d", "4"): "b63e7e6ada2af199ff3d2256d2cc1b2b6b880abacc754ca330bd6c523e3e3c49",
-    ("--n", "101", "--d", "3"): "c83601b0f8194cde9edb64cde45b00bae5b8a0c6f639dbd75a2efc2ea7a0f550",
+    ("--n", "25", "--d", "4"): "428ec36784cdaabb5d76fe82402d6a5e4fb44a9c71a3ebff402b9a9603998d4a",
+    ("--n", "101", "--d", "3"): "dd1be049c3966de2f03fef9641e8a23c19abb1b62f8dc59eeb39714ec4eb4a25",
 }
 
 
@@ -239,13 +240,12 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
 
 
 # sha256 of json.dumps(cert.to_json()) for the three format-1 fixtures that
-# GOLDEN_VERIFY does not pin, recorded when format 4 replaced format 3.  The
-# shear and rotation bytes are format 3's with "format": 4 for "format": 3
-# (their format-3 hashes were b746fa9c... and 7245f545...).
+# GOLDEN_VERIFY does not pin, recorded when format 5 replaced format 4
+# (their format-4 hashes were ffde0085..., f14fb879... and 0c48df9a...).
 GOLDEN_CERTIFICATES = {
-    "mutated_n7_d4": "ffde0085af78b5765030d7cbb817157138d7ffd0217905aac5028844302fa734",
-    "shear_n7_d4_l1": "f14fb8791f0b241e820a9e8ba46701227725812bcefcc6a74eb0ddc443965950",
-    "rotation_n7_d4_l2": "0c48df9a661bf4441bce69956ebf7c20a91e9fc30f679f9c6e6305de5df20fb5",
+    "mutated_n7_d4": "33d597be458387e45985fecebce53e4eafcc10a1cb34f9440682ad4a112562e3",
+    "shear_n7_d4_l1": "d57f58cd50815d03e7c886188e13b6a5bae6356828f2cb5dc0c5b52b50623f77",
+    "rotation_n7_d4_l2": "1e31f001b431ce311a75aca4c867cc19c38a12e9aaa82609ca21a6ef602f27b0",
 }
 
 _CERTIFICATES = {
@@ -267,7 +267,7 @@ def test_revalidate_subcommand_refuses_format1(capsys, tmp_path):
     path.write_bytes(gzip.decompress(fixture.read_bytes()))
     code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
     assert code == 1 and out == ""
-    assert "format 1 is no longer read; run `veechlab verify` again to write format 4" in err
+    assert "format 1 is no longer read; run `veechlab verify` again to write format 5" in err
 
 
 # sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,

@@ -187,14 +187,15 @@ def test_zero_test_is_symbolic():
 def test_serialization_round_trip():
     x = lambda_n(7) - 3 * cos_pi_over(7) / 2
     # the dense form, which the surface and cylinders commands print, has
-    # one coefficient per power below phi(28) = 12, and the sparse form its
-    # nonzero ones; the sparse form reads back
+    # one coefficient per power below phi(28) = 12 and a decimal
+    # approximation, and the sparse form its nonzero coefficients alone;
+    # the sparse form reads back
     dense, data = x.to_json(), x.to_json(sparse=True)
     assert dense["conductor"] == 28 and len(dense["coeffs"]) == 12
     assert isinstance(dense["coeffs"][0], str)
-    assert data["coeffs"] == [[j, c] for j, c in enumerate(dense["coeffs"]) if c != "0"]
-    assert data["approx"] == dense["approx"]
-    assert len(data["approx"].replace("-", "").replace(".", "").lstrip("0")) >= 20
+    assert data == {"coeffs": [[j, c] for j, c in enumerate(dense["coeffs"]) if c != "0"]}
+    assert dense["approx"] == x.approx(20)
+    assert len(dense["approx"].replace("-", "").replace(".", "").lstrip("0")) >= 20
     assert RealAlg.from_json(data, 28) == x
 
 

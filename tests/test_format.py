@@ -1,14 +1,16 @@
-"""Certificate format 4, and the refusal of formats 1 to 3.
+"""Certificate format 5, and the refusal of formats 1 to 4.
 
-revalidate reads format 4 only.  The fixtures under tests/fixtures are
+revalidate reads format 5 only.  The fixtures under tests/fixtures are
 older certificates exactly as the last release of their format wrote
 them (gzipped).  Format 1: `veechlab verify` stdout for four (n, d), a
 failing mutated theorem, and one standalone ShearMembership and
 RotationObstruction, both written with json.dumps(cert.to_json(),
-indent=2) plus a newline.  Formats 2 and 3 (format2_*, format3_*):
-`veechlab verify` stdout for the same four (n, d); format 3 listed a
-rotation slot for every l.  Each must be refused; the certificates made
-today for the same claims are pinned by GOLDEN_VERIFY and
+indent=2) plus a newline.  Formats 2 to 4 (format2_*, format3_*,
+format4_*): `veechlab verify` stdout for the same four (n, d); format 3
+listed a rotation slot for every l, and format 4 every generator's
+image, each subcertificate's (n, d), each shear's factor and each
+value's decimal approximation.  Each must be refused; the certificates
+made today for the same claims are pinned by GOLDEN_VERIFY and
 GOLDEN_CERTIFICATES in tests/test_cli.py.
 """
 
@@ -25,6 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import veechlab
 from veechlab import certificates
@@ -34,7 +37,9 @@ from veechlab.certificates import (
     verify_theorem,
 )
 from veechlab.cli import main
+from veechlab.covering import Monodromy, monodromy_indices, num_generators, standard_monodromy
 from veechlab.errors import MalformedCertificate
+from veechlab.field import RealAlg
 from veechlab.zcover import std_infinite_monodromy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,11 +71,21 @@ FORMAT3_VERIFY = {
     "format3_verify_n8_inf": "e54dcda525cdefc07b2dd22a462a8588adeb9075e8e08903a1fb5974e8a72638",
 }
 
-# the unprefixed fixtures are format 1; revalidate refuses formats 1 to 3
+# sha256 of format-4 `veechlab verify` stdout: the GOLDEN_VERIFY hashes of
+# tests/test_cli.py before format 5 replaced them
+FORMAT4_VERIFY = {
+    "format4_verify_n7_d4": "fead083592ee57cfd4c73e4fd91627a2f94e6371e62c83a7f8c46f02426b8a4f",
+    "format4_verify_n9_d6": "c740c747a0984599f95f07eb13e51a7ff0ba14a320db057163d6aedfe93503d4",
+    "format4_verify_n14_d3": "038d0a666dc227af469b7b59f9080c7bbe4904b31b413f395227833bbcfa4d27",
+    "format4_verify_n8_inf": "f6cb2b20644eff3b5b9f32e43a735323d66fa0246fe3732b9a59a3bd4f5b5ea7",
+}
+
+# the unprefixed fixtures are format 1; revalidate refuses formats 1 to 4
 FIXTURES_FORMAT1 = sorted(FORMAT1_VERIFY) + ["mutated_n7_d4", "rotation_n7_d4_l2", "shear_n7_d4_l1"]
-FORMAT1_REFUSED = "format 1 is no longer read; run `veechlab verify` again to write format 4"
-FORMAT2_REFUSED = "format 2 is no longer read; run `veechlab verify` again to write format 4"
-FORMAT3_REFUSED = "format 3 is no longer read; run `veechlab verify` again to write format 4"
+FORMAT1_REFUSED = "format 1 is no longer read; run `veechlab verify` again to write format 5"
+FORMAT2_REFUSED = "format 2 is no longer read; run `veechlab verify` again to write format 5"
+FORMAT3_REFUSED = "format 3 is no longer read; run `veechlab verify` again to write format 5"
+FORMAT4_REFUSED = "format 4 is no longer read; run `veechlab verify` again to write format 5"
 
 
 def _fixture_bytes(name: str) -> bytes:
@@ -111,10 +126,25 @@ def test_format3_fixtures_are_the_old_verify_bytes(name):
 @pytest.mark.parametrize("name", sorted(FORMAT3_VERIFY))
 def test_format3_is_refused(name):
     # format 3 listed a rotation slot for every l; its verdicts still
-    # hold, but revalidate reads only format 4's slot list
+    # hold, but revalidate reads only the slot list of l = n/p
     data = _fixture(name)
     assert data["format"] == 3
     with pytest.raises(MalformedCertificate, match=re.escape(FORMAT3_REFUSED)):
+        revalidate(data)
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT4_VERIFY))
+def test_format4_fixtures_are_the_old_verify_bytes(name):
+    assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT4_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT4_VERIFY))
+def test_format4_is_refused(name):
+    # format 4 wrote every generator's image and each subcertificate's
+    # (n, d); its verdicts still hold, but revalidate reads only format 5
+    data = _fixture(name)
+    assert data["format"] == 4
+    with pytest.raises(MalformedCertificate, match=re.escape(FORMAT4_REFUSED)):
         revalidate(data)
 
 
@@ -133,18 +163,105 @@ def test_each_value_is_written_once():
     for entry in data["values"]:
         powers = [j for j, _ in entry["coeffs"]]
         assert powers == sorted(set(powers)) and all(c != "0" for _, c in entry["coeffs"])
-        assert set(entry) == {"coeffs", "approx"}
+        assert set(entry) == {"coeffs"}  # no decimal approximation
     # the horizontal profile is written once, at the top level; 9 = 3^2
     # has one rotation slot, l = 9/3
     rotations = [s for s in data["payload"]["subcertificates"] if s["kind"] == "RotationObstruction"]
     assert [s["payload"]["l"] for s in rotations] == [3] and data["horizontal"]
     assert all(set(s["payload"]) == {"l", "direction"} for s in rotations)
-    # and so are the monodromy's images, which no payload repeats
-    assert [e["generator"] for e in data["images"]] == list(range(8))
-    payloads = {s["kind"]: s["payload"] for s in data["payload"]["subcertificates"]}
+    # and so are the images of the generators that move a sheet, x_k1 and
+    # x_k2 = x_4 and x_5, which no payload repeats
+    assert [e["generator"] for e in data["images"]] == [4, 5]
+    # the claim is stated once, at the top level
+    subs = data["payload"]["subcertificates"]
+    assert (data["n"], data["d"]) == (9, 4)
+    assert all(set(s) == {"kind", "verdict", "payload", "witnesses"} for s in subs)
+    payloads = {s["kind"]: s["payload"] for s in subs}
+    assert {*payloads["ShearMembership"]} == {"l", "cylinders"}  # no factor
     assert payloads["MinusIdentity"] == payloads["WellFormedCover"] == {}
     assert set(payloads["SigmaT"]) == {"mode", "sigma_T"}
     assert set(payloads["Index"]) == {"expected_index", "index"}
+
+
+@pytest.mark.parametrize("n", [9, 16, 101])
+@pytest.mark.parametrize("d", [3, 48, "inf"])
+def test_images_name_exactly_the_moving_generators(n, d):
+    # the standard family moves x_k1 and x_k2 alone; every other
+    # generator fixes every sheet and is not listed
+    if d == "inf":
+        cert, m = verify_theorem(n, infinite=True), std_infinite_monodromy(n)
+    else:
+        cert, m = verify_theorem(n, d), standard_monodromy(n, d)
+    data = _as_json(cert)
+    generators = [e["generator"] for e in data["images"]]
+    assert generators == [*m._moving] == sorted(monodromy_indices(n))
+    assert revalidate(data) == cert.verdict == "pass"
+
+
+def _generators(*generators):
+    def edit(images):
+        for entry, g in zip(images, generators):
+            entry["generator"] = g
+    return edit
+
+
+def _image(value):
+    def edit(images):
+        images[0]["image"] = value
+    return edit
+
+
+# the images of (9, 3) and (9, inf) name x_4 and x_5 of x_0..x_7
+@pytest.mark.parametrize("d, edit, message", [
+    pytest.param(3, _generators(4, 8), "x_0..x_7 once each, in increasing order", id="past x_7"),
+    pytest.param(3, _generators(-1), "in increasing order", id="below x_0"),
+    pytest.param(3, _generators(4, 4), "in increasing order", id="repeated"),
+    pytest.param(3, _generators(5, 4), "in increasing order", id="decreasing"),
+    pytest.param(3, _image([0, 1, 2]), "x_4 moves no sheet", id="identity"),
+    pytest.param("inf", _image({"t_even": 0, "t_odd": 0}), "x_4 moves no sheet", id="Z identity"),
+    pytest.param(3, _image([1, 0, 2, 3]), "does not permute the 3 sheets", id="four sheets"),
+    pytest.param(3, _image({"t_even": 1, "t_odd": 1}), "does not permute the 3 sheets", id="Z"),
+    pytest.param("inf", _image([1, 0, 2]), "does not permute the inf sheets", id="finite for inf"),
+    pytest.param(3, _image([0, 0, 1]), "is not a permutation", id="no permutation"),
+])
+def test_malformed_images_are_refused(d, edit, message):
+    data = _as_json(verify_theorem(9, infinite=True) if d == "inf" else verify_theorem(9, d))
+    assert revalidate(data) == "pass"
+    edit(data["images"])
+    with pytest.raises(MalformedCertificate, match=re.escape(message)):
+        revalidate(data)
+
+
+@pytest.mark.parametrize("kwargs", [{"d": 4}, {"d": 4, "monodromy": mutated_monodromy(11, 4)},
+                                    {"infinite": True}])
+def test_a_theorem_and_its_json_make_no_decimal_approximation(monkeypatch, kwargs):
+    def no_approx(self, digits=20):
+        raise AssertionError("a decimal approximation was made")
+
+    # cold: no type table
+    certificates._types.cache_clear()
+    monkeypatch.setattr(RealAlg, "approx", no_approx)
+    cert = verify_theorem(11, **kwargs)
+    assert all(set(entry) == {"coeffs"} for entry in cert.to_json()["values"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_random_theorem_revalidates_to_its_own_verdict(data):
+    # transitive monodromies of degree d <= 6 whose images may name the
+    # identity: the emitted images list the others, in increasing order
+    n = data.draw(st.sampled_from([5, 7, 8, 9, 10, 12]), label="n")
+    d = data.draw(st.integers(2, 6), label="d")
+    g = num_generators(n)
+    images = data.draw(st.dictionaries(st.integers(0, g - 1),
+                                       st.permutations(range(d)).map(tuple), max_size=g))
+    m = Monodromy(g, d, images)
+    assume(m.is_transitive())
+    cert = verify_theorem(n, d, monodromy=m)
+    doc = _as_json(cert)
+    assert [e["generator"] for e in doc["images"]] == sorted(
+        i for i, p in images.items() if p != tuple(range(d)))
+    assert revalidate(doc) == cert.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +270,10 @@ def test_each_value_is_written_once():
 
 def _theorem() -> dict:
     return _as_json(verify_theorem(7, 4))
+
+
+# what a subcertificate alone needs from its theorem's top level
+_CLAIM = ("format", "conductor", "n", "d", "values")
 
 
 def _shear(data: dict) -> dict:
@@ -181,17 +302,17 @@ def _drop_horizontal(data):
     _set_index(lambda data: "0"),
     _set_index(lambda data: 1.0),
     _set_index(lambda data: True),
-    _set_entry({"coeffs": [[1, "1"], [0, "1"]], "approx": "1"}),  # powers not increasing
-    _set_entry({"coeffs": [[0, "1"], [0, "1"]], "approx": "1"}),  # a power twice
-    _set_entry({"coeffs": ["1"], "approx": "1"}),  # a dense coefficient
-    _set_entry({"coeffs": [[1, "1"]], "approx": "1"}),  # zeta is not real
-    _set_entry({"coeffs": [[0, "1/0"]], "approx": "1"}),
-    _set_entry({"coeffs": [[60, "1"]], "approx": "1"}),  # beyond 2 phi(28) - 1
+    _set_entry({"coeffs": [[1, "1"], [0, "1"]]}),  # powers not increasing
+    _set_entry({"coeffs": [[0, "1"], [0, "1"]]}),  # a power twice
+    _set_entry({"coeffs": ["1"]}),  # a dense coefficient
+    _set_entry({"coeffs": [[1, "1"]]}),  # zeta is not real
+    _set_entry({"coeffs": [[0, "1/0"]]}),
+    _set_entry({"coeffs": [[60, "1"]]}),  # beyond 2 phi(28) - 1
     _set_entry([[0, "1"]]),
     _drop_horizontal,
-    lambda data: data.update(format=2),
-    lambda data: data.update(format=5),
-    lambda data: data.update(format="4"),
+    lambda data: data.update(format=4),
+    lambda data: data.update(format=6),
+    lambda data: data.update(format="5"),
     lambda data: data.update(values={}),
     lambda data: data.pop("values"),
     lambda data: data.pop("conductor"),
@@ -206,8 +327,8 @@ def test_tampered_format2_raises(tamper):
 
 def test_edited_table_entry_fails():
     data = _theorem()
-    factor = _shear(data)["payload"]["factor"]
-    data["values"][factor] = {"coeffs": [[0, "1"]], "approx": "1"}
+    mod = _shear(data)["payload"]["cylinders"][0]["inverse_modulus"]
+    data["values"][mod] = {"coeffs": [[0, "1"]]}
     assert revalidate(data) == "fail"
     data = _theorem()
     mod = _shear(data)["payload"]["cylinders"][0]["inverse_modulus"]
@@ -243,21 +364,16 @@ def _double_the_twists(shear: dict):
 
 
 def test_theorem_shears_must_name_twice_lambda_n_format2():
-    # every shear of a (7, 4) theorem names 4*lambda_n, a table entry
-    # appended for it, and doubles its twist counts: each shear is
-    # consistent alone, but the theorem needs the shear by 2*lambda_n
+    # every shear of a (7, 4) theorem doubles its twist counts, as a shear
+    # by 4*lambda_n would: no payload names a factor, and n fixes it at
+    # 2*lambda_n, so the theorem fails
     data = _theorem()
-    entry = data["values"][_shear(data)["payload"]["factor"]]
-    data["values"].append({"coeffs": [[p, str(2 * Fraction(c))] for p, c in entry["coeffs"]],
-                           "approx": entry["approx"]})
     for shear in _shears(data):
-        shear["payload"]["factor"] = len(data["values"]) - 1
         _double_the_twists(shear)
     assert revalidate(data) == "fail"
     # alone too: every shear is by 2*lambda_n
     for shear in _shears(data):
-        assert revalidate({**{k: data[k] for k in ("format", "conductor", "values")},
-                           **shear}) == "fail"
+        assert revalidate({**{k: data[k] for k in _CLAIM}, **shear}) == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +399,7 @@ def test_infinite_shear_lists_its_infinite_cylinders():
                      if s["kind"] == "ShearMembership")
         shear["payload"]["cylinders"].append(dict(strips[0], twists=twists))
         assert revalidate(forged) == "fail"
-        assert revalidate({**{k: forged[k] for k in ("format", "conductor", "values")},
-                           **shear}) == "fail"
+        assert revalidate({**{k: forged[k] for k in _CLAIM}, **shear}) == "fail"
 
 
 def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidation():
@@ -306,8 +421,8 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
 
 
 # sha256 over json.dumps(verify_theorem(...).to_json()) of the sweep below,
-# recorded when format 4 replaced format 3
-GOLDEN_SWEEP = "09f3c777fe8a5ddc9c700c7d897db9d83477d10bb1c3f9b1c90a3689486b2f9f"
+# recorded when format 5 replaced format 4 (whose hash was 09f3c777...)
+GOLDEN_SWEEP = "37d84f80501b739e641c05faa14b64285d216702ea3b6b73c0052f0e48486731"
 
 
 def test_certificate_sweep_bytes_unchanged():
@@ -376,6 +491,6 @@ def test_verify_emits_one_compact_line(capsys):
     assert main(["verify", "--n", "25", "--d", "4"]) == 0
     out = capsys.readouterr().out
     assert len(out.encode()) < 64 * 1024
-    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":4,"conductor":100,')
+    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":5,"conductor":100,"n":25,"d":4,')
     data = json.loads(out)
     assert data["verdict"] == "pass" and revalidate(data) == "pass"
