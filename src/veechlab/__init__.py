@@ -22,7 +22,7 @@ _PUBLIC = {
     "surface": ("ConePoint", "EdgeRef", "Polygon", "TranslationSurface", "build_base"),
     "words": ("Word",),
     "cylinders": ("Cylinder", "closed_form_base", "cylinder_count_base", "decompose",
-                  "default_bound", "unit_vector"),
+                  "unit_vector"),
     "covering": ("CoveringSurface", "Monodromy", "build_cover", "cover_cylinders",
                  "monodromy_indices", "standard_monodromy"),
     "zcover": ("ZMonodromy", "ZPermutation", "holonomy", "infinite_singularities",
@@ -33,8 +33,8 @@ _PUBLIC = {
     "certificates": ("Certificate", "certify_minus_identity", "certify_rotation_obstruction",
                      "certify_shear", "certify_sigma_T", "mutated_monodromy", "revalidate",
                      "verify_theorem"),
-    "errors": ("BoundExceeded", "CapExceeded", "IntransitiveMonodromy", "InvalidSurface",
-               "MalformedCertificate", "NonChainError", "VeechLabError", "VerificationFailure"),
+    "errors": ("CapExceeded", "IntransitiveMonodromy", "InvalidSurface", "MalformedCertificate",
+               "NonChainError", "NotVertexLevel", "VeechLabError", "VerificationFailure"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = {*_PUBLIC, "perms"}

@@ -170,8 +170,11 @@ def cmd_render(args) -> int:
     else:
         surface = build_base(args.n)
         svg = render_surface(surface, overlay_direction=args.direction, palette=args.palette)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (args.out, exc.strerror)) from exc
     _emit({"written": args.out})
     return EXIT_PASS
 

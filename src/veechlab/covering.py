@@ -7,7 +7,8 @@ its cylinders come from the base decomposition and the cycle structure
 of the core words' images, and build_cover checks only the degree and
 transitivity.  The explicit polygon complex (d copies of the base) is
 realized on first access to CoveringSurface.surface, for rendering,
-holonomy and cross-validation by the generic tracer.
+holonomy and cross-validation by cylinders.decompose, which reads the
+cylinders off the realized polygons.
 """
 
 from __future__ import annotations

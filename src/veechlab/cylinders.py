@@ -1,18 +1,18 @@
-"""Cylinder decompositions in periodic directions, by separatrix tracing.
+"""Cylinder decompositions in vertex-level directions.
 
-The tracer follows every separatrix germ (a corner ray in +/- the given
-direction) through the polygon complex with exact predicates until it
-hits a cone point.  The traced segments, all lying at finitely many
-transversal levels, cut each polygon into bands; bands glue left-to-
-right into cylinders.  Heights, circumferences and core words come out
-exactly; the closed forms of the base-surface decomposition are kept as
-an independent oracle.
+A direction w is vertex-level on a surface when every separatrix germ
+(a corner ray in +/- w) that enters a polygon at a corner leaves it at
+the other corner of that level: every separatrix is then one chord, and
+the bands between consecutive vertex levels of each polygon glue left-
+to-right into cylinders.  Every v_l direction is vertex-level on X_n and
+on its realized covers (decompose gives the reason).  Heights,
+circumferences and core words come out exactly; the closed forms of the
+base-surface decomposition are kept as an independent oracle.
 
-The tracer sorts each polygon's distinct vertex levels once, by exact
-comparison, and keeps each vertex's rank among them.  Every later side
-test reads ranks: which corners the flow leaves into the polygon, on
-which side of a traced level each vertex lies (a level that is not a
-vertex level is placed by bisection), and which edges bound a band.
+Each polygon's distinct vertex levels are sorted once, by exact
+comparison, and each vertex keeps its rank among them.  Every later
+test reads ranks: which corners the flow leaves into the polygon, where
+each chord ends, and which edges bound a band.
 
 Coordinates: for direction w, u(x) = <w, x> grows along the flow and
 h(x) = w x x (cross product) is the transversal level.  Neither is
@@ -23,10 +23,9 @@ inverse moduli are exact either way.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 
-from .errors import BoundExceeded, InvalidSurface
+from .errors import InvalidSurface, NotVertexLevel
 from .field import RealAlg, quarter_trig, sin_pi_over, cos_pi_over
 from .planar import Vec2
 from .surface import EdgeRef, TranslationSurface, no_base_surface
@@ -54,36 +53,18 @@ class Cylinder(namedtuple("Cylinder", "height circumference inverse_modulus core
         }
 
 
-def default_bound(surface: TranslationSurface) -> RealAlg:
-    """Length cap 8*n*sin(pi/n) on one separatrix.
-
-    In a v_l direction every separatrix is a single chord of length at
-    most 2 (on X_n and, lifted, on its covers), far below the cap.
-    """
-    n = max(len(p) for p in surface.polygons)
-    return 8 * n * sin_pi_over(n)
-
-
 # ---------------------------------------------------------------------------
-# separatrix tracing
+# separatrix chords
 
 
 class _Tracer:
     def __init__(self, surface: TranslationSurface, w: Vec2):
         self.surface = surface
-        self.w = w
-        self.bound = bound = default_bound(surface)
-        # a path parallel to w is longer than bound iff its u-extent
-        # exceeds bound * |w|^2
-        self.cap = bound * w.norm2()
-        # per polygon: transversal levels and flow coordinates of the
-        # vertices, the distinct levels in increasing order, each
-        # level's position in that order (by exact key) and each
-        # vertex's rank; every later side test reads the ranks
+        # per polygon: transversal levels of the vertices, the distinct
+        # levels in increasing order and each vertex's rank among them;
+        # every later side test reads the ranks
         self.h = []
-        self.u = []
         self.levels = []
-        self.position = []
         self.rank = []
         for poly in surface.polygons:
             hs = [w.cross(v) for v in poly.vertices]
@@ -92,9 +73,7 @@ class _Tracer:
             levels = sorted({h.key(): h for h in hs}.values())
             position = {h.key(): k for k, h in enumerate(levels)}
             self.h.append(hs)
-            self.u.append([w.dot(v) for v in poly.vertices])
             self.levels.append(levels)
-            self.position.append(position)
             self.rank.append([position[h.key()] for h in hs])
 
     def enters(self, p: int, v: int, forward: bool) -> bool:
@@ -109,100 +88,40 @@ class _Tracer:
         before, at, after = r[v - 1], r[v], r[(v + 1) % len(r)]
         return before > at > after if forward else before < at < after
 
-    def sides(self, p: int, level: RealAlg):
-        """The sign of h_i - level for every vertex i of polygon p.
+    def exit_from(self, p: int, v: int) -> int:
+        """The other vertex of polygon p at the level of vertex v.
 
-        A level equal to a vertex level is found by its exact key; any
-        other is placed among the sorted vertex levels by bisection.
+        A germ that enters p at v runs along the line of v's level, which
+        meets the boundary of the strictly convex polygon in one more
+        point.  That point is a vertex, the only other one of that rank,
+        or else lies inside an edge: NotVertexLevel.
         """
-        k = self.position[p].get(level.key())
-        if k is not None:
-            return [(r > k) - (r < k) for r in self.rank[p]]
-        k = bisect_left(self.levels[p], level)
-        return [1 if r >= k else -1 for r in self.rank[p]]
-
-    def exit_from(self, p: int, pt: Vec2, level: RealAlg, forward: bool):
-        """First boundary hit of the ray from pt at the given level.
-
-        forward=True moves in +u.  Returns (vertex_index, None) on a
-        vertex hit or (None, (side, exit_point, du)) on an edge crossing,
-        where du is the change of u from pt to the exit point.
-        """
-        poly = self.surface.polygons[p]
-        hs = self.h[p]
-        us = self.u[p]
-        m = len(poly)
-        signs = self.sides(p, level)
-        u0 = self.w.dot(pt)
-        # vertex hits: boundary points at this level strictly ahead
-        best_v = None
-        best_u = None
-        for i in range(m):
-            if signs[i] == 0:
-                du = us[i] - u0
-                if (du.sign() > 0) == forward and not du.is_zero():
-                    if best_u is None or (abs(du) < abs(best_u)):
-                        best_u = du
-                        best_v = i
-        # edge crossings: for +u the exit edge rises through the level
-        for i in range(m):
-            sa = signs[i]
-            sb = signs[(i + 1) % m]
-            crosses = (sa < 0 and sb > 0) if forward else (sa > 0 and sb < 0)
-            if crosses:
-                ha, hb = hs[i], hs[(i + 1) % m]
-                s = (level - ha) / (hb - ha)
-                exit_pt = poly.vertex(i) + s * poly.side_vector(i)
-                du = self.w.dot(exit_pt) - u0
-                if (du.sign() > 0) == forward and not du.is_zero():
-                    if best_u is not None and abs(du) >= abs(best_u):
-                        continue
-                    return None, (i, exit_pt, du)
-        if best_v is not None:
-            return best_v, None
-        raise InvalidSurface("separatrix failed to exit a polygon")
+        r = self.rank[p]
+        k = r[v]
+        for i, rank in enumerate(r):
+            if rank == k and i != v:
+                return i
+        raise NotVertexLevel(
+            "the separatrix from corner %d of polygon %d leaves through an edge: "
+            "the direction is not vertex-level" % (v, p), (p, v))
 
     def trace_germ(self, p: int, v: int, forward: bool):
-        """Trace the separatrix from corner (p, v) until it hits a cone point.
-
-        Returns (end corner, cuts): the corner it ends at and one
-        (polygon, level) per segment.
-        """
-        surface = self.surface
-        pt = surface.polygons[p].vertex(v)
-        level = self.h[p][v]
-        travelled = RealAlg.zero(level.N)
-        cuts = []
-        while True:
-            cuts.append((p, level))
-            hit_v, crossing = self.exit_from(p, pt, level, forward)
-            if hit_v is not None:
-                return (p, hit_v), cuts
-            side, exit_pt, du = crossing
-            travelled = travelled + abs(du)
-            if travelled > self.cap:
-                raise BoundExceeded("separatrix exceeded the length cap", self.bound)
-            if len(cuts) > 10 ** 6:
-                raise BoundExceeded("separatrix crossing count exceeded hard cap", self.bound)
-            ref = EdgeRef(p, side)
-            tau = surface.crossing_translation(ref)
-            p = surface.gluing[ref].polygon
-            pt = exit_pt + tau
-            level = level + self.w.cross(tau)
+        """The corner where the germ entering polygon p at corner v, along
+        +w (forward) or -w, ends: the other end of its chord."""
+        return p, self.exit_from(p, v)
 
 
 def _trace_all(tracer: _Tracer):
-    """The (polygon, level) cuts of every separatrix (all must close up)."""
+    """Check that every separatrix is one chord (NotVertexLevel if not)."""
     done_germs = set()
     for p, poly in enumerate(tracer.surface.polygons):
         for v in range(len(poly)):
             for forward in (True, False):
                 if (p, v, forward) in done_germs or not tracer.enters(p, v, forward):
                     continue
-                (end_p, end_v), cuts = tracer.trace_germ(p, v, forward)
-                # the reverse germ retraces the same separatrix
+                end_p, end_v = tracer.trace_germ(p, v, forward)
+                # the reverse germ retraces the same chord
                 done_germs.add((end_p, end_v, not forward))
-                yield from cuts
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +131,11 @@ def _trace_all(tracer: _Tracer):
 def _band_edges(rank, count: int):
     """The left and right edges of bands 0..count-1 of one polygon.
 
-    Band k lies between the sorted cut levels k and k + 1, and rank[i]
-    is vertex i's position among those levels.  Edge i is the right
-    edge of band k iff rank[i] <= k < rank[i+1], and its left edge iff
-    rank[i+1] <= k < rank[i]; None where no edge qualifies.
+    Band k lies between the sorted vertex levels k and k + 1, and
+    rank[i] is vertex i's position among those levels.  Edge i is the
+    right edge of band k iff rank[i] <= k < rank[i+1], and its left edge
+    iff rank[i+1] <= k < rank[i].  Around the polygon the ranks rise from
+    0 to count and fall back, so every band has both.
     """
     m = len(rank)
     left = [None] * count
@@ -230,10 +150,24 @@ def _band_edges(rank, count: int):
 
 
 def decompose(surface: TranslationSurface, w: Vec2):
-    """Cylinder decomposition of the surface in the flow direction w.
+    """Cylinder decomposition of the surface in the vertex-level direction w.
 
-    Traces all separatrices (raising BoundExceeded past default_bound),
-    cuts every polygon into bands at the traced levels and glues bands
+    Raises NotVertexLevel, naming the corner, when a separatrix germ
+    leaves its polygon through an edge: a sheared or non-periodic
+    direction does.  Every v_l direction is vertex-level.  The polygons
+    of X_n, and of its realized covers (translated copies of them), are
+    regular n-gons with sides parallel to v_l directions, so the n lines
+    through a polygon's centre perpendicular to v_0, ..., v_(n-1) are its
+    symmetry axes.  The reflection in the one perpendicular to w keeps
+    every level and maps a corner to a corner of the same level.  It
+    also reverses the segment in which the line of that level meets the
+    polygon, so a germ that enters the polygon at a corner ends at the
+    corner's mirror image (a corner on the axis is the polygon's only
+    point at its level, and no germ enters there).  No CLI command can
+    therefore raise NotVertexLevel: `cylinders`, `render` and `verify`
+    (through covering.base_decomposition) decompose in v_l only.
+
+    Every polygon is cut into bands at its vertex levels, and bands glue
     into cylinders with exact heights, circumferences and core words.
     Cylinders are listed by their first band in (polygon, level) order,
     and each core word is read rightward from that band.
@@ -241,29 +175,15 @@ def decompose(surface: TranslationSurface, w: Vec2):
     if w.is_zero():
         raise ValueError("flow direction must be nonzero")
     tracer = _Tracer(surface, w)
+    _trace_all(tracer)
 
-    # transversal cut levels per polygon: vertex levels + traced levels
-    # that are not vertex levels (none on X_n in a v_l direction)
-    extra = [{} for _ in tracer.levels]
-    for p, lv in _trace_all(tracer):
-        if lv.key() not in tracer.position[p]:
-            extra[p].setdefault(lv.key(), lv)
-
-    # bands: per polygon, the strip between consecutive levels, with the
-    # edges it leaves through on the left and on the right
+    # bands: per polygon, the strip between consecutive vertex levels,
+    # with the edges it leaves through on the left and on the right
     bands = {}  # (p, k) -> (lo, hi, left, right)
     band_at_left_edge = {}  # (EdgeRef, level key of band bottom) -> (p, k)
-    for p, hs in enumerate(tracer.h):
-        lv = tracer.levels[p]
-        r = tracer.rank[p]
-        if extra[p]:
-            lv = sorted(lv + list(extra[p].values()))
-            position = {h.key(): k for k, h in enumerate(lv)}
-            r = [position[h.key()] for h in hs]
-        left, right = _band_edges(r, len(lv) - 1)
+    for p, lv in enumerate(tracer.levels):
+        left, right = _band_edges(tracer.rank[p], len(lv) - 1)
         for k in range(len(lv) - 1):
-            if left[k] is None or right[k] is None:
-                continue  # level gap outside the polygon (should not happen)
             lo = lv[k]
             bands[(p, k)] = (lo, lv[k + 1], left[k], right[k])
             band_at_left_edge[(EdgeRef(p, left[k]), lo.key())] = (p, k)

@@ -11,15 +11,13 @@ class InvalidSurface(VeechLabError):
     """Polygon/gluing data does not define a translation surface."""
 
 
-class BoundExceeded(VeechLabError):
-    """A separatrix left the length cap before closing up.
+class NotVertexLevel(VeechLabError, ValueError):
+    """A separatrix leaves its polygon through an edge: the direction is
+    not vertex-level.  Carries the corner (polygon, vertex) it starts at."""
 
-    The direction is not certified periodic within the cap.
-    """
-
-    def __init__(self, message, bound=None):
+    def __init__(self, message, corner=None):
         super().__init__(message)
-        self.bound = bound
+        self.corner = corner
 
 
 class IntransitiveMonodromy(VeechLabError):

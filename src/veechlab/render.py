@@ -151,15 +151,13 @@ def _band_corners(surface, w, p, lo, hi, left, right):
     """The four corners of a band (trapezoid) between the levels lo and hi
     across the flow w, bounded by polygon p's edges left and right."""
     poly = surface.polygons[p]
-    m = len(poly)
-    hs = [w.cross(v) for v in poly.vertices]
-
-    def on_edge(i, level):
-        ha, hb = hs[i], hs[(i + 1) % m]
-        s = (level - ha) / (hb - ha)
-        return poly.vertex(i) + s * poly.side_vector(i)
-
-    return [on_edge(right, lo), on_edge(right, hi), on_edge(left, hi), on_edge(left, lo)]
+    corners = []
+    # only the two edges' endpoints need their levels
+    for i, levels in ((right, (lo, hi)), (left, (hi, lo))):
+        a = poly.vertex(i)
+        ha, hb = w.cross(a), w.cross(poly.vertex(i + 1))
+        corners += [a + ((level - ha) / (hb - ha)) * poly.side_vector(i) for level in levels]
+    return corners
 
 
 def render_cover(

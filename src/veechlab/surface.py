@@ -49,8 +49,8 @@ class Polygon:
         return self.sides[i % len(self.sides)]
 
     def validate(self):
-        """Strictly convex and positively oriented, as separatrix tracing
-        (_Tracer.enters) assumes: every corner turns left and, unlike a
+        """Strictly convex and positively oriented, as the chord check of
+        cylinders.decompose (_Tracer.enters) assumes: every corner turns left and, unlike a
         star polygon's, the sides turn once around, so +x is in exactly one
         corner's CCW arc (side i, side i + 1] (ccw_arc_contains against +x)."""
         sides = self.sides

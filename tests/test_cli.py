@@ -139,6 +139,14 @@ def test_render_empty_window_exit_two(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_dir/x.svg"])
+def test_render_to_an_unwritable_path_exits_two(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / where
+    code, stdout, err = run_cli(capsys, "render", "--n", "5", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write %s: " % out) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, option", [
     (("render", "--n", "8", "--infinite", "--direction", "1"), "--direction"),
     (("render", "--n", "5", "--window", "0"), "--window"),
@@ -289,6 +297,11 @@ GOLDEN_RENDER = {
     ("--n", "5", "--d", "3", "--direction", "1"): "05aa77120b3e18cfe811a6e78993ed3d868e9b18255f779976239e2c508c9d2a",
     ("--n", "8", "--infinite", "--window", "2"): "556150133c4b0f61a4daeaa4dacf24644041d35e1fc2c558f37c211b989959dd",
     ("--n", "8", "--infinite"): "556150133c4b0f61a4daeaa4dacf24644041d35e1fc2c558f37c211b989959dd",
+    # recorded while decompose still walked separatrices across edges:
+    # realized covers of even n in an odd direction, and X_9 in v_5
+    ("--n", "8", "--d", "3", "--direction", "3"): "57f64e8169cdcb341bc9dbb080f8a06756a7ae7ef72c34d4522076b871ad040c",
+    ("--n", "10", "--d", "2", "--direction", "3"): "46a541687b69d9addfcd70b338e816040cf05db2617ffc6cd95206deb8395aa9",
+    ("--n", "9", "--direction", "5"): "989c18c1a622da79721436e58197950aebe209695a941e709a99b7c49aef6c79",
 }
 
 

@@ -5,15 +5,13 @@ import pytest
 from veechlab.covering import build_cover
 from veechlab.cylinders import (
     _band_edges,
-    _trace_all,
     _Tracer,
     closed_form_base,
     cylinder_count_base,
     decompose,
-    default_bound,
     unit_vector,
 )
-from veechlab.errors import BoundExceeded
+from veechlab.errors import NotVertexLevel
 from veechlab.field import RealAlg, lambda_n
 from veechlab.planar import Vec2
 from veechlab.surface import build_base
@@ -123,11 +121,16 @@ def test_edge_membership_rule(n):
 
 
 def test_bound_exceeded_on_non_periodic_direction():
+    # (1, 1) is no v_l direction of X_5: a separatrix leaves its polygon
+    # through an edge, which decompose refuses, naming the corner
     s = build_base(5)
     d = Vec2(RealAlg.one(20), RealAlg.one(20))
-    with pytest.raises(BoundExceeded) as exc:
+    with pytest.raises(NotVertexLevel) as exc:
         decompose(s, d)
-    assert exc.value.bound == default_bound(s)
+    p, v = exc.value.corner
+    assert 0 <= p < len(s.polygons) and 0 <= v < 5
+    assert "corner %d of polygon %d" % (v, p) in str(exc.value)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_unit_vectors_turn_by_pi_over_n():
@@ -191,9 +194,9 @@ def _midline_band_edges(hs, lo, hi):
 
 
 def _check_rank_predicates(surface, w):
-    """Compare corner entry, the side of every traced level and both band
-    edges with their exact oracles; return the traced levels that are
-    not vertex levels."""
+    """Compare corner entry and both band edges with their exact oracles,
+    and check that every entering germ's chord ends at a vertex of
+    exactly its start's level (NotVertexLevel where none does)."""
     tracer = _Tracer(surface, w)
     for p, poly in enumerate(surface.polygons):
         for v in range(len(poly)):
@@ -201,38 +204,34 @@ def _check_rank_predicates(surface, w):
             for forward in (True, False):
                 expected = _strictly_inside_cone(a, b, w if forward else -w)
                 assert tracer.enters(p, v, forward) == expected, (p, v, forward)
-    cuts = [{} for _ in surface.polygons]
-    for p, level in _trace_all(tracer):
-        assert tracer.sides(p, level) == [(h - level).sign() for h in tracer.h[p]]
-        cuts[p][level.key()] = level
-    off_vertex = 0
     for p, hs in enumerate(tracer.h):
-        vertex_levels = {h.key(): h for h in hs}
-        off_vertex += len(cuts[p].keys() - vertex_levels.keys())
-        levels = sorted({**vertex_levels, **cuts[p]}.values())
-        position = {h.key(): k for k, h in enumerate(levels)}
-        left, right = _band_edges([position[h.key()] for h in hs], len(levels) - 1)
+        levels = sorted({h.key(): h for h in hs}.values())
+        left, right = _band_edges(tracer.rank[p], len(levels) - 1)
         for k in range(len(levels) - 1):
             assert (left[k], right[k]) == _midline_band_edges(hs, levels[k], levels[k + 1])
-    return off_vertex
+    for p, poly in enumerate(surface.polygons):
+        for v in range(len(poly)):
+            if tracer.enters(p, v, True) or tracer.enters(p, v, False):
+                end = tracer.exit_from(p, v)
+                assert end != v and w.cross(poly.vertex(end)) == w.cross(poly.vertex(v)), (p, v)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
 def test_rank_predicates_match_exact_ones_on_x_n(n):
     s = build_base(n)
     for l in range(2 * n):
-        assert _check_rank_predicates(s, unit_vector(n, l)) == 0
-    # a sheared v_1: its separatrices cross polygons at levels that are
-    # not vertex levels, which places them by bisection
+        _check_rank_predicates(s, unit_vector(n, l))
+    # a sheared v_1: some separatrix leaves its polygon through an edge
     v = unit_vector(n, 1)
-    assert _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y)) > 0
+    with pytest.raises(NotVertexLevel):
+        _check_rank_predicates(s, Vec2(v.x + lambda_n(n) * v.y, v.y))
 
 
 def test_every_separatrix_in_a_v_l_direction_is_one_chord():
     # on X_n every germ that enters a polygon in a direction v_l ends
-    # after one segment, at a vertex of the polygon it entered: no CLI
-    # command reaches exit_from's edge crossings (only sheared and
-    # non-periodic directions do)
+    # after one segment, at a vertex of the polygon it entered, as the
+    # reflection argument of decompose's docstring shows: no CLI command
+    # raises NotVertexLevel (only sheared and non-periodic directions do)
     for n in range(5, 32):
         if n == 6:
             continue
@@ -243,29 +242,30 @@ def test_every_separatrix_in_a_v_l_direction_is_one_chord():
                 for v in range(len(poly)):
                     for forward in (True, False):
                         if tracer.enters(p, v, forward):
-                            (end_p, _), cuts = tracer.trace_germ(p, v, forward)
-                            assert end_p == p and len(cuts) == 1, (n, l, p, v, forward)
+                            end_p, end_v = tracer.trace_germ(p, v, forward)
+                            assert end_p == p and end_v != v, (n, l, p, v, forward)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 12])
 def test_sheared_directions_assemble_bands_at_traced_levels(n):
-    # T_n = [[1, lambda_n], [0, 1]] lies in the Veech group of X_n, so X_n
-    # in direction T_n v_l is the image of its v_l decomposition: the same
-    # heights, and inverse moduli times |T_n v_l|^2 (decompose does not
-    # normalise w).  Its separatrices cut polygons at levels that are no
-    # vertex levels, so the bands are assembled between traced levels.
+    # T_n = [[1, lambda_n], [0, 1]] lies in the Veech group of X_n, so
+    # X_n is periodic in direction T_n v_l, but some separatrix there
+    # crosses an edge: decompose refuses it, naming a corner
     s = build_base(n)
     lam = lambda_n(n)
     for l in (1, 2, 3):
         v = unit_vector(n, l)
         w = Vec2(v.x + lam * v.y, v.y)
+        with pytest.raises(NotVertexLevel) as exc:
+            decompose(s, w)
+        # the named corner's germ enters its polygon, and no other vertex
+        # lies exactly at its level
+        p, corner = exc.value.corner
+        poly = s.polygons[p]
         tracer = _Tracer(s, w)
-        assert any(lv.key() not in tracer.position[p] for p, lv in _trace_all(tracer)), l
-        scale = w.norm2()
-        want = sorted((c.height.key(), (scale * c.inverse_modulus).key())
-                      for c in decompose(s, unit_vector(n, l)))
-        got = sorted((c.height.key(), c.inverse_modulus.key()) for c in decompose(s, w))
-        assert got == want, l
+        assert tracer.enters(p, corner, True) or tracer.enters(p, corner, False), l
+        level = w.cross(poly.vertex(corner))
+        assert all(w.cross(poly.vertex(i)) != level for i in range(len(poly)) if i != corner), l
 
 
 def test_rank_predicates_match_exact_ones_on_a_realized_cover():
@@ -276,7 +276,9 @@ def test_rank_predicates_match_exact_ones_on_a_realized_cover():
 
 def test_base_trace_makes_few_sign_calls(monkeypatch):
     # one sign per vertex and band, or per vertex and traced level, made
-    # 2604 sign calls here; the ranks leave under a hundred
+    # 2604 sign calls here, and the ranks with an exact walk along each
+    # chord 68; reading each chord's end off the ranks leaves the 24
+    # comparisons that sort the vertex levels
     s = build_base(25)
     direction = unit_vector(25, 0)
     calls = []
@@ -288,7 +290,7 @@ def test_base_trace_makes_few_sign_calls(monkeypatch):
 
     monkeypatch.setattr(RealAlg, "sign", counting)
     decompose(s, direction)
-    assert len(calls) <= 400
+    assert len(calls) <= 30
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 25])
