@@ -31,7 +31,9 @@ the payload and witness of each kind, for verify_theorem and for every
 certify_* alike; revalidate() applies it to what it parsed from the
 payload.  The parser
 is the module revalidation, which revalidate() loads on its first call,
-so a verify never compiles it.
+so a verify never compiles it.  A rule composes, inverts and writes
+permutations through the monodromy it holds (then, inverse, image_json),
+so finite and infinite degree share every rule.
 
 Certificates are written and read in format 5, which carries each fact
 once.  The top level carries the claim (n, d) and the conductor 4n once,
@@ -72,7 +74,7 @@ from .covering import (
     sigma_d1,
     sigma_d2,
 )
-from .errors import NOT_TRANSITIVE, MalformedCertificate, VerificationFailure, short_repr
+from .errors import NOT_TRANSITIVE, MalformedCertificate, VerificationFailure
 from .field import RealAlg, lambda_n, prime_divisors
 from .veech import CosetTable, presentation_for, subgroup_words
 from .words import Word
@@ -141,54 +143,6 @@ class Certificate:
         }
 
 
-class _Perm:
-    """The one place where the two permutation types differ.
-
-    Finite covers permute sheets {0, ..., d-1} as tuples (module perms,
-    where compose(a, b) is a followed by b); Y_{n,inf} permutes Z by
-    zcover.ZPermutation, whose a.compose(b) applies a after b.  Only the
-    d = inf paths import zcover.
-    """
-
-    @staticmethod
-    def then(a, b):
-        """a followed by b."""
-        return perms.compose(a, b) if type(a) is tuple else b.compose(a)
-
-    @staticmethod
-    def inverse(p):
-        return perms.inverse(p) if type(p) is tuple else p.inverse()
-
-    @staticmethod
-    def is_involution(p) -> bool:
-        return perms.is_involution(p) if type(p) is tuple else p.is_involution()
-
-    @staticmethod
-    def to_json(p):
-        return list(p) if type(p) is tuple else p.to_json()
-
-    @staticmethod
-    def degree(p):
-        return len(p) if type(p) is tuple else "inf"
-
-    @staticmethod
-    def from_json(data):
-        """A permutation from its JSON form; anything else raises
-        MalformedCertificate."""
-        if type(data) is dict and data.keys() == {"t_even", "t_odd"} and (
-                {*map(type, data.values())} == {int}):
-            from .zcover import ZPermutation
-
-            try:
-                return ZPermutation(**data)
-            except ValueError as exc:  # t_even and t_odd of unequal parity
-                raise MalformedCertificate(str(exc)) from exc
-        if type(data) is list and {*map(type, data)} == {int} and (
-                sorted(data) == list(range(len(data)))):
-            return tuple(data)
-        raise MalformedCertificate("%s is not a permutation of its sheets" % short_repr(data))
-
-
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
     # types maps type -> count or None; rows in exact-key order, which
     # n's table keeps with the shear rows of these types
@@ -202,7 +156,7 @@ def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
     fix every sheet of the claim's d): every kind that reads the
     monodromy reads it there."""
     values = _Values(n)
-    values.sections["images"] = [{"generator": i, "image": _Perm.to_json(p)}
+    values.sections["images"] = [{"generator": i, "image": monodromy.image_json(p)}
                                  for i, (p, _) in monodromy._moving.items()]
     return values
 
@@ -497,7 +451,7 @@ def _sigma_rule(n: int, monodromy: Monodromy | ZMonodromy, sigma, mode: str):
         return INCONCLUSIVE, {"reason": "generators other than x_k1, x_k2 move",
                               "other_moving": other_moving}
     sig1, sig2 = monodromy.image(k1), monodromy.image(k2)
-    then = _Perm.then
+    then = monodromy.then
     if mode == "horizontal":
         suc = then(sig1, sig2)  # m(x_k1 x_k2^-1), sigmas are involutions
         cond1 = then(suc, sigma) == then(sigma, suc)
@@ -506,17 +460,19 @@ def _sigma_rule(n: int, monodromy: Monodromy | ZMonodromy, sigma, mode: str):
         # vertical: suc = sigma1(sigma2(.)), second condition uses sigma2 and pred
         suc = then(sig2, sig1)
         cond1 = then(suc, sigma) == then(sigma, suc)
-        cond2 = then(sigma, sig2) == then(_Perm.inverse(suc), then(sig2, sigma))
+        cond2 = then(sigma, sig2) == then(monodromy.inverse(suc), then(sig2, sigma))
     if cond1 and cond2:
         return PASS, None
     return FAIL, {"cond1": cond1, "cond2": cond2}
 
 
 def _minus_identity_rule(monodromy: Monodromy | ZMonodromy):
-    """MinusIdentity: -I lifts iff every moving generator's image is an involution."""
-    for i, (p, _) in monodromy._moving.items():
-        if not _Perm.is_involution(p):
-            return FAIL, {"generator": i, "image": _Perm.to_json(p), "reason": "not an involution"}
+    """MinusIdentity: -I lifts iff every moving generator's image is an
+    involution, that is its own inverse, which the monodromy keeps."""
+    for i, (p, inverse) in monodromy._moving.items():
+        if p != inverse:
+            return FAIL, {"generator": i, "image": monodromy.image_json(p),
+                          "reason": "not an involution"}
     return PASS, None
 
 
@@ -642,9 +598,9 @@ def _subcertificate(kind: str, key, n: int, d, monodromy: Monodromy | ZMonodromy
     elif kind == "SigmaT":
         sigma = sigma_T_claim(d) if sigma is None else sigma
         if key == "vertical":
-            sigma = _Perm.inverse(sigma)
+            sigma = monodromy.inverse(sigma)
         ruled = _sigma_rule(n, monodromy, sigma, key)
-        payload = {"mode": key, "sigma_T": _Perm.to_json(sigma)}
+        payload = {"mode": key, "sigma_T": monodromy.image_json(sigma)}
     elif kind == "MinusIdentity":
         ruled = _minus_identity_rule(monodromy)
     else:  # Index, about n alone
@@ -891,8 +847,9 @@ def verify_theorem(n: int, d: int | None = None, infinite: bool = False,
         from .zcover import std_infinite_monodromy
 
         d, monodromy = "inf", std_infinite_monodromy(n)
-    elif d is None or d < 2:
-        raise ValueError("finite verification needs d >= 2")
+    elif type(d) is not int or d < 2:
+        raise ValueError("finite verification needs an int d >= 2; for d = inf, "
+                         "pass infinite=True")
     monodromy = _checked(n, d, monodromy)
     profiles, subs, sigma = {}, [], None
     values = _images_table(n, monodromy)

@@ -75,16 +75,27 @@ def check_generators(num_generators: int, images: dict):
 
 
 class Monodromy:
-    """Generator-indexed permutations of {0..d-1}.
+    """Generator-indexed permutations of {0..d-1}, as tuples (module perms).
+
+    then(a, b) (a followed by b), inverse and image_json (the JSON form)
+    are the permutation contract that zcover.ZMonodromy shares.
 
     Transitivity of the image (connectedness of the cover) is checked
     by build_cover, not here, so that degenerate candidates can still be
     inspected.
     """
 
+    @staticmethod
+    def then(a: tuple, b: tuple) -> tuple:
+        # through the module, where a tracer of perms.compose sees the call
+        return perms.compose(a, b)
+
+    inverse = staticmethod(perms.inverse)
+    image_json = staticmethod(list)
+
     def __init__(self, num_generators: int, degree: int, images: dict):
-        if degree < 1:
-            raise ValueError("degree must be positive")
+        if type(degree) is not int or degree < 1:
+            raise ValueError("degree must be a positive int")
         check_generators(num_generators, images)
         self.num_generators = num_generators
         self.degree = degree
@@ -161,8 +172,8 @@ class Monodromy:
 
 def standard_monodromy(n: int, d: int) -> Monodromy:
     """The covering family's monodromy m_{n,d}."""
-    if d < 2:
-        raise ValueError("degree must be at least 2")
+    if type(d) is not int or d < 2:
+        raise ValueError("degree must be an int of at least 2")
     k1, k2 = monodromy_indices(n)
     return Monodromy(num_generators(n), d, {k1: sigma_d1(d), k2: sigma_d2(d)})
 
@@ -193,17 +204,15 @@ class CoveringSurface:
         nb = len(base.polygons)
         gluing = {}
         labels = {}
+        # an edge crossed backwards reads the inverse that the monodromy keeps
+        moving = self.monodromy._moving
         for src, dst in base.gluing.items():
             label = base.generator_labels.get(src)
+            pair = None if label is None else moving.get(label[0])
             for c in range(self.d):
                 src_ref = EdgeRef(c * nb + src.polygon, src.side)
                 labels[src_ref] = label
-                if label is None:
-                    target_copy = c
-                else:
-                    g, sgn = label
-                    img = self.monodromy.image(g)
-                    target_copy = img[c] if sgn > 0 else perms.inverse(img)[c]
+                target_copy = c if pair is None else pair[label[1] < 0][c]
                 gluing[src_ref] = EdgeRef(target_copy * nb + dst.polygon, dst.side)
         meta = dict(base.metadata)
         meta.update({"cover_degree": self.d})
@@ -229,7 +238,7 @@ def _checked(n: int, d, monodromy: Monodromy | None = None):
         raise ValueError("base surface requires n >= 5, n != 6 (n=4,6 are degenerate)")
     if monodromy is None:
         monodromy = standard_monodromy(n, d)
-    if monodromy.degree != d:
+    if monodromy.degree != d or type(d) is not type(monodromy.degree):  # 3.0 == 3
         raise ValueError("monodromy degree disagrees with d")
     if monodromy.num_generators != num_generators(n):
         raise ValueError("monodromy has %d generators, X_%d has %d"

@@ -5,7 +5,8 @@ on its first call, so a `veechlab verify` never compiles it.  Each
 certificate is parsed here and judged by the verdict rule of its kind in
 certificates, the rule that made its verdict; exact values are read as
 indices of n's type table (certificates._types), which verify and
-revalidate share.
+revalidate share.  Every image and sigma_T is parsed by the claim's d,
+in one function (_permutation).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .certificates import (
     _index_rule,
     _infinite_preimages,
     _minus_identity_rule,
-    _Perm,
     _pullback_rule,
     _rotation_rule,
     _shear_rule,
@@ -57,6 +57,29 @@ def _field(obj, key: str, *types):
         raise MalformedCertificate("%r: expected %s, got %s" % (
             key, " or ".join(t.__name__ for t in types), type(value).__name__))
     return value
+
+
+def _permutation(data, d, mismatch: str):
+    """An image or sigma_T as a permutation of the claim's d sheets: a
+    list of d ints (a tuple) for an int d, or the dict of a ZPermutation
+    for d = "inf".  JSON of the other kind or length raises
+    MalformedCertificate(mismatch), checked first, so a claim of many
+    sheets builds no list of them; anything else is no permutation."""
+    if d == "inf":
+        if type(data) is not dict:
+            raise MalformedCertificate(mismatch)
+        if data.keys() == {"t_even", "t_odd"} and {*map(type, data.values())} == {int}:
+            from .zcover import ZPermutation
+
+            try:
+                return ZPermutation(**data)
+            except ValueError as exc:  # t_even and t_odd of unequal parity
+                raise MalformedCertificate(str(exc)) from exc
+    elif type(data) is not list or len(data) != d:
+        raise MalformedCertificate(mismatch)
+    elif {*map(type, data)} == {int} and sorted(data) == list(range(d)):
+        return tuple(data)
+    raise MalformedCertificate("%s is not a permutation of the %s sheets" % (short_repr(data), d))
 
 
 class _Table:
@@ -117,12 +140,9 @@ class _Table:
         if not all(a < b for a, b in zip([-1, *generators], [*generators, g])):
             raise MalformedCertificate("images must name generators of x_0..x_%d once each, "
                                        "in increasing order" % (g - 1))
-        images = {}
-        for i, e in zip(generators, entries):
-            p = images[i] = _Perm.from_json(_field(e, "image", list, dict))
-            if _Perm.degree(p) != d:
-                raise MalformedCertificate("the image of x_%d does not permute the %s sheets of "
-                                           "the claim" % (i, d))
+        images = {i: _permutation(_field(e, "image", list, dict), d, "the image of x_%d does "
+                                  "not permute the %s sheets of the claim" % (i, d))
+                  for i, e in zip(generators, entries)}
         if d == "inf":
             from .zcover import ZMonodromy
 
@@ -268,9 +288,8 @@ def _revalidate(kind: str, key, payload: dict, table: _Table) -> str:
         return _rotation_rule(table.horizontal, direction, None)[0]
     if kind == "SigmaT":
         m = table.monodromy
-        sigma = _Perm.from_json(_field(payload, "sigma_T", list, dict))
-        if _Perm.degree(sigma) != m.degree:
-            raise MalformedCertificate("sigma_T and the images permute different sheets")
+        sigma = _permutation(_field(payload, "sigma_T", list, dict), table.d,
+                             "sigma_T and the images permute different sheets")
         return _sigma_rule(n, m, sigma, key)[0]
     if kind == "MinusIdentity":
         return _minus_identity_rule(table.monodromy)[0]

@@ -93,12 +93,23 @@ class ZPermutation:
 
 
 class ZMonodromy:
-    """Generator-indexed parity-affine permutations of Z."""
+    """Generator-indexed parity-affine permutations of Z, as ZPermutations,
+    with covering.Monodromy's contract: then, inverse and image_json."""
 
     degree = "inf"  # the sheets are indexed by Z; certificates print d as "inf"
 
+    @staticmethod
+    def then(a: ZPermutation, b: ZPermutation) -> ZPermutation:
+        return b.compose(a)
+
+    inverse = staticmethod(ZPermutation.inverse)
+    image_json = staticmethod(ZPermutation.to_json)
+
     def __init__(self, num_generators: int, images: dict):
         check_generators(num_generators, images)
+        for i, p in images.items():
+            if type(p) is not ZPermutation:
+                raise ValueError("image of x_%d is not a ZPermutation" % i)
         self.num_generators = num_generators
         self.images = {i: images.get(i, ZPermutation.identity()) for i in range(num_generators)}
         # the generators that move a sheet, with their inverse images

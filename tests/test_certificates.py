@@ -260,6 +260,21 @@ def test_certifiers_refuse_a_monodromy_of_another_x_n_or_degree():
             certify()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_theorem(9, "inf"), "infinite=True"),
+    (lambda: verify_theorem(9, 3.0), "infinite=True"),
+    (lambda: certify_sigma_T(9, 3.0), "an int"),
+    (lambda: certify_sigma_T(9, "foo"), "an int"),
+    (lambda: certify_sigma_T(9, 3.0, "horizontal", standard_monodromy(9, 3)),
+     "monodromy degree disagrees with d"),
+    (lambda: Monodromy(4, 3.0, {}), "positive int"),
+], ids=["theorem str", "theorem float", "SigmaT float", "SigmaT str", "SigmaT float for 3",
+        "Monodromy float"])
+def test_a_degree_that_is_no_int_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _resolved(data, table):
     """Certificate JSON with each value index replaced by its table
     entry's coeffs."""
@@ -497,17 +512,21 @@ def test_infinite_preimages_are_recomputed_from_the_images():
 
 
 def test_perm_helper_conventions():
-    # _Perm.then(a, b) is "a followed by b" for both permutation types
+    # each monodromy class names its permutations' contract: then(a, b)
+    # is "a followed by b", then(p, inverse(p)) is the identity, and
+    # image_json parses back through the reader, by the claim's d
     a, b = perms.from_cycles(4, [(0, 1, 2)]), perms.from_cycles(4, [(1, 3)])
-    ab = certificates._Perm.then(a, b)
+    ab = Monodromy.then(a, b)
     assert all(ab[x] == b[a[x]] for x in range(4))
     za, zb = ZPermutation(1, -1), ZPermutation(2, 4)
-    zab = certificates._Perm.then(za, zb)
+    zab = ZMonodromy.then(za, zb)
     assert all(zab(x) == zb(za(x)) for x in range(-6, 7))
-    assert certificates._Perm.then(zab, certificates._Perm.inverse(zab)).is_identity()
-    for p in (a, zb):
-        data = json.loads(json.dumps(certificates._Perm.to_json(p)))
-        assert certificates._Perm.from_json(data) == p
+    for cls, d, p in ((Monodromy, 4, ab), (ZMonodromy, "inf", zab)):
+        assert cls.then(p, cls.inverse(p)) == cls.then(cls.inverse(p), p) == (
+            perms.identity(4) if d == 4 else ZPermutation.identity())
+        for q in (p, cls.inverse(p)):
+            data = json.loads(json.dumps(cls.image_json(q)))
+            assert revalidation._permutation(data, d, "wrong kind") == q
 
 
 def test_infinite_monodromy_uses_the_finite_rules():

@@ -223,12 +223,29 @@ def _image(value):
     pytest.param(3, _image({"t_even": 1, "t_odd": 1}), "does not permute the 3 sheets", id="Z"),
     pytest.param("inf", _image([1, 0, 2]), "does not permute the inf sheets", id="finite for inf"),
     pytest.param(3, _image([0, 0, 1]), "is not a permutation", id="no permutation"),
+    pytest.param("inf", _image({"t_even": 1, "t_odd": 2}), "equal parity", id="Z unequal parity"),
+    pytest.param("inf", _image({"t_even": True, "t_odd": 1}), "is not a permutation",
+                 id="Z bool"),
+    pytest.param("inf", _image({"t_even": 1, "t_odd": -1, "k": 0}), "is not a permutation",
+                 id="Z extra key"),
 ])
 def test_malformed_images_are_refused(d, edit, message):
     data = _as_json(verify_theorem(9, infinite=True) if d == "inf" else verify_theorem(9, d))
     assert revalidate(data) == "pass"
     edit(data["images"])
     with pytest.raises(MalformedCertificate, match=re.escape(message)):
+        revalidate(data)
+
+
+@pytest.mark.parametrize("d, sigma", [("inf", [1, 0, 2]), (3, {"t_even": 0, "t_odd": 2})],
+                         ids=["list for inf", "Z for 3"])
+def test_a_sigma_T_of_the_other_kind_is_refused(d, sigma):
+    # the claim's d says which kind of permutation sigma_T is
+    data = _as_json(verify_theorem(9, infinite=True) if d == "inf" else verify_theorem(9, d))
+    assert revalidate(data) == "pass"
+    sub = next(s for s in data["payload"]["subcertificates"] if s["kind"] == "SigmaT")
+    sub["payload"]["sigma_T"] = sigma
+    with pytest.raises(MalformedCertificate, match="permute different sheets"):
         revalidate(data)
 
 

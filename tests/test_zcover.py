@@ -74,6 +74,13 @@ def test_parity_consistency_enforced():
         ZPermutation(t_even=0, t_odd=-1)
 
 
+@pytest.mark.parametrize("image", [None, (1, 0), {"t_even": 1, "t_odd": -1}])
+def test_a_z_monodromy_image_must_be_a_z_permutation(image):
+    # as Monodromy refuses a list that is no permutation, naming the generator
+    with pytest.raises(ValueError, match="image of x_4 is not a ZPermutation"):
+        ZMonodromy(8, {4: image})
+
+
 def _window_orbits(zp, span=300):
     """Union-find oracle: the orbits of a parity-affine map seen in a
     window, as {length: count} with length 0 for an infinite orbit.
