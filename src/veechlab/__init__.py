@@ -34,7 +34,8 @@ _PUBLIC = {
                      "certify_shear", "certify_sigma_T", "mutated_monodromy", "revalidate",
                      "verify_theorem"),
     "errors": ("CapExceeded", "IntransitiveMonodromy", "InvalidSurface", "MalformedCertificate",
-               "NonChainError", "NotVertexLevel", "VeechLabError", "VerificationFailure"),
+               "NonChainError", "NotVertexLevel", "QuotientBookkeepingError", "SignUndetermined",
+               "VeechLabError", "VerificationFailure"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = {*_PUBLIC, "perms"}

@@ -33,6 +33,11 @@ class CapExceeded(VeechLabError):
     """Coset enumeration exceeded the configured coset cap."""
 
 
+class QuotientBookkeepingError(VeechLabError):
+    """The coset action's orbits do not close the exact Riemann-Hurwitz
+    identity of quotient.quotient_invariants."""
+
+
 class NonChainError(VeechLabError):
     """Holonomy input is not a valid chain of edge segments."""
 

@@ -61,10 +61,6 @@ def cycles(p: tuple, include_fixed: bool = True):
     return out
 
 
-def is_involution(p: tuple) -> bool:
-    return all(p[p[i]] == i for i in range(len(p)))
-
-
 def is_transitive(perms, d: int) -> bool:
     """Whether the permutations generate a group transitive on {0..d-1}.
 

@@ -35,14 +35,8 @@ class Vec2:
     def dot(self, other: Vec2) -> RealAlg:
         return product_sum(self.x, other.x, self.y, other.y)
 
-    def norm2(self) -> RealAlg:
-        return self.dot(self)
-
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
-
-    def key(self):
-        return (self.x.key(), self.y.key())
 
     def __eq__(self, other):
         if not isinstance(other, Vec2):
@@ -54,9 +48,6 @@ class Vec2:
 
     def to_json(self):
         return {"x": self.x.to_json(), "y": self.y.to_json()}
-
-    def approx(self, digits: int = 20):
-        return (self.x.approx(digits), self.y.approx(digits))
 
     def __repr__(self):
         return "Vec2(%s, %s)" % (self.x.approx(8).strip(), self.y.approx(8).strip())

@@ -15,12 +15,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import perms
-from .errors import VeechLabError
+from .errors import QuotientBookkeepingError
 from .veech import CosetTable
-
-
-class QuotientBookkeepingError(VeechLabError):
-    """The exact Riemann-Hurwitz identity failed to close."""
 
 
 class QuotientInvariants(namedtuple("QuotientInvariants", "genus cusps elliptic chi_orb")):

@@ -78,9 +78,6 @@ class ConePoint(namedtuple("ConePoint", "corners angle_multiple")):
     # corners: tuple of (polygon, vertex) in cyclic walking order
     __slots__ = ()
 
-    def to_json(self):
-        return {"corners": [list(c) for c in self.corners], "angle_multiple": self.angle_multiple}
-
 
 class TranslationSurface:
     """Polygons plus a translation gluing and generator labels.

@@ -81,14 +81,6 @@ class Word:
                     out.append(letter)
         return Word._of(tuple(out))
 
-    def cyclic_normal_form(self) -> tuple:
-        """Smallest rotation of the letter tuple; invariant of the free
-        homotopy class of a cyclically reduced word up to rotation."""
-        ls = self.letters
-        if not ls:
-            return ()
-        return min(tuple(ls[i:] + ls[:i]) for i in range(len(ls)))
-
     def to_json(self):
         return [[g, s] for g, s in self.letters]
 

@@ -4,7 +4,10 @@ The infinite surface is never materialized: its monodromy lands in the
 group of maps l -> l + t_{l mod 2}, and every claim about it (number of
 infinite-angle singularities, the Z-cover structure over Y_{n,2}, the
 shift/orbit bookkeeping behind the theorem steps) reduces to integer
-arithmetic on the pair (t_even, t_odd).
+arithmetic on the pair (t_even, t_odd).  Neither is X_n: its
+singularity loops, whose images count the infinite-angle singularities,
+are words in closed form (singularity_loops), so only holonomy, which
+reads a realized cover, touches exact geometry.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from .covering import CoveringSurface, check_generators, monodromy_indices, num_generators
 from .errors import NonChainError, VerificationFailure
 from .planar import Vec2
-from .surface import EdgeRef, build_base
 from .words import Word
 
 
@@ -68,9 +70,6 @@ class ZPermutation:
         if self.swaps_parity():
             return ZPermutation(-self.t_odd, -self.t_even)
         return ZPermutation(-self.t_even, -self.t_odd)
-
-    def is_involution(self) -> bool:
-        return self.compose(self).is_identity()
 
     def orbits(self) -> tuple:
         """The orbits on Z as runs (length, count), the contract of
@@ -144,19 +143,36 @@ def std_infinite_monodromy(n: int) -> ZMonodromy:
 
 
 def singularity_loops(n: int) -> list[Word]:
-    """Simple loops around the cone points of X_n, one per cone point,
-    read off the corner walk of the vertex class."""
-    base = build_base(n)
-    loops = []
-    for cp in base.cone_points():
-        letters = []
-        for (p, v) in cp.corners:
-            poly = base.polygons[p]
-            label = base.crossing_label(EdgeRef(p, (v - 1) % len(poly)))
-            if label is not None:
-                letters.append(label)
-        loops.append(Word(letters))
-    return loops
+    """Simple loops around the cone points of X_n, one per cone point.
+
+    With g = num_generators(n), let A = x_{g-1}^-1 x_{g-2} x_{g-3}^-1 ...
+    x_0^((-1)^g) and B be A with every sign flipped.  Even g (odd n, and
+    n = 0 mod 4) has one loop, A B; odd g (n = 2 mod 4) has two, A and
+    x_0 x_{g-1} x_{g-2}^-1 ... x_1, B rotated to start at its last letter.
+
+    Proof, from the corner walk of TranslationSurface.cone_points on
+    build_base(n): from corner (p, v) it crosses the incoming side
+    (p, v - 1), reading its label, into the glued polygon; a loop is one
+    closed walk, from the least corner not yet walked.  Odd n = g + 1:
+    side j of polygon 0 reads x_j, of polygon 1 x_j^-1 (j = g reads
+    nothing), and (p, v) goes to (1 - p, v - 1).  So step k crosses side
+    -1 - k mod n of polygon k mod 2, the walk from (0, 0) first closes at
+    k = 2n, steps 1..g read A and steps n + 1..n + g read B.  Even n = 2g:
+    side s < g reads x_s, side s + g reads x_s^-1, and corner v goes to
+    v - 1 + g.  So step k from corner 0 crosses side -1 - k + kg mod 2g,
+    which for -1 - k = qg + r (0 <= r < g) reads x_r, inverted when q + k
+    is odd.  Steps 0..g-1 (q = -1) read A.  For even g, g - 1 is prime to
+    2g, the walk closes at k = 2g, and steps g..2g-1 (q = -2) read B.  For
+    odd g it closes at k = g on the even corners; the walk from corner 1
+    crosses side -k + kg, reading x_0 and then x_{g-k}, inverted for even k.
+    """
+    monodromy_indices(n)  # ValueError for an n without X_n
+    g = num_generators(n)
+    a = [(i, (-1) ** (g - i)) for i in reversed(range(g))]
+    b = [(i, -s) for i, s in a]
+    if g % 2 == 0:
+        return [Word(a + b)]
+    return [Word(a), Word(b[-1:] + b[:-1])]
 
 
 def infinite_singularities(n: int) -> int:

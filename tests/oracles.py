@@ -6,6 +6,10 @@ Gamma(X_n) by exact 2x2 matrices over Q(zeta_4n): R_n rotates by pi/n
 and T_n shears by lambda_n = 2 cot(pi/n).  veech.py states Veech's
 presentations and the covers' generators as group words only; these
 matrices are the oracle for them.
+
+traced_singularity_loops reads X_n's singularity loops off the corner
+walk of the exact polygons, the oracle for zcover's closed form, and
+cyclic_normal_form names a word's conjugacy class up to rotation.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from itertools import groupby
 
 from veechlab.field import RealAlg, cos_pi_over, lambda_n, product_sum, sin_pi_over
 from veechlab.planar import Vec2
+from veechlab.surface import EdgeRef, build_base
 from veechlab.words import Word
 
 
@@ -122,3 +127,27 @@ def eval_group_word(n: int, word: Word, images: dict | None = None) -> Mat2:
     for (sym, step), run in groupby(word.letters):
         out = out * images[sym] ** (step * sum(1 for _ in run))
     return out
+
+
+def cyclic_normal_form(word: Word) -> tuple:
+    """Smallest rotation of the letter tuple; invariant of the free
+    homotopy class of a cyclically reduced word up to rotation."""
+    ls = word.letters
+    return min((ls[i:] + ls[:i] for i in range(len(ls))), default=())
+
+
+# ---------------------------------------------------------------------------
+# singularity loops
+
+
+def traced_singularity_loops(n: int) -> list[Word]:
+    """One loop per cone point of build_base(n), in the order of
+    cone_points: the crossing labels of the incoming sides of its corners,
+    in walking order (a side that reads no generator is skipped)."""
+    base = build_base(n)
+    loops = []
+    for cone in base.cone_points():
+        labels = (base.crossing_label(EdgeRef(p, (v - 1) % len(base.polygons[p])))
+                  for p, v in cone.corners)
+        loops.append(Word([label for label in labels if label is not None]))
+    return loops

@@ -311,6 +311,12 @@ GOLDEN_COVER = {
     ("cover", "--n", "8", "--d", "3"): "c0886318e36fd3b0f05f833c10859c063544d6636ed5a941dc33a2adaab1d5db",
     ("cover", "--n", "9", "--d", "5"): "698ce02410f0948aa086c2aa40b7fe43e664599f31bd5ba24ad31c043b380ed2",
     ("infinite", "--n", "10"): "486bea5e5813d3a28ad0fa9615ab358e2e41fae54eb747db2c687a8c9d085381",
+    # recorded while singularity_loops still walked the corners of X_n
+    ("infinite", "--n", "9"): "71ea46377dda076565191b6066bb8210dcccedfe75cceb09078de82615f40627",
+    ("infinite", "--n", "12"): "c5b875b15dbc0ac114ff8ce4d0395bbe1baad4cb4f480e300a00efae3193fda5",
+    ("infinite", "--n", "101"): "df835ed28050f8b8e81f57e0d5b5c34a418c8ba3a855b9798ade9d1860993ad5",
+    ("infinite", "--n", "401"): "570e78d5f85b342bdc1886b318928776fea5f8e3553611f8dc9b7430234eb646",
+    ("infinite", "--n", "1001"): "bc3a3712ad270e566836312c7921bfa1dc77b821d4e6480d8872ed1542e4673b",
 }
 
 

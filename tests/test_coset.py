@@ -9,7 +9,7 @@ from veechlab.quotient import quotient_invariants
 from veechlab.veech import gamma_generator_words, presentation_for, subgroup_words
 from veechlab.words import Word
 
-from oracles import Mat2, eval_group_word
+from oracles import Mat2, cyclic_normal_form, eval_group_word
 
 
 @pytest.mark.parametrize("n,expected", [(5, 5), (7, 7), (9, 9), (11, 11), (8, 4), (10, 5), (12, 6)])
@@ -254,7 +254,7 @@ def _conjugacy_class(word: Word) -> tuple:
     letters = _reduced(word).letters
     while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
         letters = letters[1:-1]
-    return Word(letters).cyclic_normal_form()
+    return cyclic_normal_form(Word(letters))
 
 
 @pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6])

@@ -287,8 +287,8 @@ def test_sigma_factories():
     assert sigma_d2(6) == perms.from_cycles(6, [(1, 2), (3, 4), (5, 0)])
     assert sigma_d2(7) == perms.from_cycles(7, [(1, 2), (3, 4), (5, 6)])
     for d in range(2, 9):
-        assert perms.is_involution(sigma_d1(d))
-        assert perms.is_involution(sigma_d2(d))
+        assert perms.inverse(sigma_d1(d)) == sigma_d1(d)
+        assert perms.inverse(sigma_d2(d)) == sigma_d2(d)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25])

@@ -355,6 +355,41 @@ def test_edited_table_entry_fails():
     assert revalidate(json.loads(json.dumps(data))) == "fail"
 
 
+def _reindexed(data: dict, index: list) -> dict:
+    # data with value i of its table moved to index[i], and every index in
+    # its rows, witnesses and horizontal section moved with it
+    def walk(x):
+        if type(x) is dict:
+            return {k: index[v] if k in ("inverse_modulus", "height") else walk(v)
+                    for k, v in x.items()}
+        return [walk(v) for v in x] if type(x) is list else x
+    out = walk({k: v for k, v in data.items() if k != "values"})
+    out["values"] = [None] * len(index)
+    for i, value in enumerate(data["values"]):
+        out["values"][index[i]] = value
+    return out
+
+
+@pytest.mark.parametrize("cert", [verify_theorem(7, 4),
+                                  verify_theorem(9, 8, monodromy=mutated_monodromy(9, 8))],
+                         ids=["pass", "fail"])
+def test_a_height_at_value_index_0_is_read(cert):
+    # value 0 is an inverse modulus in every table verify writes; swap it
+    # with the first shear row's height, which then names value 0
+    data = _as_json(cert)
+    size, h = len(data["values"]), _shear(data)["payload"]["cylinders"][0]["height"]
+    index = list(range(size))
+    index[0], index[h] = h, 0
+    moved = _reindexed(data, index)
+    row = _shear(moved)["payload"]["cylinders"][0]
+    assert row["height"] == 0 and moved != data
+    assert revalidate(moved) == revalidate(data) == cert.verdict
+    # and an index one past the table names no value
+    row["height"] = size
+    with pytest.raises(MalformedCertificate, match="not a cylinder row of a table of %d" % size):
+        revalidate(moved)
+
+
 def test_format1_subcertificate_in_a_format2_theorem_raises():
     # format 1 listed a rotation for every l; those that fill (7, 4)'s
     # slots bind the old payloads to the theorem, which must raise

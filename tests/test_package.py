@@ -1,7 +1,9 @@
 """The package namespace: one table of public names, each imported from
 its home module on first use."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -51,3 +53,15 @@ def test_the_package_loads_a_module_only_when_a_name_needs_it():
     # a submodule resolves as an attribute, as it did when the package imported them all
     assert _fresh("import sys, veechlab\n"
                   "print(veechlab.quotient is sys.modules['veechlab.quotient'])") == ["True"]
+
+
+def test_every_package_error_is_public():
+    # every VeechLabError subclass that a module of the package defines
+    errors = set()
+    for info in pkgutil.iter_modules(veechlab.__path__):
+        module = importlib.import_module("veechlab." + info.name)
+        errors.update(name for name, obj in vars(module).items()
+                      if isinstance(obj, type) and issubclass(obj, veechlab.VeechLabError)
+                      and obj.__module__ == module.__name__)
+    assert {"QuotientBookkeepingError", "SignUndetermined"} <= errors
+    assert errors <= set(veechlab.__all__)

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from veechlab.coset import coset_enumerate
+from veechlab.errors import QuotientBookkeepingError
 from veechlab.quotient import quotient_invariants
-from veechlab.veech import presentation_for, subgroup_words
+from veechlab.veech import CosetTable, presentation_for, subgroup_words
 from veechlab.words import Word
 
 
@@ -75,3 +76,11 @@ def test_json_shape():
     assert data["genus"] == 0
     assert data["cusps"] == [1, 1, 2, 2, 2]
     assert data["chi_orb"] == "-3/1"
+
+
+def test_an_action_that_no_subgroup_has_is_a_bookkeeping_error():
+    # R a 3-cycle and T the identity: the elliptic class T^-1 R of order 2
+    # has an orbit of length 3
+    table = CosetTable(presentation_for(5), (), 3, {"R": (1, 2, 0), "T": (0, 1, 2)})
+    with pytest.raises(QuotientBookkeepingError, match="does not divide torsion order 2"):
+        quotient_invariants(table)

@@ -22,7 +22,8 @@ def test_edge_lengths_are_2_sin_pi_over_n():
         target = (2 * sin_pi_over(n)) ** 2
         for poly in s.polygons:
             for j in range(len(poly)):
-                assert poly.side_vector(j).norm2() == target
+                v = poly.side_vector(j)
+                assert v.dot(v) == target
 
 
 def test_odd_base_horizontal_start_side():

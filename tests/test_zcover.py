@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +20,8 @@ from veechlab.zcover import (
     y2_basis,
     z_cover_structure,
 )
+
+from oracles import traced_singularity_loops
 
 shifts = st.integers(-6, 6)
 
@@ -147,7 +153,7 @@ def test_std_monodromy_shifts():
         k1, k2 = monodromy_indices(n)
         assert zm.image(k1) == ZPermutation(1, -1)
         assert zm.image(k2) == ZPermutation(-1, 1)
-        assert zm.image(k1).is_involution()
+        assert zm.image(k1).inverse() == zm.image(k1)
         w = Word.generator(k1) * Word.generator(k2).inverse()
         assert zm.eval_word(w) == ZPermutation(2, -2)
 
@@ -200,6 +206,31 @@ def test_singularity_loop_monodromy():
     zm = std_infinite_monodromy(10)
     for loop in loops10:
         assert zm.eval_word(loop) in (ZPermutation(2, -2), ZPermutation(-2, 2))
+
+
+@pytest.mark.parametrize("n", [n for n in range(5, 62) if n != 6] + [101, 401])
+def test_singularity_loops_are_the_corner_walks(n):
+    assert singularity_loops(n) == traced_singularity_loops(n)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 4, 6])
+def test_singularity_loops_need_a_base_surface(n):
+    with pytest.raises(ValueError):
+        singularity_loops(n)
+
+
+def test_a_cold_infinite_report_builds_no_surface_and_no_field():
+    # the report is integer arithmetic on words: no X_n, no FieldContext
+    probe = ("import contextlib, io\n"
+             "from veechlab import cli, field, surface\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['infinite', '--n', '101']) == 0\n"
+             "print(surface.build_base.cache_info().currsize, "
+             "field.get_context.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 10, 12])
