@@ -6,7 +6,8 @@ per-step certificates into a verdict for one (n, d) or (n, infinity):
 
   * ShearMembership   - every cylinder in the shear direction is
                         twisted an integer number of times by the
-                        factor 2*lambda_n;
+                        factor 2*lambda_n, which its inverse modulus
+                        alone decides;
   * SigmaT            - the copy permutation that makes the single
                         twist (horizontal, and vertical for even n)
                         compatible with the gluings exists; it reads
@@ -35,7 +36,7 @@ so a verify never compiles it.  A rule composes, inverts and writes
 permutations through the monodromy it holds (then, inverse, image_json),
 so finite and infinite degree share every rule.
 
-Certificates are written and read in format 5, which carries each fact
+Certificates are written and read in format 6, which carries each fact
 once.  The top level carries the claim (n, d) and the conductor 4n once,
 and a table of the distinct exact values, each its nonzero rational
 coefficients alone, with no decimal approximation; rows and witnesses
@@ -45,10 +46,15 @@ level: the horizontal profile that every RotationObstruction compares
 against, and the images of the generators that move a sheet, in
 increasing order, which SigmaT, MinusIdentity, PullbackObstruction and
 WellFormedCover read under the claim's d.  Every shear is by 2*lambda_n,
-which n fixes, so no payload names its factor.  Every degree, d = inf
-too, uses the same rows: an infinite strip is a type of inverse modulus
-0.  A theorem lists its rotation slots at l = n/p only.  revalidate()
-reads no other format, and refuses formats 1 to 4 with a
+which n fixes, so no payload names its factor, and it twists a cylinder
+by the cylinder's inverse modulus alone: a ShearMembership has one row
+per distinct inverse modulus, (inverse modulus, twist count), and no
+height or count.  Profiles, the horizontal one and each
+RotationObstruction's, keep one row per cylinder type, (inverse modulus,
+height, count), as the rotation rule compares whole multisets.  Every
+degree, d = inf too, uses the same rows: an infinite strip is a type of
+inverse modulus 0.  A theorem lists its rotation slots at l = n/p only.
+revalidate() reads no other format, and refuses formats 1 to 5 with a
 MalformedCertificate that says to run verify again.
 
 Non-membership certificates for user-supplied monodromies may come out
@@ -82,7 +88,7 @@ from .words import Word
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-FORMAT = 5
+FORMAT = 6
 _SIGMA_MODES = ("horizontal", "vertical")
 
 
@@ -144,10 +150,9 @@ class Certificate:
 
 
 def _multiset_rows(types: dict, table: _Types, values: _Values) -> list:
-    # types maps type -> count or None; rows in exact-key order, which
-    # n's table keeps with the shear rows of these types
+    # types maps type -> count or None; rows in exact-key order
     return [{"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t]}
-            for t, _ in table.sheared(types)[0]]
+            for t in table.ordered(types)]
 
 
 def _images_table(n: int, monodromy: Monodromy | ZMonodromy) -> _Values:
@@ -176,8 +181,8 @@ def _witness_json(witness, values: _Values):
 # A profile maps each cover cylinder type to its count, None when there
 # are infinitely many.  A type's inverse modulus is a * mu for a base
 # cylinder's inverse modulus mu and an orbit length a.  An infinite strip
-# (a = 0, d = inf only) is typed (0, height): every degree has one row
-# shape.
+# (a = 0, d = inf only) is typed (0, height): every degree has the same
+# row shapes.
 
 # what revalidate may keep of untrusted payloads, per n: the entries it
 # read and their values in the type table, each with at most one twist count
@@ -194,8 +199,8 @@ class _Types:
     value == 2 * lambda_n or None, decided once per n; so are the
     comparisons that verify's witness search makes.  So is what a
     theorem's rows take from n alone: each direction's lift plan for a
-    set of moving generators (lifts) and the rows of a set of types
-    (sheared).  The memos keyed by what a caller passes keep at most
+    set of moving generators (lifts) and the shear rows of a set of
+    types (sheared).  The memos keyed by what a caller passes keep at most
     _MEMO_SIZE entries.
     """
 
@@ -315,9 +320,9 @@ class _Types:
         return v
 
     def sheared(self, types) -> tuple:
-        """The rows of a profile with these types, (type, twist count by
-        the factor) pairs in the order of ordered(), and _shear_rule's
-        (verdict, witness) on them.
+        """The shear rows of a profile with these types, one (inverse
+        modulus, twist count by the factor) pair per distinct modulus in
+        exact-key order, and _shear_rule's (verdict, witness) on them.
 
         Memoised on the tuple of types, which distinct degrees of one n
         share: a value that joins the table later keeps the others'
@@ -326,20 +331,26 @@ class _Types:
         key = tuple(types)
         out = self._sheared.get(key)
         if out is None:
-            rows = tuple((t, self._twists[t[0]]) for t in self.ordered(key))
-            out = rows, _shear_rule(((t[0], k) for t, k in rows), self)
+            ranks = self._ranked()
+            moduli = sorted({t[0] for t in key}, key=ranks.__getitem__)
+            rows = tuple((m, self._twists[m]) for m in moduli)
+            out = rows, _shear_rule(rows, self)
             self._keep(self._sheared, key, out)
         return out
 
     def ordered(self, types) -> list:
         """types in the exact-key order of (inverse modulus, height), the
-        order of a certificate's rows."""
+        order of a profile's rows."""
+        ranks = self._ranked()
+        return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
+
+    def _ranked(self) -> list:
+        # index -> exact-key rank, remade after a new value
         if self._ranks is None:
             self._ranks = [0] * len(self.exact)
             for rank, (_, v) in enumerate(sorted(self._index.items())):
                 self._ranks[v] = rank
-        ranks = self._ranks
-        return sorted(types, key=lambda t: (ranks[t[0]], ranks[t[1]]))
+        return self._ranks
 
     def above(self, v: int, w: int) -> bool:
         """Whether value v exceeds the distinct value w."""
@@ -582,11 +593,9 @@ def _subcertificate(kind: str, key, n: int, d, monodromy: Monodromy | ZMonodromy
     if kind == "WellFormedCover":
         ruled = _well_formed_rule(monodromy, d)
     elif kind == "ShearMembership":
-        types = profile(key)
-        rows, ruled = table.sheared(types)
-        payload = {"l": key, "cylinders": [
-            {"inverse_modulus": values[t[0]], "height": values[t[1]], "count": types[t], "twists": k}
-            for t, k in rows]}
+        rows, ruled = table.sheared(profile(key))
+        payload = {"l": key, "cylinders": [{"inverse_modulus": values[m], "twists": k}
+                                           for m, k in rows]}
     elif kind == "RotationObstruction":
         horizontal, direction = profile(0), profile(key)
         ruled = _rotation_rule(horizontal, direction, table)
@@ -913,7 +922,7 @@ def mutated_monodromy(n: int, d: int) -> Monodromy:
 
 
 def revalidate(data: dict) -> str:
-    """Recompute a certificate's verdict from its format-5 JSON.
+    """Recompute a certificate's verdict from its format-6 JSON.
 
     Parses the payload and applies the rule that made the verdict.
     SigmaT, MinusIdentity, PullbackObstruction and WellFormedCover read
@@ -925,8 +934,8 @@ def revalidate(data: dict) -> str:
     unless its count of infinite preimages of cylinder k is the one the
     images give.  A WellFormedCover fails unless the images act
     transitively on its d sheets.  MalformedCertificate is raised for a
-    payload that does not parse, a top level without "format": 5
-    (formats 1 to 4 are refused by name), images that name a generator
+    payload that does not parse, a top level without "format": 6
+    (formats 1 to 5 are refused by name), images that name a generator
     out of range, twice or out of increasing order, or an image that is
     the identity or does not permute the claim's d sheets, a
     PullbackObstruction of odd n or odd l, a FullTheorem or
@@ -935,9 +944,11 @@ def revalidate(data: dict) -> str:
     and, before any value is parsed, an n without X_n, a subcertificate
     of a theorem that names its own n or d, and a standalone certificate
     other than a FullTheorem for n above MAX_STANDALONE_N.  A profile that
-    lists a cylinder type twice, and a profile or shear row that counts
-    one below 1, are malformed too.  Each distinct table entry is
-    parsed, and each exact check decided, once per process (_types).
+    lists a cylinder type twice or counts one below 1, and a shear row
+    with other keys than inverse_modulus and twists or a shear that lists
+    one inverse modulus twice, are malformed too.  Each distinct table
+    entry is parsed, and each exact check decided, once per process
+    (_types).
     """
     # the reader of certificate JSON is its own module, which verify
     # never loads

@@ -36,6 +36,7 @@ from .surface import no_base_surface
 
 
 _NONE = type(None)
+_SHEAR_KEYS = {"inverse_modulus", "twists"}
 _NO_LONGER_READ = ("format %%d is no longer read; run `veechlab verify` again to write format %d"
                    % FORMAT)
 
@@ -99,27 +100,40 @@ class _Table:
         self.n, self.d = n, d
         self._top = data
 
-    def rows(self, rows: list, twists: bool = False) -> list:
-        """Profile rows as ((inverse modulus, height), count) or, with
-        twists, shear rows as (inverse modulus, twists), the values as
-        indices in self.types.  Each row must name two table entries and
-        a count that is None or at least 1 and, with twists, twists that
-        are an int or None."""
+    def rows(self, rows: list) -> list:
+        """Profile rows as ((inverse modulus, height), count), the values
+        as indices in self.types.  Each row must name two table entries
+        and a count that is None or at least 1."""
         index, size, out = self._index, len(self._index), []
         for r in rows:
             try:
                 m, h, c = r["inverse_modulus"], r["height"], r["count"]
-                k = r["twists"] if twists else None
                 ok = (type(m) is int and type(h) is int and 0 <= m < size and 0 <= h < size
-                      and (c is None or type(c) is int and c > 0)
-                      and (k is None or type(k) is int))
+                      and (c is None or type(c) is int and c > 0))
             except (KeyError, TypeError):  # a missing key, or a row that is no dict
                 ok = False
             if not ok:
                 raise MalformedCertificate("not a cylinder row of a table of %d values: %s"
                                            % (size, short_repr(r)))
-            out.append((index[m], k) if twists else ((index[m], index[h]), c))
+            out.append(((index[m], index[h]), c))
         return out
+
+    def shear_rows(self, rows: list) -> list:
+        """Shear rows as (inverse modulus, twists), the modulus as an
+        index in self.types.  Each row must be a dict of exactly these two
+        keys, naming a table entry and twists that are an int or None, and
+        no two rows may name one modulus."""
+        index, size, out = self._index, len(self._index), {}
+        for r in rows:
+            if not (type(r) is dict and r.keys() == _SHEAR_KEYS
+                    and type(m := r["inverse_modulus"]) is int and 0 <= m < size
+                    and type(r["twists"]) in (int, _NONE)):
+                raise MalformedCertificate("not a shear row of a table of %d values: %s"
+                                           % (size, short_repr(r)))
+            if index[m] in out:
+                raise MalformedCertificate("a shear lists an inverse modulus twice")
+            out[index[m]] = r["twists"]
+        return list(out.items())
 
     @cached_property
     def horizontal(self) -> dict:
@@ -281,7 +295,7 @@ def _revalidate(kind: str, key, payload: dict, table: _Table) -> str:
     # that _slot read
     n = table.n
     if kind == "ShearMembership":
-        rows = table.rows(_field(payload, "cylinders", list), twists=True)
+        rows = table.shear_rows(_field(payload, "cylinders", list))
         return _shear_rule(rows, table.types)[0]
     if kind == "RotationObstruction":
         direction = _parse_multiset(_field(payload, "direction", list), table)

@@ -856,16 +856,24 @@ _BAD_COUNTS = [(True, "true"), ("2", "string"), (1.0, "float")]
 
 
 def _row_pitfalls():
-    """Each row list's first row with a bad index or count, without a key,
-    or not a dict."""
-    for where in ("shear", "direction", "horizontal"):
+    """Each row list's first row with a bad index, count or twist count,
+    without a key, with a key that its kind of row has not, or not a dict."""
+    for where in ("direction", "horizontal"):
         for key in ("inverse_modulus", "height"):
             yield from (_edit_row(where, key, v, "index_" + label) for v, label in _BAD_INDICES)
         yield from (_edit_row(where, "count", v, label) for v, label in _BAD_COUNTS)
-        yield _edit_row(where, "height", _DELETED, "missing")
+        yield from (_edit_row(where, key, _DELETED, "missing") for key in ("height", "count"))
         yield _edit_row(where, None, [0, 0, 1], "list")
-    yield _edit_row("shear", "count", 0, "zero")
-    yield _edit_row("shear", "count", _DELETED, "missing")
+    # a shear row is (inverse modulus, twists) alone: a height or a count
+    # in it, of any value, is malformed
+    yield from (_edit_row("shear", "inverse_modulus", v, "index_" + label)
+                for v, label in _BAD_INDICES)
+    yield from (_edit_row("shear", "height", v, "index_" + label) for v, label in _BAD_INDICES)
+    yield from (_edit_row("shear", "count", v, label) for v, label in [*_BAD_COUNTS, (0, "zero")])
+    yield from (_edit_row("shear", key, 1, "well_formed") for key in ("height", "count"))
+    yield from (_edit_row("shear", "twists", v, label) for v, label in _BAD_COUNTS)
+    yield from (_edit_row("shear", key, _DELETED, "missing") for key in ("inverse_modulus", "twists"))
+    yield _edit_row("shear", None, [0, 1], "list")
     yield from (_edit_row("images", "generator", v, label) for v, label in _BAD_INDICES)
     yield _edit_row("images", "image", _DELETED, "missing")
     yield _edit_row("images", None, [0, [1, 0]], "list")
@@ -969,7 +977,7 @@ def test_a_malformed_entry_never_reads_its_well_formed_twin():
     data = _roundtrip(verify_theorem(9, 3))
     data["values"].append({"coeffs": [[0, "1"]]})
     assert revalidate(data) == "pass"
-    entries = [(0, 0), (1, 0), (4, 0), (len(data["values"]) - 1, 0)]
+    entries = [(0, 0), (4, 0), (3, 0), (len(data["values"]) - 1, 0)]
     assert [data["values"][i]["coeffs"][j][0] for i, j in entries] == [1, 0, 0, 0]
     # the same pairs with a power of true, false or 1.0, or a coefficient
     # of 1 or 1.0, are equal to them but refused
@@ -990,12 +998,15 @@ def test_a_malformed_entry_never_reads_its_well_formed_twin():
     assert revalidate(data) == "pass"
 
 
+@pytest.mark.parametrize("where", ["horizontal", "direction"])
 @pytest.mark.parametrize("key, value", [("height", 10**9), ("height", "x"), ("count", "x"),
                                         ("count", -5), ("count", True), ("height", _DELETED)])
-def test_a_shear_row_reads_its_height_and_count(key, value):
+def test_a_profile_row_reads_its_height_and_count(where, key, value):
+    # the horizontal section and a RotationObstruction's direction are
+    # profiles, whose rows carry a height and a count
     data = _roundtrip(verify_theorem(9, 4))
     assert revalidate(data) == "pass"
-    row = _sub(data, "ShearMembership")["payload"]["cylinders"][0]
+    row = _ROW_LISTS[where](data)[0]
     if value == _DELETED:
         del row[key]
     else:
@@ -1006,15 +1017,16 @@ def test_a_shear_row_reads_its_height_and_count(key, value):
 
 def test_a_row_may_name_the_first_table_entry():
     # value 0 of a theorem's table is its first shear row's inverse
-    # modulus; a row whose height names it is well formed, and the shear
-    # rule reads no height
+    # modulus; a profile row whose height names it is well formed
     data = _roundtrip(verify_theorem(7, 4))
-    rows = _sub(data, "ShearMembership")["payload"]["cylinders"]
-    assert rows[0]["inverse_modulus"] == 0 and rows[-1]["height"] != 0
-    rows[-1]["height"] = 0
-    assert revalidate(data) == "pass"
-    data["horizontal"][-1]["height"] = 0
-    assert revalidate(data) in ("pass", "fail", "inconclusive")
+    assert _sub(data, "ShearMembership")["payload"]["cylinders"][0]["inverse_modulus"] == 0
+    for where in ("direction", "horizontal"):
+        rows = _ROW_LISTS[where](data)
+        assert rows[-1]["height"] != 0
+        rows[-1]["height"] = 0
+        assert revalidate(data) in ("pass", "fail", "inconclusive")
+        assert revalidate(_standalone(data, _sub(data, "RotationObstruction"))) in (
+            "pass", "inconclusive")
 
 
 def test_a_shear_reads_every_row_before_its_rule():
@@ -1024,9 +1036,33 @@ def test_a_shear_reads_every_row_before_its_rule():
     assert len(rows) > 1
     rows[0]["twists"] += 1
     assert revalidate(data) == "fail"
-    rows[-1]["count"] = "x"
+    rows[-1]["twists"] = "x"
     with pytest.raises(MalformedCertificate):
         revalidate(data)
+
+
+@pytest.mark.parametrize("cert", [verify_theorem(9, 4),
+                                  verify_theorem(9, 8, monodromy=mutated_monodromy(9, 8))],
+                         ids=["pass", "fail"])
+def test_a_shear_that_lists_an_inverse_modulus_twice_is_malformed(cert):
+    # a shear has one row per distinct inverse modulus, whose twist count
+    # the modulus alone decides: a second row of it, with the same count
+    # or not, or through an equal twin table entry, is malformed
+    data = _roundtrip(cert)
+    assert revalidate(data) == cert.verdict
+    for twin in (False, True):
+        for extra in (0, 1):
+            forged = copy.deepcopy(data)
+            rows = _sub(forged, "ShearMembership")["payload"]["cylinders"]
+            row = dict(rows[-1], twists=(rows[-1]["twists"] or 0) + extra)
+            if twin:
+                forged["values"].append(copy.deepcopy(forged["values"][row["inverse_modulus"]]))
+                row["inverse_modulus"] = len(forged["values"]) - 1
+            rows.append(row)
+            with pytest.raises(MalformedCertificate, match="lists an inverse modulus twice"):
+                revalidate(forged)
+            with pytest.raises(MalformedCertificate, match="lists an inverse modulus twice"):
+                revalidate(_standalone(forged, _sub(forged, "ShearMembership")))
 
 
 def test_a_cylinder_type_listed_twice_is_malformed():
@@ -1176,7 +1212,7 @@ def test_forged_twist_counts_keep_nothing():
     facts, twists = dict(types._facts), dict(types._twists)
     shear = _standalone(data, _sub(data, "ShearMembership"))
     row = shear["payload"]["cylinders"][0]
-    modulus, height = row["inverse_modulus"], row["height"]
+    modulus, height = row["inverse_modulus"], data["horizontal"][0]["height"]
     assert types.read(data["values"])[1][height] not in twists
     for i in range(certificates._MEMO_SIZE + 10):
         row["inverse_modulus"] = height if i % 2 else modulus

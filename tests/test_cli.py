@@ -226,17 +226,17 @@ def test_revalidate_subcommand_reports_deeply_nested_json_as_malformed(capsys, t
 
 
 # sha256 of `veechlab verify` stdout, recorded when certificates moved to
-# format 5, which carries each fact once (the format-1 to format-4 hashes
-# are kept with their fixtures in tests/test_format.py; format 4's were
-# b63e7e6a... at (25, 4) and c83601b0... at (101, 3))
+# format 6, which writes one shear row per inverse modulus (the format-1
+# to format-5 hashes are kept with their fixtures in tests/test_format.py;
+# format 5's were 428ec367... at (25, 4) and dd1be049... at (101, 3))
 GOLDEN_VERIFY = {
-    ("--n", "7", "--d", "4"): "c8bbe5daeba03e0ee3e8f6046db7e4aad4109548cd75bb65462f3be9855db12c",
-    ("--n", "9", "--d", "6"): "8bb14cdf513a62e7135d47c131746a16bd05a52e871ee80044cedf643a2f1ab9",
-    ("--n", "14", "--d", "3"): "c29ee834b2446bf7a93fa1a38fcc7f05bf4a765762a48fd2e397026a599ed310",
-    ("--n", "8", "--infinite"): "36186fdd8148d4fa3cd21c7ae55b402a88ef900d3603d1764946ab000c6a4adb",
+    ("--n", "7", "--d", "4"): "0b93d45140eacc2937a16cd17e28342881378f38851eab2fb74fb2d5e472313e",
+    ("--n", "9", "--d", "6"): "598783d779da79eb64568abd98dbf3e9fca6ee18af8444a8d1c7ecb5289857f4",
+    ("--n", "14", "--d", "3"): "4e8876425ae856e4b6c581477216c4f147af6645a15598d326fe089b42945602",
+    ("--n", "8", "--infinite"): "bfd2d72185f70c5d52444d1c01146005c71551df851202f521b816ce1942aa9e",
     # conductors 100 and 404
-    ("--n", "25", "--d", "4"): "428ec36784cdaabb5d76fe82402d6a5e4fb44a9c71a3ebff402b9a9603998d4a",
-    ("--n", "101", "--d", "3"): "dd1be049c3966de2f03fef9641e8a23c19abb1b62f8dc59eeb39714ec4eb4a25",
+    ("--n", "25", "--d", "4"): "620e884a76617ab72bab7075657abcc6b2e10a3409c999a99abb50fc60336864",
+    ("--n", "101", "--d", "3"): "959f6cab7f1b1f409bfc7f0a0aec75e51583f26855a591a90afb56b6e1d295cb",
 }
 
 
@@ -248,12 +248,12 @@ def test_verify_stdout_bytes_unchanged(capsys, args):
 
 
 # sha256 of json.dumps(cert.to_json()) for the three format-1 fixtures that
-# GOLDEN_VERIFY does not pin, recorded when format 5 replaced format 4
-# (their format-4 hashes were ffde0085..., f14fb879... and 0c48df9a...).
+# GOLDEN_VERIFY does not pin, recorded when format 6 replaced format 5
+# (their format-5 hashes were 33d597be..., d57f58cd... and 1e31f001...).
 GOLDEN_CERTIFICATES = {
-    "mutated_n7_d4": "33d597be458387e45985fecebce53e4eafcc10a1cb34f9440682ad4a112562e3",
-    "shear_n7_d4_l1": "d57f58cd50815d03e7c886188e13b6a5bae6356828f2cb5dc0c5b52b50623f77",
-    "rotation_n7_d4_l2": "1e31f001b431ce311a75aca4c867cc19c38a12e9aaa82609ca21a6ef602f27b0",
+    "mutated_n7_d4": "d8d2bb89dbdc09a356d572d817998fe4e23872f2a20020be638f5099b1fd4562",
+    "shear_n7_d4_l1": "cfccb95eedc806eade834e2f888eed309872ff2eb444d92ec18e2f99e197554d",
+    "rotation_n7_d4_l2": "1ef0ea638540d8de19cd48a8222a5c4aaa96f2ac6f4ed1ef4bda471c0ac36292",
 }
 
 _CERTIFICATES = {
@@ -275,7 +275,7 @@ def test_revalidate_subcommand_refuses_format1(capsys, tmp_path):
     path.write_bytes(gzip.decompress(fixture.read_bytes()))
     code, out, err = run_cli(capsys, "revalidate", "--file", str(path))
     assert code == 1 and out == ""
-    assert "format 1 is no longer read; run `veechlab verify` again to write format 5" in err
+    assert "format 1 is no longer read; run `veechlab verify` again to write format 6" in err
 
 
 # sha256 of `veechlab cylinders` stdout and of `veechlab render` SVG files,

@@ -1,17 +1,18 @@
-"""Certificate format 5, and the refusal of formats 1 to 4.
+"""Certificate format 6, and the refusal of formats 1 to 5.
 
-revalidate reads format 5 only.  The fixtures under tests/fixtures are
+revalidate reads format 6 only.  The fixtures under tests/fixtures are
 older certificates exactly as the last release of their format wrote
 them (gzipped).  Format 1: `veechlab verify` stdout for four (n, d), a
 failing mutated theorem, and one standalone ShearMembership and
 RotationObstruction, both written with json.dumps(cert.to_json(),
-indent=2) plus a newline.  Formats 2 to 4 (format2_*, format3_*,
-format4_*): `veechlab verify` stdout for the same four (n, d); format 3
-listed a rotation slot for every l, and format 4 every generator's
-image, each subcertificate's (n, d), each shear's factor and each
-value's decimal approximation.  Each must be refused; the certificates
-made today for the same claims are pinned by GOLDEN_VERIFY and
-GOLDEN_CERTIFICATES in tests/test_cli.py.
+indent=2) plus a newline.  Formats 2 to 5 (format2_* to format5_*):
+`veechlab verify` stdout for the same four (n, d); format 3 listed a
+rotation slot for every l, format 4 every generator's image, each
+subcertificate's (n, d), each shear's factor and each value's decimal
+approximation, and format 5 a shear row, with a height and a count, for
+every cylinder type.  Each must be refused; the certificates made today
+for the same claims are pinned by GOLDEN_VERIFY and GOLDEN_CERTIFICATES
+in tests/test_cli.py.
 """
 
 import copy
@@ -39,7 +40,7 @@ from veechlab.certificates import (
 from veechlab.cli import main
 from veechlab.covering import Monodromy, monodromy_indices, num_generators, standard_monodromy
 from veechlab.errors import MalformedCertificate
-from veechlab.field import RealAlg
+from veechlab.field import RealAlg, lambda_n
 from veechlab.zcover import std_infinite_monodromy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,12 +81,22 @@ FORMAT4_VERIFY = {
     "format4_verify_n8_inf": "f6cb2b20644eff3b5b9f32e43a735323d66fa0246fe3732b9a59a3bd4f5b5ea7",
 }
 
-# the unprefixed fixtures are format 1; revalidate refuses formats 1 to 4
+# sha256 of format-5 `veechlab verify` stdout: the GOLDEN_VERIFY hashes of
+# tests/test_cli.py before format 6 replaced them
+FORMAT5_VERIFY = {
+    "format5_verify_n7_d4": "c8bbe5daeba03e0ee3e8f6046db7e4aad4109548cd75bb65462f3be9855db12c",
+    "format5_verify_n9_d6": "8bb14cdf513a62e7135d47c131746a16bd05a52e871ee80044cedf643a2f1ab9",
+    "format5_verify_n14_d3": "c29ee834b2446bf7a93fa1a38fcc7f05bf4a765762a48fd2e397026a599ed310",
+    "format5_verify_n8_inf": "36186fdd8148d4fa3cd21c7ae55b402a88ef900d3603d1764946ab000c6a4adb",
+}
+
+# the unprefixed fixtures are format 1; revalidate refuses formats 1 to 5
 FIXTURES_FORMAT1 = sorted(FORMAT1_VERIFY) + ["mutated_n7_d4", "rotation_n7_d4_l2", "shear_n7_d4_l1"]
-FORMAT1_REFUSED = "format 1 is no longer read; run `veechlab verify` again to write format 5"
-FORMAT2_REFUSED = "format 2 is no longer read; run `veechlab verify` again to write format 5"
-FORMAT3_REFUSED = "format 3 is no longer read; run `veechlab verify` again to write format 5"
-FORMAT4_REFUSED = "format 4 is no longer read; run `veechlab verify` again to write format 5"
+FORMAT1_REFUSED = "format 1 is no longer read; run `veechlab verify` again to write format 6"
+FORMAT2_REFUSED = "format 2 is no longer read; run `veechlab verify` again to write format 6"
+FORMAT3_REFUSED = "format 3 is no longer read; run `veechlab verify` again to write format 6"
+FORMAT4_REFUSED = "format 4 is no longer read; run `veechlab verify` again to write format 6"
+FORMAT5_REFUSED = "format 5 is no longer read; run `veechlab verify` again to write format 6"
 
 
 def _fixture_bytes(name: str) -> bytes:
@@ -141,10 +152,26 @@ def test_format4_fixtures_are_the_old_verify_bytes(name):
 @pytest.mark.parametrize("name", sorted(FORMAT4_VERIFY))
 def test_format4_is_refused(name):
     # format 4 wrote every generator's image and each subcertificate's
-    # (n, d); its verdicts still hold, but revalidate reads only format 5
+    # (n, d); its verdicts still hold, but revalidate reads only format 6
     data = _fixture(name)
     assert data["format"] == 4
     with pytest.raises(MalformedCertificate, match=re.escape(FORMAT4_REFUSED)):
+        revalidate(data)
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT5_VERIFY))
+def test_format5_fixtures_are_the_old_verify_bytes(name):
+    assert hashlib.sha256(_fixture_bytes(name)).hexdigest() == FORMAT5_VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT5_VERIFY))
+def test_format5_is_refused(name):
+    # format 5 wrote a shear row, with a height and a count, for every
+    # cylinder type; its verdicts still hold, but revalidate reads only
+    # format 6, one shear row per inverse modulus
+    data = _fixture(name)
+    assert data["format"] == 5
+    with pytest.raises(MalformedCertificate, match=re.escape(FORMAT5_REFUSED)):
         revalidate(data)
 
 
@@ -327,9 +354,9 @@ def _drop_horizontal(data):
     _set_entry({"coeffs": [[60, "1"]]}),  # beyond 2 phi(28) - 1
     _set_entry([[0, "1"]]),
     _drop_horizontal,
-    lambda data: data.update(format=4),
-    lambda data: data.update(format=6),
-    lambda data: data.update(format="5"),
+    lambda data: data.update(format=5),
+    lambda data: data.update(format=7),
+    lambda data: data.update(format="6"),
     lambda data: data.update(values={}),
     lambda data: data.pop("values"),
     lambda data: data.pop("conductor"),
@@ -370,24 +397,36 @@ def _reindexed(data: dict, index: list) -> dict:
     return out
 
 
+def _rotation(data: dict) -> dict:
+    # a theorem's RotationObstruction alone, with the horizontal section
+    # that it compares against
+    rotation = next(s for s in data["payload"]["subcertificates"]
+                    if s["kind"] == "RotationObstruction")
+    return {**{k: data[k] for k in _CLAIM}, "horizontal": data["horizontal"], **rotation}
+
+
 @pytest.mark.parametrize("cert", [verify_theorem(7, 4),
                                   verify_theorem(9, 8, monodromy=mutated_monodromy(9, 8))],
                          ids=["pass", "fail"])
 def test_a_height_at_value_index_0_is_read(cert):
     # value 0 is an inverse modulus in every table verify writes; swap it
-    # with the first shear row's height, which then names value 0
+    # with the first horizontal row's height, which then names value 0.
+    # The failing theorem stops at a shear before its rotation reads the
+    # horizontal rows, so the rotation is read alone too
     data = _as_json(cert)
-    size, h = len(data["values"]), _shear(data)["payload"]["cylinders"][0]["height"]
+    size, h = len(data["values"]), data["horizontal"][0]["height"]
     index = list(range(size))
     index[0], index[h] = h, 0
     moved = _reindexed(data, index)
-    row = _shear(moved)["payload"]["cylinders"][0]
+    row = moved["horizontal"][0]
     assert row["height"] == 0 and moved != data
     assert revalidate(moved) == revalidate(data) == cert.verdict
+    assert revalidate(_rotation(moved)) == revalidate(_rotation(data)) == "pass"
     # and an index one past the table names no value
     row["height"] = size
-    with pytest.raises(MalformedCertificate, match="not a cylinder row of a table of %d" % size):
-        revalidate(moved)
+    for doc in [_rotation(moved)] + ([moved] if cert.verdict == "pass" else []):
+        with pytest.raises(MalformedCertificate, match="not a cylinder row of a table of %d" % size):
+            revalidate(doc)
 
 
 def test_format1_subcertificate_in_a_format2_theorem_raises():
@@ -449,7 +488,8 @@ def test_infinite_shear_lists_its_infinite_cylinders():
         forged = copy.deepcopy(data)
         shear = next(s for s in forged["payload"]["subcertificates"]
                      if s["kind"] == "ShearMembership")
-        shear["payload"]["cylinders"].append(dict(strips[0], twists=twists))
+        shear["payload"]["cylinders"].append({"inverse_modulus": strips[0]["inverse_modulus"],
+                                              "twists": twists})
         assert revalidate(forged) == "fail"
         assert revalidate({**{k: forged[k] for k in _CLAIM}, **shear}) == "fail"
 
@@ -463,8 +503,9 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
                                         certificates._Values(8), profile=lambda l: types)
     assert cert.verdict == "fail"
     data = _as_json(cert)
+    # the strips share inverse modulus 0, so one row lists them all
     rows = _zero_modulus_rows(data, data["payload"]["cylinders"])
-    assert len(rows) == len(infinite) and all(r["twists"] is None for r in rows)
+    assert len(rows) == 1 and rows[0]["twists"] is None
     assert revalidate(data) == "fail"
 
 
@@ -473,8 +514,8 @@ def test_infinite_shear_certificate_with_an_infinite_cylinder_fails_on_revalidat
 
 
 # sha256 over json.dumps(verify_theorem(...).to_json()) of the sweep below,
-# recorded when format 5 replaced format 4 (whose hash was 09f3c777...)
-GOLDEN_SWEEP = "37d84f80501b739e641c05faa14b64285d216702ea3b6b73c0052f0e48486731"
+# recorded when format 6 replaced format 5 (whose hash was 37d84f80...)
+GOLDEN_SWEEP = "7a3c85a2df47f3f4957630b304bd8c92c7b5974399921e774bae2620878e2f6a"
 
 
 def test_certificate_sweep_bytes_unchanged():
@@ -525,6 +566,41 @@ def test_no_theorem_verdict_moves():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_THEOREM_VERDICTS
 
 
+def _twist_count(modulus: RealAlg, factor: RealAlg):
+    # the integer k >= 1 with k * modulus == factor, or None: k is the
+    # nearest integer to the float quotient, checked by one exact product
+    if modulus.is_zero():
+        return None
+    k = round(float(factor) / float(modulus))
+    return k if k >= 1 and k * modulus == factor else None
+
+
+def test_shear_rows_are_the_profiles_distinct_inverse_moduli():
+    # each shear of each theorem of _verdict_grid has one row per distinct
+    # inverse modulus of its direction's profile, in exact-key order, and
+    # each row's twists are that modulus's count by 2 * lambda_n
+    shears = 0
+    for n, key, cert, _ in _verdict_grid():
+        if key == "inf":
+            m = std_infinite_monodromy(n)
+        elif type(key) is int:
+            m = standard_monodromy(n, key)
+        else:
+            m = mutated_monodromy(n, int(key[1:]))
+        data, exact = _as_json(cert), certificates._types(n).exact
+        table = [RealAlg.from_json(e, 4 * n) for e in data["values"]]
+        factor = 2 * lambda_n(n)
+        for shear in _shears(data):
+            profile = certificates._finite_profile(n, m, shear["payload"]["l"])
+            moduli = {exact[t[0]].key(): exact[t[0]] for t in profile}
+            want = [(mu, _twist_count(mu, factor)) for _, mu in sorted(moduli.items())]
+            rows = shear["payload"]["cylinders"]
+            assert all(set(row) == {"inverse_modulus", "twists"} for row in rows)
+            assert [(table[r["inverse_modulus"]], r["twists"]) for r in rows] == want, (n, key)
+            shears += 1
+    assert shears == 1926  # the shear slots of the grid's 299 theorems
+
+
 def _verify_stdout(args, hashseed: str) -> bytes:
     src = str(Path(veechlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hashseed,
@@ -543,6 +619,6 @@ def test_verify_emits_one_compact_line(capsys):
     assert main(["verify", "--n", "25", "--d", "4"]) == 0
     out = capsys.readouterr().out
     assert len(out.encode()) < 64 * 1024
-    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":5,"conductor":100,"n":25,"d":4,')
+    assert out.count("\n") == 1 and out.endswith("\n") and out.startswith('{"format":6,"conductor":100,"n":25,"d":4,')
     data = json.loads(out)
     assert data["verdict"] == "pass" and revalidate(data) == "pass"

@@ -26,9 +26,11 @@ BOUNDS = {
     # 35 and 67; 61 is prime and 123 = 3 * 41, so they have one and two
     # rotation slots
     "subcertificates": 2.1,
-    # 63,741 and 235,445 bytes (x3.69), under 67,552 and 243,211 (x3.60)
-    # plus 10%: each shear row names values of O(n) terms
-    "json_bytes": 3.96,
+    # 13,206 and 28,606 bytes (x2.17) plus 10%: each of the O(n) shears
+    # has one row per distinct inverse modulus, two at most at both n
+    # (63,741 and 235,445 bytes, x3.69, while a shear had a row per
+    # cylinder type)
+    "json_bytes": 2.39,
 }
 
 
